@@ -4,19 +4,16 @@ The acceptance benchmark of the event-driven site engine: a rolling
 engine fed a high-rate Poisson arrival stream whose rate extrapolates
 to over half a million arrivals per simulated day, with per-job
 bookkeeping disabled (``record_jobs=False``) so memory stays bounded by
-the backpressure window rather than the arrival count.  Concurrent
-in-flight batch physics runs through the vectorised batched engines
-(``batched_physics=True``): arrivals accumulate over a quantised
-admission window (``admission_interval_s``) and every batch in flight
-at a flush is simulated as rows of one stacked tensor step instead of
-one scalar engine call each.
+the backpressure window rather than the arrival count.  Arrivals
+accumulate over a quantised admission window (``admission_interval_s``)
+and every batch in flight at a flush is simulated as a row of one
+stacked engine pass of the batch executor.
 
 The run asserts the memory contract directly — terminal jobs
 forgotten, no per-batch records retained, peak tracked jobs a small
 multiple of ``max_pending`` — plus the concurrency contract (at least
-eight batches in flight at the peak) and, on a short paired window with
-records enabled, bit-identity between the batched and scalar physics
-paths: identical stats and identical per-batch records.
+eight batches in flight at the peak) and that seeded reruns reproduce
+their stats exactly.
 
 The arrival stream is seeded, so the arrival count (and therefore the
 ``arrivals_per_day`` metric) is deterministic; wall-clock metrics vary
@@ -53,13 +50,13 @@ ADMISSION_INTERVAL_S = 4.0
 SEED = 11
 
 
-def _build_engine(duration_s, *, batched=True, record_batches=False):
+def _build_engine(duration_s):
     cluster = Cluster(node_count=NODE_COUNT, variation=None, seed=0)
     engine = SiteStreamEngine(
         cluster, create_policy("StaticCaps"), BUDGET_W,
         rolling=True, max_pending=MAX_PENDING,
-        record_jobs=False, record_batches=record_batches,
-        run_seed=None, batched_physics=batched,
+        record_jobs=False, record_batches=False,
+        run_seed=None,
         admission_interval_s=ADMISSION_INTERVAL_S,
         per_job_batches=True,
     )
@@ -120,20 +117,6 @@ def test_sustained_stream_throughput_and_memory(emit):
     assert stats.peak_tracked_jobs <= 2 * MAX_PENDING
     assert stats.mean_turnaround_s() > 0.0
 
-    # Bit-identity spot check: on a short paired window with records
-    # enabled, the batched physics path must reproduce the scalar path
-    # exactly — same stats, same per-batch records, same turnarounds.
-    # Quantised admission is an engine-level scheduling choice, not a
-    # physics one; both engines share it so the pairing isolates the
-    # batched-vs-scalar execution difference.
-    batched = _build_engine(60.0, batched=True, record_batches=True)
-    scalar = _build_engine(60.0, batched=False, record_batches=True)
-    stats_b = batched.run()
-    stats_s = scalar.run()
-    assert stats_b == stats_s
-    assert batched.batches == scalar.batches
-    assert batched.turnaround_s == scalar.turnaround_s
-
     lines = [
         "Streaming site engine: sustained Poisson load "
         f"({RATE_PER_S}/s for {DURATION_S:.0f} simulated seconds, "
@@ -170,6 +153,6 @@ def test_sustained_stream_throughput_and_memory(emit):
                 "max_pending": MAX_PENDING, "node_count": NODE_COUNT,
                 "budget_w": BUDGET_W,
                 "admission_interval_s": ADMISSION_INTERVAL_S,
-                "batched_physics": True, "smoke": SMOKE},
+                "smoke": SMOKE},
         seed=SEED,
     )

@@ -579,8 +579,9 @@ def run_facility_simulation(
       (:mod:`repro.hierarchy.fused`); ``workers`` is ignored.
 
     The result is bit-identical across engines and worker counts — the
-    plan is open loop, leaf tasks are pure, and the fused engine shares
-    the scalar shift loop's statements.
+    plan is open loop, leaf tasks are pure, and both engines drive the
+    same shift-loop generator
+    (:func:`~repro.manager.site_simulation.shift_rounds`).
     """
     if engine not in ("sharded", "fused"):
         raise ValueError(

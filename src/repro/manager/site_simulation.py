@@ -6,8 +6,8 @@ whenever capacity frees up, admitted batches run under a policy, and the
 site's power telemetry accumulates into the Fig. 1-style record.  This is
 the operating loop the paper's stack serves, driven end to end:
 
-    arrivals -> JobQueue -> PowerAwareAdmission -> Scheduler
-             -> Policy allocation -> simulate_mix -> telemetry
+    arrivals -> JobQueue -> PowerAwareAdmission -> plan_admitted_batch
+             -> execute_planned_batches -> finish_planned_batch -> telemetry
 
 The simulation is event-stepped at batch granularity: whenever the
 cluster drains, the next admission round runs against everything that has
@@ -16,13 +16,20 @@ ones would need preemptive re-allocation, which the paper leaves to
 future work; batch granularity keeps the model inside what the paper's
 policies define.)
 
-The long-lived, event-driven form of this loop lives in
-:mod:`repro.stream`: the streaming site engine reuses
-:func:`execute_admitted_batch` — the per-batch physics extracted here —
-so a replayed arrival list is bit-identical between the two, while the
-stream engine adds sustained-load behaviours (rolling admission on
-capacity-freed events, mid-stream budget changes, backpressure) this
-closed batch call cannot express.
+One batch path
+--------------
+Every admitted batch, in every site loop, takes the same three stages:
+:func:`plan_admitted_batch` schedules it onto the schedulable hosts and
+plans its caps (memoised through a :class:`BatchPlanner`, or through the
+degradation ladder under faults); :func:`execute_planned_batches` runs
+any number of planned batches through grouped stacked engine passes; and
+:func:`finish_planned_batch` folds each simulated row into the batch
+record.  A single batch is the one-row case.  :func:`shift_rounds` is
+the shift loop itself, a generator that yields planned batches to its
+caller: :func:`run_site_simulation` executes them one at a time, and the
+fused facility engine (:mod:`repro.hierarchy.fused`) fuses the batches
+of many clusters.  The rolling streaming engine (:mod:`repro.stream`)
+plans and executes its co-resident batches through the same stages.
 
 Fault replay
 ------------
@@ -34,12 +41,12 @@ hosts are quarantined for the batch), and whether a sensor dropout has
 blinded characterization (the batch then plans through the
 :func:`~repro.faults.degradation.plan_with_degradation` ladder's
 characterization-free clamp tier).  Engine-applicable faults (stuck or
-erroring caps, noise bursts) are re-clocked into the batch's
-:class:`~repro.sim.execution.SimulationOptions` via
-:meth:`~repro.faults.schedule.FaultSchedule.engine_slice`.  Every fault
-hook is gated on :attr:`~repro.faults.schedule.FaultSchedule.active`, so
-``None`` and an *empty* schedule take the identical fault-free code path
-and produce bit-identical results.
+erroring caps, noise bursts) are re-clocked to the batch's launch via
+:meth:`~repro.faults.schedule.FaultSchedule.engine_slice`, and such a
+batch runs as an engine pass of its own.  Every fault hook is gated on
+:attr:`~repro.faults.schedule.FaultSchedule.active`, so ``None`` and an
+*empty* schedule take the identical fault-free code path and produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from repro.core.policy import Policy
 from repro.manager.admission import AdmissionDecision, PowerAwareAdmission
 from repro.manager.power_manager import PowerManager, apply_job_runtime
 from repro.manager.queue import JobQueue, JobRequest, JobState
-from repro.manager.scheduler import ScheduledMix, Scheduler
+from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
 from repro.sim.execution import SimulationOptions
 from repro.telemetry import emit, enabled, get_registry, span
@@ -67,14 +74,12 @@ __all__ = [
     "BatchRecord",
     "BatchExecution",
     "BatchPlanner",
+    "ExecutedBatches",
     "PlannedBatch",
     "SiteSimulationResult",
-    "budget_only_schedule",
-    "execute_admitted_batch",
     "execute_planned_batches",
     "finish_planned_batch",
     "plan_admitted_batch",
-    "plan_shift_batch",
     "run_site_simulation",
     "shift_rounds",
 ]
@@ -202,207 +207,23 @@ class SiteSimulationResult:
         return max((b.mean_power_w for b in self.batches), default=0.0)
 
 
-def execute_admitted_batch(
-    *,
-    clock: float,
-    batch_index: int,
-    admitted: Sequence[JobRequest],
-    decision: AdmissionDecision,
-    batch_cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    batch_budget_w: float,
-    quarantined: Tuple[int, ...],
-    manager: PowerManager,
-    noise_std: float,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
-) -> BatchExecution:
-    """Schedule, plan, and execute one admitted batch at ``clock``.
-
-    The per-batch physics of the shift loop, extracted so the streaming
-    site engine (:mod:`repro.stream.engine`) runs *exactly* this code:
-    identical scheduling shuffle (``shuffle_seed=batch_index``), identical
-    noise-seed derivation, identical degradation/overshoot accounting.
-    Replaying one arrival list through either loop therefore produces
-    bit-identical batch records.
-
-    ``budget_w`` is the budget the planner quotes on fault-free launches
-    (the batch's share of the facility budget); ``batch_budget_w`` the
-    fault-adjusted budget in force at launch, used by the degradation
-    ladder and the compliance accounting.
-    """
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    scheduled = Scheduler(
-        batch_cluster, shuffle_seed=batch_index
-    ).allocate(mix)
-    if run_seed is None:
-        batch_seed = batch_index
-    else:
-        from repro.parallel.seeding import child_seed
-
-        batch_seed = child_seed(run_seed, "site-batch", batch_index)
-    tier = "none"
-    backoff_s = 0.0
-    with span("manager.site.batch", batch=batch_index,
-              admitted=len(decision.admitted),
-              quarantined=len(quarantined)) as batch_sp:
-        if not injecting:
-            char = characterize_mix(
-                mix, scheduled.efficiencies, manager.model
-            )
-            run = manager.launch(
-                scheduled, policy, budget_w, characterization=char,
-                options=SimulationOptions(
-                    noise_std=noise_std, seed=batch_seed
-                ),
-            )
-            result = run.result
-        else:
-            from repro.faults.degradation import plan_with_degradation
-            from repro.faults.schedule import FaultKind
-            from repro.sim.execution import simulate_mix
-
-            # Plan through the degradation ladder: sensor dropouts
-            # blind characterization, forcing the clamp tier.
-            blinded = bool(fault_schedule.sensor_dropout_at(clock))
-            char = None if blinded else characterize_mix(
-                mix, scheduled.efficiencies, manager.model
-            )
-            plan = plan_with_degradation(
-                policy, batch_budget_w, characterization=char,
-                host_count=scheduled.mix.total_nodes,
-                min_cap_w=manager.model.power_model.min_cap_w,
-                tdp_w=manager.model.power_model.tdp_w,
-                config=degradation,
-            )
-            tier, backoff_s = plan.tier, plan.backoff_s
-            caps = plan.caps_w
-            if char is not None and plan.tier == "replan" \
-                    and policy.application_aware:
-                caps = apply_job_runtime(char, caps)
-            result = simulate_mix(
-                scheduled.mix, caps, scheduled.efficiencies,
-                manager.model,
-                SimulationOptions(
-                    noise_std=noise_std, seed=batch_seed,
-                    fault_schedule=fault_schedule.engine_slice(clock),
-                ),
-                policy_name=policy.name, budget_w=batch_budget_w,
-            )
-        duration = float(np.max(result.job_elapsed_s)) + backoff_s
-        planned_overshoot_ws = 0.0
-        overshoot_ws = 0.0
-        if injecting:
-            # Post-plan compliance against the launch budget, judged
-            # on the iteration power trace...
-            planned_overshoot_ws = result.budget_overshoot_watt_seconds(
-                batch_budget_w
-            )
-            overshoot_ws = planned_overshoot_ws
-            # ...plus the reaction window of any budget drop landing
-            # mid-batch, charged at the batch's mean draw until the
-            # actuator responds.
-            mean_p = result.mean_system_power_w
-            for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
-                if clock < event.time_s < clock + duration:
-                    dipped = fault_schedule.budget_at(
-                        max(event.time_s, event.end_s), budget_w
-                    )
-                    window = min(
-                        reaction_s, clock + duration - event.time_s
-                    )
-                    overshoot_ws += max(0.0, mean_p - dipped) * window
-        if batch_sp is not None:
-            batch_sp.set_attribute("degradation_tier", tier)
-            batch_sp.set_attribute("duration_s", duration)
-    record = BatchRecord(
-        start_s=clock,
-        end_s=clock + duration,
-        admitted=decision.admitted,
-        deferred=decision.deferred,
-        mean_power_w=result.mean_system_power_w,
-        energy_j=result.total_energy_j,
-        budget_w=float(batch_budget_w),
-        degradation_tier=tier,
-        quarantined=quarantined,
-        planned_overshoot_ws=planned_overshoot_ws,
-        overshoot_ws=overshoot_ws,
-        backoff_s=backoff_s,
-    )
-    if enabled():
-        registry = get_registry()
-        utilization = result.mean_system_power_w / batch_budget_w
-        registry.gauge("manager.site.utilization").set(utilization)
-        registry.histogram("manager.site.batch_duration_s").observe(duration)
-        registry.counter("manager.site.batches").inc()
-        registry.counter("manager.site.jobs_completed").inc(
-            len(result.job_names)
-        )
-        emit(
-            "manager.site", "batch_complete",
-            batch=batch_index, policy=policy.name,
-            admitted=len(decision.admitted),
-            deferred=len(decision.deferred),
-            duration_s=duration,
-            mean_power_w=float(result.mean_system_power_w),
-            utilization=utilization,
-        )
-    # The ladder's decision latency delays the launch, so it is charged
-    # to every job's completion: elapsed + backoff keeps the float
-    # operation order of ``duration`` and lands the critical-path job
-    # exactly on ``record.end_s`` (fault-free, backoff is 0.0 and the
-    # historical values are reproduced bit-for-bit).
-    completions = tuple(
-        clock + (float(elapsed) + backoff_s)
-        for elapsed in result.job_elapsed_s
-    )
-    return BatchExecution(
-        record=record,
-        job_names=tuple(result.job_names),
-        completion_s=completions,
-    )
-
-
 @dataclass(frozen=True)
 class PlannedBatch:
-    """An admitted batch, planned but not yet simulated.
+    """An admitted batch, scheduled and planned but not yet simulated.
 
-    The batched rolling path of the streaming engine splits
-    :func:`execute_admitted_batch` into stages so the expensive middle —
-    the engine call — can be shared across all co-resident batches:
-    :func:`plan_admitted_batch` produces one of these per batch,
-    :func:`execute_planned_batches` runs all of them through
-    :func:`~repro.sim.batch.simulate_layout_batch` grouped by job
-    structure, and :func:`finish_planned_batch` turns each row back into
-    the :class:`BatchExecution` the event loop consumes.  Every numeric
-    field is derived exactly as the monolithic path derives it, so the
-    staged pipeline is bit-identical to per-batch
-    :func:`execute_admitted_batch` calls (pinned by the stream property
-    suite).
+    Every batch runs through three stages: :func:`plan_admitted_batch`
+    produces one of these, :func:`execute_planned_batches` simulates any
+    number of them in grouped stacked engine passes, and
+    :func:`finish_planned_batch` turns each simulated row into the
+    :class:`BatchExecution` a site loop consumes.  A scalar execution is
+    the one-row case.
 
-    The trailing defaulted fields extend the stage split to the two
-    callers beyond the original fault-free stream case:
-
-    * ``group_key`` is the cross-site grouping context — the "cluster
-      dimension" of the fused facility engine.  Batches only fuse into
-      one stacked pass when it matches; ``None`` (shared physics) fuses
-      freely, which is correct whenever model and noise settings are
-      global, because everything else (caps, efficiencies, seeds,
-      budgets) is already per-row.
-    * ``tier`` / ``backoff_s`` / ``fault_schedule`` / ``reaction_s`` /
-      ``sim_budget_w`` carry the degradation-ladder outcome and the
-      compliance-accounting inputs of a *budget-only* fault batch (no
-      engine-applicable faults, no failed hosts, no sensor dropouts —
-      the case whose engine call is still the fault-free physics).
-      Fault-free batches leave them at their defaults and reproduce the
-      historical records bit-for-bit.
+    The trailing defaulted fields carry the fault-replay state of the
+    batch: the degradation-ladder outcome (``tier`` / ``backoff_s``), the
+    active schedule and reaction window for stage 3's compliance
+    accounting, and ``engine_faults`` — the schedule's engine-applicable
+    events re-clocked to the launch (``None`` when no cap or noise fault
+    can touch the run).  Fault-free batches leave them at their defaults.
     """
 
     clock: float
@@ -415,14 +236,11 @@ class PlannedBatch:
     budget_w: float
     batch_budget_w: float
     quarantined: Tuple[int, ...]
-    group_key: object = None
     tier: str = "none"
     backoff_s: float = 0.0
     fault_schedule: object = None
     reaction_s: float = 1.0
-    #: Budget quoted on the result metadata (``None`` → ``budget_w``);
-    #: the scalar path quotes ``batch_budget_w`` on fault runs.
-    sim_budget_w: Optional[float] = None
+    engine_faults: object = None
 
     @property
     def mix(self) -> WorkloadMix:
@@ -430,8 +248,14 @@ class PlannedBatch:
         return self.scheduled.mix
 
 
+#: Bound on each level of a :class:`BatchPlanner` memo (job shapes,
+#: characterizations, caps arrays).  A level that reaches it is cleared
+#: wholesale, as the stacked-layout memo in :mod:`repro.sim.batch` is.
+PLANNER_MEMO_LIMIT = 128
+
+
 class BatchPlanner:
-    """Memoised fault-free planning for a stream of admitted batches.
+    """Memoised characterization and cap allocation for admitted batches.
 
     Characterization and cap allocation depend only on the job *shapes*
     (kernel config, node count, iterations), the host-efficiency vector,
@@ -442,36 +266,58 @@ class BatchPlanner:
     nodes) estimate cache, and it reuses the same insight: streams are
     repetitive, physics is deterministic.
 
-    Memo hits return the *identical* caps array (read-only) and a
-    characterization re-labelled to the batch's mix name via
-    ``dataclasses.replace`` — every numeric field byte-for-byte the one a
-    fresh :func:`characterize_mix` + :meth:`PowerManager.plan` +
-    :func:`apply_job_runtime` chain would produce, because that is
-    exactly what populated the memo.
+    Memo hits return the *identical* caps array (read-only) and
+    characterization a fresh :func:`characterize_mix` +
+    :meth:`PowerManager.plan` + :func:`apply_job_runtime` chain would
+    produce, because that is exactly what populated the memo.  Each memo
+    level holds at most :data:`PLANNER_MEMO_LIMIT` entries, so a
+    long-lived engine on heterogeneous hosts (where nearly every
+    efficiency vector is new) stays bounded.
     """
 
     def __init__(self, manager: PowerManager, policy: Policy) -> None:
         self.manager = manager
         self.policy = policy
-        # shape_key -> {"layout": HostLayout,
+        # shape_key -> {"layout": HostLayout, "iters": int,
         #               "by_eff": {eff bytes -> {"char": ...,
         #                                        "caps": {budget -> caps}}}}
         # One nested entry per shape so the (potentially expensive)
         # shape-key tuple — it hashes every KernelConfig field — is
         # hashed once per plan call, not once per memo level.
         self._memo: Dict[tuple, dict] = {}
+        self._char_entries = 0
+        self._caps_entries = 0
         #: Characterization-level memo hits/misses (the physics-pass
         #: savings a shared planner delivers across batches and, in the
         #: fused facility engine, across clusters).
         self.char_hits = 0
         self.char_misses = 0
 
+    def memo_sizes(self) -> Tuple[int, int, int]:
+        """``(shapes, characterizations, caps arrays)`` held in the memo."""
+        return len(self._memo), self._char_entries, self._caps_entries
+
+    def _clear_characterizations(self) -> None:
+        for entry in self._memo.values():
+            entry["by_eff"].clear()
+        self._char_entries = self._caps_entries = 0
+
+    def _clear_caps(self) -> None:
+        for entry in self._memo.values():
+            for sub in entry["by_eff"].values():
+                sub["caps"].clear()
+        self._caps_entries = 0
+
     def _lookup(self, scheduled: "ScheduledMix") -> dict:
         """The per-(shape, efficiencies) memo slot, characterized.
 
-        Seeds the mix's layout memo from the per-shape cache and counts
-        a characterization hit or miss; shared by :meth:`plan` and
-        :meth:`characterization`.
+        Also seeds the mix's layout memo from the per-shape cache:
+        :meth:`WorkloadMix.layout` memoises per *instance*, but every
+        batch is a fresh mix object, so without this the layout would be
+        rebuilt per batch even though it depends only on the job shapes
+        (names appear nowhere in a :class:`HostLayout`).  Sharing one
+        read-only layout across same-shape batches also lets the
+        stacked-layout cache hit by identity.
         """
         mix = scheduled.mix
         shape_key = tuple(
@@ -479,6 +325,9 @@ class BatchPlanner:
         )
         entry = self._memo.get(shape_key)
         if entry is None:
+            if len(self._memo) >= PLANNER_MEMO_LIMIT:
+                self._memo.clear()
+                self._char_entries = self._caps_entries = 0
             entry = {"layout": mix.layout(),
                      "iters": mix.common_iterations(), "by_eff": {}}
             self._memo[shape_key] = entry
@@ -489,11 +338,14 @@ class BatchPlanner:
         sub = entry["by_eff"].get(eff_key)
         if sub is None:
             self.char_misses += 1
+            if self._char_entries >= PLANNER_MEMO_LIMIT:
+                self._clear_characterizations()
             char = characterize_mix(
                 mix, scheduled.efficiencies, self.manager.model
             )
             sub = {"char": char, "caps": {}}
             entry["by_eff"][eff_key] = sub
+            self._char_entries += 1
         else:
             self.char_hits += 1
         return sub
@@ -501,37 +353,23 @@ class BatchPlanner:
     def characterization(self, scheduled: "ScheduledMix"):
         """The memoised characterization alone (no cap allocation).
 
-        The budget-only fault path plans its caps through the
-        degradation ladder rather than the per-budget caps memo (the
-        faulted budget varies per epoch), but its characterization is
-        the same pure function of (shapes, efficiencies, model) —
-        numerically identical to the fresh ``characterize_mix`` call the
-        scalar fault path makes.
+        Fault-replay batches plan their caps through the degradation
+        ladder rather than the per-budget caps memo (the faulted budget
+        varies per epoch), but their characterization is the same pure
+        function of (shapes, efficiencies, model).  The returned object
+        may carry the ``mix_name`` of the batch that populated the memo.
         """
         return self._lookup(scheduled)["char"]
 
-    def plan(self, scheduled: "ScheduledMix", budget_w: float,
-             relabel: bool = True):
+    def plan(self, scheduled: "ScheduledMix", budget_w: float):
         """Characterize + allocate, memoised.  Returns ``(char, caps)``.
 
-        Also seeds the mix's layout memo from the per-shape cache:
-        :meth:`WorkloadMix.layout` memoises per *instance*, but every
-        streamed batch is a fresh mix object, so without this the layout
-        would be rebuilt per batch even though it depends only on the
-        job shapes (names appear nowhere in a :class:`HostLayout`).
-        Sharing one read-only layout across same-shape batches also lets
-        the vectorised step's stacked-layout cache hit by identity.
-
-        ``relabel=False`` skips rewriting a memo-hit characterization's
-        ``mix_name`` to the current batch's name — callers that discard
-        the characterization (the streaming planner) shouldn't pay the
-        ``dataclasses.replace`` on every batch.
+        The characterization may carry the ``mix_name`` of the batch
+        that populated the memo; every numeric field is the current
+        batch's.
         """
-        mix = scheduled.mix
         sub = self._lookup(scheduled)
         char = sub["char"]
-        if relabel and char.mix_name != mix.name:
-            char = dataclasses.replace(char, mix_name=mix.name)
         budget_key = float(budget_w)
         caps = sub["caps"].get(budget_key)
         if caps is None:
@@ -543,7 +381,10 @@ class BatchPlanner:
                 caps = apply_job_runtime(char, caps)
             caps = np.asarray(caps, dtype=float)
             caps.setflags(write=False)
+            if self._caps_entries >= PLANNER_MEMO_LIMIT:
+                self._clear_caps()
             sub["caps"][budget_key] = caps
+            self._caps_entries += 1
         return char, caps
 
 
@@ -576,48 +417,60 @@ def plan_admitted_batch(
     run_seed: Optional[int],
     planner: Optional[BatchPlanner] = None,
     uniform_hosts: bool = False,
+    fault_schedule=None,
+    degradation=None,
+    reaction_s: float = 1.0,
 ) -> PlannedBatch:
-    """Stage 1 of the fault-free batch pipeline: schedule and plan.
+    """Stage 1: schedule and plan one admitted batch at ``clock``.
 
-    Replicates :func:`execute_admitted_batch`'s scheduling bit-for-bit
-    without constructing the node-subset :class:`Cluster` or a
-    :class:`Scheduler`: on a subset of exactly ``mix.total_nodes`` nodes
-    the scheduler's shuffle is a full permutation of ``arange(n)`` drawn
-    from ``default_rng(batch_index)``, and the efficiencies are the
-    subset's rows gathered through it.  ``host_efficiencies`` must be the
-    cluster efficiencies of the batch's hosts in ascending host-id order
-    — the order :meth:`Cluster.subset` would have copied them in.
+    ``host_efficiencies`` are the efficiencies of the schedulable hosts —
+    the whole partition, its healthy rows, or a free subset — in
+    ascending host-id order.  Scheduling is :meth:`Scheduler.allocate`'s,
+    without building a :class:`Cluster` or :class:`Scheduler`: the host
+    order is shuffled under ``PCG64(batch_index)`` and the first
+    ``mix.total_nodes`` entries are taken.  ``uniform_hosts=True``
+    asserts every entry is equal (a homogeneous cluster); the shuffle is
+    then the identity on every physical input, so it is skipped and a
+    slice of the caller's array is bound directly (it must be treated as
+    read-only).  Only the never-recorded ``node_ids`` differ.
 
-    ``uniform_hosts=True`` asserts every entry of ``host_efficiencies``
-    is equal (a homogeneous cluster, e.g. ``variation=None``).  The
-    shuffle then permutes an all-equal vector — the identity on every
-    physical input — so the permutation draw is skipped and the caller's
-    array is bound directly (it must be treated as read-only).  Every
-    simulated quantity is unchanged; only the (physics-inert, never
-    recorded) ``node_ids`` order differs from the scalar path.
+    ``budget_w`` is the budget quoted on fault-free launches and the base
+    of the fault timeline; ``batch_budget_w`` the fault-adjusted budget
+    in force at launch.  The noise seed is ``batch_index`` (``run_seed``
+    ``None``) or derived from ``(run_seed, batch_index)``.
+
+    Fault-free (``fault_schedule`` ``None`` or empty), characterization
+    and caps come from the ``planner`` memo.  Under an active schedule
+    the caps come from the
+    :func:`~repro.faults.degradation.plan_with_degradation` ladder at
+    ``batch_budget_w``: a sensor dropout at ``clock`` blinds
+    characterization (the clamp tier), and the schedule's
+    engine-applicable events are re-clocked into ``engine_faults``.
     """
     mix = WorkloadMix(
         name=f"batch-{batch_index}",
         jobs=tuple(r.to_job() for r in admitted),
     )
     n = mix.total_nodes
+    if n > len(host_efficiencies):
+        raise ValueError(
+            f"mix {mix.name!r} needs {n} nodes but the partition has "
+            f"{len(host_efficiencies)}"
+        )
     if uniform_hosts:
         scheduled = ScheduledMix.trusted(
-            mix, _identity_order(n), host_efficiencies
+            mix, _identity_order(n), host_efficiencies[:n]
         )
     else:
         eff = np.asarray(host_efficiencies, dtype=float)
-        if eff.shape != (n,):
-            raise ValueError(
-                f"host_efficiencies must have shape ({n},), got {eff.shape}"
-            )
-        order = np.arange(n)
+        order = np.arange(len(eff))
         # Same stream as ``default_rng(batch_index)`` (an int seed is
         # handed straight to PCG64) but skips default_rng's
         # seed-normalisation layer — measurable at thousands of batches
         # per shift.
         np.random.Generator(np.random.PCG64(batch_index)).shuffle(order)
-        scheduled = ScheduledMix.trusted(mix, order, eff[order].copy())
+        node_ids = order[:n]
+        scheduled = ScheduledMix.trusted(mix, node_ids, eff[node_ids])
     if run_seed is None:
         batch_seed = batch_index
     else:
@@ -626,121 +479,15 @@ def plan_admitted_batch(
         batch_seed = child_seed(run_seed, "site-batch", batch_index)
     if planner is None:
         planner = BatchPlanner(manager, policy)
-    _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
-    return PlannedBatch(
-        clock=clock,
-        batch_index=batch_index,
-        decision=decision,
-        scheduled=scheduled,
-        effective_caps=effective_caps,
-        batch_seed=int(batch_seed),
-        policy=policy,
-        budget_w=float(budget_w),
-        batch_budget_w=float(batch_budget_w),
-        quarantined=quarantined,
-    )
-
-
-def budget_only_schedule(fault_schedule) -> bool:
-    """Whether every event of a schedule is a ``BUDGET_CHANGE``.
-
-    A budget-only schedule touches admission and compliance accounting
-    but never the engine: no failed hosts, no sensor dropouts, and
-    :meth:`~repro.faults.schedule.FaultSchedule.engine_slice` is ``None``
-    at every clock.  Such batches can therefore stage through the
-    batched pipeline — their engine call is the plain fault-free physics
-    — which is exactly the shape the facility broker's composed leaf
-    schedules take (allocation steps only).  Anything else falls back to
-    the scalar :func:`execute_admitted_batch` path per cluster.
-    """
-    from repro.faults.schedule import FaultKind
-
-    return all(
-        event.kind is FaultKind.BUDGET_CHANGE
-        for event in fault_schedule.events
-    )
-
-
-def plan_shift_batch(
-    *,
-    clock: float,
-    batch_index: int,
-    admitted: Sequence[JobRequest],
-    decision: AdmissionDecision,
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    batch_budget_w: float,
-    quarantined: Tuple[int, ...],
-    manager: PowerManager,
-    run_seed: Optional[int],
-    planner: BatchPlanner,
-    uniform_hosts: bool = False,
-    injecting: bool = False,
-    fault_schedule=None,
-    degradation=None,
-    reaction_s: float = 1.0,
-    group_key: object = None,
-) -> PlannedBatch:
-    """Stage 1 for the *shift loop*: schedule and plan one batch.
-
-    The shift loop's scheduling differs from the streaming engine's —
-    :class:`Scheduler` shuffles the **whole cluster** (``arange(len(
-    cluster))`` under ``default_rng(batch_index)``) and takes the first
-    ``mix.total_nodes`` entries, where :func:`plan_admitted_batch`
-    permutes an exactly-sized subset.  This stage replicates the shift
-    loop's draw bit-for-bit, so the fused facility engine's staged
-    batches match scalar :func:`shift_rounds` execution on
-    heterogeneous clusters too.  ``uniform_hosts=True`` (an all-equal
-    efficiency vector) skips the physically inert shuffle and binds a
-    read-only slice of the cluster's efficiencies — every simulated
-    quantity is unchanged; only the never-recorded ``node_ids`` differ.
-
-    ``injecting=True`` plans a *budget-only* fault batch (see
-    :func:`budget_only_schedule`): characterization from the planner's
-    memo — numerically identical to the scalar path's fresh call — and
-    caps through the same
-    :func:`~repro.faults.degradation.plan_with_degradation` ladder at
-    ``batch_budget_w``, with the schedule attached for stage 3's
-    compliance accounting.
-    """
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    n = mix.total_nodes
-    if n > len(cluster):
-        raise ValueError(
-            f"mix {mix.name!r} needs {n} nodes but the partition has "
-            f"{len(cluster)}"
-        )
-    if uniform_hosts:
-        scheduled = ScheduledMix.trusted(
-            mix, _identity_order(n), cluster.efficiencies[:n]
-        )
-    else:
-        order = np.arange(len(cluster))
-        np.random.Generator(np.random.PCG64(batch_index)).shuffle(order)
-        node_ids = order[:n]
-        scheduled = ScheduledMix.trusted(
-            mix, node_ids, cluster.efficiencies[node_ids].copy()
-        )
-    if run_seed is None:
-        batch_seed = batch_index
-    else:
-        from repro.parallel.seeding import child_seed
-
-        batch_seed = child_seed(run_seed, "site-batch", batch_index)
-    tier = "none"
-    backoff_s = 0.0
-    sim_budget_w: Optional[float] = None
-    if not injecting:
-        _, effective_caps = planner.plan(scheduled, budget_w, relabel=False)
+    tier, backoff_s, engine_faults = "none", 0.0, None
+    if fault_schedule is None or not fault_schedule.active:
         fault_schedule = None
+        _, effective_caps = planner.plan(scheduled, budget_w)
     else:
         from repro.faults.degradation import plan_with_degradation
 
-        char = planner.characterization(scheduled)
+        blinded = bool(fault_schedule.sensor_dropout_at(clock))
+        char = None if blinded else planner.characterization(scheduled)
         plan = plan_with_degradation(
             policy, batch_budget_w, characterization=char,
             host_count=n,
@@ -750,10 +497,11 @@ def plan_shift_batch(
         )
         tier, backoff_s = plan.tier, plan.backoff_s
         caps = plan.caps_w
-        if plan.tier == "replan" and policy.application_aware:
+        if char is not None and plan.tier == "replan" \
+                and policy.application_aware:
             caps = apply_job_runtime(char, caps)
         effective_caps = np.asarray(caps, dtype=float)
-        sim_budget_w = float(batch_budget_w)
+        engine_faults = fault_schedule.engine_slice(clock)
     return PlannedBatch(
         clock=clock,
         batch_index=batch_index,
@@ -765,12 +513,11 @@ def plan_shift_batch(
         budget_w=float(budget_w),
         batch_budget_w=float(batch_budget_w),
         quarantined=quarantined,
-        group_key=group_key,
         tier=tier,
         backoff_s=backoff_s,
         fault_schedule=fault_schedule,
         reaction_s=reaction_s,
-        sim_budget_w=sim_budget_w,
+        engine_faults=engine_faults,
     )
 
 
@@ -783,9 +530,11 @@ _FINISH_INSTRUMENTS: Optional[tuple] = None
 def _finish_instruments(registry) -> tuple:
     global _FINISH_INSTRUMENTS
     cached = _FINISH_INSTRUMENTS
-    if cached is None or cached[0] is not registry:
+    if cached is None or cached[0] is not registry \
+            or cached[1] != registry.generation:
         cached = (
             registry,
+            registry.generation,
             registry.gauge("manager.site.utilization"),
             registry.histogram("manager.site.batch_duration_s"),
             registry.counter("manager.site.batches"),
@@ -796,45 +545,38 @@ def _finish_instruments(registry) -> tuple:
 
 
 def finish_planned_batch(planned: PlannedBatch, result,
-                         scalars: Optional[tuple] = None) -> BatchExecution:
+                         scalars: tuple) -> BatchExecution:
     """Stage 3: fold one simulated row back into a :class:`BatchExecution`.
 
-    The tail of :func:`execute_admitted_batch`, verbatim: duration from
-    the job critical path plus the ladder's ``backoff_s`` (identically
-    zero on fault-free batches), the record fields, the completion
-    clocks, and the same per-batch telemetry.  When the planned batch
-    carries a budget-only ``fault_schedule``, the scalar path's
-    compliance accounting runs too — overshoot against the launch budget
-    from the iteration power trace, plus the reaction window of
-    mid-batch budget drops — with the identical float operation order.
+    Duration is the job critical path plus the ladder's ``backoff_s``
+    (zero on fault-free batches); then come the record fields, the
+    completion clocks, and the per-batch telemetry.  A batch planned
+    under an active ``fault_schedule`` also gets its compliance
+    accounting: overshoot against the launch budget from the iteration
+    power trace, plus the reaction window of budget drops landing
+    mid-batch, charged at the batch's mean draw until the actuator
+    responds.
 
-    ``scalars``, when given, is ``(job_elapsed_s, duration, mean_power,
-    energy)`` precomputed for this row — :func:`execute_planned_batches`
-    derives them for a whole group in four vectorised reductions whose
-    per-row values are element-identical to the serial property chain
-    (same summands, same order, exact max), saving four numpy dispatches
-    per batch on the hot path.
+    ``scalars`` is ``(job_elapsed_s, duration, mean_power, energy)`` for
+    this row — :func:`execute_planned_batches` derives them for a whole
+    group in four vectorised reductions whose per-row values are
+    element-identical to the result's own property chain (same summands,
+    same order, exact max).
     """
     backoff_s = planned.backoff_s
-    if scalars is None:
-        elapsed = result.job_elapsed_s
-        duration = float(np.max(elapsed)) + backoff_s
-        mean_power_w = result.mean_system_power_w
-    else:
-        elapsed, duration, mean_power_w, _ = scalars
-        duration = duration + backoff_s
+    elapsed, duration, mean_power_w, energy_j = scalars
+    duration = duration + backoff_s
+    clock = planned.clock
     planned_overshoot_ws = 0.0
     overshoot_ws = 0.0
-    if planned.fault_schedule is not None:
+    fault_schedule = planned.fault_schedule
+    if fault_schedule is not None:
         from repro.faults.schedule import FaultKind
 
-        fault_schedule = planned.fault_schedule
-        clock = planned.clock
         planned_overshoot_ws = result.budget_overshoot_watt_seconds(
             planned.batch_budget_w
         )
         overshoot_ws = planned_overshoot_ws
-        mean_p = mean_power_w
         for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
             if clock < event.time_s < clock + duration:
                 dipped = fault_schedule.budget_at(
@@ -843,14 +585,14 @@ def finish_planned_batch(planned: PlannedBatch, result,
                 window = min(
                     planned.reaction_s, clock + duration - event.time_s
                 )
-                overshoot_ws += max(0.0, mean_p - dipped) * window
+                overshoot_ws += max(0.0, mean_power_w - dipped) * window
     record = BatchRecord(
-        start_s=planned.clock,
-        end_s=planned.clock + duration,
+        start_s=clock,
+        end_s=clock + duration,
         admitted=planned.decision.admitted,
         deferred=planned.decision.deferred,
         mean_power_w=mean_power_w,
-        energy_j=result.total_energy_j if scalars is None else scalars[3],
+        energy_j=energy_j,
         budget_w=float(planned.batch_budget_w),
         degradation_tier=planned.tier,
         quarantined=planned.quarantined,
@@ -859,7 +601,7 @@ def finish_planned_batch(planned: PlannedBatch, result,
         backoff_s=backoff_s,
     )
     if enabled():
-        _, gauge, histogram, batches, jobs = _finish_instruments(
+        _, _, gauge, histogram, batches, jobs = _finish_instruments(
             get_registry()
         )
         utilization = mean_power_w / planned.batch_budget_w
@@ -876,7 +618,10 @@ def finish_planned_batch(planned: PlannedBatch, result,
             mean_power_w=float(mean_power_w),
             utilization=utilization,
         )
-    clock = planned.clock
+    # The ladder's decision latency delays the launch, so it is charged
+    # to every job's completion: elapsed + backoff keeps the float
+    # operation order of ``duration`` and lands the critical-path job
+    # exactly on ``record.end_s``.
     completions = tuple(clock + (float(e) + backoff_s) for e in elapsed)
     return BatchExecution(
         record=record,
@@ -885,32 +630,43 @@ def finish_planned_batch(planned: PlannedBatch, result,
     )
 
 
+class ExecutedBatches(list):
+    """The executions of :func:`execute_planned_batches`, in input order.
+
+    ``passes`` is the number of stacked engine passes that produced
+    them — the executor's own grouping, reported so callers need not
+    recompute it.
+    """
+
+    passes: int = 0
+
+
 def execute_planned_batches(
     planned: Sequence[PlannedBatch],
     manager: PowerManager,
     noise_std: float,
-) -> List[BatchExecution]:
+) -> ExecutedBatches:
     """Stage 2: simulate all planned batches in grouped vectorised passes.
 
     Batches are grouped by job block structure (``job_boundaries``) and
     iteration count — the preconditions of
-    :func:`~repro.sim.batch.simulate_layout_batch` — plus each batch's
-    ``group_key`` (the cross-site grouping context; ``None`` everywhere
-    on single-site streams).  Each group runs as one ``(S, hosts)``
-    engine pass; batches from *different clusters* with matching
-    structure therefore share a pass in the fused facility engine.
-    Per-row bit-identity to the serial ``simulate_mix`` call makes
-    grouping invisible in the results: only wall clock changes.
-    Executions come back in input order.
+    :func:`~repro.sim.batch.simulate_layout_batch` — and each group runs
+    as one ``(S, hosts)`` engine pass, so co-resident batches (from one
+    rolling site or, in the fused facility engine, from many clusters)
+    share a pass.  A batch carrying ``engine_faults`` runs as a pass of
+    its own with that schedule in its
+    :class:`~repro.sim.execution.SimulationOptions`.  Per-row
+    bit-identity to a serial ``simulate_mix`` call makes grouping
+    invisible in the results: only wall clock changes.  Executions come
+    back in input order.
     """
     from repro.sim.batch import simulate_layout_batch
 
     groups: Dict[tuple, List[int]] = {}
     for i, batch in enumerate(planned):
-        layout = batch.mix.layout()
         key = (
-            batch.group_key,
-            layout.job_boundaries.tobytes(),
+            i if batch.engine_faults is not None else -1,
+            batch.mix.layout().job_boundaries.tobytes(),
             batch.mix.common_iterations(),
         )
         groups.setdefault(key, []).append(i)
@@ -925,13 +681,11 @@ def execute_planned_batches(
                 np.stack([b.effective_caps for b in rows]),
                 np.stack([b.scheduled.efficiencies for b in rows]),
                 manager.model,
-                SimulationOptions(noise_std=noise_std),
+                SimulationOptions(noise_std=noise_std,
+                                  fault_schedule=rows[0].engine_faults),
                 seeds=[b.batch_seed for b in rows],
                 policy_names=[b.policy.name for b in rows],
-                budgets_w=[
-                    b.budget_w if b.sim_budget_w is None else b.sim_budget_w
-                    for b in rows
-                ],
+                budgets_w=[b.batch_budget_w for b in rows],
             )
             # Group-wide derived scalars: each row of these reductions
             # sums/maxes exactly the elements the per-row property chain
@@ -954,10 +708,12 @@ def execute_planned_batches(
                     elapsed[row], float(duration[row]),
                     float(mean_power[row]), float(energy[row]),
                 )
-    return [
+    executions = ExecutedBatches(
         finish_planned_batch(batch, result, scalar)
         for batch, result, scalar in zip(planned, results, scalars)
-    ]
+    )
+    executions.passes = len(groups)
+    return executions
 
 
 def run_site_simulation(
@@ -990,24 +746,38 @@ def run_site_simulation(
     uses to replay one arrival stream under independent noise.
 
     ``fault_schedule`` (a :class:`~repro.faults.schedule.FaultSchedule`,
-    ``None`` or empty = fault-free, bit-identical to the historical path)
-    replays facility/hardware faults against the shift; ``degradation``
-    is the optional :class:`~repro.faults.degradation.DegradationConfig`
-    for the planning ladder, and ``reaction_s`` the actuation window
-    charged when a budget drops *mid-batch* before the next admission
-    round can re-plan (overshoot during that window is recorded in
+    ``None`` or empty = fault-free) replays facility/hardware faults
+    against the shift; ``degradation`` is the optional
+    :class:`~repro.faults.degradation.DegradationConfig` for the planning
+    ladder, and ``reaction_s`` the actuation window charged when a budget
+    drops *mid-batch* before the next admission round can re-plan
+    (overshoot during that window is recorded in
     ``BatchRecord.overshoot_ws``).
+
+    Each round's batch is executed as the one-row case of
+    :func:`execute_planned_batches` and sent back into
+    :func:`shift_rounds`.
     """
     ensure_positive(budget_w, "budget_w")
+    manager = manager if manager is not None else PowerManager()
     injecting = fault_schedule is not None and fault_schedule.active
     with span("manager.site.run", policy=policy.name,
               budget_w=float(budget_w), arrivals=len(arrivals),
               hosts=len(cluster), injecting=injecting) as trace_sp:
-        result = _run_shift(
-            arrivals, cluster, policy, budget_w, admission, manager,
-            noise_std, max_batches, run_seed, fault_schedule, degradation,
-            reaction_s, injecting,
+        rounds = shift_rounds(
+            arrivals, cluster, policy, budget_w,
+            admission=admission, manager=manager, max_batches=max_batches,
+            run_seed=run_seed, fault_schedule=fault_schedule,
+            degradation=degradation, reaction_s=reaction_s,
         )
+        try:
+            planned = next(rounds)
+            while True:
+                planned = rounds.send(execute_planned_batches(
+                    [planned], manager, noise_std
+                )[0])
+        except StopIteration as stop:
+            result = stop.value
         if trace_sp is not None:
             trace_sp.set_attribute("batches", len(result.batches))
             trace_sp.set_attribute("completed", len(result.completed))
@@ -1015,92 +785,47 @@ def run_site_simulation(
     return result
 
 
-def _run_shift(
-    arrivals: Sequence[Arrival],
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    admission: Optional[PowerAwareAdmission],
-    manager: Optional[PowerManager],
-    noise_std: float,
-    max_batches: int,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
-) -> SiteSimulationResult:
-    """The shift loop proper (see :func:`run_site_simulation`).
-
-    Drives :func:`shift_rounds` in its non-staged mode: the generator
-    never yields, so the first resume raises ``StopIteration`` carrying
-    the result — the identical statements of the historical inline loop
-    execute, in order.
-    """
-    rounds = shift_rounds(
-        arrivals, cluster, policy, budget_w, admission, manager,
-        noise_std, max_batches, run_seed, fault_schedule, degradation,
-        reaction_s, injecting,
-    )
-    try:
-        next(rounds)
-    except StopIteration as stop:
-        return stop.value
-    raise RuntimeError("non-staged shift_rounds must not yield")
-
-
 def shift_rounds(
     arrivals: Sequence[Arrival],
     cluster: Cluster,
     policy: Policy,
     budget_w: float,
-    admission: Optional[PowerAwareAdmission],
-    manager: Optional[PowerManager],
-    noise_std: float,
-    max_batches: int,
-    run_seed: Optional[int],
-    fault_schedule,
-    degradation,
-    reaction_s: float,
-    injecting: bool,
+    *,
+    admission: Optional[PowerAwareAdmission] = None,
+    manager: Optional[PowerManager] = None,
+    max_batches: int = 100,
+    run_seed: Optional[int] = None,
+    fault_schedule=None,
+    degradation=None,
+    reaction_s: float = 1.0,
     planner: Optional[BatchPlanner] = None,
-    staged: bool = False,
-    uniform_hosts: bool = False,
-    group_key: object = None,
 ):
     """The shift loop as a resumable round generator.
 
-    In the default (non-staged) mode this *is* the scalar shift loop:
-    every admission round executes its batch inline via
-    :func:`execute_admitted_batch` and the generator yields nothing —
-    :func:`run_site_simulation` results are untouched.
+    Every executable admission round plans its batch via
+    :func:`plan_admitted_batch` over the schedulable hosts (the whole
+    cluster, or its healthy rows while hosts are failed), **yields** the
+    :class:`PlannedBatch` to its caller, and receives the
+    :class:`BatchExecution` back through ``send()``.
+    :func:`run_site_simulation` sends back a one-row
+    :func:`execute_planned_batches` pass; the fused facility engine
+    drives one generator per cluster in lockstep and fuses the yielded
+    batches of all clusters into shared stacked passes.  Control flow,
+    RNG draws, seeds, and accumulation order live here alone, so every
+    caller gets the same results.
 
-    ``staged=True`` (requires a ``planner``) turns each executable round
-    into a cooperative step instead: the round's batch is planned via
-    :func:`plan_shift_batch`, **yielded** to the driver, and the
-    driver ``send()``s back the :class:`BatchExecution` produced by a
-    (possibly cross-cluster) :func:`execute_planned_batches` pass.  The
-    fused facility engine drives one such generator per cluster in
-    lockstep, fusing the yielded batches into shared stacked passes.
-    Control flow, RNG draws, seeds, and accumulation order are the
-    scalar loop's own — the statements are literally shared — so staged
-    results are bit-identical.  Rounds that cannot stage (an active
-    schedule with anything beyond ``BUDGET_CHANGE`` events — see
-    :func:`budget_only_schedule`) fall back to the scalar execute inline,
-    per batch, without breaking the generator protocol.
-
-    The generator's return value (via ``StopIteration.value``) is the
+    ``planner`` (default: a fresh one) is the memo the batches are
+    planned through; the fused engine shares one across clusters.  The
+    generator's return value (via ``StopIteration.value``) is the
     :class:`SiteSimulationResult`.
     """
-    if staged and planner is None:
-        raise ValueError("staged shift_rounds requires a planner")
-    stageable = staged and (
-        not injecting or budget_only_schedule(fault_schedule)
-    )
+    injecting = fault_schedule is not None and fault_schedule.active
     if injecting:
         # Clock points at which fault state can change: re-check the
         # world there when an admission round comes up empty.
         fault_boundaries = fault_schedule.boundaries()
+    else:
+        fault_schedule = None
     if not arrivals:
         raise ValueError("need at least one arrival")
     # JobRequest carries its lifecycle state, so submitting the caller's
@@ -1114,6 +839,10 @@ def shift_rounds(
     admission = admission if admission is not None else PowerAwareAdmission(
         model=manager.model
     )
+    if planner is None:
+        planner = BatchPlanner(manager, policy)
+    efficiencies = cluster.efficiencies
+    uniform_hosts = bool((efficiencies == efficiencies[0]).all())
 
     queue = JobQueue()
     arrival_time: Dict[str, float] = {}
@@ -1142,27 +871,23 @@ def shift_rounds(
             continue
 
         # Query the fault timeline at the site clock.  Fault-free these
-        # stay the caller's budget and full cluster, so the historical
-        # code path is untouched.
+        # stay the caller's budget and the full cluster.
         batch_budget_w = budget_w
-        batch_cluster = cluster
+        schedulable = efficiencies
         quarantined: Tuple[int, ...] = ()
         if injecting:
             batch_budget_w = fault_schedule.budget_at(clock, budget_w)
             failed_hosts = fault_schedule.failed_hosts_at(clock)
             if failed_hosts:
-                healthy = [
-                    i for i in range(len(cluster)) if i not in failed_hosts
-                ]
                 quarantined = tuple(sorted(failed_hosts))
-                if healthy:
-                    batch_cluster = cluster.subset(healthy)
-                else:
-                    batch_cluster = None  # total outage: wait it out
+                schedulable = efficiencies[[
+                    i for i in range(len(efficiencies))
+                    if i not in failed_hosts
+                ]]
 
-        can_admit = batch_cluster is not None and batch_budget_w > 0
+        can_admit = len(schedulable) > 0 and batch_budget_w > 0
         decision = admission.decide(
-            queue, batch_budget_w, nodes_available=len(batch_cluster),
+            queue, batch_budget_w, nodes_available=len(schedulable),
             mark=True,
         ) if can_admit else None
         if decision is None or not decision.admitted:
@@ -1180,48 +905,24 @@ def shift_rounds(
             failed.append(stuck.name)
             continue
 
-        admitted = [queue.get(name) for name in decision.admitted]
-        if stageable:
-            planned = plan_shift_batch(
-                clock=clock,
-                batch_index=len(batches),
-                admitted=admitted,
-                decision=decision,
-                cluster=batch_cluster,
-                policy=policy,
-                budget_w=budget_w,
-                batch_budget_w=batch_budget_w,
-                quarantined=quarantined,
-                manager=manager,
-                run_seed=run_seed,
-                planner=planner,
-                uniform_hosts=uniform_hosts,
-                injecting=injecting,
-                fault_schedule=fault_schedule,
-                degradation=degradation,
-                reaction_s=reaction_s,
-                group_key=group_key,
-            )
-            execution = yield planned
-        else:
-            execution = execute_admitted_batch(
-                clock=clock,
-                batch_index=len(batches),
-                admitted=admitted,
-                decision=decision,
-                batch_cluster=batch_cluster,
-                policy=policy,
-                budget_w=budget_w,
-                batch_budget_w=batch_budget_w,
-                quarantined=quarantined,
-                manager=manager,
-                noise_std=noise_std,
-                run_seed=run_seed,
-                fault_schedule=fault_schedule,
-                degradation=degradation,
-                reaction_s=reaction_s,
-                injecting=injecting,
-            )
+        execution = yield plan_admitted_batch(
+            clock=clock,
+            batch_index=len(batches),
+            admitted=[queue.get(name) for name in decision.admitted],
+            decision=decision,
+            host_efficiencies=schedulable,
+            policy=policy,
+            budget_w=budget_w,
+            batch_budget_w=batch_budget_w,
+            quarantined=quarantined,
+            manager=manager,
+            run_seed=run_seed,
+            planner=planner,
+            uniform_hosts=uniform_hosts,
+            fault_schedule=fault_schedule,
+            degradation=degradation,
+            reaction_s=reaction_s,
+        )
         batches.append(execution.record)
         for name, completion in zip(execution.job_names,
                                     execution.completion_s):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,11 +180,10 @@ def stack_cache_info() -> dict:
 def _stack_layouts_cached(layouts: Sequence[HostLayout]) -> LayoutBatch:
     """:func:`stack_layouts`, memoised on layout *identity*.
 
-    The streaming engine's batched rolling mode stacks the same shared
-    read-only layout objects (one per job shape, primed by the batch
-    planner) group after group, so the stacked batch can be reused
-    outright instead of re-gathering ``S × hosts`` physics arrays per
-    step.  Layouts are immutable by contract (:meth:`WorkloadMix.layout`
+    The site loops' batch executor stacks the same shared read-only
+    layout objects (one per job shape, primed by the batch planner)
+    group after group, so the stacked batch can be reused outright
+    instead of re-gathering ``S × hosts`` physics arrays per step.  Layouts are immutable by contract (:meth:`WorkloadMix.layout`
     marks the arrays read-only), which is what makes the stacked result
     shareable; callers that mutate layouts must use :func:`stack_layouts`
     directly.
@@ -253,11 +252,10 @@ def _stack_layouts_cached(layouts: Sequence[HostLayout]) -> LayoutBatch:
 def stack_job_layouts(jobs: Sequence[Job]) -> LayoutBatch:
     """Stack one single-job layout per job into a :class:`LayoutBatch`.
 
-    The batched controller runtime and the streaming engine's batched
-    rolling mode both step many independent single-job runs in lockstep;
-    each run's layout is the layout of a one-job mix over its own hosts.
-    All jobs must share a node count (the common job block structure
-    :func:`stack_layouts` requires).
+    The batched controller runtime steps many independent single-job
+    runs in lockstep; each run's layout is the layout of a one-job mix
+    over its own hosts.  All jobs must share a node count (the common
+    job block structure :func:`stack_layouts` requires).
     """
     return stack_layouts(
         [WorkloadMix(name=job.name, jobs=(job,)).layout() for job in jobs]
@@ -275,6 +273,110 @@ def _per_scenario(value, scenarios: int, name: str, kind) -> list:
             f"got length {len(values)}"
         )
     return values
+
+
+def _simulate_rows(
+    entry: str,
+    event: str,
+    mixes: Sequence[WorkloadMix],
+    layouts: Sequence[HostLayout],
+    caps: np.ndarray,
+    eff_rows: Sequence[np.ndarray],
+    model: ExecutionModel,
+    options: SimulationOptions,
+    seeds: Optional[Sequence[int]],
+    policy_names: Union[str, Sequence[str]],
+    budgets_w: Union[float, Sequence[float]],
+    run: Callable[[List[int], List[int]], object],
+    **labels,
+) -> List[MixRunResult]:
+    """The row bookkeeping both batch entry points share.
+
+    Row ``s`` is ``mixes[s]`` (layout ``layouts[s]``) under ``caps[s]``
+    on hosts with efficiencies ``eff_rows[s]``.  Normalises the seeds and
+    result metadata, serves rows from any active
+    :func:`~repro.parallel.cache.active_cache` under the *serial* cache
+    key, calls ``run(misses, miss_seeds)`` once for the remaining rows
+    (output row ``i`` is scenario ``misses[i]``), assembles one
+    :class:`MixRunResult` per row, stores the fresh rows, and records the
+    ``sim.simulate_<entry>_batch`` span, timer and ``event``.
+    """
+    scenarios = len(mixes)
+    if seeds is None:
+        seed_list = [int(options.seed)] * scenarios
+    else:
+        seed_list = [int(s) for s in seeds]
+        if len(seed_list) != scenarios:
+            raise ValueError(
+                f"seeds must have length {scenarios}, got {len(seed_list)}"
+            )
+    names = _per_scenario(policy_names, scenarios, "policy_names", str)
+    budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
+    hosts = layouts[0].host_count
+    n_iter = mixes[0].common_iterations()
+
+    from repro.parallel.cache import active_cache
+
+    with span(f"sim.simulate_{entry}_batch", **labels, hosts=hosts,
+              scenarios=scenarios) as trace_sp:
+        cache = active_cache()
+        results: List[Optional[MixRunResult]] = [None] * scenarios
+        keys: List[Optional[str]] = [None] * scenarios
+        misses = list(range(scenarios))
+        if cache is not None:
+            from repro.io.serialize import result_from_dict
+
+            misses = []
+            for s in range(scenarios):
+                opts_s = dataclasses.replace(options, seed=seed_list[s])
+                keys[s] = cache.key(
+                    "simulate", mixes[s], caps[s], eff_rows[s], model,
+                    opts_s, names[s], budgets[s],
+                )
+                payload = cache.get(keys[s])
+                if payload is not None:
+                    results[s] = result_from_dict(payload)
+                else:
+                    misses.append(s)
+        hits = scenarios - len(misses)
+        if trace_sp is not None:
+            trace_sp.set_attribute("cache_hits", hits)
+
+        with ScopedTimer(f"sim.execution.simulate_{entry}_batch_s") as timer:
+            if misses:
+                out = run(misses, [seed_list[s] for s in misses])
+                for row, s in enumerate(misses):
+                    results[s] = MixRunResult(
+                        mix_name=mixes[s].name,
+                        policy_name=names[s],
+                        budget_w=budgets[s],
+                        job_names=mixes[s].job_names,
+                        iteration_times_s=out.job_iter_times[row],
+                        iteration_energy_j=out.iteration_energy[row],
+                        host_energy_j=out.host_energy[row],
+                        host_mean_power_w=out.host_mean_power[row],
+                        host_job_index=layouts[s].job_index,
+                        total_gflop=float(out.total_gflop[row]),
+                    )
+        if cache is not None and misses:
+            from repro.io.serialize import result_to_dict
+
+            for s in misses:
+                cache.put(keys[s], result_to_dict(results[s]))
+
+        if enabled():
+            registry = get_registry()
+            registry.counter("sim.execution.batch_runs").inc()
+            if misses:
+                registry.counter("sim.execution.runs").inc(len(misses))
+            if hits:
+                registry.counter("sim.execution.cache_hits").inc(hits)
+            emit(
+                "sim.execution", event, **labels, hosts=hosts,
+                scenarios=scenarios, cache_hits=hits, iterations=n_iter,
+                wall_s=timer.elapsed_s,
+            )
+    return results  # type: ignore[return-value]
 
 
 def simulate_cap_batch(
@@ -333,85 +435,20 @@ def simulate_cap_batch(
             f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
         )
     scenarios = caps.shape[0]
-    if seeds is None:
-        seed_list = [int(options.seed)] * scenarios
-    else:
-        seed_list = [int(s) for s in seeds]
-        if len(seed_list) != scenarios:
-            raise ValueError(
-                f"seeds must have length {scenarios}, got {len(seed_list)}"
-            )
-    names = _per_scenario(policy_names, scenarios, "policy_names", str)
-    budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
     n_iter = mix.common_iterations()
 
-    from repro.parallel.cache import active_cache
+    def run(misses, miss_seeds):
+        return _execute_scenarios(
+            layout, caps[misses], eff, model, n_iter,
+            options.noise_std, options.barrier_overhead_s, miss_seeds,
+            fault_schedule=options.fault_schedule,
+        )
 
-    with span("sim.simulate_cap_batch", mix=mix.name,
-              hosts=layout.host_count, scenarios=scenarios) as trace_sp:
-        cache = active_cache()
-        results: List[Optional[MixRunResult]] = [None] * scenarios
-        keys: List[Optional[str]] = [None] * scenarios
-        misses = list(range(scenarios))
-        if cache is not None:
-            from repro.io.serialize import result_from_dict
-
-            misses = []
-            for s in range(scenarios):
-                opts_s = dataclasses.replace(options, seed=seed_list[s])
-                keys[s] = cache.key(
-                    "simulate", mix, caps[s], eff, model, opts_s,
-                    names[s], budgets[s],
-                )
-                payload = cache.get(keys[s])
-                if payload is not None:
-                    results[s] = result_from_dict(payload)
-                else:
-                    misses.append(s)
-        hits = scenarios - len(misses)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hits", hits)
-
-        with ScopedTimer("sim.execution.simulate_cap_batch_s") as timer:
-            if misses:
-                out = _execute_scenarios(
-                    layout, caps[misses], eff, model, n_iter,
-                    options.noise_std, options.barrier_overhead_s,
-                    [seed_list[s] for s in misses],
-                    fault_schedule=options.fault_schedule,
-                )
-                for row, s in enumerate(misses):
-                    results[s] = MixRunResult(
-                        mix_name=mix.name,
-                        policy_name=names[s],
-                        budget_w=budgets[s],
-                        job_names=mix.job_names,
-                        iteration_times_s=out.job_iter_times[row],
-                        iteration_energy_j=out.iteration_energy[row],
-                        host_energy_j=out.host_energy[row],
-                        host_mean_power_w=out.host_mean_power[row],
-                        host_job_index=layout.job_index,
-                        total_gflop=float(out.total_gflop[row]),
-                    )
-        if cache is not None and misses:
-            from repro.io.serialize import result_to_dict
-
-            for s in misses:
-                cache.put(keys[s], result_to_dict(results[s]))
-
-        if enabled():
-            registry = get_registry()
-            registry.counter("sim.execution.batch_runs").inc()
-            if misses:
-                registry.counter("sim.execution.runs").inc(len(misses))
-            if hits:
-                registry.counter("sim.execution.cache_hits").inc(hits)
-            emit(
-                "sim.execution", "mix_batch_simulated",
-                mix=mix.name, hosts=layout.host_count, scenarios=scenarios,
-                cache_hits=hits, iterations=n_iter, wall_s=timer.elapsed_s,
-            )
-    return results  # type: ignore[return-value]
+    return _simulate_rows(
+        "cap", "mix_batch_simulated", [mix] * scenarios,
+        [layout] * scenarios, caps, [eff] * scenarios, model, options,
+        seeds, policy_names, budgets_w, run, mix=mix.name,
+    )
 
 
 def simulate_layout_batch(
@@ -429,11 +466,11 @@ def simulate_layout_batch(
     Where :func:`simulate_cap_batch` sweeps cap vectors over one mix on
     one host allocation, this entry point batches whole co-resident
     *runs*: scenario ``s`` is mix ``mixes[s]`` on its own hosts with its
-    own efficiencies row — the shape of the streaming engine's rolling
-    mode, where several admitted batches occupy disjoint node subsets at
-    once.  All mixes must share one job block structure (same per-job
-    node counts) and one iteration count, the precondition of
-    :func:`stack_layouts`; callers group heterogeneous batches by that
+    own efficiencies row — the shape of the site loops' batch executor,
+    where admitted batches occupy disjoint node subsets (or different
+    clusters) at once.  All mixes must share one job block structure
+    (same per-job node counts) and one iteration count, the precondition
+    of :func:`stack_layouts`; callers group heterogeneous batches by that
     structure signature first.
 
     Parameters
@@ -454,7 +491,7 @@ def simulate_layout_batch(
         with the matching seed: the engine body is a pure elementwise
         ufunc chain over the host axis with per-scenario contiguous
         reductions, so stacking independent rows cannot change any
-        element (pinned by ``tests/property/test_stream_properties.py``).
+        element.
 
     Per-scenario cache keys are the *serial* keys, so a layout batch
     interoperates with serial runs through any installed
@@ -485,82 +522,22 @@ def simulate_layout_batch(
             raise ValueError(
                 "all mixes in a layout batch must share one iteration count"
             )
-    if seeds is None:
-        seed_list = [int(options.seed)] * scenarios
-    else:
-        seed_list = [int(s) for s in seeds]
-        if len(seed_list) != scenarios:
-            raise ValueError(
-                f"seeds must have length {scenarios}, got {len(seed_list)}"
-            )
-    names = _per_scenario(policy_names, scenarios, "policy_names", str)
-    budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
 
-    from repro.parallel.cache import active_cache
+    def run(misses, miss_seeds):
+        if len(misses) == 1:
+            # One row needs no stacked layout: it is the serial engine
+            # call, and stacking it would only fill the stack memo.
+            layout, rows = layouts[misses[0]], eff[misses[0]]
+        else:
+            layout = _stack_layouts_cached([layouts[s] for s in misses])
+            rows = eff[misses]
+        return _execute_scenarios(
+            layout, caps[misses], rows, model, n_iter,
+            options.noise_std, options.barrier_overhead_s, miss_seeds,
+            fault_schedule=options.fault_schedule,
+        )
 
-    with span("sim.simulate_layout_batch", hosts=hosts,
-              scenarios=scenarios) as trace_sp:
-        cache = active_cache()
-        results: List[Optional[MixRunResult]] = [None] * scenarios
-        keys: List[Optional[str]] = [None] * scenarios
-        misses = list(range(scenarios))
-        if cache is not None:
-            from repro.io.serialize import result_from_dict
-
-            misses = []
-            for s in range(scenarios):
-                opts_s = dataclasses.replace(options, seed=seed_list[s])
-                keys[s] = cache.key(
-                    "simulate", mixes[s], caps[s], eff[s], model, opts_s,
-                    names[s], budgets[s],
-                )
-                payload = cache.get(keys[s])
-                if payload is not None:
-                    results[s] = result_from_dict(payload)
-                else:
-                    misses.append(s)
-        hits = scenarios - len(misses)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hits", hits)
-
-        with ScopedTimer("sim.execution.simulate_layout_batch_s") as timer:
-            if misses:
-                batch = _stack_layouts_cached([layouts[s] for s in misses])
-                out = _execute_scenarios(
-                    batch, caps[misses], eff[misses], model, n_iter,
-                    options.noise_std, options.barrier_overhead_s,
-                    [seed_list[s] for s in misses],
-                    fault_schedule=options.fault_schedule,
-                )
-                for row, s in enumerate(misses):
-                    results[s] = MixRunResult(
-                        mix_name=mixes[s].name,
-                        policy_name=names[s],
-                        budget_w=budgets[s],
-                        job_names=mixes[s].job_names,
-                        iteration_times_s=out.job_iter_times[row],
-                        iteration_energy_j=out.iteration_energy[row],
-                        host_energy_j=out.host_energy[row],
-                        host_mean_power_w=out.host_mean_power[row],
-                        host_job_index=layouts[s].job_index,
-                        total_gflop=float(out.total_gflop[row]),
-                    )
-        if cache is not None and misses:
-            from repro.io.serialize import result_to_dict
-
-            for s in misses:
-                cache.put(keys[s], result_to_dict(results[s]))
-
-        if enabled():
-            registry = get_registry()
-            registry.counter("sim.execution.batch_runs").inc()
-            if misses:
-                registry.counter("sim.execution.runs").inc(len(misses))
-            if hits:
-                registry.counter("sim.execution.cache_hits").inc(hits)
-            emit(
-                "sim.execution", "layout_batch_simulated",
-                hosts=hosts, scenarios=scenarios, cache_hits=hits,
-                iterations=n_iter, wall_s=timer.elapsed_s,
-            )
-    return results  # type: ignore[return-value]
+    return _simulate_rows(
+        "layout", "layout_batch_simulated", mixes, layouts, caps, eff,
+        model, options, seeds, policy_names, budgets_w, run,
+    )

@@ -8,8 +8,7 @@ JSON wire protocol (:mod:`repro.stream.messages`), and the asyncio
 pub/sub daemon (:mod:`repro.stream.daemon`).
 
 Entry points: :func:`stream_site_simulation` replays a pre-built arrival
-list bit-identically to
-:func:`~repro.manager.site_simulation.run_site_simulation`;
+list through :func:`~repro.manager.site_simulation.run_site_simulation`;
 :class:`SiteStreamEngine` with ``rolling=True`` sustains generator-fed
 load with bounded memory; :class:`StreamDaemon` serves it to clients.
 """

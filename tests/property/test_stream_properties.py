@@ -1,24 +1,21 @@
-"""Property-based tests: the streaming engine replays the batch loop.
+"""Property-based tests: replaying an arrival list through the stream API.
 
-The contract the tentpole rests on: feeding the streaming site engine a
-pre-built arrival list (fault-free) produces *bit-identical* results to
-``run_site_simulation`` — same batch records float for float, same
-turnarounds, same energy, same truncation split.  Hypothesis drives
-random arrival lists, budgets, policies, and round limits through both
-loops and compares the full result objects.
+:func:`stream_site_simulation` hands a pre-built arrival list to the
+batch shift loop.  Hypothesis drives random arrival lists, budgets,
+policies, and round limits through it and checks the replay contract:
+the truncation split partitions every arrival exactly once, and the
+caller's arrival list is not consumed, so replaying it twice gives the
+same answer.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.registry import create_policy
-from repro.faults.schedule import FaultSchedule
 from repro.hardware.cluster import Cluster
-from repro.hardware.variation import QUARTZ_VARIATION
 from repro.manager.queue import JobRequest
 from repro.manager.site_simulation import Arrival, run_site_simulation
-from repro.stream.arrivals import replay_stream
-from repro.stream.engine import SiteStreamEngine, stream_site_simulation
+from repro.stream.engine import stream_site_simulation
 from repro.workload.kernel import KernelConfig
 
 CLUSTER = Cluster(node_count=10, variation=None, seed=0)
@@ -55,33 +52,16 @@ def arrival_lists(draw):
 
 policies = st.sampled_from(["StaticCaps", "MixedAdaptive", "JobAdaptive"])
 budgets = st.floats(900.0, 4000.0, allow_nan=False)
-seeds = st.one_of(st.none(), st.integers(0, 2**31 - 1))
 round_limits = st.integers(1, 12)
 
 
 class TestStreamReplayIdentity:
     @given(arrivals=arrival_lists(), policy=policies, budget=budgets,
-           seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_batch_loop(self, arrivals, policy, budget,
-                                         seed):
-        """Same batches, turnarounds, energy — float for float."""
-        batch = run_site_simulation(
-            arrivals, CLUSTER, create_policy(policy), budget, run_seed=seed
-        )
-        stream = stream_site_simulation(
-            arrivals, CLUSTER, create_policy(policy), budget, run_seed=seed
-        )
-        assert stream == batch
-        assert stream.total_energy_j == batch.total_energy_j
-        assert stream.job_turnaround_s == batch.job_turnaround_s
-
-    @given(arrivals=arrival_lists(), policy=policies, budget=budgets,
            max_batches=round_limits)
     @settings(max_examples=25, deadline=None)
     def test_truncation_matches_batch_loop(self, arrivals, policy, budget,
                                            max_batches):
-        """Round-limit truncation splits jobs identically in both loops."""
+        """Round-limit truncation partitions every arrival exactly once."""
         batch = run_site_simulation(
             arrivals, CLUSTER, create_policy(policy), budget,
             max_batches=max_batches,
@@ -111,149 +91,3 @@ class TestStreamReplayIdentity:
         )
         assert first == second
         assert all(a.request.state.value == "pending" for a in arrivals)
-
-
-# ---------------------------------------------------------------------------
-# Batched concurrent physics ≡ scalar per-batch physics (rolling engine)
-# ---------------------------------------------------------------------------
-
-VARIED_CLUSTER = Cluster(node_count=10, variation=QUARTZ_VARIATION, seed=3)
-
-all_policies = st.sampled_from([
-    "StaticCaps", "MixedAdaptive", "JobAdaptive",
-    "MinimizeWaste", "Precharacterized",
-])
-
-
-@st.composite
-def arrival_specs(draw):
-    """Plain-tuple arrival specs: material is built fresh per engine.
-
-    ``replay_stream`` yields the *same* mutable ``JobRequest`` objects it
-    was given, so a paired batched/scalar comparison must materialise a
-    fresh arrival list for each engine from an immutable spec.  Times are
-    drawn with deliberate clustering (several arrivals can share an
-    instant) so quantised admission piles up concurrent in-flight
-    batches — the configuration the vectorised path groups.
-    """
-    count = draw(st.integers(2, 8))
-    iterations = draw(st.integers(4, 10))
-    instants = draw(st.lists(
-        st.floats(0.0, 30.0, allow_nan=False), min_size=1, max_size=4
-    ))
-    specs = []
-    for i in range(count):
-        specs.append((
-            draw(st.sampled_from(instants)),
-            draw(st.sampled_from(_INTENSITIES)),
-            draw(st.integers(1, 5)),
-            iterations,
-            draw(st.one_of(
-                st.none(), st.floats(120.0, 260.0, allow_nan=False)
-            )),
-        ))
-    return tuple(specs)
-
-
-def _materialise(specs):
-    return [
-        Arrival(
-            time_s=t,
-            request=JobRequest(
-                name=f"job-{i}",
-                config=KernelConfig(intensity=intensity),
-                node_count=nodes,
-                iterations=iters,
-                power_hint_w=hint,
-            ),
-        )
-        for i, (t, intensity, nodes, iters, hint) in enumerate(specs)
-    ]
-
-
-@st.composite
-def fault_schedules(draw):
-    """None, or a schedule with a budget drop and/or a node failure."""
-    if draw(st.booleans()):
-        return None
-    schedule = FaultSchedule(name="prop-faults")
-    if draw(st.booleans()):
-        t = draw(st.floats(0.0, 20.0, allow_nan=False))
-        schedule = schedule.budget_drop(
-            t, draw(st.floats(500.0, 1500.0, allow_nan=False))
-        )
-        schedule = schedule.budget_restore(
-            t + draw(st.floats(5.0, 40.0, allow_nan=False)), 4000.0
-        )
-    if draw(st.booleans()):
-        t = draw(st.floats(0.0, 20.0, allow_nan=False))
-        host = draw(st.integers(0, 9))
-        schedule = schedule.node_failure(t, host_ids=[host])
-        schedule = schedule.node_recovery(
-            t + draw(st.floats(5.0, 40.0, allow_nan=False)), host_ids=[host]
-        )
-    return schedule if schedule.active else None
-
-
-class TestBatchedPhysicsIdentity:
-    """The tentpole contract: ``batched_physics=True`` is bit-identical.
-
-    Routing concurrent in-flight batches through one stacked
-    ``simulate_layout_batch`` call must reproduce the scalar per-batch
-    engine float for float: same stats, same batch records, same
-    turnarounds.  Hypothesis sweeps policies, budgets, clusters with and
-    without hardware variation, fault schedules (which force the scalar
-    fallback but must not perturb results), per-job splitting, quantised
-    admission windows, and run seeds.
-    """
-
-    def _run_pair(self, specs, cluster, policy, budget, *, seed,
-                  fault_schedule=None, interval=None, per_job=True):
-        def run(batched):
-            engine = SiteStreamEngine(
-                cluster, create_policy(policy), budget,
-                rolling=True, max_pending=32,
-                record_jobs=True, record_batches=True,
-                run_seed=seed, fault_schedule=fault_schedule,
-                batched_physics=batched,
-                admission_interval_s=interval,
-                per_job_batches=per_job,
-            )
-            engine.attach_source(replay_stream(_materialise(specs)))
-            stats = engine.run()
-            return stats, engine
-
-        stats_b, engine_b = run(True)
-        stats_s, engine_s = run(False)
-        assert stats_b == stats_s
-        assert engine_b.batches == engine_s.batches
-        assert engine_b.turnaround_s == engine_s.turnaround_s
-
-    @given(specs=arrival_specs(), policy=all_policies, budget=budgets,
-           seed=seeds, interval=st.sampled_from([None, 2.0, 5.0]),
-           per_job=st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_uniform_cluster_identity(self, specs, policy, budget, seed,
-                                      interval, per_job):
-        """Uniform hosts: the shuffle-free planner fast path."""
-        self._run_pair(specs, CLUSTER, policy, budget, seed=seed,
-                       interval=interval, per_job=per_job)
-
-    @given(specs=arrival_specs(), policy=all_policies, budget=budgets,
-           seed=seeds, interval=st.sampled_from([None, 2.0, 5.0]))
-    @settings(max_examples=15, deadline=None)
-    def test_varied_cluster_identity(self, specs, policy, budget, seed,
-                                     interval):
-        """Quartz variation: the shuffled-efficiency gather path."""
-        self._run_pair(specs, VARIED_CLUSTER, policy, budget, seed=seed,
-                       interval=interval)
-
-    @given(specs=arrival_specs(), policy=all_policies, budget=budgets,
-           schedule=fault_schedules(),
-           interval=st.sampled_from([None, 3.0]))
-    @settings(max_examples=15, deadline=None)
-    def test_fault_schedule_identity(self, specs, policy, budget,
-                                     schedule, interval):
-        """Active faults force the scalar fallback without divergence."""
-        self._run_pair(specs, CLUSTER, policy, budget, seed=7,
-                       fault_schedule=schedule, interval=interval)

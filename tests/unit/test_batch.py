@@ -11,7 +11,12 @@ from repro.characterization.mix_characterization import (
     characterize_mix_batch,
 )
 from repro.parallel.cache import CharacterizationCache, activate_cache, deactivate_cache
-from repro.sim.batch import LayoutBatch, simulate_cap_batch, stack_layouts
+from repro.sim.batch import (
+    LayoutBatch,
+    simulate_cap_batch,
+    simulate_layout_batch,
+    stack_layouts,
+)
 from repro.sim.execution import DEFAULT_OPTIONS, SimulationOptions, simulate_mix
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -141,6 +146,37 @@ class TestSimulateCapBatch:
         registry = telemetry.get_registry()
         assert registry.counter("sim.execution.runs").value == 3
         assert registry.counter("sim.execution.cache_hits").value == 3
+
+
+class TestSimulateLayoutBatch:
+    def test_rows_match_serial_and_one_row_passes(self):
+        # Independent mixes on independent host rows: every row of a
+        # stacked pass equals its serial simulate_mix call and its own
+        # one-row pass, with and without an engine fault schedule.
+        from repro.faults.scenarios import build_scenario
+
+        mixes = [make_mix(), WorkloadMix(name="other", jobs=(
+            Job(name="c", config=KernelConfig(intensity=32.0),
+                node_count=4, iterations=6),
+            Job(name="d", config=KernelConfig(intensity=2.0),
+                node_count=3, iterations=6),
+        ))]
+        rng = np.random.default_rng(5)
+        caps = rng.uniform(130.0, 250.0, (2, 7))
+        eff = rng.uniform(0.9, 1.1, (2, 7))
+        faults = build_scenario("stuck-caps", 2000.0, 7, 1.0).engine_slice(0.0)
+        for schedule in (None, faults):
+            options = SimulationOptions(noise_std=0.01, fault_schedule=schedule)
+            batch = simulate_layout_batch(mixes, caps, eff, options=options,
+                                          seeds=[3, 4])
+            for s in range(2):
+                row_options = dataclasses.replace(options, seed=3 + s)
+                assert batch[s] == simulate_mix(mixes[s], caps[s], eff[s],
+                                                options=row_options)
+                assert batch[s] == simulate_layout_batch(
+                    [mixes[s]], caps[s:s + 1], eff[s:s + 1],
+                    options=options, seeds=[3 + s],
+                )[0]
 
 
 class TestSerialCacheTelemetry:

@@ -1,26 +1,27 @@
-"""Unit tests: the staged fault-free batch pipeline and its caches.
+"""Unit tests: the batch planner, the batch executor and their caches.
 
-The streaming engine's vectorised path decomposes
-``execute_admitted_batch`` into ``plan_admitted_batch`` →
+Every admitted batch runs ``plan_admitted_batch`` →
 ``execute_planned_batches`` → ``finish_planned_batch``.  These tests pin
-the decomposition's contract at the function level — bit-identity to the
-monolithic call, memo-hit object reuse, trusted-constructor semantics,
-and the stacked-layout identity cache — independently of the event loop
-(which the stream property suite covers end to end).
+the stages' contracts at the function level — the scheduler-identical
+shuffle, grouping and pass counting, fault-slice isolation, memo-hit
+object reuse and the memo bound, trusted-constructor semantics, and the
+stacked-layout identity cache — independently of the site loops (whose
+outputs the golden-digest suite pins end to end).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.registry import create_policy
+from repro.faults.scenarios import build_scenario
 from repro.hardware.cluster import Cluster
 from repro.manager.admission import AdmissionDecision
 from repro.manager.power_manager import PowerManager
 from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix, Scheduler
 from repro.manager.site_simulation import (
+    PLANNER_MEMO_LIMIT,
     BatchPlanner,
-    execute_admitted_batch,
     execute_planned_batches,
     plan_admitted_batch,
 )
@@ -44,61 +45,41 @@ def _decision(admitted, budget_w=2500.0, nodes=12):
     )
 
 
-def _monolithic(clock, index, admitted, decision, cluster, policy,
-                budget_w, manager):
-    node_ids = tuple(range(sum(r.node_count for r in admitted)))
-    return execute_admitted_batch(
-        clock=clock, batch_index=index, admitted=admitted,
-        decision=decision, batch_cluster=cluster.subset(node_ids),
-        policy=policy, budget_w=budget_w, batch_budget_w=budget_w,
-        quarantined=(), manager=manager, noise_std=0.0, run_seed=None,
-        fault_schedule=None, degradation=None, reaction_s=0.0,
-        injecting=False,
-    )
-
-
 def _staged(clock, index, admitted, decision, cluster, policy,
-            budget_w, manager, planner=None, uniform=False):
-    hosts = sum(r.node_count for r in admitted)
-    eff = cluster.efficiencies[:hosts]
+            budget_w, manager, planner=None, uniform=False, **faults):
     return plan_admitted_batch(
         clock=clock, batch_index=index, admitted=admitted,
-        decision=decision,
-        host_efficiencies=eff if uniform else eff.copy(),
+        decision=decision, host_efficiencies=cluster.efficiencies,
         policy=policy, budget_w=budget_w, batch_budget_w=budget_w,
         quarantined=(), manager=manager, run_seed=None,
-        planner=planner, uniform_hosts=uniform,
+        planner=planner, uniform_hosts=uniform, **faults,
     )
 
 
 class TestStagedPipelineIdentity:
-    @pytest.mark.parametrize("variation_seed", [None, 5])
-    def test_matches_monolithic_batch(self, variation_seed):
-        if variation_seed is None:
-            cluster = Cluster(node_count=12, variation=None, seed=0)
-        else:
-            cluster = Cluster(node_count=12, seed=variation_seed)
-        uniform = variation_seed is None
-        policy = create_policy("MixedAdaptive")
-        manager = PowerManager()
-        planner = BatchPlanner(manager, policy)
-        batches = [
-            [_request("a0", nodes=3), _request("a1", nodes=2)],
-            [_request("b0", nodes=4, intensity=2.0)],
-        ]
-        planned, expected = [], []
-        for index, admitted in enumerate(batches):
-            decision = _decision(admitted)
-            expected.append(_monolithic(
-                10.0 * index, index, admitted, decision, cluster,
-                policy, 2500.0, manager,
-            ))
-            planned.append(_staged(
-                10.0 * index, index, admitted, decision, cluster,
-                policy, 2500.0, manager, planner=planner, uniform=uniform,
-            ))
-        executed = execute_planned_batches(planned, manager, 0.0)
-        assert executed == expected
+    @pytest.mark.parametrize("index", [0, 3, 17])
+    def test_schedules_like_the_scheduler(self, index):
+        # The planner's draw is Scheduler.allocate's: shuffle the whole
+        # partition under the batch index, take the first n hosts.
+        cluster = Cluster(node_count=12, seed=5)
+        admitted = [_request("a0", nodes=3), _request("a1", nodes=2)]
+        planned = _staged(0.0, index, admitted, _decision(admitted),
+                          cluster, create_policy("StaticCaps"), 2500.0,
+                          PowerManager())
+        expected = Scheduler(cluster, shuffle_seed=index).allocate(
+            WorkloadMix(name="m", jobs=tuple(r.to_job() for r in admitted))
+        )
+        np.testing.assert_array_equal(planned.scheduled.node_ids,
+                                      expected.node_ids)
+        np.testing.assert_array_equal(planned.scheduled.efficiencies,
+                                      expected.efficiencies)
+
+    def test_rejects_a_batch_larger_than_the_partition(self):
+        cluster = Cluster(node_count=4, variation=None, seed=0)
+        admitted = [_request("big", nodes=5)]
+        with pytest.raises(ValueError, match="needs 5 nodes"):
+            _staged(0.0, 0, admitted, _decision(admitted), cluster,
+                    create_policy("StaticCaps"), 2500.0, PowerManager())
 
     def test_grouping_preserves_input_order(self):
         cluster = Cluster(node_count=16, variation=None, seed=0)
@@ -120,6 +101,43 @@ class TestStagedPipelineIdentity:
             [float(i) for i in range(len(shapes))]
         assert [e.job_names for e in executed] == \
             [(f"j{i}",) for i in range(len(shapes))]
+        assert executed.passes == 2
+
+    def test_engine_fault_rows_run_alone(self, monkeypatch):
+        # Two same-structure batches share one pass fault-free; with an
+        # engine-applicable fault slice each runs its own pass carrying
+        # that slice in its options.
+        cluster = Cluster(node_count=16, variation=None, seed=0)
+        policy = create_policy("StaticCaps")
+        manager = PowerManager()
+        schedule = build_scenario("stuck-caps", 4000.0, 4, 10.0)
+        options = []
+        real = sim_batch.simulate_layout_batch
+
+        def recording(mixes, caps, eff, model, opts, **kwargs):
+            options.append((len(mixes), opts.fault_schedule))
+            return real(mixes, caps, eff, model, opts, **kwargs)
+
+        monkeypatch.setattr(sim_batch, "simulate_layout_batch", recording)
+
+        def batches(**faults):
+            return [
+                _staged(5.0, index, [_request(f"j{index}", nodes=4)],
+                        _decision([_request(f"j{index}", nodes=4)]),
+                        cluster, policy, 2500.0, manager, uniform=True,
+                        **faults)
+                for index in range(2)
+            ]
+
+        assert execute_planned_batches(batches(), manager, 0.0).passes == 1
+        assert options == [(2, None)]
+        options.clear()
+        faulted = batches(fault_schedule=schedule)
+        assert all(b.engine_faults is not None for b in faulted)
+        executed = execute_planned_batches(faulted, manager, 0.0)
+        assert executed.passes == 2
+        assert [rows for rows, _ in options] == [1, 1]
+        assert all(opts is not None and opts.active for _, opts in options)
 
 
 class TestBatchPlannerMemo:
@@ -153,27 +171,40 @@ class TestBatchPlannerMemo:
                        uniform=True)
         assert low.effective_caps is not high.effective_caps
 
-    def test_relabel_controls_characterization_name(self):
-        cluster = Cluster(node_count=12, variation=None, seed=0)
-        policy = create_policy("MixedAdaptive")
+    def test_memo_stays_bounded(self):
+        # More distinct efficiency vectors and budgets than the bound:
+        # every memo level stays at or below it, and planning stays
+        # correct after eviction.
+        policy = create_policy("StaticCaps")
         manager = PowerManager()
         planner = BatchPlanner(manager, policy)
-        mix = WorkloadMix(name="batch-0", jobs=(
-            Job(name="x", config=KernelConfig(intensity=8.0),
-                node_count=4, iterations=5),
-        ))
-        scheduled = Scheduler(
-            Cluster(node_count=4, variation=None, seed=0), shuffle_seed=None
-        ).allocate(mix)
-        char0, _ = planner.plan(scheduled, 2500.0)
-        renamed = WorkloadMix(name="batch-1", jobs=mix.jobs)
-        rescheduled = ScheduledMix.trusted(
-            renamed, scheduled.node_ids, scheduled.efficiencies
-        )
-        char1, _ = planner.plan(rescheduled, 2500.0, relabel=True)
-        assert char1.mix_name == "batch-1"
-        char2, _ = planner.plan(rescheduled, 2500.0, relabel=False)
-        assert char2 is char0  # memo object, label untouched
+        admitted = [_request("x", nodes=4)]
+        for index in range(PLANNER_MEMO_LIMIT + 20):
+            cluster = Cluster(node_count=8, seed=index)
+            _staged(0.0, index, admitted, _decision(admitted), cluster,
+                    policy, 1000.0 + index, manager, planner=planner)
+            _, chars, caps = planner.memo_sizes()
+            assert chars <= PLANNER_MEMO_LIMIT
+            assert caps <= PLANNER_MEMO_LIMIT
+        assert planner.char_misses == PLANNER_MEMO_LIMIT + 20
+        uniform = Cluster(node_count=8, variation=None, seed=0)
+        for index in range(PLANNER_MEMO_LIMIT + 20):
+            _staged(0.0, 0, admitted, _decision(admitted), uniform,
+                    policy, 1000.0 + index, manager, planner=planner,
+                    uniform=True)
+            assert planner.memo_sizes()[2] <= PLANNER_MEMO_LIMIT
+        for iterations in range(1, PLANNER_MEMO_LIMIT + 6):
+            shaped = [_request("x", nodes=2, iterations=iterations)]
+            _staged(0.0, 0, shaped, _decision(shaped), uniform, policy,
+                    1000.0, manager, planner=planner, uniform=True)
+            assert planner.memo_sizes()[0] <= PLANNER_MEMO_LIMIT
+        fresh =_staged(0.0, 0, admitted, _decision(admitted), uniform,
+                        policy, 1000.0, manager, uniform=True)
+        again = _staged(0.0, 0, admitted, _decision(admitted), uniform,
+                        policy, 1000.0, manager, planner=planner,
+                        uniform=True)
+        np.testing.assert_array_equal(again.effective_caps,
+                                      fresh.effective_caps)
 
 
 class TestTrustedScheduledMix:

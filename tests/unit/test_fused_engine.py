@@ -2,8 +2,8 @@
 
 The property suite pins the end-to-end identity contract (fused ≡
 sharded ≡ serial); these tests pin the *mechanisms* at the function
-level — the cross-cluster grouping key (same-structure batches share
-one stacked engine pass, heterogeneous structures split), the bounded
+level — cross-cluster grouping (same-structure batches share one
+stacked engine pass, heterogeneous structures split), the bounded
 stacked-layout memo with its one-row reuse across scenario counts, the
 name-free shared characterization store, and the span-attributed
 profile writer.
@@ -68,51 +68,6 @@ class TestCrossClusterGrouping:
         assert max(calls) == 2
         assert 1 in calls
         assert result == run_facility_simulation(config, workers=1)
-
-    def test_group_key_separates_batches(self):
-        # A distinct group_key must force separate groups even for
-        # identical structures (the cross-site isolation hook).
-        from repro.core.registry import create_policy
-        from repro.hardware.cluster import Cluster
-        from repro.manager.power_manager import PowerManager
-        from repro.manager.queue import JobRequest
-        from repro.manager.site_simulation import (
-            BatchPlanner,
-            execute_planned_batches,
-            plan_admitted_batch,
-        )
-        from repro.manager.admission import AdmissionDecision
-
-        manager = PowerManager()
-        policy = create_policy("MixedAdaptive")
-        planner = BatchPlanner(manager, policy)
-        cluster = Cluster(node_count=4, variation=None, seed=0)
-
-        def planned(key):
-            request = JobRequest(
-                name=f"job-{key}", config=KernelConfig(intensity=8.0),
-                node_count=4, iterations=3, power_hint_w=180.0,
-            )
-            decision = AdmissionDecision(
-                (request.name,), (), {request.name: 180.0}, 900.0, 4,
-            )
-            batch = plan_admitted_batch(
-                clock=0.0, batch_index=0, admitted=[request],
-                decision=decision, host_efficiencies=cluster.efficiencies,
-                policy=policy, budget_w=900.0, batch_budget_w=900.0,
-                quarantined=(), manager=manager, run_seed=None,
-                planner=planner, uniform_hosts=True,
-            )
-            return dataclasses.replace(batch, group_key=key)
-
-        executions = execute_planned_batches(
-            [planned("site-a"), planned("site-b")], manager, 0.0,
-        )
-        # Same structure + same seed + different group_key: identical
-        # physics either way (grouping is invisible in results), and
-        # both rows are real executions.
-        assert executions[0].record.mean_power_w == \
-            executions[1].record.mean_power_w
 
 
 class TestStackedLayoutCacheReuse:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
 from repro.manager.queue import JobRequest
-from repro.manager.site_simulation import Arrival
+from repro.manager.site_simulation import Arrival, run_site_simulation
 from repro.stream.arrivals import (
     burst_stream,
     poisson_stream,
@@ -237,6 +237,21 @@ class TestReplayEdgeCases:
                 [], cluster, create_policy("StaticCaps"), 2500.0
             )
 
+    def test_replay_hands_every_arrival_to_the_shift_loop(self, cluster):
+        # Submitted and sourced arrivals alike reach run_site_simulation,
+        # run with the engine's settings.
+        engine = _engine(cluster, rolling=False, run_seed=5)
+        engine.submit(_request("early"), time_s=0.0)
+        engine.attach_source(iter([Arrival(1.0, _request("late"))]))
+        result = engine.replay(max_rounds=10)
+        expected = run_site_simulation(
+            [Arrival(0.0, _request("early")), Arrival(1.0, _request("late"))],
+            cluster, create_policy("StaticCaps"), 2500.0, max_batches=10,
+            run_seed=5,
+        )
+        assert result == expected
+        assert set(result.completed) == {"early", "late"}
+
     def test_attach_source_twice_rejected(self, cluster):
         engine = _engine(cluster)
         engine.attach_source(burst_stream(
@@ -273,7 +288,6 @@ class TestEventRepush:
 class TestBatchedPhysicsKnobs:
     def test_knobs_require_rolling(self, cluster):
         for kwargs in (
-            {"batched_physics": True},
             {"per_job_batches": True},
             {"admission_interval_s": 2.0},
         ):
@@ -288,8 +302,7 @@ class TestBatchedPhysicsKnobs:
 
     def test_quantised_admission_piles_up_concurrency(self, cluster):
         engine = _engine(
-            cluster, batched_physics=True, admission_interval_s=2.0,
-            per_job_batches=True,
+            cluster, admission_interval_s=2.0, per_job_batches=True,
         )
         engine.attach_source(burst_stream(
             5, 0.5, 2, synthetic_job_factory(node_count=2, power_hint_w=120.0)
@@ -297,22 +310,3 @@ class TestBatchedPhysicsKnobs:
         stats = engine.run()
         assert stats.jobs_completed == 10
         assert stats.peak_in_flight >= 2
-
-    def test_batched_run_matches_scalar_run(self, cluster):
-        def run(batched):
-            engine = _engine(
-                cluster, record_batches=True,
-                batched_physics=batched, admission_interval_s=3.0,
-                per_job_batches=True,
-            )
-            engine.attach_source(poisson_stream(
-                0.5, 60.0, synthetic_job_factory(node_count=2), seed=4
-            ))
-            stats = engine.run()
-            return stats, engine.batches, engine.turnaround_s
-
-        stats_b, batches_b, turn_b = run(True)
-        stats_s, batches_s, turn_s = run(False)
-        assert stats_b == stats_s
-        assert batches_b == batches_s
-        assert turn_b == turn_s
