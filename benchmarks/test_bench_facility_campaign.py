@@ -1,23 +1,19 @@
 """Bench: the hierarchical facility campaign at 50k-node scale.
 
-The acceptance benchmark of the ``repro.hierarchy`` budget-broker tree,
-now timing **both leaf engines** on the same campaign config: the
-sharded engine (one pure task per cluster over a process pool) and the
-fused engine (all clusters advanced in lockstep, co-resident batches
-routed through shared cross-cluster stacked physics passes).  The full
-run covers the ISSUE/ROADMAP floor of 50 000 nodes in a single command;
-under ``REPRO_SMOKE=1`` the facility shrinks to 8 clusters x 800 nodes
-so the CI job stays fast while still exercising the trace, the feeder
-dips, both engines, and the cross-engine identity assert.
+The acceptance benchmark of the ``repro.hierarchy`` budget-broker tree
+on the fused facility engine (all clusters advanced in lockstep,
+co-resident batches routed through shared cross-cluster stacked physics
+passes).  The full run covers the 50 000-node floor in a single
+command; under ``REPRO_SMOKE=1`` the facility shrinks to 8 clusters x
+800 nodes so the CI job stays fast while still exercising the trace,
+the feeder dips, the worker-group pool, and the identity asserts.
 
-Determinism is asserted in-run: the fused result must be ``==`` (bit
-identical) to the sharded result, the timed fused campaign is re-run
-once and compared ``==`` (best-of-2 wall, identical results), and a
-small paired config must agree across ``workers=1`` / ``workers=2`` /
-fused.  The headline ``clusters_per_s`` is the fused engine's; the
-``fused_speedup`` metric is sharded wall over fused wall on identical
-configs, asserted >= 4x on the full (non-smoke) campaign where the
-single-core pool tax plus per-cluster scalar physics is the baseline.
+Determinism is asserted in-run: the timed ``workers=1`` campaign is
+re-run once and compared ``==`` (best-of-2 wall, identical results), a
+``workers=2`` run of the same config (two fused cluster groups over a
+process pool) must be ``==`` to it, and a small paired config must agree
+across ``workers=1`` / ``workers=2`` / ``workers=4``.  The headline
+``clusters_per_s`` is the one-group (in-process) campaign's.
 
 Writes ``benchmarks/output/facility_campaign.txt`` and the
 machine-readable ``BENCH_facility_campaign.json`` perf-trajectory
@@ -39,7 +35,6 @@ SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 CLUSTERS = 8 if SMOKE else 16
 NODES_PER_CLUSTER = 800 if SMOKE else 3_200
 JOBS_PER_CLUSTER = 16 if SMOKE else 48
-WORKERS = 2
 SEED = 23
 
 CONFIG = FacilityCampaignConfig(
@@ -50,15 +45,14 @@ CONFIG = FacilityCampaignConfig(
 )
 
 
-def _timed_run(engine, workers=WORKERS):
+def _timed_run(workers):
     # A collector pause mid-run is measurement noise, not broker cost;
     # deferring collection keeps single-shot timings honest.
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        result = run_facility_campaign(CONFIG, workers=workers,
-                                       engine=engine)
+        result = run_facility_campaign(CONFIG, workers=workers)
         wall_s = time.perf_counter() - start
     finally:
         gc.enable()
@@ -67,31 +61,27 @@ def _timed_run(engine, workers=WORKERS):
 
 def test_facility_campaign_scale_and_determinism(emit):
     # Warm-up at a fraction of the size: primes numpy dispatch, the
-    # layout memos, and the worker pool spawn machinery — both engines.
+    # layout memos, and the worker pool spawn machinery.
     warm = FacilityCampaignConfig(clusters=2, nodes_per_cluster=64,
                                   jobs_per_cluster=4, seed=SEED)
-    run_facility_campaign(warm, workers=WORKERS)
-    run_facility_campaign(warm, engine="fused")
+    run_facility_campaign(warm, workers=1)
+    run_facility_campaign(warm, workers=2)
 
-    # The sharded baseline, then the fused engine on the identical
-    # config.  Best-of-2 fused with an in-run identity assert: the
-    # rerun must be bit-identical (the determinism contract), and the
-    # minimum wall is the least-contended estimate on shared CI hosts.
-    sharded_result, sharded_wall = _timed_run("sharded")
-    result, wall_s = _timed_run("fused")
-    result_again, wall_again = _timed_run("fused")
+    # Best-of-2 with an in-run identity assert: the rerun must be
+    # bit-identical (the determinism contract), and the minimum wall is
+    # the least-contended estimate on shared CI hosts.  Two worker
+    # groups must reproduce the one-group result bitwise.
+    result, wall_s = _timed_run(1)
+    result_again, wall_again = _timed_run(1)
+    pooled, pooled_wall = _timed_run(2)
     assert result == result_again
-    assert result == sharded_result  # fused ≡ sharded, bit-identical
+    assert result == pooled
     wall_s = min(wall_s, wall_again)
-    fused_speedup = sharded_wall / wall_s
 
     # Scale floor: the full campaign must cover >= 50k nodes in this
-    # one command (the smoke config only shrinks, never reshapes), and
-    # fusing the symmetric 16-cluster campaign into shared stacked
-    # passes must pay >= 4x over the sharded baseline.
+    # one command (the smoke config only shrinks, never reshapes).
     if not SMOKE:
         assert result.total_nodes >= 50_000
-        assert fused_speedup >= 4.0
 
     # The trace-driven top budget must actually vary across windows,
     # and every epoch's apportioned total must stay within it.
@@ -115,15 +105,14 @@ def test_facility_campaign_scale_and_determinism(emit):
     # characterizations from its facility-wide memo.
     assert result.char_cache_hit_ratio() > 0.5
 
-    # Engine invariance on a small paired config — workers and engine
-    # must never change the result, only the wall clock.
+    # Worker invariance on a small paired config (workers=4 exceeds
+    # its cluster count) — workers must never change the result, only
+    # the wall clock.
     small = FacilityCampaignConfig(clusters=3, nodes_per_cluster=96,
                                    jobs_per_cluster=6, seed=SEED)
     serial = run_facility_campaign(small, workers=1)
-    pooled = run_facility_campaign(small, workers=2)
-    fused_small = run_facility_campaign(small, engine="fused")
-    assert serial == pooled
-    assert serial == fused_small
+    assert serial == run_facility_campaign(small, workers=2)
+    assert serial == run_facility_campaign(small, workers=4)
 
     clusters_per_s = CLUSTERS / wall_s
     nodes_per_s = result.total_nodes / wall_s
@@ -132,8 +121,7 @@ def test_facility_campaign_scale_and_determinism(emit):
         "Hierarchical facility campaign: "
         f"{CLUSTERS} clusters x {NODES_PER_CLUSTER} nodes "
         f"(= {result.total_nodes:,} nodes), trace-driven top budget, "
-        f"{CONFIG.broker_policy} broker, fused engine "
-        f"(sharded baseline workers={WORKERS})",
+        f"{CONFIG.broker_policy} broker, fused engine",
         "",
         f"  nodes simulated:     {result.total_nodes:,}",
         f"  jobs completed:      {completed}",
@@ -144,21 +132,17 @@ def test_facility_campaign_scale_and_determinism(emit):
         f"  total energy:        {result.total_energy_j / 1e6:,.1f} MJ",
         f"  mean turnaround:     {result.mean_turnaround_s():.1f} s",
         f"  char cache hits:     {100 * result.char_cache_hit_ratio():.0f}%",
-        f"  fused wall time:     {wall_s:.2f} s"
+        f"  wall time:           {wall_s:.2f} s"
         f"  ({clusters_per_s:,.1f} clusters/s,"
         f" {nodes_per_s:,.0f} nodes/s)",
-        f"  sharded wall time:   {sharded_wall:.2f} s"
-        f"  (fused speedup {fused_speedup:.1f}x, identical result)",
+        f"  workers=2 wall time: {pooled_wall:.2f} s"
+        "  (two cluster groups, identical result)",
     ]
     emit(
         "facility_campaign", "\n".join(lines),
         metrics=[
             BenchMetric("clusters_per_s", clusters_per_s, "clusters/s",
                         direction="higher_better"),
-            BenchMetric("fused_speedup", fused_speedup, "x",
-                        direction="higher_better"),
-            BenchMetric("sharded_clusters_per_s", CLUSTERS / sharded_wall,
-                        "clusters/s", direction="higher_better"),
             BenchMetric("nodes_simulated", float(result.total_nodes),
                         "nodes", direction="two_sided"),
             BenchMetric("jobs_completed", float(completed), "jobs",
@@ -171,7 +155,6 @@ def test_facility_campaign_scale_and_determinism(emit):
                 "broker_policy": CONFIG.broker_policy,
                 "window_s": CONFIG.window_s,
                 "horizon_s": CONFIG.horizon_s,
-                "engine": "fused",
-                "workers": WORKERS, "smoke": SMOKE},
+                "workers": 1, "smoke": SMOKE},
         seed=SEED,
     )

@@ -196,17 +196,11 @@ def characterize_mix(
     characterization is memoized under a content hash of (mix spec,
     efficiencies, model parameters, harvest fraction); repeated grid
     cells and online re-planning rounds then skip the physics entirely.
-    A :func:`~repro.parallel.char_store.active_char_store`, consulted
-    after the name-keyed cache, additionally shares characterizations
-    across *differently named* mixes of the same job shapes (the label
-    is rewritten to this mix's name; every numeric field round-trips
-    bit-exactly).
     """
     if not 0.0 < harvest_fraction <= 1.0:
         raise ValueError("harvest_fraction must be in (0, 1]")
     model = model if model is not None else ExecutionModel()
     from repro.parallel.cache import active_cache
-    from repro.parallel.char_store import active_char_store
 
     cache = active_cache()
     cache_key = None
@@ -220,20 +214,6 @@ def characterize_mix(
             from repro.io.serialize import characterization_from_dict
 
             return characterization_from_dict(payload)
-    store = active_char_store()
-    store_key = None
-    if store is not None:
-        store_key = store.key_for(mix, efficiencies, model, harvest_fraction)
-        payload = store.get(store_key)
-        if payload is not None:
-            import dataclasses as _dc
-
-            from repro.io.serialize import characterization_from_dict
-
-            shared = characterization_from_dict(payload)
-            if shared.mix_name == mix.name:
-                return shared
-            return _dc.replace(shared, mix_name=mix.name)
     layout: HostLayout = mix.layout()
     eff = np.asarray(efficiencies, dtype=float)
     if eff.shape != (layout.host_count,):
@@ -263,14 +243,10 @@ def characterize_mix(
         min_cap_w=pm.min_cap_w,
         tdp_w=pm.tdp_w,
     )
-    if (cache is not None and cache_key is not None) or store_key is not None:
+    if cache is not None:
         from repro.io.serialize import characterization_to_dict
 
-        payload = characterization_to_dict(char)
-        if cache is not None and cache_key is not None:
-            cache.put(cache_key, payload)
-        if store is not None and store_key is not None:
-            store.put(store_key, payload)
+        cache.put(cache_key, characterization_to_dict(char))
     return char
 
 

@@ -46,8 +46,8 @@ the same invocations work on a laptop and at full size.  ``grid``,
 ``characterize``, ``site``, and ``faults`` accept ``--telemetry-out
 DIR`` to save the run's metrics snapshot, JSONL/CSV event logs, span
 tree (``trace.json``), and provenance ledger (``provenance.json``).
-``--workers N`` fans the grid cells and site replays over a process
-pool, and ``--cache-dir DIR`` persists the characterization cache
+``--workers N`` fans the grid cells, site replays and facility cluster
+groups over a process pool, and ``--cache-dir DIR`` persists the characterization cache
 between invocations.
 """
 
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -106,6 +107,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float(text: str) -> float:
+    """argparse helper: parse a float, with argparse's error style."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a strictly positive, finite number."""
+    value = _float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number (got {text})"
+        )
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a fraction in (0, 1]."""
+    value = _float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in (0, 1] (got {text})"
+        )
+    return value
+
+
 def _writable_dir(text: str) -> str:
     """argparse type: a directory we can create files in."""
     path = Path(text).expanduser()
@@ -145,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="nodes per job (100 = paper scale; default 10)")
     parser.add_argument("--workers", type=_positive_int, default=None,
                         metavar="N",
-                        help="worker processes for grid cells / site replays "
+                        help="worker processes for grid cells / site "
+                             "replays / facility cluster groups "
                              "(default: $REPRO_WORKERS or 1)")
     parser.add_argument("--cache-dir", type=_writable_dir, default=None,
                         metavar="DIR",
@@ -183,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsim = sub.add_parser(
         "facility-sim",
         help="hierarchical facility campaign: budget-broker tree over "
-             "sharded multi-cluster site simulations (50k+ nodes)",
+             "multi-cluster site simulations on the fused engine "
+             "(50k+ nodes; --workers splits the clusters into groups)",
     )
     p_fsim.add_argument("--clusters", type=_positive_int, default=16,
                         metavar="N", help="leaf clusters (default 16)")
@@ -194,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsim.add_argument("--jobs", type=_positive_int, default=48,
                         metavar="N",
                         help="arriving jobs per cluster (default 48)")
-    p_fsim.add_argument("--window", type=float, default=300.0, metavar="S",
+    p_fsim.add_argument("--window", type=_positive_float, default=300.0,
+                        metavar="S",
                         help="broker rebalance window (default 300 s)")
-    p_fsim.add_argument("--horizon", type=float, default=3600.0,
+    p_fsim.add_argument("--horizon", type=_positive_float, default=3600.0,
                         metavar="S",
                         help="facility horizon (default 3600 s)")
     p_fsim.add_argument("--broker-policy", default="demand",
@@ -205,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsim.add_argument("--policy", default="MixedAdaptive",
                         choices=POLICY_NAMES,
                         help="node-level allocation policy in the leaves")
-    p_fsim.add_argument("--budget-fraction", type=float, default=None,
+    p_fsim.add_argument("--budget-fraction", type=_fraction, default=None,
                         metavar="FRAC",
                         help="constant top budget as a fraction of "
                              "aggregate capacity (default: sample the "
@@ -215,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the local feeder-limit fault dips")
     p_fsim.add_argument("--seed", type=int, default=23,
                         help="facility seed (deterministic campaigns)")
-    p_fsim.add_argument("--engine", default="sharded",
-                        choices=("sharded", "fused"),
-                        help="leaf execution: 'sharded' fans clusters over "
-                             "workers; 'fused' advances all clusters in "
-                             "lockstep through shared stacked engine passes "
-                             "(bit-identical results)")
     p_fsim.add_argument("--rows", type=_positive_int, default=8,
                         metavar="N",
                         help="per-cluster table rows to print (default 8)")
@@ -932,8 +960,7 @@ def _cmd_facility_sim(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     with _maybe_profile(args.profile) as profiler:
-        result = run_facility_campaign(config, workers=args.workers,
-                                       engine=args.engine)
+        result = run_facility_campaign(config, workers=args.workers)
     wall_s = time.perf_counter() - start
 
     summary = result.summary()
@@ -945,7 +972,7 @@ def _cmd_facility_sim(args: argparse.Namespace) -> int:
         + [["wall_s", f"{wall_s:.2f}"],
            ["clusters_per_s", f"{len(result.clusters) / wall_s:,.1f}"]],
         title=f"Facility campaign ({result.broker_policy} broker, "
-              f"{budget_src} budget, {result.engine} engine)",
+              f"{budget_src} budget)",
     ))
     rows = campaign_rows(result)[:args.rows]
     print(render_table(
@@ -964,7 +991,6 @@ def _cmd_facility_sim(args: argparse.Namespace) -> int:
             inputs={"clusters": len(result.clusters),
                     "nodes": result.total_nodes,
                     "broker_policy": result.broker_policy,
-                    "engine": result.engine,
                     "epochs": len(result.epoch_s)},
             seed=config.seed,
         )

@@ -4,7 +4,8 @@ The campaign wrapper around :mod:`repro.hierarchy`: it synthesises a
 whole facility — 8–64 clusters with mixed procurement weights,
 priorities, and a few local feeder-limit fault schedules — drives the
 top-level budget from the Fig. 1 synthetic trace, and runs every
-cluster's site simulation sharded across workers.  The shape echoes
+cluster's site simulation on the fused facility engine (split into
+worker groups when ``workers`` > 1).  The shape echoes
 :mod:`repro.experiments.facility_integration`: where that module builds
 the Fig. 1-style dashboard for one cluster session, this one builds it
 for the facility tree.
@@ -145,17 +146,14 @@ def build_facility_config(
 def run_facility_campaign(
     config: Optional[FacilityCampaignConfig] = None,
     workers: Optional[int] = None,
-    engine: str = "sharded",
 ) -> FacilitySimulationResult:
     """Run the standard campaign; one call, the whole facility.
 
-    ``engine`` selects the leaf execution strategy (``"sharded"`` /
-    ``"fused"``, see :func:`run_facility_simulation`); the result is
-    bit-identical either way.
+    ``workers`` splits the clusters into worker groups (see
+    :func:`run_facility_simulation`); the result is bit-identical for
+    every worker count.
     """
-    return run_facility_simulation(
-        build_facility_config(config), workers, engine=engine
-    )
+    return run_facility_simulation(build_facility_config(config), workers)
 
 
 def campaign_rows(result: FacilitySimulationResult) -> List[Dict[str, object]]:

@@ -4,11 +4,11 @@ A facility → cluster → rack → node budget-broker tree over the existing
 site-simulation physics: :mod:`repro.hierarchy.broker` is the pure
 apportionment layer (pluggable uniform / demand-weighted / priority
 policies), :mod:`repro.hierarchy.facility` plans the tree open loop and
-runs the leaf clusters — sharded across
-:class:`~repro.parallel.runner.ParallelRunner` workers, or fused
-through cross-cluster stacked engine passes
-(:mod:`repro.hierarchy.fused`) — under a strict determinism contract:
-both engines and every worker count are bit-identical.
+runs the leaf clusters on the fused engine (:mod:`repro.hierarchy.fused`,
+cross-cluster stacked engine passes) — ``workers=k`` splits the clusters
+into k groups over :class:`~repro.parallel.runner.ParallelRunner` —
+under a strict determinism contract: every worker count is
+bit-identical.
 """
 
 from repro.hierarchy.broker import (

@@ -1,4 +1,4 @@
-"""Facility-scale hierarchical power simulation (sharded multi-cluster).
+"""Facility-scale hierarchical power simulation (multi-cluster).
 
 The paper stops at one 918-node cluster under one static budget; its
 own Fig. 1 motivates the real problem — a facility whose procured power
@@ -13,18 +13,19 @@ rescaled to facility watts), apportions it to clusters each *epoch*
 (``window_s``) under a pluggable policy, each cluster broker subdivides
 its allocation across racks, and the node level is realised by the
 existing site-simulation physics (the allocation policies already cap
-per node).  Leaf clusters run the unmodified
-:func:`~repro.manager.site_simulation.run_site_simulation`; their
-time-varying allocations are delivered as ``BUDGET_CHANGE`` events on a
-composed :class:`~repro.faults.schedule.FaultSchedule`.
+per node).  Leaf clusters run the site simulation's own shift loop on
+the fused engine (:mod:`repro.hierarchy.fused`); their time-varying
+allocations are delivered as ``BUDGET_CHANGE`` events on a composed
+:class:`~repro.faults.schedule.FaultSchedule`.
 
 Determinism contract
 --------------------
 The whole plan — epoch budgets, demand signals, allocations, leaf
 schedules, per-cluster seeds — is computed *open loop* from the config
-before any physics runs.  Cluster simulations are pure, independent
-tasks fanned out over :class:`~repro.parallel.runner.ParallelRunner`
-(results return in payload order), with per-cluster seeds derived via
+before any physics runs.  With ``workers=k`` the clusters split
+round-robin into ``min(k, clusters)`` groups, each one pure fused-engine
+task fanned out over :class:`~repro.parallel.runner.ParallelRunner`
+(results return in cluster order), with per-cluster seeds derived via
 ``SeedSequence`` from ``(config.seed, "facility-cluster", name)``.
 Therefore: **same config + seed ⇒ bit-identical
 :class:`FacilitySimulationResult`, regardless of worker count.**  A
@@ -36,13 +37,14 @@ pinned by ``tests/property/test_hierarchy_properties.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.hardware.cluster import QUARTZ_CPU, QUARTZ_VARIATION, Cluster
 from repro.hardware.node import NodePowerModel
 from repro.hierarchy.broker import BudgetBroker, ChildSignal
+from repro.hierarchy.fused import run_fused_facility_leaves
 from repro.manager.site_simulation import Arrival, SiteSimulationResult
 from repro.parallel.runner import ParallelRunner
 from repro.parallel.seeding import child_seed
@@ -166,11 +168,10 @@ class ClusterOutcome:
     #: Rack-broker subdivision per epoch (one tuple per epoch).
     rack_allocations_w: Tuple[Tuple[float, ...], ...]
     result: SiteSimulationResult
-    #: Characterization-sharing statistics for this cluster's shift —
-    #: planner-memo hits/misses under the fused engine, shape-keyed
-    #: store hits/misses under the sharded one.  Excluded from equality:
-    #: the determinism contract covers the physics, and the two engines
-    #: share characterizations through different mechanisms.
+    #: Characterization-memo hits/misses for this cluster's shift.  Each
+    #: worker group has its own planner memo, so the split depends on
+    #: the worker count; excluded from equality, which covers the
+    #: physics only.
     char_cache_hits: int = field(default=0, compare=False)
     char_cache_misses: int = field(default=0, compare=False)
 
@@ -201,10 +202,6 @@ class FacilitySimulationResult:
     #: Top-level budget in force at each epoch.
     budgets_w: Tuple[float, ...]
     clusters: Tuple[ClusterOutcome, ...]
-    #: Which leaf engine produced the physics (``sharded``/``fused``).
-    #: Metadata, not physics: excluded from equality so the determinism
-    #: contract ``fused_result == sharded_result`` holds by ``==``.
-    engine: str = field(default="sharded", compare=False)
     #: Facility-broker rebalance count over the horizon.
     rebalances: int = field(default=0, compare=False)
 
@@ -397,37 +394,6 @@ def _leaf_schedule(
 
 
 # ----------------------------------------------------------------------
-# the sharded leaf task (module-level: must pickle into pool workers)
-# ----------------------------------------------------------------------
-def _cluster_task(payload) -> Tuple[SiteSimulationResult, Tuple[int, int]]:
-    """Simulate one leaf; returns the result plus this task's delta of
-    shape-keyed characterization-store hits/misses (``(0, 0)`` when no
-    store is active in the executing process)."""
-    from repro.core.registry import create_policy
-    from repro.manager.site_simulation import run_site_simulation
-    from repro.parallel.char_store import active_char_store
-
-    (spec, facility_seed, policy_name, base_budget_w, schedule,
-     noise_std, max_batches, run_seed) = payload
-    store = active_char_store()
-    hits0 = store.hits if store is not None else 0
-    misses0 = store.misses if store is not None else 0
-    result = run_site_simulation(
-        cluster_arrivals(spec),
-        build_cluster(spec, facility_seed),
-        create_policy(policy_name),
-        base_budget_w,
-        noise_std=noise_std,
-        max_batches=max_batches,
-        run_seed=run_seed,
-        fault_schedule=schedule,
-    )
-    if store is None:
-        return result, (0, 0)
-    return result, (store.hits - hits0, store.misses - misses0)
-
-
-# ----------------------------------------------------------------------
 # the campaign driver
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -519,77 +485,38 @@ def _plan_facility(config: FacilityConfig) -> _FacilityPlan:
     )
 
 
-def _run_sharded_leaves(
-    config: FacilityConfig,
-    payloads: Sequence[tuple],
-    workers: Optional[int],
-) -> List[Tuple[SiteSimulationResult, Tuple[int, int]]]:
-    """Fan the leaf tasks over a pool, sharing characterizations.
-
-    If no shape-keyed characterization store is active, one is
-    activated for the duration of the fan-out: memory-only when the run
-    stays in-process, disk-backed (a temporary directory) when a pool
-    is used so workers share each other's entries read-through.  A
-    store the caller already activated is left in place (and its
-    directory reused).
-    """
-    import tempfile
-
-    from repro.parallel.char_store import (
-        activate_char_store,
-        active_char_store,
-        deactivate_char_store,
-    )
-
-    runner = ParallelRunner(workers)
-    existing = active_char_store()
-    temp_dir = None
-    try:
-        if existing is None:
-            cache_dir = None
-            if runner.parallel and len(payloads) > 1:
-                temp_dir = tempfile.TemporaryDirectory(
-                    prefix="repro-char-store-"
-                )
-                cache_dir = temp_dir.name
-            activate_char_store(cache_dir=cache_dir)
-        return runner.map(_cluster_task, payloads)
-    finally:
-        if existing is None:
-            deactivate_char_store()
-        if temp_dir is not None:
-            temp_dir.cleanup()
+def _group_task(payload) -> Tuple[List[SiteSimulationResult],
+                                   List[Tuple[int, int]]]:
+    """Run one worker group of clusters through the fused engine
+    (module-level so it pickles into pool workers)."""
+    config, budgets_w, schedules, seeds = payload
+    return run_fused_facility_leaves(config, budgets_w, schedules, seeds)
 
 
 def run_facility_simulation(
     config: FacilityConfig,
     workers: Optional[int] = None,
-    engine: str = "sharded",
 ) -> FacilitySimulationResult:
     """Run the whole facility: plan the budget tree, run the leaves.
 
-    ``engine`` selects how leaf physics executes:
+    Leaf physics runs on the fused engine
+    (:func:`~repro.hierarchy.fused.run_fused_facility_leaves`).
+    ``workers`` (``None`` reads ``$REPRO_WORKERS``, as
+    :class:`ParallelRunner` does) splits the clusters round-robin into
+    ``min(workers, len(clusters))`` groups; each group is one pure task
+    with its own :class:`~repro.manager.site_simulation.BatchPlanner`,
+    and one group runs in-process with no pool.
 
-    * ``"sharded"`` — one pure task per cluster fanned over
-      :class:`ParallelRunner` (``workers`` follows its semantics;
-      ``None`` reads ``$REPRO_WORKERS``), with a shape-keyed
-      characterization store shared across workers.
-    * ``"fused"`` — all clusters advance in lockstep in-process and
-      co-resident batches run through shared stacked engine passes
-      (:mod:`repro.hierarchy.fused`); ``workers`` is ignored.
-
-    The result is bit-identical across engines and worker counts — the
-    plan is open loop, leaf tasks are pure, and both engines drive the
-    same shift-loop generator
-    (:func:`~repro.manager.site_simulation.shift_rounds`).
+    The result is bit-identical for every worker count: the plan is
+    open loop, and each cluster's shift loop consumes only its own
+    seed whichever group it lands in.
     """
-    if engine not in ("sharded", "fused"):
-        raise ValueError(
-            f"engine must be 'sharded' or 'fused', got {engine!r}"
-        )
+    runner = ParallelRunner(workers)
+    n = len(config.clusters)
+    k = min(runner.workers, n)
     with span("hierarchy.facility.run", facility=config.name,
-              clusters=len(config.clusters), nodes=config.total_nodes,
-              broker_policy=config.broker_policy, engine=engine,
+              clusters=n, nodes=config.total_nodes,
+              broker_policy=config.broker_policy, groups=k,
               epochs=len(config.epoch_times_s())) as run_sp:
         with span("hierarchy.facility.plan"):
             plan = _plan_facility(config)
@@ -602,32 +529,18 @@ def run_facility_simulation(
                            config.name)
             for i, spec in enumerate(config.clusters)
         ]
-        base_budgets = [
-            float(plan.allocations_w[i][0])
-            for i in range(len(config.clusters))
+        base_budgets = [float(plan.allocations_w[i][0]) for i in range(n)]
+        payloads = [
+            (replace(config, clusters=config.clusters[g::k]),
+             base_budgets[g::k], schedules[g::k], seeds[g::k])
+            for g in range(k)
         ]
-        if engine == "fused":
-            from repro.hierarchy.fused import run_fused_facility_leaves
-
-            results, char_stats = run_fused_facility_leaves(
-                config, base_budgets, schedules, seeds
-            )
-        else:
-            payloads = [
-                (
-                    spec, config.seed, config.policy, base_budgets[i],
-                    schedules[i], config.noise_std, config.max_batches,
-                    seeds[i],
-                )
-                for i, spec in enumerate(config.clusters)
-            ]
-            with span("hierarchy.facility.shards",
-                      shards=len(payloads)):
-                shard_results = _run_sharded_leaves(
-                    config, payloads, workers
-                )
-            results = [result for result, _ in shard_results]
-            char_stats = [stats for _, stats in shard_results]
+        results: List[Optional[SiteSimulationResult]] = [None] * n
+        char_stats: List[Tuple[int, int]] = [(0, 0)] * n
+        for g, (group_results, group_stats) in enumerate(
+                runner.map(_group_task, payloads)):
+            results[g::k] = group_results
+            char_stats[g::k] = group_stats
         outcomes = tuple(
             ClusterOutcome(
                 name=spec.name,
@@ -648,7 +561,6 @@ def run_facility_simulation(
             epoch_s=plan.epochs,
             budgets_w=plan.budgets_w,
             clusters=outcomes,
-            engine=engine,
             rebalances=plan.rebalances,
         )
         if enabled():

@@ -1,19 +1,16 @@
 """Fused cross-cluster facility engine: batched physics facility-wide.
 
-The sharded facility engine fans leaf clusters over a process pool —
-the right call on true multi-core hardware, but on a single core the
-pool is pure serialization tax, and even with real cores each worker
-still runs its cluster's physics one batch at a time.  The campaign
-workload is extremely fusable, though: every cluster streams the same
-synthetic job classes on the same node power model, so at any instant
-the facility's co-resident batches are mostly *the same physics* —
-identical job block structure and iteration counts, differing only in
-caps, efficiencies, seeds, and budgets, which is precisely the per-row
-axis of :func:`~repro.sim.batch.simulate_layout_batch`.
+The facility's leaf engine.  The campaign workload is extremely
+fusable: every cluster streams the same synthetic job classes on the
+same node power model, so at any instant the facility's co-resident
+batches are mostly *the same physics* — identical job block structure
+and iteration counts, differing only in caps, efficiencies, seeds, and
+budgets, which is precisely the per-row axis of
+:func:`~repro.sim.batch.simulate_layout_batch`.
 
-This engine advances **all clusters in lockstep inside one process**
-and routes each round's co-resident batches — across clusters —
-through shared stacked passes:
+This engine advances **a group of clusters in lockstep inside one
+process** and routes each round's co-resident batches — across
+clusters — through shared stacked passes:
 
 * Each cluster's shift loop runs as a
   :func:`~repro.manager.site_simulation.shift_rounds` generator: the
@@ -23,37 +20,37 @@ through shared stacked passes:
   generator :func:`~repro.manager.site_simulation.run_site_simulation`
   drives one batch at a time.
 * One shared :class:`~repro.manager.site_simulation.BatchPlanner`
-  serves every cluster, so each job class is characterized once
-  *facility-wide* — the in-process analogue of the sharded mode's
-  :class:`~repro.parallel.char_store.SharedCharStore` — and all
-  same-shape batches share one primed layout object, which keeps the
-  stacked-layout cache hitting by identity across clusters.
+  serves every cluster of the group, so each job class is
+  characterized once per group, and all same-shape batches share one
+  primed layout object, which keeps the stacked-layout cache hitting by
+  identity across clusters.
 * Each lockstep round collects the pending batches (in cluster order)
   and hands them to
   :func:`~repro.manager.site_simulation.execute_planned_batches`,
   which groups by ``(job boundaries, iterations)`` and runs one
   ``(S, hosts)`` engine pass per group (reporting the pass count).  The
   standard symmetric campaign's typical round is **one stacked pass for
-  the whole facility**.
+  the whole group**.
+
+:func:`~repro.hierarchy.facility.run_facility_simulation` calls this
+engine once per worker group: ``workers=1`` is one group holding the
+whole facility, run in-process; ``workers=k`` splits the clusters
+round-robin into ``min(k, clusters)`` groups over a process pool, so k
+cores each fuse their share of the facility.
 
 Determinism contract
 --------------------
-Fused ≡ sharded ≡ ``workers=1``, bit-identical (pinned by the
-fused-identity property suite).  Per-cluster RNG streams are untouched
-— seeds are derived and consumed inside each cluster's own generator —
-and grouped-pass rows are element-identical to one-row passes.  Every
-fault schedule takes the same path: host failures narrow the cluster's
-schedulable hosts, sensor dropouts and budget changes drive the
-degradation ladder in stage 1 and the compliance accounting in stage
-3, and a batch carrying engine-applicable faults (stuck or erroring
-caps, noise bursts) simply runs as a pass of its own.
-
-When does sharded still win?  On genuinely multi-core hosts with
-*heterogeneous* clusters (little cross-cluster structure sharing) or
-engine-fault-heavy schedules (every faulted batch is its own pass), N
-workers do N clusters' physics concurrently while the fused engine does
-them serially.  The symmetric many-cluster campaign is the opposite
-regime: fusion turns N serial engine calls per round into one.
+Every worker count gives a bit-identical result (pinned by the
+worker-count property suite).  Per-cluster RNG streams are untouched —
+seeds are derived and consumed inside each cluster's own generator —
+and grouped-pass rows are element-identical to one-row passes, so which
+clusters share a group changes only the characterization-memo
+statistics.  Every fault schedule takes the same path: host failures
+narrow the cluster's schedulable hosts, sensor dropouts and budget
+changes drive the degradation ladder in stage 1 and the compliance
+accounting in stage 3, and a batch carrying engine-applicable faults
+(stuck or erroring caps, noise bursts) simply runs as a pass of its
+own.
 """
 
 from __future__ import annotations
@@ -87,13 +84,13 @@ def run_fused_facility_leaves(
 ) -> Tuple[List[SiteSimulationResult], List[Tuple[int, int]]]:
     """Advance every leaf cluster in lockstep through fused passes.
 
-    Parameters mirror the sharded path's per-cluster payloads: the
-    facility config, each cluster's base budget (its epoch-0
-    allocation), its composed leaf fault schedule (``None`` = fault
-    free), and its derived run seed.  Returns the per-cluster
-    :class:`SiteSimulationResult` list in cluster order — bit-identical
-    to the sharded engine's — plus per-cluster
-    ``(char_hits, char_misses)`` characterization-memo statistics.
+    Parameters: the facility config (its ``clusters`` are the group to
+    run), each cluster's base budget (its epoch-0 allocation), its
+    composed leaf fault schedule (``None`` = fault free), and its
+    derived run seed.  Returns the per-cluster
+    :class:`SiteSimulationResult` list in cluster order plus
+    per-cluster ``(char_hits, char_misses)`` characterization-memo
+    statistics.
     """
     from repro.hierarchy.facility import build_cluster, cluster_arrivals
 
@@ -126,8 +123,8 @@ def run_fused_facility_leaves(
     passes = 0
     with span("hierarchy.facility.fused", clusters=n) as fused_sp:
         for i, spec in enumerate(specs):
-            # The sharded path validates inside run_site_simulation; the
-            # fused engine must reject the same degenerate budgets.
+            # run_site_simulation validates its budget; the fused engine
+            # must reject the same degenerate budgets.
             ensure_positive(budgets_w[i], "budget_w")
             generators.append(shift_rounds(
                 cluster_arrivals(spec),

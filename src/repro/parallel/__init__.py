@@ -19,10 +19,6 @@ This package provides:
     ``simulate_mix`` keyed by a stable hash of (mix spec, model
     parameters, caps, options), with an in-memory LRU plus an optional
     on-disk JSON store.
-:class:`~repro.parallel.char_store.SharedCharStore`
-    Name-free, shape-keyed characterization sharing across differently
-    named mixes of the same job classes (the facility fan-out case),
-    read through by ``characterize_mix`` after the name-keyed cache.
 """
 
 from repro.parallel.cache import (
@@ -32,25 +28,15 @@ from repro.parallel.cache import (
     deactivate_cache,
     stable_digest,
 )
-from repro.parallel.char_store import (
-    SharedCharStore,
-    activate_char_store,
-    active_char_store,
-    deactivate_char_store,
-)
 from repro.parallel.runner import ParallelRunner, resolve_workers
 from repro.parallel.seeding import child_seed, child_seeds
 
 __all__ = [
     "CharacterizationCache",
     "ParallelRunner",
-    "SharedCharStore",
     "activate_cache",
     "active_cache",
     "deactivate_cache",
-    "activate_char_store",
-    "active_char_store",
-    "deactivate_char_store",
     "stable_digest",
     "resolve_workers",
     "child_seed",

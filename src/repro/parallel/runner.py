@@ -35,7 +35,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import active_cache, activate_cache
-from repro.parallel.char_store import activate_char_store, active_char_store
 from repro.telemetry import (
     ScopedTimer,
     emit,
@@ -79,16 +78,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # worker-side plumbing (module-level so it pickles by reference)
 # ----------------------------------------------------------------------
 def _init_worker(cache_settings: Optional[Tuple[int, Optional[str]]],
-                 char_store_settings: Optional[Tuple[int, Optional[str]]],
                  user_initializer: Optional[Callable],
                  user_initargs: Tuple) -> None:
     """Per-worker setup: isolate telemetry, mirror the parent's caches.
 
     The telemetry context is replaced (not just cleared) so parent-side
     subscribers — which may hold open file handles — never fire in the
-    child.  If the parent had an active characterization cache (or a
-    shape-keyed shared characterization store), the worker activates its
-    own with the same settings; a shared ``cache_dir`` lets workers
+    child.  If the parent had an active characterization cache, the
+    worker activates its own with the same settings; a shared ``cache_dir`` lets workers
     reuse each other's entries through the filesystem.
     """
     from repro.telemetry import isolate
@@ -97,9 +94,6 @@ def _init_worker(cache_settings: Optional[Tuple[int, Optional[str]]],
     if cache_settings is not None:
         max_entries, cache_dir = cache_settings
         activate_cache(max_entries=max_entries, cache_dir=cache_dir)
-    if char_store_settings is not None:
-        max_entries, cache_dir = char_store_settings
-        activate_char_store(max_entries=max_entries, cache_dir=cache_dir)
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
@@ -193,11 +187,6 @@ class ParallelRunner:
         if cache is not None:
             cache_dir = str(cache.cache_dir) if cache.cache_dir else None
             cache_settings = (cache.max_entries, cache_dir)
-        store = active_char_store()
-        char_store_settings = None
-        if store is not None:
-            store_dir = str(store.cache_dir) if store.cache_dir else None
-            char_store_settings = (store.max_entries, store_dir)
 
         registry = get_registry()
         bus = get_bus()
@@ -209,8 +198,8 @@ class ParallelRunner:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(payloads)),
                     initializer=_init_worker,
-                    initargs=(cache_settings, char_store_settings,
-                              self._initializer, self._initargs),
+                    initargs=(cache_settings, self._initializer,
+                              self._initargs),
                 ) as pool:
                     futures = [pool.submit(_run_task, fn, p) for p in payloads]
                     for future in futures:

@@ -1,60 +1,50 @@
 """Property-based identity contract of the fused facility engine.
 
-The tentpole contract: **fused ≡ sharded ≡ workers=1, bit-identical**
-(``FacilitySimulationResult.__eq__`` over tuples / floats / dicts of
-floats is bitwise), across broker policies × seeds × fault schedules ×
-trace-driven budgets — including non-uniform (heterogeneous-efficiency)
-clusters, whose staged batches replicate the shift loop's whole-cluster
-shuffle draw, and budget-only feeder-dip schedules, which stage through
-the batched pipeline with the degradation ladder and compliance
-accounting split across stages.
+The contract: **fused ≡ sharded ≡ serial, bit-identical**
+(``SiteSimulationResult.__eq__`` over tuples / floats / dicts of floats
+is bitwise).  *Fused* is the facility run, whose clusters advance in
+lockstep through shared stacked passes; *sharded* is the same facility
+split into round-robin worker groups; *serial* is each cluster replayed
+alone through :func:`run_site_simulation` — one batch per engine pass,
+its own planner — under the budget, leaf schedule and seed the facility
+handed it.  Covered across broker policies × seeds × fault schedules ×
+trace-driven budgets, including non-uniform (heterogeneous-efficiency)
+clusters and budget-only feeder-dip schedules.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.schedule import FaultSchedule, random_schedule
-from repro.hierarchy import ClusterSpec, FacilityConfig, run_facility_simulation
+from repro.core.registry import create_policy
+from repro.hierarchy import (
+    ClusterSpec,
+    FacilityConfig,
+    build_cluster,
+    cluster_arrivals,
+    run_facility_simulation,
+)
+from repro.hierarchy.facility import _leaf_schedule
+from repro.manager.site_simulation import run_site_simulation
+
+from tests.property.test_hierarchy_properties import cluster_specs
 
 
-@st.composite
-def cluster_specs(draw, index: int = 0,
-                  with_faults: bool = False) -> ClusterSpec:
-    schedule = None
-    if with_faults and draw(st.booleans()):
-        if draw(st.booleans()):
-            # Engine-applicable faults: the fused engine must fall back
-            # to the scalar path for this cluster and still agree.
-            schedule = random_schedule(
-                duration_s=40.0,
-                host_count=8,
-                base_budget_w=8 * 200.0,
-                events=draw(st.integers(1, 3)),
-                seed=draw(st.integers(0, 2**16)),
-            )
-        else:
-            # A budget-only feeder dip: stages through the batched
-            # pipeline (the facility-leaf shape).
-            dip_at = draw(st.sampled_from([5.0, 10.0, 20.0]))
-            fraction = draw(st.sampled_from([0.5, 0.7, 0.9]))
-            schedule = (
-                FaultSchedule(name=f"dip-{index}")
-                .budget_drop(dip_at, fraction * 8 * 200.0)
-                .budget_restore(dip_at + 10.0, 8 * 240.0)
-            )
-    return ClusterSpec(
-        name=f"cluster-{index}",
-        node_count=8,
-        racks=draw(st.sampled_from([1, 2, 4])),
-        nodes_per_job=2,
-        jobs=draw(st.integers(2, 4)),
-        iterations=draw(st.integers(3, 5)),
-        spacing_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
-        uniform=draw(st.booleans()),
-        weight=float(draw(st.integers(1, 4))),
-        priority=draw(st.integers(0, 2)),
-        fault_schedule=schedule,
-    )
+def _assert_fused_equals_serial(config, fused):
+    """Every cluster of the fused facility run equals that cluster run
+    alone through :func:`run_site_simulation`."""
+    for spec, outcome in zip(config.clusters, fused.clusters):
+        serial = run_site_simulation(
+            cluster_arrivals(spec),
+            build_cluster(spec, config.seed),
+            create_policy(config.policy),
+            outcome.allocations_w[0],
+            noise_std=config.noise_std,
+            max_batches=config.max_batches,
+            run_seed=outcome.seed,
+            fault_schedule=_leaf_schedule(
+                spec, fused.epoch_s, outcome.allocations_w, config.name),
+        )
+        assert outcome.result == serial
 
 
 class TestFusedIdentity:
@@ -75,13 +65,10 @@ class TestFusedIdentity:
             budget_w=0.7 * sum(s.node_count for s in specs) * 240.0,
             window_s=10.0, horizon_s=30.0, seed=seed,
         )
-        serial = run_facility_simulation(config, workers=1)
+        fused = run_facility_simulation(config, workers=1)
         sharded = run_facility_simulation(config, workers=2)
-        fused = run_facility_simulation(config, engine="fused")
-        assert serial == sharded
-        assert serial == fused
-        assert fused.engine == "fused"
-        assert serial.engine == "sharded"
+        assert fused == sharded
+        _assert_fused_equals_serial(config, fused)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=3, deadline=None)
@@ -99,11 +86,10 @@ class TestFusedIdentity:
             clusters=specs, trace=FacilityTraceConfig(days=2),
             window_s=300.0, horizon_s=1200.0, seed=seed,
         )
-        serial = run_facility_simulation(config, workers=1)
-        fused = run_facility_simulation(config, engine="fused")
-        assert serial == fused
+        fused = run_facility_simulation(config, workers=1)
+        _assert_fused_equals_serial(config, fused)
         # The trace varies across five-minute windows, so every leaf
-        # replays real BUDGET_CHANGE events through the staged pipeline
+        # replays real BUDGET_CHANGE events through the fused passes
         # (degradation ladder + compliance accounting), not the no-op
         # fault-free path.
-        assert len(set(serial.budgets_w)) > 1
+        assert len(set(fused.budgets_w)) > 1

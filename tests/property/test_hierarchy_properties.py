@@ -7,10 +7,13 @@ tuple / float / dict of floats, so equality is bitwise):
   budget composes an empty leaf schedule and must be bit-identical to a
   plain :func:`run_site_simulation` of the same arrivals, cluster,
   policy, and seed.
-* **Shard invariance** — the facility result is bit-identical whether
-  the leaf clusters run serially (``workers=1``) or across a process
-  pool (``workers=2``), across broker policies, seeds, and fault
-  schedules: the budget plan is open loop and leaf tasks are pure.
+* **Worker-count invariance** — the facility result is bit-identical
+  whether the clusters run as one fused group in-process
+  (``workers=1``) or split round-robin into fused groups over a process
+  pool (``workers=2`` / ``workers=4``, including more workers than
+  clusters), across broker policies, seeds, fault schedules, non-uniform
+  (heterogeneous-efficiency) clusters and trace-driven budgets: the
+  budget plan is open loop and each cluster consumes only its own seed.
 """
 
 from hypothesis import given, settings
@@ -34,13 +37,26 @@ def cluster_specs(draw, index: int = 0,
                   with_faults: bool = False) -> ClusterSpec:
     schedule = None
     if with_faults and draw(st.booleans()):
-        schedule = random_schedule(
-            duration_s=40.0,
-            host_count=8,
-            base_budget_w=8 * 200.0,
-            events=draw(st.integers(1, 3)),
-            seed=draw(st.integers(0, 2**16)),
-        )
+        if draw(st.booleans()):
+            # Engine-applicable faults: a faulted batch runs as a
+            # stacked pass of its own.
+            schedule = random_schedule(
+                duration_s=40.0,
+                host_count=8,
+                base_budget_w=8 * 200.0,
+                events=draw(st.integers(1, 3)),
+                seed=draw(st.integers(0, 2**16)),
+            )
+        else:
+            # A budget-only feeder dip: the degradation ladder and
+            # compliance accounting (the facility-leaf shape).
+            dip_at = draw(st.sampled_from([5.0, 10.0, 20.0]))
+            fraction = draw(st.sampled_from([0.5, 0.7, 0.9]))
+            schedule = (
+                FaultSchedule(name=f"dip-{index}")
+                .budget_drop(dip_at, fraction * 8 * 200.0)
+                .budget_restore(dip_at + 10.0, 8 * 240.0)
+            )
     return ClusterSpec(
         name=f"cluster-{index}",
         node_count=8,
@@ -49,6 +65,7 @@ def cluster_specs(draw, index: int = 0,
         jobs=draw(st.integers(2, 4)),
         iterations=draw(st.integers(3, 5)),
         spacing_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        uniform=draw(st.booleans()),
         weight=float(draw(st.integers(1, 4))),
         priority=draw(st.integers(0, 2)),
         fault_schedule=schedule,
@@ -106,13 +123,24 @@ class TestDegenerateIdentity:
         assert facility.clusters[0].result == attached
 
 
+def _assert_worker_invariant(config):
+    """``workers=2`` and ``workers=4`` reproduce ``workers=1`` bitwise;
+    returns the serial result."""
+    serial = run_facility_simulation(config, workers=1)
+    for workers in (2, 4):
+        assert run_facility_simulation(config, workers=workers) == serial
+    return serial
+
+
 class TestShardInvariance:
     @given(seed=st.integers(0, 2**16),
            broker_policy=st.sampled_from(["uniform", "demand", "priority"]),
            data=st.data())
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=8, deadline=None)
     def test_workers_do_not_change_the_result(self, seed, broker_policy,
                                               data):
+        # Two or three clusters: workers=4 always exceeds the cluster
+        # count, so no group may be empty.
         n_clusters = data.draw(st.integers(2, 3))
         specs = tuple(
             data.draw(cluster_specs(index=i, with_faults=True))
@@ -124,9 +152,7 @@ class TestShardInvariance:
             budget_w=0.7 * sum(s.node_count for s in specs) * 240.0,
             window_s=10.0, horizon_s=30.0, seed=seed,
         )
-        serial = run_facility_simulation(config, workers=1)
-        sharded = run_facility_simulation(config, workers=2)
-        assert serial == sharded
+        _assert_worker_invariant(config)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=3, deadline=None)
@@ -136,6 +162,7 @@ class TestShardInvariance:
         specs = tuple(
             ClusterSpec(name=f"c{i}", node_count=8, nodes_per_job=2,
                         jobs=3, iterations=4, racks=2,
+                        uniform=bool(i % 2),
                         weight=float(1 + i), priority=i)
             for i in range(3)
         )
@@ -143,9 +170,8 @@ class TestShardInvariance:
             clusters=specs, trace=FacilityTraceConfig(days=2),
             window_s=300.0, horizon_s=1200.0, seed=seed,
         )
-        serial = run_facility_simulation(config, workers=1)
-        sharded = run_facility_simulation(config, workers=2)
-        assert serial == sharded
-        # The trace varies across five-minute windows, so this case
-        # exercises real BUDGET_CHANGE leaf events, not the no-op path.
+        serial = _assert_worker_invariant(config)
+        # The trace varies across five-minute windows, so every leaf
+        # replays real BUDGET_CHANGE events (degradation ladder +
+        # compliance accounting), not the no-op fault-free path.
         assert len(set(serial.budgets_w)) > 1

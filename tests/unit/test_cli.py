@@ -211,6 +211,38 @@ class TestSiteCommand:
         assert "makespan" in out
 
 
+class TestFacilitySimCommand:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--window", "-5", "positive number"),
+        ("--window", "nan", "positive number"),
+        ("--horizon", "0", "positive number"),
+        ("--budget-fraction", "1.5", "fraction in (0, 1]"),
+        ("--budget-fraction", "0", "fraction in (0, 1]"),
+    ])
+    def test_bad_values_exit_2_without_traceback(self, flag, value,
+                                                 message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["facility-sim", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a {message}" in err
+        assert "Traceback" not in err
+
+    def test_engine_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["facility-sim", "--engine", "fused"])
+        assert exc.value.code == 2
+
+    def test_worker_groups_run_and_report(self, capsys):
+        assert main(
+            ["--workers", "2", "facility-sim", "--clusters", "3",
+             "--nodes-per-cluster", "16", "--jobs", "2", "--rows", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Facility campaign" in out
+        assert "cluster-02" in out
+
+
 class TestFaultsCommand:
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])

@@ -1,15 +1,12 @@
 """Unit tests: fused facility engine mechanics and the shared caches.
 
-The property suite pins the end-to-end identity contract (fused ≡
-sharded ≡ serial); these tests pin the *mechanisms* at the function
-level — cross-cluster grouping (same-structure batches share one
-stacked engine pass, heterogeneous structures split), the bounded
-stacked-layout memo with its one-row reuse across scenario counts, the
-name-free shared characterization store, and the span-attributed
-profile writer.
+The property suite pins the end-to-end identity contract (every worker
+count is bit-identical); these tests pin the *mechanisms* at the
+function level — cross-cluster grouping (same-structure batches share
+one stacked engine pass, heterogeneous structures split), the bounded
+stacked-layout memo with its one-row reuse across scenario counts, and
+the span-attributed profile writer.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -27,7 +24,8 @@ def _spec(name, jobs=3, iterations=4, **kwargs):
 
 
 def _run_counting_passes(monkeypatch, config):
-    """Run fused; returns (result, [scenario-count per engine pass])."""
+    """Run as one in-process group; returns (result, [scenario-count
+    per engine pass])."""
     calls = []
     real = sim_batch.simulate_layout_batch
 
@@ -36,7 +34,7 @@ def _run_counting_passes(monkeypatch, config):
         return real(mixes, *args, **kwargs)
 
     monkeypatch.setattr(sim_batch, "simulate_layout_batch", counting)
-    result = run_facility_simulation(config, engine="fused")
+    result = run_facility_simulation(config, workers=1)
     return result, calls
 
 
@@ -52,7 +50,7 @@ class TestCrossClusterGrouping:
         result, calls = _run_counting_passes(monkeypatch, config)
         assert calls, "expected staged engine passes"
         assert all(scenarios == 2 for scenarios in calls)
-        assert result == run_facility_simulation(config, workers=1)
+        assert result == run_facility_simulation(config, workers=2)
 
     def test_heterogeneous_structures_split(self, monkeypatch):
         # Different iteration counts cannot share a stacked pass: the
@@ -67,7 +65,7 @@ class TestCrossClusterGrouping:
         # pass (a+b) and a 1-row pass (c) — never a 3-row pass.
         assert max(calls) == 2
         assert 1 in calls
-        assert result == run_facility_simulation(config, workers=1)
+        assert result == run_facility_simulation(config, workers=2)
 
 
 class TestStackedLayoutCacheReuse:
@@ -111,98 +109,6 @@ class TestStackedLayoutCacheReuse:
         after = sim_batch.stack_cache_info()
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
-
-
-def _char_equal(a, b):
-    """Bitwise field equality (dataclass ``==`` chokes on arrays)."""
-    return (
-        a.mix_name == b.mix_name
-        and np.array_equal(a.job_boundaries, b.job_boundaries)
-        and np.array_equal(a.monitor_power_w, b.monitor_power_w)
-        and np.array_equal(a.needed_power_w, b.needed_power_w)
-        and np.array_equal(a.needed_cap_w, b.needed_cap_w)
-        and a.min_cap_w == b.min_cap_w
-        and a.tdp_w == b.tdp_w
-    )
-
-
-class TestSharedCharStore:
-    def _mix(self, name, intensity=8.0):
-        return WorkloadMix(name=name, jobs=(
-            Job(name=f"{name}-j0", config=KernelConfig(intensity=intensity),
-                node_count=2, iterations=4),
-        ))
-
-    def test_key_ignores_names(self):
-        from repro.parallel import SharedCharStore
-
-        store = SharedCharStore()
-        eff = np.ones(2)
-        model = None
-        key_a = store.key_for(self._mix("alpha"), eff, model, 0.2)
-        key_b = store.key_for(self._mix("beta"), eff, model, 0.2)
-        key_c = store.key_for(self._mix("gamma", intensity=16.0), eff,
-                              model, 0.2)
-        assert key_a == key_b
-        assert key_a != key_c
-
-    def test_hit_is_bit_identical_and_relabelled(self):
-        from repro.characterization import characterize_mix
-        from repro.parallel import (
-            activate_char_store,
-            deactivate_char_store,
-        )
-        from repro.sim.execution import ExecutionModel
-
-        model = ExecutionModel()
-        eff = np.ones(2)
-        store = activate_char_store()
-        try:
-            fresh = characterize_mix(self._mix("alpha"), eff, model)
-            assert store.misses == 1
-            shared = characterize_mix(self._mix("beta"), eff, model)
-            assert store.hits == 1
-            assert shared.mix_name == "beta"
-            assert _char_equal(
-                dataclasses.replace(shared, mix_name="alpha"), fresh
-            )
-        finally:
-            deactivate_char_store()
-
-    def test_disk_store_shares_across_instances(self, tmp_path):
-        from repro.characterization import characterize_mix
-        from repro.parallel import (
-            SharedCharStore,
-            activate_char_store,
-            deactivate_char_store,
-        )
-        from repro.sim.execution import ExecutionModel
-
-        model = ExecutionModel()
-        eff = np.ones(2)
-        try:
-            activate_char_store(cache_dir=str(tmp_path))
-            first = characterize_mix(self._mix("alpha"), eff, model)
-            # A brand-new store over the same directory (another
-            # process, in real runs) must hit through the disk tier.
-            second_store = activate_char_store(
-                SharedCharStore(cache_dir=str(tmp_path))
-            )
-            again = characterize_mix(self._mix("alpha"), eff, model)
-            assert second_store.hits == 1
-            assert _char_equal(again, first)
-        finally:
-            deactivate_char_store()
-
-    def test_inactive_store_changes_nothing(self):
-        from repro.characterization import characterize_mix
-        from repro.parallel import active_char_store
-        from repro.sim.execution import ExecutionModel
-
-        assert active_char_store() is None
-        char = characterize_mix(self._mix("alpha"), np.ones(2),
-                                ExecutionModel())
-        assert char.mix_name == "alpha"
 
 
 class TestProfileWriter:
