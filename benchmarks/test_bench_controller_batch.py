@@ -11,9 +11,11 @@ batch advances all still-active cells through one ``(runs, hosts)``
 physics pass and one batched agent step.
 
 Bit-identity between the two paths is asserted unconditionally for
-every cell (reports, epochs, and final limits).  The >= 4x speedup
-assertion and best-of-N timing are skipped under ``REPRO_SMOKE=1``
-(the CI smoke job, which only checks the benchmark still runs).
+every cell (reports, epochs, and final limits), for the balancer sweep
+and for the same 56 cells under a 1.8 GHz ``FrequencyGovernorAgent``
+(the batched frequency governor).  The >= 4x speedup assertion and
+best-of-N timing are skipped under ``REPRO_SMOKE=1`` (the CI smoke job,
+which only checks the benchmark still runs).
 
 Writes ``benchmarks/output/controller_batch.txt`` with the measured
 timings.
@@ -29,6 +31,7 @@ from repro.hardware.cluster import Cluster
 from repro.io.bench_artifacts import BenchMetric
 from repro.runtime.batch import ControllerRunSpec, run_controller_batch
 from repro.runtime.controller import Controller
+from repro.runtime.frequency_governor import FrequencyGovernorAgent
 from repro.runtime.power_balancer import PowerBalancerAgent
 from repro.sim.engine import ExecutionModel
 from repro.workload.job import Job
@@ -49,13 +52,13 @@ def _cell_configs():
     ]
 
 
-def _sweep(model, eff, budget):
+def _sweep(model, eff, make_agent):
     configs = _cell_configs()
 
     def spec(config):
         job = Job(name=f"bench-{config.label()}", config=config,
                   node_count=HOSTS)
-        return job, PowerBalancerAgent(job_budget_w=budget)
+        return job, make_agent()
 
     def looped():
         results = []
@@ -84,17 +87,12 @@ def test_balancer_sweep_batched_vs_looped(emit):
     repeats = 1 if SMOKE else 3
 
     with telemetry.disabled():
-        configs, looped, batched = _sweep(model, eff, budget)
+        configs, looped, batched = _sweep(
+            model, eff, lambda: PowerBalancerAgent(job_budget_w=budget)
+        )
 
         # Correctness first, always: every cell bit-identical to serial.
-        serial_results = looped()
-        batch_result = batched()
-        assert len(serial_results) == len(configs)
-        for c, (report, limits) in enumerate(serial_results):
-            assert report == batch_result.reports[c], configs[c].label()
-            np.testing.assert_array_equal(
-                limits, batch_result.final_limits_w(c)
-            )
+        batch_result = _assert_bit_identical(configs, looped, batched)
 
         t_loop = min(_timed(looped) for _ in range(repeats))
         t_batch = min(_timed(batched) for _ in range(repeats))
@@ -137,6 +135,31 @@ def test_balancer_sweep_batched_vs_looped(emit):
         assert speedup >= 4.0, (
             f"batched sweep only {speedup:.2f}x faster than the serial loop"
         )
+
+
+def test_frequency_governor_sweep_bit_identical():
+    """The same 56 cells under the batched frequency governor: every cell
+    bit-identical to its serial loop (asserted in smoke runs too)."""
+    cluster = Cluster(node_count=HOSTS, variation=None, seed=0)
+    with telemetry.disabled():
+        configs, looped, batched = _sweep(
+            ExecutionModel(), cluster.efficiencies,
+            lambda: FrequencyGovernorAgent(target_freq_ghz=1.8),
+        )
+        _assert_bit_identical(configs, looped, batched)
+
+
+def _assert_bit_identical(configs, looped, batched):
+    """Run both paths; assert reports and final limits match per cell."""
+    serial_results = looped()
+    batch_result = batched()
+    assert len(serial_results) == len(configs)
+    for c, (report, limits) in enumerate(serial_results):
+        assert report == batch_result.reports[c], configs[c].label()
+        np.testing.assert_array_equal(
+            limits, batch_result.final_limits_w(c)
+        )
+    return batch_result
 
 
 def _timed(fn) -> float:

@@ -135,6 +135,10 @@ class SocketPowerModel:
 
     spec: CpuSpec = field(default_factory=CpuSpec)
 
+    def __post_init__(self) -> None:
+        p = self.spec.static_coeff / self.spec.dynamic_coeff
+        object.__setattr__(self, "_p3_over_27", p**3 / 27.0)
+
     # ------------------------------------------------------------------
     # forward map: frequency -> power
     # ------------------------------------------------------------------
@@ -148,8 +152,18 @@ class SocketPowerModel:
         f = np.asarray(freq_ghz, dtype=float)
         k = np.asarray(kappa, dtype=float)
         e = np.asarray(efficiency, dtype=float)
-        core = self.spec.dynamic_coeff * f**3 + self.spec.static_coeff * f
-        return self.spec.uncore_power_w + k * e * core
+        return self.power_at_load(f, k * e)
+
+    def power_at_load(self, freq_ghz, load):
+        """:meth:`power_at` for a premultiplied ``load = kappa * efficiency``.
+
+        Plain ufuncs on float inputs, no coercion: the form a caller that
+        evaluates one host set many times (the runtime's epoch kernel,
+        :meth:`repro.sim.engine.ExecutionModel.bind`) uses with the load
+        computed once.
+        """
+        core = self.spec.dynamic_coeff * freq_ghz**3 + self.spec.static_coeff * freq_ghz
+        return self.spec.uncore_power_w + load * core
 
     # ------------------------------------------------------------------
     # inverse map: power budget -> frequency
@@ -169,10 +183,20 @@ class SocketPowerModel:
         p = np.asarray(power_w, dtype=float)
         k = np.asarray(kappa, dtype=float)
         e = np.asarray(efficiency, dtype=float)
-        budget = (p - self.spec.uncore_power_w) / (k * e)
+        return self.freq_at_load(p, k * e)
+
+    def freq_at_load(self, power_w, load):
+        """:meth:`freq_at_power` for a premultiplied ``load = kappa * efficiency``.
+
+        Plain ufuncs on float inputs, no coercion (see
+        :meth:`power_at_load`).
+        """
+        budget = (power_w - self.spec.uncore_power_w) / load
         budget = np.maximum(budget, 0.0)
         f = self._solve_core_cubic(budget)
-        return np.clip(f, self.spec.min_freq_ghz, self.spec.turbo_freq_ghz)
+        return np.minimum(
+            np.maximum(f, self.spec.min_freq_ghz), self.spec.turbo_freq_ghz
+        )
 
     def _solve_core_cubic(self, budget):
         """Real root of ``c3 f^3 + c1 f - budget = 0`` (vectorised Cardano).
@@ -180,13 +204,12 @@ class SocketPowerModel:
         With ``p = c1/c3 > 0`` and ``q = -budget/c3`` the discriminant
         ``q^2/4 + p^3/27`` is always positive, so there is exactly one real
         root and ``np.cbrt`` handles the negative radicand branch exactly.
+        ``p^3/27`` depends on the spec alone and is computed once per model.
         """
-        c3 = self.spec.dynamic_coeff
-        c1 = self.spec.static_coeff
-        p = c1 / c3
-        q = -np.asarray(budget, dtype=float) / c3
-        disc = np.sqrt(q**2 / 4.0 + p**3 / 27.0)
-        return np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
+        q = -np.asarray(budget, dtype=float) / self.spec.dynamic_coeff
+        disc = np.sqrt(q**2 / 4.0 + self._p3_over_27)
+        half = -q / 2.0
+        return np.cbrt(half + disc) + np.cbrt(half - disc)
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -104,16 +104,28 @@ class NodePowerModel:
 
     def clamp_cap(self, cap_w):
         """Clamp node caps into the settable range ``[min_cap, tdp]``."""
-        return np.clip(np.asarray(cap_w, dtype=float), self.min_cap_w, self.tdp_w)
+        cap = np.asarray(cap_w, dtype=float)
+        return np.minimum(np.maximum(cap, self.min_cap_w), self.tdp_w)
 
     def freq_at_cap(self, cap_w, kappa, efficiency=1.0):
         """Achieved frequency (GHz) under node caps (vectorised)."""
         per_socket = np.asarray(cap_w, dtype=float) / self.sockets
         return self._socket_model.freq_at_power(per_socket, kappa, efficiency)
 
+    def freq_at_cap_load(self, cap_w, load):
+        """:meth:`freq_at_cap` for float caps and a premultiplied
+        ``load = kappa * efficiency`` (see
+        :meth:`SocketPowerModel.freq_at_load`)."""
+        return self._socket_model.freq_at_load(cap_w / self.sockets, load)
+
     def power_at_freq(self, freq_ghz, kappa, efficiency=1.0):
         """Node power (W) at a frequency and activity (vectorised)."""
         return self.sockets * self._socket_model.power_at(freq_ghz, kappa, efficiency)
+
+    def power_at_freq_load(self, freq_ghz, load):
+        """:meth:`power_at_freq` for float frequencies and a premultiplied
+        ``load = kappa * efficiency``."""
+        return self.sockets * self._socket_model.power_at_load(freq_ghz, load)
 
     def consumed_power(self, cap_w, kappa, efficiency=1.0):
         """Steady-state node power under a cap.

@@ -7,16 +7,20 @@ balancer convergence studies, resilience scenario suites) pays
 ``O(cells × epochs)`` Python overhead running it in a loop.  This module
 adds the *run axis*: :class:`ControllerBatch` advances ``C`` independent
 controller runs together, one vectorised physics step per epoch over
-``(C, hosts)`` tensors, reusing :class:`~repro.sim.engine.ExecutionModel`
-exactly as ``Controller._run_epoch`` does.
+``(C, hosts)`` tensors.  Both runtimes step their epochs through the same
+kernel, :meth:`~repro.sim.engine.ExecutionModel.bind` — the serial
+controller binds its hosts once per run, the batch binds the stacked
+active rows once per active set — and split the energy with the same
+:func:`~repro.runtime.controller.epoch_energy`.
 
 Determinism contract
 --------------------
 Run ``c`` of a batch is **bit-identical** to a serial ``Controller`` run
 with the same job, efficiencies, seed, and agent — not merely close:
 
-* every physics quantity is a pure elementwise ufunc chain, so a leading
-  run axis cannot change any element's value;
+* every physics quantity is a pure elementwise ufunc chain evaluated by
+  one bound kernel, so a leading run axis cannot change any element's
+  value;
 * per-run reductions (epoch critical path, report energy sums) operate on
   contiguous rows with the serial operation order;
 * noise is drawn from *per-run* ``default_rng(seed)`` streams, only on
@@ -33,13 +37,14 @@ Agent batching and the fallback
 -------------------------------
 Runs are grouped by agent class; a class that defines a
 ``make_batch(agents)`` classmethod gets one vectorised
-:class:`~repro.runtime.agent.AgentBatch` stepping the whole group.
-Everything else — duck-typed third-party agents, groups ``make_batch``
-declines (e.g. heterogeneous balancer options), and runs carrying an
-active fault injector (whose corrupted observation is inherently
-per-run) — falls back to per-run serial agent stepping.  Fallback runs
-still share the batched physics step; only the agent call and its sample
-materialisation are per-run.
+:class:`~repro.runtime.agent.AgentBatch` stepping the whole group.  The
+monitor, the power governor, the power balancer and the frequency
+governor all do.  Everything else — duck-typed third-party agents, groups
+``make_batch`` declines (mixed options, or agents that have already
+stepped), and runs carrying an active fault injector (whose corrupted
+observation is inherently per-run) — falls back to per-run serial agent
+stepping.  Fallback runs still share the batched physics step; only the
+agent call and its sample materialisation are per-run.
 
 Convergence freezing
 --------------------
@@ -58,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.agent import Agent, AgentBatch, SampleBatch
-from repro.runtime.controller import EpochResult
+from repro.runtime.controller import EpochResult, check_run_inputs, epoch_energy
 from repro.runtime.reports import JobReport, report_from_arrays
 from repro.sim.batch import stack_job_layouts
 from repro.sim.engine import ExecutionModel
@@ -91,12 +96,10 @@ class ControllerRunSpec:
     fault_injector: object = None
 
     def __post_init__(self) -> None:
-        eff = np.asarray(self.efficiencies, dtype=float)
-        if eff.shape != (self.job.node_count,):
-            raise ValueError(
-                f"efficiencies must have shape ({self.job.node_count},), "
-                f"got {eff.shape}"
-            )
+        eff = check_run_inputs(
+            self.job, self.efficiencies, self.noise_std,
+            self.barrier_overhead_s,
+        )
         object.__setattr__(self, "efficiencies", eff)
 
     @property
@@ -128,15 +131,16 @@ class _AgentGroup:
 
 
 class _ActiveGather:
-    """Per-active-set caches: layout/physics rows and agent dispatch maps.
+    """Per-active-set caches: the bound physics kernel and agent dispatch.
 
     Rebuilt only when the active set changes (a convergence event), not
     every epoch.
     """
 
     def __init__(self, batch: "ControllerBatch", active: np.ndarray) -> None:
-        self.layout = batch._layouts.take(active)
-        self.eff = batch._eff[active]
+        self.physics = batch.model.bind(
+            batch._layouts.take(active), batch._eff[active]
+        )
         self.noise = batch._noise[active]
         self.barrier = batch._barrier[active]
         pos_of = {int(c): i for i, c in enumerate(active)}
@@ -312,12 +316,12 @@ class ControllerBatch:
     ) -> Tuple[SampleBatch, np.ndarray]:
         """One vectorised physics step for the active rows.
 
-        Mirrors ``Controller._run_epoch`` expression-for-expression; the
-        run axis only broadcasts, so every element matches its serial
+        The physics is the active set's bound kernel (the one
+        ``Controller._run_epoch`` calls, bound to stacked rows) and the
+        energy split is :func:`~repro.runtime.controller.epoch_energy`;
+        the run axis only broadcasts, so every element matches its serial
         twin bitwise.
         """
-        layout = gathered.layout
-        eff = gathered.eff
         lim = limits[active]
         clock_start = clock[active].copy()
         sigma = gathered.noise.copy()
@@ -326,22 +330,16 @@ class ControllerBatch:
             t_now = float(clock_start[pos])
             lim[pos] = injector.filter_limits(lim[pos], t_now)
             sigma[pos] = injector.noise_sigma(float(sigma[pos]), t_now)
-        caps = self.model.power_model.clamp_cap(lim)
-        freq = self.model.frequencies(caps, layout, eff)
-        t = self.model.compute_time(freq, layout)
+        caps, freq, t, p_compute, p_poll = gathered.physics(lim)
         for pos in np.nonzero(sigma > 0)[0].tolist():
             rng = self._rngs[int(active[pos])]
             t[pos] = t[pos] * rng.lognormal(
                 0.0, float(sigma[pos]), size=t[pos].shape
             )
-        epoch_time = np.max(t, axis=1) + gathered.barrier
-        p_compute = self.model.power_model.power_at_freq(
-            freq, layout.kappa, eff
+        epoch_time = t.max(axis=1) + gathered.barrier
+        energy, mean_power = epoch_energy(
+            t, epoch_time[:, None], p_compute, p_poll
         )
-        p_poll = self.model.poll_power(caps, layout, eff)
-        slack = np.maximum(epoch_time[:, None] - t, 0.0)
-        energy = p_compute * t + p_poll * slack
-        mean_power = energy / epoch_time[:, None]
         sample = SampleBatch(
             epoch=epoch,
             host_time_s=t,

@@ -11,6 +11,13 @@ The controller runs a *single job* — the multi-job grid runs go through
 the vectorised :func:`repro.sim.execution.simulate_mix` path instead; the
 controller exists for characterization runs and for validating that the
 balancer's feedback loop converges to the analytic steady state.
+
+Each epoch's physics comes from the job's hosts bound once per run
+(:meth:`repro.sim.engine.ExecutionModel.bind`), the same kernel the
+batched runtime (:mod:`repro.runtime.batch`) binds to its stacked rows;
+:func:`epoch_energy` splits each host's energy between compute and
+barrier polling for both, and :func:`check_run_inputs` rejects degenerate
+runs for both at construction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,47 @@ from repro.sim.engine import ExecutionModel
 from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
 from repro.workload.job import Job, WorkloadMix
 
-__all__ = ["EpochResult", "Controller"]
+__all__ = ["EpochResult", "Controller", "check_run_inputs", "epoch_energy"]
+
+
+def check_run_inputs(job: Job, efficiencies, noise_std: float,
+                     barrier_overhead_s: float) -> np.ndarray:
+    """Validate one controller run's inputs; returns the efficiencies.
+
+    Shared by :class:`Controller` and
+    :class:`~repro.runtime.batch.ControllerRunSpec` so both runtimes
+    reject the same degenerate runs at construction, before any epoch:
+    efficiencies must be ``(job.node_count,)``, finite and positive (a
+    zero or NaN multiplier makes every power and frequency NaN), the
+    barrier overhead finite and non-negative, and the noise sigma finite
+    and non-negative.
+    """
+    eff = np.asarray(efficiencies, dtype=float)
+    if eff.shape != (job.node_count,):
+        raise ValueError(
+            f"efficiencies must have shape ({job.node_count},), got {eff.shape}"
+        )
+    if not np.all(np.isfinite(eff) & (eff > 0)):
+        raise ValueError("efficiencies must be finite and positive")
+    if not (np.isfinite(barrier_overhead_s) and barrier_overhead_s >= 0):
+        raise ValueError(
+            f"barrier_overhead_s must be finite and >= 0, got {barrier_overhead_s}"
+        )
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    return eff
+
+
+def epoch_energy(host_time_s, epoch_time_s, compute_power_w, poll_power_w):
+    """Per-host energy and mean power of one bulk-synchronous epoch.
+
+    Each host computes for ``host_time_s`` and busy-polls at the barrier
+    for the rest of ``epoch_time_s``.  Broadcasts: the batched runtime
+    passes ``(A, 1)`` epoch times against ``(A, hosts)`` host arrays.
+    """
+    slack = np.maximum(epoch_time_s - host_time_s, 0.0)
+    energy = compute_power_w * host_time_s + poll_power_w * slack
+    return energy, energy / epoch_time_s
 
 
 @dataclass(frozen=True)
@@ -79,13 +126,10 @@ class Controller:
         barrier_overhead_s: float = 5.0e-4,
         fault_injector=None,
     ) -> None:
-        eff = np.asarray(efficiencies, dtype=float)
-        if eff.shape != (job.node_count,):
-            raise ValueError(
-                f"efficiencies must have shape ({job.node_count},), got {eff.shape}"
-            )
         self.job = job
-        self.efficiencies = eff
+        self.efficiencies = check_run_inputs(
+            job, efficiencies, noise_std, barrier_overhead_s
+        )
         self.agent = agent
         self.model = model if model is not None else ExecutionModel()
         self.noise_std = float(noise_std)
@@ -95,7 +139,9 @@ class Controller:
         self._clock_s = 0.0
         # A single-job mix gives the controller the same flattened layout
         # the vectorised engine uses.
-        self._layout = WorkloadMix(name=job.name, jobs=(job,)).layout()
+        self._physics = self.model.bind(
+            WorkloadMix(name=job.name, jobs=(job,)).layout(), self.efficiencies
+        )
         self.history: List[EpochResult] = []
 
     @property
@@ -105,24 +151,15 @@ class Controller:
     # ------------------------------------------------------------------
     def _run_epoch(self, epoch: int, limits_w: np.ndarray) -> PlatformSample:
         """Simulate one bulk-synchronous iteration under ``limits_w``."""
-        layout = self._layout
         sigma = self.noise_std
         if self._injecting:
             limits_w = self.fault_injector.filter_limits(limits_w, self._clock_s)
             sigma = self.fault_injector.noise_sigma(sigma, self._clock_s)
-        caps = self.model.power_model.clamp_cap(limits_w)
-        freq = self.model.frequencies(caps, layout, self.efficiencies)
-        t = self.model.compute_time(freq, layout)
+        caps, freq, t, p_compute, p_poll = self._physics(limits_w)
         if sigma > 0:
             t = t * self._rng.lognormal(0.0, sigma, size=t.shape)
-        epoch_time = float(np.max(t)) + self.barrier_overhead_s
-        p_compute = self.model.power_model.power_at_freq(
-            freq, layout.kappa, self.efficiencies
-        )
-        p_poll = self.model.poll_power(caps, layout, self.efficiencies)
-        slack = np.maximum(epoch_time - t, 0.0)
-        energy = p_compute * t + p_poll * slack
-        mean_power = energy / epoch_time
+        epoch_time = float(t.max()) + self.barrier_overhead_s
+        energy, mean_power = epoch_energy(t, epoch_time, p_compute, p_poll)
         return PlatformSample(
             epoch=epoch,
             host_time_s=t,

@@ -18,10 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.agent import Agent, DEFAULT_REGISTRY, PlatformSample
+from repro.runtime.agent import (
+    Agent,
+    AgentBatch,
+    DEFAULT_REGISTRY,
+    PlatformSample,
+    SampleBatch,
+)
 from repro.units import ensure_positive
 
 __all__ = ["FrequencyGovernorOptions", "FrequencyGovernorAgent"]
+
+
+def _clip(values, lo, hi):
+    """``np.clip`` as two plain ufuncs (same values, no wrapper cost)."""
+    return np.minimum(np.maximum(values, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -87,12 +98,12 @@ class FrequencyGovernorAgent(Agent):
         dl = self._limits - self._prev_limits
         df = freq - self._prev_freq
         moved = (np.abs(df) > 1e-6) & (np.abs(dl) > 1e-6)
-        self._slope[moved] = np.clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
+        self._slope[moved] = _clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
 
         error = self.target_freq_ghz - freq
-        self._max_error_ghz = float(np.max(np.abs(error)))
+        self._max_error_ghz = float(np.abs(error).max())
         step = opts.gain * error * self._slope
-        new_limits = np.clip(
+        new_limits = _clip(
             self._limits + step, opts.min_limit_w, opts.max_limit_w
         )
         self._prev_freq = freq.copy()
@@ -108,7 +119,7 @@ class FrequencyGovernorAgent(Agent):
             (self._limits <= self.options.min_limit_w + 1e-9)
             | (self._limits >= self.options.max_limit_w - 1e-9)
         )
-        if bool(np.all(at_bound)) and self._max_error_ghz > self.options.tolerance_ghz:
+        if bool(at_bound.all()) and self._max_error_ghz > self.options.tolerance_ghz:
             # Saturated without reaching the target: steady, not converged
             # onto the requested frequency — report convergence so the
             # controller stops, but expose the residual via describe().
@@ -122,4 +133,93 @@ class FrequencyGovernorAgent(Agent):
             "max_error_ghz": (
                 self._max_error_ghz if np.isfinite(self._max_error_ghz) else -1.0
             ),
+        }
+
+    @classmethod
+    def make_batch(cls, agents) -> "_FrequencyGovernorBatch | None":
+        """Batch a group of governors with equal options.
+
+        Targets may differ per run.  Returns ``None`` (→ per-run fallback
+        in the batched controller) when the group mixes options or holds
+        an agent that has already stepped, as the balancer does.
+        """
+        options = agents[0].options
+        if any(a.options != options for a in agents[1:]):
+            return None
+        if any(a._limits is not None for a in agents):
+            return None
+        targets = np.array([a.target_freq_ghz for a in agents], dtype=float)
+        return _FrequencyGovernorBatch(targets, options)
+
+
+class _FrequencyGovernorBatch(AgentBatch):
+    """Vectorised frequency governor: G feedback loops stepped as tensors.
+
+    Each expression mirrors :meth:`FrequencyGovernorAgent.adjust` and
+    :meth:`~FrequencyGovernorAgent.converged` term for term; the slope
+    refit gathers the moved hosts of every row in one boolean index, which
+    applies the serial per-row gather's elementwise operations unchanged,
+    so each row is bit-identical to its serial twin.
+    """
+
+    def __init__(self, targets_ghz: np.ndarray,
+                 options: FrequencyGovernorOptions) -> None:
+        self.options = options
+        self._targets_ghz = targets_ghz
+        self._limits: np.ndarray | None = None      # (G, hosts)
+        self._prev_freq: np.ndarray | None = None
+        self._prev_limits: np.ndarray | None = None
+        self._slope: np.ndarray | None = None
+        self._max_error_ghz = np.full(targets_ghz.size, np.inf)
+
+    def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
+        opts = self.options
+        freq = np.asarray(sample.mean_freq_ghz, dtype=float)
+        if self._limits is None:
+            # Every member steps on the batch's first epoch (the active
+            # set only shrinks afterwards), so ``rows`` is the whole group.
+            self._limits = np.asarray(sample.power_limit_w, dtype=float).copy()
+            self._slope = np.full(freq.shape, opts.initial_slope_w_per_ghz)
+            self._prev_freq = freq.copy()
+            self._prev_limits = self._limits.copy()
+
+        limits = self._limits[rows]
+        slope = self._slope[rows]
+        dl = limits - self._prev_limits[rows]
+        df = freq - self._prev_freq[rows]
+        moved = (np.abs(df) > 1e-6) & (np.abs(dl) > 1e-6)
+        slope[moved] = _clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
+
+        error = self._targets_ghz[rows][:, None] - freq
+        self._max_error_ghz[rows] = np.abs(error).max(axis=1)
+        step = opts.gain * error * slope
+        new_limits = _clip(limits + step, opts.min_limit_w, opts.max_limit_w)
+        self._slope[rows] = slope
+        self._prev_freq[rows] = freq
+        self._prev_limits[rows] = limits
+        self._limits[rows] = new_limits
+        return new_limits
+
+    def converged_mask(self, rows: np.ndarray) -> np.ndarray:
+        if self._limits is None:
+            return np.zeros(rows.size, dtype=bool)
+        opts = self.options
+        limits = self._limits[rows]
+        at_bound = np.all(
+            (limits <= opts.min_limit_w + 1e-9)
+            | (limits >= opts.max_limit_w - 1e-9),
+            axis=1,
+        )
+        error = self._max_error_ghz[rows]
+        # Saturated at a bound without reaching the target also stops the
+        # loop (see FrequencyGovernorAgent.converged).
+        return (at_bound & (error > opts.tolerance_ghz)) | (
+            error <= opts.tolerance_ghz
+        )
+
+    def describe_run(self, row: int):
+        error = self._max_error_ghz[row]
+        return {
+            "target_freq_ghz": float(self._targets_ghz[row]),
+            "max_error_ghz": float(error) if np.isfinite(error) else -1.0,
         }

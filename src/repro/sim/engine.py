@@ -38,7 +38,7 @@ from repro.hardware.node import NodePowerModel
 from repro.hardware.roofline import NODE_LEVEL_ROOFLINE, RooflineModel
 from repro.workload.job import HostLayout
 
-__all__ = ["ExecutionModel"]
+__all__ = ["BoundEpoch", "ExecutionModel"]
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,11 @@ class ExecutionModel:
         """
         ratio = np.asarray(freq_ghz, dtype=float) / self.roofline.base_freq_ghz
         bw0, sens = self._bandwidth_params()
-        bw = bw0 * ((1.0 - sens) + sens * ratio)
-        peak = self._ceiling_gflops(layout) * ratio
         with np.errstate(divide="ignore"):
-            t_mem = layout.traffic_gb / bw
-            t_cpu = np.where(layout.gflop > 0, layout.gflop / peak, 0.0)
-        return np.maximum(t_mem, t_cpu)
+            return _phase_time(
+                ratio, bw0, sens, self._ceiling_gflops(layout),
+                layout.traffic_gb, layout.gflop, layout.gflop > 0,
+            )
 
     def compute_power(self, caps_w: np.ndarray, layout: HostLayout,
                       efficiencies: np.ndarray) -> np.ndarray:
@@ -102,6 +101,19 @@ class ExecutionModel:
         """
         f = self.power_model.freq_at_cap(caps_w, layout.poll_kappa, efficiencies)
         return self.power_model.power_at_freq(f, layout.poll_kappa, efficiencies)
+
+    def bind(self, layout: HostLayout, efficiencies: np.ndarray) -> "BoundEpoch":
+        """The forward map for one host set, its per-run constants hoisted.
+
+        Returns a :class:`BoundEpoch` whose call evaluates, under one set
+        of node limits, exactly what :meth:`frequencies`,
+        :meth:`compute_time`, :meth:`compute_power` and
+        :meth:`poll_power` return for ``(layout, efficiencies)`` — bit for
+        bit — without rebuilding the layout-dependent constants each time.
+        The runtime controllers evaluate the same hosts once per control
+        epoch, so they bind once per run (per active set, batched).
+        """
+        return BoundEpoch(self, layout, efficiencies)
 
     # ------------------------------------------------------------------
     # inverse map (the balancer's primitive)
@@ -156,3 +168,78 @@ class ExecutionModel:
         f = self.frequencies(caps_w, layout, efficiencies)
         t = self.compute_time(f, layout)
         return np.maximum.reduceat(t, layout.job_boundaries[:-1], axis=-1)
+
+
+def _phase_time(ratio, bw0, sens, ceiling_gflops, traffic_gb, gflop, has_flops):
+    """Roofline compute-phase time at frequency ratio ``ratio`` (s).
+
+    The one copy of the formula behind :meth:`ExecutionModel.compute_time`
+    and :class:`BoundEpoch`.
+    """
+    bw = bw0 * ((1.0 - sens) + sens * ratio)
+    peak = ceiling_gflops * ratio
+    t_mem = traffic_gb / bw
+    t_cpu = np.where(has_flops, gflop / peak, 0.0)
+    return np.maximum(t_mem, t_cpu)
+
+
+class BoundEpoch:
+    """One host set's epoch physics, built by :meth:`ExecutionModel.bind`.
+
+    Binding computes once what the unbound methods rebuild on every call:
+    the loads ``kappa * eff`` and ``poll_kappa * eff``, the per-host
+    compute ceiling, the bandwidth parameters and the ``gflop > 0`` mask.
+    A call then runs plain ufuncs only (the power model's ``*_load``
+    forms), with the same operations in the same order as the unbound
+    methods, so every element is bit-identical to them.  Broadcasts over
+    leading axes like the rest of the engine: a stacked ``(S, hosts)``
+    layout and efficiencies take ``(S, hosts)`` limits.
+
+    The outputs are a pure function of the clamped caps, so the kernel
+    keeps the last call's results: when the caps repeat (a monitor, a
+    governor, or any loop holding its limits) it returns copies instead
+    of recomputing.  Every call hands out fresh arrays either way.
+    """
+
+    __slots__ = ("_power", "_min_cap_w", "_tdp_w", "_base_ghz", "_load",
+                 "_poll_load", "_roofline", "_last")
+
+    def __init__(self, model: ExecutionModel, layout: HostLayout,
+                 efficiencies: np.ndarray) -> None:
+        eff = np.asarray(efficiencies, dtype=float)
+        power = model.power_model
+        self._power = power
+        self._min_cap_w = power.min_cap_w
+        self._tdp_w = power.tdp_w
+        self._base_ghz = model.roofline.base_freq_ghz
+        self._load = layout.kappa * eff
+        self._poll_load = layout.poll_kappa * eff
+        bw0, sens = model._bandwidth_params()
+        self._roofline = (bw0, sens, model._ceiling_gflops(layout),
+                          layout.traffic_gb, layout.gflop, layout.gflop > 0)
+        self._last = None
+
+    def __call__(self, limits_w: np.ndarray):
+        """Physics of one epoch under node limits ``limits_w`` (W, float).
+
+        Returns ``(caps_w, freq_ghz, compute_s, compute_power_w,
+        poll_power_w)``: the limits clamped into the settable range, the
+        achieved compute frequency, the noise-free compute-phase time, and
+        the node power while computing and while polling at the barrier.
+        """
+        power = self._power
+        caps = np.minimum(np.maximum(limits_w, self._min_cap_w), self._tdp_w)
+        last = self._last
+        if (last is not None and caps.shape == last[0].shape
+                and (caps == last[0]).all()):
+            # The physics is a pure function of the caps: an agent holding
+            # its limits gets the previous epoch's values, as fresh arrays.
+            return (caps,) + tuple(a.copy() for a in last[1:])
+        freq = power.freq_at_cap_load(caps, self._load)
+        t = _phase_time(freq / self._base_ghz, *self._roofline)
+        p_compute = power.power_at_freq_load(freq, self._load)
+        poll_freq = power.freq_at_cap_load(caps, self._poll_load)
+        p_poll = power.power_at_freq_load(poll_freq, self._poll_load)
+        out = (caps, freq, t, p_compute, p_poll)
+        self._last = tuple(a.copy() for a in out)
+        return out

@@ -7,8 +7,9 @@ run with the same job, efficiencies, seed, and agent.  These tests pin
 that for reports (``JobReport.__eq__`` is exact dataclass equality,
 metadata floats included), per-epoch history samples, and final limits,
 across noise-free and noisy runs, early-convergence freezing, mixed agent
-groups, heterogeneous balancer options (the per-run fallback), and
-fault-injected configurations.
+groups, heterogeneous balancer options (the per-run fallback), the
+batched frequency governor (saturated runs, mixed options, already-stepped
+agents), and fault-injected configurations.
 
 All comparisons run under disabled telemetry: report ``telemetry``
 sections carry wall-clock timings that legitimately differ between the
@@ -24,7 +25,12 @@ from repro import telemetry
 from repro.faults.injection import RuntimeFaultInjector
 from repro.faults.scenarios import SCENARIO_NAMES, STANDARD_SCENARIOS
 from repro.runtime.batch import ControllerRunSpec, run_controller_batch
+from repro.runtime.batch import ControllerBatch
 from repro.runtime.controller import Controller
+from repro.runtime.frequency_governor import (
+    FrequencyGovernorAgent,
+    FrequencyGovernorOptions,
+)
 from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_balancer import BalancerOptions, PowerBalancerAgent
 from repro.runtime.power_governor import PowerGovernorAgent
@@ -48,8 +54,15 @@ def _job(name, hosts, intensity, waiting, imbalance):
     )
 
 
+#: Frequency-governor kinds: a target below what the 136 W floor allows
+#: (saturates at the floor), one inside the DVFS band, and one above turbo
+#: (saturates at the top limit).
+FREQUENCY_TARGETS = {"freq-low": 1.0, "freq-mid": 1.8, "freq-high": 2.6}
+BASE_KINDS = ("monitor", "balancer", "governor")
+
+
 @st.composite
-def run_cases(draw):
+def run_cases(draw, kinds=BASE_KINDS):
     """A batch of 1-6 heterogeneous runs sharing one host count."""
     hosts = draw(st.integers(2, 6))
     n_runs = draw(st.integers(1, 6))
@@ -64,7 +77,7 @@ def run_cases(draw):
             waiting, imbalance = 0.0, 1
         job = _job(f"run-{i}", hosts, intensity, waiting, imbalance)
         eff = 1.0 + 0.05 * rng.standard_normal(hosts)
-        kind = draw(st.sampled_from(["monitor", "balancer", "governor"]))
+        kind = draw(st.sampled_from(kinds))
         noise = draw(st.sampled_from([0.0, 0.01]))
         seed = draw(st.integers(0, 2**31))
         runs.append((job, eff, kind, noise, seed))
@@ -78,6 +91,10 @@ def _make_agent(kind, hosts, options=None):
         return MonitorAgent()
     if kind == "governor":
         return PowerGovernorAgent(job_budget_w=hosts * 200.0)
+    if kind in FREQUENCY_TARGETS:
+        return FrequencyGovernorAgent(
+            target_freq_ghz=FREQUENCY_TARGETS[kind], options=options
+        )
     return PowerBalancerAgent(
         job_budget_w=hosts * 240.0, options=options
     )
@@ -196,6 +213,127 @@ class TestBatchedEqualsSerial:
                 noise_std=0.005, seed=seed + c,
             )
             _assert_run_matches(controller, result, c, 50, 3)
+
+
+class TestBatchedFrequencyGovernor:
+    @given(case=run_cases(kinds=BASE_KINDS + tuple(FREQUENCY_TARGETS)))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_in_mixed_groups(self, case):
+        """Frequency governors batch next to balancer, governor and monitor
+        groups, noisy or not, saturating or tracking."""
+        hosts, runs, max_epochs, min_epochs = case
+        specs = [
+            ControllerRunSpec(
+                job=job, efficiencies=eff, agent=_make_agent(kind, hosts),
+                noise_std=noise, seed=seed,
+            )
+            for job, eff, kind, noise, seed in runs
+        ]
+        batch = ControllerBatch(specs)
+        assert batch._fallback == []
+        result = batch.run(max_epochs=max_epochs, min_epochs=min_epochs)
+        for c, (job, eff, kind, noise, seed) in enumerate(runs):
+            controller = Controller(
+                job, eff, _make_agent(kind, hosts),
+                noise_std=noise, seed=seed,
+            )
+            _assert_run_matches(controller, result, c, max_epochs, min_epochs)
+
+    @pytest.mark.parametrize("kind, bound", [
+        ("freq-low", 136.0), ("freq-high", 240.0),
+    ])
+    def test_saturated_runs_stop_with_residual(self, kind, bound):
+        """Unreachable targets pin every host at a bound: ``converged()``'s
+        saturation branch stops the run, and ``describe()`` keeps the
+        residual error — batched exactly as serial."""
+        hosts = 4
+        jobs = [_job(f"s{i}", hosts, inten, 0.0, 1)
+                for i, inten in enumerate([2.0, 16.0])]
+        specs = [
+            ControllerRunSpec(job=job, efficiencies=np.ones(hosts),
+                              agent=_make_agent(kind, hosts),
+                              noise_std=0.01, seed=i)
+            for i, job in enumerate(jobs)
+        ]
+        result = run_controller_batch(specs, max_epochs=200)
+        for c, job in enumerate(jobs):
+            assert result.converged[c]
+            np.testing.assert_array_equal(result.final_limits_w(c), bound)
+            residual = result.reports[c].metadata["max_error_ghz"]
+            assert residual > FrequencyGovernorOptions().tolerance_ghz
+            controller = Controller(job, np.ones(hosts),
+                                    _make_agent(kind, hosts),
+                                    noise_std=0.01, seed=c)
+            _assert_run_matches(controller, result, c, 200, 3)
+
+    def test_describe_sentinel_before_first_step(self):
+        """``max_error_ghz`` reads -1.0 until the loop has an error."""
+        agent = FrequencyGovernorAgent(target_freq_ghz=1.8)
+        batch = FrequencyGovernorAgent.make_batch([agent])
+        assert batch.describe_run(0) == agent.describe()
+        assert agent.describe()["max_error_ghz"] == -1.0
+
+    @given(
+        gains=st.lists(st.sampled_from([0.4, 0.8]), min_size=2, max_size=4),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_differing_options_fall_back(self, gains, seed):
+        hosts = 4
+
+        def agent(gain):
+            return FrequencyGovernorAgent(
+                target_freq_ghz=1.8,
+                options=FrequencyGovernorOptions(gain=gain),
+            )
+
+        specs = [
+            ControllerRunSpec(
+                job=_job(f"o{i}", hosts, 8.0, 0.5, 2),
+                efficiencies=np.ones(hosts), agent=agent(gain),
+                noise_std=0.005, seed=seed + i,
+            )
+            for i, gain in enumerate(gains)
+        ]
+        batch = ControllerBatch(specs)
+        if len(set(gains)) > 1:
+            assert batch._fallback == list(range(len(gains)))
+        result = batch.run(max_epochs=60)
+        for c, gain in enumerate(gains):
+            controller = Controller(
+                _job(f"o{c}", hosts, 8.0, 0.5, 2), np.ones(hosts),
+                agent(gain), noise_std=0.005, seed=seed + c,
+            )
+            _assert_run_matches(controller, result, c, 60, 3)
+
+    @given(seed=st.integers(0, 2**31), warmup=st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_already_stepped_agents_fall_back(self, seed, warmup):
+        """An agent that has stepped carries state the batch cannot adopt;
+        its group runs through the per-run fallback, still bit-identical."""
+        hosts = 3
+        job = _job("w", hosts, 16.0, 0.0, 1)
+        eff = np.array([0.97, 1.0, 1.04])
+
+        def stepped_agent():
+            agent = FrequencyGovernorAgent(target_freq_ghz=1.9)
+            warm = Controller(job, eff, agent, seed=seed)
+            warm.run(max_epochs=warmup, min_epochs=warmup)
+            return agent
+
+        specs = [
+            ControllerRunSpec(job=job, efficiencies=eff,
+                              agent=stepped_agent(), seed=seed),
+            ControllerRunSpec(job=job, efficiencies=eff,
+                              agent=FrequencyGovernorAgent(1.9), seed=seed),
+        ]
+        batch = ControllerBatch(specs)
+        assert batch._fallback == [0, 1]
+        result = batch.run(max_epochs=40)
+        for c, agent in enumerate([stepped_agent(),
+                                   FrequencyGovernorAgent(1.9)]):
+            controller = Controller(job, eff, agent, seed=seed)
+            _assert_run_matches(controller, result, c, 40, 3)
 
 
 class TestFaultInjectedRuns:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.runtime.batch import ControllerRunSpec
 from repro.runtime.controller import Controller
 from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_balancer import PowerBalancerAgent
@@ -35,6 +36,38 @@ class TestValidation:
         ctl = Controller(_job(nodes=5), np.ones(5), MonitorAgent())
         with pytest.raises(ValueError):
             ctl.run(max_epochs=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda job, eff, **kw: Controller(job, eff, MonitorAgent(), **kw),
+        lambda job, eff, **kw: ControllerRunSpec(
+            job=job, efficiencies=eff, agent=MonitorAgent(), **kw),
+    ], ids=["serial", "batch"])
+    @pytest.mark.parametrize("eff, kwargs, match", [
+        ([1.0, 0.0, 1.0], {}, "efficiencies"),
+        ([1.0, np.nan, 1.0], {}, "efficiencies"),
+        ([1.0, -1.0, 1.0], {}, "efficiencies"),
+        ([1.0, np.inf, 1.0], {}, "efficiencies"),
+        ([1.0, 1.0, 1.0], {"barrier_overhead_s": -1e-4}, "barrier_overhead_s"),
+        ([1.0, 1.0, 1.0], {"barrier_overhead_s": np.inf}, "barrier_overhead_s"),
+        ([1.0, 1.0, 1.0], {"barrier_overhead_s": np.nan}, "barrier_overhead_s"),
+        ([1.0, 1.0, 1.0], {"noise_std": -0.01}, "noise_std"),
+        ([1.0, 1.0, 1.0], {"noise_std": np.nan}, "noise_std"),
+        ([1.0, 1.0, 1.0], {"noise_std": np.inf}, "noise_std"),
+    ])
+    def test_degenerate_inputs_rejected_at_construction(
+        self, make, eff, kwargs, match
+    ):
+        """Both runtimes share one validator: a degenerate run raises
+        before any epoch instead of reporting NaN power or failing inside
+        the report."""
+        with pytest.raises(ValueError, match=match):
+            make(_job(nodes=3), np.array(eff), **kwargs)
+
+    def test_zero_noise_and_barrier_accepted(self):
+        ctl = Controller(_job(nodes=3), np.ones(3), MonitorAgent(),
+                         noise_std=0.0, barrier_overhead_s=0.0)
+        report = ctl.run(max_epochs=3)
+        assert all(np.isfinite(h.mean_power_w) for h in report.hosts)
 
     def test_steady_state_before_run_raises(self):
         ctl = Controller(_job(), np.ones(5), MonitorAgent())

@@ -89,3 +89,54 @@ class TestTracking:
         np.testing.assert_allclose(achieved, 1.85, atol=0.02)
         limits = controller.final_limits_w()
         assert limits[2] > limits[0]  # inefficient part needs more power
+
+
+class TestBatching:
+    def test_five_agent_mix_batches_without_fallback(self):
+        """The repository benchmark's ``runtime`` mix — balancers at TDP
+        and at 0.8 TDP, a power governor, a monitor and a 1.8 GHz frequency
+        governor — batches every run; none steps through the per-run
+        fallback."""
+        from repro.runtime.batch import ControllerBatch, ControllerRunSpec
+        from repro.runtime.monitor import MonitorAgent
+        from repro.runtime.power_balancer import PowerBalancerAgent
+        from repro.runtime.power_governor import PowerGovernorAgent
+
+        hosts = 4
+        full = 240.0 * hosts
+        factories = [
+            lambda: PowerBalancerAgent(job_budget_w=full),
+            lambda: PowerBalancerAgent(job_budget_w=0.8 * full),
+            lambda: PowerGovernorAgent(job_budget_w=0.8 * full),
+            MonitorAgent,
+            lambda: FrequencyGovernorAgent(target_freq_ghz=1.8),
+        ]
+        configs = [KernelConfig(intensity=i) for i in (2.0, 16.0)]
+        specs = [
+            ControllerRunSpec(
+                job=Job(name=f"mix-{k}-{c.label()}", config=c,
+                        node_count=hosts),
+                efficiencies=np.ones(hosts), agent=factory(),
+                noise_std=0.003, seed=k,
+            )
+            for k, factory in enumerate(factories)
+            for c in configs
+        ]
+        batch = ControllerBatch(specs)
+        assert batch._fallback == []
+        assert len(batch._groups) == 4  # one per agent class
+
+    def test_make_batch_declines_mixed_options_and_stepped_agents(self):
+        plain = FrequencyGovernorAgent(target_freq_ghz=1.8)
+        tuned = FrequencyGovernorAgent(
+            target_freq_ghz=1.8, options=FrequencyGovernorOptions(gain=0.5)
+        )
+        assert FrequencyGovernorAgent.make_batch([plain, tuned]) is None
+        stepped, _ = _controller(1.8)
+        stepped.run(max_epochs=1, min_epochs=1)
+        assert FrequencyGovernorAgent.make_batch(
+            [FrequencyGovernorAgent(1.8), stepped.agent]
+        ) is None
+        assert FrequencyGovernorAgent.make_batch(
+            [FrequencyGovernorAgent(1.8), FrequencyGovernorAgent(2.0)]
+        ) is not None
