@@ -383,11 +383,10 @@ def controller_fault_study(
     the scenarios do to the GEOPM-style feedback loop itself?  One
     balancer run per scenario plus a fault-free reference all advance in
     lockstep through a single
-    :class:`~repro.runtime.batch.ControllerBatch`: scenarios with no
-    runtime-applicable faults (pure budget timelines) batch onto the
-    vectorised balancer path with the reference, while fault-injected
-    runs share the batched physics step and fall back to per-run agent
-    stepping — "batch where schedules permit".
+    :class:`~repro.runtime.batch.ControllerBatch` and one batched
+    balancer: scenarios with no runtime-applicable faults (pure budget
+    timelines) run clean, while each fault-injected run's agent row
+    steers on its injector's corrupted view of the epoch.
     """
     from repro.faults.injection import RuntimeFaultInjector
     from repro.runtime.batch import ControllerRunSpec, run_controller_batch

@@ -7,13 +7,17 @@ power limits to apply for the next epoch.  Agents are registered by name in
 :class:`AgentRegistry`, mirroring GEOPM's plugin-loading behaviour the
 paper leans on for portability ("they can be ported to other architectures
 ... by leveraging GEOPM's portable plugin infrastructure").
+
+Each shipped agent writes its algorithm once, as module-level kernels that
+its :class:`Agent` and its :class:`AgentBatch` both call (see
+:class:`RowState`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, Type
+from dataclasses import dataclass, fields
+from typing import Dict, Mapping, Sequence, Type
 
 import numpy as np
 
@@ -88,6 +92,74 @@ class SampleBatch:
             mean_freq_ghz=self.mean_freq_ghz[row].copy(),
         )
 
+    def replace_rows(self, views: Mapping[int, PlatformSample]) -> "SampleBatch":
+        """A copy with row ``i`` replaced by ``views[i]`` (the inverse of
+        :meth:`sample_for`)."""
+        arrays = {
+            f.name: np.array(getattr(self, f.name))
+            for f in fields(self) if f.name != "epoch"
+        }
+        for row, view in views.items():
+            for name, values in arrays.items():
+                values[row] = getattr(view, name)
+        return SampleBatch(epoch=self.epoch, **arrays)
+
+
+def finite_or_sentinel(value) -> float:
+    """``float(value)``, or the report sentinel ``-1.0`` while a loop has
+    not measured the quantity yet (it is still infinite)."""
+    value = float(value)
+    return value if np.isfinite(value) else -1.0
+
+
+class RowState:
+    """An agent's control state as arrays with a leading *row* shape.
+
+    A serial :class:`Agent` holds row shape ``()`` (per-host fields
+    ``(hosts,)``), its :class:`AgentBatch` ``(G,)``, so one step kernel
+    over ``(..., hosts)`` arrays advances either.  Subclasses are
+    dataclasses whose per-host fields, ``limits_w`` among them, are
+    ``None`` until the loop's first step.
+    """
+
+    @property
+    def started(self) -> bool:
+        """Whether the loop has stepped (its per-host state exists)."""
+        return self.limits_w is not None
+
+    def take(self, rows) -> "RowState":
+        """The state of ``rows``; an ``int`` gives one serial-shaped row."""
+        return type(self)(**{
+            f.name: None if value is None else value[rows]
+            for f in fields(self)
+            for value in (getattr(self, f.name),)
+        })
+
+    def put(self, rows, state: "RowState") -> None:
+        """Write a kernel's new state for :meth:`take` ``(rows)`` back."""
+        for f in fields(self):
+            new = getattr(state, f.name)
+            if getattr(self, f.name) is None:
+                # The first step creates the per-host state, and every
+                # member steps then (the active set only shrinks later).
+                setattr(self, f.name, np.array(new))
+            else:
+                getattr(self, f.name)[rows] = new
+
+
+def batch_options(agents: Sequence["Agent"]):
+    """The one options value of a ``make_batch`` group of stateful agents.
+
+    Mixed options, or an agent that has already stepped (a batch owns its
+    loops' state from epoch 0), raise ``ValueError``.
+    """
+    name = type(agents[0]).__name__
+    if len({a.options for a in agents}) > 1:
+        raise ValueError(f"{name}.make_batch needs one shared options value")
+    if any(a._state.started for a in agents):
+        raise ValueError(f"a {name} in the group has already stepped")
+    return agents[0].options
+
 
 class Agent(abc.ABC):
     """Base class for job-runtime agents.
@@ -125,11 +197,15 @@ class AgentBatch(abc.ABC):
     serial :class:`Agent` on its own: for every active row, the returned
     limits, the convergence verdict, and :meth:`describe_run` equal what
     the serial agent would have produced after the same sample sequence.
+    The shipped agents guarantee it by construction: the serial agent and
+    its batch call the same step, convergence and describe kernels.
 
-    Agent classes opt in by providing a ``make_batch(agents)`` classmethod
-    returning an :class:`AgentBatch` (or ``None`` when the group cannot be
-    batched — e.g. heterogeneous options — in which case the controller
-    falls back to per-run serial stepping).
+    Agent classes opt in by defining their own ``make_batch(agents)``
+    classmethod returning an :class:`AgentBatch`.  The batched controller
+    passes it one group of runs sharing a class and options; it raises
+    ``ValueError`` for members it cannot adopt (an agent that has already
+    stepped).  There is no per-run fallback: an agent without
+    ``make_batch`` runs under the serial ``Controller`` only.
 
     Converged runs freeze: the controller stops including their rows, so
     ``rows`` is always the still-active subset of ``range(G)`` and state
@@ -145,9 +221,9 @@ class AgentBatch(abc.ABC):
         each of its ``A`` rows to the member index within the group.
         """
 
-    @abc.abstractmethod
     def converged_mask(self, rows: np.ndarray) -> np.ndarray:
         """``(A,)`` boolean mask: which of the given rows have converged."""
+        return np.ones(rows.size, dtype=bool)
 
     def describe_run(self, row: int) -> Dict[str, float]:
         """Member ``row``'s :meth:`Agent.describe` scalars."""

@@ -33,18 +33,21 @@ with the same job, efficiencies, seed, and agent — not merely close:
 
 The property is pinned by ``tests/property/test_controller_batch.py``.
 
-Agent batching and the fallback
--------------------------------
-Runs are grouped by agent class; a class that defines a
-``make_batch(agents)`` classmethod gets one vectorised
-:class:`~repro.runtime.agent.AgentBatch` stepping the whole group.  The
-monitor, the power governor, the power balancer and the frequency
-governor all do.  Everything else — duck-typed third-party agents, groups
-``make_batch`` declines (mixed options, or agents that have already
-stepped), and runs carrying an active fault injector (whose corrupted
-observation is inherently per-run) — falls back to per-run serial agent
-stepping.  Fallback runs still share the batched physics step; only the
-agent call and its sample materialisation are per-run.
+Agent batching
+--------------
+Runs are grouped by agent class and options (an agent's ``options``
+attribute, ``None`` when it has none); each group gets one
+:class:`~repro.runtime.agent.AgentBatch` from the class's own
+``make_batch(agents)`` classmethod.  The monitor, the power governor,
+the power balancer and the frequency governor all define one, and each
+batch steps its rows with the same kernels as the serial agent.  There
+is no per-run fallback: an agent class without its own ``make_batch``
+raises ``TypeError`` and an agent that has already stepped raises
+``ValueError`` at construction (the serial ``Controller`` still runs
+any :class:`~repro.runtime.agent.Agent`).  Fault-injected runs batch
+too: the group's sample is copied and each injected row replaced by its
+injector's ``corrupt_sample`` view, so the agents steer on the corrupted
+telemetry while the log keeps the truthful physics.
 
 Convergence freezing
 --------------------
@@ -58,12 +61,17 @@ log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.runtime.agent import Agent, AgentBatch, SampleBatch
-from repro.runtime.controller import EpochResult, check_run_inputs, epoch_energy
+from repro.runtime.controller import (
+    EpochResult,
+    check_run_inputs,
+    epoch_energy,
+    initial_limits,
+)
 from repro.runtime.reports import JobReport, report_from_arrays
 from repro.sim.batch import stack_job_layouts
 from repro.sim.engine import ExecutionModel
@@ -118,23 +126,19 @@ class _EpochLog:
     limits_applied_w: np.ndarray  # (A, hosts) limits the agents returned
 
 
-class _AgentGroup:
-    """A set of runs stepped by one vectorised :class:`AgentBatch`."""
+class _AgentGroup(NamedTuple):
+    """The runs one vectorised :class:`AgentBatch` steps (ascending ids)."""
 
-    def __init__(self, members: Sequence[int], batch: AgentBatch) -> None:
-        self.members = np.asarray(members, dtype=int)
-        self.batch = batch
-        # global run id -> row within the group's batch state
-        self.row_of: Dict[int, int] = {
-            int(c): row for row, c in enumerate(self.members)
-        }
+    members: np.ndarray
+    batch: AgentBatch
 
 
 class _ActiveGather:
     """Per-active-set caches: the bound physics kernel and agent dispatch.
 
     Rebuilt only when the active set changes (a convergence event), not
-    every epoch.
+    every epoch.  ``groups`` holds ``(group, rows, positions, injected)``
+    with ``(index into rows, position, injector)`` per injected run.
     """
 
     def __init__(self, batch: "ControllerBatch", active: np.ndarray) -> None:
@@ -144,22 +148,24 @@ class _ActiveGather:
         self.noise = batch._noise[active]
         self.barrier = batch._barrier[active]
         pos_of = {int(c): i for i, c in enumerate(active)}
-        self.groups: List[Tuple[_AgentGroup, np.ndarray, np.ndarray]] = []
+        self.groups: List[tuple] = []
         for group in batch._groups:
             rows = [
-                (group.row_of[c], pos_of[c])
-                for c in group.members.tolist()
+                (row, pos_of[c], batch.specs[c])
+                for row, c in enumerate(group.members.tolist())
                 if c in pos_of
             ]
             if rows:
-                in_group, positions = zip(*rows)
+                in_group, positions, specs = zip(*rows)
+                injected = [
+                    (i, pos, spec.fault_injector)
+                    for i, (pos, spec) in enumerate(zip(positions, specs))
+                    if spec.injecting
+                ]
                 self.groups.append(
                     (group, np.array(in_group, dtype=int),
-                     np.array(positions, dtype=int))
+                     np.array(positions, dtype=int), injected)
                 )
-        self.fallback = [
-            (c, pos_of[c]) for c in batch._fallback if c in pos_of
-        ]
         self.injected = [
             (c, pos_of[c]) for c in batch._injected if c in pos_of
         ]
@@ -273,37 +279,31 @@ class ControllerBatch:
         )
         self._rngs = [np.random.default_rng(s.seed) for s in specs]
         self._injected = [c for c, s in enumerate(specs) if s.injecting]
-        self._groups, self._fallback = self._plan_agents(specs)
+        self._groups = self._plan_agents(specs)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _plan_agents(
-        specs: Sequence[ControllerRunSpec],
-    ) -> Tuple[List[_AgentGroup], List[int]]:
-        """Split runs into vectorised agent groups and the serial fallback.
+    def _plan_agents(specs: Sequence[ControllerRunSpec]) -> List[_AgentGroup]:
+        """Group runs by agent class and options, one batch per group.
 
-        A run batches when its agent's own class (not an inherited base)
-        defines ``make_batch`` and no fault injector is corrupting its
-        observations; ``make_batch`` may still decline a group by
-        returning ``None``.
+        The agent's own class (not an inherited base, whose batch would
+        step the base's algorithm) must define ``make_batch``.
         """
-        by_class: Dict[type, List[int]] = {}
-        fallback: List[int] = []
+        by_key: Dict[tuple, List[int]] = {}
         for c, spec in enumerate(specs):
             cls = type(spec.agent)
-            if spec.injecting or "make_batch" not in vars(cls):
-                fallback.append(c)
-            else:
-                by_class.setdefault(cls, []).append(c)
-        groups: List[_AgentGroup] = []
-        for cls, members in by_class.items():
-            batch = cls.make_batch([specs[c].agent for c in members])
-            if batch is None:
-                fallback.extend(members)
-            else:
-                groups.append(_AgentGroup(members, batch))
-        fallback.sort()
-        return groups, fallback
+            if "make_batch" not in vars(cls):
+                raise TypeError(
+                    f"{cls.__name__} defines no make_batch, so "
+                    f"ControllerBatch cannot step it; run it with Controller"
+                )
+            key = (cls, getattr(spec.agent, "options", None))
+            by_key.setdefault(key, []).append(c)
+        return [
+            _AgentGroup(np.array(members),
+                        cls.make_batch([specs[c].agent for c in members]))
+            for (cls, _), members in by_key.items()
+        ]
 
     # ------------------------------------------------------------------
     def _run_epoch_batch(
@@ -357,38 +357,31 @@ class ControllerBatch:
         gathered: _ActiveGather,
         clock_start: np.ndarray,
     ) -> np.ndarray:
-        """All active runs' agent steps; returns ``(A, hosts)`` limits."""
+        """All active runs' agent steps; returns ``(A, hosts)`` limits.
+
+        Injected rows' agents see their injector's corrupted view.
+        """
         new_limits = np.empty((sample.run_count, self.hosts))
-        for group, in_group, positions in gathered.groups:
-            gsample = _slice_sample(sample, positions)
-            new_limits[positions] = group.batch.adjust_batch(gsample, in_group)
-        for c, pos in gathered.fallback:
-            spec = self.specs[c]
-            observed = sample.sample_for(pos)
-            if spec.injecting:
-                observed = spec.fault_injector.corrupt_sample(
-                    observed, float(clock_start[pos])
-                )
-            new_limits[pos] = spec.agent.adjust(observed)
+        for group, in_group, positions, injected in gathered.groups:
+            observed = _slice_sample(sample, positions)
+            if injected:
+                observed = observed.replace_rows({
+                    i: injector.corrupt_sample(
+                        sample.sample_for(pos), float(clock_start[pos])
+                    )
+                    for i, pos, injector in injected
+                })
+            new_limits[positions] = group.batch.adjust_batch(observed, in_group)
         return new_limits
 
     def _converged(
         self, gathered: _ActiveGather, active_size: int
     ) -> np.ndarray:
-        """Active rows' convergence verdicts (serial call-order mirrored)."""
+        """Active rows' convergence verdicts."""
         conv = np.zeros(active_size, dtype=bool)
-        for group, in_group, positions in gathered.groups:
+        for group, in_group, positions, _ in gathered.groups:
             conv[positions] = group.batch.converged_mask(in_group)
-        for c, pos in gathered.fallback:
-            conv[pos] = self.specs[c].agent.converged()
         return conv
-
-    def _describe_run(self, run: int) -> Dict[str, float]:
-        for group in self._groups:
-            row = group.row_of.get(run)
-            if row is not None:
-                return dict(group.batch.describe_run(row))
-        return dict(self.specs[run].agent.describe())
 
     # ------------------------------------------------------------------
     def run(
@@ -406,19 +399,9 @@ class ControllerBatch:
         if max_epochs < 1:
             raise ValueError("max_epochs must be positive")
         runs, hosts = self.run_count, self.hosts
-        if initial_limits_w is None:
-            limits = np.full((runs, hosts), self.model.power_model.tdp_w)
-        else:
-            init = np.asarray(initial_limits_w, dtype=float)
-            if init.shape == (hosts,):
-                limits = np.tile(init, (runs, 1))
-            elif init.shape == (runs, hosts):
-                limits = init.copy()
-            else:
-                raise ValueError(
-                    f"initial limits must have shape ({hosts},) or "
-                    f"({runs}, {hosts}), got {init.shape}"
-                )
+        limits = initial_limits(
+            initial_limits_w, (runs, hosts), self.model.power_model.tdp_w
+        )
 
         log: List[_EpochLog] = []
         clock = np.zeros(runs)
@@ -486,9 +469,7 @@ class ControllerBatch:
             emit(
                 "runtime.controller", "batch_complete",
                 runs=runs,
-                agents=",".join(
-                    sorted({s.agent.name for s in self.specs})
-                ),
+                agents=agent_names,
                 epochs_total=int(np.sum(epochs_run)),
                 epochs_max=int(np.max(epochs_run)),
                 converged=n_converged,
@@ -519,6 +500,11 @@ class ControllerBatch:
             energy[entry.rows, e] = entry.sample.host_energy_j
             freq[entry.rows, e] = entry.sample.mean_freq_ghz
             final_limits[entry.rows] = entry.limits_applied_w
+        metadata = {
+            c: dict(group.batch.describe_run(row))
+            for group in self._groups
+            for row, c in enumerate(group.members.tolist())
+        }
         reports = tuple(
             report_from_arrays(
                 job_name=self.specs[c].job.name,
@@ -527,7 +513,7 @@ class ControllerBatch:
                 host_energy_j=energy[c, : epochs_run[c]],
                 mean_freq_ghz=freq[c, : epochs_run[c]],
                 final_limits_w=final_limits[c],
-                metadata=self._describe_run(c),
+                metadata=metadata[c],
             )
             for c in range(runs)
         )

@@ -33,7 +33,10 @@ from repro.sim.engine import ExecutionModel
 from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
 from repro.workload.job import Job, WorkloadMix
 
-__all__ = ["EpochResult", "Controller", "check_run_inputs", "epoch_energy"]
+__all__ = [
+    "EpochResult", "Controller", "check_run_inputs", "epoch_energy",
+    "initial_limits",
+]
 
 
 def check_run_inputs(job: Job, efficiencies, noise_std: float,
@@ -62,6 +65,28 @@ def check_run_inputs(job: Job, efficiencies, noise_std: float,
     if not (np.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     return eff
+
+
+def initial_limits(initial_limits_w, shape, default_w: float) -> np.ndarray:
+    """The limits both controllers' ``run()`` start from (fresh array).
+
+    ``None`` means ``default_w`` everywhere, else one ``(hosts,)`` vector
+    for every row or a full ``shape`` array.  NaN raises ``ValueError``:
+    one NaN host time would set the critical path of every host.
+    Infinite and negative limits are clamped into the RAPL range.
+    """
+    if initial_limits_w is None:
+        return np.full(shape, default_w)
+    limits = np.asarray(initial_limits_w, dtype=float)
+    accepted = tuple(dict.fromkeys([shape[-1:], shape]))
+    if limits.shape not in accepted:
+        raise ValueError(
+            "initial limits must have shape "
+            + " or ".join(str(a) for a in accepted) + f", got {limits.shape}"
+        )
+    if np.isnan(limits).any():
+        raise ValueError("initial limits must not be NaN")
+    return np.broadcast_to(limits, shape).copy()
 
 
 def epoch_energy(host_time_s, epoch_time_s, compute_power_w, poll_power_w):
@@ -183,12 +208,9 @@ class Controller:
         if max_epochs < 1:
             raise ValueError("max_epochs must be positive")
         n = self.job.node_count
-        if initial_limits_w is None:
-            limits = np.full(n, self.model.power_model.tdp_w)
-        else:
-            limits = np.asarray(initial_limits_w, dtype=float)
-            if limits.shape != (n,):
-                raise ValueError(f"initial limits must have shape ({n},)")
+        limits = initial_limits(
+            initial_limits_w, (n,), self.model.power_model.tdp_w
+        )
 
         self.history.clear()
         self._clock_s = 0.0

@@ -15,6 +15,7 @@ estimates the local W-per-GHz slope from consecutive epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +24,10 @@ from repro.runtime.agent import (
     AgentBatch,
     DEFAULT_REGISTRY,
     PlatformSample,
+    RowState,
     SampleBatch,
+    batch_options,
+    finite_or_sentinel,
 )
 from repro.units import ensure_positive
 
@@ -54,6 +58,80 @@ class FrequencyGovernorOptions:
             raise ValueError("max_limit_w must exceed min_limit_w")
 
 
+@dataclass
+class _GovernorState(RowState):
+    """The frequency loop's state (row shape ``()`` or ``(G,)``)."""
+
+    limits_w: Optional[np.ndarray]         # (..., hosts) limits programmed
+    prev_limits_w: Optional[np.ndarray]    # (..., hosts) the step before
+    prev_freq_ghz: Optional[np.ndarray]    # (..., hosts) last observed
+    slope_w_per_ghz: Optional[np.ndarray]  # (..., hosts) W/GHz estimates
+    max_error_ghz: np.ndarray              # worst host's tracking error
+
+    @classmethod
+    def fresh(cls, rows=()) -> "_GovernorState":
+        return cls(None, None, None, None, np.full(rows, np.inf))
+
+
+def _step(target_ghz, state: _GovernorState, sample,
+          opts: FrequencyGovernorOptions) -> _GovernorState:
+    """One proportional step of every row toward its target frequency.
+
+    The sample's per-host arrays are ``(..., hosts)``; ``target_ghz``
+    broadcasts against them (a float, or ``(G, 1)``).  Returns the next
+    state.
+    """
+    freq = np.asarray(sample.mean_freq_ghz, dtype=float)
+    if state.started:
+        limits, prev_limits = state.limits_w, state.prev_limits_w
+        prev_freq, slope = state.prev_freq_ghz, state.slope_w_per_ghz.copy()
+    else:
+        # The first epoch seeds the loop from the limits in force.
+        limits = prev_limits = np.array(sample.power_limit_w, dtype=float)
+        prev_freq = freq
+        slope = np.full(freq.shape, opts.initial_slope_w_per_ghz)
+
+    # Refine the per-host W/GHz slope from the last actuation, where both
+    # the limit and the frequency actually moved.
+    dl = limits - prev_limits
+    df = freq - prev_freq
+    moved = (np.abs(df) > 1e-6) & (np.abs(dl) > 1e-6)
+    slope[moved] = _clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
+
+    error = target_ghz - freq
+    step = opts.gain * error * slope
+    return _GovernorState(
+        limits_w=_clip(limits + step, opts.min_limit_w, opts.max_limit_w),
+        prev_limits_w=limits, prev_freq_ghz=freq.copy(),
+        slope_w_per_ghz=slope, max_error_ghz=np.abs(error).max(axis=-1),
+    )
+
+
+def _converged(state: _GovernorState, opts: FrequencyGovernorOptions):
+    """All hosts within tolerance of the target, or pinned at a bound.
+
+    Saturated at a bound without reaching the target is steady, not
+    converged onto the requested frequency: the verdict still stops the
+    controller, and :func:`_describe` exposes the residual.
+    """
+    error, limits = state.max_error_ghz, state.limits_w
+    at_bound = state.started and (
+        (limits <= opts.min_limit_w + 1e-9)
+        | (limits >= opts.max_limit_w - 1e-9)
+    ).all(axis=-1)
+    return (at_bound & (error > opts.tolerance_ghz)) | (
+        error <= opts.tolerance_ghz
+    )
+
+
+def _describe(target_ghz, state: _GovernorState):
+    """Target and the residual tracking error of one loop."""
+    return {
+        "target_freq_ghz": float(target_ghz),
+        "max_error_ghz": finite_or_sentinel(state.max_error_ghz),
+    }
+
+
 @DEFAULT_REGISTRY.register
 class FrequencyGovernorAgent(Agent):
     """Hold every host at ``target_freq_ghz`` via RAPL feedback.
@@ -76,150 +154,47 @@ class FrequencyGovernorAgent(Agent):
         self.target_freq_ghz = float(target_freq_ghz)
         self.options = (options if options is not None
                         else FrequencyGovernorOptions())
-        self._limits: np.ndarray | None = None
-        self._prev_freq: np.ndarray | None = None
-        self._prev_limits: np.ndarray | None = None
-        self._slope: np.ndarray | None = None
-        self._max_error_ghz = np.inf
+        self._state = _GovernorState.fresh()
 
     def adjust(self, sample: PlatformSample) -> np.ndarray:
         """One proportional step toward the target frequency."""
-        opts = self.options
-        freq = np.asarray(sample.mean_freq_ghz, dtype=float)
-        if self._limits is None:
-            n = freq.size
-            self._limits = np.asarray(sample.power_limit_w, dtype=float).copy()
-            self._slope = np.full(n, opts.initial_slope_w_per_ghz)
-            self._prev_freq = freq.copy()
-            self._prev_limits = self._limits.copy()
-
-        # Refine the per-host W/GHz slope from the last actuation, where
-        # both the limit and the frequency actually moved.
-        dl = self._limits - self._prev_limits
-        df = freq - self._prev_freq
-        moved = (np.abs(df) > 1e-6) & (np.abs(dl) > 1e-6)
-        self._slope[moved] = _clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
-
-        error = self.target_freq_ghz - freq
-        self._max_error_ghz = float(np.abs(error).max())
-        step = opts.gain * error * self._slope
-        new_limits = _clip(
-            self._limits + step, opts.min_limit_w, opts.max_limit_w
-        )
-        self._prev_freq = freq.copy()
-        self._prev_limits = self._limits
-        self._limits = new_limits
-        return new_limits.copy()
+        self._state = _step(self.target_freq_ghz, self._state, sample,
+                            self.options)
+        return self._state.limits_w.copy()
 
     def converged(self) -> bool:
         """All hosts within tolerance of the target, or pinned at a bound."""
-        if self._limits is None:
-            return False
-        at_bound = (
-            (self._limits <= self.options.min_limit_w + 1e-9)
-            | (self._limits >= self.options.max_limit_w - 1e-9)
-        )
-        if bool(at_bound.all()) and self._max_error_ghz > self.options.tolerance_ghz:
-            # Saturated without reaching the target: steady, not converged
-            # onto the requested frequency — report convergence so the
-            # controller stops, but expose the residual via describe().
-            return True
-        return self._max_error_ghz <= self.options.tolerance_ghz
+        return bool(_converged(self._state, self.options))
 
     def describe(self):
         """Target and the residual tracking error."""
-        return {
-            "target_freq_ghz": self.target_freq_ghz,
-            "max_error_ghz": (
-                self._max_error_ghz if np.isfinite(self._max_error_ghz) else -1.0
-            ),
-        }
+        return _describe(self.target_freq_ghz, self._state)
 
     @classmethod
-    def make_batch(cls, agents) -> "_FrequencyGovernorBatch | None":
-        """Batch a group of governors with equal options.
-
-        Targets may differ per run.  Returns ``None`` (→ per-run fallback
-        in the batched controller) when the group mixes options or holds
-        an agent that has already stepped, as the balancer does.
-        """
-        options = agents[0].options
-        if any(a.options != options for a in agents[1:]):
-            return None
-        if any(a._limits is not None for a in agents):
-            return None
+    def make_batch(cls, agents) -> "_FrequencyGovernorBatch":
+        """Batch a group of fresh governors sharing one options value;
+        targets may differ per run."""
         targets = np.array([a.target_freq_ghz for a in agents], dtype=float)
-        return _FrequencyGovernorBatch(targets, options)
+        return _FrequencyGovernorBatch(targets, batch_options(agents))
 
 
 class _FrequencyGovernorBatch(AgentBatch):
-    """Vectorised frequency governor: G feedback loops stepped as tensors.
-
-    Each expression mirrors :meth:`FrequencyGovernorAgent.adjust` and
-    :meth:`~FrequencyGovernorAgent.converged` term for term; the slope
-    refit gathers the moved hosts of every row in one boolean index, which
-    applies the serial per-row gather's elementwise operations unchanged,
-    so each row is bit-identical to its serial twin.
-    """
+    """``G`` frequency loops stepped by the serial agent's kernels."""
 
     def __init__(self, targets_ghz: np.ndarray,
                  options: FrequencyGovernorOptions) -> None:
         self.options = options
         self._targets_ghz = targets_ghz
-        self._limits: np.ndarray | None = None      # (G, hosts)
-        self._prev_freq: np.ndarray | None = None
-        self._prev_limits: np.ndarray | None = None
-        self._slope: np.ndarray | None = None
-        self._max_error_ghz = np.full(targets_ghz.size, np.inf)
+        self._state = _GovernorState.fresh(targets_ghz.shape)
 
     def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
-        opts = self.options
-        freq = np.asarray(sample.mean_freq_ghz, dtype=float)
-        if self._limits is None:
-            # Every member steps on the batch's first epoch (the active
-            # set only shrinks afterwards), so ``rows`` is the whole group.
-            self._limits = np.asarray(sample.power_limit_w, dtype=float).copy()
-            self._slope = np.full(freq.shape, opts.initial_slope_w_per_ghz)
-            self._prev_freq = freq.copy()
-            self._prev_limits = self._limits.copy()
-
-        limits = self._limits[rows]
-        slope = self._slope[rows]
-        dl = limits - self._prev_limits[rows]
-        df = freq - self._prev_freq[rows]
-        moved = (np.abs(df) > 1e-6) & (np.abs(dl) > 1e-6)
-        slope[moved] = _clip(np.abs(dl[moved] / df[moved]), 30.0, 400.0)
-
-        error = self._targets_ghz[rows][:, None] - freq
-        self._max_error_ghz[rows] = np.abs(error).max(axis=1)
-        step = opts.gain * error * slope
-        new_limits = _clip(limits + step, opts.min_limit_w, opts.max_limit_w)
-        self._slope[rows] = slope
-        self._prev_freq[rows] = freq
-        self._prev_limits[rows] = limits
-        self._limits[rows] = new_limits
-        return new_limits
+        state = _step(self._targets_ghz[rows, None], self._state.take(rows),
+                      sample, self.options)
+        self._state.put(rows, state)
+        return state.limits_w
 
     def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        if self._limits is None:
-            return np.zeros(rows.size, dtype=bool)
-        opts = self.options
-        limits = self._limits[rows]
-        at_bound = np.all(
-            (limits <= opts.min_limit_w + 1e-9)
-            | (limits >= opts.max_limit_w - 1e-9),
-            axis=1,
-        )
-        error = self._max_error_ghz[rows]
-        # Saturated at a bound without reaching the target also stops the
-        # loop (see FrequencyGovernorAgent.converged).
-        return (at_bound & (error > opts.tolerance_ghz)) | (
-            error <= opts.tolerance_ghz
-        )
+        return _converged(self._state.take(rows), self.options)
 
     def describe_run(self, row: int):
-        error = self._max_error_ghz[row]
-        return {
-            "target_freq_ghz": float(self._targets_ghz[row]),
-            "max_error_ghz": float(error) if np.isfinite(error) else -1.0,
-        }
+        return _describe(self._targets_ghz[row], self._state.take(row))

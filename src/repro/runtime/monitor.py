@@ -22,35 +22,29 @@ from repro.runtime.agent import (
 __all__ = ["MonitorAgent"]
 
 
+def _hold(power_limit_w) -> np.ndarray:
+    """Echo the limits already in force, as a fresh array."""
+    return np.array(power_limit_w, dtype=float, copy=True)
+
+
 @DEFAULT_REGISTRY.register
 class MonitorAgent(Agent):
     """Leave limits untouched; exist only so reports get generated."""
 
     name = "monitor"
 
-    def __init__(self) -> None:
-        self._last_limits: np.ndarray | None = None
-
     def adjust(self, sample: PlatformSample) -> np.ndarray:
         """Echo back whatever limits are already in force."""
-        self._last_limits = np.array(sample.power_limit_w, dtype=float, copy=True)
-        return self._last_limits
+        return _hold(sample.power_limit_w)
 
     @classmethod
     def make_batch(cls, agents) -> "_MonitorBatch":
         """Batch any group of monitors (they are stateless echoes)."""
-        return _MonitorBatch(len(agents))
+        return _MonitorBatch()
 
 
 class _MonitorBatch(AgentBatch):
-    """Vectorised monitor: echo every run's in-force limits at once."""
-
-    def __init__(self, run_count: int) -> None:
-        self._run_count = int(run_count)
+    """Echo every run's in-force limits at once."""
 
     def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
-        return np.array(sample.power_limit_w, dtype=float, copy=True)
-
-    def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        # Serial ``MonitorAgent`` inherits the trivially-true converged().
-        return np.ones(rows.size, dtype=bool)
+        return _hold(sample.power_limit_w)

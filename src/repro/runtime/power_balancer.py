@@ -29,7 +29,8 @@ characterization layer cross-checks against the analytic inverse model in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +39,10 @@ from repro.runtime.agent import (
     AgentBatch,
     DEFAULT_REGISTRY,
     PlatformSample,
+    RowState,
     SampleBatch,
+    batch_options,
+    finite_or_sentinel,
 )
 from repro.telemetry import emit, enabled, get_registry
 from repro.units import ensure_positive, ensure_fraction
@@ -93,6 +97,175 @@ class BalancerOptions:
             raise ValueError("harvest_fraction must be in (0, 1]")
 
 
+@dataclass
+class _BalancerState(RowState):
+    """The balancer loop's state (row shape ``()`` or ``(G,)``)."""
+
+    limits_w: Optional[np.ndarray]     # (..., hosts) limits programmed
+    cut_floor_w: Optional[np.ndarray]  # (..., hosts) lowest limit a cut reaches
+    pool_w: np.ndarray                 # budget held back, not programmed
+    last_step_w: np.ndarray            # largest limit move of the last step
+    steps: np.ndarray                  # feedback steps taken
+    harvested_w: np.ndarray            # power cut from donors, cumulative
+    redistributed_w: np.ndarray        # power granted to receivers, cumulative
+    recorded: np.ndarray               # steps-to-converge already recorded
+
+    @classmethod
+    def fresh(cls, rows=()) -> "_BalancerState":
+        return cls(None, None, np.zeros(rows), np.full(rows, np.inf),
+                   np.zeros(rows, dtype=np.int64), np.zeros(rows),
+                   np.zeros(rows), np.zeros(rows, dtype=bool))
+
+
+def _start(budget_w, state: _BalancerState, host_power_w,
+           opts: BalancerOptions) -> _BalancerState:
+    """Epoch 0: the uniform budget split and the per-host cut floor."""
+    reference = np.asarray(host_power_w, dtype=float)
+    budget = np.asarray(budget_w, dtype=float)
+    uniform = np.clip(budget / reference.shape[-1],
+                      opts.min_limit_w, opts.max_limit_w)
+    limits = np.broadcast_to(uniform[..., None], reference.shape).copy()
+    return replace(
+        state,
+        limits_w=limits,
+        # Budget that clamping released (or consumed) goes to the pool so
+        # the invariant sum(limits) + pool == budget holds from epoch 0.
+        pool_w=budget - np.sum(limits, axis=-1),
+        # The first epoch's observed power anchors the per-host cut floor:
+        # the balancer will not take more than harvest_fraction of the
+        # distance from that draw to the RAPL floor.
+        cut_floor_w=np.maximum(
+            reference - opts.harvest_fraction * (reference - opts.min_limit_w),
+            opts.min_limit_w,
+        ),
+    )
+
+
+def _total(values) -> float:
+    """Sum of a per-row quantity (a serial loop's scalar passes as is)."""
+    return float(values.sum()) if values.ndim else float(values)
+
+
+def _step(budget_w, state: _BalancerState, sample,
+          opts: BalancerOptions) -> _BalancerState:
+    """One feedback step of every row; returns the next state.
+
+    ``budget_w`` and the per-run state fields have the row shape, the
+    sample's per-host arrays ``(..., hosts)``.
+    """
+    if not state.started:
+        return _start(budget_w, state, sample.host_power_w, opts)
+    limits, cut_floor = state.limits_w, state.cut_floor_w
+    times = np.asarray(sample.host_time_s, dtype=float)
+    target = times.max(axis=-1)
+    # A row whose epoch has no positive host time keeps its state.
+    degenerate = target <= 0
+    stepped = degenerate.size - np.count_nonzero(degenerate)
+    held = stepped < degenerate.size
+    if held:
+        target = np.where(degenerate, 1.0, target)
+    slack_frac = 1.0 - times / target[..., None]
+
+    # --- donors: hosts comfortably off the critical path ----------------
+    donors = slack_frac > opts.margin
+    cut = np.where(donors, opts.gain * slack_frac * (limits - cut_floor), 0.0)
+    cut = np.maximum(cut, 0.0)
+    new_limits = np.maximum(limits - cut, cut_floor)
+    cut = limits - new_limits
+    # Entries go negative when the cut floor sits above the current limit
+    # (the floor *raised* that host); only positive entries are power
+    # actually harvested from donors.
+    harvested = np.maximum(cut, 0.0).sum(axis=-1)
+    pool = state.pool_w + cut.sum(axis=-1)
+
+    # --- receivers: near-critical hosts with headroom -------------------
+    receivers = (slack_frac <= opts.margin) & (
+        new_limits < opts.max_limit_w - 1e-9
+    )
+    grantable = (pool > 0) & receivers.any(axis=-1)
+    # The grant loops over rows with a compressed gather and sum per row:
+    # NumPy's pairwise sum over the gathered headroom differs in the last
+    # ulp from a masked full-row reduction once a row has >= 8 receivers.
+    new_rows = new_limits.reshape(-1, limits.shape[-1])
+    recv_rows = receivers.reshape(new_rows.shape)
+    pool_rows = pool.reshape(-1)
+    granted = np.zeros(pool_rows.shape)
+    for i in grantable.reshape(-1).nonzero()[0].tolist():
+        recv = recv_rows[i]
+        headroom = opts.max_limit_w - new_rows[i, recv]
+        total = float(headroom.sum())
+        grant = min(float(pool_rows[i]), total)
+        new_rows[i, recv] += grant * headroom / total
+        pool_rows[i] -= grant
+        granted[i] = grant
+    new_limits = new_rows.reshape(limits.shape)
+    pool = pool_rows.reshape(target.shape)
+    granted = granted.reshape(target.shape)
+
+    step_w = np.abs(new_limits - limits).max(axis=-1)
+    steps = state.steps + 1
+    if held:
+        new_limits = np.where(degenerate[..., None], limits, new_limits)
+        pool = np.where(degenerate, state.pool_w, pool)
+        step_w = np.where(degenerate, state.last_step_w, step_w)
+        harvested = np.where(degenerate, 0.0, harvested)
+        granted = np.where(degenerate, 0.0, granted)
+        steps = state.steps + ~degenerate
+    if enabled():
+        registry = get_registry()
+        registry.counter("runtime.balancer.steps").inc(stepped)
+        registry.counter("runtime.balancer.harvested_w").inc(_total(harvested))
+        registry.counter("runtime.balancer.redistributed_w").inc(
+            _total(granted)
+        )
+    return _BalancerState(
+        limits_w=new_limits, cut_floor_w=cut_floor, pool_w=pool,
+        last_step_w=step_w, steps=steps,
+        harvested_w=state.harvested_w + harvested,
+        redistributed_w=state.redistributed_w + granted,
+        recorded=state.recorded,
+    )
+
+
+def _converged(state: _BalancerState, opts: BalancerOptions):
+    """Limits stopped moving (relative to the settable range width).
+
+    Returns the verdicts and the updated ``recorded`` flags: a row's first
+    positive verdict records its steps-to-converge and cumulative power
+    moved into the telemetry registry (once per loop).
+    """
+    span = opts.max_limit_w - opts.min_limit_w
+    converged = state.last_step_w < opts.tolerance * span
+    if not enabled():
+        return converged, state.recorded
+    fresh = converged & ~state.recorded
+    if np.count_nonzero(fresh):
+        hist = get_registry().histogram("runtime.balancer.steps_to_converge")
+        for row in np.ndindex(fresh.shape):
+            if fresh[row]:
+                hist.observe(int(state.steps[row]))
+                emit(
+                    "runtime.balancer", "converged",
+                    steps=int(state.steps[row]),
+                    harvested_w=float(state.harvested_w[row]),
+                    redistributed_w=float(state.redistributed_w[row]),
+                    unallocated_w=float(state.pool_w[row]),
+                )
+    return converged, state.recorded | fresh
+
+
+def _describe(budget_w, state: _BalancerState):
+    """Budget, pool, step size, and shifting totals of one loop."""
+    return {
+        "job_budget_w": float(budget_w),
+        "unallocated_w": float(state.pool_w),
+        "last_step_w": finite_or_sentinel(state.last_step_w),
+        "steps": float(state.steps),
+        "harvested_w": float(state.harvested_w),
+        "redistributed_w": float(state.redistributed_w),
+    }
+
+
 @DEFAULT_REGISTRY.register
 class PowerBalancerAgent(Agent):
     """Shift power from slack hosts to critical-path hosts within a job.
@@ -116,282 +289,50 @@ class PowerBalancerAgent(Agent):
         ensure_positive(job_budget_w, "job_budget_w")
         self.job_budget_w = float(job_budget_w)
         self.options = options if options is not None else BalancerOptions()
-        self._limits: np.ndarray | None = None
-        self._pool_w = 0.0
-        self._last_step_w = np.inf
-        self._cut_floor_w: np.ndarray | None = None
-        self._steps = 0
-        self._harvested_w = 0.0
-        self._redistributed_w = 0.0
-        self._convergence_recorded = False
-
-    # ------------------------------------------------------------------
-    def _initial_limits(self, hosts: int) -> np.ndarray:
-        """Uniform split of the job budget, clamped to the settable range."""
-        uniform = self.job_budget_w / hosts
-        limits = np.full(hosts, uniform)
-        clamped = np.clip(limits, self.options.min_limit_w, self.options.max_limit_w)
-        # Budget that clamping released (or consumed) goes to the pool so
-        # the invariant sum(limits) + pool == budget holds from epoch 0.
-        self._pool_w = self.job_budget_w - float(np.sum(clamped))
-        return clamped
+        self._state = _BalancerState.fresh()
 
     def adjust(self, sample: PlatformSample) -> np.ndarray:
         """One feedback step; returns the next epoch's node limits."""
-        opts = self.options
-        if self._limits is None:
-            self._limits = self._initial_limits(sample.power_limit_w.size)
-            # The first epoch's observed power anchors the per-host cut
-            # floor: the balancer will not take more than harvest_fraction
-            # of the distance from that draw to the RAPL floor.
-            reference = np.asarray(sample.host_power_w, dtype=float)
-            self._cut_floor_w = np.maximum(
-                reference - opts.harvest_fraction * (reference - opts.min_limit_w),
-                opts.min_limit_w,
-            )
-            return self._limits.copy()
-
-        limits = self._limits
-        times = np.asarray(sample.host_time_s, dtype=float)
-        target = float(np.max(times))
-        if target <= 0:
-            return limits.copy()
-
-        slack_frac = 1.0 - times / target
-
-        # --- donors: hosts comfortably off the critical path ------------
-        cut_floor = (
-            self._cut_floor_w
-            if self._cut_floor_w is not None
-            else np.full_like(limits, opts.min_limit_w)
-        )
-        donors = slack_frac > opts.margin
-        cut = np.zeros_like(limits)
-        cut[donors] = opts.gain * slack_frac[donors] * (
-            limits[donors] - cut_floor[donors]
-        )
-        cut = np.maximum(cut, 0.0)
-        new_limits = np.maximum(limits - cut, cut_floor)
-        cut = limits - new_limits
-        # Entries go negative when the cut floor sits above the current
-        # limit (the floor *raised* that host); only positive entries are
-        # power actually harvested from donors.
-        harvested = float(np.sum(np.maximum(cut, 0.0)))
-        pool = self._pool_w + float(np.sum(cut))
-
-        # --- receivers: near-critical hosts with headroom ---------------
-        receivers = (slack_frac <= opts.margin) & (new_limits < opts.max_limit_w - 1e-9)
-        grant_total = 0.0
-        if pool > 0 and np.any(receivers):
-            headroom = opts.max_limit_w - new_limits[receivers]
-            grant_total = min(pool, float(np.sum(headroom)))
-            grants = grant_total * headroom / float(np.sum(headroom))
-            new_limits[receivers] += grants
-            pool -= grant_total
-
-        self._pool_w = pool
-        self._last_step_w = float(np.max(np.abs(new_limits - limits)))
-        self._limits = new_limits
-        self._steps += 1
-        self._harvested_w += harvested
-        self._redistributed_w += grant_total
-        if enabled():
-            registry = get_registry()
-            registry.counter("runtime.balancer.steps").inc()
-            registry.counter("runtime.balancer.harvested_w").inc(harvested)
-            registry.counter("runtime.balancer.redistributed_w").inc(grant_total)
-        return new_limits.copy()
+        self._state = _step(self.job_budget_w, self._state, sample,
+                            self.options)
+        return self._state.limits_w.copy()
 
     def converged(self) -> bool:
-        """Limits stopped moving (relative to the settable range width).
-
-        The first positive answer also records the feedback loop's
-        steps-to-converge and cumulative power moved into the telemetry
-        registry (once per agent instance).
-        """
-        span = self.options.max_limit_w - self.options.min_limit_w
-        is_converged = self._last_step_w < self.options.tolerance * span
-        if is_converged and not self._convergence_recorded and enabled():
-            self._convergence_recorded = True
-            get_registry().histogram(
-                "runtime.balancer.steps_to_converge"
-            ).observe(self._steps)
-            emit(
-                "runtime.balancer", "converged",
-                steps=self._steps,
-                harvested_w=self._harvested_w,
-                redistributed_w=self._redistributed_w,
-                unallocated_w=self._pool_w,
-            )
-        return is_converged
+        """Limits stopped moving (see :func:`_converged`)."""
+        converged, self._state.recorded = _converged(self._state, self.options)
+        return bool(converged)
 
     def describe(self):
         """Budget, pool, step size, and shifting totals for report
         metadata."""
-        return {
-            "job_budget_w": self.job_budget_w,
-            "unallocated_w": self._pool_w,
-            "last_step_w": self._last_step_w if np.isfinite(self._last_step_w) else -1.0,
-            "steps": float(self._steps),
-            "harvested_w": self._harvested_w,
-            "redistributed_w": self._redistributed_w,
-        }
+        return _describe(self.job_budget_w, self._state)
 
     @classmethod
-    def make_batch(cls, agents) -> "_PowerBalancerBatch | None":
-        """Batch a group of balancers sharing one :class:`BalancerOptions`.
-
-        Returns ``None`` (→ per-run fallback in the batched controller)
-        when the group mixes options or contains an agent that has already
-        stepped — the batch owns state from epoch 0, so a mid-flight agent
-        cannot be adopted.
-        """
-        options = agents[0].options
-        if any(a.options != options for a in agents[1:]):
-            return None
-        if any(a._limits is not None for a in agents):
-            return None
+    def make_batch(cls, agents) -> "_PowerBalancerBatch":
+        """Batch a group of fresh balancers sharing one options value."""
         budgets = np.array([a.job_budget_w for a in agents], dtype=float)
-        return _PowerBalancerBatch(budgets, options)
+        return _PowerBalancerBatch(budgets, batch_options(agents))
 
 
 class _PowerBalancerBatch(AgentBatch):
-    """Vectorised power balancer: G feedback loops stepped as tensors.
-
-    Every elementwise expression below mirrors
-    :meth:`PowerBalancerAgent.adjust` term-for-term (same operation
-    order), so each row is bit-identical to its serial twin.  The one
-    intentionally *serial* piece is the receivers grant step: NumPy's
-    pairwise summation over a compressed ``headroom`` gather differs in
-    the last ulp from any masked full-row reduction once a row has ≥ 8
-    receivers, so that step loops over rows and reproduces the serial
-    compressed sum exactly.
-    """
+    """``G`` balancer loops stepped by the serial agent's kernels."""
 
     def __init__(self, budgets_w: np.ndarray, options: BalancerOptions) -> None:
         self.options = options
-        self._budgets_w = np.asarray(budgets_w, dtype=float)
-        g = self._budgets_w.size
-        self._limits: np.ndarray | None = None   # (G, hosts)
-        self._cut_floor_w: np.ndarray | None = None
-        self._pool_w = np.zeros(g)
-        self._last_step_w = np.full(g, np.inf)
-        self._steps = np.zeros(g, dtype=np.int64)
-        self._harvested_w = np.zeros(g)
-        self._redistributed_w = np.zeros(g)
-        self._convergence_recorded = np.zeros(g, dtype=bool)
-
-    # ------------------------------------------------------------------
-    def _initial_limits(self, rows: np.ndarray, hosts: int) -> np.ndarray:
-        opts = self.options
-        uniform = self._budgets_w[rows] / hosts
-        limits = np.broadcast_to(uniform[:, None], (rows.size, hosts))
-        clamped = np.clip(limits, opts.min_limit_w, opts.max_limit_w)
-        self._pool_w[rows] = self._budgets_w[rows] - np.sum(clamped, axis=1)
-        return np.ascontiguousarray(clamped)
+        self._budgets_w = budgets_w
+        self._state = _BalancerState.fresh(budgets_w.shape)
 
     def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
-        opts = self.options
-        if self._limits is None:
-            hosts = sample.power_limit_w.shape[1]
-            self._limits = self._initial_limits(rows, hosts)
-            reference = np.asarray(sample.host_power_w, dtype=float)
-            self._cut_floor_w = np.maximum(
-                reference - opts.harvest_fraction * (reference - opts.min_limit_w),
-                opts.min_limit_w,
-            )
-            return self._limits.copy()
-
-        limits = self._limits[rows]
-        cut_floor = self._cut_floor_w[rows]
-        times = np.asarray(sample.host_time_s, dtype=float)
-        target = np.max(times, axis=1)
-        # Rows with a degenerate epoch keep their state untouched (the
-        # serial agent early-returns before any update).
-        stepped = target > 0
-        safe_target = np.where(stepped, target, 1.0)
-
-        slack_frac = 1.0 - times / safe_target[:, None]
-
-        donors = slack_frac > opts.margin
-        cut = np.where(
-            donors, opts.gain * slack_frac * (limits - cut_floor), 0.0
-        )
-        cut = np.maximum(cut, 0.0)
-        new_limits = np.maximum(limits - cut, cut_floor)
-        cut = limits - new_limits
-        harvested = np.sum(np.maximum(cut, 0.0), axis=1)
-        pool = self._pool_w[rows] + np.sum(cut, axis=1)
-
-        receivers = (slack_frac <= opts.margin) & (
-            new_limits < opts.max_limit_w - 1e-9
-        )
-        grant_total = np.zeros(rows.size)
-        for i in range(rows.size):
-            if not stepped[i]:
-                continue
-            recv = receivers[i]
-            if pool[i] > 0 and np.any(recv):
-                # Compressed gather + sum, exactly as the serial agent —
-                # see the class docstring for why this must not be a
-                # masked vector reduction.
-                headroom = opts.max_limit_w - new_limits[i, recv]
-                grant = min(float(pool[i]), float(np.sum(headroom)))
-                grants = grant * headroom / float(np.sum(headroom))
-                new_limits[i, recv] += grants
-                pool[i] -= grant
-                grant_total[i] = grant
-
-        out = np.where(stepped[:, None], new_limits, limits)
-        step_w = np.max(np.abs(new_limits - limits), axis=1)
-
-        upd = rows[stepped]
-        self._pool_w[upd] = pool[stepped]
-        self._last_step_w[upd] = step_w[stepped]
-        self._limits[upd] = new_limits[stepped]
-        self._steps[upd] += 1
-        self._harvested_w[upd] += harvested[stepped]
-        self._redistributed_w[upd] += grant_total[stepped]
-        if enabled():
-            registry = get_registry()
-            registry.counter("runtime.balancer.steps").inc(int(np.sum(stepped)))
-            registry.counter("runtime.balancer.harvested_w").inc(
-                float(np.sum(harvested[stepped]))
-            )
-            registry.counter("runtime.balancer.redistributed_w").inc(
-                float(np.sum(grant_total[stepped]))
-            )
-        return out
+        state = _step(self._budgets_w[rows], self._state.take(rows), sample,
+                      self.options)
+        self._state.put(rows, state)
+        return state.limits_w
 
     def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        opts = self.options
-        span = opts.max_limit_w - opts.min_limit_w
-        mask = self._last_step_w[rows] < opts.tolerance * span
-        if enabled():
-            fresh = rows[mask & ~self._convergence_recorded[rows]]
-            if fresh.size:
-                self._convergence_recorded[fresh] = True
-                hist = get_registry().histogram(
-                    "runtime.balancer.steps_to_converge"
-                )
-                for row in fresh.tolist():
-                    hist.observe(int(self._steps[row]))
-                    emit(
-                        "runtime.balancer", "converged",
-                        steps=int(self._steps[row]),
-                        harvested_w=float(self._harvested_w[row]),
-                        redistributed_w=float(self._redistributed_w[row]),
-                        unallocated_w=float(self._pool_w[row]),
-                    )
-        return mask
+        converged, self._state.recorded[rows] = _converged(
+            self._state.take(rows), self.options
+        )
+        return converged
 
     def describe_run(self, row: int):
-        last_step = self._last_step_w[row]
-        return {
-            "job_budget_w": float(self._budgets_w[row]),
-            "unallocated_w": float(self._pool_w[row]),
-            "last_step_w": float(last_step) if np.isfinite(last_step) else -1.0,
-            "steps": float(self._steps[row]),
-            "harvested_w": float(self._harvested_w[row]),
-            "redistributed_w": float(self._redistributed_w[row]),
-        }
+        return _describe(self._budgets_w[row], self._state.take(row))

@@ -22,6 +22,17 @@ from repro.units import ensure_positive
 __all__ = ["PowerGovernorAgent"]
 
 
+def _split(budget_w, hosts: int) -> np.ndarray:
+    """Each row's budget split evenly over its hosts: ``(..., hosts)``."""
+    uniform = np.asarray(budget_w, dtype=float) / hosts
+    return np.broadcast_to(uniform[..., None], uniform.shape + (hosts,)).copy()
+
+
+def _describe(budget_w):
+    """The governed budget, for report metadata."""
+    return {"job_budget_w": float(budget_w)}
+
+
 @DEFAULT_REGISTRY.register
 class PowerGovernorAgent(Agent):
     """Hold every host at ``job_budget_w / host_count``.
@@ -40,12 +51,11 @@ class PowerGovernorAgent(Agent):
 
     def adjust(self, sample: PlatformSample) -> np.ndarray:
         """Uniform per-host limit; constant across epochs."""
-        hosts = sample.power_limit_w.size
-        return np.full(hosts, self.job_budget_w / hosts)
+        return _split(self.job_budget_w, sample.power_limit_w.shape[-1])
 
     def describe(self):
         """Report the governed budget."""
-        return {"job_budget_w": self.job_budget_w}
+        return _describe(self.job_budget_w)
 
     @classmethod
     def make_batch(cls, agents) -> "_PowerGovernorBatch":
@@ -56,20 +66,13 @@ class PowerGovernorAgent(Agent):
 
 
 class _PowerGovernorBatch(AgentBatch):
-    """Vectorised governor: every run's uniform split in one expression."""
+    """Every run's uniform split in one expression."""
 
     def __init__(self, budgets_w: np.ndarray) -> None:
         self._budgets_w = budgets_w
 
     def adjust_batch(self, sample: SampleBatch, rows: np.ndarray) -> np.ndarray:
-        hosts = sample.power_limit_w.shape[1]
-        uniform = self._budgets_w[rows] / hosts
-        return np.broadcast_to(uniform[:, None], (rows.size, hosts)).copy()
-
-    def converged_mask(self, rows: np.ndarray) -> np.ndarray:
-        # Serial ``PowerGovernorAgent`` inherits the trivially-true
-        # converged().
-        return np.ones(rows.size, dtype=bool)
+        return _split(self._budgets_w[rows], sample.power_limit_w.shape[-1])
 
     def describe_run(self, row: int):
-        return {"job_budget_w": float(self._budgets_w[row])}
+        return _describe(self._budgets_w[row])

@@ -70,7 +70,8 @@ class EventBus:
     Parameters
     ----------
     capacity:
-        Ring-buffer size; the oldest events are dropped once exceeded.
+        Ring-buffer size; the oldest events are dropped once exceeded,
+        and counted in :attr:`dropped`.
     clock:
         Timestamp source (injectable for deterministic tests).
     """
@@ -80,6 +81,8 @@ class EventBus:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._buffer: deque = deque(maxlen=capacity)
+        #: Events evicted by the ring since construction or :meth:`clear`.
+        self.dropped = 0
         self._clock = clock
         self._subscribers: Dict[int, tuple] = {}
         self._next_token = 0
@@ -91,7 +94,7 @@ class EventBus:
         event = Event(ts=float(self._clock()), source=source, kind=kind,
                       payload=payload)
         with self._lock:
-            self._buffer.append(event)
+            self._append(event)
             subscribers = list(self._subscribers.values())
         for callback, kinds, sources in subscribers:
             if kinds is not None and event.kind not in kinds:
@@ -100,6 +103,12 @@ class EventBus:
                 continue
             callback(event)
         return event
+
+    def _append(self, event: Event) -> None:
+        """Buffer one event, counting the one it evicts (lock held)."""
+        if len(self._buffer) == self._buffer.maxlen:
+            self.dropped += 1
+        self._buffer.append(event)
 
     # -- subscribing ---------------------------------------------------
     def subscribe(
@@ -167,7 +176,7 @@ class EventBus:
         to subscribers like a live publish."""
         with self._lock:
             for event in events:
-                self._buffer.append(event)
+                self._append(event)
             subscribers = list(self._subscribers.values())
         for event in events:
             for callback, kinds, sources in subscribers:
@@ -178,9 +187,11 @@ class EventBus:
                 callback(event)
 
     def clear(self) -> None:
-        """Drop all buffered events (subscriptions are kept)."""
+        """Drop all buffered events and the drop count (subscriptions are
+        kept)."""
         with self._lock:
             self._buffer.clear()
+            self.dropped = 0
 
     # -- export --------------------------------------------------------
     def to_jsonl(self, path: Union[str, Path]) -> Path:

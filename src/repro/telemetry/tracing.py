@@ -129,13 +129,15 @@ class Tracer:
     capacity:
         Finished-span ring size; the oldest spans are dropped once
         exceeded (recent history without unbounded memory, like the
-        event bus).
+        event bus) and counted in :attr:`dropped`.
     """
 
     def __init__(self, capacity: int = 8192) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._finished: deque = deque(maxlen=capacity)
+        #: Spans evicted by the ring since construction or :meth:`clear`.
+        self.dropped = 0
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 0
@@ -183,7 +185,14 @@ class Tracer:
         record.end_unix = time.time()
         record.status = status
         with self._lock:
-            self._finished.append(record)
+            self._keep(record)
+
+    def _keep(self, record: Span) -> None:
+        """Ring one finished span, counting the one it evicts (lock
+        held)."""
+        if len(self._finished) == self._finished.maxlen:
+            self.dropped += 1
+        self._finished.append(record)
 
     def current(self) -> Optional[Span]:
         """The thread's innermost open span, if any."""
@@ -204,9 +213,11 @@ class Tracer:
         return len(self._finished)
 
     def clear(self) -> None:
-        """Drop finished spans (open stacks are left alone)."""
+        """Drop finished spans and the drop count (open stacks are left
+        alone)."""
         with self._lock:
             self._finished.clear()
+            self.dropped = 0
 
     # -- cross-process merging -----------------------------------------
     def state(self) -> List[Dict[str, object]]:
@@ -246,7 +257,7 @@ class Tracer:
                                                   record.trace_id)
         with self._lock:
             for record in spans:
-                self._finished.append(record)
+                self._keep(record)
         return spans
 
     # -- export --------------------------------------------------------

@@ -7,9 +7,9 @@ run with the same job, efficiencies, seed, and agent.  These tests pin
 that for reports (``JobReport.__eq__`` is exact dataclass equality,
 metadata floats included), per-epoch history samples, and final limits,
 across noise-free and noisy runs, early-convergence freezing, mixed agent
-groups, heterogeneous balancer options (the per-run fallback), the
-batched frequency governor (saturated runs, mixed options, already-stepped
-agents), and fault-injected configurations.
+groups, heterogeneous options (one group per options value), the batched
+frequency governor (saturated runs, mixed options), and fault-injected
+configurations; agents the batch cannot step are rejected.
 
 All comparisons run under disabled telemetry: report ``telemetry``
 sections carry wall-clock timings that legitimately differ between the
@@ -25,6 +25,7 @@ from repro import telemetry
 from repro.faults.injection import RuntimeFaultInjector
 from repro.faults.scenarios import SCENARIO_NAMES, STANDARD_SCENARIOS
 from repro.runtime.batch import ControllerRunSpec, run_controller_batch
+from repro.runtime.agent import Agent
 from repro.runtime.batch import ControllerBatch
 from repro.runtime.controller import Controller
 from repro.runtime.frequency_governor import (
@@ -185,9 +186,9 @@ class TestBatchedEqualsSerial:
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=20, deadline=None)
-    def test_heterogeneous_options_fall_back(self, gains, seed):
-        """Balancers with differing options cannot batch; the per-run
-        fallback must still be bit-identical."""
+    def test_heterogeneous_options_form_separate_groups(self, gains, seed):
+        """Balancers with differing options batch as one group per options
+        value, each run still bit-identical to its serial twin."""
         hosts = 4
         specs = [
             ControllerRunSpec(
@@ -202,7 +203,9 @@ class TestBatchedEqualsSerial:
             )
             for i, gain in enumerate(gains)
         ]
-        result = run_controller_batch(specs, max_epochs=50)
+        batch = ControllerBatch(specs)
+        assert len(batch._groups) == len(set(gains))
+        result = batch.run(max_epochs=50)
         for c, gain in enumerate(gains):
             controller = Controller(
                 _job(f"h{c}", hosts, 16.0, 0.5, 2), np.ones(hosts),
@@ -229,9 +232,9 @@ class TestBatchedFrequencyGovernor:
             )
             for job, eff, kind, noise, seed in runs
         ]
-        batch = ControllerBatch(specs)
-        assert batch._fallback == []
-        result = batch.run(max_epochs=max_epochs, min_epochs=min_epochs)
+        result = ControllerBatch(specs).run(
+            max_epochs=max_epochs, min_epochs=min_epochs
+        )
         for c, (job, eff, kind, noise, seed) in enumerate(runs):
             controller = Controller(
                 job, eff, _make_agent(kind, hosts),
@@ -278,7 +281,7 @@ class TestBatchedFrequencyGovernor:
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=15, deadline=None)
-    def test_differing_options_fall_back(self, gains, seed):
+    def test_differing_options_form_separate_groups(self, gains, seed):
         hosts = 4
 
         def agent(gain):
@@ -296,8 +299,7 @@ class TestBatchedFrequencyGovernor:
             for i, gain in enumerate(gains)
         ]
         batch = ControllerBatch(specs)
-        if len(set(gains)) > 1:
-            assert batch._fallback == list(range(len(gains)))
+        assert len(batch._groups) == len(set(gains))
         result = batch.run(max_epochs=60)
         for c, gain in enumerate(gains):
             controller = Controller(
@@ -306,34 +308,25 @@ class TestBatchedFrequencyGovernor:
             )
             _assert_run_matches(controller, result, c, 60, 3)
 
-    @given(seed=st.integers(0, 2**31), warmup=st.integers(1, 4))
-    @settings(max_examples=15, deadline=None)
-    def test_already_stepped_agents_fall_back(self, seed, warmup):
-        """An agent that has stepped carries state the batch cannot adopt;
-        its group runs through the per-run fallback, still bit-identical."""
+    @pytest.mark.parametrize("stepped_agent", [
+        lambda: FrequencyGovernorAgent(target_freq_ghz=1.9),
+        lambda: PowerBalancerAgent(job_budget_w=3 * 240.0),
+    ], ids=["frequency_governor", "power_balancer"])
+    def test_already_stepped_agent_rejected(self, stepped_agent):
+        """An agent that has stepped carries loop state a batch cannot
+        adopt: the batch refuses it instead of stepping it apart."""
         hosts = 3
         job = _job("w", hosts, 16.0, 0.0, 1)
         eff = np.array([0.97, 1.0, 1.04])
-
-        def stepped_agent():
-            agent = FrequencyGovernorAgent(target_freq_ghz=1.9)
-            warm = Controller(job, eff, agent, seed=seed)
-            warm.run(max_epochs=warmup, min_epochs=warmup)
-            return agent
-
+        agent = stepped_agent()
+        Controller(job, eff, agent).run(max_epochs=2, min_epochs=2)
         specs = [
             ControllerRunSpec(job=job, efficiencies=eff,
-                              agent=stepped_agent(), seed=seed),
-            ControllerRunSpec(job=job, efficiencies=eff,
-                              agent=FrequencyGovernorAgent(1.9), seed=seed),
+                              agent=stepped_agent()),
+            ControllerRunSpec(job=job, efficiencies=eff, agent=agent),
         ]
-        batch = ControllerBatch(specs)
-        assert batch._fallback == [0, 1]
-        result = batch.run(max_epochs=40)
-        for c, agent in enumerate([stepped_agent(),
-                                   FrequencyGovernorAgent(1.9)]):
-            controller = Controller(job, eff, agent, seed=seed)
-            _assert_run_matches(controller, result, c, 40, 3)
+        with pytest.raises(ValueError, match="already stepped"):
+            ControllerBatch(specs)
 
 
 class TestFaultInjectedRuns:
@@ -427,6 +420,28 @@ class TestBatchSemantics:
         )
         with pytest.raises(ValueError, match="initial limits"):
             run_controller_batch([spec], initial_limits_w=np.ones(2))
+
+    def test_agent_without_make_batch_rejected(self):
+        """An agent class without its own ``make_batch`` — a third-party
+        agent, or a subclass inheriting a base's batch — is refused with
+        its class named; the serial Controller still runs it."""
+
+        class HoldAgent(Agent):
+            name = "hold"
+
+            def adjust(self, sample):
+                return sample.power_limit_w.copy()
+
+        class TunedBalancer(PowerBalancerAgent):
+            pass
+
+        job = _job("a", 3, 8.0, 0.0, 1)
+        for agent in (HoldAgent(), TunedBalancer(job_budget_w=720.0)):
+            spec = ControllerRunSpec(job=job, efficiencies=np.ones(3),
+                                     agent=agent)
+            with pytest.raises(TypeError, match=type(agent).__name__):
+                ControllerBatch([spec])
+            Controller(job, np.ones(3), agent).run(max_epochs=3)
 
     def test_bad_epoch_budget_rejected(self):
         spec = ControllerRunSpec(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.batch import ControllerRunSpec
+from repro.runtime.batch import ControllerRunSpec, run_controller_batch
 from repro.runtime.controller import Controller
 from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_balancer import PowerBalancerAgent
@@ -62,6 +62,27 @@ class TestValidation:
         the report."""
         with pytest.raises(ValueError, match=match):
             make(_job(nodes=3), np.array(eff), **kwargs)
+
+    @pytest.mark.parametrize("run", [
+        lambda job, init: Controller(job, np.ones(3), MonitorAgent()).run(
+            initial_limits_w=init, max_epochs=3),
+        lambda job, init: run_controller_batch(
+            [ControllerRunSpec(job=job, efficiencies=np.ones(3),
+                               agent=MonitorAgent())],
+            initial_limits_w=init, max_epochs=3).reports[0],
+    ], ids=["serial", "batch"])
+    def test_nan_initial_limits_rejected(self, run):
+        """One NaN host time would set the epoch's critical path and turn
+        every host's energy NaN; both run() methods refuse it.  Infinite
+        and negative limits stay accepted and are clamped to the RAPL
+        range."""
+        with pytest.raises(ValueError, match="NaN"):
+            run(_job(nodes=3), [np.nan, 200.0, 200.0])
+        report = run(_job(nodes=3), [np.inf, -50.0, 200.0])
+        assert all(np.isfinite(h.energy_j) for h in report.hosts)
+        np.testing.assert_array_equal(
+            report.power_limits_w(), [240.0, 136.0, 200.0]
+        )
 
     def test_zero_noise_and_barrier_accepted(self):
         ctl = Controller(_job(nodes=3), np.ones(3), MonitorAgent(),

@@ -95,8 +95,7 @@ class TestBatching:
     def test_five_agent_mix_batches_without_fallback(self):
         """The repository benchmark's ``runtime`` mix — balancers at TDP
         and at 0.8 TDP, a power governor, a monitor and a 1.8 GHz frequency
-        governor — batches every run; none steps through the per-run
-        fallback."""
+        governor — batches as one group per agent class."""
         from repro.runtime.batch import ControllerBatch, ControllerRunSpec
         from repro.runtime.monitor import MonitorAgent
         from repro.runtime.power_balancer import PowerBalancerAgent
@@ -123,7 +122,6 @@ class TestBatching:
             for c in configs
         ]
         batch = ControllerBatch(specs)
-        assert batch._fallback == []
         assert len(batch._groups) == 4  # one per agent class
 
     def test_make_batch_declines_mixed_options_and_stepped_agents(self):
@@ -131,12 +129,14 @@ class TestBatching:
         tuned = FrequencyGovernorAgent(
             target_freq_ghz=1.8, options=FrequencyGovernorOptions(gain=0.5)
         )
-        assert FrequencyGovernorAgent.make_batch([plain, tuned]) is None
+        with pytest.raises(ValueError, match="options"):
+            FrequencyGovernorAgent.make_batch([plain, tuned])
         stepped, _ = _controller(1.8)
         stepped.run(max_epochs=1, min_epochs=1)
-        assert FrequencyGovernorAgent.make_batch(
-            [FrequencyGovernorAgent(1.8), stepped.agent]
-        ) is None
+        with pytest.raises(ValueError, match="already stepped"):
+            FrequencyGovernorAgent.make_batch(
+                [FrequencyGovernorAgent(1.8), stepped.agent]
+            )
         assert FrequencyGovernorAgent.make_batch(
             [FrequencyGovernorAgent(1.8), FrequencyGovernorAgent(2.0)]
         ) is not None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.agent import PlatformSample
+from repro.runtime.agent import PlatformSample, SampleBatch
 from repro.runtime.power_balancer import BalancerOptions, PowerBalancerAgent
 
 
@@ -126,6 +126,37 @@ class TestFeedback:
         for epoch in range(1, 40):
             limits = agent.adjust(_sample(limits, times, epoch=epoch))
         assert np.all(limits <= 240.0 + 1e-9)
+
+    def test_degenerate_epoch_holds_state(self):
+        """An epoch with no positive host time steps nothing; in a batch
+        only that row holds, the other steps as its serial twin."""
+        agent, twin = (PowerBalancerAgent(job_budget_w=800.0) for _ in "ab")
+        batch = PowerBalancerAgent.make_batch(
+            [PowerBalancerAgent(job_budget_w=800.0) for _ in "ab"]
+        )
+        first = _sample(np.full(4, 200.0), np.ones(4))
+        limits = agent.adjust(first)
+        twin.adjust(first)
+        before = agent.describe()
+        held = _sample(limits, np.zeros(4), epoch=1)
+        moving = _sample(limits, np.array([0.5, 0.8, 0.9, 1.0]), epoch=1)
+        np.testing.assert_array_equal(agent.adjust(held), limits)
+        assert agent.describe() == before
+        rows = np.arange(2)
+        stacked = [first, first], [held, moving]
+        for samples in stacked:
+            out = batch.adjust_batch(SampleBatch(
+                samples[0].epoch,
+                *(np.stack([getattr(s, f) for s in samples]) for f in (
+                    "host_time_s", "epoch_time_s", "host_power_w",
+                    "power_limit_w", "host_energy_j", "mean_freq_ghz",
+                )),
+            ), rows)
+        np.testing.assert_array_equal(out[0], limits)
+        np.testing.assert_array_equal(out[1], twin.adjust(moving))
+        assert [batch.describe_run(r) for r in rows] == [
+            before, twin.describe()
+        ]
 
     def test_describe_keys(self):
         agent = PowerBalancerAgent(job_budget_w=500.0)

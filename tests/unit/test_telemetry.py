@@ -146,6 +146,16 @@ class TestEventBus:
         assert len(bus) == 16
         assert bus.events()[0].payload == {"i": 4}
 
+    def test_evictions_counted(self):
+        small = EventBus(capacity=2)
+        for i in range(5):
+            small.publish("s", "k", i=i)
+        small.replay(small.events())
+        assert [e.payload["i"] for e in small.events()] == [3, 4]
+        assert small.dropped == 5
+        small.clear()
+        assert small.dropped == 0
+
     def test_subscribers_fire_in_subscription_order(self, bus):
         calls = []
         bus.subscribe(lambda e: calls.append("first"))
@@ -286,3 +296,16 @@ class TestSummary:
         assert "runtime.x.run_s" in text
         assert "Events by source" in text
         assert summary.event_counts == {"runtime.x": 1}
+        assert "Evicted" not in text
+
+    def test_render_reports_ring_drops(self):
+        bus = EventBus(capacity=2)
+        tracer = telemetry.Tracer(capacity=2)
+        for i in range(5):
+            bus.publish("s", "k")
+            tracer.finish(tracer.start(f"s{i}"))
+        summary = TelemetrySummary.capture(bus=bus, tracer=tracer)
+        assert (summary.events_dropped, summary.spans_dropped) == (3, 3)
+        text = summary.render()
+        assert "Evicted by full rings" in text
+        assert "events" in text and "spans" in text

@@ -130,6 +130,17 @@ class TestTracer:
             "s6", "s7", "s8", "s9"
         ]
 
+    def test_evictions_counted(self):
+        tracer = Tracer(capacity=2)
+        for i in range(5):
+            tracer.finish(tracer.start(f"s{i}"))
+        assert tracer.dropped == 3
+        tracer.merge_state(tracer.state())
+        assert len(tracer) == 2
+        assert tracer.dropped == 5
+        tracer.clear()
+        assert tracer.dropped == 0
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             Tracer(capacity=0)
