@@ -133,13 +133,12 @@ def _characterization_arrays(
     arrays bit-identical per scenario slice to the serial computation.
     """
     pm = model.power_model
+    physics = model.bind(layout, eff)
 
     # --- metric (a): unconstrained observed power ----------------------
-    tdp_caps = np.full(layout.kappa.shape, pm.tdp_w)
-    freq_unc = model.frequencies(tdp_caps, layout, eff)
-    t_unc = model.compute_time(freq_unc, layout)
-    p_compute_unc = pm.power_at_freq(freq_unc, layout.kappa, eff)
-    p_poll_unc = model.poll_power(tdp_caps, layout, eff)
+    _, _, t_unc, p_compute_unc, p_poll_unc = physics(
+        np.full(layout.kappa.shape, pm.tdp_w)
+    )
     t_crit = np.maximum.reduceat(t_unc, layout.job_boundaries[:-1], axis=-1)
     t_crit_per_host = t_crit[..., layout.job_index]
     slack = np.maximum(t_crit_per_host - t_unc, 0.0)
@@ -147,9 +146,7 @@ def _characterization_arrays(
 
     # --- metric (b): minimum power preserving the critical path --------
     needed_compute_power = model.required_power(layout, t_crit_per_host, eff)
-    floor_caps = np.full(layout.kappa.shape, pm.min_cap_w)
-    floor_freq = model.frequencies(floor_caps, layout, eff)
-    floor_power = pm.power_at_freq(floor_freq, layout.kappa, eff)
+    floor_power = physics(np.full(layout.kappa.shape, pm.min_cap_w))[3]
     theoretical = np.clip(needed_compute_power, floor_power, monitor_power)
     return monitor_power, theoretical
 

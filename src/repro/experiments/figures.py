@@ -75,8 +75,7 @@ def fig2_phase_timeline(
     layout = mix.layout()
     eff = np.ones(layout.host_count)
     caps = np.full(layout.host_count, model.power_model.tdp_w)
-    freq = model.frequencies(caps, layout, eff)
-    times = model.compute_time(freq, layout)
+    times = model.bind(layout, eff)(caps)[2]
     critical_time = float(times[layout.critical].max())
     waiting_time = float(times[~layout.critical].max()) if np.any(~layout.critical) else critical_time
     return {

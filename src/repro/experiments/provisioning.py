@@ -91,7 +91,8 @@ def overprovisioning_curve(
     cap comes from the calibrated execution model on a single-node job of
     the given configuration; fleet throughput is nodes x per-node rate —
     jobs are embarrassingly fleet-parallel in this analysis, as in the
-    paper's reference study.
+    paper's reference study.  A budget that funds fewer than two fleet
+    sizes with every cap at or above the floor raises ``ValueError``.
     """
     ensure_positive(facility_budget_w, "facility_budget_w")
     if points < 2:
@@ -100,7 +101,12 @@ def overprovisioning_curve(
     tdp = model.power_model.tdp_w
     floor = model.power_model.min_cap_w
     n_min = max(1, int(facility_budget_w // tdp))
-    n_max = max(n_min + 1, int(facility_budget_w // floor))
+    n_max = int(facility_budget_w // floor)
+    if n_max < n_min + 1:
+        raise ValueError(
+            "facility_budget_w must fund two fleet sizes at or above the "
+            f"{floor} W cap floor, got {facility_budget_w} W"
+        )
     node_counts = np.unique(
         np.linspace(n_min, n_max, points).astype(int)
     )
@@ -110,11 +116,10 @@ def overprovisioning_curve(
     eff = np.ones(1)
 
     # The node-count sweep is one batched physics pass: every fleet size
-    # is a scenario row of an (S, 1) cap matrix through the engine's
-    # broadcasting maps (identical per-point values to a scalar loop).
+    # is a scenario row of an (S, 1) cap matrix through the bound kernel
+    # (identical per-point values to a scalar loop).
     caps = np.minimum(facility_budget_w / node_counts.astype(float), tdp)
-    freq = model.frequencies(caps[:, np.newaxis], layout, eff)
-    t = model.compute_time(freq, layout)[:, 0]
+    t = model.bind(layout, eff)(caps[:, np.newaxis])[2][:, 0]
     gflops = layout.gflop[0] / t if layout.gflop[0] > 0 else 1.0 / t
     curve: List[ProvisioningPoint] = [
         ProvisioningPoint(

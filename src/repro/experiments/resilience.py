@@ -416,11 +416,7 @@ def controller_fault_study(
     # Materialise scenario timelines against the run's nominal length
     # (TDP-cap iteration time), the same clock the engine fault plan uses.
     layout = WorkloadMix(name=job.name, jobs=(job,)).layout()
-    caps0 = np.full(nodes, model.power_model.tdp_w)
-    t0 = model.compute_time(
-        model.frequencies(model.power_model.clamp_cap(caps0), layout, eff),
-        layout,
-    )
+    t0 = model.bind(layout, eff)(np.full(nodes, model.power_model.tdp_w))[2]
     duration_s = max(max_epochs * (float(np.max(t0)) + 5.0e-4), 1.0)
 
     def spec(injector=None) -> ControllerRunSpec:

@@ -157,9 +157,9 @@ class SocketPowerModel:
     def power_at_load(self, freq_ghz, load):
         """:meth:`power_at` for a premultiplied ``load = kappa * efficiency``.
 
-        Plain ufuncs on float inputs, no coercion: the form a caller that
-        evaluates one host set many times (the runtime's epoch kernel,
-        :meth:`repro.sim.engine.ExecutionModel.bind`) uses with the load
+        Plain ufuncs on float inputs, no coercion: the form the
+        simulator's bound physics kernel
+        (:meth:`repro.sim.engine.ExecutionModel.bind`) uses with the load
         computed once.
         """
         core = self.spec.dynamic_coeff * freq_ghz**3 + self.spec.static_coeff * freq_ghz

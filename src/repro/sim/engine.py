@@ -6,8 +6,12 @@ quantum) and exposes the vectorised forward and inverse maps everything
 else is built on:
 
 forward
-    ``compute_time(caps, layout)`` — per-host compute-phase time under
-    per-host caps, and the power drawn while computing / polling.
+    ``bind(layout, efficiencies)(limits)`` — a :class:`BoundEpoch` kernel
+    for one host set; each call clamps per-host limits into the RAPL
+    range and returns the achieved frequency, the compute-phase time, and
+    the power drawn while computing / polling.  Every layer (runtime
+    epochs, the stacked executor and its fault plan, characterization,
+    the experiments) evaluates caps through it.
 
 inverse
     ``required_frequency(layout, target_time)`` — the lowest frequency at
@@ -21,7 +25,7 @@ Batch dimensions
 ----------------
 Every map is a pure ufunc chain and broadcasts over *leading* axes: pass
 caps of shape ``(S, hosts)`` (or a layout-like object whose per-host
-arrays are ``(S, hosts)``, see :mod:`repro.sim.batch`) and each method
+arrays are ``(S, hosts)``, see :mod:`repro.sim.batch`) and every map
 returns ``(S, hosts)`` — ``S`` independent scenarios evaluated in one
 pass.  Per-job reductions use ``axis=-1`` so the host axis is always the
 last one.  :func:`repro.sim.batch.simulate_cap_batch` builds on exactly
@@ -65,53 +69,16 @@ class ExecutionModel:
     # ------------------------------------------------------------------
     # forward map
     # ------------------------------------------------------------------
-    def frequencies(self, caps_w: np.ndarray, layout: HostLayout,
-                    efficiencies: np.ndarray) -> np.ndarray:
-        """Achieved compute-phase frequency per host under node caps."""
-        return self.power_model.freq_at_cap(caps_w, layout.kappa, efficiencies)
-
-    def compute_time(self, freq_ghz: np.ndarray, layout: HostLayout) -> np.ndarray:
-        """Compute-phase time per host at the given frequencies (s).
-
-        The phase must both stream its memory traffic and retire its FLOPs;
-        the time is the larger requirement, with bandwidth and compute
-        ceilings scaled to the host's frequency.
-        """
-        ratio = np.asarray(freq_ghz, dtype=float) / self.roofline.base_freq_ghz
-        bw0, sens = self._bandwidth_params()
-        with np.errstate(divide="ignore"):
-            return _phase_time(
-                ratio, bw0, sens, self._ceiling_gflops(layout),
-                layout.traffic_gb, layout.gflop, layout.gflop > 0,
-            )
-
-    def compute_power(self, caps_w: np.ndarray, layout: HostLayout,
-                      efficiencies: np.ndarray) -> np.ndarray:
-        """Node power drawn during the compute phase under node caps (W)."""
-        f = self.frequencies(caps_w, layout, efficiencies)
-        return self.power_model.power_at_freq(f, layout.kappa, efficiencies)
-
-    def poll_power(self, caps_w: np.ndarray, layout: HostLayout,
-                   efficiencies: np.ndarray) -> np.ndarray:
-        """Node power drawn while busy-polling at the barrier (W).
-
-        Polling runs the spin loop as fast as the cap allows at the poll
-        activity factor; with generous caps this is turbo-limited and
-        lands a little below compute power.
-        """
-        f = self.power_model.freq_at_cap(caps_w, layout.poll_kappa, efficiencies)
-        return self.power_model.power_at_freq(f, layout.poll_kappa, efficiencies)
-
     def bind(self, layout: HostLayout, efficiencies: np.ndarray) -> "BoundEpoch":
         """The forward map for one host set, its per-run constants hoisted.
 
-        Returns a :class:`BoundEpoch` whose call evaluates, under one set
-        of node limits, exactly what :meth:`frequencies`,
-        :meth:`compute_time`, :meth:`compute_power` and
-        :meth:`poll_power` return for ``(layout, efficiencies)`` — bit for
-        bit — without rebuilding the layout-dependent constants each time.
-        The runtime controllers evaluate the same hosts once per control
-        epoch, so they bind once per run (per active set, batched).
+        Returns a :class:`BoundEpoch` whose call evaluates the caps,
+        frequencies, compute-phase times and compute / poll powers of
+        ``(layout, efficiencies)`` under one set of node limits, without
+        rebuilding the layout-dependent constants each time.  This is the
+        only forward map: callers that evaluate the same hosts repeatedly
+        (the runtime controllers once per control epoch, the stacked
+        executor before and after its fault overrides) bind once.
         """
         return BoundEpoch(self, layout, efficiencies)
 
@@ -158,23 +125,13 @@ class ExecutionModel:
         f = self.required_frequency(layout, target_time_s)
         return self.power_model.power_at_freq(f, layout.kappa, efficiencies)
 
-    def job_critical_time(self, caps_w: np.ndarray, layout: HostLayout,
-                          efficiencies: np.ndarray) -> np.ndarray:
-        """Noise-free per-job iteration time (segmented max over hosts).
-
-        Broadcasts over leading scenario axes: ``(S, hosts)`` caps yield
-        ``(S, jobs)`` critical times.
-        """
-        f = self.frequencies(caps_w, layout, efficiencies)
-        t = self.compute_time(f, layout)
-        return np.maximum.reduceat(t, layout.job_boundaries[:-1], axis=-1)
-
 
 def _phase_time(ratio, bw0, sens, ceiling_gflops, traffic_gb, gflop, has_flops):
     """Roofline compute-phase time at frequency ratio ``ratio`` (s).
 
-    The one copy of the formula behind :meth:`ExecutionModel.compute_time`
-    and :class:`BoundEpoch`.
+    The one copy of the formula, evaluated by :class:`BoundEpoch`; the
+    inverse :meth:`ExecutionModel.required_frequency` solves it for
+    ``ratio``.
     """
     bw = bw0 * ((1.0 - sens) + sens * ratio)
     peak = ceiling_gflops * ratio
@@ -186,14 +143,16 @@ def _phase_time(ratio, bw0, sens, ceiling_gflops, traffic_gb, gflop, has_flops):
 class BoundEpoch:
     """One host set's epoch physics, built by :meth:`ExecutionModel.bind`.
 
-    Binding computes once what the unbound methods rebuild on every call:
-    the loads ``kappa * eff`` and ``poll_kappa * eff``, the per-host
-    compute ceiling, the bandwidth parameters and the ``gflop > 0`` mask.
-    A call then runs plain ufuncs only (the power model's ``*_load``
-    forms), with the same operations in the same order as the unbound
-    methods, so every element is bit-identical to them.  Broadcasts over
-    leading axes like the rest of the engine: a stacked ``(S, hosts)``
-    layout and efficiencies take ``(S, hosts)`` limits.
+    Binding computes the per-host-set constants once: the loads
+    ``kappa * eff`` and ``poll_kappa * eff``, the per-host compute
+    ceiling, the bandwidth parameters and the ``gflop > 0`` mask.  A call
+    then runs plain elementwise ufuncs only (the power model's ``*_load``
+    forms), so each element depends on its own host's cap alone.
+    Broadcasts over leading axes like the rest of the engine: a stacked
+    ``(S, hosts)`` layout and efficiencies take ``(S, hosts)`` limits, and
+    a flat ``(hosts,)`` one takes ``(S, hosts)`` limits with row ``s``
+    equal to a ``(hosts,)`` call on ``limits[s]``.  ``tdp_w`` is the
+    node TDP the limits clamp to from above.
 
     The outputs are a pure function of the clamped caps, so the kernel
     keeps the last call's results: when the caps repeat (a monitor, a
@@ -201,7 +160,7 @@ class BoundEpoch:
     of recomputing.  Every call hands out fresh arrays either way.
     """
 
-    __slots__ = ("_power", "_min_cap_w", "_tdp_w", "_base_ghz", "_load",
+    __slots__ = ("_power", "_min_cap_w", "tdp_w", "_base_ghz", "_load",
                  "_poll_load", "_roofline", "_last")
 
     def __init__(self, model: ExecutionModel, layout: HostLayout,
@@ -210,7 +169,7 @@ class BoundEpoch:
         power = model.power_model
         self._power = power
         self._min_cap_w = power.min_cap_w
-        self._tdp_w = power.tdp_w
+        self.tdp_w = power.tdp_w
         self._base_ghz = model.roofline.base_freq_ghz
         self._load = layout.kappa * eff
         self._poll_load = layout.poll_kappa * eff
@@ -228,7 +187,7 @@ class BoundEpoch:
         the node power while computing and while polling at the barrier.
         """
         power = self._power
-        caps = np.minimum(np.maximum(limits_w, self._min_cap_w), self._tdp_w)
+        caps = np.minimum(np.maximum(limits_w, self._min_cap_w), self.tdp_w)
         last = self._last
         if (last is not None and caps.shape == last[0].shape
                 and (caps == last[0]).all()):

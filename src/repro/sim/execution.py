@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.engine import ExecutionModel
+from repro.sim.engine import BoundEpoch, ExecutionModel
 from repro.sim.results import MixRunResult
 from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
 from repro.units import ensure_non_negative
@@ -115,9 +115,7 @@ class _ScenarioTensors:
 def _engine_fault_plan(
     schedule: FaultSchedule,
     caps: np.ndarray,
-    layout,
-    efficiencies: np.ndarray,
-    model: ExecutionModel,
+    physics: BoundEpoch,
     n_iter: int,
     noise_std: float,
     barrier_overhead_s: float,
@@ -127,7 +125,8 @@ def _engine_fault_plan(
     The engine evaluates static-cap runs, so time-varying faults are
     mapped through each scenario's *nominal* clock: iteration ``i`` of
     scenario ``s`` covers ``[i * T_s, (i+1) * T_s)`` where ``T_s`` is the
-    deterministic (pre-fault, noise-free) critical-path iteration time.
+    deterministic (pre-fault, noise-free) critical-path iteration time,
+    evaluated by the run's bound kernel ``physics`` on the programmed caps.
     Actuator faults whose window overlaps the run override the affected
     caps for the whole run (a static-cap run cannot half-obey a write);
     noise bursts raise the lognormal sigma on exactly the iterations
@@ -138,15 +137,9 @@ def _engine_fault_plan(
     """
     from repro.faults.schedule import FaultKind
 
-    scenarios = caps.shape[0]
-    hosts = layout.host_count
-    tdp_w = model.power_model.tdp_w
+    scenarios, hosts = caps.shape
     # Nominal per-scenario iteration length from the *programmed* caps.
-    freq0 = model.frequencies(model.power_model.clamp_cap(caps), layout,
-                              efficiencies)
-    t0 = model.compute_time(freq0, layout)
-    iter_s = np.max(np.broadcast_to(t0, (scenarios, hosts)), axis=1) \
-        + barrier_overhead_s
+    iter_s = np.max(physics(caps)[2], axis=1) + barrier_overhead_s
 
     out_caps = np.array(caps, dtype=float, copy=True)
     override_count = 0
@@ -176,7 +169,7 @@ def _engine_fault_plan(
         if not rows.size:
             continue
         value = event.stuck_at_w if event.kind is FaultKind.CAP_STUCK \
-            else float(tdp_w)
+            else float(physics.tdp_w)
         out_caps[np.ix_(rows, affected)] = value
         override_count += rows.size * len(affected)
     if burst_events:
@@ -228,9 +221,10 @@ def _execute_scenarios(
         Host-variation multipliers, shape ``(hosts,)`` shared by every
         scenario or ``(S, hosts)`` with one row per scenario (the
         layout-batch case: independent runs on disjoint host subsets).
-        Efficiencies only enter elementwise ufunc chains
-        (``model.frequencies`` / ``power_at_freq`` / ``poll_power``), so
-        either shape broadcasts without changing any element's value.
+        Efficiencies only enter the bound kernel's elementwise loads
+        (``kappa * eff`` and ``poll_kappa * eff``, see
+        :meth:`ExecutionModel.bind`), so either shape broadcasts without
+        changing any element's value.
     seeds:
         One noise seed per scenario (ignored when ``noise_std == 0``).
 
@@ -248,12 +242,13 @@ def _execute_scenarios(
     The gate is on :attr:`FaultSchedule.active`, so a ``None`` or empty
     schedule leaves every branch below exactly as it was.
     """
+    physics = model.bind(layout, efficiencies)
     sigma_si = None
     if fault_schedule is not None and fault_schedule.active:
         with span("faults.engine.plan", schedule=fault_schedule.name) as sp:
             caps_sw, sigma_si, override_count = _engine_fault_plan(
-                fault_schedule, np.asarray(caps_sw, dtype=float), layout,
-                efficiencies, model, n_iter, noise_std, barrier_overhead_s,
+                fault_schedule, np.asarray(caps_sw, dtype=float), physics,
+                n_iter, noise_std, barrier_overhead_s,
             )
             if sp is not None:
                 sp.set_attribute("cap_overrides", override_count)
@@ -271,17 +266,10 @@ def _execute_scenarios(
                 cap_overrides=override_count,
                 noise_burst=sigma_si is not None,
             )
-    caps = model.power_model.clamp_cap(caps_sw)
-    scenarios = caps.shape[0]
-    hosts = layout.host_count
 
     # --- deterministic per-host physics (S, hosts) --------------------
-    freq = model.frequencies(caps, layout, efficiencies)
-    t_compute = model.compute_time(freq, layout)
-    p_compute = model.power_model.power_at_freq(freq, layout.kappa, efficiencies)
-    p_poll = model.poll_power(caps, layout, efficiencies)
-    p_compute = np.ascontiguousarray(np.broadcast_to(p_compute, (scenarios, hosts)))
-    p_poll = np.ascontiguousarray(np.broadcast_to(p_poll, (scenarios, hosts)))
+    caps, _, t_compute, p_compute, p_poll = physics(caps_sw)
+    scenarios, hosts = caps.shape
 
     # --- noisy iterations (S, iterations, hosts) ----------------------
     if sigma_si is not None:

@@ -1,18 +1,29 @@
-"""Property-based tests: the bound epoch kernel equals the unbound maps.
+"""Property-based tests: the bound epoch kernel obeys the node physics.
 
-``ExecutionModel.bind(layout, eff)`` hoists the per-run constants out of
-the forward map; both runtime controllers step their epochs through it.
-Its outputs must be ``np.array_equal`` to the unbound ``frequencies`` /
-``compute_time`` / ``power_at_freq`` / ``poll_power`` for every cap
-(inside, below and above the settable range), every host kind (waiting
-hosts that poll at the barrier, hosts with no FLOPs) and both the
-``(hosts,)`` and the stacked ``(S, hosts)`` layouts — and must stay so
-when the caps repeat and the kernel serves its previous results.  The
-tracer that wraps ``Controller._run_epoch`` must still see every epoch.
+``ExecutionModel.bind(layout, eff)`` is the simulator's only forward map
+from node limits to caps, frequencies, compute-phase times and powers;
+the runtime controllers, the stacked executor and its fault plan,
+characterization and the experiments all evaluate caps through it.  For
+every cap (inside, below and above the settable range), every host kind
+(waiting hosts that poll at the barrier, hosts with no FLOPs) and both the
+``(hosts,)`` and the stacked ``(S, hosts)`` layouts, its outputs must:
+
+* clamp the limits into the RAPL range ``[136 W, TDP]``;
+* run the clock within the DVFS band, no slower under a larger cap;
+* take no longer under a larger cap;
+* draw no more while polling than while computing when the poll loop's
+  activity is no higher;
+* evaluate each scenario row of an ``(S, hosts)`` call on a flat layout
+  exactly as a ``(hosts,)`` call on that row (the stacked executor's
+  determinism contract).
+
+Repeated caps are served from the kernel's previous results, which must
+come out as fresh arrays equal to a fresh evaluation.  The tracer that
+wraps ``Controller._run_epoch`` must still see every epoch.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -26,8 +37,11 @@ from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import INTENSITY_GRID, KernelConfig
 
 MODEL = ExecutionModel()
+SPEC = MODEL.power_model.spec
 #: Caps drawn across the RAPL floor (136 W) and past TDP (240 W).
 CAPS = st.floats(60.0, 320.0, allow_nan=False)
+#: Relative slack for comparisons between two rounded evaluations.
+RTOL = 1e-12
 
 
 @st.composite
@@ -76,19 +90,6 @@ def kernel_cases(draw):
     return layout, eff, limits
 
 
-def _unbound(layout, eff, limits):
-    power = MODEL.power_model
-    caps = np.clip(limits, power.min_cap_w, power.tdp_w)
-    freq = MODEL.frequencies(caps, layout, eff)
-    return (
-        caps,
-        freq,
-        MODEL.compute_time(freq, layout),
-        power.power_at_freq(freq, layout.kappa, eff),
-        MODEL.poll_power(caps, layout, eff),
-    )
-
-
 def _assert_equal(got, expected):
     names = ("caps", "freq", "compute_time", "compute_power", "poll_power")
     for name, g, e in zip(names, got, expected):
@@ -96,26 +97,79 @@ def _assert_equal(got, expected):
         assert np.array_equal(g, e), name
 
 
-class TestBoundEqualsUnbound:
+class TestBoundEpochPhysics:
     @given(case=kernel_cases())
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical(self, case):
+    def test_caps_clamp_into_rapl_range(self, case):
+        layout, eff, (limits, _) = case
+        caps = MODEL.bind(layout, eff)(limits)[0]
+        power = MODEL.power_model
+        assert caps.shape == limits.shape
+        np.testing.assert_array_equal(
+            caps, np.clip(limits, power.min_cap_w, power.tdp_w)
+        )
+
+    @given(case=kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_more_power_runs_no_slower(self, case):
+        """Frequency is non-decreasing and compute time non-increasing in
+        the cap, and the clock stays inside the DVFS band."""
         layout, eff, (first, second) = case
         kernel = MODEL.bind(layout, eff)
-        # A fresh value, a repeat (served from the kernel's last result),
-        # a change, and a return to the first caps.
-        for limits in (first, first, second, first):
-            _assert_equal(kernel(limits), _unbound(layout, eff, limits))
+        _, f_lo, t_lo, _, _ = kernel(np.minimum(first, second))
+        _, f_hi, t_hi, _, _ = kernel(np.maximum(first, second))
+        for f in (f_lo, f_hi):
+            assert np.all(f >= SPEC.min_freq_ghz)
+            assert np.all(f <= SPEC.turbo_freq_ghz)
+        assert np.all(f_hi >= f_lo * (1.0 - RTOL))
+        assert np.all(t_hi <= t_lo * (1.0 + RTOL))
+        assert np.all(t_lo > 0) and np.all(np.isfinite(t_lo))
+
+    @given(case=kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_poll_power_at_most_compute_power(self, case):
+        """At equal caps the poll loop draws no more than the compute phase
+        where its activity is no higher.  Each phase draws the cap unless
+        its activity at the DVFS band's edge limits it; under a binding
+        cap both draw about the cap, hence the rounding slack."""
+        layout, eff, (limits, _) = case
+        caps, _, _, p_compute, p_poll = MODEL.bind(layout, eff)(limits)
+        calmer = np.broadcast_to(layout.poll_kappa <= layout.kappa, caps.shape)
+        assert np.all(p_poll[calmer] <= p_compute[calmer] * (1.0 + RTOL))
+        power = MODEL.power_model
+        for p, kappa in ((p_compute, layout.kappa), (p_poll, layout.poll_kappa)):
+            band = [power.power_at_freq(f, kappa, eff)
+                    for f in (SPEC.min_freq_ghz, SPEC.turbo_freq_ghz)]
+            np.testing.assert_allclose(p, np.clip(caps, *band), rtol=1e-9)
+
+    @given(case=kernel_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_scenario_rows_match_single_calls(self, case):
+        """Row ``s`` of an ``(S, hosts)`` call on a flat layout equals a
+        ``(hosts,)`` call on ``caps[s]``: the stacked executor evaluates
+        ``S`` scenarios of one mix in one call."""
+        layout, eff, (first, second) = case
+        assume(first.ndim == 1)
+        rows = np.stack([first, second, first])
+        stacked = MODEL.bind(layout, eff)(rows)
+        for s, row in enumerate(rows):
+            single = MODEL.bind(layout, eff)(row)
+            _assert_equal([out[s] for out in stacked], single)
 
     @given(case=kernel_cases())
     @settings(max_examples=30, deadline=None)
     def test_repeated_caps_hand_out_fresh_arrays(self, case):
-        """Mutating one epoch's outputs cannot leak into the next call."""
-        layout, eff, (limits, _) = case
+        """Repeated caps are served from the previous call's results: they
+        equal a fresh evaluation, and mutating one call's outputs cannot
+        leak into the next."""
+        layout, eff, (first, second) = case
         kernel = MODEL.bind(layout, eff)
-        for out in kernel(limits):
+        # A fresh value, a repeat, a change, and a return to the first caps.
+        for limits in (first, first, second, first):
+            _assert_equal(kernel(limits), MODEL.bind(layout, eff)(limits))
+        for out in kernel(first):
             out[...] = np.nan
-        _assert_equal(kernel(limits), _unbound(layout, eff, limits))
+        _assert_equal(kernel(first), MODEL.bind(layout, eff)(first))
 
     def test_caps_below_floor_and_above_tdp_clamped(self):
         job = Job(name="k", config=KernelConfig(intensity=8.0), node_count=3)

@@ -122,8 +122,6 @@ class TestEngineInvariants:
         layout = mix.layout()
         quiet = SimulationOptions(noise_std=0.0, barrier_overhead_s=0.0)
         res = simulate_mix(mix, caps, effs, MODEL, quiet)
-        caps_clamped = MODEL.power_model.clamp_cap(caps)
-        freq = MODEL.frequencies(caps_clamped, layout, effs)
-        t = MODEL.compute_time(freq, layout)
+        t = MODEL.bind(layout, effs)(caps)[2]
         job_time = res.iteration_times_s[0]
         assert np.all(t <= job_time[layout.job_index] + 1e-12)

@@ -57,6 +57,13 @@ class TestCurve:
         )
         assert all(p.fleet_gflops > 0 for p in curve.points)
 
+    def test_smallest_budget_keeps_caps_at_floor(self, execution_model):
+        curve = overprovisioning_curve(
+            KernelConfig(intensity=8.0), 272.0, execution_model
+        )
+        assert [p.nodes for p in curve.points] == [1, 2]
+        assert all(p.cap_per_node_w >= 136.0 for p in curve.points)
+
     def test_rejects_bad_inputs(self, execution_model):
         with pytest.raises(ValueError):
             overprovisioning_curve(
@@ -66,3 +73,10 @@ class TestCurve:
             overprovisioning_curve(
                 KernelConfig(intensity=1.0), 1000.0, execution_model, points=1
             )
+        # Below 2 x 136 W no second fleet size keeps its caps at or above
+        # the RAPL floor.
+        for budget in (200.0, 250.0):
+            with pytest.raises(ValueError, match="floor"):
+                overprovisioning_curve(
+                    KernelConfig(intensity=8.0), budget, execution_model
+                )
