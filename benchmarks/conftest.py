@@ -4,6 +4,10 @@ Every benchmark regenerates one of the paper's tables or figures at the
 **paper's full scale** (2 000-node survey, 900-node mixes, 100 iterations)
 and both prints the reproduced rows (visible with ``-s``) and writes them
 to ``benchmarks/output/<name>.txt`` so the artefacts survive the run.
+The engine cells here assert their own speedups and bit-identities;
+the repository's performance contract is ``bench/run.py`` with the
+bounds in ``BENCHMARK.json``, which CI's ``bench-gate`` job checks
+against the parent commit.
 """
 
 from __future__ import annotations
@@ -31,25 +35,13 @@ def paper_results(paper_grid):
 
 @pytest.fixture(scope="session")
 def emit():
-    """Write a reproduction artefact and echo it to stdout.
-
-    ``metrics`` (a sequence of
-    :class:`repro.io.bench_artifacts.BenchMetric`) additionally writes
-    the machine-readable ``BENCH_<name>.json`` perf-trajectory bundle at
-    the repo root; ``params``/``seed`` record the benchmark's shape for
-    the comparator.
-    """
+    """Write a reproduction artefact and echo it to stdout."""
     OUTPUT_DIR.mkdir(exist_ok=True)
 
-    def _emit(name: str, text: str, metrics=None, params=None,
-              seed=None) -> Path:
+    def _emit(name: str, text: str) -> Path:
         path = OUTPUT_DIR / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n===== {name} =====\n{text}\n")
-        if metrics:
-            from benchmarks.artifacts import emit_bench
-
-            emit_bench(name, metrics, params=params, seed=seed)
         return path
 
     return _emit

@@ -11,7 +11,6 @@ from repro.experiments.ablations import (
     harvest_fraction_sweep,
     step4_weighting_ablation,
 )
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_harvest_fraction_sweep(benchmark, paper_grid, emit):
@@ -33,14 +32,6 @@ def test_harvest_fraction_sweep(benchmark, paper_grid, emit):
             title="Ablation — balancer aggressiveness (WastefulPower @ max "
                   "budget, MixedAdaptive vs StaticCaps)",
         ),
-        metrics=[
-            BenchMetric("time_savings_pct_full_harvest",
-                        points[-1].time_savings_pct, "%"),
-            BenchMetric("energy_savings_pct_full_harvest",
-                        points[-1].energy_savings_pct, "%"),
-        ],
-        params={"mix": "WastefulPower", "budget_level": "max",
-                "fractions": [p.value for p in points]},
     )
     energies = [p.energy_savings_pct for p in points]
     assert energies == sorted(energies), "energy savings must grow with harvest"
@@ -54,9 +45,6 @@ def test_step4_weighting(benchmark, paper_grid, emit):
     for level, variants in out.items():
         for variant, (t, e) in variants.items():
             rows.append([level, variant, f"{t:+.1f}%", f"{e:+.1f}%"])
-    all_pairs = [
-        (t, e) for variants in out.values() for t, e in variants.values()
-    ]
     emit(
         "ablation_step4_weighting",
         render_table(
@@ -64,13 +52,6 @@ def test_step4_weighting(benchmark, paper_grid, emit):
             rows,
             title="Ablation — MixedAdaptive step-4 weighting (WastefulPower)",
         ),
-        metrics=[
-            BenchMetric("best_time_savings_pct",
-                        max(t for t, _ in all_pairs), "%"),
-            BenchMetric("best_energy_savings_pct",
-                        max(e for _, e in all_pairs), "%"),
-        ],
-        params={"mix": "WastefulPower", "variants": len(all_pairs)},
     )
     # Both variants must stay sane at every level.
     for level, variants in out.items():
@@ -97,14 +78,6 @@ def test_characterization_noise(benchmark, paper_grid, emit):
             title="Ablation — policy robustness to characterization error "
                   "(RandomLarge @ ideal budget, MixedAdaptive)",
         ),
-        metrics=[
-            BenchMetric("time_savings_pct_clean",
-                        points[0].time_savings_pct, "%"),
-            BenchMetric("time_savings_pct_noisiest",
-                        points[-1].time_savings_pct, "%"),
-        ],
-        params={"mix": "RandomLarge", "budget_level": "ideal",
-                "noise_levels": [p.value for p in points]},
     )
     clean = points[0]
     assert clean.time_savings_pct > 0

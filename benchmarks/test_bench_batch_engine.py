@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from repro.io.bench_artifacts import BenchMetric
 from repro.parallel.seeding import child_seed
 from repro.sim.batch import simulate_cap_batch
 from repro.sim.execution import SimulationOptions, simulate_mix
@@ -107,19 +106,7 @@ def test_cap_ladder_batched_vs_looped(emit):
             f"  speedup: {t_loop_long / t_batch_long:.2f}x  (best of {repeats})",
             "  bit-identical to serial: True",
         ]
-    emit(
-        "batch_engine", "\n".join(lines),
-        metrics=[
-            BenchMetric("speedup", speedup, "x", direction="higher_better"),
-            BenchMetric("looped_ms", t_loop * 1e3, "ms",
-                        direction="lower_better"),
-            BenchMetric("batched_ms", t_batch * 1e3, "ms",
-                        direction="lower_better"),
-        ],
-        params={"rungs": RUNGS, "hosts": hosts, "iterations": ITERATIONS,
-                "repeats": repeats, "smoke": SMOKE},
-        seed=0,
-    )
+    emit("batch_engine", "\n".join(lines))
     if not SMOKE:
         assert speedup >= 3.0, (
             f"batched ladder only {speedup:.2f}x faster than the loop"

@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.analysis.render import render_table
 from repro.experiments.sensitivity import budget_sweep
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_budget_sweep(benchmark, paper_grid, emit):
@@ -35,7 +34,6 @@ def test_budget_sweep(benchmark, paper_grid, emit):
             f"{mixed.time_savings_pct:+.1f}%",
             f"{mixed.energy_savings_pct:+.1f}%",
         ])
-    mixed_all = [p for p in points if p.policy_name == "MixedAdaptive"]
     emit(
         "budget_sweep",
         render_table(
@@ -44,13 +42,6 @@ def test_budget_sweep(benchmark, paper_grid, emit):
             rows,
             title="Budget sweep on WastefulPower (MixedAdaptive vs StaticCaps)",
         ),
-        metrics=[
-            BenchMetric("peak_time_savings_pct",
-                        max(p.time_savings_pct for p in mixed_all), "%"),
-            BenchMetric("peak_energy_savings_pct",
-                        max(p.energy_savings_pct for p in mixed_all), "%"),
-        ],
-        params={"mix": "WastefulPower", "points": 9},
     )
 
     mixed_points = sorted(

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.hardware.cluster import Cluster
-from repro.io.bench_artifacts import BenchMetric
 from repro.runtime.batch import ControllerRunSpec, run_controller_batch
 from repro.runtime.controller import Controller
 from repro.runtime.frequency_governor import FrequencyGovernorAgent
@@ -112,25 +111,7 @@ def test_balancer_sweep_batched_vs_looped(emit):
         f"  speedup: {speedup:.2f}x  (best of {repeats})",
         "  bit-identical to serial: True (all cells, reports + limits)",
     ]
-    emit(
-        "controller_batch", "\n".join(lines),
-        metrics=[
-            BenchMetric("speedup", speedup, "x", direction="higher_better"),
-            BenchMetric("looped_ms", t_loop * 1e3, "ms",
-                        direction="lower_better"),
-            BenchMetric("batched_ms", t_batch * 1e3, "ms",
-                        direction="lower_better"),
-            BenchMetric("mean_epochs", float(np.mean(epochs)), "epochs"),
-            BenchMetric(
-                "converged_cells",
-                float(np.count_nonzero(batch_result.converged)), "cells",
-            ),
-        ],
-        params={"cells": len(configs), "hosts": HOSTS,
-                "max_epochs": MAX_EPOCHS, "repeats": repeats,
-                "smoke": SMOKE},
-        seed=0,
-    )
+    emit("controller_batch", "\n".join(lines))
     if not SMOKE:
         assert speedup >= 4.0, (
             f"batched sweep only {speedup:.2f}x faster than the serial loop"

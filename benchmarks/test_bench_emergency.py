@@ -10,7 +10,6 @@ worth precisely when the facility is in trouble.
 
 from repro.analysis.render import render_table
 from repro.core.registry import create_policy
-from repro.io.bench_artifacts import BenchMetric
 from repro.manager.emergency import respond_to_budget_drop
 from repro.sim.execution import SimulationOptions
 
@@ -47,10 +46,6 @@ def test_emergency_response(benchmark, paper_grid, emit):
             f"{100 * impact['replanned_slowdown']:.1f}%",
             f"{100 * impact['recovered']:.0f}%",
         ])
-    mixed_recovered = [
-        responses[(mix, "MixedAdaptive")].qos_impact()["recovered"]
-        for mix in mixes
-    ]
     emit(
         "emergency_response",
         render_table(
@@ -59,18 +54,6 @@ def test_emergency_response(benchmark, paper_grid, emit):
             rows,
             title="Emergency budget drop (max -> min): two-stage response",
         ),
-        metrics=[
-            BenchMetric("mean_recovered_mixed_adaptive",
-                        sum(mixed_recovered) / len(mixed_recovered),
-                        "fraction", direction="higher_better"),
-            BenchMetric(
-                "worst_clamp_slowdown",
-                max(r.qos_impact()["clamp_slowdown"]
-                    for r in responses.values()),
-                "fraction",
-            ),
-        ],
-        params={"mixes": list(mixes), "policies": list(policies)},
     )
 
     for (mix_name, policy_name), response in responses.items():

@@ -4,9 +4,10 @@ Times the vectorised execution engine on the paper-scale workload — a
 900-host mix over 100 bulk-synchronous iterations — and the policy layer
 on a full characterization.  These are the two hot paths of the grid.
 
-Each test records its best wall time into a ``BENCH_engine_*.json``
-perf-trajectory bundle via its own stopwatch (pytest-benchmark's stats
-are unavailable under ``--benchmark-disable``, the CI smoke mode).
+Each test reports its best wall time in
+``benchmarks/output/engine_*.txt`` via its own stopwatch
+(pytest-benchmark's stats are unavailable under ``--benchmark-disable``,
+the CI smoke mode).
 """
 
 import time
@@ -14,7 +15,6 @@ import time
 import numpy as np
 
 from repro.core.registry import create_policy
-from repro.io.bench_artifacts import BenchMetric
 from repro.sim.execution import SimulationOptions, simulate_mix
 
 
@@ -45,11 +45,6 @@ def test_simulate_900_host_mix(benchmark, paper_grid, emit):
         "engine_simulate_mix",
         f"simulate_mix 900 hosts x 100 iterations: best "
         f"{min(times) * 1e3:.2f} ms over {len(times)} calls",
-        metrics=[BenchMetric("best_wall_ms", min(times) * 1e3, "ms",
-                             direction="lower_better")],
-        params={"hosts": mix.total_nodes, "iterations": 100,
-                "calls": len(times)},
-        seed=1,
     )
 
 
@@ -66,10 +61,6 @@ def test_mixed_adaptive_allocation_900_hosts(benchmark, paper_grid, emit):
         "engine_policy_allocate",
         f"MixedAdaptive.allocate over 900 hosts: best "
         f"{min(times) * 1e3:.3f} ms over {len(times)} calls",
-        metrics=[BenchMetric("best_wall_ms", min(times) * 1e3, "ms",
-                             direction="lower_better")],
-        params={"hosts": char.host_count, "policy": "MixedAdaptive",
-                "calls": len(times)},
     )
 
 
@@ -88,8 +79,4 @@ def test_full_characterization_900_hosts(benchmark, paper_grid, emit):
         "engine_characterize_mix",
         f"characterize_mix over 900 hosts: best "
         f"{min(times) * 1e3:.2f} ms over {len(times)} calls",
-        metrics=[BenchMetric("best_wall_ms", min(times) * 1e3, "ms",
-                             direction="lower_better")],
-        params={"hosts": char.host_count, "mix": "HighPower",
-                "calls": len(times)},
     )

@@ -8,7 +8,6 @@ a reader extracts from the figure.
 
 from repro.analysis.render import render_table
 from repro.experiments.figures import fig1_facility_data
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.facility import FacilityTraceConfig
 
 
@@ -28,15 +27,6 @@ def test_fig1_facility_trace(benchmark, emit):
         "fig1_facility_trace",
         render_table(["quantity", "reproduced", "paper"], rows,
                      title="Fig. 1 — Quartz facility power (synthetic trace)"),
-        metrics=[
-            BenchMetric("mean_mw", stats["mean_mw"], "MW"),
-            BenchMetric("peak_mw", stats["peak_mw"], "MW"),
-            BenchMetric("mean_utilization", stats["mean_utilization"],
-                        "fraction"),
-            BenchMetric("stranded_power_mw", stats["stranded_power_mw"],
-                        "MW"),
-        ],
-        params={"rating_mw": stats["rating_mw"]},
     )
 
     assert abs(stats["mean_mw"] - 0.83) < 0.03

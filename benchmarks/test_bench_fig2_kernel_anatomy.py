@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.render import render_table
 from repro.experiments.figures import fig2_phase_timeline
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.kernel import KernelConfig
 
 
@@ -33,12 +32,6 @@ def test_fig2_kernel_anatomy(benchmark, emit):
         render_table(["interval", "reproduced"], rows,
                      title="Fig. 2 — synthetic kernel iteration anatomy "
                            "(8 FLOPs/byte, 50% waiting at 2x)"),
-        metrics=[
-            BenchMetric("iteration_time_ms",
-                        1e3 * data["iteration_time_s"], "ms"),
-            BenchMetric("slack_fraction", slack_fraction, "fraction"),
-        ],
-        params={"intensity": 8.0, "waiting_fraction": 0.5, "imbalance": 2},
     )
 
     # 2x imbalance => non-critical ranks finish in ~half the iteration.

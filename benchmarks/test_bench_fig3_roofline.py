@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.render import render_series
 from repro.experiments.figures import fig3_roofline_data
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_fig3_roofline(benchmark, emit):
@@ -27,16 +26,7 @@ def test_fig3_roofline(benchmark, emit):
         ),
         x_label="intensity",
     )
-    emit(
-        "fig3_roofline", text,
-        metrics=[
-            BenchMetric("gflops_dram_bound",
-                        float(data["kernel_gflops"][0]), "GFLOPS"),
-            BenchMetric("gflops_fma_bound",
-                        float(data["kernel_gflops"][-1]), "GFLOPS"),
-        ],
-        params={"points": int(len(data["kernel_gflops"]))},
-    )
+    emit("fig3_roofline", text)
 
     # Left end: DRAM-bound (achieved = intensity * 12.44).
     assert data["kernel_gflops"][0] == pytest.approx(0.25 * 12.44, rel=1e-6)

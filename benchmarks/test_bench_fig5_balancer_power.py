@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis.render import render_heatmap
 from repro.experiments.figures import fig4_monitor_heatmap, fig5_balancer_heatmap
-from repro.io.bench_artifacts import BenchMetric
 
 #: Selected cells from the paper's Fig. 5 (W per node).
 PAPER_FIG5_CELLS = {
@@ -39,16 +38,7 @@ def test_fig5_balancer_power(benchmark, paper_grid, emit):
         heatmap.values,
         title="Fig. 5 — needed CPU power per node, ymm (W); paper range 186-222 W",
     )
-    emit(
-        "fig5_balancer_power", text,
-        metrics=[
-            BenchMetric("mean_needed_power_w",
-                        float(np.mean(heatmap.values)), "W"),
-            BenchMetric("min_needed_power_w",
-                        float(np.min(heatmap.values)), "W"),
-        ],
-        params={"test_nodes": 100, "cells": int(heatmap.values.size)},
-    )
+    emit("fig5_balancer_power", text)
 
     # Selected paper cells within 10 W.
     for (intensity, waiting, imbalance), watts in PAPER_FIG5_CELLS.items():

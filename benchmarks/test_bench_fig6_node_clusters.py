@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.render import render_table
 from repro.experiments.figures import fig6_survey_data
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_fig6_node_clusters(benchmark, paper_grid, emit):
@@ -36,15 +35,6 @@ def test_fig6_node_clusters(benchmark, paper_grid, emit):
             rows,
             title="Fig. 6 — node frequency clusters under 70 W/socket caps",
         ),
-        metrics=[
-            BenchMetric(f"{name}_count",
-                        float(data["clusters"][name]["count"]), "nodes")
-            for name in ("low", "medium", "high")
-        ] + [
-            BenchMetric("medium_mean_ghz",
-                        data["clusters"]["medium"]["mean_ghz"], "GHz"),
-        ],
-        params={"survey_nodes": 2000, "cap_w": 140.0},
     )
 
     for name in paper_counts:

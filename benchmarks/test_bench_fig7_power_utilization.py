@@ -12,7 +12,6 @@ budget where system-aware policies fill it.
 from repro.analysis.render import render_table
 from repro.core.registry import POLICY_NAMES
 from repro.experiments.figures import fig7_power_utilization
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.mixes import MIX_NAMES
 
 
@@ -26,7 +25,6 @@ def test_fig7_power_utilization(benchmark, paper_results, emit):
                 [mix, level]
                 + [f"{util[mix][level][p]:.0%}" for p in POLICY_NAMES]
             )
-    n_mixes = len(MIX_NAMES)
     emit(
         "fig7_power_utilization",
         render_table(
@@ -34,19 +32,6 @@ def test_fig7_power_utilization(benchmark, paper_results, emit):
             rows,
             title="Fig. 7 — mean power used (percent of system budget)",
         ),
-        metrics=[
-            BenchMetric(
-                "mean_util_mixed_adaptive_ideal",
-                sum(util[m]["ideal"]["MixedAdaptive"]
-                    for m in MIX_NAMES) / n_mixes, "fraction",
-            ),
-            BenchMetric(
-                "mean_overshoot_precharacterized_min",
-                sum(util[m]["min"]["Precharacterized"]
-                    for m in MIX_NAMES) / n_mixes, "fraction",
-            ),
-        ],
-        params={"mixes": n_mixes, "policies": len(POLICY_NAMES)},
     )
 
     for mix in MIX_NAMES:

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.analysis.render import render_table
 from repro.experiments.figures import fig8_savings_grid
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.mixes import MIX_NAMES
 
 POLICIES = ("MinimizeWaste", "JobAdaptive", "MixedAdaptive")
@@ -40,11 +39,6 @@ def test_fig8_savings_grid(benchmark, paper_results, emit):
             rows,
             title="Fig. 8 — savings vs StaticCaps (mean ± 95% CI over 100 iters)",
         ),
-        metrics=[
-            BenchMetric("best_time_savings", best_time, "fraction"),
-            BenchMetric("best_energy_savings", best_energy, "fraction"),
-        ],
-        params={"cells": len(grid)},
     )
 
     # Headlines: "up to 7% reduction in system time and up to 11% savings

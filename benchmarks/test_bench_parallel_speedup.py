@@ -27,7 +27,6 @@ import time
 from repro.analysis.render import render_table
 from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 from repro.experiments.metrics import savings_grid
-from repro.io.bench_artifacts import BenchMetric
 from repro.io.serialize import save_grid_results
 from repro.parallel import activate_cache, deactivate_cache
 from repro.workload.mixes import MIX_NAMES
@@ -130,14 +129,4 @@ def test_parallel_and_cache_speedup(emit, tmp_path):
                 f"[cache {stats['hits']} hits / {stats['misses']} misses]"
             ),
         ),
-        metrics=[
-            BenchMetric("cache_speedup", cache_speedup, "x",
-                        direction="higher_better"),
-            BenchMetric("pool_speedup", pool_speedup, "x",
-                        direction="higher_better"),
-            BenchMetric("serial_s", serial_s, "s", direction="lower_better"),
-        ],
-        params={"cells": cells, "iterations": HEAVY_ITERATIONS,
-                "workers": WORKERS, "cores": cores},
-        seed=0,
     )

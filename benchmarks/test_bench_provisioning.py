@@ -12,7 +12,6 @@ paper's stack enables (paper §I and ref [7]).
 
 from repro.analysis.render import render_table
 from repro.experiments.provisioning import overprovisioning_curve
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.kernel import KernelConfig
 
 FACILITY_W = 216_000.0  # Table III footnote: TDP of all CPUs
@@ -47,13 +46,6 @@ def test_overprovisioning_curve(benchmark, emit):
             title=f"Fleet throughput at a fixed {FACILITY_W / 1e3:.0f} kW "
                   "facility budget",
         ),
-        metrics=[
-            BenchMetric("cpu_gain_over_tdp",
-                        cpu_curve.gain_over_tdp_provisioning(), "fraction"),
-            BenchMetric("mem_gain_over_tdp",
-                        mem_curve.gain_over_tdp_provisioning(), "fraction"),
-        ],
-        params={"facility_w": FACILITY_W, "points": 12},
     )
 
     # Over-provisioning beats TDP sizing for both workload classes.

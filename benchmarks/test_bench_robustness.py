@@ -7,7 +7,6 @@ their ideal budgets; per-round winners and mean savings tallied.
 
 from repro.analysis.render import render_table
 from repro.experiments.robustness import policy_tournament
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_policy_tournament(benchmark, emit):
@@ -34,14 +33,6 @@ def test_policy_tournament(benchmark, emit):
             rows,
             title="Tournament over 12 random mixes (ideal budgets, vs StaticCaps)",
         ),
-        metrics=[
-            BenchMetric("mixed_adaptive_time_wins",
-                        float(time_wins["MixedAdaptive"]), "rounds",
-                        direction="higher_better"),
-            BenchMetric("mixed_adaptive_mean_time_savings_pct",
-                        time_means["MixedAdaptive"], "%"),
-        ],
-        params={"rounds": 12, "nodes_per_job": 10, "iterations": 30},
     )
 
     # MixedAdaptive wins the time metric most often and never strictly

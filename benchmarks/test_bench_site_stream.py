@@ -16,9 +16,10 @@ eight batches in flight at the peak) and that seeded reruns reproduce
 their stats exactly.
 
 The arrival stream is seeded, so the arrival count (and therefore the
-``arrivals_per_day`` metric) is deterministic; wall-clock metrics vary
-by host and are gated only by the very generous perf-trajectory
-tolerance in CI.  The timed run is preceded by a short warm-up (numpy
+``arrivals_per_day`` figure) is deterministic; the wall-clock figures
+vary by host and are reported, not gated (the streaming engine's
+performance is gated by the ``stream`` workload of ``bench/run.py``).
+The timed run is preceded by a short warm-up (numpy
 dispatch caches, layout-stack memo) and repeated twice, keeping the
 faster wall, so the ratio metric reflects steady state rather than
 first-call overheads.
@@ -26,8 +27,7 @@ first-call overheads.
 Under ``REPRO_SMOKE=1`` the simulated window shrinks from one hour to
 ten minutes (same rate, same contract) so the CI job stays fast.
 
-Writes ``benchmarks/output/site_stream.txt`` and the machine-readable
-``BENCH_site_stream.json`` perf-trajectory bundle.
+Writes ``benchmarks/output/site_stream.txt``.
 """
 
 import gc
@@ -36,7 +36,6 @@ import time
 
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
-from repro.io.bench_artifacts import BenchMetric
 from repro.stream import SiteStreamEngine, poisson_stream, synthetic_job_factory
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -135,24 +134,4 @@ def test_sustained_stream_throughput_and_memory(emit):
         f"  wall time:           {wall_s:.2f} s"
         f"  ({sim_per_wall:,.0f} simulated s / wall s)",
     ]
-    emit(
-        "site_stream", "\n".join(lines),
-        metrics=[
-            BenchMetric("arrivals_per_day", arrivals_per_day,
-                        "jobs/day", direction="higher_better"),
-            BenchMetric("sim_seconds_per_wall_second", sim_per_wall,
-                        "s/s", direction="higher_better"),
-            BenchMetric("wall_s", wall_s, "s", direction="lower_better"),
-            BenchMetric("peak_tracked_jobs",
-                        float(stats.peak_tracked_jobs), "jobs",
-                        direction="lower_better"),
-            BenchMetric("mean_turnaround_s", stats.mean_turnaround_s(),
-                        "s", direction="two_sided"),
-        ],
-        params={"rate_per_s": RATE_PER_S, "duration_s": DURATION_S,
-                "max_pending": MAX_PENDING, "node_count": NODE_COUNT,
-                "budget_w": BUDGET_W,
-                "admission_interval_s": ADMISSION_INTERVAL_S,
-                "smoke": SMOKE},
-        seed=SEED,
-    )
+    emit("site_stream", "\n".join(lines))

@@ -8,7 +8,6 @@ import xml.dom.minidom
 from pathlib import Path
 
 from repro.experiments.svg_figures import render_all_figures
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_svg_figures(benchmark, paper_grid, paper_results, emit):
@@ -22,13 +21,7 @@ def test_svg_figures(benchmark, paper_grid, paper_results, emit):
     )
 
     lines = [f"{name}: {path}" for name, path in sorted(written.items())]
-    emit(
-        "svg_figures", "\n".join(lines),
-        metrics=[
-            BenchMetric("figures_written", float(len(written)), "figures"),
-        ],
-        params={"heatmap_nodes": 100},
-    )
+    emit("svg_figures", "\n".join(lines))
 
     assert len(written) == 8
     for path in written.values():

@@ -2,7 +2,6 @@
 
 from repro.analysis.render import render_table
 from repro.experiments.tables import table1_system_properties
-from repro.io.bench_artifacts import BenchMetric
 
 PAPER_TABLE1 = {
     "CPU": "Intel Xeon E5-2695, dual-socket",
@@ -21,10 +20,6 @@ def test_table1_system_properties(benchmark, emit):
         "table1_system_properties",
         render_table(["property", "reproduced", "paper"], rows,
                      title="Table I — Quartz system properties"),
-        metrics=[
-            BenchMetric("cores_per_node", float(table["Cores Per Node"]),
-                        "cores"),
-        ],
     )
 
     assert table["Cores Per Node"] == PAPER_TABLE1["Cores Per Node"]

@@ -8,7 +8,6 @@ HighImbalance), and each mix's defining property.
 
 from repro.analysis.render import render_table
 from repro.experiments.tables import table2_mixes
-from repro.io.bench_artifacts import BenchMetric
 from repro.workload.mixes import MIX_NAMES
 
 
@@ -28,10 +27,6 @@ def test_table2_mixes(benchmark, paper_grid, emit):
             table_rows,
             title="Table II — workloads in each workload mix",
         ),
-        metrics=[
-            BenchMetric("workload_rows", float(len(rows)), "rows"),
-        ],
-        params={"mixes": len(MIX_NAMES)},
     )
 
     by_mix = {name: [r for r in rows if r["mix"] == name] for name in MIX_NAMES}

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.render import render_table
 from repro.experiments.tables import table3_budgets
-from repro.io.bench_artifacts import BenchMetric
 
 #: The paper's Table III (kW).
 PAPER_TABLE3 = {
@@ -44,15 +43,6 @@ def test_table3_budgets(benchmark, paper_grid, emit):
             table_rows,
             title="Table III — power budgets for each workload mix",
         ),
-        metrics=[
-            BenchMetric("mean_min_kw",
-                        sum(r["min_kw"] for r in rows) / len(rows), "kW"),
-            BenchMetric("mean_ideal_kw",
-                        sum(r["ideal_kw"] for r in rows) / len(rows), "kW"),
-            BenchMetric("mean_max_kw",
-                        sum(r["max_kw"] for r in rows) / len(rows), "kW"),
-        ],
-        params={"mixes": len(rows)},
     )
 
     for row in rows:

@@ -7,7 +7,6 @@ agrees with every qualitative claim the paper makes.
 
 from repro.analysis.render import render_table
 from repro.experiments.takeaways import check_takeaways
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_takeaways(benchmark, paper_results, emit):
@@ -21,12 +20,6 @@ def test_takeaways(benchmark, paper_results, emit):
         "takeaways",
         render_table(["status", "check", "evidence"], rows,
                      title="Paper takeaways and markers, checked at paper scale"),
-        metrics=[
-            BenchMetric("checks_passed",
-                        float(sum(report.checks.values())), "checks",
-                        direction="higher_better"),
-        ],
-        params={"checks_total": len(report.checks)},
     )
 
     assert report.all_hold(), report.failed()

@@ -18,11 +18,10 @@ alternated to cancel residual drift, GC parked, and the median of the
 paired deltas taken to reject scheduler-preemption outliers.
 
 Unlike the smoke-gated speedup benches, the overhead assertion here is
-unconditional: CI's perf-trajectory job runs this file *without*
-``REPRO_SMOKE`` so the budget is enforced on every push.
+unconditional: CI's ``bench-smoke`` job runs this file in a step of its
+own *without* ``REPRO_SMOKE`` so the budget is enforced on every push.
 
-Writes ``benchmarks/output/trace_overhead.txt`` and the machine-readable
-``BENCH_trace_overhead.json``.
+Writes ``benchmarks/output/trace_overhead.txt``.
 """
 
 import gc
@@ -32,7 +31,6 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.io.bench_artifacts import BenchMetric
 from repro.sim.execution import SimulationOptions, simulate_mix
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -122,20 +120,7 @@ def test_trace_overhead_under_budget(emit):
         f"{off_s * 1e3:8.3f} ms",
         f"relative overhead: {overhead:+.2%} (budget {OVERHEAD_BUDGET:.0%})",
     ])
-    emit(
-        "trace_overhead", text,
-        metrics=[
-            BenchMetric("relative_overhead", overhead, "fraction",
-                        direction="lower_better"),
-            BenchMetric("span_delta_us", delta_s * 1e6, "us",
-                        direction="lower_better"),
-            BenchMetric("untraced_ms", off_s * 1e3, "ms",
-                        direction="lower_better"),
-        ],
-        params={"pairs": PAIRS, "hosts": hosts,
-                "iterations": ITERATIONS},
-        seed=1,
-    )
+    emit("trace_overhead", text)
     assert overhead < OVERHEAD_BUDGET, (
         f"tracing adds {overhead:+.2%} to simulate_mix "
         f"(budget {OVERHEAD_BUDGET:.0%})"

@@ -9,7 +9,6 @@ step removes.
 
 from repro.analysis.render import render_table
 from repro.experiments.sensitivity import variation_sensitivity
-from repro.io.bench_artifacts import BenchMetric
 
 
 def test_variation_study(benchmark, emit):
@@ -37,13 +36,6 @@ def test_variation_study(benchmark, emit):
             title="Variation sensitivity: RandomLarge @ 180 W/node, "
                   "MixedAdaptive",
         ),
-        metrics=[
-            BenchMetric(f"{name}_elapsed_s",
-                        outcomes[name]["mean_elapsed_s"], "s")
-            for name in ("high", "medium", "novariation", "low")
-        ],
-        params={"nodes_per_job": 10, "survey_nodes": 1200,
-                "budget_per_node_w": 180.0},
     )
 
     # Power-inefficient (low-frequency) nodes run strictly slower under

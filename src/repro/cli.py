@@ -36,10 +36,6 @@ Subcommands covering the workflows a site operator runs:
     budget-overshoot watt-seconds; ``--check`` gates on zero planned
     overshoot (the CI resilience smoke).  ``REPRO_SMOKE=1`` shrinks the
     suite for CI.
-``bench-compare``
-    Diff two ``BENCH_<name>.json`` perf-trajectory bundles with
-    per-metric tolerances; exits non-zero on regression (the CI
-    perf gate).
 
 Every command accepts ``--scale`` (nodes per job; 100 = paper scale) so
 the same invocations work on a laptop and at full size.  ``grid``,
@@ -54,7 +50,6 @@ between invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -85,7 +80,6 @@ examples:
   repro --workers 4 site --replays 8        replayed site simulation
   repro telemetry                           observability smoke test
   repro report -o report.md                 full reproduction report
-  repro bench-compare base.json cand.json --tolerance 0.2
 
 Scale 100 reproduces the paper (2000-node survey, 900-node mixes).
 REPRO_WORKERS in the environment sets the default for --workers.
@@ -348,21 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--telemetry-out", metavar="DIR",
                           help="dump the metrics snapshot, event log, span "
                                "tree, and provenance ledger here")
-
-    p_bc = sub.add_parser(
-        "bench-compare",
-        help="diff two BENCH_<name>.json perf bundles (CI perf gate)",
-    )
-    p_bc.add_argument("baseline", metavar="BASELINE",
-                      help="baseline BENCH_<name>.json path")
-    p_bc.add_argument("candidate", metavar="CANDIDATE",
-                      help="candidate BENCH_<name>.json path")
-    p_bc.add_argument("--tolerance", type=float, default=0.10,
-                      metavar="REL",
-                      help="default relative tolerance (default 0.10)")
-    p_bc.add_argument("--metric-tolerance", action="append",
-                      dest="metric_tolerances", metavar="NAME=REL",
-                      help="per-metric tolerance override (repeatable)")
 
     p_tel = sub.add_parser(
         "telemetry",
@@ -896,35 +875,6 @@ def _cmd_faults(scenarios: Optional[List[str]], policies: Optional[List[str]],
     return code
 
 
-def _cmd_bench_compare(baseline: str, candidate: str, tolerance: float,
-                       metric_tolerances: Optional[List[str]]) -> int:
-    """Diff two perf-trajectory bundles; non-zero exit on regression."""
-    from repro.io.bench_artifacts import compare_artifacts, load_artifact
-
-    per_metric = {}
-    for spec in metric_tolerances or []:
-        name, sep, value = spec.partition("=")
-        if not sep or not name:
-            print(f"error: --metric-tolerance needs NAME=REL, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        try:
-            per_metric[name] = float(value)
-        except ValueError:
-            print(f"error: bad tolerance in {spec!r}", file=sys.stderr)
-            return 2
-    try:
-        report = compare_artifacts(
-            load_artifact(baseline), load_artifact(candidate),
-            tolerance=tolerance, tolerances=per_metric,
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.format_text())
-    return 0 if report.ok else 1
-
-
 def _cmd_facility() -> int:
     from repro.workload.facility import generate_facility_trace
 
@@ -1009,9 +959,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_facility()
     if args.command == "facility-sim":
         return _cmd_facility_sim(args)
-    if args.command == "bench-compare":
-        return _cmd_bench_compare(args.baseline, args.candidate,
-                                  args.tolerance, args.metric_tolerances)
     if args.command == "faults":
         return _cmd_faults(args.scenarios, args.policies, args.check,
                            args.list_only, args.controller_study,

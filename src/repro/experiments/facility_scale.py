@@ -12,9 +12,9 @@ for the facility tree.
 
 Everything is deterministic given the config (the hierarchy's
 determinism contract), so campaign results are comparable across hosts
-and worker counts; the ``facility-sim`` CLI subcommand and the
-``BENCH_facility_campaign`` benchmark are both thin callers of
-:func:`run_facility_campaign`.
+and worker counts; the ``facility-sim`` CLI subcommand, the
+``facility_campaign`` benchmark cell and the ``facility`` workload of
+``bench/run.py`` are all thin callers of :func:`run_facility_campaign`.
 """
 
 from __future__ import annotations

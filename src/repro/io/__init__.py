@@ -8,17 +8,6 @@ manager sides — the "protocol" data the paper's future-work coordination
 would exchange.
 """
 
-from repro.io.bench_artifacts import (
-    BENCH_SCHEMA,
-    BenchMetric,
-    ComparisonReport,
-    MetricComparison,
-    compare_artifacts,
-    load_artifact,
-    make_artifact,
-    validate_artifact,
-    write_artifact,
-)
 from repro.io.serialize import (
     characterization_to_dict,
     characterization_from_dict,
@@ -37,13 +26,4 @@ __all__ = [
     "budgets_to_dict",
     "budgets_from_dict",
     "save_grid_results",
-    "BENCH_SCHEMA",
-    "BenchMetric",
-    "ComparisonReport",
-    "MetricComparison",
-    "compare_artifacts",
-    "load_artifact",
-    "make_artifact",
-    "validate_artifact",
-    "write_artifact",
 ]

@@ -7,10 +7,10 @@ the shared batch physics (:mod:`repro.stream.engine`), the versioned
 JSON wire protocol (:mod:`repro.stream.messages`), and the asyncio
 pub/sub daemon (:mod:`repro.stream.daemon`).
 
-Entry points: :func:`stream_site_simulation` replays a pre-built arrival
-list through :func:`~repro.manager.site_simulation.run_site_simulation`;
-:class:`SiteStreamEngine` with ``rolling=True`` sustains generator-fed
-load with bounded memory; :class:`StreamDaemon` serves it to clients.
+Entry points: :class:`SiteStreamEngine` replays its arrivals through
+:func:`~repro.manager.site_simulation.run_site_simulation` or, with
+``rolling=True``, sustains generator-fed load with bounded memory;
+:class:`StreamDaemon` serves it to clients.
 """
 
 from repro.stream.arrivals import (
@@ -20,11 +20,7 @@ from repro.stream.arrivals import (
     synthetic_job_factory,
 )
 from repro.stream.daemon import StreamDaemon, run_daemon_once
-from repro.stream.engine import (
-    SiteStreamEngine,
-    StreamStats,
-    stream_site_simulation,
-)
+from repro.stream.engine import SiteStreamEngine, StreamStats
 from repro.stream.events import Event, EventKind, EventLoop
 from repro.stream.messages import STREAM_SCHEMA
 
@@ -40,6 +36,5 @@ __all__ = [
     "poisson_stream",
     "replay_stream",
     "run_daemon_once",
-    "stream_site_simulation",
     "synthetic_job_factory",
 ]

@@ -2,10 +2,10 @@
 
 Two operating modes over one :class:`~repro.stream.events.EventLoop`:
 
-**Replay (drain) mode** — :func:`stream_site_simulation` and
-:meth:`SiteStreamEngine.replay` drain the arrivals into a list and run
-them through :func:`~repro.manager.site_simulation.run_site_simulation`
-with the engine's settings: one batch in flight at a time on the whole
+**Replay (drain) mode** — :meth:`SiteStreamEngine.replay` drains the
+arrivals into a list and runs them through
+:func:`~repro.manager.site_simulation.run_site_simulation` with the
+engine's settings: one batch in flight at a time on the whole
 cluster, admission whenever the cluster drains.  The shift loop exists
 once; replay is a way to reach it from an engine.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.policy import Policy
 from repro.hardware.cluster import Cluster
@@ -56,7 +56,7 @@ from repro.stream.events import Event, EventKind, EventLoop
 from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_positive
 
-__all__ = ["StreamStats", "SiteStreamEngine", "stream_site_simulation"]
+__all__ = ["StreamStats", "SiteStreamEngine"]
 
 
 @dataclass
@@ -663,29 +663,3 @@ class SiteStreamEngine:
             degradation=self.degradation, reaction_s=self.reaction_s,
         )
 
-
-def stream_site_simulation(
-    arrivals: Sequence[Arrival],
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    admission: Optional[PowerAwareAdmission] = None,
-    manager: Optional[PowerManager] = None,
-    noise_std: float = 0.004,
-    max_batches: int = 100,
-    run_seed: Optional[int] = None,
-    fault_schedule=None,
-    degradation=None,
-    reaction_s: float = 1.0,
-) -> SiteSimulationResult:
-    """Replay a pre-built arrival list through the batch shift loop.
-
-    Signature-compatible with :func:`run_site_simulation`, which it
-    calls; the streaming package's entry point for closed arrival lists.
-    """
-    return run_site_simulation(
-        arrivals, cluster, policy, budget_w, admission=admission,
-        manager=manager, noise_std=noise_std, max_batches=max_batches,
-        run_seed=run_seed, fault_schedule=fault_schedule,
-        degradation=degradation, reaction_s=reaction_s,
-    )

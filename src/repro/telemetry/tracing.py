@@ -15,8 +15,8 @@ Design rules, mirroring the rest of :mod:`repro.telemetry`:
   the process-global :class:`Tracer` (:func:`get_tracer`).
 * **Cheap when off.**  :func:`set_tracing` (and the global telemetry
   switch) turn the whole thing into a ``yield None``; the overhead gate
-  (< 2 % on ``simulate_mix``, ``BENCH_trace_overhead.json``) is
-  asserted in CI.
+  (< 2 % on ``simulate_mix``, ``benchmarks/test_bench_trace_overhead.py``)
+  is asserted in CI.
 * **Physics-blind.**  Tracing never touches a simulation RNG stream —
   tracing-on and tracing-off runs are bit-identical, pinned by
   ``tests/property/test_tracing_properties.py``.

@@ -1,8 +1,9 @@
-"""Property-based tests: replaying an arrival list through the stream API.
+"""Property-based tests: replaying a pre-built arrival list.
 
-:func:`stream_site_simulation` hands a pre-built arrival list to the
-batch shift loop.  Hypothesis drives random arrival lists, budgets,
-policies, and round limits through it and checks the replay contract:
+:func:`run_site_simulation` runs a closed arrival list through the
+batch shift loop (the stream engine's replay mode calls it).
+Hypothesis drives random arrival lists, budgets, policies, and round
+limits through it and checks the replay contract:
 the truncation split partitions every arrival exactly once, and the
 caller's arrival list is not consumed, so replaying it twice gives the
 same answer.
@@ -15,7 +16,6 @@ from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
 from repro.manager.queue import JobRequest
 from repro.manager.site_simulation import Arrival, run_site_simulation
-from repro.stream.engine import stream_site_simulation
 from repro.workload.kernel import KernelConfig
 
 CLUSTER = Cluster(node_count=10, variation=None, seed=0)
@@ -62,31 +62,26 @@ class TestStreamReplayIdentity:
     def test_truncation_matches_batch_loop(self, arrivals, policy, budget,
                                            max_batches):
         """Round-limit truncation partitions every arrival exactly once."""
-        batch = run_site_simulation(
+        result = run_site_simulation(
             arrivals, CLUSTER, create_policy(policy), budget,
             max_batches=max_batches,
         )
-        stream = stream_site_simulation(
-            arrivals, CLUSTER, create_policy(policy), budget,
-            max_batches=max_batches,
-        )
-        assert stream == batch
         # The status partition covers every arrival exactly once.
         names = {a.request.name for a in arrivals}
-        reported = (set(stream.completed) | set(stream.never_admitted)
-                    | set(stream.truncated))
+        reported = (set(result.completed) | set(result.never_admitted)
+                    | set(result.truncated))
         assert reported == names
-        assert (len(stream.completed) + len(stream.never_admitted)
-                + len(stream.truncated)) == len(names)
+        assert (len(result.completed) + len(result.never_admitted)
+                + len(result.truncated)) == len(names)
 
     @given(arrivals=arrival_lists(), budget=budgets)
     @settings(max_examples=15, deadline=None)
     def test_replay_does_not_consume_inputs(self, arrivals, budget):
         """Replaying twice from one arrival list gives the same answer."""
-        first = stream_site_simulation(
+        first = run_site_simulation(
             arrivals, CLUSTER, create_policy("StaticCaps"), budget
         )
-        second = stream_site_simulation(
+        second = run_site_simulation(
             arrivals, CLUSTER, create_policy("StaticCaps"), budget
         )
         assert first == second

@@ -12,7 +12,7 @@ from repro.stream.arrivals import (
     replay_stream,
     synthetic_job_factory,
 )
-from repro.stream.engine import SiteStreamEngine, stream_site_simulation
+from repro.stream.engine import SiteStreamEngine
 from repro.stream.events import EventKind, EventLoop
 from repro.workload.kernel import KernelConfig
 
@@ -233,7 +233,7 @@ class TestRollingEngine:
 class TestReplayEdgeCases:
     def test_empty_arrivals_rejected(self, cluster):
         with pytest.raises(ValueError, match="at least one arrival"):
-            stream_site_simulation(
+            run_site_simulation(
                 [], cluster, create_policy("StaticCaps"), 2500.0
             )
 
