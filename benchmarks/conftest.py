@@ -12,6 +12,9 @@ against the parent commit.
 
 from __future__ import annotations
 
+import gc
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,43 @@ def emit():
         return path
 
     return _emit
+
+
+@pytest.fixture(scope="session")
+def paired_deltas():
+    """Measure an instrumentation switch's cost on a hot path.
+
+    Returns ``measure(run, pairs, switch)``: ``switch(flag)`` turns the
+    instrumentation under test on or off (``telemetry.set_tracing`` or
+    ``telemetry.set_enabled``), and ``measure`` returns the median
+    (ON - OFF) delta and the median OFF wall time, in seconds.  Each
+    pair times one ON and one OFF run back to back, with the order
+    alternated between pairs and GC parked; deltas within a pair share
+    the machine's momentary frequency/steal state, so slow drift cancels
+    and the median rejects one-sided preemption outliers.  The switch is
+    left on.
+    """
+
+    def measure(run, pairs, switch):
+        deltas, off_times = [], []
+        gc.disable()
+        try:
+            for i in range(pairs):
+                first_on = i % 2 == 0
+                switch(first_on)
+                start = time.perf_counter()
+                run()
+                first = time.perf_counter() - start
+                switch(not first_on)
+                start = time.perf_counter()
+                run()
+                second = time.perf_counter() - start
+                on, off = (first, second) if first_on else (second, first)
+                deltas.append(on - off)
+                off_times.append(off)
+        finally:
+            gc.enable()
+            switch(True)
+        return statistics.median(deltas), statistics.median(off_times)
+
+    return measure

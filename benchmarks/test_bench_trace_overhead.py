@@ -15,18 +15,16 @@ best-of-N comparison of independent ON and OFF runs cannot resolve a
 2 % budget.  Instead each sample is a *paired* (ON, OFF) run — adjacent
 in time so frequency/steal-time drift hits both arms — with the order
 alternated to cancel residual drift, GC parked, and the median of the
-paired deltas taken to reject scheduler-preemption outliers.
+paired deltas taken to reject scheduler-preemption outliers (the
+shared ``paired_deltas`` fixture in ``benchmarks/conftest.py``).
 
 Unlike the smoke-gated speedup benches, the overhead assertion here is
-unconditional: CI's ``bench-smoke`` job runs this file in a step of its
-own *without* ``REPRO_SMOKE`` so the budget is enforced on every push.
+unconditional: CI's ``bench-smoke`` job runs this file and the
+telemetry-overhead bench in one step *without* ``REPRO_SMOKE`` so both
+budgets are enforced on every push.
 
 Writes ``benchmarks/output/trace_overhead.txt``.
 """
-
-import gc
-import statistics
-import time
 
 import numpy as np
 
@@ -56,37 +54,7 @@ def _overhead_mix() -> WorkloadMix:
     return WorkloadMix(name="trace-overhead", jobs=jobs)
 
 
-def _paired_deltas(run, pairs):
-    """Median (ON - OFF) delta and median OFF wall time, in seconds.
-
-    Each pair times one traced and one untraced run back to back, with
-    the order alternated between pairs; deltas within a pair share the
-    machine's momentary frequency/steal state, so slow drift cancels and
-    the median rejects one-sided preemption outliers.
-    """
-    deltas, off_times = [], []
-    gc.disable()
-    try:
-        for i in range(pairs):
-            first_on = i % 2 == 0
-            telemetry.set_tracing(first_on)
-            start = time.perf_counter()
-            run()
-            first = time.perf_counter() - start
-            telemetry.set_tracing(not first_on)
-            start = time.perf_counter()
-            run()
-            second = time.perf_counter() - start
-            on, off = (first, second) if first_on else (second, first)
-            deltas.append(on - off)
-            off_times.append(off)
-    finally:
-        gc.enable()
-        telemetry.set_tracing(True)
-    return statistics.median(deltas), statistics.median(off_times)
-
-
-def test_trace_overhead_under_budget(emit):
+def test_trace_overhead_under_budget(emit, paired_deltas):
     mix = _overhead_mix()
     hosts = mix.total_nodes
     caps = np.full(hosts, 200.0)
@@ -109,7 +77,7 @@ def test_trace_overhead_under_budget(emit):
     # so the simulated result is bit-identical either way.
     assert off_result == baseline
 
-    delta_s, off_s = _paired_deltas(run, PAIRS)
+    delta_s, off_s = paired_deltas(run, PAIRS, telemetry.set_tracing)
     overhead = delta_s / off_s
     text = "\n".join([
         f"Tracing overhead on simulate_mix ({hosts} hosts x "

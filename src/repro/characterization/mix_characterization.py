@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim.engine import ExecutionModel
-from repro.telemetry import emit, timed
+from repro.telemetry import emit, span
 from repro.workload.job import HostLayout, WorkloadMix
 
 __all__ = [
@@ -164,7 +164,7 @@ def _apply_harvest(
     return needed_power, pm.clamp_cap(needed_power)
 
 
-@timed("characterization.characterize_mix_s")
+@span("characterization.characterize_mix")
 def characterize_mix(
     mix: WorkloadMix,
     efficiencies: np.ndarray,
@@ -247,7 +247,7 @@ def characterize_mix(
     return char
 
 
-@timed("characterization.characterize_mix_batch_s")
+@span("characterization.characterize_mix_batch")
 def characterize_mix_batch(
     mix: WorkloadMix,
     efficiencies: np.ndarray,

@@ -370,7 +370,7 @@ def _run_runtime_probe(grid: ExperimentGrid, nodes: int = 4,
     run never touches the per-job controller; this probe runs one real
     :class:`~repro.runtime.controller.Controller` convergence under the
     power balancer (with a tracer attached) so the runtime layer —
-    controller timers, balancer convergence metrics, trace events — is
+    controller spans, balancer convergence metrics, trace events — is
     represented in the dumped telemetry.
     """
     from repro.runtime.controller import Controller
@@ -440,7 +440,7 @@ def _maybe_write_profile(out_dir: str, profiler) -> None:
     from repro.telemetry import get_tracer, write_profile
 
     pstats_path, txt_path = write_profile(
-        out_dir, profiler, get_tracer().finished()
+        out_dir, profiler, get_tracer().totals()
     )
     print(f"Wrote profile to {pstats_path}, {txt_path}")
 

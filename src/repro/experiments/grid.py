@@ -34,7 +34,7 @@ from repro.manager.power_manager import ManagedRun, PowerManager
 from repro.manager.scheduler import ScheduledMix, Scheduler
 from repro.sim.engine import ExecutionModel
 from repro.sim.execution import SimulationOptions
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.workload.mixes import MIX_NAMES, MixBuilder
 
 __all__ = [
@@ -91,8 +91,7 @@ def run_grid_cell(
     seed = cell_seed(config.run_seed, mix_name, budget_level, policy_name)
     options = SimulationOptions(noise_std=config.noise_std, seed=seed)
     with span("experiments.grid.cell", mix=mix_name,
-              budget_level=budget_level, policy=policy_name), \
-            ScopedTimer("experiments.grid.cell_s") as timer:
+              budget_level=budget_level, policy=policy_name):
         run = manager.launch(
             prepared.scheduled,
             policy,
@@ -105,7 +104,6 @@ def run_grid_cell(
         emit(
             "experiments.grid", "cell_complete",
             mix=mix_name, budget_level=budget_level, policy=policy_name,
-            wall_s=timer.elapsed_s,
             mean_power_w=float(run.result.mean_system_power_w),
         )
     return CellResult(
@@ -337,8 +335,7 @@ class ExperimentGrid:
         ]
         with span("experiments.grid.run_all", mixes=len(mixes),
                   levels=len(levels), policies=len(policies),
-                  workers=workers), \
-                ScopedTimer("experiments.grid.run_all_s") as timer:
+                  workers=workers):
             if workers == 1:
                 for mix_name, level, policy_name in keys:
                     results.cells[(mix_name, level, policy_name)] = self.run_cell(
@@ -361,6 +358,5 @@ class ExperimentGrid:
                 mixes=len(mixes), levels=len(levels),
                 policies=len(policies), cells=len(results.cells),
                 workers=workers,
-                wall_s=timer.elapsed_s,
             )
         return results

@@ -34,7 +34,7 @@ from repro.manager.scheduler import ScheduledMix
 from repro.sim.engine import ExecutionModel
 from repro.sim.execution import SimulationOptions, simulate_mix
 from repro.sim.results import MixRunResult
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_positive
 
 __all__ = ["OnlineEpoch", "OnlineRun", "OnlinePowerManager"]
@@ -174,13 +174,13 @@ class OnlinePowerManager:
         n = scheduled.mix.total_nodes
         caps = self.model.power_model.clamp_cap(np.full(n, budget_w / n))
         history: List[OnlineEpoch] = []
-        with ScopedTimer("manager.online.run_s") as run_timer:
+        with span("manager.online.run", policy=policy.name, epochs=epochs):
             for epoch in range(epochs):
                 observed = self._observe(scheduled, caps, epoch, noise_std)
                 history.append(
                     OnlineEpoch(index=epoch, caps_w=caps.copy(), result=observed)
                 )
-                with ScopedTimer("manager.online.characterize_s") as char_timer:
+                with span("manager.online.characterize", epoch=epoch):
                     char = self._characterize_from_telemetry(scheduled, observed)
                 allocation = policy.allocate(char, budget_w)
                 previous_caps = caps
@@ -195,7 +195,6 @@ class OnlinePowerManager:
                         epoch=epoch, policy=policy.name,
                         mean_power_w=float(observed.mean_system_power_w),
                         caps_moved_w=float(np.max(np.abs(caps - previous_caps))),
-                        characterize_s=char_timer.elapsed_s,
                     )
         run = OnlineRun(
             policy_name=policy.name,
@@ -206,6 +205,6 @@ class OnlinePowerManager:
             emit(
                 "manager.online", "run_complete",
                 policy=policy.name, epochs=epochs,
-                converged=run.caps_converged(), wall_s=run_timer.elapsed_s,
+                converged=run.caps_converged(),
             )
         return run

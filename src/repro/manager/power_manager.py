@@ -29,7 +29,7 @@ from repro.manager.scheduler import ScheduledMix
 from repro.sim.engine import ExecutionModel
 from repro.sim.execution import SimulationOptions, simulate_mix
 from repro.sim.results import MixRunResult
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_positive
 
 __all__ = ["ManagedRun", "PowerManager", "apply_job_runtime"]
@@ -137,8 +137,7 @@ class PowerManager:
         if options is None:
             options = SimulationOptions()
         with span("manager.launch", mix=scheduled.mix.name,
-                  policy=policy.name, budget_w=float(budget_w)) as trace_sp, \
-                ScopedTimer("manager.power_manager.launch_s") as timer:
+                  policy=policy.name, budget_w=float(budget_w)) as trace_sp:
             char = characterization if characterization is not None \
                 else self.characterize(scheduled)
             allocation = self.plan(scheduled, policy, budget_w, char)
@@ -172,7 +171,6 @@ class PowerManager:
                 allocated_w=float(allocation.total_allocated_w),
                 unallocated_w=float(allocation.unallocated_w),
                 mean_power_w=float(result.mean_system_power_w),
-                wall_s=timer.elapsed_s,
             )
         return ManagedRun(
             scheduled=scheduled,
@@ -204,8 +202,7 @@ class PowerManager:
         if not specs:
             raise ValueError("launch_batch needs at least one (policy, budget)")
         with span("manager.launch_batch", mix=scheduled.mix.name,
-                  scenarios=len(specs)), \
-                ScopedTimer("manager.power_manager.launch_batch_s") as timer:
+                  scenarios=len(specs)):
             char = characterization if characterization is not None \
                 else self.characterize(scheduled)
             allocations: List[PowerAllocation] = []
@@ -232,7 +229,6 @@ class PowerManager:
                 "manager.power_manager", "launch_batch_complete",
                 mix=scheduled.mix.name, scenarios=len(specs),
                 policies=sorted({policy.name for policy, _ in specs}),
-                wall_s=timer.elapsed_s,
             )
         return [
             ManagedRun(

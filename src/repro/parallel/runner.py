@@ -17,10 +17,11 @@ rules that keep parallel runs trustworthy:
   in-process and the incident is recorded as a telemetry event — the
   answer is always produced.
 * **Telemetry.**  Each worker isolates its telemetry context, records
-  normally, and ships per-task metric state and events back with the
-  result; the parent merges them into the global
-  :class:`~repro.telemetry.MetricsRegistry` and replays events on the
-  global bus, so a parallel run is as observable as a serial one.
+  normally, and ships per-task metric state, events, spans, their exact
+  per-source and per-name totals and both rings' drop counts back with
+  the result; the parent merges them into the global
+  :class:`~repro.telemetry.MetricsRegistry`, bus and tracer, so a
+  parallel run is as observable as a serial one.
 
 The default worker count honours the ``REPRO_WORKERS`` environment
 variable (used by CI to exercise the pool path), falling back to 1.
@@ -36,7 +37,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import active_cache, activate_cache
 from repro.telemetry import (
-    ScopedTimer,
     emit,
     enabled,
     get_bus,
@@ -98,15 +98,13 @@ def _init_worker(cache_settings: Optional[Tuple[int, Optional[str]]],
         user_initializer(*user_initargs)
 
 
-def _run_task(
-    fn: Callable, payload: object
-) -> Tuple[object, Optional[dict], Optional[list], Optional[list]]:
+def _run_task(fn: Callable, payload: object) -> Tuple[object, Optional[dict]]:
     """Execute one task in a worker and capture its telemetry delta.
 
-    Returns ``(result, metric state, events, spans)``; the trailing three
-    are ``None`` when telemetry is disabled.  The task runs under a
-    ``parallel.task`` span so the worker's span tree has a single root
-    the parent can adopt under its ``parallel.map`` span.
+    Returns ``(result, telemetry)``; ``telemetry`` is ``None`` when
+    telemetry is disabled.  The task runs under a ``parallel.task`` span
+    so the worker's span tree has a single root the parent can adopt
+    under its ``parallel.map`` span.
     """
     from repro.telemetry import (
         enabled as _enabled,
@@ -121,9 +119,17 @@ def _run_task(
     with _span("parallel.task", pid=os.getpid()):
         result = fn(payload)
     if not _enabled():
-        return result, None, None, None
-    return (result, _get_registry().state(), _get_bus().events(),
-            _get_tracer().state())
+        return result, None
+    bus, tracer = _get_bus(), _get_tracer()
+    return result, {
+        "metrics": _get_registry().state(),
+        "events": bus.events(),
+        "event_counts": bus.counts_by_source(),
+        "events_dropped": bus.dropped,
+        "spans": tracer.state(),
+        "span_totals": tracer.totals(),
+        "spans_dropped": tracer.dropped,
+    }
 
 
 class ParallelRunner:
@@ -192,8 +198,7 @@ class ParallelRunner:
         bus = get_bus()
         results: List[object] = []
         with span("parallel.map", tasks=len(payloads),
-                  workers=self.workers) as map_sp, \
-                ScopedTimer("parallel.runner.map_s"):
+                  workers=self.workers) as map_sp:
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(payloads)),
@@ -203,17 +208,22 @@ class ParallelRunner:
                 ) as pool:
                     futures = [pool.submit(_run_task, fn, p) for p in payloads]
                     for future in futures:
-                        result, state, events, spans = future.result()
-                        if state is not None and enabled():
-                            registry.merge_state(state)
-                        if events and enabled():
-                            bus.replay(events)
-                        if spans and map_sp is not None:
+                        result, shipped = future.result()
+                        if shipped is not None and enabled():
+                            registry.merge_state(shipped["metrics"])
+                            bus.replay(shipped["events"],
+                                       counts=shipped["event_counts"],
+                                       dropped=shipped["events_dropped"])
+                        if shipped is not None and map_sp is not None:
                             # Adopt the worker's span tree under this
                             # map span; when tracing is off in the
                             # parent the shipped spans are dropped,
                             # matching the parent's own recording.
-                            get_tracer().merge_state(spans, parent=map_sp)
+                            get_tracer().merge_state(
+                                shipped["spans"], parent=map_sp,
+                                totals=shipped["span_totals"],
+                                dropped=shipped["spans_dropped"],
+                            )
                         results.append(result)
             except (BrokenProcessPool, pickle.PicklingError, AttributeError,
                     OSError, ImportError) as exc:

@@ -75,7 +75,7 @@ from repro.runtime.controller import (
 from repro.runtime.reports import JobReport, report_from_arrays
 from repro.sim.batch import stack_job_layouts
 from repro.sim.engine import ExecutionModel
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.workload.job import Job
 
 __all__ = [
@@ -414,8 +414,7 @@ class ControllerBatch:
             registry.counter("runtime.controller.batch_runs").inc(runs)
         agent_names = ",".join(sorted({s.agent.name for s in self.specs}))
         with span("runtime.controller.batch_run", runs=runs, hosts=hosts,
-                  agents=agent_names) as trace_sp, \
-                ScopedTimer("runtime.controller.batch_run_s") as timer:
+                  agents=agent_names) as trace_sp:
             for epoch in range(max_epochs):
                 if gathered is None:
                     gathered = _ActiveGather(self, active)
@@ -473,12 +472,10 @@ class ControllerBatch:
                 epochs_total=int(np.sum(epochs_run)),
                 epochs_max=int(np.max(epochs_run)),
                 converged=n_converged,
-                wall_s=timer.elapsed_s,
             )
             for c, report in enumerate(result.reports):
                 report.telemetry.update({
                     "batch_runs": float(runs),
-                    "batch_wall_s": timer.elapsed_s,
                     "epochs": float(epochs_run[c]),
                     "converged": 1.0 if converged[c] else 0.0,
                 })

@@ -30,7 +30,7 @@ import numpy as np
 from repro.runtime.agent import Agent, PlatformSample
 from repro.runtime.reports import JobReport, report_from_arrays
 from repro.sim.engine import ExecutionModel
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.workload.job import Job, WorkloadMix
 
 __all__ = [
@@ -216,8 +216,7 @@ class Controller:
         self._clock_s = 0.0
         with span("runtime.controller.run", job=self.job.name,
                   agent=self.agent.name, hosts=n,
-                  injecting=self._injecting) as trace_sp, \
-                ScopedTimer("runtime.controller.run_s") as timer:
+                  injecting=self._injecting) as trace_sp:
             for epoch in range(max_epochs):
                 epoch_start_s = self._clock_s
                 sample = self._run_epoch(epoch, limits)
@@ -250,12 +249,9 @@ class Controller:
                 "runtime.controller", "run_complete",
                 job=self.job.name, agent=self.agent.name,
                 epochs=len(self.history), converged=converged,
-                wall_s=timer.elapsed_s,
             )
             report.telemetry.update({
-                "run_wall_s": timer.elapsed_s,
                 "epochs": float(len(self.history)),
-                "epoch_wall_s_mean": timer.elapsed_s / len(self.history),
                 "converged": 1.0 if converged else 0.0,
             })
         return report

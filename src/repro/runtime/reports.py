@@ -68,9 +68,9 @@ class JobReport:
     hosts: Tuple[HostReport, ...]
     figure_of_merit: float = 0.0
     metadata: Dict[str, float] = field(default_factory=dict)
-    #: Telemetry summary of the run that produced the report (controller
-    #: wall time, epochs, convergence flag, ...), rendered as its own
-    #: report section.  Empty when the producer recorded none.
+    #: Telemetry summary of the run that produced the report (epochs,
+    #: convergence flag, batch size), rendered as its own report
+    #: section.  Empty when the producer recorded none.
     telemetry: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -45,7 +45,7 @@ from repro.sim.execution import (
     _execute_scenarios,
 )
 from repro.sim.results import MixRunResult
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.workload.job import HostLayout, Job, WorkloadMix
 
 __all__ = [
@@ -299,7 +299,7 @@ def _simulate_rows(
     key, calls ``run(misses, miss_seeds)`` once for the remaining rows
     (output row ``i`` is scenario ``misses[i]``), assembles one
     :class:`MixRunResult` per row, stores the fresh rows, and records the
-    ``sim.simulate_<entry>_batch`` span, timer and ``event``.
+    ``sim.simulate_<entry>_batch`` span and ``event``.
     """
     scenarios = len(mixes)
     if seeds is None:
@@ -342,22 +342,21 @@ def _simulate_rows(
         if trace_sp is not None:
             trace_sp.set_attribute("cache_hits", hits)
 
-        with ScopedTimer(f"sim.execution.simulate_{entry}_batch_s") as timer:
-            if misses:
-                out = run(misses, [seed_list[s] for s in misses])
-                for row, s in enumerate(misses):
-                    results[s] = MixRunResult(
-                        mix_name=mixes[s].name,
-                        policy_name=names[s],
-                        budget_w=budgets[s],
-                        job_names=mixes[s].job_names,
-                        iteration_times_s=out.job_iter_times[row],
-                        iteration_energy_j=out.iteration_energy[row],
-                        host_energy_j=out.host_energy[row],
-                        host_mean_power_w=out.host_mean_power[row],
-                        host_job_index=layouts[s].job_index,
-                        total_gflop=float(out.total_gflop[row]),
-                    )
+        if misses:
+            out = run(misses, [seed_list[s] for s in misses])
+            for row, s in enumerate(misses):
+                results[s] = MixRunResult(
+                    mix_name=mixes[s].name,
+                    policy_name=names[s],
+                    budget_w=budgets[s],
+                    job_names=mixes[s].job_names,
+                    iteration_times_s=out.job_iter_times[row],
+                    iteration_energy_j=out.iteration_energy[row],
+                    host_energy_j=out.host_energy[row],
+                    host_mean_power_w=out.host_mean_power[row],
+                    host_job_index=layouts[s].job_index,
+                    total_gflop=float(out.total_gflop[row]),
+                )
         if cache is not None and misses:
             from repro.io.serialize import result_to_dict
 
@@ -374,7 +373,6 @@ def _simulate_rows(
             emit(
                 "sim.execution", event, **labels, hosts=hosts,
                 scenarios=scenarios, cache_hits=hits, iterations=n_iter,
-                wall_s=timer.elapsed_s,
             )
     return results  # type: ignore[return-value]
 

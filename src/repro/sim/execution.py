@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.sim.engine import BoundEpoch, ExecutionModel
 from repro.sim.results import MixRunResult
-from repro.telemetry import ScopedTimer, emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_non_negative
 from repro.workload.job import WorkloadMix
 
@@ -420,10 +420,9 @@ def simulate_mix(
                 return result_from_dict(payload)
         if trace_sp is not None:
             trace_sp.set_attribute("cache_hit", False)
-        with ScopedTimer("sim.execution.simulate_mix_s") as timer:
-            result = _simulate_mix_impl(
-                mix, caps_w, efficiencies, model, options, policy_name, budget_w
-            )
+        result = _simulate_mix_impl(
+            mix, caps_w, efficiencies, model, options, policy_name, budget_w
+        )
         if cache is not None and cache_key is not None:
             from repro.io.serialize import result_to_dict
 
@@ -432,15 +431,13 @@ def simulate_mix(
             registry = get_registry()
             registry.counter("sim.execution.runs").inc()
             sim_s = float(np.max(result.job_elapsed_s))
-            if timer.elapsed_s > 0:
-                registry.gauge("sim.execution.sim_seconds_per_wall_second").set(
-                    sim_s / timer.elapsed_s
-                )
+            if trace_sp is not None:
+                trace_sp.set_attribute("sim_s", sim_s)
             emit(
                 "sim.execution", "mix_simulated",
                 mix=mix.name, hosts=mix.total_nodes,
                 iterations=mix.common_iterations(),
-                policy=policy_name, wall_s=timer.elapsed_s, sim_s=sim_s,
+                policy=policy_name, sim_s=sim_s,
             )
     return result
 

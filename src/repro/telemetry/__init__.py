@@ -1,4 +1,4 @@
-"""Unified telemetry: structured events, metrics, and scoped timers.
+"""Unified telemetry: structured events, metrics, and hierarchical spans.
 
 The paper's central claim is that power-management quality is a function
 of *what telemetry a layer can see*; this subsystem makes the
@@ -11,8 +11,9 @@ one pipeline:
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
   counters, gauges, and streaming histograms (reservoir quantiles, no
   dependencies beyond the standard library);
-* :mod:`repro.telemetry.timers` — :class:`ScopedTimer` / :func:`timed`
-  profiling hooks over ``time.perf_counter`` that feed the registry.
+* :mod:`repro.telemetry.tracing` — :func:`span` scopes in a call tree,
+  the only wall-time clock, with exact per-name totals (count, wall,
+  self and CPU seconds) on the :class:`Tracer`.
 
 Every layer records through the process-global context
 (:func:`get_registry` / :func:`get_bus` / :func:`emit`), switchable with
@@ -59,11 +60,9 @@ from repro.telemetry.provenance import (
 )
 from repro.telemetry.profiling import (
     profile_command,
-    span_self_times,
     write_profile,
 )
 from repro.telemetry.summary import TelemetrySummary
-from repro.telemetry.timers import ScopedTimer, timed
 from repro.telemetry.tracing import (
     Span,
     Tracer,
@@ -85,8 +84,6 @@ __all__ = [
     "HistogramSnapshot",
     "MetricsRegistry",
     "metric_key",
-    "ScopedTimer",
-    "timed",
     "TelemetrySummary",
     "enabled",
     "set_enabled",
@@ -97,7 +94,6 @@ __all__ = [
     "reset",
     "isolate",
     "profile_command",
-    "span_self_times",
     "write_profile",
     "Span",
     "Tracer",

@@ -24,10 +24,10 @@ import io
 import json
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 __all__ = ["Event", "EventBus"]
 
@@ -83,6 +83,9 @@ class EventBus:
         self._buffer: deque = deque(maxlen=capacity)
         #: Events evicted by the ring since construction or :meth:`clear`.
         self.dropped = 0
+        #: Events published or replayed per source, independent of the
+        #: ring (:meth:`counts_by_source`).
+        self._counts: Counter = Counter()
         self._clock = clock
         self._subscribers: Dict[int, tuple] = {}
         self._next_token = 0
@@ -95,6 +98,7 @@ class EventBus:
                       payload=payload)
         with self._lock:
             self._append(event)
+            self._counts[source] += 1
             subscribers = list(self._subscribers.values())
         for callback, kinds, sources in subscribers:
             if kinds is not None and event.kind not in kinds:
@@ -164,19 +168,31 @@ class EventBus:
         return sorted({e.source for e in self.events()})
 
     def counts_by_source(self) -> Dict[str, int]:
-        """Event counts keyed by source (taxonomy roll-up)."""
-        counts: Dict[str, int] = {}
-        for event in self.events():
-            counts[event.source] = counts.get(event.source, 0) + 1
-        return counts
+        """Exact event counts keyed by source (taxonomy roll-up) over
+        every event published or replayed since construction or
+        :meth:`clear`, evicted ones included."""
+        with self._lock:
+            return dict(self._counts)
 
-    def replay(self, events: Sequence[Event]) -> None:
+    def replay(self, events: Sequence[Event],
+               counts: Optional[Mapping[str, int]] = None,
+               dropped: int = 0) -> None:
         """Append already-stamped events (e.g. shipped from a worker
         process) preserving their original timestamps, and fan them out
-        to subscribers like a live publish."""
+        to subscribers like a live publish.
+
+        ``counts`` (the shipping bus's :meth:`counts_by_source`) replaces
+        the per-source count of ``events`` when given, so events the
+        shipping ring evicted still count; ``dropped`` (its ring
+        evictions) adds into :attr:`dropped`.
+        """
+        if counts is None:
+            counts = Counter(event.source for event in events)
         with self._lock:
             for event in events:
                 self._append(event)
+            self._counts.update(counts)
+            self.dropped += dropped
             subscribers = list(self._subscribers.values())
         for event in events:
             for callback, kinds, sources in subscribers:
@@ -187,10 +203,11 @@ class EventBus:
                 callback(event)
 
     def clear(self) -> None:
-        """Drop all buffered events and the drop count (subscriptions are
-        kept)."""
+        """Drop all buffered events, the per-source counts and the drop
+        count (subscriptions are kept)."""
         with self._lock:
             self._buffer.clear()
+            self._counts.clear()
             self.dropped = 0
 
     # -- export --------------------------------------------------------

@@ -1,11 +1,12 @@
 """Process-wide metrics: counters, gauges, and streaming histograms.
 
 The registry is the quantitative half of the telemetry subsystem (events
-are the qualitative half): hot paths record *how often* and *how long*
+are the qualitative half): hot paths record *how often* and *how much*
 into named metric families, and operators read one snapshot at the end.
-Metric names follow the ``layer.component.metric`` convention
-(``runtime.controller.run_s``, ``manager.admission.admitted``); families
-may carry labels (``experiments.grid.cell_s{policy=MixedAdaptive}``).
+Host wall time is not a metric: spans (:mod:`repro.telemetry.tracing`)
+are its only clock.  Metric names follow the ``layer.component.metric``
+convention (``runtime.controller.epochs``, ``manager.admission.admitted``);
+families may carry labels (``experiments.grid.cells{policy=MixedAdaptive}``).
 
 Histograms are streaming and dependency-free: exact count/mean/min/max
 plus quantile estimates from a fixed-size reservoir (Vitter's algorithm
@@ -226,8 +227,9 @@ class Histogram:
             combined = self._reservoir + [float(v) for v in state["reservoir"]]
             if len(combined) > self._reservoir_size:
                 combined.sort()
+                last = max(self._reservoir_size - 1, 1)
                 positions = [
-                    round(i * (len(combined) - 1) / (self._reservoir_size - 1))
+                    round(i * (len(combined) - 1) / last)
                     for i in range(self._reservoir_size)
                 ]
                 combined = [combined[p] for p in positions]

@@ -15,10 +15,12 @@ the telemetry output directory:
     went) followed by the hottest frames by cumulative time, each
     attributed to the enclosing tracing span.
 
+Both read the tracer's exact per-name totals
+(:meth:`~repro.telemetry.tracing.Tracer.totals`), not its bounded ring.
 Frame→span attribution is a *heuristic*: a frame's module path is
 mapped to its top-level ``repro`` package (``repro/sim/engine.py`` →
-``sim``), and the frame is credited to the longest-wall finished span
-whose name lives in that package (span names are dotted package paths
+``sim``), and the frame is credited to the span name with the most
+total wall time in that package (span names are dotted package paths
 by convention — ``sim.engine.batch``, ``hierarchy.facility.run``).
 Frames outside ``repro`` (numpy, stdlib) get no span.  That is precise
 enough to answer "which subsystem's span owns this hot frame" without
@@ -33,7 +35,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["profile_command", "span_self_times", "write_profile"]
+__all__ = ["profile_command", "write_profile"]
 
 
 @contextmanager
@@ -47,41 +49,14 @@ def profile_command():
         profiler.disable()
 
 
-def span_self_times(spans) -> List[Tuple[str, int, float, float]]:
-    """Aggregate finished spans into ``(name, count, wall, self)`` rows.
-
-    Self time is a span's wall clock minus the wall clock of its direct
-    children (via ``parent_id``), clamped at zero; rows aggregate over
-    span *names* and sort by self time, descending.
-    """
-    children_wall: Dict[str, float] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            children_wall[span.parent_id] = (
-                children_wall.get(span.parent_id, 0.0) + span.wall_s
-            )
-    rows: Dict[str, List[float]] = {}
-    for span in spans:
-        self_s = max(0.0, span.wall_s - children_wall.get(span.span_id, 0.0))
-        entry = rows.setdefault(span.name, [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += span.wall_s
-        entry[2] += self_s
-    return sorted(
-        ((name, int(c), wall, self_s)
-         for name, (c, wall, self_s) in rows.items()),
-        key=lambda row: row[3], reverse=True,
-    )
-
-
-def _package_spans(spans) -> Dict[str, str]:
-    """Top-level span package -> the longest-wall span name inside it."""
+def _package_spans(totals) -> Dict[str, str]:
+    """Top-level span package -> the span name with the most wall in it."""
     best: Dict[str, Tuple[float, str]] = {}
-    for span in spans:
-        package = span.name.split(".", 1)[0]
+    for name, row in totals.items():
+        package = name.split(".", 1)[0]
         current = best.get(package)
-        if current is None or span.wall_s > current[0]:
-            best[package] = (span.wall_s, span.name)
+        if current is None or row["wall_s"] > current[0]:
+            best[package] = (row["wall_s"], name)
     return {package: name for package, (_, name) in best.items()}
 
 
@@ -95,12 +70,12 @@ def _frame_package(filename: str) -> Optional[str]:
     return None
 
 
-def write_profile(out_dir, profiler: cProfile.Profile, spans,
+def write_profile(out_dir, profiler: cProfile.Profile, totals,
                   top: int = 25) -> Tuple[Path, Path]:
     """Write ``profile.pstats`` + ``profile.txt`` under ``out_dir``.
 
-    ``spans`` is the tracer's finished-span list
-    (``get_tracer().finished()``); it drives both the self-time table
+    ``totals`` is the tracer's per-name totals
+    (``get_tracer().totals()``); it drives both the self-time table
     and the hot-frame span attribution.  Returns the two paths.
     """
     out = Path(out_dir)
@@ -109,17 +84,18 @@ def write_profile(out_dir, profiler: cProfile.Profile, spans,
     profiler.dump_stats(str(pstats_path))
 
     stats = pstats.Stats(profiler)
-    package_span = _package_spans(spans)
+    package_span = _package_spans(totals)
 
     lines: List[str] = []
     lines.append("# Profile report")
     lines.append("# Frame->span attribution is heuristic: frames map to")
-    lines.append("# the longest-wall span of their repro subpackage.")
+    lines.append("# the most-wall span name of their repro subpackage.")
     lines.append("")
     lines.append("== Span self time (wall seconds) ==")
     lines.append(f"{'span':<44} {'count':>6} {'wall_s':>10} {'self_s':>10}")
-    for name, count, wall, self_s in span_self_times(spans):
-        lines.append(f"{name:<44} {count:>6} {wall:>10.4f} {self_s:>10.4f}")
+    for name, row in totals.items():
+        lines.append(f"{name:<44} {row['count']:>6} {row['wall_s']:>10.4f}"
+                     f" {row['self_s']:>10.4f}")
 
     lines.append("")
     lines.append(f"== Hottest frames by cumulative time (top {top}) ==")

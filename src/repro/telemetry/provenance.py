@@ -17,8 +17,10 @@ A ledger is one JSON bundle (:data:`PROVENANCE_SCHEMA`) with:
 * the **seed lineage** (root seed plus any derivation notes);
 * the **fault-schedule digest** (name + content hash + event count);
 * **cache effectiveness** (hits / misses / hit ratio at capture time);
-* the **span tree** (:meth:`~repro.telemetry.tracing.Tracer.state`) and
-  the **metrics snapshot** — the full observability state;
+* the **span tree** (:meth:`~repro.telemetry.tracing.Tracer.state`),
+  the exact **span totals** per name
+  (:meth:`~repro.telemetry.tracing.Tracer.totals`) and the **metrics
+  snapshot** — the full observability state;
 * **environment**: package / Python / NumPy versions, git commit when
   available, host identity.
 
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 #: Schema tag; bump on breaking bundle-layout changes.
-PROVENANCE_SCHEMA = "repro.provenance.v1"
+PROVENANCE_SCHEMA = "repro.provenance.v2"
 
 #: Required top-level keys and the type each must carry.
 _REQUIRED: Dict[str, type] = {
@@ -62,6 +64,7 @@ _REQUIRED: Dict[str, type] = {
     "fault_schedule": dict,
     "cache": dict,
     "spans": list,
+    "span_totals": dict,
     "metrics": dict,
     "events_by_source": dict,
     "versions": dict,
@@ -162,6 +165,7 @@ def capture_ledger(
     import numpy as np
 
     registry = context.get_registry()
+    tracer = get_tracer()
     bundle: Dict[str, object] = {
         "schema": PROVENANCE_SCHEMA,
         "kind": str(kind),
@@ -174,7 +178,8 @@ def capture_ledger(
         },
         "fault_schedule": _fault_digest(fault_schedule),
         "cache": _cache_stats(),
-        "spans": get_tracer().state(),
+        "spans": tracer.state(),
+        "span_totals": tracer.totals(),
         "metrics": registry.snapshot(),
         "events_by_source": context.get_bus().counts_by_source(),
         "versions": {

@@ -1,8 +1,8 @@
 """Renderable roll-up of the telemetry state: the report's last section.
 
-:class:`TelemetrySummary` freezes a registry snapshot (and optionally
-the event bus's per-source counts and the event and span rings' drop
-counts) into a plain dataclass that renders
+:class:`TelemetrySummary` freezes a registry snapshot, the tracer's
+exact per-span-name totals, the event bus's per-source counts and the
+event and span rings' drop counts into a plain dataclass that renders
 as the fixed-width tables the rest of the reporting layer uses.  The
 grid report appends one; the ``repro telemetry`` CLI command prints one;
 ``--telemetry-out`` writes one next to the JSONL event log.
@@ -24,8 +24,9 @@ __all__ = ["TelemetrySummary"]
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Point-in-time summary of metrics plus event-volume counts.
+    """Point-in-time summary of metrics, span totals and event counts.
 
+    ``span_totals`` and ``event_counts`` are exact over the whole run;
     ``events_dropped`` / ``spans_dropped`` count what the bounded event
     and span rings evicted: nonzero means the events and spans left (and
     any span-tree analysis over them) cover only the recent tail.
@@ -34,6 +35,7 @@ class TelemetrySummary:
     counters: Dict[str, float]
     gauges: Dict[str, float]
     histograms: Dict[str, Dict[str, float]]
+    span_totals: Dict[str, Dict[str, float]] = field(default_factory=dict)
     event_counts: Dict[str, int] = field(default_factory=dict)
     events_dropped: int = 0
     spans_dropped: int = 0
@@ -54,6 +56,7 @@ class TelemetrySummary:
             counters=snap["counters"],
             gauges=snap["gauges"],
             histograms=snap["histograms"],
+            span_totals=tracer.totals(),
             event_counts=bus.counts_by_source(),
             events_dropped=bus.dropped,
             spans_dropped=tracer.dropped,
@@ -63,8 +66,8 @@ class TelemetrySummary:
     def empty(self) -> bool:
         """True when nothing was recorded (telemetry off or unused)."""
         return not (self.counters or self.gauges or self.histograms
-                    or self.event_counts or self.events_dropped
-                    or self.spans_dropped)
+                    or self.span_totals or self.event_counts
+                    or self.events_dropped or self.spans_dropped)
 
     def rows(self) -> List[List[str]]:
         """All metrics as ``[metric, kind, value, mean, p50, p95, max]``
@@ -84,7 +87,7 @@ class TelemetrySummary:
         return out
 
     def render(self) -> str:
-        """The metrics table plus the events-by-source table."""
+        """The metrics, spans and events-by-source tables."""
         if self.empty:
             return "(no telemetry recorded)"
         parts = [render_table(
@@ -92,6 +95,14 @@ class TelemetrySummary:
             self.rows(),
             title="Metrics snapshot",
         )]
+        if self.span_totals:
+            parts.append(render_table(
+                ["name", "count", "wall_s", "self_s", "cpu_s"],
+                [[name, row["count"], f"{row['wall_s']:.4f}",
+                  f"{row['self_s']:.4f}", f"{row['cpu_s']:.4f}"]
+                 for name, row in self.span_totals.items()],
+                title="Spans",
+            ))
         if self.event_counts:
             parts.append(render_table(
                 ["source", "events"],

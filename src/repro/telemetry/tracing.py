@@ -32,6 +32,12 @@ Each span records wall time (``perf_counter``), CPU time
 counter* that moved while it was open (``counters``) — which is how the
 cache hit/miss split and fault-override counts show up per subtree
 without extra plumbing.
+
+Timing is spans' alone: besides the finished-span ring, the tracer
+keeps one exact aggregate per span name (count, wall, self and CPU
+seconds; :meth:`Tracer.totals`), updated as each span finishes, so the
+summary, the profile and the provenance ledger read whole-run figures
+however many spans the ring has evicted.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ class Span:
         counters that moved appear.
     status:
         ``"ok"``, or ``"error"`` when the scope raised.
+    child_wall_s:
+        Wall seconds of the finished direct children (self time is
+        ``wall_s`` minus this); not part of the wire format.
     """
 
     name: str
@@ -106,6 +115,7 @@ class Span:
     attributes: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     status: str = "ok"
+    child_wall_s: float = field(default=0.0, repr=False, compare=False)
 
     def set_attribute(self, key: str, value: object) -> None:
         """Attach one attribute to the (open or finished) span."""
@@ -124,6 +134,9 @@ class Span:
 class Tracer:
     """Collects finished spans and tracks the per-thread open stack.
 
+    Every finished span also lands in an exact per-name aggregate
+    (:meth:`totals`) that the ring's evictions never touch.
+
     Parameters
     ----------
     capacity:
@@ -138,6 +151,8 @@ class Tracer:
         self._finished: deque = deque(maxlen=capacity)
         #: Spans evicted by the ring since construction or :meth:`clear`.
         self.dropped = 0
+        #: name -> [count, wall_s, self_s, cpu_s] over every finished span.
+        self._totals: Dict[str, List[float]] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 0
@@ -175,17 +190,36 @@ class Tracer:
         return record
 
     def finish(self, record: Span, status: str = "ok") -> None:
-        """Close the span and move it to the finished ring."""
+        """Close the span, add it to its name's totals and move it to the
+        finished ring.
+
+        Self time is the span's wall minus its finished direct
+        children's, clamped at 0; the span's own wall accrues on its
+        open parent for the same subtraction.
+        """
         stack = self._stack()
         if record in stack:
             # Close any abandoned children first (exception unwinding).
             while stack and stack[-1] is not record:
                 stack.pop()
             stack.pop()
+        if stack and stack[-1].span_id == record.parent_id:
+            stack[-1].child_wall_s += record.wall_s
         record.end_unix = time.time()
         record.status = status
+        self_s = max(0.0, record.wall_s - record.child_wall_s)
         with self._lock:
+            self._add(record.name, 1, record.wall_s, self_s, record.cpu_s)
             self._keep(record)
+
+    def _add(self, name: str, count: int, wall_s: float, self_s: float,
+             cpu_s: float) -> None:
+        """Fold one name's figures into the totals (lock held)."""
+        row = self._totals.setdefault(name, [0, 0.0, 0.0, 0.0])
+        row[0] += count
+        row[1] += wall_s
+        row[2] += self_s
+        row[3] += cpu_s
 
     def _keep(self, record: Span) -> None:
         """Ring one finished span, counting the one it evicts (lock
@@ -212,11 +246,24 @@ class Tracer:
         """Finished spans currently held."""
         return len(self._finished)
 
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """Exact per-name ``{count, wall_s, self_s, cpu_s}`` over every
+        span finished (or merged) since construction or :meth:`clear`,
+        largest self time first."""
+        with self._lock:
+            rows = sorted(self._totals.items(), key=lambda kv: -kv[1][2])
+        return {
+            name: {"count": int(count), "wall_s": wall_s,
+                   "self_s": self_s, "cpu_s": cpu_s}
+            for name, (count, wall_s, self_s, cpu_s) in rows
+        }
+
     def clear(self) -> None:
-        """Drop finished spans and the drop count (open stacks are left
-        alone)."""
+        """Drop finished spans, the totals and the drop count (open
+        stacks are left alone)."""
         with self._lock:
             self._finished.clear()
+            self._totals.clear()
             self.dropped = 0
 
     # -- cross-process merging -----------------------------------------
@@ -229,6 +276,8 @@ class Tracer:
         self,
         state: Sequence[Mapping[str, object]],
         parent: Optional[Span] = None,
+        totals: Optional[Mapping[str, Mapping[str, float]]] = None,
+        dropped: int = 0,
     ) -> List[Span]:
         """Graft shipped spans into this tracer's finished ring.
 
@@ -237,6 +286,10 @@ class Tracer:
         (default: the calling thread's current span), and every span of
         an adopted trace is moved onto the adopter's ``trace_id`` — so a
         merged forest stays well-formed: one root per trace, no orphans.
+        The adopted spans' wall counts as ``parent``'s children's.
+
+        ``totals`` (the shipping tracer's :meth:`totals`) and
+        ``dropped`` (its ring evictions) add into this tracer's own.
         Returns the merged spans.
         """
         if parent is None:
@@ -249,6 +302,7 @@ class Tracer:
                 if parent is not None:
                     record.parent_id = parent.span_id
                     remapped_traces[record.trace_id] = parent.trace_id
+                    parent.child_wall_s += record.wall_s
                 else:
                     record.parent_id = None
                     remapped_traces.setdefault(record.trace_id, record.trace_id)
@@ -258,6 +312,10 @@ class Tracer:
         with self._lock:
             for record in spans:
                 self._keep(record)
+            for name, row in (totals or {}).items():
+                self._add(name, row["count"], row["wall_s"], row["self_s"],
+                          row["cpu_s"])
+            self.dropped += dropped
         return spans
 
     # -- export --------------------------------------------------------

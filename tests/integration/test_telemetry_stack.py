@@ -87,10 +87,9 @@ class TestControllerTelemetry:
         controller = Controller(job, np.ones(4), agent, model=execution_model)
         report = controller.run(max_epochs=80)
 
-        snap = telemetry.get_registry().snapshot()
-        run_s = snap["histograms"]["runtime.controller.run_s"]
-        assert run_s["count"] == 1
-        assert run_s["max"] > 0.0
+        run = telemetry.get_tracer().totals()["runtime.controller.run"]
+        assert run["count"] == 1
+        assert run["wall_s"] > 0.0
         events = telemetry.get_bus().events(kind="run_complete",
                                             source="runtime.controller")
         assert len(events) == 1

@@ -92,7 +92,8 @@ class TestCommands:
         assert main(["--scale", "4", "telemetry"]) == 0
         out = capsys.readouterr().out
         assert "Metrics snapshot" in out
-        assert "runtime.controller.run_s" in out
+        assert "Spans" in out
+        assert "runtime.controller.run |" in out
         assert "Events by source" in out
 
     def test_telemetry_command_with_out_dir(self, capsys, tmp_path):
@@ -112,8 +113,8 @@ class TestCommands:
              "--telemetry-out", str(out_dir)]
         ) == 0
         metrics = (out_dir / "metrics.txt").read_text()
-        assert "runtime.controller.run_s" in metrics
-        assert "sim.execution.simulate_mix_s" in metrics
+        assert "runtime.controller.run |" in metrics
+        assert "sim.simulate_mix |" in metrics
         assert (out_dir / "events.csv").exists()
 
     def test_figures_command(self, capsys, tmp_path):

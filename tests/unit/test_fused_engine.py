@@ -123,24 +123,26 @@ class TestProfileWriter:
         with profile_command() as profiler:
             with span("sim.probe"):
                 np.linalg.norm(np.arange(512.0))
-        pstats_path, txt_path = write_profile(
-            tmp_path, profiler, get_tracer().finished()
-        )
+        totals = get_tracer().totals()
+        pstats_path, txt_path = write_profile(tmp_path, profiler, totals)
         assert pstats_path.exists()
         text = txt_path.read_text()
         assert "Span self time" in text
         assert "Hottest frames" in text
-        assert "sim.probe" in text
+        row = totals["sim.probe"]
+        assert (f"{'sim.probe':<44} {1:>6} {row['wall_s']:>10.4f}"
+                f" {row['self_s']:>10.4f}") in text
 
-    def test_span_self_times_subtracts_children(self):
-        from repro.telemetry import Span, span_self_times
+    def test_span_totals_subtract_children(self):
+        from repro.telemetry import Tracer
 
-        parent = Span(name="outer", span_id="p", trace_id="t",
-                      wall_s=2.0)
-        child = Span(name="inner", span_id="c", trace_id="t",
-                     parent_id="p", wall_s=1.5)
-        rows = {name: (count, wall, self_s)
-                for name, count, wall, self_s
-                in span_self_times([parent, child])}
-        assert rows["outer"][2] == pytest.approx(0.5)
-        assert rows["inner"][2] == pytest.approx(1.5)
+        tracer = Tracer()
+        outer = tracer.start("outer")
+        inner = tracer.start("inner")
+        inner.wall_s = 1.5
+        tracer.finish(inner)
+        outer.wall_s = 2.0
+        tracer.finish(outer)
+        totals = tracer.totals()
+        assert totals["outer"]["self_s"] == pytest.approx(0.5)
+        assert totals["inner"]["self_s"] == pytest.approx(1.5)

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.parallel.runner import WORKERS_ENV, ParallelRunner, resolve_workers
-from repro.telemetry import get_registry, reset, set_enabled
+from repro.telemetry import (
+    emit,
+    get_bus,
+    get_registry,
+    get_tracer,
+    reset,
+    set_enabled,
+)
 
 
 def _square(x):
@@ -13,6 +20,12 @@ def _square(x):
 def _record_and_square(x):
     get_registry().counter("test.runner.calls").inc()
     return x * x
+
+
+def _flood(n):
+    for _ in range(n):
+        emit("test.flood", "tick")
+    return n
 
 
 _FLAG = {"installed": False}
@@ -93,6 +106,27 @@ class TestPoolPath:
         finally:
             reset()
             set_enabled(previous)
+
+    def test_worker_span_totals_count_every_task(self):
+        reset()
+        try:
+            ParallelRunner(workers=2).map(_square, list(range(5)))
+            totals = get_tracer().totals()
+            assert totals["parallel.task"]["count"] == 5
+            assert totals["parallel.map"]["count"] == 1
+        finally:
+            reset()
+
+    def test_worker_ring_drops_and_event_counts_merge(self):
+        # One worker overflows its 8,192-event ring by 8; the other
+        # ships nothing, so the parent's own ring never overflows.
+        reset()
+        try:
+            ParallelRunner(workers=2).map(_flood, [8200, 0])
+            assert get_bus().dropped >= 8
+            assert get_bus().counts_by_source()["test.flood"] == 8200
+        finally:
+            reset()
 
     def test_unpicklable_task_falls_back_to_serial(self):
         runner = ParallelRunner(workers=2)

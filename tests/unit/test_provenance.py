@@ -50,6 +50,7 @@ class TestCapture:
             pass
         bundle = capture_ledger("unit-test")
         assert [s["name"] for s in bundle["spans"]] == ["unit.work"]
+        assert bundle["span_totals"]["unit.work"]["count"] == 1
         assert bundle["metrics"]["counters"]["unit.runs"] == 3.0
 
     def test_cache_section_reports_ratio(self):

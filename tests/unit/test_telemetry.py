@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry subsystem (events, metrics, timers)."""
+"""Unit tests for the telemetry subsystem (events, metrics, summary)."""
 
 import json
 
@@ -10,10 +10,8 @@ from repro.telemetry import (
     EventBus,
     Histogram,
     MetricsRegistry,
-    ScopedTimer,
     TelemetrySummary,
     metric_key,
-    timed,
 )
 
 
@@ -150,11 +148,15 @@ class TestEventBus:
         small = EventBus(capacity=2)
         for i in range(5):
             small.publish("s", "k", i=i)
+        # Per-source counts cover evicted events too.
+        assert small.counts_by_source() == {"s": 5}
         small.replay(small.events())
         assert [e.payload["i"] for e in small.events()] == [3, 4]
         assert small.dropped == 5
+        assert small.counts_by_source() == {"s": 7}
         small.clear()
         assert small.dropped == 0
+        assert small.counts_by_source() == {}
 
     def test_subscribers_fire_in_subscription_order(self, bus):
         calls = []
@@ -210,54 +212,6 @@ class TestEventBus:
         event = Event(ts=0.0, source="s", kind="k",
                       payload={"path": object()})
         assert "path" in json.loads(event.to_json())
-
-
-class TestScopedTimer:
-    def test_records_into_histogram(self, registry):
-        with ScopedTimer("work_s", registry=registry):
-            pass
-        snap = registry.histogram("work_s").snapshot()
-        assert snap.count == 1
-        assert snap.max >= 0.0
-
-    def test_elapsed_available_after_exit(self, registry):
-        with ScopedTimer("work_s", registry=registry) as timer:
-            pass
-        assert timer.elapsed_s >= 0.0
-
-    def test_nesting_records_both_levels(self, registry):
-        with ScopedTimer("outer_s", registry=registry):
-            with ScopedTimer("inner_s", registry=registry):
-                pass
-            with ScopedTimer("inner_s", registry=registry):
-                pass
-        assert registry.histogram("outer_s").count == 1
-        assert registry.histogram("inner_s").count == 2
-        outer = registry.histogram("outer_s").snapshot().max
-        inner = registry.histogram("inner_s").snapshot().max
-        assert outer >= inner  # the outer scope contains the inner ones
-
-    def test_exception_still_records(self, registry):
-        with pytest.raises(RuntimeError):
-            with ScopedTimer("work_s", registry=registry):
-                raise RuntimeError("boom")
-        assert registry.histogram("work_s").count == 1
-
-    def test_timed_decorator(self, registry):
-        @timed("f_s", registry=registry)
-        def f(x):
-            """Doc preserved."""
-            return x + 1
-
-        assert f(1) == 2
-        assert f.__doc__ == "Doc preserved."
-        assert registry.histogram("f_s").count == 1
-
-    def test_global_timer_noops_when_disabled(self):
-        with telemetry.disabled():
-            with ScopedTimer("work_s"):
-                pass
-        assert len(telemetry.get_registry()) == 0
 
 
 class TestContext:

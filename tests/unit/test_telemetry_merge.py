@@ -41,15 +41,18 @@ class TestHistogramState:
         assert parent.snapshot().max == 29.0
 
     def test_merge_beyond_reservoir_keeps_exact_count(self):
-        small = Histogram(reservoir_size=8)
         big_state = Histogram(reservoir_size=8)
         for v in range(100):
             big_state.observe(float(v))
-        small.merge_state(big_state.state())
-        small.merge_state(big_state.state())
-        assert small.count == 200
-        # quantiles stay within the observed range even after downsampling
-        assert 0.0 <= small.quantile(0.5) <= 99.0
+        # A one-slot reservoir used to divide by zero when downsampling.
+        for reservoir_size in (8, 1):
+            small = Histogram(reservoir_size=reservoir_size)
+            small.observe(0.0)
+            small.merge_state(big_state.state())
+            small.merge_state(big_state.state())
+            assert small.count == 201
+            # quantiles stay within the observed range after downsampling
+            assert 0.0 <= small.quantile(0.5) <= 99.0
 
     def test_merge_empty_state_is_noop(self):
         histogram = Histogram()

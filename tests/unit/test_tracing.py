@@ -1,7 +1,8 @@
 """Unit tests for the hierarchical tracing layer.
 
 Span identity and nesting, the on/off switches, counter-delta
-attribution, the cross-process merge, and the well-formedness validator
+attribution, the exact per-name totals, the cross-process merge, and
+the well-formedness validator
 that the property suite and the provenance ledger both lean on.
 """
 
@@ -169,6 +170,45 @@ class TestTracer:
         assert [s["name"] for s in payload["spans"]] == ["outer"]
 
 
+class TestSpanTotals:
+    def test_nesting_records_both_levels(self, monkeypatch):
+        from repro.telemetry import tracing
+
+        tracer = Tracer(capacity=4)
+        monkeypatch.setattr(tracing, "_tracer", tracer)
+        with span("outer"):
+            for _ in range(9):
+                with span("inner"):
+                    pass
+        # 10 spans through a 4-slot ring: 6 evicted, none lost from the
+        # totals, and the outer self time excludes its children.
+        assert len(tracer) == 4 and tracer.dropped == 6
+        totals = tracer.totals()
+        outer, inner = totals["outer"], totals["inner"]
+        assert (outer["count"], inner["count"]) == (1, 9)
+        assert outer["wall_s"] >= inner["wall_s"]
+        assert outer["self_s"] == pytest.approx(
+            outer["wall_s"] - inner["wall_s"]
+        )
+        assert inner["self_s"] == inner["wall_s"]
+        tracer.clear()
+        assert tracer.totals() == {}
+
+    def test_exception_still_records(self, monkeypatch):
+        from repro.telemetry import tracing
+
+        tracer = Tracer()
+        monkeypatch.setattr(tracing, "_tracer", tracer)
+        with pytest.raises(RuntimeError):
+            with span("outer"):
+                with span("inner"):
+                    raise RuntimeError("boom")
+        # Both scopes the exception unwound through still count.
+        totals = tracer.totals()
+        assert (totals["outer"]["count"], totals["inner"]["count"]) == (1, 1)
+        assert totals["outer"]["wall_s"] >= totals["inner"]["wall_s"] >= 0.0
+
+
 class TestMergeState:
     _fake_pids = iter(f"fake{i:x}" for i in range(100))
 
@@ -203,6 +243,8 @@ class TestMergeState:
         roots = [s for s in merged if s.name == "parallel.task"]
         assert roots[0].parent_id == map_sp.span_id
         assert all(s.trace_id == map_sp.trace_id for s in merged)
+        # The adopted root's wall counts as the map span's children's.
+        assert map_sp.child_wall_s == roots[0].wall_s
 
     def test_merge_without_parent_keeps_worker_roots(self):
         state = self._worker_state()
