@@ -24,7 +24,7 @@ lockstep as ``(runs, hosts)`` tensors, bit-identical per run to the serial
 controller — the fast path for characterization grids and scenario sweeps.
 """
 
-from repro.runtime.reports import HostReport, JobReport, report_from_arrays
+from repro.runtime.reports import HostReport, JobReport, report_from_sums
 from repro.runtime.agent import (
     Agent,
     AgentBatch,
@@ -39,7 +39,7 @@ from repro.runtime.frequency_governor import (
     FrequencyGovernorAgent,
     FrequencyGovernorOptions,
 )
-from repro.runtime.controller import Controller, EpochResult
+from repro.runtime.controller import Controller
 from repro.runtime.batch import (
     ControllerBatch,
     ControllerBatchResult,
@@ -51,7 +51,7 @@ from repro.runtime.trace import JobTrace, TraceRecord, TraceWriter, attach_trace
 __all__ = [
     "HostReport",
     "JobReport",
-    "report_from_arrays",
+    "report_from_sums",
     "Agent",
     "AgentBatch",
     "AgentRegistry",
@@ -64,7 +64,6 @@ __all__ = [
     "FrequencyGovernorAgent",
     "FrequencyGovernorOptions",
     "Controller",
-    "EpochResult",
     "ControllerBatch",
     "ControllerBatchResult",
     "ControllerRunSpec",

@@ -21,15 +21,17 @@ with the same job, efficiencies, seed, and agent — not merely close:
 * every physics quantity is a pure elementwise ufunc chain evaluated by
   one bound kernel, so a leading run axis cannot change any element's
   value;
-* per-run reductions (epoch critical path, report energy sums) operate on
-  contiguous rows with the serial operation order;
+* per-run reductions (epoch critical path, report energy and frequency
+  sums) operate on contiguous rows with the serial operation order: each
+  epoch is folded into the per-run sums as it completes, exactly as the
+  serial controller folds its own;
 * noise is drawn from *per-run* ``default_rng(seed)`` streams, only on
   epochs where that run's effective sigma is positive — the serial
   draw-by-draw sequence;
 * batched agents (:meth:`~repro.runtime.agent.AgentBatch.adjust_batch`)
   are themselves written to the same contract, and both runtimes build
   reports through one function
-  (:func:`~repro.runtime.reports.report_from_arrays`).
+  (:func:`~repro.runtime.reports.report_from_sums`).
 
 The property is pinned by ``tests/property/test_controller_batch.py``.
 
@@ -47,15 +49,16 @@ raises ``TypeError`` and an agent that has already stepped raises
 any :class:`~repro.runtime.agent.Agent`).  Fault-injected runs batch
 too: the group's sample is copied and each injected row replaced by its
 injector's ``corrupt_sample`` view, so the agents steer on the corrupted
-telemetry while the log keeps the truthful physics.
+telemetry while the reports keep the truthful physics.
 
 Convergence freezing
 --------------------
-A converged run leaves the active set: its state is recorded and it is
-excluded from further physics and agent work, exactly like a serial
-controller that stopped iterating.  The active set only shrinks, so run
-``c``'s history is always the first ``epochs[c]`` entries of the batch
-log.
+A converged run leaves the active set: its final-epoch sample is kept
+and it is excluded from further physics and agent work, exactly like a
+serial controller that stopped iterating.  The batch keeps sums, not
+histories: per-run energy and frequency sums, the epoch times and each
+run's last sample and limits.  For per-epoch data, trace a serial
+controller (:func:`~repro.runtime.trace.attach_tracer`).
 """
 
 from __future__ import annotations
@@ -65,14 +68,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.agent import Agent, AgentBatch, SampleBatch
+from repro.runtime.agent import Agent, AgentBatch, PlatformSample, SampleBatch
 from repro.runtime.controller import (
-    EpochResult,
     check_run_inputs,
     epoch_energy,
     initial_limits,
 )
-from repro.runtime.reports import JobReport, report_from_arrays
+from repro.runtime.reports import JobReport, report_from_sums
 from repro.sim.batch import stack_job_layouts
 from repro.sim.engine import ExecutionModel
 from repro.telemetry import emit, enabled, get_registry, span
@@ -114,16 +116,6 @@ class ControllerRunSpec:
     def injecting(self) -> bool:
         """Whether this run carries an active fault injector."""
         return self.fault_injector is not None and self.fault_injector.active
-
-
-@dataclass(frozen=True)
-class _EpochLog:
-    """One epoch's record for all runs active that epoch."""
-
-    epoch: int
-    rows: np.ndarray              # (A,) global run indices, sorted
-    sample: SampleBatch           # truthful physics, one row per entry of rows
-    limits_applied_w: np.ndarray  # (A, hosts) limits the agents returned
 
 
 class _AgentGroup(NamedTuple):
@@ -188,6 +180,22 @@ def _slice_sample(sample: SampleBatch, positions: np.ndarray) -> SampleBatch:
     )
 
 
+def _keep_last(
+    last: List[Optional[PlatformSample]],
+    sample: SampleBatch,
+    rows: np.ndarray,
+    leaving: np.ndarray,
+) -> None:
+    """Keep the final-epoch sample of the runs leaving the loop.
+
+    ``rows`` are the runs ``sample`` covers and ``leaving`` masks them.
+    Each kept sample is a per-run copy, so no ``(A, hosts)`` batch array
+    outlives the epoch that produced it.
+    """
+    for pos in np.flatnonzero(leaving).tolist():
+        last[int(rows[pos])] = sample.sample_for(pos)
+
+
 @dataclass(frozen=True)
 class ControllerBatchResult:
     """Outcome of a batched controller run.
@@ -201,42 +209,21 @@ class ControllerBatchResult:
     reports: Tuple[JobReport, ...]
     epochs: np.ndarray          # (C,) epochs each run executed
     converged: np.ndarray       # (C,) final convergence verdicts
-    _log: Tuple[_EpochLog, ...]
     _final_limits_w: np.ndarray  # (C, hosts)
+    _last_samples: Tuple[PlatformSample, ...]  # each run's final epoch
 
     @property
     def run_count(self) -> int:
         """Runs in the batch."""
         return len(self.reports)
 
-    def _position(self, log: _EpochLog, run: int) -> int:
-        pos = int(np.searchsorted(log.rows, run))
-        if pos >= log.rows.size or log.rows[pos] != run:
-            raise IndexError(f"run {run} was not active in epoch {log.epoch}")
-        return pos
-
     def final_limits_w(self, run: int) -> np.ndarray:
         """Limits in force after run ``run``'s final epoch."""
         return self._final_limits_w[run].copy()
 
-    def steady_state_sample(self, run: int):
+    def steady_state_sample(self, run: int) -> PlatformSample:
         """Run ``run``'s final-epoch telemetry (its converged point)."""
-        log = self._log[int(self.epochs[run]) - 1]
-        return log.sample.sample_for(self._position(log, run))
-
-    def history_for(self, run: int) -> List[EpochResult]:
-        """Materialise run ``run``'s serial-equivalent epoch history."""
-        out: List[EpochResult] = []
-        for log in self._log[: int(self.epochs[run])]:
-            pos = self._position(log, run)
-            out.append(
-                EpochResult(
-                    epoch=log.epoch,
-                    sample=log.sample.sample_for(pos),
-                    limits_applied_w=log.limits_applied_w[pos].copy(),
-                )
-            )
-        return out
+        return self._last_samples[run]
 
 
 class ControllerBatch:
@@ -403,7 +390,14 @@ class ControllerBatch:
             initial_limits_w, (runs, hosts), self.model.power_model.tdp_w
         )
 
-        log: List[_EpochLog] = []
+        # Per-run report state, folded in as each epoch completes (see
+        # ``Controller.run`` for why these sums keep the serial bits):
+        # ``limits`` ends as every run's final limits, and ``time_cols``
+        # holds one ``(runs,)`` column of epoch times per epoch.
+        energy_j = np.zeros((runs, hosts))
+        freq_sum_ghz = np.zeros((runs, hosts))
+        time_cols: List[np.ndarray] = []
+        last: List[Optional[PlatformSample]] = [None] * runs
         clock = np.zeros(runs)
         epochs_run = np.zeros(runs, dtype=int)
         converged = np.zeros(runs, dtype=bool)
@@ -422,11 +416,13 @@ class ControllerBatch:
                     epoch, limits, active, gathered, clock
                 )
                 clock[active] = clock[active] + sample.epoch_time_s
-                new_limits = self._adjust(sample, gathered, clock_start)
-                limits[active] = new_limits
-                log.append(
-                    _EpochLog(epoch, active.copy(), sample, new_limits.copy())
-                )
+                limits[active] = self._adjust(sample, gathered, clock_start)
+                energy_j[active] += sample.host_energy_j
+                freq_sum_ghz[active] += sample.mean_freq_ghz
+                epoch_times = np.zeros(runs)
+                epoch_times[active] = sample.epoch_time_s
+                time_cols.append(epoch_times)
+                sample_rows = active
                 epochs_run[active] += 1
                 if registry is not None:
                     registry.gauge(
@@ -436,6 +432,7 @@ class ControllerBatch:
                     conv = self._converged(gathered, active.size)
                     if np.any(conv):
                         converged[active[conv]] = True
+                        _keep_last(last, sample, active, conv)
                         active = active[~conv]
                         gathered = None
                         if active.size == 0:
@@ -445,6 +442,8 @@ class ControllerBatch:
             # budget (for a min_epochs > max_epochs run this is the
             # *first* check).
             if active.size:
+                _keep_last(last, sample, sample_rows,
+                           np.isin(sample_rows, active))
                 if gathered is None:
                     gathered = _ActiveGather(self, active)
                 converged[active] = self._converged(gathered, active.size)
@@ -454,8 +453,30 @@ class ControllerBatch:
                 )
                 trace_sp.set_attribute("converged", int(np.sum(converged)))
 
-        self._log = tuple(log)
-        result = self._build_result(epochs_run, converged)
+        times = np.stack(time_cols, axis=1)
+        metadata = {
+            c: dict(group.batch.describe_run(row))
+            for group in self._groups
+            for row, c in enumerate(group.members.tolist())
+        }
+        result = ControllerBatchResult(
+            reports=tuple(
+                report_from_sums(
+                    job_name=self.specs[c].job.name,
+                    agent=self.specs[c].agent.name,
+                    epoch_times_s=times[c, : epochs_run[c]],
+                    energy_j=energy_j[c],
+                    freq_sum_ghz=freq_sum_ghz[c],
+                    final_limits_w=limits[c],
+                    metadata=metadata[c],
+                )
+                for c in range(runs)
+            ),
+            epochs=epochs_run,
+            converged=converged,
+            _final_limits_w=limits,
+            _last_samples=tuple(last),
+        )
         if registry is not None:
             epochs_hist = registry.histogram("runtime.controller.epochs")
             for n in epochs_run.tolist():
@@ -480,47 +501,6 @@ class ControllerBatch:
                     "converged": 1.0 if converged[c] else 0.0,
                 })
         return result
-
-    # ------------------------------------------------------------------
-    def _build_result(
-        self, epochs_run: np.ndarray, converged: np.ndarray
-    ) -> ControllerBatchResult:
-        """Scatter the epoch log into per-run reports (one pass)."""
-        runs, hosts = self.run_count, self.hosts
-        total_epochs = len(self._log)
-        times = np.zeros((runs, total_epochs))
-        energy = np.zeros((runs, total_epochs, hosts))
-        freq = np.zeros((runs, total_epochs, hosts))
-        final_limits = np.zeros((runs, hosts))
-        for e, entry in enumerate(self._log):
-            times[entry.rows, e] = entry.sample.epoch_time_s
-            energy[entry.rows, e] = entry.sample.host_energy_j
-            freq[entry.rows, e] = entry.sample.mean_freq_ghz
-            final_limits[entry.rows] = entry.limits_applied_w
-        metadata = {
-            c: dict(group.batch.describe_run(row))
-            for group in self._groups
-            for row, c in enumerate(group.members.tolist())
-        }
-        reports = tuple(
-            report_from_arrays(
-                job_name=self.specs[c].job.name,
-                agent=self.specs[c].agent.name,
-                epoch_times_s=times[c, : epochs_run[c]],
-                host_energy_j=energy[c, : epochs_run[c]],
-                mean_freq_ghz=freq[c, : epochs_run[c]],
-                final_limits_w=final_limits[c],
-                metadata=metadata[c],
-            )
-            for c in range(runs)
-        )
-        return ControllerBatchResult(
-            reports=reports,
-            epochs=epochs_run.copy(),
-            converged=converged.copy(),
-            _log=self._log,
-            _final_limits_w=final_limits,
-        )
 
 
 def run_controller_batch(

@@ -22,20 +22,18 @@ runs for both at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.runtime.agent import Agent, PlatformSample
-from repro.runtime.reports import JobReport, report_from_arrays
+from repro.runtime.reports import JobReport, report_from_sums
 from repro.sim.engine import ExecutionModel
 from repro.telemetry import emit, enabled, get_registry, span
 from repro.workload.job import Job, WorkloadMix
 
 __all__ = [
-    "EpochResult", "Controller", "check_run_inputs", "epoch_energy",
-    "initial_limits",
+    "Controller", "check_run_inputs", "epoch_energy", "initial_limits",
 ]
 
 
@@ -101,15 +99,6 @@ def epoch_energy(host_time_s, epoch_time_s, compute_power_w, poll_power_w):
     return energy, energy / epoch_time_s
 
 
-@dataclass(frozen=True)
-class EpochResult:
-    """Telemetry of one simulated control epoch."""
-
-    epoch: int
-    sample: PlatformSample
-    limits_applied_w: np.ndarray
-
-
 class Controller:
     """Run one job under an agent until convergence or an epoch budget.
 
@@ -135,9 +124,9 @@ class Controller:
         When set and active, each epoch the injector filters the limits
         the agent requested (actuator faults), raises the compute-noise
         sigma during bursts, and corrupts the sample the *agent* sees —
-        ``history`` and the job report keep the truthful physics.  A
-        ``None`` or inactive injector leaves the fault-free code path
-        bit-identical.
+        the job report and :meth:`steady_state_sample` keep the truthful
+        physics.  A ``None`` or inactive injector leaves the fault-free
+        code path bit-identical.
     """
 
     def __init__(
@@ -167,7 +156,10 @@ class Controller:
         self._physics = self.model.bind(
             WorkloadMix(name=job.name, jobs=(job,)).layout(), self.efficiencies
         )
-        self.history: List[EpochResult] = []
+        # The last run's final-epoch sample and limits; the run keeps no
+        # per-epoch history (attach a tracer for one).
+        self._last_sample: Optional[PlatformSample] = None
+        self._final_limits_w: Optional[np.ndarray] = None
 
     @property
     def _injecting(self) -> bool:
@@ -203,7 +195,8 @@ class Controller:
     ) -> JobReport:
         """Execute epochs until the agent converges (or the budget runs out).
 
-        Returns the GEOPM-style job report aggregated over all epochs run.
+        Returns the GEOPM-style job report aggregated over all epochs run:
+        each epoch is folded into the report's sums as it completes.
         """
         if max_epochs < 1:
             raise ValueError("max_epochs must be positive")
@@ -212,8 +205,18 @@ class Controller:
             initial_limits_w, (n,), self.model.power_model.tdp_w
         )
 
-        self.history.clear()
+        self._last_sample = self._final_limits_w = None
         self._clock_s = 0.0
+        # Energy and frequency fold into running sums from zeros.  NumPy's
+        # axis-0 sum of a stacked ``(E, hosts)`` history adds row by row
+        # from the first row, so the sums match it bit for bit (a one-host
+        # stack is contiguous along epochs and NumPy sums that pairwise;
+        # both runtimes add in epoch order).  Epoch times stay an ``(E,)``
+        # vector: ``np.sum`` over it is pairwise, so a running scalar total
+        # would change ``runtime_s``.
+        epoch_times: List[float] = []
+        energy_j = np.zeros(n)
+        freq_sum_ghz = np.zeros(n)
         with span("runtime.controller.run", job=self.job.name,
                   agent=self.agent.name, hosts=n,
                   injecting=self._injecting) as trace_sp:
@@ -223,35 +226,46 @@ class Controller:
                 self._clock_s += sample.epoch_time_s
                 observed = sample
                 if self._injecting:
-                    # The agent steers on the corrupted view; history and
-                    # the report keep the truthful physics sample.
+                    # The agent steers on the corrupted view; the report
+                    # keeps the truthful physics sample.
                     observed = self.fault_injector.corrupt_sample(
                         sample, epoch_start_s
                     )
                 limits = self.agent.adjust(observed)
-                self.history.append(EpochResult(epoch, sample, limits.copy()))
+                epoch_times.append(sample.epoch_time_s)
+                energy_j += sample.host_energy_j
+                freq_sum_ghz += sample.mean_freq_ghz
                 if epoch + 1 >= min_epochs and self.agent.converged():
                     break
             if trace_sp is not None:
-                trace_sp.set_attribute("epochs", len(self.history))
+                trace_sp.set_attribute("epochs", len(epoch_times))
                 trace_sp.set_attribute("converged", self.agent.converged())
         converged = self.agent.converged()
-        report = self._build_report()
+        epochs = len(epoch_times)
+        self._last_sample = sample
+        self._final_limits_w = np.array(limits, dtype=float)
+        report = report_from_sums(
+            job_name=self.job.name,
+            agent=self.agent.name,
+            epoch_times_s=np.array(epoch_times),
+            energy_j=energy_j,
+            freq_sum_ghz=freq_sum_ghz,
+            final_limits_w=self._final_limits_w,
+            metadata=dict(self.agent.describe()),
+        )
         if enabled():
             registry = get_registry()
             registry.counter("runtime.controller.runs").inc()
-            registry.histogram("runtime.controller.epochs").observe(
-                len(self.history)
-            )
+            registry.histogram("runtime.controller.epochs").observe(epochs)
             if converged:
                 registry.counter("runtime.controller.converged").inc()
             emit(
                 "runtime.controller", "run_complete",
                 job=self.job.name, agent=self.agent.name,
-                epochs=len(self.history), converged=converged,
+                epochs=epochs, converged=converged,
             )
             report.telemetry.update({
-                "epochs": float(len(self.history)),
+                "epochs": float(epochs),
                 "converged": 1.0 if converged else 0.0,
             })
         return report
@@ -259,28 +273,12 @@ class Controller:
     # ------------------------------------------------------------------
     def steady_state_sample(self) -> PlatformSample:
         """Telemetry of the final epoch (the converged operating point)."""
-        if not self.history:
+        if self._last_sample is None:
             raise RuntimeError("controller has not run")
-        return self.history[-1].sample
+        return self._last_sample
 
     def final_limits_w(self) -> np.ndarray:
         """Limits in force after the final epoch."""
-        if not self.history:
+        if self._final_limits_w is None:
             raise RuntimeError("controller has not run")
-        return self.history[-1].limits_applied_w.copy()
-
-    def _build_report(self) -> JobReport:
-        # One pass over the history stacking the per-epoch arrays; the
-        # reductions (and the total-time sum the figure of merit reuses)
-        # happen once in :func:`report_from_arrays` instead of the former
-        # per-record accumulation loop plus a per-host ``float()`` loop.
-        samples = [record.sample for record in self.history]
-        return report_from_arrays(
-            job_name=self.job.name,
-            agent=self.agent.name,
-            epoch_times_s=np.array([s.epoch_time_s for s in samples]),
-            host_energy_j=np.stack([s.host_energy_j for s in samples]),
-            mean_freq_ghz=np.stack([s.mean_freq_ghz for s in samples]),
-            final_limits_w=self.history[-1].limits_applied_w,
-            metadata=dict(self.agent.describe()),
-        )
+        return self._final_limits_w.copy()

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["HostReport", "JobReport", "report_from_arrays"]
+__all__ = ["HostReport", "JobReport", "report_from_sums"]
 
 
 @dataclass(frozen=True)
@@ -168,46 +168,45 @@ class JobReport:
         return "\n".join(lines) + "\n"
 
 
-def report_from_arrays(
+def report_from_sums(
     job_name: str,
     agent: str,
     epoch_times_s: np.ndarray,
-    host_energy_j: np.ndarray,
-    mean_freq_ghz: np.ndarray,
+    energy_j: np.ndarray,
+    freq_sum_ghz: np.ndarray,
     final_limits_w: np.ndarray,
     metadata: Dict[str, float],
 ) -> JobReport:
-    """Build a :class:`JobReport` from stacked per-epoch history arrays.
+    """Build a :class:`JobReport` from a run's per-host sums over epochs.
 
     This is the one report construction both the serial
     :class:`~repro.runtime.controller.Controller` and the batched
     :class:`~repro.runtime.batch.ControllerBatch` go through, so a batched
-    run's report is bit-identical to its serial twin by construction: the
-    caller hands the same ``(E,)`` epoch times and ``(E, hosts)`` energy /
-    frequency stacks, and every reduction below happens in one fixed order.
+    run's report is bit-identical to its serial twin by construction: both
+    runtimes fold each epoch into the same sums as it completes, and the
+    remaining reductions below happen in one fixed order.
 
     Parameters
     ----------
     epoch_times_s:
-        Per-epoch wall times, shape ``(E,)``.
-    host_energy_j / mean_freq_ghz:
-        Per-epoch per-host samples, shape ``(E, hosts)``.
+        Per-epoch wall times, shape ``(E,)``; summed here with ``np.sum``
+        (pairwise), which fixes the bits of ``runtime_s``.
+    energy_j / freq_sum_ghz:
+        Per-host energy and achieved-frequency sums over the ``E``
+        epochs, shape ``(hosts,)``.
     final_limits_w:
         Limits in force after the final epoch, shape ``(hosts,)``.
     metadata:
         The agent's :meth:`~repro.runtime.agent.Agent.describe` scalars.
     """
     epoch_times = np.asarray(epoch_times_s, dtype=float)
-    energy_eh = np.asarray(host_energy_j, dtype=float)
-    freq_eh = np.asarray(mean_freq_ghz, dtype=float)
+    energy = np.asarray(energy_j, dtype=float)
     epochs = int(epoch_times.size)
     if epochs == 0:
         raise ValueError("a report needs at least one epoch")
     total_time = float(np.sum(epoch_times))
-    energy = np.sum(energy_eh, axis=0)
-    freq_sum = np.sum(freq_eh, axis=0)
     mean_power = energy / total_time if total_time else np.zeros_like(energy)
-    mean_freq = freq_sum / epochs
+    mean_freq = np.asarray(freq_sum_ghz, dtype=float) / epochs
     hosts = tuple(
         HostReport(
             host_id=i,

@@ -1,12 +1,15 @@
-"""GEOPM-style traces: per-epoch telemetry records.
+"""GEOPM-style traces: the runtime's one per-epoch record.
 
 Alongside its end-of-job report, GEOPM writes a *trace* — one row per
-control epoch per host with the signals the agent sampled.  Traces are
-what operators use to debug a balancer that won't converge and what
-papers plot time series from.  :class:`TraceWriter` collects
-:class:`~repro.runtime.agent.PlatformSample` objects from a controller
-run into a columnar trace with CSV export, and :func:`attach_tracer`
-wires one into a controller non-invasively.
+control epoch per host with the signals the agent sampled — as a
+separate output the operator turns on.  Traces are what operators use to
+debug a balancer that won't converge and what papers plot time series
+from.  The controllers themselves keep only the report's sums and the
+final epoch, so :func:`attach_tracer` is how a caller gets per-epoch
+data: it wires a :class:`TraceWriter` into a
+:class:`~repro.runtime.controller.Controller`, which then collects every
+:class:`~repro.runtime.agent.PlatformSample` of each run into a columnar
+trace with CSV export.
 
 Traces ride the unified telemetry pipeline: :meth:`TraceWriter.record`
 *publishes* each sample as a ``runtime.trace`` event on an
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -160,6 +163,8 @@ class TraceWriter:
         self._token: Optional[int] = self.bus.subscribe(
             self._on_event, kinds=["epoch_sample"], sources=["runtime.trace"]
         )
+        #: Undoes :func:`attach_tracer`'s wrapping on :meth:`close`.
+        self._detach: Optional[Callable[[], None]] = None
 
     def record(self, sample: PlatformSample) -> None:
         """Publish one epoch's telemetry (every host) as a trace event."""
@@ -195,26 +200,38 @@ class TraceWriter:
             )
 
     def close(self) -> None:
-        """Detach from the bus (the collected trace stays readable)."""
+        """Detach from the bus and unwrap an attached controller (the
+        collected trace stays readable)."""
         if self._token is not None:
             self.bus.unsubscribe(self._token)
             self._token = None
+        if self._detach is not None:
+            self._detach()
+            self._detach = None
 
 
 def attach_tracer(controller) -> TraceWriter:
     """Attach a tracer to a controller without touching its agent.
 
     Wraps the controller's ``_run_epoch`` so every sample is recorded
-    before the agent sees it.  Returns the writer; read
-    ``writer.trace`` after :meth:`Controller.run`.
+    before the agent sees it.  Each :meth:`Controller.run` starts a fresh
+    :class:`JobTrace` (a trace read earlier stays intact), so
+    ``writer.trace`` always holds the latest run.  :meth:`TraceWriter.close`
+    restores the controller's own ``_run_epoch``.
     """
     writer = TraceWriter(job_name=controller.job.name)
     original = controller._run_epoch
 
     def traced(epoch, limits_w):
         sample = original(epoch, limits_w)
+        if epoch == 0:
+            writer.trace = JobTrace(job_name=writer.trace.job_name)
         writer.record(sample)
         return sample
 
+    def detach():
+        controller._run_epoch = original
+
     controller._run_epoch = traced
+    writer._detach = detach
     return writer

@@ -193,12 +193,15 @@ class BoundEpoch:
                 and (caps == last[0]).all()):
             # The physics is a pure function of the caps: an agent holding
             # its limits gets the previous epoch's values, as fresh arrays.
-            return (caps,) + tuple(a.copy() for a in last[1:])
+            return (caps, *[a.copy() for a in last[1:]])
         freq = power.freq_at_cap_load(caps, self._load)
         t = _phase_time(freq / self._base_ghz, *self._roofline)
         p_compute = power.power_at_freq_load(freq, self._load)
         poll_freq = power.freq_at_cap_load(caps, self._poll_load)
         p_poll = power.power_at_freq_load(poll_freq, self._poll_load)
         out = (caps, freq, t, p_compute, p_poll)
-        self._last = tuple(a.copy() for a in out)
+        # Lists, not ``tuple(<generator>)``: that form strands one tuple
+        # per call on CPython's free list, so a run's memory would grow
+        # with its epoch count.
+        self._last = tuple([a.copy() for a in out])
         return out

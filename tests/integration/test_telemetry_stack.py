@@ -93,8 +93,10 @@ class TestControllerTelemetry:
         events = telemetry.get_bus().events(kind="run_complete",
                                             source="runtime.controller")
         assert len(events) == 1
-        assert events[0].payload["epochs"] == len(controller.history)
-        assert report.telemetry["epochs"] == len(controller.history)
+        epochs = controller.steady_state_sample().epoch + 1
+        assert report.hosts[0].epochs == epochs
+        assert events[0].payload["epochs"] == epochs
+        assert report.telemetry["epochs"] == epochs
 
     def test_disabled_run_leaves_no_trace_and_plain_report(
         self, execution_model

@@ -187,7 +187,8 @@ class TestTracerSeesEveryEpoch:
     def test_attach_tracer_records_every_epoch(self, agent, epochs):
         """``attach_tracer`` wraps ``Controller._run_epoch``; with the bound
         kernel (repeated caps included — a monitor never moves them) it
-        still records every epoch, with the history's exact values."""
+        still records every epoch, and the trace rebuilds the report's
+        sums and the final sample exactly."""
         job = Job(
             name="traced",
             config=KernelConfig(intensity=8.0, waiting_fraction=0.5,
@@ -201,15 +202,26 @@ class TestTracerSeesEveryEpoch:
         with telemetry.disabled():
             writer = attach_tracer(controller)
             try:
-                controller.run(max_epochs=epochs, min_epochs=epochs)
+                report = controller.run(max_epochs=epochs, min_epochs=epochs)
             finally:
                 writer.close()
-        assert writer.trace.epochs == len(controller.history) == epochs
+        trace = writer.trace
+        assert trace.epochs == report.hosts[0].epochs == epochs
+        assert float(np.sum(trace.column("epoch_time_s", host=0))) == (
+            report.hosts[0].runtime_s
+        )
+        last = controller.steady_state_sample()
+        for host in report.hosts:
+            energy = freq = 0.0
+            for e, f in zip(trace.column("energy_j", host=host.host_id),
+                            trace.column("frequency_ghz", host=host.host_id)):
+                energy += e  # epoch order, as the controller folds them
+                freq += f
+            assert energy == host.energy_j
+            assert freq / epochs == host.mean_freq_ghz
         for column, field in (("power_w", "host_power_w"),
                               ("frequency_ghz", "mean_freq_ghz"),
                               ("power_limit_w", "power_limit_w")):
             np.testing.assert_array_equal(
-                writer.trace.column(column),
-                np.concatenate([getattr(r.sample, field)
-                                for r in controller.history]),
+                trace.column(column)[-3:], getattr(last, field)
             )

@@ -1,13 +1,17 @@
 """Unit tests for the runtime controller."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.runtime.batch import ControllerRunSpec, run_controller_batch
 from repro.runtime.controller import Controller
 from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_balancer import PowerBalancerAgent
 from repro.runtime.power_governor import PowerGovernorAgent
+from repro.runtime.trace import attach_tracer
 from repro.workload.job import Job
 from repro.workload.kernel import KernelConfig
 
@@ -156,15 +160,78 @@ class TestBalancerRun:
         assert limits[n_crit:].max() < limits[:n_crit].min()
 
     def test_epoch_history_recorded(self):
+        """The per-epoch record is an attached trace; the controller keeps
+        only the final epoch."""
         job = _job(nodes=4)
         agent = PowerBalancerAgent(job_budget_w=4 * 240.0)
         ctl = Controller(job, np.ones(4), agent)
-        ctl.run(max_epochs=50)
-        assert len(ctl.history) >= 3
-        assert ctl.history[0].epoch == 0
+        writer = attach_tracer(ctl)
+        report = ctl.run(max_epochs=50)
+        writer.close()
+        epochs = report.hosts[0].epochs
+        assert epochs >= 3
+        assert writer.trace.epochs == epochs
+        assert writer.trace.records[0].epoch == 0
+        assert ctl.steady_state_sample().epoch == epochs - 1
 
     def test_figure_of_merit_is_mean_epoch_time(self):
         ctl = Controller(_job(nodes=3), np.ones(3), MonitorAgent())
+        writer = attach_tracer(ctl)
         report = ctl.run(max_epochs=4, min_epochs=4)
-        times = [rec.sample.epoch_time_s for rec in ctl.history]
+        writer.close()
+        times = writer.trace.column("epoch_time_s", host=0)
+        assert times.shape == (4,)
         assert report.figure_of_merit == pytest.approx(float(np.mean(times)))
+
+
+class TestRunMemory:
+    """A run keeps sums, not histories: its peak memory must not grow
+    with the epoch count (eight 32-host monitor runs, forced through
+    every epoch)."""
+
+    HOSTS, RUNS = 32, 8
+
+    def _specs(self):
+        rng = np.random.default_rng(7)
+        return [
+            ControllerRunSpec(
+                job=_job(nodes=self.HOSTS), agent=MonitorAgent(),
+                efficiencies=1.0 + 0.05 * rng.standard_normal(self.HOSTS),
+                noise_std=0.01, seed=c,
+            )
+            for c in range(self.RUNS)
+        ]
+
+    @staticmethod
+    def _peak_bytes(run, epochs):
+        tracemalloc.start()
+        try:
+            run(epochs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _assert_flat(self, run):
+        with telemetry.disabled():
+            run(5)  # warm-up: imports, caches and lazy allocations
+            short = self._peak_bytes(run, 40)
+            long = self._peak_bytes(run, 400)
+        assert long <= 2 * short, (short, long)
+
+    def test_batch_peak_flat_in_epochs(self):
+        def run(epochs):
+            return run_controller_batch(self._specs(), max_epochs=epochs,
+                                        min_epochs=epochs)
+
+        self._assert_flat(run)
+
+    def test_serial_peak_flat_in_epochs(self):
+        def run(epochs):
+            return [
+                Controller(spec.job, spec.efficiencies, spec.agent,
+                           noise_std=spec.noise_std, seed=spec.seed).run(
+                    max_epochs=epochs, min_epochs=epochs)
+                for spec in self._specs()
+            ]
+
+        self._assert_flat(run)

@@ -20,6 +20,7 @@ from repro.faults import (
 )
 from repro.runtime.controller import Controller
 from repro.runtime.power_governor import PowerGovernorAgent
+from repro.runtime.trace import attach_tracer
 from repro.workload.job import Job
 from repro.workload.kernel import KernelConfig
 
@@ -225,22 +226,26 @@ class TestControllerInjection:
                           seed=5, fault_injector=injector)
 
     def test_inactive_injector_bit_identical(self):
-        plain = self._controller()
-        plain.run(max_epochs=6)
-        injected = self._controller(RuntimeFaultInjector(FaultSchedule()))
-        injected.run(max_epochs=6)
-        for a, b in zip(plain.history, injected.history):
-            np.testing.assert_array_equal(a.sample.host_power_w,
-                                          b.sample.host_power_w)
-            assert a.sample.epoch_time_s == b.sample.epoch_time_s
+        runs = []
+        for injector in (None, RuntimeFaultInjector(FaultSchedule())):
+            controller = self._controller(injector)
+            writer = attach_tracer(controller)
+            report = controller.run(max_epochs=6)
+            writer.close()
+            runs.append((report, writer.trace))
+        (plain, plain_trace), (injected, injected_trace) = runs
+        assert plain == injected
+        for column in ("power_w", "epoch_time_s"):
+            np.testing.assert_array_equal(plain_trace.column(column),
+                                          injected_trace.column(column))
 
     def test_stuck_cap_overrides_agent_request(self):
         schedule = FaultSchedule().cap_stuck(0.0, (0,), stuck_at_w=150.0)
         controller = self._controller(RuntimeFaultInjector(schedule))
         controller.run(max_epochs=4)
         # The platform honoured the stuck value, not the agent's 200 W.
-        assert controller.history[-1].sample.power_limit_w[0] == 150.0
-        assert controller.history[-1].sample.power_limit_w[1] == 200.0
+        assert controller.steady_state_sample().power_limit_w[0] == 150.0
+        assert controller.steady_state_sample().power_limit_w[1] == 200.0
 
 
 class TestDegradationLadder:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.runtime.agent import PlatformSample
 from repro.runtime.controller import Controller
+from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_balancer import PowerBalancerAgent
 from repro.runtime.trace import JobTrace, TraceWriter, attach_tracer
 from repro.workload.job import Job
@@ -89,8 +91,8 @@ class TestAttachTracer:
         agent = PowerBalancerAgent(job_budget_w=4 * 240.0)
         controller = Controller(job, np.ones(4), agent, model=execution_model)
         writer = attach_tracer(controller)
-        controller.run(max_epochs=50)
-        assert writer.trace.epochs == len(controller.history)
+        report = controller.run(max_epochs=50)
+        assert writer.trace.epochs == report.hosts[0].epochs
         assert writer.trace.hosts == 4
 
     def test_trace_shows_balancer_convergence(self, execution_model):
@@ -111,3 +113,48 @@ class TestAttachTracer:
         last_step = float(steps[-1])
         assert biggest > 1.0  # the balancer did move limits
         assert last_step < biggest / 10
+
+    def test_each_run_starts_a_fresh_trace(self, execution_model):
+        """Regression: a second run under one tracer used to append to the
+        first run's trace (24 rows reading as 3 epochs)."""
+        job = Job(
+            name="t",
+            config=KernelConfig(intensity=8.0, waiting_fraction=0.5, imbalance=2),
+            node_count=4,
+        )
+        agent = PowerBalancerAgent(job_budget_w=4 * 240.0)
+        controller = Controller(job, np.ones(4), agent, model=execution_model)
+        writer = attach_tracer(controller)
+        controller.run(max_epochs=3)
+        first = writer.trace
+        controller.run(max_epochs=3)
+        writer.close()
+        assert len(first) == 12
+        assert len(writer.trace) == 12
+        assert writer.trace.epochs == 3
+        np.testing.assert_array_equal(
+            writer.trace.limit_history()[-1],
+            controller.steady_state_sample().power_limit_w,
+        )
+
+    def test_close_stops_publishing(self, execution_model):
+        """Regression: after ``close()`` the wrapped controller kept
+        publishing one trace event per epoch onto the bus."""
+        job = Job(name="t", config=KernelConfig(intensity=8.0), node_count=4)
+        controller = Controller(job, np.ones(4), MonitorAgent(),
+                                model=execution_model)
+        bus = telemetry.get_bus()
+
+        def published():
+            return bus.counts_by_source().get("runtime.trace", 0)
+
+        before = published()
+        with telemetry.disabled():
+            writer = attach_tracer(controller)
+            controller.run(max_epochs=5, min_epochs=5)
+            writer.close()
+            after_close = published()
+            controller.run(max_epochs=5, min_epochs=5)
+        assert after_close - before == 5
+        assert published() == after_close
+        assert len(writer.trace) == 5 * 4
