@@ -16,6 +16,11 @@ import numpy as np
 
 __all__ = ["MixRunResult"]
 
+#: Excess power at or below this fraction of the budget is float residue,
+#: not overshoot: caps that sum to the budget can reach it to within
+#: rounding of the per-iteration energy sums.
+OVERSHOOT_RESIDUE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class MixRunResult:
@@ -163,10 +168,13 @@ class MixRunResult:
 
         Sums ``max(0, power - budget) x duration`` over iterations: the
         quantity a facility's interconnection agreement actually bills —
-        zero exactly when no iteration's power exceeds the budget.
+        zero exactly when no iteration's power exceeds the budget by more
+        than :data:`OVERSHOOT_RESIDUE` of it.
         """
+        budget_w = float(budget_w)
         durations = np.max(self.iteration_times_s, axis=1)
-        excess = np.maximum(self.iteration_power_w - float(budget_w), 0.0)
+        excess = self.iteration_power_w - budget_w
+        excess = np.where(excess > OVERSHOOT_RESIDUE * budget_w, excess, 0.0)
         return float(np.sum(excess * durations))
 
     @property

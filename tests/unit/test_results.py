@@ -78,3 +78,34 @@ class TestDerived:
             "gflops_per_watt",
         ):
             assert key in summary
+
+
+class TestBudgetOvershoot:
+    def _at_caps(self, caps, seconds):
+        """Every host of one job drawing its cap for ``seconds`` per iteration."""
+        caps = np.asarray(caps, dtype=float)
+        times = np.full((2, 1), seconds)
+        return MixRunResult(
+            mix_name="m",
+            policy_name="p",
+            budget_w=float(np.sum(caps)),
+            job_names=("j0",),
+            iteration_times_s=times,
+            iteration_energy_j=np.full((2, caps.size), seconds) @ caps,
+            host_energy_j=2.0 * seconds * caps,
+            host_mean_power_w=caps,
+            host_job_index=np.zeros(caps.size, dtype=int),
+            total_gflop=1.0,
+        )
+
+    def test_caps_summing_to_budget_give_zero(self):
+        res = self._at_caps([110.3, 120.7, 150.9], 1.3)
+        # The energy sum rounds above budget x duration ...
+        assert np.all(res.iteration_power_w > res.budget_w)
+        # ... and that residue is not overshoot.
+        assert res.budget_overshoot_watt_seconds(res.budget_w) == 0.0
+
+    def test_real_excess_is_billed(self):
+        res = self._at_caps([110.3, 120.7, 150.9], 1.3)
+        overshoot = res.budget_overshoot_watt_seconds(res.budget_w - 1.0)
+        assert overshoot == pytest.approx(2 * 1.3 * 1.0)
