@@ -4,17 +4,24 @@ Each iteration of the synthetic kernel proceeds as in the paper's Fig. 2:
 every host runs its compute phase, the job's iteration time is the maximum
 over its hosts (the critical path), and early finishers busy-poll at the
 barrier until the iteration ends.  Energy is compute power over the compute
-phase plus poll power over the slack.
+phase plus poll power over the slack.  The slack is never materialised per
+host-iteration: a host's total slack is its job's elapsed time minus its
+own compute time, and an iteration's energy is the compute phases at
+``compute - poll`` power plus each job's whole iteration at the summed poll
+power of its hosts.
 
 Noise model: compute-phase times receive i.i.d. multiplicative lognormal
 noise per host-iteration (OS jitter, DRAM refresh, cache state), which is
 what gives repeated iterations the spread behind the paper's 95 %
 confidence intervals.  Work amounts are deterministic — noise stretches
-time, not FLOPs.
+time, not FLOPs.  The draw is ``exp(sigma * z)`` over one standard-normal
+slab per scenario, computed in place; it consumes the seed's stream exactly
+as ``Generator.lognormal`` does, and NumPy's vectorised ``exp`` may differ
+from libm's by one ulp.
 
 The engine body (:func:`_execute_scenarios`) carries a leading *scenario*
 axis: it evaluates an ``(S, hosts)`` cap matrix as ``S`` independent
-executions in one pass over ``(S, iterations, hosts)`` tensors.
+executions in one pass over one ``(S, iterations, hosts)`` time tensor.
 :func:`simulate_mix` is the single-scenario entry point (``S = 1``);
 :func:`repro.sim.batch.simulate_cap_batch` exposes the full batch.  Both
 paths share this one implementation, so batched results are bit-identical
@@ -230,17 +237,17 @@ def _execute_scenarios(
 
     Determinism contract: scenario ``s`` of the returned tensors is
     bit-identical to a serial run with ``caps_sw[s]`` and ``seeds[s]`` —
-    the physics is an elementwise ufunc chain (exact per element under
-    broadcasting), segmented reductions use exact ``max``, axis sums
-    accumulate in the same order per scenario slice, and the energy dot
-    products run per-scenario on contiguous slices so the same BLAS
-    routine sees the same operands.
+    the physics and the noise draw are elementwise per scenario slab,
+    segmented reductions use exact ``max`` (and per-row ``add`` for the
+    job poll powers), axis sums accumulate in the same order per scenario
+    slice, and the energy dot products run per-scenario on contiguous
+    slices so the same BLAS routine sees the same operands.
 
     ``fault_schedule`` (an *active* one) is the only thing allowed to
     perturb this contract: actuator overrides land before the clamp and
-    noise bursts switch the noise draw to a per-iteration-sigma stream.
-    The gate is on :attr:`FaultSchedule.active`, so a ``None`` or empty
-    schedule leaves every branch below exactly as it was.
+    noise bursts scale the same standard normals by a per-iteration
+    sigma.  The gate is on :attr:`FaultSchedule.active`, so a ``None`` or
+    empty schedule leaves the draw at the scalar ``noise_std``.
     """
     physics = model.bind(layout, efficiencies)
     sigma_si = None
@@ -272,63 +279,55 @@ def _execute_scenarios(
     scenarios, hosts = caps.shape
 
     # --- noisy iterations (S, iterations, hosts) ----------------------
-    if sigma_si is not None:
-        # Noise-burst injection: per-iteration sigmas.  A single standard
-        # normal tensor per scenario scaled by the sigma column — outside
-        # burst windows this is distributionally the base lognormal draw
-        # (bit-identity is only promised for fault-free schedules, which
-        # never reach this branch).
-        host_times = np.empty((scenarios, n_iter, hosts))
-        for s in range(scenarios):
-            rng = np.random.default_rng(seeds[s])
-            z = rng.standard_normal(size=(n_iter, hosts))
-            host_times[s] = np.exp(sigma_si[s][:, np.newaxis] * z)
-        host_times *= t_compute[:, np.newaxis, :]
-    elif noise_std > 0:
-        # The noise tensor doubles as the time tensor: each scenario's
-        # lognormal draw lands in its slab, then the deterministic times
-        # scale it in place (multiplication commutes bitwise).
-        host_times = np.empty((scenarios, n_iter, hosts))
-        for s in range(scenarios):
-            # Generator(PCG64(seed)) is the stream default_rng(seed)
-            # builds for an int seed, minus the seed-normalisation layer
-            # — this loop runs once per in-flight batch at streaming
-            # rates.
-            rng = np.random.Generator(np.random.PCG64(seeds[s]))
-            host_times[s] = rng.lognormal(mean=0.0, sigma=noise_std,
-                                          size=(n_iter, hosts))
-        host_times *= t_compute[:, np.newaxis, :]
-    else:
-        # Noise-free times repeat the deterministic row; a broadcast view
-        # stands in for the former (n_iter, hosts) ones-matrix multiply.
+    if sigma_si is None and noise_std == 0:
+        # Noise-free times repeat the deterministic row: a broadcast view.
         host_times = np.broadcast_to(
             t_compute[:, np.newaxis, :], (scenarios, n_iter, hosts)
         )
+    else:
+        # Each scenario's lognormal noise lands in its slab in place:
+        # standard normals, scaled by the sigma (one per iteration under a
+        # noise burst), exponentiated.  Generator(PCG64(seed)) is the
+        # stream default_rng(seed) builds for an int seed, minus the
+        # seed-normalisation layer, and the draw consumes it exactly as
+        # ``Generator.lognormal`` would.
+        host_times = np.empty((scenarios, n_iter, hosts))
+        for s in range(scenarios):
+            slab = host_times[s]
+            np.random.Generator(np.random.PCG64(seeds[s])).standard_normal(
+                out=slab
+            )
+            slab *= noise_std if sigma_si is None else sigma_si[s][:, np.newaxis]
+            np.exp(slab, out=slab)
+        # The deterministic times scale the noise in place (multiplication
+        # commutes bitwise).
+        host_times *= t_compute[:, np.newaxis, :]
 
     starts = layout.job_boundaries[:-1]
     # Segmented max per iteration row: reduceat along the host axis.
     job_iter_times = np.maximum.reduceat(host_times, starts, axis=2)
-    job_iter_times = job_iter_times + barrier_overhead_s
+    job_iter_times += barrier_overhead_s
 
     # --- energy accounting ---------------------------------------------
-    # Slack per host-iteration = job iteration time - own compute time
-    # (barrier overhead is spent polling too), with tiny negatives from
-    # the shared barrier overhead handling clamped to zero.  The gather
-    # along the host axis is not C-contiguous, so the subtraction lands
-    # in a fresh contiguous buffer — the reductions and matvecs below
-    # must see the same memory order as a serial run.
-    slack = np.empty(host_times.shape)
-    np.subtract(job_iter_times[:, :, layout.job_index], host_times, out=slack)
-    np.maximum(slack, 0.0, out=slack)
-
+    # A host computes for its own time and polls for the rest of its
+    # job's iteration (barrier overhead included), so its slack is the
+    # job's elapsed time minus its compute time.  Never negative: each
+    # job iteration time is at least each of its hosts' times, and both
+    # axis sums accumulate iterations in the same order.
     host_compute_s = host_times.sum(axis=1)
-    host_slack_s = slack.sum(axis=1)
+    host_slack_s = job_iter_times.sum(axis=1)[:, layout.job_index] \
+        - host_compute_s
     host_energy = p_compute * host_compute_s + p_poll * host_slack_s
-    # Per-scenario matvecs on contiguous slices: a stacked matmul may pick
-    # a different BLAS kernel than the serial path and break bit-identity.
+    # Iteration energy = compute time at (compute - poll) power plus the
+    # whole job iteration at the job's summed poll power.  Per-scenario
+    # matvecs on contiguous slices: a stacked matmul may pick a different
+    # BLAS kernel than the serial path and break bit-identity.
+    net_compute = p_compute - p_poll
+    job_poll = np.add.reduceat(p_poll, starts, axis=-1)
     iteration_energy = np.empty((scenarios, n_iter))
     for s in range(scenarios):
-        iteration_energy[s] = host_times[s] @ p_compute[s] + slack[s] @ p_poll[s]
+        iteration_energy[s] = (host_times[s] @ net_compute[s]
+                               + job_iter_times[s] @ job_poll[s])
     host_elapsed = host_compute_s + host_slack_s
     with np.errstate(invalid="ignore", divide="ignore"):
         host_mean_power = np.where(host_elapsed > 0, host_energy / host_elapsed, 0.0)
