@@ -4,8 +4,9 @@ Repeated grid cells, online re-planning rounds, and replayed site
 simulations keep re-deriving the same characterizations and executions.
 This cache memoizes them behind a *stable content hash*: the key is a
 SHA-256 digest of the canonical JSON form of every input that influences
-the result (mix spec, model parameters, caps, efficiencies, options), so
-two calls collide exactly when the physics would be identical.
+the result (mix spec, model parameters, caps, efficiencies, options; each
+array enters by the SHA-256 of its bytes), so two calls collide exactly
+when the physics would be identical.
 
 Storage is two-tier: an in-memory LRU (`max_entries`) backed by an
 optional on-disk JSON store (one file per entry under ``cache_dir``).
@@ -53,10 +54,10 @@ def canonical(obj: object) -> object:
 
     Handles the types cache keys are built from: dataclasses (tagged
     with their class name so two option types with equal fields do not
-    collide), numpy arrays and scalars (dtype + shape + exact values),
-    enums, containers, and JSON primitives.  Floats rely on ``repr``
-    round-tripping (exact for IEEE-754 doubles), so bit-different inputs
-    always produce different keys.
+    collide), numpy arrays (dtype + shape + SHA-256 of the C-order bytes)
+    and scalars, enums, containers, and JSON primitives.  Floats rely on
+    ``repr`` round-tripping (exact for IEEE-754 doubles) and arrays on
+    their bytes, so bit-different inputs always produce different keys.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -65,10 +66,12 @@ def canonical(obj: object) -> object:
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__name__, "value": canonical(obj.value)}
     if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:  # its bytes are pointers, not values
+            raise TypeError("cannot canonicalise object arrays for cache keying")
         return {
-            "__ndarray__": str(obj.dtype),
+            "__ndarray__": obj.dtype.str,
             "shape": list(obj.shape),
-            "data": obj.tolist(),
+            "sha256": hashlib.sha256(np.ascontiguousarray(obj)).hexdigest(),
         }
     if isinstance(obj, np.generic):
         return canonical(obj.item())

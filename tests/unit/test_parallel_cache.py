@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import hashlib
 import json
 
 import numpy as np
@@ -42,10 +43,21 @@ class TestCanonical:
         assert canonical(1.5) == 1.5
 
     def test_ndarray_keeps_dtype_shape_values(self):
-        form = canonical(np.arange(4, dtype=np.float64).reshape(2, 2))
-        assert form["__ndarray__"] == "float64"
+        array = np.arange(4, dtype=np.float64).reshape(2, 2)
+        form = canonical(array)
+        assert form["__ndarray__"] == "<f8"
         assert form["shape"] == [2, 2]
-        assert form["data"] == [[0.0, 1.0], [2.0, 3.0]]
+        assert form["sha256"] == hashlib.sha256(array.tobytes()).hexdigest()
+        # A transposed view hashes its C-order bytes, not its buffer.
+        assert canonical(array.T)["sha256"] == \
+            hashlib.sha256(array.T.tobytes()).hexdigest()
+
+    def test_one_ulp_changes_the_key(self):
+        array = np.linspace(0.0, 1.0, 7)
+        nudged = array.copy()
+        nudged[3] = np.nextafter(nudged[3], 2.0)
+        assert canonical(nudged) != canonical(array)
+        assert stable_digest(nudged) != stable_digest(array)
 
     def test_numpy_scalar_unwraps(self):
         assert canonical(np.float64(2.5)) == 2.5
@@ -62,6 +74,10 @@ class TestCanonical:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="canonicalise"):
             canonical(object())
+
+    def test_object_array_rejected(self):
+        with pytest.raises(TypeError, match="canonicalise"):
+            canonical(np.array([1, "a"], dtype=object))
 
 
 class TestStableDigest:
