@@ -1,8 +1,8 @@
 """Bench: telemetry instrumentation overhead on the simulator hot path.
 
 The telemetry subsystem instruments ``simulate_mix`` — the function every
-grid cell spends its time in — with a span (which carries its wall time
-and the simulated seconds), a counter and one event.  This benchmark
+grid cell spends its time in — with a span (which carries its wall time)
+and a run or cache-hit counter.  This benchmark
 times the paper-scale workload (900 hosts, 100 iterations) with
 telemetry enabled (the default) and disabled, and pins the relative
 overhead below 5 % — the budget that justifies leaving instrumentation

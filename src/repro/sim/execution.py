@@ -411,11 +411,6 @@ def simulate_mix(
                     trace_sp.set_attribute("cache_hit", True)
                 if enabled():
                     get_registry().counter("sim.execution.cache_hits").inc()
-                    emit(
-                        "sim.execution", "mix_simulated_cached",
-                        mix=mix.name, hosts=mix.total_nodes,
-                        policy=policy_name,
-                    )
                 return result_from_dict(payload)
         if trace_sp is not None:
             trace_sp.set_attribute("cache_hit", False)
@@ -427,17 +422,7 @@ def simulate_mix(
 
             cache.put(cache_key, result_to_dict(result))
         if enabled():
-            registry = get_registry()
-            registry.counter("sim.execution.runs").inc()
-            sim_s = float(np.max(result.job_elapsed_s))
-            if trace_sp is not None:
-                trace_sp.set_attribute("sim_s", sim_s)
-            emit(
-                "sim.execution", "mix_simulated",
-                mix=mix.name, hosts=mix.total_nodes,
-                iterations=mix.common_iterations(),
-                policy=policy_name, sim_s=sim_s,
-            )
+            get_registry().counter("sim.execution.runs").inc()
     return result
 
 

@@ -192,8 +192,6 @@ class TestSerialCacheTelemetry:
         registry = telemetry.get_registry()
         assert registry.counter("sim.execution.runs").value == 1
         assert registry.counter("sim.execution.cache_hits").value == 1
-        kinds = [e.kind for e in telemetry.get_bus().events()]
-        assert "mix_simulated_cached" in kinds
 
 
 class TestStackLayouts:
