@@ -285,12 +285,8 @@ def _execute_scenarios(
             t_compute[:, np.newaxis, :], (scenarios, n_iter, hosts)
         )
     else:
-        # Each scenario's lognormal noise lands in its slab in place:
-        # standard normals, scaled by the sigma (one per iteration under a
-        # noise burst), exponentiated.  Generator(PCG64(seed)) is the
-        # stream default_rng(seed) builds for an int seed, minus the
-        # seed-normalisation layer, and the draw consumes it exactly as
-        # ``Generator.lognormal`` would.
+        # Generator(PCG64(seed)) is the stream default_rng(seed) builds
+        # for an int seed, minus the seed-normalisation layer.
         host_times = np.empty((scenarios, n_iter, hosts))
         for s in range(scenarios):
             slab = host_times[s]
@@ -309,19 +305,15 @@ def _execute_scenarios(
     job_iter_times += barrier_overhead_s
 
     # --- energy accounting ---------------------------------------------
-    # A host computes for its own time and polls for the rest of its
-    # job's iteration (barrier overhead included), so its slack is the
-    # job's elapsed time minus its compute time.  Never negative: each
-    # job iteration time is at least each of its hosts' times, and both
-    # axis sums accumulate iterations in the same order.
+    # Slack (barrier overhead included) is never negative: each job
+    # iteration time is at least each of its hosts' times, and both axis
+    # sums accumulate iterations in the same order.
     host_compute_s = host_times.sum(axis=1)
     host_slack_s = job_iter_times.sum(axis=1)[:, layout.job_index] \
         - host_compute_s
     host_energy = p_compute * host_compute_s + p_poll * host_slack_s
-    # Iteration energy = compute time at (compute - poll) power plus the
-    # whole job iteration at the job's summed poll power.  Per-scenario
-    # matvecs on contiguous slices: a stacked matmul may pick a different
-    # BLAS kernel than the serial path and break bit-identity.
+    # Per-scenario matvecs on contiguous slices: a stacked matmul may pick
+    # a different BLAS kernel than the serial path and break bit-identity.
     net_compute = p_compute - p_poll
     job_poll = np.add.reduceat(p_poll, starts, axis=-1)
     iteration_energy = np.empty((scenarios, n_iter))
