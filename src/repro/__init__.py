@@ -18,8 +18,8 @@ Quick start::
 
 Layers (bottom-up):
 
-* :mod:`repro.hardware` — CPU power/frequency model, RAPL/MSR emulation,
-  roofline ceilings, manufacturing variation, cluster.
+* :mod:`repro.hardware` — CPU and node power/frequency models (RAPL as
+  its cap range), roofline ceilings, manufacturing variation, cluster.
 * :mod:`repro.workload` — the synthetic arithmetic-intensity kernel, jobs,
   the six Table II mixes, the Fig. 1 facility trace.
 * :mod:`repro.sim` — vectorised bulk-synchronous execution engine.

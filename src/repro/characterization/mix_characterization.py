@@ -108,10 +108,6 @@ class MixCharacterization:
         """
         return np.maximum.reduceat(self.monitor_power_w, self.job_boundaries[:-1])
 
-    def job_total_needed_w(self) -> np.ndarray:
-        """Per job: sum of needed power over its hosts."""
-        return np.add.reduceat(self.needed_power_w, self.job_boundaries[:-1])
-
     def waste_w(self) -> np.ndarray:
         """Per host: observed-minus-needed power — the harvestable waste."""
         return np.maximum(self.monitor_power_w - self.needed_power_w, 0.0)

@@ -50,11 +50,6 @@ class ProvisioningPoint:
     per_node_gflops: float
     fleet_gflops: float
 
-    @property
-    def overprovisioning_factor(self) -> float:
-        """Fleet TDP over the facility budget (1.0 = TDP-provisioned)."""
-        return self.nodes * 240.0 / (self.nodes * self.cap_per_node_w)
-
 
 @dataclass(frozen=True)
 class ProvisioningCurve:

@@ -347,11 +347,6 @@ class FaultSchedule:
                     overrides[host] = float(value)
         return overrides
 
-    def events_between(self, start_s: float,
-                       end_s: float) -> Tuple[FaultEvent, ...]:
-        """Events whose start time falls in ``[start_s, end_s)``."""
-        return tuple(e for e in self.events if start_s <= e.time_s < end_s)
-
     def boundaries(self) -> Tuple[float, ...]:
         """Sorted finite clock points at which fault state can change.
 

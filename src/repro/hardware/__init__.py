@@ -1,4 +1,4 @@
-"""Hardware substrate: CPU, RAPL/MSR emulation, nodes, cluster, roofline.
+"""Hardware substrate: CPU and node power models, variation, cluster, roofline.
 
 This subpackage simulates the pieces of the LLNL Quartz platform the paper's
 power-management stack interacts with (Table I of the paper):
@@ -9,13 +9,18 @@ power-management stack interacts with (Table I of the paper):
 * :mod:`repro.hardware.roofline` — roofline throughput model (Williams et
   al.) with the ceilings reported in the paper's Fig. 3 plus node-level
   ceilings used by the simulator.
-* :mod:`repro.hardware.msr` / :mod:`repro.hardware.rapl` — a model-specific
-  register file and the RAPL power-limit/energy-counter interface layered on
-  it, mirroring how GEOPM drives msr-safe on the real machine.
 * :mod:`repro.hardware.variation` — manufacturing variation model producing
   the low/medium/high frequency clusters of the paper's Fig. 6.
-* :mod:`repro.hardware.node` / :mod:`repro.hardware.cluster` — node and
-  cluster containers used by the resource manager.
+* :mod:`repro.hardware.node` / :mod:`repro.hardware.cluster` — the
+  vectorised node-level power model and the cluster (a flat array of
+  per-node variation multipliers) used by the resource manager.
+
+The paper's policies touch the machine only through RAPL node caps.  The
+simulator models RAPL as its settable range: caps are clamped into
+[floor, TDP] by :meth:`NodePowerModel.clamp_cap` (and the same clip in
+:meth:`~repro.core.policy.Policy.allocate`) when planning and by
+:class:`~repro.sim.engine.BoundEpoch` when executing.  PL1 quantisation
+(1/8 W per socket) and energy-counter wraparound are not modelled.
 """
 
 from repro.hardware.cpu import CpuSpec, SocketPowerModel, QUARTZ_CPU
@@ -24,10 +29,8 @@ from repro.hardware.roofline import (
     ADVISOR_SINGLE_CORE_ROOFLINE,
     NODE_LEVEL_ROOFLINE,
 )
-from repro.hardware.msr import MsrFile, MsrAccessError
-from repro.hardware.rapl import RaplDomain, RaplPackage
 from repro.hardware.variation import VariationModel, QUARTZ_VARIATION
-from repro.hardware.node import Node, NodePowerModel
+from repro.hardware.node import NodePowerModel
 from repro.hardware.cluster import Cluster
 
 __all__ = [
@@ -37,13 +40,8 @@ __all__ = [
     "RooflineModel",
     "ADVISOR_SINGLE_CORE_ROOFLINE",
     "NODE_LEVEL_ROOFLINE",
-    "MsrFile",
-    "MsrAccessError",
-    "RaplDomain",
-    "RaplPackage",
     "VariationModel",
     "QUARTZ_VARIATION",
-    "Node",
     "NodePowerModel",
     "Cluster",
 ]

@@ -5,21 +5,20 @@ the Fig. 6 survey.  :class:`Cluster` owns the node population and the
 sampling of variation multipliers, and provides the selection primitives
 the characterization pipeline needs (survey arrays, subsetting).
 
-Node state that matters to the simulator (efficiency multipliers) is held
-in a flat NumPy array so the execution engine never has to iterate over
-:class:`~repro.hardware.node.Node` objects; the object layer exists for the
-RAPL/MSR plumbing and for user-facing inspection.
+A node is its efficiency multiplier: the population is one flat NumPy
+array, and every node-level power quantity comes from the cluster's
+vectorised :class:`~repro.hardware.node.NodePowerModel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.cpu import CpuSpec, QUARTZ_CPU
-from repro.hardware.node import Node, NodePowerModel
+from repro.hardware.node import NodePowerModel
 from repro.hardware.variation import VariationModel, QUARTZ_VARIATION
 
 __all__ = ["Cluster"]
@@ -40,15 +39,12 @@ class Cluster:
         pass ``None`` for an idealised zero-variation cluster.
     seed:
         Seed for the variation draw (reproducible surveys).
-    sockets_per_node:
-        Socket count per node.
     """
 
     node_count: int
     spec: CpuSpec = field(default_factory=lambda: QUARTZ_CPU)
     variation: Optional[VariationModel] = field(default_factory=lambda: QUARTZ_VARIATION)
     seed: int = 2021
-    sockets_per_node: int = 2
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -58,23 +54,11 @@ class Cluster:
             self.efficiencies = np.ones(self.node_count)
         else:
             self.efficiencies = self.variation.sample(self.node_count, rng)
-        self.power_model = NodePowerModel(self.spec, self.sockets_per_node)
-        self._nodes: Optional[List[Node]] = None
+        self.power_model = NodePowerModel(self.spec)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.node_count
-
-    @property
-    def nodes(self) -> List[Node]:
-        """Materialised node objects (built lazily; arrays are primary)."""
-        if self._nodes is None:
-            self._nodes = [
-                Node(node_id=i, efficiency=float(self.efficiencies[i]),
-                     spec=self.spec, sockets=self.sockets_per_node)
-                for i in range(self.node_count)
-            ]
-        return self._nodes
 
     @property
     def total_tdp_w(self) -> float:
@@ -108,7 +92,6 @@ class Cluster:
             spec=self.spec,
             variation=None,
             seed=self.seed,
-            sockets_per_node=self.sockets_per_node,
         )
         sub.efficiencies = self.efficiencies[ids].copy()
         return sub

@@ -223,10 +223,6 @@ class SocketPowerModel:
         f = self.freq_at_power(self.spec.tdp_w, kappa, efficiency)
         return self.power_at(f, kappa, efficiency)
 
-    def effective_cap(self, cap_w):
-        """Clamp a requested cap into the settable RAPL range."""
-        return np.clip(np.asarray(cap_w, dtype=float), self.spec.min_rapl_w, self.spec.tdp_w)
-
     def floor_power(self, kappa, efficiency=1.0):
         """Power drawn at the RAPL floor for the given activity.
 

@@ -1,13 +1,11 @@
-"""Compute-node model: dual-socket package with RAPL control.
+"""Node-level power model: a dual-socket package under a RAPL node cap.
 
-A :class:`Node` bundles the per-socket power model, the node's variation
-multiplier, and a RAPL package, and exposes the node-level quantities the
-rest of the stack works in (the paper's policies all reason about
-*node-level* power: per-node caps, per-node observed power).
-
-:class:`NodePowerModel` is the vectorised, stateless companion used by the
-execution engine: it evaluates frequency/power maps for arrays of nodes at
-once, which is how 900-node mixes stay fast in pure NumPy.
+The paper's policies all reason about *node-level* power: per-node caps,
+per-node observed power.  :class:`NodePowerModel` lifts the per-socket
+model to that level and evaluates frequency/power maps for arrays of
+nodes at once, which is how 900-node mixes stay fast in pure NumPy.
+Nodes themselves are not objects: a cluster is a flat array of variation
+multipliers (:class:`~repro.hardware.cluster.Cluster`).
 """
 
 from __future__ import annotations
@@ -17,57 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hardware.cpu import CpuSpec, SocketPowerModel, QUARTZ_CPU
-from repro.hardware.rapl import RaplPackage
-from repro.units import ensure_positive
 
-__all__ = ["Node", "NodePowerModel"]
-
-
-@dataclass
-class Node:
-    """One compute node (identity + variation + RAPL state).
-
-    Attributes
-    ----------
-    node_id:
-        Stable integer identity within the cluster.
-    efficiency:
-        Variation multiplier from :mod:`repro.hardware.variation`.
-    spec:
-        Socket specification (both sockets identical).
-    sockets:
-        Socket count (Quartz nodes are dual-socket).
-    """
-
-    node_id: int
-    efficiency: float = 1.0
-    spec: CpuSpec = field(default_factory=lambda: QUARTZ_CPU)
-    sockets: int = 2
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.efficiency, "efficiency")
-        if self.sockets < 1:
-            raise ValueError("sockets must be >= 1")
-        self.rapl = RaplPackage(self.spec, self.sockets)
-
-    # ------------------------------------------------------------------
-    @property
-    def tdp_w(self) -> float:
-        """Node TDP (sum of socket TDPs) — 240 W on Quartz."""
-        return self.spec.tdp_w * self.sockets
-
-    @property
-    def min_cap_w(self) -> float:
-        """Lowest settable node cap (sum of socket floors) — 136 W."""
-        return self.spec.min_rapl_w * self.sockets
-
-    def set_power_cap(self, node_power_w: float) -> float:
-        """Program the node cap via RAPL; returns the cap actually set."""
-        return self.rapl.set_node_power_limit(node_power_w)
-
-    def power_cap(self) -> float:
-        """Currently programmed node cap."""
-        return self.rapl.node_power_limit()
+__all__ = ["NodePowerModel"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +25,7 @@ class NodePowerModel:
 
     Wraps :class:`SocketPowerModel` with the socket-count scaling: node
     power is ``sockets x`` socket power, and a node cap splits evenly
-    across sockets (matching :meth:`RaplPackage.set_node_power_limit`).
+    across sockets.
     """
 
     spec: CpuSpec = field(default_factory=lambda: QUARTZ_CPU)
@@ -142,13 +91,3 @@ class NodePowerModel:
     def uncapped_power(self, kappa, efficiency=1.0):
         """Node power with RAPL at TDP (the monitor-agent operating point)."""
         return self.consumed_power(self.tdp_w, kappa, efficiency)
-
-    def cap_for_power(self, target_power_w, kappa, efficiency=1.0):
-        """Smallest cap that permits drawing ``target_power_w``.
-
-        Because consumption under a generous cap is activity-limited, the
-        cap that *achieves* a target consumption equals the target itself
-        whenever the target is attainable; this helper additionally clamps
-        into the settable range, which is what policies must program.
-        """
-        return self.clamp_cap(target_power_w)

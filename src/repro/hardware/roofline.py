@@ -125,11 +125,6 @@ class RooflineModel:
                 return ceiling
         raise KeyError(f"no compute ceiling named {name!r}")
 
-    @property
-    def peak_compute(self) -> ComputeCeiling:
-        """The highest compute ceiling."""
-        return max(self.computes, key=lambda c: c.gflops)
-
     # ------------------------------------------------------------------
     def attainable_gflops(self, intensity, compute_ceiling: str, freq_ghz=None):
         """Roofline-attainable GFLOPS at the given arithmetic intensity.
@@ -145,11 +140,6 @@ class RooflineModel:
         bw = self.bandwidth(self.working_set_level).effective(ratio)
         peak = self.compute(compute_ceiling).effective(ratio)
         return np.minimum(intensity * bw, peak)
-
-    def ridge_intensity(self, compute_ceiling: str) -> float:
-        """Intensity (FLOPs/byte) where the kernel becomes compute-bound."""
-        bw = self.bandwidth(self.working_set_level).bw_gbps
-        return self.compute(compute_ceiling).gflops / bw
 
     def time_for_work(self, gbytes, gflop, compute_ceiling: str, freq_ghz=None):
         """Execution time (s) for a work quantum under the roofline.

@@ -77,10 +77,6 @@ class VariationModel:
         draws = rng.normal(means[which], stds[which])
         return np.maximum(draws, 0.8)
 
-    def component_labels(self) -> Tuple[str, ...]:
-        """Labels ordered as the components were declared."""
-        return tuple(c.label for c in self.components)
-
 
 #: Calibrated so a 2 000-node survey (seed 2021) k-means-partitions into
 #: clusters of 529 / 915 / 556 nodes — the paper's Fig. 6 reports

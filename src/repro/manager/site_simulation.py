@@ -737,7 +737,10 @@ def run_site_simulation(
     reported in ``never_admitted`` rather than looping forever.  Jobs
     still pending (or unarrived) when the ``max_batches`` round limit
     cuts the shift short are reported separately in ``truncated`` — they
-    are unfinished work, not admission rejections.
+    are unfinished work, not admission rejections.  An empty arrival
+    stream is an empty shift: no batches, and nothing completed,
+    never-admitted or truncated (a rolling engine with no arrivals
+    likewise returns empty stats).
 
     ``run_seed`` selects the noise stream for the whole shift: ``None``
     keeps the legacy per-batch seeds (the batch index), while an integer
@@ -826,8 +829,6 @@ def shift_rounds(
         fault_boundaries = fault_schedule.boundaries()
     else:
         fault_schedule = None
-    if not arrivals:
-        raise ValueError("need at least one arrival")
     # JobRequest carries its lifecycle state, so submitting the caller's
     # objects would leave them COMPLETED afterwards and a replay of the
     # same arrival stream would see nothing pending.  Submit fresh copies.

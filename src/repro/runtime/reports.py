@@ -69,8 +69,8 @@ class JobReport:
     figure_of_merit: float = 0.0
     metadata: Dict[str, float] = field(default_factory=dict)
     #: Telemetry summary of the run that produced the report (epochs,
-    #: convergence flag, batch size), rendered as its own report
-    #: section.  Empty when the producer recorded none.
+    #: convergence flag, batch size).  Empty when the producer recorded
+    #: none.
     telemetry: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -110,14 +110,6 @@ class JobReport:
         """Job energy."""
         return float(np.sum(self.energy_j()))
 
-    def max_host_power_w(self) -> float:
-        """Most power-hungry host's mean power.
-
-        The ``Precharacterized`` policy submits jobs with exactly this cap
-        and ``StaticCaps`` uses it as the per-job clip level.
-        """
-        return float(np.max(self.mean_power_w()))
-
     def summary(self) -> Dict[str, float]:
         """Scalar roll-up for logs and tables."""
         power = self.mean_power_w()
@@ -129,43 +121,6 @@ class JobReport:
             "max_power_w": float(np.max(power)),
             "min_power_w": float(np.min(power)),
         }
-
-    def to_geopm_format(self) -> str:
-        """Render the report in GEOPM's report-file style.
-
-        GEOPM writes per-job YAML-like reports with a header block and a
-        ``Hosts:`` section carrying per-host totals; downstream site
-        tooling (and this paper's characterization pipeline) parses that
-        layout.  The emitter covers the fields this stack produces.
-        """
-        lines = [
-            "##### geopm-style report #####",
-            f"Job Name: {self.job_name}",
-            f"Agent: {self.agent}",
-            f"Figure of Merit: {self.figure_of_merit:.6f}",
-        ]
-        if self.metadata:
-            lines.append("Policy:")
-            for key in sorted(self.metadata):
-                lines.append(f"  {key}: {self.metadata[key]:.6f}")
-        if self.telemetry:
-            lines.append("Telemetry:")
-            for key in sorted(self.telemetry):
-                lines.append(f"  {key}: {self.telemetry[key]:.6f}")
-        lines.append("Hosts:")
-        for host in self.hosts:
-            lines.extend(
-                [
-                    f"  host-{host.host_id}:",
-                    f"    runtime (s): {host.runtime_s:.6f}",
-                    f"    package-energy (J): {host.energy_j:.6f}",
-                    f"    power (W): {host.mean_power_w:.6f}",
-                    f"    frequency (GHz): {host.mean_freq_ghz:.6f}",
-                    f"    power-limit (W): {host.power_limit_w:.6f}",
-                    f"    epoch-count: {host.epochs}",
-                ]
-            )
-        return "\n".join(lines) + "\n"
 
 
 def report_from_sums(

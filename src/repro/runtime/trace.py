@@ -107,18 +107,6 @@ class JobTrace:
         )
         return np.array([getattr(r, name) for r in rows], dtype=float)
 
-    def limit_history(self) -> np.ndarray:
-        """Power limits as an (epochs, hosts) matrix — the balancer's
-        convergence picture."""
-        epochs = sorted({r.epoch for r in self.records})
-        hosts = sorted({r.host for r in self.records})
-        out = np.full((len(epochs), len(hosts)), np.nan)
-        epoch_index = {e: i for i, e in enumerate(epochs)}
-        host_index = {h: j for j, h in enumerate(hosts)}
-        for r in self.records:
-            out[epoch_index[r.epoch], host_index[r.host]] = r.power_limit_w
-        return out
-
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write the trace as CSV; returns the path written.
 

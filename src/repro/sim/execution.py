@@ -355,8 +355,8 @@ def simulate_mix(
         The co-scheduled jobs.
     caps_w:
         Per-host node power caps (W), length ``mix.total_nodes``.  Values
-        are clamped into the RAPL-settable range, exactly as programming
-        them through :class:`~repro.hardware.rapl.RaplDomain` would.
+        are clamped into the RAPL-settable range ``[min_cap_w, tdp_w]``
+        by :class:`~repro.sim.engine.BoundEpoch`.
     efficiencies:
         Per-host variation multipliers (from the cluster allocation).
     model:

@@ -152,14 +152,6 @@ class EventLoop:
             raise IndexError("pop from an empty event loop")
         return heapq.heappop(self._heap)[-1]
 
-    def peek(self) -> Optional[Event]:
-        """The earliest event without removing it (None when empty)."""
-        return self._heap[0][-1] if self._heap else None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event (None when empty)."""
-        return self._heap[0][0] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -74,10 +74,6 @@ def joules_to_kwh(energy_j: float) -> float:
     return energy_j / JOULES_PER_KWH
 
 
-def _is_scalar(value) -> bool:
-    return np.ndim(value) == 0
-
-
 def ensure_positive(value, name: str):
     """Validate that ``value`` (scalar or array) is strictly positive.
 

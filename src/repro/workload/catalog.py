@@ -16,7 +16,7 @@ averages over similarly-performing nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,10 +108,6 @@ class ConfigCatalog:
         rng = np.random.default_rng(seed)
         indices = rng.permutation(len(self.configs))[:count]
         return [self.configs[i] for i in sorted(indices)]
-
-    def select(self, predicate: Callable[[KernelConfig], bool]) -> List[KernelConfig]:
-        """All configurations satisfying ``predicate``, in catalog order."""
-        return [c for c in self.configs if predicate(c)]
 
     def find(
         self,

@@ -207,10 +207,6 @@ class KernelConfig:
         scale = float(self.imbalance) if critical else 1.0
         return scale * self.common_traffic_gb, scale * self.common_flops_gflop
 
-    def critical_node_fraction(self) -> float:
-        """Fraction of the job's nodes on the critical path."""
-        return 1.0 - self.waiting_fraction
-
     def label(self) -> str:
         """Compact human-readable identifier used in reports and figures."""
         parts = [f"{self.intensity:g}f/b", self.vector.value]

@@ -30,7 +30,7 @@ reproduce the qualitative power spreads each mix was designed to exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.workload.catalog import ConfigCatalog, build_catalog
 from repro.workload.job import Job, WorkloadMix
@@ -88,10 +88,6 @@ class MixBuilder:
             return builders[name]()
         except KeyError:
             raise KeyError(f"unknown mix {name!r}; expected one of {MIX_NAMES}") from None
-
-    def build_all(self) -> Dict[str, WorkloadMix]:
-        """All six mixes keyed by name."""
-        return {name: self.build(name) for name in MIX_NAMES}
 
     # ------------------------------------------------------------------
     def _jobs_from_configs(self, prefix: str, configs: Sequence[KernelConfig]) -> WorkloadMix:

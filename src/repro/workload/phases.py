@@ -68,10 +68,6 @@ class PhasedWorkload:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate phase names: {names}")
 
-    def total_iterations(self) -> int:
-        """Sum of per-phase iteration counts."""
-        return sum(p.iterations for p in self.phases)
-
 
 @dataclass(frozen=True)
 class PhasedRunResult:

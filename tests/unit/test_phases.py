@@ -37,9 +37,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             WorkloadPhase("p", KernelConfig(intensity=1.0), iterations=0)
 
-    def test_total_iterations(self):
-        assert _workload().total_iterations() == 20
-
 
 class TestSimulation:
     def test_runs_all_phases(self, execution_model):

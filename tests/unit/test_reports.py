@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.runtime.controller import Controller
+from repro.runtime.power_balancer import PowerBalancerAgent
 from repro.runtime.reports import HostReport, JobReport
+from repro.workload.job import Job
+from repro.workload.kernel import KernelConfig
 
 
 def _host(i, power=200.0, runtime=10.0):
@@ -48,12 +52,6 @@ class TestJobReport:
         np.testing.assert_allclose(report.mean_power_w(), [180.0, 220.0])
         assert report.host_count == 2
 
-    def test_max_host_power(self):
-        report = JobReport(
-            job_name="j", agent="monitor", hosts=(_host(0, 180.0), _host(1, 220.0))
-        )
-        assert report.max_host_power_w() == pytest.approx(220.0)
-
     def test_total_energy(self):
         report = JobReport(
             job_name="j", agent="monitor",
@@ -69,3 +67,17 @@ class TestJobReport:
         assert s["hosts"] == 2.0
         assert s["mean_power_w"] == pytest.approx(200.0)
         assert s["min_power_w"] == pytest.approx(100.0)
+
+    def test_controller_report_carries_balancer_metadata(self, execution_model):
+        """A real balancer run reports every host and the agent's
+        budget bookkeeping."""
+        job = Job(
+            name="real",
+            config=KernelConfig(intensity=8.0, waiting_fraction=0.5, imbalance=2),
+            node_count=3,
+        )
+        agent = PowerBalancerAgent(job_budget_w=3 * 240.0)
+        report = Controller(job, np.ones(3), agent,
+                            model=execution_model).run(max_epochs=60)
+        assert "unallocated_w" in report.metadata
+        assert report.host_count == 3

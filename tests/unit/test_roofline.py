@@ -57,10 +57,6 @@ class TestModelStructure:
         with pytest.raises(KeyError):
             ADVISOR_SINGLE_CORE_ROOFLINE.compute("quantum")
 
-    def test_peak_compute_is_max(self):
-        r = ADVISOR_SINGLE_CORE_ROOFLINE
-        assert r.peak_compute.name == "sp_vector_fma"
-
     def test_working_set_level_validated(self):
         with pytest.raises(ValueError, match="working_set_level"):
             RooflineModel(
@@ -88,14 +84,18 @@ class TestAttainable:
         assert g == pytest.approx(38.49)
 
     def test_ridge_point(self):
+        """Memory and compute ceilings meet at peak / bandwidth."""
         r = ADVISOR_SINGLE_CORE_ROOFLINE
-        ridge = r.ridge_intensity("dp_vector_fma")
-        assert ridge == pytest.approx(38.49 / 12.44)
+        ridge = 38.49 / 12.44
+        assert r.attainable_gflops(ridge, "dp_vector_fma") == pytest.approx(38.49)
+        assert r.attainable_gflops(0.99 * ridge, "dp_vector_fma") < 38.49
 
     def test_node_ridge_below_four(self):
         """The node ridge sits below intensity 4, so the paper's 4-32
         FLOPs/byte configurations are compute-bound (power-responsive)."""
-        assert NODE_LEVEL_ROOFLINE.ridge_intensity("dp_fma_ymm") < 4.0
+        r = NODE_LEVEL_ROOFLINE
+        peak = r.compute("dp_fma_ymm").gflops
+        assert r.attainable_gflops(4.0, "dp_fma_ymm") == pytest.approx(peak)
 
     def test_envelope_monotone_in_intensity(self):
         r = NODE_LEVEL_ROOFLINE

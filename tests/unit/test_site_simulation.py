@@ -28,10 +28,13 @@ def site_cluster():
 
 
 class TestValidation:
-    def test_rejects_empty_arrivals(self, site_cluster):
-        with pytest.raises(ValueError):
-            run_site_simulation([], site_cluster, create_policy("StaticCaps"),
-                                2000.0)
+    def test_empty_arrivals_give_an_empty_shift(self, site_cluster):
+        result = run_site_simulation(
+            [], site_cluster, create_policy("StaticCaps"), 2000.0
+        )
+        assert (result.batches, result.completed, result.never_admitted,
+                result.truncated) == ((), (), (), ())
+        assert result.total_energy_j == 0.0
 
     def test_rejects_negative_arrival_time(self):
         with pytest.raises(ValueError):

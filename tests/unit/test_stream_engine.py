@@ -12,7 +12,7 @@ from repro.stream.arrivals import (
     replay_stream,
     synthetic_job_factory,
 )
-from repro.stream.engine import SiteStreamEngine
+from repro.stream.engine import SiteStreamEngine, StreamStats
 from repro.stream.events import EventKind, EventLoop
 from repro.workload.kernel import KernelConfig
 
@@ -67,11 +67,8 @@ class TestEventLoop:
         assert order == [0, 1, 2, 3, 4]
 
     def test_pop_empty_raises(self):
-        loop = EventLoop()
-        assert loop.peek() is None
-        assert loop.peek_time() is None
         with pytest.raises(IndexError):
-            loop.pop()
+            EventLoop().pop()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -231,11 +228,24 @@ class TestRollingEngine:
 
 
 class TestReplayEdgeCases:
-    def test_empty_arrivals_rejected(self, cluster):
-        with pytest.raises(ValueError, match="at least one arrival"):
-            run_site_simulation(
-                [], cluster, create_policy("StaticCaps"), 2500.0
-            )
+    def test_empty_arrivals_give_an_empty_shift(self, cluster):
+        """An empty stream is an empty shift, as an idle rolling engine
+        returns empty stats — not an error."""
+        result = run_site_simulation(
+            [], cluster, create_policy("StaticCaps"), 2500.0
+        )
+        assert result.batches == ()
+        assert result.completed == ()
+        assert result.never_admitted == ()
+        assert result.truncated == ()
+        assert result.makespan_s == 0.0
+        assert result.peak_power_w() == 0.0
+        assert _engine(cluster).run() == StreamStats()
+
+    def test_replay_with_nothing_submitted(self, cluster):
+        result = _engine(cluster, rolling=False).replay()
+        assert result.batches == ()
+        assert result.completed == ()
 
     def test_replay_hands_every_arrival_to_the_shift_loop(self, cluster):
         # Submitted and sourced arrivals alike reach run_site_simulation,

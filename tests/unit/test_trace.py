@@ -62,11 +62,6 @@ class TestJobTrace:
         with pytest.raises(KeyError, match="unknown trace column"):
             trace.column("teraflops")
 
-    def test_limit_history_shape(self, trace):
-        history = trace.limit_history()
-        assert history.shape == (4, 3)
-        assert not np.any(np.isnan(history))
-
     def test_to_csv(self, trace, tmp_path):
         path = trace.to_csv(tmp_path / "trace.csv")
         lines = path.read_text().strip().splitlines()
@@ -107,7 +102,9 @@ class TestAttachTracer:
         controller = Controller(job, np.ones(6), agent, model=execution_model)
         writer = attach_tracer(controller)
         controller.run(max_epochs=200)
-        history = writer.trace.limit_history()
+        trace = writer.trace
+        # Rows are ordered by (epoch, host): one row of limits per epoch.
+        history = trace.column("power_limit_w").reshape(trace.epochs, trace.hosts)
         steps = np.max(np.abs(np.diff(history, axis=0)), axis=1)
         biggest = float(np.max(steps))
         last_step = float(steps[-1])
@@ -133,7 +130,7 @@ class TestAttachTracer:
         assert len(writer.trace) == 12
         assert writer.trace.epochs == 3
         np.testing.assert_array_equal(
-            writer.trace.limit_history()[-1],
+            writer.trace.column("power_limit_w")[-4:],
             controller.steady_state_sample().power_limit_w,
         )
 

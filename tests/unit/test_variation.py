@@ -39,7 +39,8 @@ class TestModel:
         assert total == pytest.approx(1.0)
 
     def test_labels(self):
-        assert QUARTZ_VARIATION.component_labels() == ("high", "medium", "low")
+        labels = tuple(c.label for c in QUARTZ_VARIATION.components)
+        assert labels == ("high", "medium", "low")
 
 
 class TestSampling:
