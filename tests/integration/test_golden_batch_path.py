@@ -5,7 +5,9 @@ Every fault scenario in :data:`~repro.faults.scenarios.STANDARD_SCENARIOS`
 each of the five paper policies on a small heterogeneous (Quartz
 variation) cluster, and the rolling :class:`SiteStreamEngine` runs the
 engine-fault (``stuck-caps``) and compound (``cascade``) scenarios with
-single- and per-job batches.  Each run's records are reduced to a digest
+single- and per-job batches.  Rolling runs on a uniform-host cluster
+(``variation=None``) pin the identity-order scheduling path, and one of
+them runs with ``run_seed=None`` (the batch index as the noise seed).  Each run's records are reduced to a digest
 and compared with the committed fixture ``golden_batch_path.json``.
 
 The fixture is the contract that the batch planner and executor keep
@@ -53,8 +55,8 @@ ROLLING_SCENARIOS = ("none", "stuck-caps", "cascade")
 ROLLING_POLICIES = ("StaticCaps", "MixedAdaptive")
 
 
-def _cluster() -> Cluster:
-    return Cluster(node_count=HOSTS, variation=QUARTZ_VARIATION, seed=3)
+def _cluster(variation=QUARTZ_VARIATION) -> Cluster:
+    return Cluster(node_count=HOSTS, variation=variation, seed=3)
 
 
 def _budget_w() -> float:
@@ -120,9 +122,11 @@ def site_run(scenario: str, policy: str) -> dict:
     }
 
 
-def rolling_run(scenario: str, policy: str, per_job: bool) -> dict:
+def rolling_run(scenario: str, policy: str, per_job: bool,
+                uniform: bool = False, run_seed=RUN_SEED) -> dict:
+    cluster = _cluster(None) if uniform else _cluster()
     engine = SiteStreamEngine(
-        _cluster(), create_policy(policy), _budget_w(), run_seed=RUN_SEED,
+        cluster, create_policy(policy), _budget_w(), run_seed=run_seed,
         fault_schedule=_schedule(scenario), rolling=True,
         admission_interval_s=1.0, per_job_batches=per_job,
     )
@@ -147,6 +151,11 @@ ROLLING_CASES = [
     for scenario in ROLLING_SCENARIOS for policy in ROLLING_POLICIES
     for per_job in (False, True)
 ]
+#: ``(policy, per_job, run_seed)`` of the uniform-host rolling runs.
+UNIFORM_CASES = [
+    (policy, per_job, RUN_SEED)
+    for policy in ROLLING_POLICIES for per_job in (False, True)
+] + [("StaticCaps", True, None)]
 
 
 def _site_key(scenario: str, policy: str) -> str:
@@ -157,10 +166,24 @@ def _rolling_key(scenario: str, policy: str, per_job: bool) -> str:
     return f"rolling/{scenario}/{policy}/{'per-job' if per_job else 'pooled'}"
 
 
+def _uniform_key(policy: str, per_job: bool, run_seed) -> str:
+    seed = "/run-seed-none" if run_seed is None else ""
+    return f"rolling-uniform/{policy}/" \
+        f"{'per-job' if per_job else 'pooled'}{seed}"
+
+
+def uniform_run(policy: str, per_job: bool, run_seed) -> dict:
+    return rolling_run("none", policy, per_job, uniform=True,
+                       run_seed=run_seed)
+
+
 def compute_all() -> dict:
     out = {_site_key(*case): site_run(*case) for case in SITE_CASES}
     out.update(
         {_rolling_key(*case): rolling_run(*case) for case in ROLLING_CASES}
+    )
+    out.update(
+        {_uniform_key(*case): uniform_run(*case) for case in UNIFORM_CASES}
     )
     return out
 
@@ -173,7 +196,7 @@ def golden() -> dict:
 def test_fixture_covers_every_case(golden):
     expected = {_site_key(*c) for c in SITE_CASES} | {
         _rolling_key(*c) for c in ROLLING_CASES
-    }
+    } | {_uniform_key(*c) for c in UNIFORM_CASES}
     assert set(golden) == expected
 
 
@@ -186,6 +209,13 @@ def test_site_simulation_matches_golden(golden, scenario, policy):
 def test_rolling_engine_matches_golden(golden, scenario, policy, per_job):
     assert rolling_run(scenario, policy, per_job) == \
         golden[_rolling_key(scenario, policy, per_job)]
+
+
+@pytest.mark.parametrize("policy,per_job,run_seed", UNIFORM_CASES)
+def test_uniform_rolling_engine_matches_golden(golden, policy, per_job,
+                                               run_seed):
+    assert uniform_run(policy, per_job, run_seed) == \
+        golden[_uniform_key(policy, per_job, run_seed)]
 
 
 def test_fixture_exercises_every_fault_path(golden):
