@@ -6,7 +6,7 @@ same node power model, so at any instant the facility's co-resident
 batches are mostly *the same physics* — identical job block structure
 and iteration counts, differing only in caps, efficiencies, seeds, and
 budgets, which is precisely the per-row axis of
-:func:`~repro.sim.batch.simulate_layout_batch`.
+:func:`~repro.sim.batch.simulate_layout_rows`.
 
 This engine advances **a group of clusters in lockstep inside one
 process** and routes each round's co-resident batches — across
@@ -14,8 +14,8 @@ clusters — through shared stacked passes:
 
 * Each cluster's shift loop runs as a
   :func:`~repro.manager.site_simulation.shift_rounds` generator: the
-  loop *yields* each planned batch and receives the executed result
-  back via ``send()``.  Control flow, RNG draws, seeds, and per-cluster
+  loop *yields* each round's planned one-row pass and receives the
+  executed result back via ``send()``.  Control flow, RNG draws, seeds, and per-cluster
   accumulation order are the shift loop's own statements — the same
   generator :func:`~repro.manager.site_simulation.run_site_simulation`
   drives one batch at a time.

@@ -18,18 +18,21 @@ policies define.)
 
 One batch path
 --------------
-Every admitted batch, in every site loop, takes the same three stages:
-:func:`plan_admitted_batch` schedules it onto the schedulable hosts and
-plans its caps (memoised through a :class:`BatchPlanner`, or through the
-degradation ladder under faults); :func:`execute_planned_batches` runs
-any number of planned batches through grouped stacked engine passes; and
-:func:`finish_planned_batch` folds each simulated row into the batch
-record.  A single batch is the one-row case.  :func:`shift_rounds` is
-the shift loop itself, a generator that yields planned batches to its
+Every admitted batch, in every site loop, takes the same three stages,
+each over a whole admission pass as columns: :func:`plan_admitted_batch`
+schedules a pass's :class:`Launch` rows onto their schedulable hosts and
+plans their caps into one :class:`PlannedPass` (memoised through a
+:class:`BatchPlanner`, or through the degradation ladder under faults;
+seeds from a :class:`~repro.parallel.seeding.BlockSeeds`);
+:func:`execute_planned_batches` runs the rows of any number of passes
+through grouped stacked engine passes and reads each row's scalars from
+the engine tensors; and :func:`finish_planned_batch` folds each row into
+its batch record and execution, in row order.  :func:`shift_rounds` is
+the shift loop itself, a generator that yields one-row passes to its
 caller: :func:`run_site_simulation` executes them one at a time, and the
-fused facility engine (:mod:`repro.hierarchy.fused`) fuses the batches
-of many clusters.  The rolling streaming engine (:mod:`repro.stream`)
-plans and executes its co-resident batches through the same stages.
+fused facility engine (:mod:`repro.hierarchy.fused`) fuses the passes of
+many clusters.  The rolling streaming engine (:mod:`repro.stream`) plans
+all launch groups of an admission pass as one pass.
 
 Fault replay
 ------------
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,10 +67,11 @@ from repro.manager.power_manager import PowerManager, apply_job_runtime
 from repro.manager.queue import JobQueue, JobRequest, JobState
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
+from repro.parallel.seeding import BlockSeeds
 from repro.sim.execution import SimulationOptions
 from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_positive
-from repro.workload.job import WorkloadMix
+from repro.workload.job import WorkloadMix, validate_job_names
 
 __all__ = [
     "Arrival",
@@ -75,8 +79,10 @@ __all__ = [
     "BatchExecution",
     "BatchPlanner",
     "ExecutedBatches",
-    "PlannedBatch",
+    "Launch",
+    "PlannedPass",
     "SiteSimulationResult",
+    "batch_seeds",
     "execute_planned_batches",
     "finish_planned_batch",
     "plan_admitted_batch",
@@ -207,45 +213,102 @@ class SiteSimulationResult:
         return max((b.mean_power_w for b in self.batches), default=0.0)
 
 
-@dataclass(frozen=True)
-class PlannedBatch:
-    """An admitted batch, scheduled and planned but not yet simulated.
+class Launch(NamedTuple):
+    """One launch row of an admission pass: an admitted batch to plan.
+
+    ``requests`` are the batch's jobs in admission order and
+    ``host_efficiencies`` the efficiencies of the schedulable hosts —
+    the whole partition, its healthy rows, or a free subset — in
+    ascending host-id order.  ``budget_w`` is the budget quoted on
+    fault-free launches and the base of the fault timeline;
+    ``batch_budget_w`` the fault-adjusted budget in force at launch.
+    """
+
+    batch_index: int
+    decision: AdmissionDecision
+    requests: Sequence[JobRequest]
+    host_efficiencies: np.ndarray
+    budget_w: float
+    batch_budget_w: float
+    quarantined: Tuple[int, ...] = ()
+
+
+@dataclass
+class PlannedPass:
+    """An admission pass's batches, scheduled and planned, as columns.
 
     Every batch runs through three stages: :func:`plan_admitted_batch`
-    produces one of these, :func:`execute_planned_batches` simulates any
-    number of them in grouped stacked engine passes, and
+    plans a whole pass into one of these, :func:`execute_planned_batches`
+    simulates any number of passes in grouped stacked engine passes, and
     :func:`finish_planned_batch` turns each simulated row into the
-    :class:`BatchExecution` a site loop consumes.  A scalar execution is
-    the one-row case.
+    :class:`BatchExecution` a site loop consumes.  A single batch is the
+    one-row case.
 
-    The trailing defaulted fields carry the fault-replay state of the
-    batch: the degradation-ladder outcome (``tier`` / ``backoff_s``), the
-    active schedule and reaction window for stage 3's compliance
-    accounting, and ``engine_faults`` — the schedule's engine-applicable
-    events re-clocked to the launch (``None`` when no cap or noise fault
-    can touch the run).  Fault-free batches leave them at their defaults.
+    Row ``i`` is ``launches[i]``: its job names, the planner's shared
+    job-shape entry (layout, iteration count, grouping key), its caps,
+    host efficiencies and node ids, its noise seed, and its fault-replay
+    state — the degradation-ladder ``tiers`` and ``backoffs`` and the
+    ``engine_faults`` re-clocked to the launch (``None`` when no cap or
+    noise fault can touch the run).  ``fault_schedule`` is the active
+    schedule that stage 3's compliance accounting reads, ``None`` on
+    fault-free passes.
     """
 
     clock: float
-    batch_index: int
-    decision: AdmissionDecision
-    scheduled: "ScheduledMix"
-    effective_caps: np.ndarray
-    batch_seed: int
     policy: Policy
-    budget_w: float
-    batch_budget_w: float
-    quarantined: Tuple[int, ...]
-    tier: str = "none"
-    backoff_s: float = 0.0
+    launches: Sequence[Launch]
+    job_names: List[Tuple[str, ...]]
+    shapes: List["_Shape"]
+    caps: List[np.ndarray]
+    efficiencies: List[np.ndarray]
+    node_ids: List[np.ndarray]
+    seeds: List[int]
+    tiers: List[str]
+    backoffs: List[float]
+    engine_faults: List[object]
     fault_schedule: object = None
     reaction_s: float = 1.0
-    engine_faults: object = None
 
-    @property
-    def mix(self) -> WorkloadMix:
-        """The batch's workload mix (one entry per admitted job)."""
-        return self.scheduled.mix
+    def __len__(self) -> int:
+        return len(self.launches)
+
+    def mix(self, row: int) -> WorkloadMix:
+        """Row ``row``'s batch as a workload mix (one entry per job)."""
+        return _batch_mix(self.launches[row], self.shapes[row])
+
+
+def _batch_mix(launch: Launch, shape: Optional["_Shape"]) -> WorkloadMix:
+    """The mix of one launch, its layout primed from ``shape``.
+
+    :meth:`WorkloadMix.layout` memoises per *instance*; priming it from
+    the planner's per-shape entry shares one read-only layout across
+    same-shape batches (names appear nowhere in a :class:`HostLayout`).
+    """
+    mix = WorkloadMix(
+        name=f"batch-{launch.batch_index}",
+        jobs=tuple(r.to_job() for r in launch.requests),
+    )
+    if shape is not None:
+        object.__setattr__(mix, "_layout", shape.layout)
+        object.__setattr__(mix, "_common_iterations", shape.iterations)
+    return mix
+
+
+class _Shape:
+    """A :class:`BatchPlanner` memo entry for one tuple of job shapes.
+
+    Holds the shared read-only layout, the common iteration count, the
+    executor's grouping key ``(job_boundaries bytes, iterations)`` and
+    the per-efficiencies characterization/caps memo.
+    """
+
+    __slots__ = ("layout", "iterations", "group", "by_eff")
+
+    def __init__(self, mix: WorkloadMix) -> None:
+        self.layout = mix.layout()
+        self.iterations = mix.common_iterations()
+        self.group = (self.layout.job_boundaries.tobytes(), self.iterations)
+        self.by_eff: Dict[bytes, dict] = {}
 
 
 #: Bound on each level of a :class:`BatchPlanner` memo (job shapes,
@@ -269,22 +332,18 @@ class BatchPlanner:
     Memo hits return the *identical* caps array (read-only) and
     characterization a fresh :func:`characterize_mix` +
     :meth:`PowerManager.plan` + :func:`apply_job_runtime` chain would
-    produce, because that is exactly what populated the memo.  Each memo
-    level holds at most :data:`PLANNER_MEMO_LIMIT` entries, so a
-    long-lived engine on heterogeneous hosts (where nearly every
-    efficiency vector is new) stays bounded.
+    produce, because that is exactly what populated the memo.  A miss
+    builds the batch's :class:`ScheduledMix` through ``scheduled()``; a
+    hit builds nothing.  Each memo level holds at most
+    :data:`PLANNER_MEMO_LIMIT` entries, so a long-lived engine on
+    heterogeneous hosts (where nearly every efficiency vector is new)
+    stays bounded.
     """
 
     def __init__(self, manager: PowerManager, policy: Policy) -> None:
         self.manager = manager
         self.policy = policy
-        # shape_key -> {"layout": HostLayout, "iters": int,
-        #               "by_eff": {eff bytes -> {"char": ...,
-        #                                        "caps": {budget -> caps}}}}
-        # One nested entry per shape so the (potentially expensive)
-        # shape-key tuple — it hashes every KernelConfig field — is
-        # hashed once per plan call, not once per memo level.
-        self._memo: Dict[tuple, dict] = {}
+        self._memo: Dict[tuple, _Shape] = {}
         self._char_entries = 0
         self._caps_entries = 0
         #: Characterization-level memo hits/misses (the physics-pass
@@ -298,59 +357,50 @@ class BatchPlanner:
         return len(self._memo), self._char_entries, self._caps_entries
 
     def _clear_characterizations(self) -> None:
-        for entry in self._memo.values():
-            entry["by_eff"].clear()
+        for shape in self._memo.values():
+            shape.by_eff.clear()
         self._char_entries = self._caps_entries = 0
 
     def _clear_caps(self) -> None:
-        for entry in self._memo.values():
-            for sub in entry["by_eff"].values():
+        for shape in self._memo.values():
+            for sub in shape.by_eff.values():
                 sub["caps"].clear()
         self._caps_entries = 0
 
-    def _lookup(self, scheduled: "ScheduledMix") -> dict:
-        """The per-(shape, efficiencies) memo slot, characterized.
-
-        Also seeds the mix's layout memo from the per-shape cache:
-        :meth:`WorkloadMix.layout` memoises per *instance*, but every
-        batch is a fresh mix object, so without this the layout would be
-        rebuilt per batch even though it depends only on the job shapes
-        (names appear nowhere in a :class:`HostLayout`).  Sharing one
-        read-only layout across same-shape batches also lets the
-        stacked-layout cache hit by identity.
-        """
-        mix = scheduled.mix
-        shape_key = tuple(
-            (job.config, job.node_count, job.iterations) for job in mix.jobs
-        )
-        entry = self._memo.get(shape_key)
-        if entry is None:
+    def shape(self, key: tuple, launch: Launch) -> _Shape:
+        """The memo entry of job-shape tuple ``key`` (``launch``'s jobs'
+        ``(config, node_count, iterations)``), created on first sight."""
+        shape = self._memo.get(key)
+        if shape is None:
             if len(self._memo) >= PLANNER_MEMO_LIMIT:
                 self._memo.clear()
                 self._char_entries = self._caps_entries = 0
-            entry = {"layout": mix.layout(),
-                     "iters": mix.common_iterations(), "by_eff": {}}
-            self._memo[shape_key] = entry
-        else:
-            object.__setattr__(mix, "_layout", entry["layout"])
-            object.__setattr__(mix, "_common_iterations", entry["iters"])
-        eff_key = scheduled.efficiencies.tobytes()
-        sub = entry["by_eff"].get(eff_key)
+            shape = _Shape(_batch_mix(launch, None))
+            self._memo[key] = shape
+        return shape
+
+    def _lookup(self, shape: _Shape, efficiencies: np.ndarray,
+                scheduled: Callable[[], ScheduledMix]) -> dict:
+        """The per-(shape, efficiencies) memo slot, characterized."""
+        eff_key = efficiencies.tobytes()
+        sub = shape.by_eff.get(eff_key)
         if sub is None:
             self.char_misses += 1
             if self._char_entries >= PLANNER_MEMO_LIMIT:
                 self._clear_characterizations()
+            built = scheduled()
             char = characterize_mix(
-                mix, scheduled.efficiencies, self.manager.model
+                built.mix, built.efficiencies, self.manager.model
             )
             sub = {"char": char, "caps": {}}
-            entry["by_eff"][eff_key] = sub
+            shape.by_eff[eff_key] = sub
             self._char_entries += 1
         else:
             self.char_hits += 1
         return sub
 
-    def characterization(self, scheduled: "ScheduledMix"):
+    def characterization(self, shape: _Shape, efficiencies: np.ndarray,
+                         scheduled: Callable[[], ScheduledMix]):
         """The memoised characterization alone (no cap allocation).
 
         Fault-replay batches plan their caps through the degradation
@@ -359,22 +409,18 @@ class BatchPlanner:
         function of (shapes, efficiencies, model).  The returned object
         may carry the ``mix_name`` of the batch that populated the memo.
         """
-        return self._lookup(scheduled)["char"]
+        return self._lookup(shape, efficiencies, scheduled)["char"]
 
-    def plan(self, scheduled: "ScheduledMix", budget_w: float):
-        """Characterize + allocate, memoised.  Returns ``(char, caps)``.
-
-        The characterization may carry the ``mix_name`` of the batch
-        that populated the memo; every numeric field is the current
-        batch's.
-        """
-        sub = self._lookup(scheduled)
-        char = sub["char"]
+    def plan(self, shape: _Shape, efficiencies: np.ndarray, budget_w: float,
+             scheduled: Callable[[], ScheduledMix]) -> np.ndarray:
+        """Characterize + allocate, memoised.  Returns the read-only caps."""
+        sub = self._lookup(shape, efficiencies, scheduled)
         budget_key = float(budget_w)
         caps = sub["caps"].get(budget_key)
         if caps is None:
+            char = sub["char"]
             allocation = self.manager.plan(
-                scheduled, self.policy, budget_w, char
+                scheduled(), self.policy, budget_w, char
             )
             caps = allocation.caps_w
             if self.policy.application_aware:
@@ -385,7 +431,17 @@ class BatchPlanner:
                 self._clear_caps()
             sub["caps"][budget_key] = caps
             self._caps_entries += 1
-        return char, caps
+        return caps
+
+
+def batch_seeds(run_seed: Optional[int]) -> Optional[BlockSeeds]:
+    """The noise seeds of a site loop's batches, by batch index.
+
+    Batch ``i`` is seeded with ``child_seed(run_seed, "site-batch", i)``,
+    derived a block of indices at a time; ``None`` (``run_seed`` ``None``)
+    seeds batch ``i`` with ``i`` itself.
+    """
+    return None if run_seed is None else BlockSeeds(run_seed, "site-batch")
 
 
 #: Shared read-only ``arange(n)`` vectors for the uniform-hosts fast
@@ -405,125 +461,134 @@ def _identity_order(n: int) -> np.ndarray:
 def plan_admitted_batch(
     *,
     clock: float,
-    batch_index: int,
-    admitted: Sequence[JobRequest],
-    decision: AdmissionDecision,
-    host_efficiencies: np.ndarray,
+    launches: Sequence[Launch],
     policy: Policy,
-    budget_w: float,
-    batch_budget_w: float,
-    quarantined: Tuple[int, ...],
     manager: PowerManager,
-    run_seed: Optional[int],
     planner: Optional[BatchPlanner] = None,
+    seeds: Optional[BlockSeeds] = None,
     uniform_hosts: bool = False,
     fault_schedule=None,
     degradation=None,
     reaction_s: float = 1.0,
-) -> PlannedBatch:
-    """Stage 1: schedule and plan one admitted batch at ``clock``.
+) -> PlannedPass:
+    """Stage 1: schedule and plan one admission pass's batches at ``clock``.
 
-    ``host_efficiencies`` are the efficiencies of the schedulable hosts —
-    the whole partition, its healthy rows, or a free subset — in
-    ascending host-id order.  Scheduling is :meth:`Scheduler.allocate`'s,
-    without building a :class:`Cluster` or :class:`Scheduler`: the host
-    order is shuffled under ``PCG64(batch_index)`` and the first
-    ``mix.total_nodes`` entries are taken.  ``uniform_hosts=True``
-    asserts every entry is equal (a homogeneous cluster); the shuffle is
-    then the identity on every physical input, so it is skipped and a
-    slice of the caller's array is bound directly (it must be treated as
-    read-only).  Only the never-recorded ``node_ids`` differ.
+    Each launch is scheduled as :meth:`Scheduler.allocate` would, without
+    building a :class:`Cluster` or :class:`Scheduler`: its host order is
+    shuffled under ``PCG64(batch_index)`` and the first ``n`` entries
+    (``n`` = the batch's node total) are taken.  ``uniform_hosts=True``
+    asserts every efficiency is equal (a homogeneous cluster); the
+    shuffle is then the identity on every physical input, so it is
+    skipped and a slice of the caller's array is bound directly (it must
+    be treated as read-only).  Only the never-recorded ``node_ids``
+    differ.  A launch with no jobs, duplicate job names or more nodes
+    than its hosts is rejected.
 
-    ``budget_w`` is the budget quoted on fault-free launches and the base
-    of the fault timeline; ``batch_budget_w`` the fault-adjusted budget
-    in force at launch.  The noise seed is ``batch_index`` (``run_seed``
-    ``None``) or derived from ``(run_seed, batch_index)``.
+    The noise seed of batch ``i`` is ``seeds[i]`` (see
+    :func:`batch_seeds`), or ``i`` itself when ``seeds`` is ``None``.
 
-    Fault-free (``fault_schedule`` ``None`` or empty), characterization
-    and caps come from the ``planner`` memo.  Under an active schedule
+    Fault-free (``fault_schedule`` ``None`` or empty), caps come from the
+    ``planner`` memo, looked up once per distinct (shapes, budget) on
+    uniform hosts; a memo hit builds no mix.  Under an active schedule
     the caps come from the
     :func:`~repro.faults.degradation.plan_with_degradation` ladder at
-    ``batch_budget_w``: a sensor dropout at ``clock`` blinds
-    characterization (the clamp tier), and the schedule's
+    each launch's ``batch_budget_w``: a sensor dropout at ``clock``
+    blinds characterization (the clamp tier), and the schedule's
     engine-applicable events are re-clocked into ``engine_faults``.
     """
-    mix = WorkloadMix(
-        name=f"batch-{batch_index}",
-        jobs=tuple(r.to_job() for r in admitted),
-    )
-    n = mix.total_nodes
-    if n > len(host_efficiencies):
-        raise ValueError(
-            f"mix {mix.name!r} needs {n} nodes but the partition has "
-            f"{len(host_efficiencies)}"
-        )
-    if uniform_hosts:
-        scheduled = ScheduledMix.trusted(
-            mix, _identity_order(n), host_efficiencies[:n]
-        )
-    else:
-        eff = np.asarray(host_efficiencies, dtype=float)
-        order = np.arange(len(eff))
-        # Same stream as ``default_rng(batch_index)`` (an int seed is
-        # handed straight to PCG64) but skips default_rng's
-        # seed-normalisation layer — measurable at thousands of batches
-        # per shift.
-        np.random.Generator(np.random.PCG64(batch_index)).shuffle(order)
-        node_ids = order[:n]
-        scheduled = ScheduledMix.trusted(mix, node_ids, eff[node_ids])
-    if run_seed is None:
-        batch_seed = batch_index
-    else:
-        from repro.parallel.seeding import child_seed
-
-        batch_seed = child_seed(run_seed, "site-batch", batch_index)
     if planner is None:
         planner = BatchPlanner(manager, policy)
-    tier, backoff_s, engine_faults = "none", 0.0, None
-    if fault_schedule is None or not fault_schedule.active:
+    if fault_schedule is not None and not fault_schedule.active:
         fault_schedule = None
-        _, effective_caps = planner.plan(scheduled, budget_w)
-    else:
+    rows = len(launches)
+    planned = PlannedPass(
+        clock=clock, policy=policy, launches=launches, job_names=[],
+        shapes=[], caps=[], efficiencies=[], node_ids=[], seeds=[],
+        tiers=["none"] * rows, backoffs=[0.0] * rows,
+        engine_faults=[None] * rows, fault_schedule=fault_schedule,
+        reaction_s=reaction_s,
+    )
+    if fault_schedule is not None:
         from repro.faults.degradation import plan_with_degradation
 
         blinded = bool(fault_schedule.sensor_dropout_at(clock))
-        char = None if blinded else planner.characterization(scheduled)
-        plan = plan_with_degradation(
-            policy, batch_budget_w, characterization=char,
-            host_count=n,
-            min_cap_w=manager.model.power_model.min_cap_w,
-            tdp_w=manager.model.power_model.tdp_w,
-            config=degradation,
+        planned.engine_faults = [fault_schedule.engine_slice(clock)] * rows
+        power_model = manager.model.power_model
+    # (shapes, budget) -> (shape, caps, node ids, efficiencies): the
+    # uniform-host rows of one pass that share a plan.
+    same: Dict[tuple, tuple] = {}
+    for row, launch in enumerate(launches):
+        requests = launch.requests
+        names = tuple(r.name for r in requests)
+        validate_job_names(names)
+        key = tuple((r.config, r.node_count, r.iterations) for r in requests)
+        hit = same.get((key, launch.budget_w)) if uniform_hosts \
+            and fault_schedule is None else None
+        if hit is not None:
+            shape, caps, node_ids, eff = hit
+        else:
+            n = sum(r.node_count for r in requests)
+            hosts = launch.host_efficiencies
+            if n > len(hosts):
+                raise ValueError(
+                    f"mix 'batch-{launch.batch_index}' needs {n} nodes but "
+                    f"the partition has {len(hosts)}"
+                )
+            if uniform_hosts:
+                node_ids, eff = _identity_order(n), hosts[:n]
+            else:
+                order = np.arange(len(hosts))
+                # Same stream as ``default_rng(batch_index)`` (an int seed
+                # is handed straight to PCG64) but skips default_rng's
+                # seed-normalisation layer.
+                np.random.Generator(
+                    np.random.PCG64(launch.batch_index)
+                ).shuffle(order)
+                node_ids = order[:n]
+                eff = np.asarray(hosts, dtype=float)[node_ids]
+            shape = planner.shape(key, launch)
+
+            def scheduled(launch=launch, shape=shape, node_ids=node_ids,
+                          eff=eff) -> ScheduledMix:
+                return ScheduledMix.trusted(
+                    _batch_mix(launch, shape), node_ids, eff
+                )
+
+            if fault_schedule is None:
+                caps = planner.plan(shape, eff, launch.budget_w, scheduled)
+                if uniform_hosts:
+                    same[(key, launch.budget_w)] = (shape, caps, node_ids,
+                                                    eff)
+            else:
+                char = None if blinded else planner.characterization(
+                    shape, eff, scheduled
+                )
+                plan = plan_with_degradation(
+                    policy, launch.batch_budget_w, characterization=char,
+                    host_count=n, min_cap_w=power_model.min_cap_w,
+                    tdp_w=power_model.tdp_w, config=degradation,
+                )
+                planned.tiers[row] = plan.tier
+                planned.backoffs[row] = plan.backoff_s
+                caps = plan.caps_w
+                if char is not None and plan.tier == "replan" \
+                        and policy.application_aware:
+                    caps = apply_job_runtime(char, caps)
+                caps = np.asarray(caps, dtype=float)
+        planned.job_names.append(names)
+        planned.shapes.append(shape)
+        planned.caps.append(caps)
+        planned.efficiencies.append(eff)
+        planned.node_ids.append(node_ids)
+        planned.seeds.append(
+            launch.batch_index if seeds is None else seeds[launch.batch_index]
         )
-        tier, backoff_s = plan.tier, plan.backoff_s
-        caps = plan.caps_w
-        if char is not None and plan.tier == "replan" \
-                and policy.application_aware:
-            caps = apply_job_runtime(char, caps)
-        effective_caps = np.asarray(caps, dtype=float)
-        engine_faults = fault_schedule.engine_slice(clock)
-    return PlannedBatch(
-        clock=clock,
-        batch_index=batch_index,
-        decision=decision,
-        scheduled=scheduled,
-        effective_caps=effective_caps,
-        batch_seed=int(batch_seed),
-        policy=policy,
-        budget_w=float(budget_w),
-        batch_budget_w=float(batch_budget_w),
-        quarantined=quarantined,
-        tier=tier,
-        backoff_s=backoff_s,
-        fault_schedule=fault_schedule,
-        reaction_s=reaction_s,
-        engine_faults=engine_faults,
-    )
+    return planned
 
 
 #: Memoised telemetry instrument handles for :func:`finish_planned_batch`
 #: — looked up once per registry generation instead of four name lookups
-#: per batch (thousands of batches per streamed shift).
+#: per pass.
 _FINISH_INSTRUMENTS: Optional[tuple] = None
 
 
@@ -544,90 +609,102 @@ def _finish_instruments(registry) -> tuple:
     return cached
 
 
-def finish_planned_batch(planned: PlannedBatch, result,
-                         scalars: tuple) -> BatchExecution:
-    """Stage 3: fold one simulated row back into a :class:`BatchExecution`.
+def finish_planned_batch(planned: PlannedPass,
+                         rows: Sequence[tuple]) -> List[BatchExecution]:
+    """Stage 3: fold a pass's simulated rows into :class:`BatchExecution`\\ s.
 
-    Duration is the job critical path plus the ladder's ``backoff_s``
-    (zero on fault-free batches); then come the record fields, the
-    completion clocks, and the per-batch telemetry.  A batch planned
-    under an active ``fault_schedule`` also gets its compliance
-    accounting: overshoot against the launch budget from the iteration
-    power trace, plus the reaction window of budget drops landing
-    mid-batch, charged at the batch's mean draw until the actuator
-    responds.
+    ``rows[i]`` is ``(job_elapsed_s, duration, mean_power, energy,
+    result)`` for row ``i`` — :func:`execute_planned_batches` reads them
+    for a whole group from the engine tensors in four vectorised
+    reductions whose per-row values are element-identical to a
+    :class:`~repro.sim.results.MixRunResult`'s own property chain (same
+    summands, same order, exact max).  ``result`` is that
+    :class:`MixRunResult`, built only for rows of a fault-replay pass.
 
-    ``scalars`` is ``(job_elapsed_s, duration, mean_power, energy)`` for
-    this row — :func:`execute_planned_batches` derives them for a whole
-    group in four vectorised reductions whose per-row values are
-    element-identical to the result's own property chain (same summands,
-    same order, exact max).
+    Per batch, in row order: duration is the job critical path plus the
+    ladder's ``backoff_s`` (zero on fault-free batches); then come the
+    record fields, the completion clocks, and the per-batch telemetry
+    (``batch_complete`` events and the duration histogram; the gauge and
+    counters once per pass).  A batch planned under an active
+    ``fault_schedule`` also gets its compliance accounting: overshoot
+    against the launch budget from the iteration power trace, plus the
+    reaction window of budget drops landing mid-batch, charged at the
+    batch's mean draw until the actuator responds.
     """
-    backoff_s = planned.backoff_s
-    elapsed, duration, mean_power_w, energy_j = scalars
-    duration = duration + backoff_s
     clock = planned.clock
-    planned_overshoot_ws = 0.0
-    overshoot_ws = 0.0
     fault_schedule = planned.fault_schedule
     if fault_schedule is not None:
         from repro.faults.schedule import FaultKind
 
-        planned_overshoot_ws = result.budget_overshoot_watt_seconds(
-            planned.batch_budget_w
-        )
-        overshoot_ws = planned_overshoot_ws
-        for event in fault_schedule.of_kind(FaultKind.BUDGET_CHANGE):
-            if clock < event.time_s < clock + duration:
-                dipped = fault_schedule.budget_at(
-                    max(event.time_s, event.end_s), planned.budget_w
-                )
-                window = min(
-                    planned.reaction_s, clock + duration - event.time_s
-                )
-                overshoot_ws += max(0.0, mean_power_w - dipped) * window
-    record = BatchRecord(
-        start_s=clock,
-        end_s=clock + duration,
-        admitted=planned.decision.admitted,
-        deferred=planned.decision.deferred,
-        mean_power_w=mean_power_w,
-        energy_j=energy_j,
-        budget_w=float(planned.batch_budget_w),
-        degradation_tier=planned.tier,
-        quarantined=planned.quarantined,
-        planned_overshoot_ws=planned_overshoot_ws,
-        overshoot_ws=overshoot_ws,
-        backoff_s=backoff_s,
-    )
-    if enabled():
+        drops = fault_schedule.of_kind(FaultKind.BUDGET_CHANGE)
+    telemetry = enabled()
+    if telemetry:
         _, _, gauge, histogram, batches, jobs = _finish_instruments(
             get_registry()
         )
-        utilization = mean_power_w / planned.batch_budget_w
-        gauge.set(utilization)
-        histogram.observe(duration)
-        batches.inc()
-        jobs.inc(len(result.job_names))
-        emit(
-            "manager.site", "batch_complete",
-            batch=planned.batch_index, policy=planned.policy.name,
-            admitted=len(planned.decision.admitted),
-            deferred=len(planned.decision.deferred),
-            duration_s=duration,
-            mean_power_w=float(mean_power_w),
-            utilization=utilization,
+        policy_name = planned.policy.name
+    executions: List[BatchExecution] = []
+    for launch, names, tier, backoff_s, row in zip(
+            planned.launches, planned.job_names, planned.tiers,
+            planned.backoffs, rows):
+        elapsed, duration, mean_power_w, energy_j, result = row
+        duration = duration + backoff_s
+        planned_overshoot_ws = 0.0
+        overshoot_ws = 0.0
+        if fault_schedule is not None:
+            planned_overshoot_ws = result.budget_overshoot_watt_seconds(
+                launch.batch_budget_w
+            )
+            overshoot_ws = planned_overshoot_ws
+            for event in drops:
+                if clock < event.time_s < clock + duration:
+                    dipped = fault_schedule.budget_at(
+                        max(event.time_s, event.end_s), launch.budget_w
+                    )
+                    window = min(
+                        planned.reaction_s, clock + duration - event.time_s
+                    )
+                    overshoot_ws += max(0.0, mean_power_w - dipped) * window
+        record = BatchRecord(
+            start_s=clock,
+            end_s=clock + duration,
+            admitted=launch.decision.admitted,
+            deferred=launch.decision.deferred,
+            mean_power_w=mean_power_w,
+            energy_j=energy_j,
+            budget_w=float(launch.batch_budget_w),
+            degradation_tier=tier,
+            quarantined=launch.quarantined,
+            planned_overshoot_ws=planned_overshoot_ws,
+            overshoot_ws=overshoot_ws,
+            backoff_s=backoff_s,
         )
-    # The ladder's decision latency delays the launch, so it is charged
-    # to every job's completion: elapsed + backoff keeps the float
-    # operation order of ``duration`` and lands the critical-path job
-    # exactly on ``record.end_s``.
-    completions = tuple(clock + (float(e) + backoff_s) for e in elapsed)
-    return BatchExecution(
-        record=record,
-        job_names=tuple(result.job_names),
-        completion_s=completions,
-    )
+        if telemetry:
+            utilization = mean_power_w / launch.batch_budget_w
+            histogram.observe(duration)
+            emit(
+                "manager.site", "batch_complete",
+                batch=launch.batch_index, policy=policy_name,
+                admitted=len(launch.decision.admitted),
+                deferred=len(launch.decision.deferred),
+                duration_s=duration,
+                mean_power_w=mean_power_w,
+                utilization=utilization,
+            )
+        # The ladder's decision latency delays the launch, so it is
+        # charged to every job's completion: elapsed + backoff keeps the
+        # float operation order of ``duration`` and lands the
+        # critical-path job exactly on ``record.end_s``.
+        executions.append(BatchExecution(
+            record=record,
+            job_names=names,
+            completion_s=tuple(clock + (e + backoff_s) for e in elapsed),
+        ))
+    if telemetry and executions:
+        gauge.set(utilization)
+        batches.inc(len(executions))
+        jobs.inc(sum(len(names) for names in planned.job_names))
+    return executions
 
 
 class ExecutedBatches(list):
@@ -642,76 +719,82 @@ class ExecutedBatches(list):
 
 
 def execute_planned_batches(
-    planned: Sequence[PlannedBatch],
+    passes: Sequence[PlannedPass],
     manager: PowerManager,
     noise_std: float,
 ) -> ExecutedBatches:
-    """Stage 2: simulate all planned batches in grouped vectorised passes.
+    """Stage 2: simulate planned passes in grouped vectorised engine passes.
 
-    Batches are grouped by job block structure (``job_boundaries``) and
-    iteration count — the preconditions of
-    :func:`~repro.sim.batch.simulate_layout_batch` — and each group runs
-    as one ``(S, hosts)`` engine pass, so co-resident batches (from one
-    rolling site or, in the fused facility engine, from many clusters)
-    share a pass.  A batch carrying ``engine_faults`` runs as a pass of
-    its own with that schedule in its
+    The rows of all ``passes`` are grouped by job block structure
+    (``job_boundaries``) and iteration count — the preconditions of a
+    stacked ``(S, hosts)`` engine pass — so co-resident batches (from
+    one rolling site or, in the fused facility engine, from many
+    clusters) share a pass.  A row carrying ``engine_faults`` runs as a
+    pass of its own with that schedule in its
     :class:`~repro.sim.execution.SimulationOptions`.  Per-row
     bit-identity to a serial ``simulate_mix`` call makes grouping
-    invisible in the results: only wall clock changes.  Executions come
-    back in input order.
-    """
-    from repro.sim.batch import simulate_layout_batch
+    invisible in the results: only wall clock changes.
 
-    groups: Dict[tuple, List[int]] = {}
-    for i, batch in enumerate(planned):
-        key = (
-            i if batch.engine_faults is not None else -1,
-            batch.mix.layout().job_boundaries.tobytes(),
-            batch.mix.common_iterations(),
-        )
-        groups.setdefault(key, []).append(i)
-    results: List[object] = [None] * len(planned)
-    scalars: List[Optional[tuple]] = [None] * len(planned)
-    with span("manager.site.batched_step", batches=len(planned),
+    Each row's elapsed times, duration, mean power and energy are read
+    straight from the engine tensors; a
+    :class:`~repro.sim.results.MixRunResult` is built only for the rows
+    of fault-replay passes, whose overshoot accounting reads the
+    iteration power trace.  Executions come back in input order: pass
+    by pass, row by row.
+    """
+    from repro.sim.batch import simulate_layout_rows
+
+    options = SimulationOptions(noise_std=noise_std)
+    groups: Dict[tuple, List[Tuple[int, int]]] = {}
+    flat = 0
+    for p, planned in enumerate(passes):
+        for r, (shape, faults) in enumerate(
+                zip(planned.shapes, planned.engine_faults)):
+            key = (shape.group, -1 if faults is None else flat)
+            groups.setdefault(key, []).append((p, r))
+            flat += 1
+    rows: List[List[Optional[tuple]]] = [[None] * len(planned)
+                                         for planned in passes]
+    with span("manager.site.batched_step", batches=flat,
               groups=len(groups)):
-        for indices in groups.values():
-            rows = [planned[i] for i in indices]
-            group_results = simulate_layout_batch(
-                [b.mix for b in rows],
-                np.stack([b.effective_caps for b in rows]),
-                np.stack([b.scheduled.efficiencies for b in rows]),
+        for members in groups.values():
+            p0, r0 = members[0]
+            faults = passes[p0].engine_faults[r0]
+
+            def describe(s: int, members=members) -> tuple:
+                p, r = members[s]
+                planned = passes[p]
+                return (planned.mix(r), planned.policy.name,
+                        float(planned.launches[r].batch_budget_w))
+
+            out = simulate_layout_rows(
+                [passes[p].shapes[r].layout for p, r in members],
+                passes[p0].shapes[r0].iterations,
+                np.stack([passes[p].caps[r] for p, r in members]),
+                np.stack([passes[p].efficiencies[r] for p, r in members]),
                 manager.model,
-                SimulationOptions(noise_std=noise_std,
-                                  fault_schedule=rows[0].engine_faults),
-                seeds=[b.batch_seed for b in rows],
-                policy_names=[b.policy.name for b in rows],
-                budgets_w=[b.batch_budget_w for b in rows],
+                options if faults is None else SimulationOptions(
+                    noise_std=noise_std, fault_schedule=faults),
+                [passes[p].seeds[r] for p, r in members],
+                describe,
             )
-            # Group-wide derived scalars: each row of these reductions
-            # sums/maxes exactly the elements the per-row property chain
-            # (job_elapsed_s / mean_system_power_w / total_energy_j)
-            # would, in the same order, so the values are bit-identical
-            # — four numpy calls replace four per batch.
-            elapsed = np.stack(
-                [r.iteration_times_s for r in group_results]
-            ).sum(axis=1)
-            duration = elapsed.max(axis=1)
-            mean_power = np.stack(
-                [r.host_mean_power_w for r in group_results]
-            ).sum(axis=1)
-            energy = np.stack(
-                [r.host_energy_j for r in group_results]
-            ).sum(axis=1)
-            for row, (i, result) in enumerate(zip(indices, group_results)):
-                results[i] = result
-                scalars[i] = (
-                    elapsed[row], float(duration[row]),
-                    float(mean_power[row]), float(energy[row]),
-                )
-    executions = ExecutedBatches(
-        finish_planned_batch(batch, result, scalar)
-        for batch, result, scalar in zip(planned, results, scalars)
-    )
+            # Each row of these reductions sums/maxes exactly the
+            # elements a MixRunResult's job_elapsed_s /
+            # mean_system_power_w / total_energy_j would, in the same
+            # order, so the values are bit-identical.
+            elapsed = out.job_iter_times.sum(axis=1)
+            duration = elapsed.max(axis=1).tolist()
+            mean_power = out.host_mean_power.sum(axis=1).tolist()
+            energy = out.host_energy.sum(axis=1).tolist()
+            elapsed = elapsed.tolist()
+            for s, (p, r) in enumerate(members):
+                result = None if passes[p].fault_schedule is None \
+                    else out.result(s, *describe(s))
+                rows[p][r] = (elapsed[s], duration[s], mean_power[s],
+                              energy[s], result)
+    executions = ExecutedBatches()
+    for planned, planned_rows in zip(passes, rows):
+        executions.extend(finish_planned_batch(planned, planned_rows))
     executions.passes = len(groups)
     return executions
 
@@ -757,7 +840,7 @@ def run_site_simulation(
     (overshoot during that window is recorded in
     ``BatchRecord.overshoot_ws``).
 
-    Each round's batch is executed as the one-row case of
+    Each round's one-row pass is executed by
     :func:`execute_planned_batches` and sent back into
     :func:`shift_rounds`.
     """
@@ -805,17 +888,17 @@ def shift_rounds(
 ):
     """The shift loop as a resumable round generator.
 
-    Every executable admission round plans its batch via
-    :func:`plan_admitted_batch` over the schedulable hosts (the whole
+    Every executable admission round plans its batch as a one-row pass
+    of :func:`plan_admitted_batch` over the schedulable hosts (the whole
     cluster, or its healthy rows while hosts are failed), **yields** the
-    :class:`PlannedBatch` to its caller, and receives the
+    :class:`PlannedPass` to its caller, and receives the
     :class:`BatchExecution` back through ``send()``.
-    :func:`run_site_simulation` sends back a one-row
-    :func:`execute_planned_batches` pass; the fused facility engine
+    :func:`run_site_simulation` sends back a one-pass
+    :func:`execute_planned_batches` call; the fused facility engine
     drives one generator per cluster in lockstep and fuses the yielded
-    batches of all clusters into shared stacked passes.  Control flow,
-    RNG draws, seeds, and accumulation order live here alone, so every
-    caller gets the same results.
+    passes of all clusters into shared stacked engine passes.  Control
+    flow, RNG draws, seeds, and accumulation order live here alone, so
+    every caller gets the same results.
 
     ``planner`` (default: a fresh one) is the memo the batches are
     planned through; the fused engine shares one across clusters.  The
@@ -842,6 +925,7 @@ def shift_rounds(
     )
     if planner is None:
         planner = BatchPlanner(manager, policy)
+    seeds = batch_seeds(run_seed)
     efficiencies = cluster.efficiencies
     uniform_hosts = bool((efficiencies == efficiencies[0]).all())
 
@@ -908,17 +992,15 @@ def shift_rounds(
 
         execution = yield plan_admitted_batch(
             clock=clock,
-            batch_index=len(batches),
-            admitted=[queue.get(name) for name in decision.admitted],
-            decision=decision,
-            host_efficiencies=schedulable,
+            launches=[Launch(
+                len(batches), decision,
+                [queue.get(name) for name in decision.admitted],
+                schedulable, budget_w, batch_budget_w, quarantined,
+            )],
             policy=policy,
-            budget_w=budget_w,
-            batch_budget_w=batch_budget_w,
-            quarantined=quarantined,
             manager=manager,
-            run_seed=run_seed,
             planner=planner,
+            seeds=seeds,
             uniform_hosts=uniform_hosts,
             fault_schedule=fault_schedule,
             degradation=degradation,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.sim.execution import (
     DEFAULT_OPTIONS,
     SimulationOptions,
     _execute_scenarios,
+    _ScenarioTensors,
 )
 from repro.sim.results import MixRunResult
 from repro.telemetry import emit, enabled, get_registry, span
@@ -55,6 +56,7 @@ __all__ = [
     "stack_job_layouts",
     "simulate_cap_batch",
     "simulate_layout_batch",
+    "simulate_layout_rows",
 ]
 
 
@@ -275,6 +277,97 @@ def _per_scenario(value, scenarios: int, name: str, kind) -> list:
     return values
 
 
+def _simulate_tensors(
+    entry: str,
+    event: str,
+    layouts: Sequence[HostLayout],
+    caps: np.ndarray,
+    eff_rows: Sequence[np.ndarray],
+    model: ExecutionModel,
+    options: SimulationOptions,
+    seeds: Sequence[int],
+    describe: Callable[[int], Tuple[WorkloadMix, str, float]],
+    run: Callable[[List[int], List[int]], _ScenarioTensors],
+    n_iter: int,
+    **labels,
+) -> _ScenarioTensors:
+    """The row bookkeeping every batch entry point shares.
+
+    Row ``s`` runs layout ``layouts[s]`` under ``caps[s]`` on hosts with
+    efficiencies ``eff_rows[s]`` and noise seed ``seeds[s]``;
+    ``describe(s)`` is its ``(mix, policy name, budget)``, asked for only
+    when a :func:`~repro.parallel.cache.active_cache` is installed.
+    Rows are served from that cache under the *serial* cache key;
+    ``run(misses, miss_seeds)`` runs the remaining rows in one engine
+    call (output row ``i`` is scenario ``misses[i]``), and the fresh rows
+    are stored.  Returns the engine tensors of all rows in row order,
+    and records the ``sim.simulate_<entry>_batch`` span and ``event``.
+    """
+    scenarios = len(seeds)
+    hosts = layouts[0].host_count
+
+    from repro.parallel.cache import active_cache
+
+    with span(f"sim.simulate_{entry}_batch", **labels, hosts=hosts,
+              scenarios=scenarios) as trace_sp:
+        cache = active_cache()
+        hits: Dict[int, MixRunResult] = {}
+        keys: List[Optional[str]] = [None] * scenarios
+        misses = list(range(scenarios))
+        if cache is not None:
+            from repro.io.serialize import result_from_dict
+
+            misses = []
+            for s in range(scenarios):
+                mix, policy_name, budget_w = describe(s)
+                keys[s] = cache.key(
+                    "simulate", mix, caps[s], eff_rows[s], model,
+                    dataclasses.replace(options, seed=seeds[s]),
+                    policy_name, budget_w,
+                )
+                payload = cache.get(keys[s])
+                if payload is not None:
+                    hits[s] = result_from_dict(payload)
+                else:
+                    misses.append(s)
+        if trace_sp is not None:
+            trace_sp.set_attribute("cache_hits", len(hits))
+
+        out = run(misses, [seeds[s] for s in misses]) if misses else None
+        if cache is not None:
+            from repro.io.serialize import result_to_dict
+
+            results = [hits.get(s) for s in range(scenarios)]
+            for row, s in enumerate(misses):
+                results[s] = out.result(row, *describe(s))
+                cache.put(keys[s], result_to_dict(results[s]))
+            if hits:
+                out = _ScenarioTensors(
+                    job_iter_times=np.stack(
+                        [r.iteration_times_s for r in results]),
+                    iteration_energy=np.stack(
+                        [r.iteration_energy_j for r in results]),
+                    host_energy=np.stack([r.host_energy_j for r in results]),
+                    host_mean_power=np.stack(
+                        [r.host_mean_power_w for r in results]),
+                    total_gflop=np.array([r.total_gflop for r in results]),
+                )
+
+        if enabled():
+            registry = get_registry()
+            registry.counter("sim.execution.batch_runs").inc()
+            if misses:
+                registry.counter("sim.execution.runs").inc(len(misses))
+            if hits:
+                registry.counter("sim.execution.cache_hits").inc(len(hits))
+            emit(
+                "sim.execution", event, **labels, hosts=hosts,
+                scenarios=scenarios, cache_hits=len(hits),
+                iterations=n_iter,
+            )
+    return out
+
+
 def _simulate_rows(
     entry: str,
     event: str,
@@ -287,20 +380,11 @@ def _simulate_rows(
     seeds: Optional[Sequence[int]],
     policy_names: Union[str, Sequence[str]],
     budgets_w: Union[float, Sequence[float]],
-    run: Callable[[List[int], List[int]], object],
+    run: Callable[[List[int], List[int]], _ScenarioTensors],
     **labels,
 ) -> List[MixRunResult]:
-    """The row bookkeeping both batch entry points share.
-
-    Row ``s`` is ``mixes[s]`` (layout ``layouts[s]``) under ``caps[s]``
-    on hosts with efficiencies ``eff_rows[s]``.  Normalises the seeds and
-    result metadata, serves rows from any active
-    :func:`~repro.parallel.cache.active_cache` under the *serial* cache
-    key, calls ``run(misses, miss_seeds)`` once for the remaining rows
-    (output row ``i`` is scenario ``misses[i]``), assembles one
-    :class:`MixRunResult` per row, stores the fresh rows, and records the
-    ``sim.simulate_<entry>_batch`` span and ``event``.
-    """
+    """:func:`_simulate_tensors` with normalised seeds and metadata, as
+    one :class:`MixRunResult` per row (the public entry points' form)."""
     scenarios = len(mixes)
     if seeds is None:
         seed_list = [int(options.seed)] * scenarios
@@ -312,69 +396,15 @@ def _simulate_rows(
             )
     names = _per_scenario(policy_names, scenarios, "policy_names", str)
     budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
-    hosts = layouts[0].host_count
-    n_iter = mixes[0].common_iterations()
 
-    from repro.parallel.cache import active_cache
+    def describe(s: int) -> Tuple[WorkloadMix, str, float]:
+        return mixes[s], names[s], budgets[s]
 
-    with span(f"sim.simulate_{entry}_batch", **labels, hosts=hosts,
-              scenarios=scenarios) as trace_sp:
-        cache = active_cache()
-        results: List[Optional[MixRunResult]] = [None] * scenarios
-        keys: List[Optional[str]] = [None] * scenarios
-        misses = list(range(scenarios))
-        if cache is not None:
-            from repro.io.serialize import result_from_dict
-
-            misses = []
-            for s in range(scenarios):
-                opts_s = dataclasses.replace(options, seed=seed_list[s])
-                keys[s] = cache.key(
-                    "simulate", mixes[s], caps[s], eff_rows[s], model,
-                    opts_s, names[s], budgets[s],
-                )
-                payload = cache.get(keys[s])
-                if payload is not None:
-                    results[s] = result_from_dict(payload)
-                else:
-                    misses.append(s)
-        hits = scenarios - len(misses)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hits", hits)
-
-        if misses:
-            out = run(misses, [seed_list[s] for s in misses])
-            for row, s in enumerate(misses):
-                results[s] = MixRunResult(
-                    mix_name=mixes[s].name,
-                    policy_name=names[s],
-                    budget_w=budgets[s],
-                    job_names=mixes[s].job_names,
-                    iteration_times_s=out.job_iter_times[row],
-                    iteration_energy_j=out.iteration_energy[row],
-                    host_energy_j=out.host_energy[row],
-                    host_mean_power_w=out.host_mean_power[row],
-                    host_job_index=layouts[s].job_index,
-                    total_gflop=float(out.total_gflop[row]),
-                )
-        if cache is not None and misses:
-            from repro.io.serialize import result_to_dict
-
-            for s in misses:
-                cache.put(keys[s], result_to_dict(results[s]))
-
-        if enabled():
-            registry = get_registry()
-            registry.counter("sim.execution.batch_runs").inc()
-            if misses:
-                registry.counter("sim.execution.runs").inc(len(misses))
-            if hits:
-                registry.counter("sim.execution.cache_hits").inc(hits)
-            emit(
-                "sim.execution", event, **labels, hosts=hosts,
-                scenarios=scenarios, cache_hits=hits, iterations=n_iter,
-            )
-    return results  # type: ignore[return-value]
+    out = _simulate_tensors(
+        entry, event, layouts, caps, eff_rows, model, options, seed_list,
+        describe, run, mixes[0].common_iterations(), **labels,
+    )
+    return [out.result(s, *describe(s)) for s in range(scenarios)]
 
 
 def simulate_cap_batch(
@@ -521,6 +551,18 @@ def simulate_layout_batch(
                 "all mixes in a layout batch must share one iteration count"
             )
 
+    return _simulate_rows(
+        "layout", "layout_batch_simulated", mixes, layouts, caps, eff,
+        model, options, seeds, policy_names, budgets_w,
+        _layout_run(layouts, n_iter, caps, eff, model, options),
+    )
+
+
+def _layout_run(layouts: Sequence[HostLayout], n_iter: int, caps: np.ndarray,
+                eff: np.ndarray, model: ExecutionModel,
+                options: SimulationOptions):
+    """The engine call of a layout batch: ``run(misses, miss_seeds)``."""
+
     def run(misses, miss_seeds):
         if len(misses) == 1:
             # One row needs no stacked layout: it is the serial engine
@@ -535,7 +577,34 @@ def simulate_layout_batch(
             fault_schedule=options.fault_schedule,
         )
 
-    return _simulate_rows(
-        "layout", "layout_batch_simulated", mixes, layouts, caps, eff,
-        model, options, seeds, policy_names, budgets_w, run,
+    return run
+
+
+def simulate_layout_rows(
+    layouts: Sequence[HostLayout],
+    n_iter: int,
+    caps_sw: np.ndarray,
+    efficiencies_sw: np.ndarray,
+    model: ExecutionModel,
+    options: SimulationOptions,
+    seeds: Sequence[int],
+    describe: Callable[[int], Tuple[WorkloadMix, str, float]],
+) -> _ScenarioTensors:
+    """:func:`simulate_layout_batch` for the site loops' batch executor.
+
+    Rows arrive as the planner's shared layouts (one job block structure,
+    ``n_iter`` iterations) with their ``(S, hosts)`` caps and
+    efficiencies and one seed each, and the result is the engine's
+    stacked tensors rather than one :class:`MixRunResult` per row.
+    ``describe(s)`` builds row ``s``'s ``(mix, policy name, budget)``; it
+    is called only under an active cache, for the serial cache key and
+    the stored result.  Cache semantics, span and telemetry are
+    :func:`simulate_layout_batch`'s.
+    """
+    return _simulate_tensors(
+        "layout", "layout_batch_simulated", layouts, caps_sw,
+        efficiencies_sw, model, options, seeds, describe,
+        _layout_run(layouts, n_iter, caps_sw, efficiencies_sw, model,
+                    options),
+        n_iter,
     )

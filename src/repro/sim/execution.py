@@ -118,6 +118,23 @@ class _ScenarioTensors:
     host_mean_power: np.ndarray     # (S, hosts)
     total_gflop: np.ndarray         # (S,)
 
+    def result(self, row: int, mix: WorkloadMix, policy_name: str,
+               budget_w: float) -> MixRunResult:
+        """Scenario ``row`` as the :class:`MixRunResult` of ``mix`` (the
+        mix whose layout it ran), sharing this object's arrays."""
+        return MixRunResult(
+            mix_name=mix.name,
+            policy_name=policy_name,
+            budget_w=float(budget_w),
+            job_names=mix.job_names,
+            iteration_times_s=self.job_iter_times[row],
+            iteration_energy_j=self.iteration_energy[row],
+            host_energy_j=self.host_energy[row],
+            host_mean_power_w=self.host_mean_power[row],
+            host_job_index=mix.layout().job_index,
+            total_gflop=float(self.total_gflop[row]),
+        )
+
 
 def _engine_fault_plan(
     schedule: FaultSchedule,
@@ -442,21 +459,8 @@ def _simulate_mix_impl(
         )
     n_iter = mix.common_iterations()
 
-    out = _execute_scenarios(
+    return _execute_scenarios(
         layout, caps[np.newaxis, :], eff, model, n_iter,
         options.noise_std, options.barrier_overhead_s, (options.seed,),
         fault_schedule=options.fault_schedule,
-    )
-
-    return MixRunResult(
-        mix_name=mix.name,
-        policy_name=policy_name,
-        budget_w=float(budget_w),
-        job_names=mix.job_names,
-        iteration_times_s=out.job_iter_times[0],
-        iteration_energy_j=out.iteration_energy[0],
-        host_energy_j=out.host_energy[0],
-        host_mean_power_w=out.host_mean_power[0],
-        host_job_index=layout.job_index,
-        total_gflop=float(out.total_gflop[0]),
-    )
+    ).result(0, mix, policy_name, budget_w)

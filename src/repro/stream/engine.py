@@ -22,13 +22,18 @@ In rolling mode each in-flight batch reserves its admitted-set estimate
 (`decision.admitted_power_w`) out of the facility budget and is launched
 with that reservation as its budget, so the sum of concurrent batch
 budgets never exceeds the facility budget in force at their launches.
-Every admission pass plans its launch groups through
-:func:`~repro.manager.site_simulation.plan_admitted_batch` (one memoised
-:class:`~repro.manager.site_simulation.BatchPlanner` per engine) and
-executes them together through
-:func:`~repro.manager.site_simulation.execute_planned_batches`: one
+Every admission pass collects its launch groups as
+:class:`~repro.manager.site_simulation.Launch` rows and plans them in
+one :func:`~repro.manager.site_simulation.plan_admitted_batch` call (one
+memoised :class:`~repro.manager.site_simulation.BatchPlanner` and one
+block seed cache per engine), then executes and finishes the pass in one
+:func:`~repro.manager.site_simulation.execute_planned_batches` call: one
 stacked ``(S, hosts)`` engine pass per job-structure group, with a batch
-that carries engine-applicable faults in a pass of its own.
+that carries engine-applicable faults in a pass of its own.  Each batch
+still gets its own record, completion event and ``batch_complete``
+telemetry, in launch order.  When the timeline drains with jobs still
+pending (nothing is left that could free capacity), they fail as
+unschedulable.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from repro.manager.site_simulation import (
     BatchExecution,
     BatchPlanner,
     BatchRecord,
+    Launch,
     SiteSimulationResult,
+    batch_seeds,
     execute_planned_batches,
     plan_admitted_batch,
     run_site_simulation,
@@ -209,6 +216,7 @@ class SiteStreamEngine:
         self._admission_event: Optional[Event] = None
         self._admission_scheduled = False
         self._planner = BatchPlanner(self.manager, policy)
+        self._seeds = batch_seeds(run_seed)
         self._host_eff = cluster.efficiencies
         # Homogeneous-cluster fast path: when every host efficiency is
         # equal, any subset's efficiency vector is a slice of the
@@ -338,10 +346,6 @@ class SiteStreamEngine:
 
     # ------------------------------------------------------------------
     # rolling mode
-    def _idle(self) -> bool:
-        return (self._source is None and self._in_flight == 0
-                and not self.queue.pending_count())
-
     def _schedule_tick(self) -> None:
         if self.tick_interval_s is None or self._tick_scheduled:
             return
@@ -375,7 +379,7 @@ class SiteStreamEngine:
             )
             registry.gauge("stream.engine.in_flight").set(self._in_flight)
             emit("stream.engine", "tick", **self.stats.snapshot())
-        if not self._idle() or self.loop:
+        if self.loop:
             self._schedule_tick()
 
     def _split_decision(self, decision):
@@ -416,8 +420,8 @@ class SiteStreamEngine:
         (completions only land via future BATCH_COMPLETE events), so the
         split cannot change any decision.
         """
-        collected: List[Tuple] = []  # (batch_index, sub_decision, names,
-        #                              host_ids, share_w, quarantined)
+        launches: List[Launch] = []
+        hosts: List[List[int]] = []
         while self.queue.pending_count():
             budget_now, quarantined, failed_hosts = self._fault_state()
             free_healthy = sorted(self._free_ids - failed_hosts)
@@ -446,63 +450,64 @@ class SiteStreamEngine:
                 nodes = sub_decision.admitted_nodes
                 host_ids = free_healthy[cursor:cursor + nodes]
                 cursor += nodes
-                share_w = sub_decision.admitted_power_w
-                self._free_ids.difference_update(host_ids)
-                self._reserved_w += share_w
-                self._in_flight += 1
-                if self._in_flight > self.stats.peak_in_flight:
-                    self.stats.peak_in_flight = self._in_flight
-                collected.append((
-                    self._batch_counter, sub_decision, names, host_ids,
-                    share_w, quarantined,
-                ))
-                self._batch_counter += 1
-        if collected:
-            self._execute_collected(collected)
+                launches.append(self._launch(sub_decision, names, host_ids,
+                                             quarantined))
+                hosts.append(host_ids)
+        if launches:
+            self._execute_collected(launches, hosts)
 
-    def _execute_collected(self, collected: List[Tuple]) -> None:
-        """Execute one admission pass's launch groups; push completions."""
-        uniform = self._uniform_hosts
-        fault_schedule = self.fault_schedule if self.injecting else None
-        with span("stream.engine.admit", batches=len(collected)) as sp:
-            planned = [
-                plan_admitted_batch(
-                    clock=self.clock,
-                    batch_index=batch_index,
-                    admitted=[self.queue.get(n) for n in names],
-                    decision=sub_decision,
-                    host_efficiencies=(
-                        self._host_eff if uniform
-                        else self._host_eff[host_ids]
-                    ),
-                    policy=self.policy,
-                    budget_w=share_w,
-                    batch_budget_w=share_w,
-                    quarantined=quarantined,
-                    manager=self.manager,
-                    run_seed=self.run_seed,
-                    planner=self._planner,
-                    uniform_hosts=uniform,
-                    fault_schedule=fault_schedule,
-                    degradation=self.degradation,
-                    reaction_s=self.reaction_s,
-                )
-                for batch_index, sub_decision, names, host_ids,
-                share_w, quarantined in collected
-            ]
+    def _launch(self, decision: AdmissionDecision, names: Tuple[str, ...],
+                host_ids: List[int], quarantined: Tuple[int, ...]) -> Launch:
+        """Reserve ``host_ids`` and the decision's watts; the launch row.
+
+        The batch's budget is its reservation (``admitted_power_w``).
+        """
+        share_w = decision.admitted_power_w
+        self._free_ids.difference_update(host_ids)
+        self._reserved_w += share_w
+        self._in_flight += 1
+        if self._in_flight > self.stats.peak_in_flight:
+            self.stats.peak_in_flight = self._in_flight
+        launch = Launch(
+            self._batch_counter, decision,
+            [self.queue.get(n) for n in names],
+            self._host_eff if self._uniform_hosts
+            else self._host_eff[host_ids],
+            share_w, share_w, quarantined,
+        )
+        self._batch_counter += 1
+        return launch
+
+    def _execute_collected(self, launches: List[Launch],
+                           hosts: List[List[int]]) -> None:
+        """Plan, execute and finish one admission pass; push completions."""
+        with span("stream.engine.admit", batches=len(launches)) as sp:
+            planned = plan_admitted_batch(
+                clock=self.clock,
+                launches=launches,
+                policy=self.policy,
+                manager=self.manager,
+                planner=self._planner,
+                seeds=self._seeds,
+                uniform_hosts=self._uniform_hosts,
+                fault_schedule=self.fault_schedule if self.injecting
+                else None,
+                degradation=self.degradation,
+                reaction_s=self.reaction_s,
+            )
             executions = execute_planned_batches(
-                planned, self.manager, self.noise_std
+                [planned], self.manager, self.noise_std
             )
             if sp is not None:
                 sp.set_attribute(
-                    "jobs", sum(len(c[2]) for c in collected)
+                    "jobs", sum(len(names) for names in planned.job_names)
                 )
         push = self.loop.push
-        for entry, execution in zip(collected, executions):
+        for launch, host_ids, execution in zip(launches, hosts, executions):
             push(
                 execution.record.end_s, EventKind.BATCH_COMPLETE,
-                execution=execution, hosts=tuple(entry[3]),
-                share_w=entry[4],
+                execution=execution, hosts=tuple(host_ids),
+                share_w=launch.budget_w,
             )
 
     def _admit_after_arrival(self, request: JobRequest) -> None:
@@ -525,32 +530,27 @@ class SiteStreamEngine:
                 )
                 if not decision.admitted:
                     return  # still blocked at unchanged capacity
-                free_healthy = sorted(self._free_ids)
                 nodes = decision.admitted_nodes
-                host_ids = free_healthy[:nodes]
-                share_w = decision.admitted_power_w
-                self._free_ids.difference_update(host_ids)
-                self._reserved_w += share_w
-                self._in_flight += 1
-                if self._in_flight > self.stats.peak_in_flight:
-                    self.stats.peak_in_flight = self._in_flight
-                entry = (
-                    self._batch_counter, decision, decision.admitted,
-                    host_ids, share_w, (),
-                )
-                self._batch_counter += 1
+                host_ids = sorted(self._free_ids)[:nodes]
+                launch = self._launch(decision, decision.admitted, host_ids,
+                                      ())
                 # The prefix stays blocked at the shrunken capacity.
-                self._blocked_key = (avail_w - share_w, free - nodes)
-                self._execute_collected([entry])
+                self._blocked_key = (avail_w - launch.budget_w, free - nodes)
+                self._execute_collected([launch], [host_ids])
                 return
         self._try_admit_rolling()
 
     def run(self, max_events: Optional[int] = None) -> StreamStats:
         """Pump the rolling-mode event loop until the timeline drains.
 
-        Telemetry ticks alone do not keep the engine alive: once the
-        source is exhausted, nothing is pending, and no batch is in
-        flight, remaining ticks are drained without rescheduling.
+        Telemetry ticks alone do not keep the engine alive: a tick
+        re-arms only while other events remain on the timeline.  Jobs
+        still pending when the timeline drains can never be admitted (no
+        completion, budget change or fault boundary is left to free
+        capacity, as under a whole-horizon outage), so they fail as
+        unschedulable, as the batch shift loop reports them in
+        ``never_admitted``.  A loop stopped by ``max_events`` leaves its
+        pending jobs queued.
         """
         if not self.rolling:
             raise ValueError("run() is rolling mode; use replay() instead")
@@ -624,6 +624,9 @@ class SiteStreamEngine:
                     self._try_admit_rolling()
                 elif kind is TELEMETRY_TICK:
                     self._on_tick()
+            if not self.loop:
+                while self.queue.pending_count():
+                    self._fail_head()
             if sp is not None:
                 sp.set_attribute("events", processed)
                 sp.set_attribute("batches", self.stats.batches)

@@ -10,13 +10,13 @@ execution engine consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.workload.kernel import KernelConfig, POLL_ACTIVITY_FACTOR
 
-__all__ = ["Job", "WorkloadMix", "HostLayout"]
+__all__ = ["Job", "WorkloadMix", "HostLayout", "validate_job_names"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,16 @@ class HostLayout:
         return int(self.job_index.size)
 
 
+def validate_job_names(names: Sequence[str]) -> None:
+    """The checks a mix's job list must pass: at least one job, no
+    duplicate names.  The batch planner runs them on admitted batches it
+    plans without building a :class:`WorkloadMix`."""
+    if not names:
+        raise ValueError("a mix needs at least one job")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate job names in mix: {list(names)!r}")
+
+
 @dataclass(frozen=True)
 class WorkloadMix:
     """A co-scheduled set of jobs (paper Table II row).
@@ -107,11 +117,7 @@ class WorkloadMix:
     jobs: Tuple[Job, ...]
 
     def __post_init__(self) -> None:
-        if not self.jobs:
-            raise ValueError("a mix needs at least one job")
-        names = [j.name for j in self.jobs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate job names in mix: {names!r}")
+        validate_job_names([j.name for j in self.jobs])
 
     # ------------------------------------------------------------------
     @property

@@ -1,12 +1,13 @@
 """Unit tests: the batch planner, the batch executor and their caches.
 
-Every admitted batch runs ``plan_admitted_batch`` →
+Every admission pass runs ``plan_admitted_batch`` →
 ``execute_planned_batches`` → ``finish_planned_batch``.  These tests pin
 the stages' contracts at the function level — the scheduler-identical
-shuffle, grouping and pass counting, fault-slice isolation, memo-hit
-object reuse and the memo bound, trusted-constructor semantics, and the
-stacked-layout identity cache — independently of the site loops (whose
-outputs the golden-digest suite pins end to end).
+shuffle, the planner's input checks, grouping and pass counting,
+fault-slice isolation, a multi-row pass equal to its rows planned one
+by one, memo-hit object reuse and the memo bound, trusted-constructor
+semantics, and the stacked-layout identity cache — independently of the
+site loops (whose outputs the golden-digest suite pins end to end).
 """
 
 import numpy as np
@@ -22,9 +23,12 @@ from repro.manager.scheduler import ScheduledMix, Scheduler
 from repro.manager.site_simulation import (
     PLANNER_MEMO_LIMIT,
     BatchPlanner,
+    Launch,
+    batch_seeds,
     execute_planned_batches,
     plan_admitted_batch,
 )
+from repro.parallel.seeding import child_seed
 from repro.sim import batch as sim_batch
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -45,14 +49,19 @@ def _decision(admitted, budget_w=2500.0, nodes=12):
     )
 
 
+def _launch(index, admitted, decision, cluster, budget_w):
+    return Launch(index, decision, admitted, cluster.efficiencies,
+                  budget_w, budget_w)
+
+
 def _staged(clock, index, admitted, decision, cluster, policy,
             budget_w, manager, planner=None, uniform=False, **faults):
+    """A one-row pass."""
     return plan_admitted_batch(
-        clock=clock, batch_index=index, admitted=admitted,
-        decision=decision, host_efficiencies=cluster.efficiencies,
-        policy=policy, budget_w=budget_w, batch_budget_w=budget_w,
-        quarantined=(), manager=manager, run_seed=None,
-        planner=planner, uniform_hosts=uniform, **faults,
+        clock=clock,
+        launches=[_launch(index, admitted, decision, cluster, budget_w)],
+        policy=policy, manager=manager, planner=planner,
+        uniform_hosts=uniform, **faults,
     )
 
 
@@ -69,9 +78,9 @@ class TestStagedPipelineIdentity:
         expected = Scheduler(cluster, shuffle_seed=index).allocate(
             WorkloadMix(name="m", jobs=tuple(r.to_job() for r in admitted))
         )
-        np.testing.assert_array_equal(planned.scheduled.node_ids,
+        np.testing.assert_array_equal(planned.node_ids[0],
                                       expected.node_ids)
-        np.testing.assert_array_equal(planned.scheduled.efficiencies,
+        np.testing.assert_array_equal(planned.efficiencies[0],
                                       expected.efficiencies)
 
     def test_rejects_a_batch_larger_than_the_partition(self):
@@ -80,6 +89,86 @@ class TestStagedPipelineIdentity:
         with pytest.raises(ValueError, match="needs 5 nodes"):
             _staged(0.0, 0, admitted, _decision(admitted), cluster,
                     create_policy("StaticCaps"), 2500.0, PowerManager())
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_rejects_empty_and_duplicate_job_lists(self, uniform):
+        # The checks WorkloadMix would run, kept although a memo hit
+        # builds no mix: plan the shape once, then feed bad launches.
+        cluster = Cluster(node_count=12, variation=None, seed=0)
+        policy = create_policy("StaticCaps")
+        manager = PowerManager()
+        planner = BatchPlanner(manager, policy)
+        good = [_request("a", nodes=2)]
+        _staged(0.0, 0, good, _decision(good), cluster, policy, 2500.0,
+                manager, planner=planner, uniform=uniform)
+        with pytest.raises(ValueError, match="at least one job"):
+            _staged(0.0, 1, [], _decision([]), cluster, policy, 2500.0,
+                    manager, planner=planner, uniform=uniform)
+        twice = [_request("a", nodes=2), _request("a", nodes=2)]
+        with pytest.raises(ValueError, match="duplicate job names"):
+            _staged(0.0, 2, twice, _decision(twice), cluster, policy,
+                    2500.0, manager, planner=planner, uniform=uniform)
+
+    @pytest.mark.parametrize("variation", [None, "quartz"])
+    def test_pass_equals_its_rows_planned_alone(self, variation):
+        # One multi-row pass plans and executes each row exactly as a
+        # one-row pass of that launch would, on uniform and varied hosts.
+        kwargs = {} if variation else {"variation": None}
+        cluster = Cluster(node_count=16, seed=4, **kwargs)
+        uniform = variation is None
+        policy = create_policy("JobAdaptive")
+        manager = PowerManager()
+        seeds = batch_seeds(11)
+        specs = [(3, 8.0, 900.0), (3, 8.0, 900.0), (5, 0.25, 1400.0),
+                 (3, 8.0, 700.0)]
+        launches = []
+        for index, (nodes, intensity, budget) in enumerate(specs):
+            admitted = [_request(f"j{index}", nodes=nodes,
+                                 intensity=intensity)]
+            launches.append(_launch(index, admitted, _decision(admitted),
+                                    cluster, budget))
+
+        def plan(rows):
+            return plan_admitted_batch(
+                clock=2.0, launches=rows, policy=policy, manager=manager,
+                planner=BatchPlanner(manager, policy), seeds=seeds,
+                uniform_hosts=uniform,
+            )
+
+        together = plan(launches)
+        alone = [plan([launch]) for launch in launches]
+        assert together.seeds == [child_seed(11, "site-batch", i)
+                                  for i in range(len(specs))]
+        for row, single in enumerate(alone):
+            np.testing.assert_array_equal(together.caps[row], single.caps[0])
+            np.testing.assert_array_equal(together.efficiencies[row],
+                                          single.efficiencies[0])
+            assert together.seeds[row] == single.seeds[0]
+        fused = execute_planned_batches([together], manager, 0.01)
+        one_by_one = execute_planned_batches(alone, manager, 0.01)
+        assert fused == list(one_by_one)
+        assert fused.passes == 2 and one_by_one.passes == 2
+
+    def test_pass_looks_up_each_plan_once(self):
+        # Uniform hosts: rows sharing (shapes, budget) share one memo
+        # lookup and one caps object; a new budget is a new lookup.
+        cluster = Cluster(node_count=64, variation=None, seed=0)
+        policy = create_policy("StaticCaps")
+        manager = PowerManager()
+        planner = BatchPlanner(manager, policy)
+        launches = []
+        for index, budget in enumerate([900.0] * 5 + [700.0] * 3):
+            admitted = [_request(f"j{index}", nodes=3)]
+            launches.append(_launch(index, admitted, _decision(admitted),
+                                    cluster, budget))
+        planned = plan_admitted_batch(
+            clock=0.0, launches=launches, policy=policy, manager=manager,
+            planner=planner, uniform_hosts=True,
+        )
+        assert planner.char_hits + planner.char_misses == 2
+        assert all(c is planned.caps[0] for c in planned.caps[:5])
+        assert planned.caps[5] is not planned.caps[0]
+        assert planned.seeds == list(range(8))
 
     def test_grouping_preserves_input_order(self):
         cluster = Cluster(node_count=16, variation=None, seed=0)
@@ -112,13 +201,13 @@ class TestStagedPipelineIdentity:
         manager = PowerManager()
         schedule = build_scenario("stuck-caps", 4000.0, 4, 10.0)
         options = []
-        real = sim_batch.simulate_layout_batch
+        real = sim_batch.simulate_layout_rows
 
-        def recording(mixes, caps, eff, model, opts, **kwargs):
-            options.append((len(mixes), opts.fault_schedule))
-            return real(mixes, caps, eff, model, opts, **kwargs)
+        def recording(layouts, n_iter, caps, eff, model, opts, *args):
+            options.append((len(layouts), opts.fault_schedule))
+            return real(layouts, n_iter, caps, eff, model, opts, *args)
 
-        monkeypatch.setattr(sim_batch, "simulate_layout_batch", recording)
+        monkeypatch.setattr(sim_batch, "simulate_layout_rows", recording)
 
         def batches(**faults):
             return [
@@ -133,11 +222,62 @@ class TestStagedPipelineIdentity:
         assert options == [(2, None)]
         options.clear()
         faulted = batches(fault_schedule=schedule)
-        assert all(b.engine_faults is not None for b in faulted)
+        assert all(b.engine_faults[0] is not None for b in faulted)
         executed = execute_planned_batches(faulted, manager, 0.0)
         assert executed.passes == 2
         assert [rows for rows, _ in options] == [1, 1]
         assert all(opts is not None and opts.active for _, opts in options)
+
+
+class TestExecutorCache:
+    def test_serial_keys_hits_served_misses_stored(self):
+        # Under an active cache the executor looks rows up under the
+        # serial simulate_mix key, serves hits (here two of three rows)
+        # and stores misses, without changing any result.
+        from repro.parallel.cache import (
+            CharacterizationCache,
+            activate_cache,
+            deactivate_cache,
+        )
+        from repro.sim.execution import SimulationOptions, simulate_mix
+
+        cluster = Cluster(node_count=16, variation=None, seed=0)
+        policy = create_policy("StaticCaps")
+        manager = PowerManager()
+        planner = BatchPlanner(manager, policy)
+        launches = []
+        for index in range(3):
+            admitted = [_request(f"j{index}", nodes=4)]
+            launches.append(_launch(index, admitted, _decision(admitted),
+                                    cluster, 900.0))
+
+        def run(rows):
+            planned = plan_admitted_batch(
+                clock=1.0, launches=rows, policy=policy, manager=manager,
+                planner=planner, seeds=batch_seeds(5), uniform_hosts=True,
+            )
+            return planned, execute_planned_batches([planned], manager, 0.01)
+
+        _, plain = run(launches)
+        cache = CharacterizationCache()
+        activate_cache(cache)
+        try:
+            run(launches[:2])
+            assert cache.stats()["misses"] == 2
+            planned, served = run(launches)
+            assert cache.stats()["hits"] == 2
+            assert cache.stats()["misses"] == 3
+            serial = simulate_mix(
+                planned.mix(2), planned.caps[2], planned.efficiencies[2],
+                manager.model,
+                SimulationOptions(noise_std=0.01, seed=planned.seeds[2]),
+                policy.name, 900.0,
+            )
+            assert cache.stats()["hits"] == 3
+        finally:
+            deactivate_cache()
+        assert served == plain
+        assert serial.total_energy_j == plain[2].record.energy_j
 
 
 class TestBatchPlannerMemo:
@@ -154,8 +294,8 @@ class TestBatchPlannerMemo:
         second = _staged(5.0, 1, again, _decision(again), cluster,
                          policy, 2500.0, manager, planner=planner,
                          uniform=True)
-        assert second.effective_caps is first.effective_caps
-        assert not first.effective_caps.flags.writeable
+        assert second.caps[0] is first.caps[0]
+        assert not first.caps[0].flags.writeable
 
     def test_budget_keys_caps_separately(self):
         cluster = Cluster(node_count=12, variation=None, seed=0)
@@ -169,7 +309,7 @@ class TestBatchPlannerMemo:
         high = _staged(0.0, 1, admitted, _decision(admitted), cluster,
                        policy, 2500.0, manager, planner=planner,
                        uniform=True)
-        assert low.effective_caps is not high.effective_caps
+        assert low.caps[0] is not high.caps[0]
 
     def test_memo_stays_bounded(self):
         # More distinct efficiency vectors and budgets than the bound:
@@ -203,8 +343,7 @@ class TestBatchPlannerMemo:
         again = _staged(0.0, 0, admitted, _decision(admitted), uniform,
                         policy, 1000.0, manager, planner=planner,
                         uniform=True)
-        np.testing.assert_array_equal(again.effective_caps,
-                                      fresh.effective_caps)
+        np.testing.assert_array_equal(again.caps[0], fresh.caps[0])
 
 
 class TestTrustedScheduledMix:

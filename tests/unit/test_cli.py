@@ -289,3 +289,24 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestStreamCommand:
+    ARGS = ["--scale", "3", "stream", "--per-job-batches",
+            "--admission-interval", "4", "--budget-drop", "0.6",
+            "--duration", "60"]
+
+    def test_batch_run_conserves_jobs(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "Streaming site engine" in out
+
+    def test_unconserved_jobs_exit_1(self, capsys, monkeypatch):
+        # A run cut short leaves jobs pending: the command must fail.
+        from repro.stream.engine import SiteStreamEngine
+
+        run = SiteStreamEngine.run
+        monkeypatch.setattr(SiteStreamEngine, "run",
+                            lambda self: run(self, max_events=20))
+        assert main(self.ARGS) == 1
+        assert "jobs not conserved" in capsys.readouterr().err

@@ -27,13 +27,13 @@ def _run_counting_passes(monkeypatch, config):
     """Run as one in-process group; returns (result, [scenario-count
     per engine pass])."""
     calls = []
-    real = sim_batch.simulate_layout_batch
+    real = sim_batch.simulate_layout_rows
 
-    def counting(mixes, *args, **kwargs):
-        calls.append(len(mixes))
-        return real(mixes, *args, **kwargs)
+    def counting(layouts, *args):
+        calls.append(len(layouts))
+        return real(layouts, *args)
 
-    monkeypatch.setattr(sim_batch, "simulate_layout_batch", counting)
+    monkeypatch.setattr(sim_batch, "simulate_layout_rows", counting)
     result = run_facility_simulation(config, workers=1)
     return result, calls
 

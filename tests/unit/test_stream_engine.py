@@ -183,6 +183,60 @@ class TestRollingEngine:
         assert "whale" in engine.failed
         assert stats.jobs_completed == 1
 
+    @pytest.mark.parametrize("interval", [None, 1.0])
+    @pytest.mark.parametrize("record_jobs", [True, False])
+    def test_whole_horizon_outage_fails_stranded_jobs(self, interval,
+                                                      record_jobs):
+        # Every host fails at t=0 and never recovers: no job can ever be
+        # admitted, so when the timeline drains the pending jobs fail as
+        # unschedulable, as the batch shift loop reports them.
+        from repro import telemetry
+        from repro.faults.schedule import FaultSchedule
+
+        outage = FaultSchedule(name="outage").node_failure(0.0, range(16))
+        cluster = Cluster(node_count=16, variation=None, seed=0)
+        arrivals = [Arrival(float(i), _request(f"j{i}")) for i in range(6)]
+        engine = _engine(cluster, fault_schedule=outage,
+                         admission_interval_s=interval,
+                         record_jobs=record_jobs, tick_interval_s=2.0)
+        engine.attach_source(iter(arrivals))
+        failed = []
+        token = telemetry.get_bus().subscribe(
+            failed.append, kinds=["job_failed"], sources=["stream.engine"]
+        )
+        try:
+            stats = engine.run()
+        finally:
+            telemetry.get_bus().unsubscribe(token)
+        assert stats.arrivals == 6
+        assert stats.jobs_failed == 6 and stats.jobs_completed == 0
+        assert engine.queue.pending_count() == 0
+        assert len(failed) == 6
+        assert not engine.loop
+        if record_jobs:
+            shift = run_site_simulation(
+                arrivals, cluster, create_policy("StaticCaps"), 2500.0,
+                fault_schedule=outage,
+            )
+            assert sorted(engine.failed) == sorted(shift.never_admitted)
+        else:
+            assert len(engine.queue) == 0
+
+    def test_max_events_keeps_pending_jobs_queued(self, cluster):
+        from repro.faults.schedule import FaultSchedule
+
+        outage = FaultSchedule(name="outage").node_failure(0.0, range(12))
+        engine = _engine(cluster, fault_schedule=outage)
+        engine.attach_source(iter(
+            [Arrival(float(i), _request(f"j{i}")) for i in range(6)]
+        ))
+        stats = engine.run(max_events=3)
+        assert stats.jobs_failed == 0
+        assert engine.queue.pending_count() > 0
+        stats = engine.run()
+        assert stats.jobs_failed == 6
+        assert engine.queue.pending_count() == 0
+
     def test_submit_clamps_into_the_present(self, cluster):
         engine = _engine(cluster)
         engine.submit(_request("early"))
