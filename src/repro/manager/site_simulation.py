@@ -56,7 +56,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -67,11 +76,14 @@ from repro.manager.power_manager import PowerManager, apply_job_runtime
 from repro.manager.queue import JobQueue, JobRequest, JobState
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
-from repro.parallel.seeding import BlockSeeds
 from repro.sim.execution import SimulationOptions
 from repro.telemetry import emit, enabled, get_registry, span
 from repro.units import ensure_positive
 from repro.workload.job import WorkloadMix, validate_job_names
+
+if TYPE_CHECKING:  # imported lazily: the repro.parallel package pulls in
+    # multiprocessing, which a site loop's importers should not pay for
+    from repro.parallel.seeding import BlockSeeds
 
 __all__ = [
     "Arrival",
@@ -441,7 +453,11 @@ def batch_seeds(run_seed: Optional[int]) -> Optional[BlockSeeds]:
     derived a block of indices at a time; ``None`` (``run_seed`` ``None``)
     seeds batch ``i`` with ``i`` itself.
     """
-    return None if run_seed is None else BlockSeeds(run_seed, "site-batch")
+    if run_seed is None:
+        return None
+    from repro.parallel.seeding import BlockSeeds
+
+    return BlockSeeds(run_seed, "site-batch")
 
 
 #: Shared read-only ``arange(n)`` vectors for the uniform-hosts fast
