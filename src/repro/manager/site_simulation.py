@@ -55,7 +55,7 @@ bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -280,30 +280,32 @@ class PlannedPass:
     engine_faults: List[object]
     fault_schedule: object = None
     reaction_s: float = 1.0
+    _mixes: Dict[int, WorkloadMix] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.launches)
 
     def mix(self, row: int) -> WorkloadMix:
-        """Row ``row``'s batch as a workload mix (one entry per job)."""
-        return _batch_mix(self.launches[row], self.shapes[row])
+        """Row ``row``'s batch as a workload mix (one entry per job).
 
-
-def _batch_mix(launch: Launch, shape: Optional["_Shape"]) -> WorkloadMix:
-    """The mix of one launch, its layout primed from ``shape``.
-
-    :meth:`WorkloadMix.layout` memoises per *instance*; priming it from
-    the planner's per-shape entry shares one read-only layout across
-    same-shape batches (names appear nowhere in a :class:`HostLayout`).
-    """
-    mix = WorkloadMix(
-        name=f"batch-{launch.batch_index}",
-        jobs=tuple(r.to_job() for r in launch.requests),
-    )
-    if shape is not None:
-        object.__setattr__(mix, "_layout", shape.layout)
-        object.__setattr__(mix, "_common_iterations", shape.iterations)
-    return mix
+        Built on first request, and only then: a memo hit needs none.
+        Once the row's shape is planned, the mix's layout memo is primed
+        from it, so same-shape batches share one read-only layout (names
+        appear nowhere in a :class:`HostLayout`).
+        """
+        mix = self._mixes.get(row)
+        if mix is None:
+            launch = self.launches[row]
+            mix = WorkloadMix(
+                name=f"batch-{launch.batch_index}",
+                jobs=tuple(r.to_job() for r in launch.requests),
+            )
+            self._mixes[row] = mix
+        if row < len(self.shapes):
+            shape = self.shapes[row]
+            object.__setattr__(mix, "_layout", shape.layout)
+            object.__setattr__(mix, "_common_iterations", shape.iterations)
+        return mix
 
 
 class _Shape:
@@ -379,15 +381,16 @@ class BatchPlanner:
                 sub["caps"].clear()
         self._caps_entries = 0
 
-    def shape(self, key: tuple, launch: Launch) -> _Shape:
-        """The memo entry of job-shape tuple ``key`` (``launch``'s jobs'
-        ``(config, node_count, iterations)``), created on first sight."""
+    def shape(self, key: tuple, mix: Callable[[], WorkloadMix]) -> _Shape:
+        """The memo entry of job-shape tuple ``key`` (a batch's jobs'
+        ``(config, node_count, iterations)``), created from ``mix()`` on
+        first sight."""
         shape = self._memo.get(key)
         if shape is None:
             if len(self._memo) >= PLANNER_MEMO_LIMIT:
                 self._memo.clear()
                 self._char_entries = self._caps_entries = 0
-            shape = _Shape(_batch_mix(launch, None))
+            shape = _Shape(mix())
             self._memo[key] = shape
         return shape
 
@@ -542,6 +545,7 @@ def plan_admitted_batch(
             and fault_schedule is None else None
         if hit is not None:
             shape, caps, node_ids, eff = hit
+            planned.shapes.append(shape)
         else:
             n = sum(r.node_count for r in requests)
             hosts = launch.host_efficiencies
@@ -562,13 +566,12 @@ def plan_admitted_batch(
                 ).shuffle(order)
                 node_ids = order[:n]
                 eff = np.asarray(hosts, dtype=float)[node_ids]
-            shape = planner.shape(key, launch)
+            shape = planner.shape(key, lambda: planned.mix(row))
+            planned.shapes.append(shape)
 
-            def scheduled(launch=launch, shape=shape, node_ids=node_ids,
+            def scheduled(row=row, node_ids=node_ids,
                           eff=eff) -> ScheduledMix:
-                return ScheduledMix.trusted(
-                    _batch_mix(launch, shape), node_ids, eff
-                )
+                return ScheduledMix.trusted(planned.mix(row), node_ids, eff)
 
             if fault_schedule is None:
                 caps = planner.plan(shape, eff, launch.budget_w, scheduled)
@@ -592,7 +595,6 @@ def plan_admitted_batch(
                     caps = apply_job_runtime(char, caps)
                 caps = np.asarray(caps, dtype=float)
         planned.job_names.append(names)
-        planned.shapes.append(shape)
         planned.caps.append(caps)
         planned.efficiencies.append(eff)
         planned.node_ids.append(node_ids)
