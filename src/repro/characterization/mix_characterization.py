@@ -160,107 +160,18 @@ def _apply_harvest(
     return needed_power, pm.clamp_cap(needed_power)
 
 
-@span("characterization.characterize_mix")
-def characterize_mix(
-    mix: WorkloadMix,
-    efficiencies: np.ndarray,
-    model: Optional[ExecutionModel] = None,
-    harvest_fraction: float = DEFAULT_HARVEST_FRACTION,
-) -> MixCharacterization:
-    """Run both characterizations for a mix (analytic steady states).
-
-    The monitor characterization is the deterministic unconstrained run:
-    every host at TDP, mean power read off the steady state.  The balancer
-    characterization computes, per job, the critical-path iteration time at
-    unconstrained speed and then each host's minimum power to meet it (the
-    converged balancer operating point; validated against the feedback
-    loop in the test suite).
-
-    ``harvest_fraction`` models the balancer's conservatism (see
-    :data:`DEFAULT_HARVEST_FRACTION`): the recorded needed power is the
-    observed power minus that fraction of the theoretical slack.  Pass 1.0
-    for an idealised balancer that cuts all the way to the critical path.
-
-    Needed power is bounded above by the observed power (a host never
-    *needs* more than it draws unconstrained) and below by what the node
-    consumes at the RAPL floor.
-
-    When a :func:`~repro.parallel.cache.active_cache` is installed, the
-    characterization is memoized under a content hash of (mix spec,
-    efficiencies, model parameters, harvest fraction); repeated grid
-    cells and online re-planning rounds then skip the physics entirely.
-    """
-    if not 0.0 < harvest_fraction <= 1.0:
-        raise ValueError("harvest_fraction must be in (0, 1]")
-    model = model if model is not None else ExecutionModel()
-    from repro.parallel.cache import active_cache
-
-    cache = active_cache()
-    cache_key = None
-    if cache is not None:
-        cache_key = cache.key(
-            "char", mix, np.asarray(efficiencies, dtype=float), model,
-            float(harvest_fraction),
-        )
-        payload = cache.get(cache_key)
-        if payload is not None:
-            from repro.io.serialize import characterization_from_dict
-
-            return characterization_from_dict(payload)
-    layout: HostLayout = mix.layout()
-    eff = np.asarray(efficiencies, dtype=float)
-    if eff.shape != (layout.host_count,):
-        raise ValueError(
-            f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
-        )
-    pm = model.power_model
-    monitor_power, theoretical = _characterization_arrays(model, layout, eff)
-    needed_power, needed_cap = _apply_harvest(
-        monitor_power, theoretical, harvest_fraction, pm
-    )
-
-    emit(
-        "characterization.mix", "mix_characterized",
-        mix=mix.name, hosts=layout.host_count,
-        jobs=int(layout.job_boundaries.size - 1),
-        mean_monitor_w=float(np.mean(monitor_power)),
-        mean_needed_w=float(np.mean(needed_power)),
-        harvest_fraction=harvest_fraction,
-    )
-    char = MixCharacterization(
-        mix_name=mix.name,
-        job_boundaries=layout.job_boundaries.copy(),
-        monitor_power_w=monitor_power,
-        needed_power_w=needed_power,
-        needed_cap_w=needed_cap,
-        min_cap_w=pm.min_cap_w,
-        tdp_w=pm.tdp_w,
-    )
-    if cache is not None:
-        from repro.io.serialize import characterization_to_dict
-
-        cache.put(cache_key, characterization_to_dict(char))
-    return char
-
-
-@span("characterization.characterize_mix_batch")
-def characterize_mix_batch(
+def _characterize(
     mix: WorkloadMix,
     efficiencies: np.ndarray,
     harvest_fractions: Sequence[float],
-    model: Optional[ExecutionModel] = None,
+    model: Optional[ExecutionModel],
 ) -> List[MixCharacterization]:
-    """Characterize one mix at a ladder of harvest fractions in one pass.
+    """The one characterization path: one rung per harvest fraction.
 
-    The two physics passes (monitor observation and the critical-path
-    minimum) do not depend on the harvest fraction, so a fraction ladder
-    needs them exactly once; each rung then applies its conservatism
-    factor to the shared arrays.  Rung ``i`` is bit-identical to
-    ``characterize_mix(mix, efficiencies, model, harvest_fractions[i])``.
-
-    Per-rung cache entries are looked up and stored under the same keys
-    the serial path uses, so batched and serial characterizations share
-    the content-addressed cache.
+    Rungs are looked up under their content-hash ``"char"`` cache keys
+    when a :func:`~repro.parallel.cache.active_cache` is installed; the
+    missing rungs share one pass of both physics arrays and are stored.
+    Emits one ``mix_characterized`` event per call.
     """
     fractions = [float(f) for f in harvest_fractions]
     for fraction in fractions:
@@ -313,8 +224,65 @@ def characterize_mix_batch(
             for i in misses:
                 cache.put(keys[i], characterization_to_dict(results[i]))
     emit(
-        "characterization.mix", "mix_batch_characterized",
+        "characterization.mix", "mix_characterized",
         mix=mix.name, hosts=layout.host_count,
+        jobs=int(layout.job_boundaries.size - 1),
         rungs=len(fractions), cache_hits=len(fractions) - len(misses),
     )
     return results  # type: ignore[return-value]
+
+
+@span("characterization.characterize_mix")
+def characterize_mix(
+    mix: WorkloadMix,
+    efficiencies: np.ndarray,
+    model: Optional[ExecutionModel] = None,
+    harvest_fraction: float = DEFAULT_HARVEST_FRACTION,
+) -> MixCharacterization:
+    """Run both characterizations for a mix (analytic steady states).
+
+    The monitor characterization is the deterministic unconstrained run:
+    every host at TDP, mean power read off the steady state.  The balancer
+    characterization computes, per job, the critical-path iteration time at
+    unconstrained speed and then each host's minimum power to meet it (the
+    converged balancer operating point; validated against the feedback
+    loop in the test suite).
+
+    ``harvest_fraction`` models the balancer's conservatism (see
+    :data:`DEFAULT_HARVEST_FRACTION`): the recorded needed power is the
+    observed power minus that fraction of the theoretical slack.  Pass 1.0
+    for an idealised balancer that cuts all the way to the critical path.
+
+    Needed power is bounded above by the observed power (a host never
+    *needs* more than it draws unconstrained) and below by what the node
+    consumes at the RAPL floor.
+
+    When a :func:`~repro.parallel.cache.active_cache` is installed, the
+    characterization is memoized under a content hash of (mix spec,
+    efficiencies, model parameters, harvest fraction); repeated grid
+    cells and online re-planning rounds then skip the physics entirely.
+    This is the one-rung :func:`characterize_mix_batch`.
+    """
+    return _characterize(mix, efficiencies, (harvest_fraction,), model)[0]
+
+
+@span("characterization.characterize_mix_batch")
+def characterize_mix_batch(
+    mix: WorkloadMix,
+    efficiencies: np.ndarray,
+    harvest_fractions: Sequence[float],
+    model: Optional[ExecutionModel] = None,
+) -> List[MixCharacterization]:
+    """Characterize one mix at a ladder of harvest fractions in one pass.
+
+    The two physics passes (monitor observation and the critical-path
+    minimum) do not depend on the harvest fraction, so a fraction ladder
+    needs them exactly once; each rung then applies its conservatism
+    factor to the shared arrays.  Rung ``i`` is bit-identical to
+    ``characterize_mix(mix, efficiencies, model, harvest_fractions[i])``.
+
+    Per-rung cache entries are looked up and stored under the same keys
+    the serial path uses, so batched and serial characterizations share
+    the content-addressed cache.
+    """
+    return _characterize(mix, efficiencies, harvest_fractions, model)

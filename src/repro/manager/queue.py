@@ -104,12 +104,15 @@ class JobQueue:
         self._pending: Dict[str, JobRequest] = {}
 
     def submit(self, request: JobRequest) -> None:
-        """Admit a request; names must be unique."""
+        """Admit a pending request; names must be unique."""
         if request.name in self._requests:
             raise ValueError(f"job {request.name!r} already queued")
+        if request.state is not JobState.PENDING:
+            raise ValueError(
+                f"job {request.name!r} is {request.state.value}, not pending"
+            )
         self._requests[request.name] = request
-        if request.state is JobState.PENDING:
-            self._pending[request.name] = request
+        self._pending[request.name] = request
 
     def pending(self) -> List[JobRequest]:
         """Pending requests in submission order."""

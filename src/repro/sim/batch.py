@@ -9,11 +9,24 @@ physics is a pure ufunc chain that broadcasts.  This module adds the
 shared engine body (:func:`repro.sim.execution._execute_scenarios`) as
 ``(S, iterations, hosts)`` tensors.
 
+One row core
+------------
+:func:`_run_rows` is the only way rows reach the engine.  A row is
+``(layout, caps, efficiencies, seed)``; the core checks shapes, serves
+rows from the cache, runs the rest in one engine call, stores them, and
+records the span and the counters.  Rows that all share one layout
+object run on that :class:`~repro.workload.job.HostLayout` with
+``(S, hosts)`` caps and efficiencies; only mixed layouts are stacked
+(:func:`stack_layouts`, memoised on layout identity).  The public entry
+points are adapters over it: :func:`~repro.sim.execution.simulate_mix`
+(one row), :func:`simulate_cap_batch` (``S`` rows on one layout) and
+:func:`simulate_layout_rows` (the site loops' grouped passes).
+
 Determinism contract
 --------------------
 ``simulate_cap_batch(mix, caps_sw, ...)[s]`` is **bit-identical** to
 ``simulate_mix(mix, caps_sw[s], ...)`` with the matching per-scenario
-seed — not merely close.  Both entry points share one implementation, the
+seed — not merely close.  Every entry point shares the one row core, the
 noise stream is drawn per scenario from its own ``default_rng(seed)``, and
 the reductions are arranged so each scenario slice sees the exact
 floating-point operation order of a serial run.  The property is pinned by
@@ -46,7 +59,7 @@ from repro.sim.execution import (
     _ScenarioTensors,
 )
 from repro.sim.results import MixRunResult
-from repro.telemetry import emit, enabled, get_registry, span
+from repro.telemetry import enabled, get_registry, span
 from repro.workload.job import HostLayout, Job, WorkloadMix
 
 __all__ = [
@@ -55,7 +68,6 @@ __all__ = [
     "stack_layouts",
     "stack_job_layouts",
     "simulate_cap_batch",
-    "simulate_layout_batch",
     "simulate_layout_rows",
 ]
 
@@ -180,74 +192,29 @@ def stack_cache_info() -> dict:
 
 
 def _stack_layouts_cached(layouts: Sequence[HostLayout]) -> LayoutBatch:
-    """:func:`stack_layouts`, memoised on layout *identity*.
+    """:func:`stack_layouts`, memoised on the tuple of layout *identities*.
 
     The site loops' batch executor stacks the same shared read-only
     layout objects (one per job shape, primed by the batch planner)
     group after group, so the stacked batch can be reused outright
-    instead of re-gathering ``S × hosts`` physics arrays per step.  Layouts are immutable by contract (:meth:`WorkloadMix.layout`
-    marks the arrays read-only), which is what makes the stacked result
+    instead of re-gathering ``S × hosts`` physics arrays per step.
+    Layouts are immutable by contract (:meth:`WorkloadMix.layout` marks
+    the arrays read-only), which is what makes the stacked result
     shareable; callers that mutate layouts must use :func:`stack_layouts`
-    directly.
-
-    The fused facility engine drives group sizes that vary round to
-    round (clusters drop out as their streams drain), so the all-same
-    path additionally memoises the *one-row* stack under
-    ``(id(first), 1)``: a new scenario count pays only the ``np.repeat``
-    fan-out, never a re-gather of the physics arrays.
+    directly.  Rows that all share one layout object never get here:
+    the row core runs them on that layout itself.
     """
     global _STACK_CACHE_HITS, _STACK_CACHE_MISSES
-    first = layouts[0]
-    scenarios = len(layouts)
-    if all(layout is first for layout in layouts):
-        # All rows share one layout object (the planner's primed-layout
-        # case): the stacked batch is S copies of a single row, built by
-        # repeating a one-row stack instead of re-gathering S rows.
-        key = (id(first), scenarios)
-        entry = _STACK_CACHE.get(key)
-        if entry is not None and entry[0][0] is first:
-            _STACK_CACHE_HITS += 1
-            return entry[1]
-        _STACK_CACHE_MISSES += 1
-        single_key = (id(first), 1)
-        single_entry = _STACK_CACHE.get(single_key)
-        if single_entry is not None and single_entry[0][0] is first:
-            single = single_entry[1]
-        else:
-            single = stack_layouts([first])
-            if len(_STACK_CACHE) >= _STACK_CACHE_LIMIT:
-                _STACK_CACHE.clear()
-            _STACK_CACHE[single_key] = ((first,), single)
-        if scenarios == 1:
-            return single
-        batch = LayoutBatch(
-            job_index=single.job_index,
-            job_boundaries=single.job_boundaries,
-            critical=np.repeat(single.critical, scenarios, axis=0),
-            kappa=np.repeat(single.kappa, scenarios, axis=0),
-            poll_kappa=np.repeat(single.poll_kappa, scenarios, axis=0),
-            traffic_gb=np.repeat(single.traffic_gb, scenarios, axis=0),
-            gflop=np.repeat(single.gflop, scenarios, axis=0),
-            compute_ceiling_index=np.repeat(
-                single.compute_ceiling_index, scenarios, axis=0
-            ),
-            ceiling_names=single.ceiling_names,
-        )
-        held = (first,)
-    else:
-        key = tuple(id(layout) for layout in layouts)
-        entry = _STACK_CACHE.get(key)
-        if entry is not None:
-            held, batch = entry
-            if all(a is b for a, b in zip(held, layouts)):
-                _STACK_CACHE_HITS += 1
-                return batch
-        _STACK_CACHE_MISSES += 1
-        batch = stack_layouts(layouts)
-        held = tuple(layouts)
+    key = tuple(id(layout) for layout in layouts)
+    entry = _STACK_CACHE.get(key)
+    if entry is not None and all(a is b for a, b in zip(entry[0], layouts)):
+        _STACK_CACHE_HITS += 1
+        return entry[1]
+    _STACK_CACHE_MISSES += 1
+    batch = stack_layouts(layouts)
     if len(_STACK_CACHE) >= _STACK_CACHE_LIMIT:
         _STACK_CACHE.clear()
-    _STACK_CACHE[key] = (held, batch)
+    _STACK_CACHE[key] = (tuple(layouts), batch)
     return batch
 
 
@@ -264,51 +231,56 @@ def stack_job_layouts(jobs: Sequence[Job]) -> LayoutBatch:
     )
 
 
-def _per_scenario(value, scenarios: int, name: str, kind) -> list:
-    """Broadcast a scalar-or-sequence argument to one value per scenario."""
-    if isinstance(value, (str, float, int)) and not isinstance(value, bool):
-        return [kind(value)] * scenarios
-    values = [kind(v) for v in value]
-    if len(values) != scenarios:
-        raise ValueError(
-            f"{name} must be a scalar or length-{scenarios} sequence, "
-            f"got length {len(values)}"
-        )
-    return values
-
-
-def _simulate_tensors(
-    entry: str,
-    event: str,
+def _run_rows(
+    span_name: str,
     layouts: Sequence[HostLayout],
-    caps: np.ndarray,
-    eff_rows: Sequence[np.ndarray],
+    n_iter: int,
+    caps_sw: np.ndarray,
+    efficiencies: np.ndarray,
     model: ExecutionModel,
     options: SimulationOptions,
     seeds: Sequence[int],
     describe: Callable[[int], Tuple[WorkloadMix, str, float]],
-    run: Callable[[List[int], List[int]], _ScenarioTensors],
-    n_iter: int,
     **labels,
 ) -> _ScenarioTensors:
-    """The row bookkeeping every batch entry point shares.
+    """The one row path behind every engine entry point.
 
-    Row ``s`` runs layout ``layouts[s]`` under ``caps[s]`` on hosts with
-    efficiencies ``eff_rows[s]`` and noise seed ``seeds[s]``;
+    Row ``s`` runs layout ``layouts[s]`` for ``n_iter`` iterations under
+    caps ``caps_sw[s]`` on hosts with efficiencies ``efficiencies[s]``
+    (or one ``(hosts,)`` row shared by all) and noise seed ``seeds[s]``;
     ``describe(s)`` is its ``(mix, policy name, budget)``, asked for only
-    when a :func:`~repro.parallel.cache.active_cache` is installed.
-    Rows are served from that cache under the *serial* cache key;
-    ``run(misses, miss_seeds)`` runs the remaining rows in one engine
-    call (output row ``i`` is scenario ``misses[i]``), and the fresh rows
-    are stored.  Returns the engine tensors of all rows in row order,
-    and records the ``sim.simulate_<entry>_batch`` span and ``event``.
+    when a :func:`~repro.parallel.cache.active_cache` is installed.  Rows
+    are served from that cache under the *serial* cache key, the
+    remaining rows run in one engine call and are stored.  Rows that all
+    share one layout object run on that layout with ``(S, hosts)`` caps
+    and efficiencies, which the bound kernel broadcasts element for
+    element; mixed layouts are stacked through the identity memo.
+    Returns the engine tensors of all rows in row order, and records the
+    ``span_name`` span and the ``sim.execution`` counters.
     """
-    scenarios = len(seeds)
     hosts = layouts[0].host_count
+    caps = np.asarray(caps_sw, dtype=float)
+    if caps.ndim != 2 or caps.shape[1] != hosts:
+        raise ValueError(
+            f"caps_sw must have shape (S, {hosts}), one caps_w row of "
+            f"{hosts} hosts per run; got {caps.shape}"
+        )
+    scenarios = caps.shape[0]
+    if len(seeds) != scenarios:
+        raise ValueError(
+            f"seeds must have length {scenarios}, got {len(seeds)}"
+        )
+    eff = np.asarray(efficiencies, dtype=float)
+    if eff.shape != (hosts,) and eff.shape != caps.shape:
+        raise ValueError(
+            f"efficiencies must have shape ({hosts},) or {caps.shape}, "
+            f"got {eff.shape}"
+        )
+    eff = np.broadcast_to(eff, caps.shape)
 
     from repro.parallel.cache import active_cache
 
-    with span(f"sim.simulate_{entry}_batch", **labels, hosts=hosts,
+    with span(span_name, **labels, hosts=hosts,
               scenarios=scenarios) as trace_sp:
         cache = active_cache()
         hits: Dict[int, MixRunResult] = {}
@@ -321,7 +293,7 @@ def _simulate_tensors(
             for s in range(scenarios):
                 mix, policy_name, budget_w = describe(s)
                 keys[s] = cache.key(
-                    "simulate", mix, caps[s], eff_rows[s], model,
+                    "simulate", mix, caps[s], eff[s], model,
                     dataclasses.replace(options, seed=seeds[s]),
                     policy_name, budget_w,
                 )
@@ -333,7 +305,19 @@ def _simulate_tensors(
         if trace_sp is not None:
             trace_sp.set_attribute("cache_hits", len(hits))
 
-        out = run(misses, [seeds[s] for s in misses]) if misses else None
+        out = None
+        if misses:
+            first = layouts[misses[0]]
+            if all(layouts[s] is first for s in misses):
+                layout = first
+            else:
+                layout = _stack_layouts_cached([layouts[s] for s in misses])
+            out = _execute_scenarios(
+                layout, caps[misses], eff[misses], model, n_iter,
+                options.noise_std, options.barrier_overhead_s,
+                [seeds[s] for s in misses],
+                fault_schedule=options.fault_schedule,
+            )
         if cache is not None:
             from repro.io.serialize import result_to_dict
 
@@ -355,56 +339,11 @@ def _simulate_tensors(
 
         if enabled():
             registry = get_registry()
-            registry.counter("sim.execution.batch_runs").inc()
             if misses:
                 registry.counter("sim.execution.runs").inc(len(misses))
             if hits:
                 registry.counter("sim.execution.cache_hits").inc(len(hits))
-            emit(
-                "sim.execution", event, **labels, hosts=hosts,
-                scenarios=scenarios, cache_hits=len(hits),
-                iterations=n_iter,
-            )
     return out
-
-
-def _simulate_rows(
-    entry: str,
-    event: str,
-    mixes: Sequence[WorkloadMix],
-    layouts: Sequence[HostLayout],
-    caps: np.ndarray,
-    eff_rows: Sequence[np.ndarray],
-    model: ExecutionModel,
-    options: SimulationOptions,
-    seeds: Optional[Sequence[int]],
-    policy_names: Union[str, Sequence[str]],
-    budgets_w: Union[float, Sequence[float]],
-    run: Callable[[List[int], List[int]], _ScenarioTensors],
-    **labels,
-) -> List[MixRunResult]:
-    """:func:`_simulate_tensors` with normalised seeds and metadata, as
-    one :class:`MixRunResult` per row (the public entry points' form)."""
-    scenarios = len(mixes)
-    if seeds is None:
-        seed_list = [int(options.seed)] * scenarios
-    else:
-        seed_list = [int(s) for s in seeds]
-        if len(seed_list) != scenarios:
-            raise ValueError(
-                f"seeds must have length {scenarios}, got {len(seed_list)}"
-            )
-    names = _per_scenario(policy_names, scenarios, "policy_names", str)
-    budgets = _per_scenario(budgets_w, scenarios, "budgets_w", float)
-
-    def describe(s: int) -> Tuple[WorkloadMix, str, float]:
-        return mixes[s], names[s], budgets[s]
-
-    out = _simulate_tensors(
-        entry, event, layouts, caps, eff_rows, model, options, seed_list,
-        describe, run, mixes[0].common_iterations(), **labels,
-    )
-    return [out.result(s, *describe(s)) for s in range(scenarios)]
 
 
 def simulate_cap_batch(
@@ -451,133 +390,34 @@ def simulate_cap_batch(
     if options is None:
         options = DEFAULT_OPTIONS
     model = model if model is not None else ExecutionModel()
-    layout = mix.layout()
     caps = np.asarray(caps_sw, dtype=float)
-    eff = np.asarray(efficiencies, dtype=float)
-    if caps.ndim != 2 or caps.shape[1] != layout.host_count:
-        raise ValueError(
-            f"caps_sw must have shape (S, {layout.host_count}), got {caps.shape}"
-        )
-    if eff.shape != (layout.host_count,):
-        raise ValueError(
-            f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
-        )
-    scenarios = caps.shape[0]
-    n_iter = mix.common_iterations()
-
-    def run(misses, miss_seeds):
-        return _execute_scenarios(
-            layout, caps[misses], eff, model, n_iter,
-            options.noise_std, options.barrier_overhead_s, miss_seeds,
-            fault_schedule=options.fault_schedule,
-        )
-
-    return _simulate_rows(
-        "cap", "mix_batch_simulated", [mix] * scenarios,
-        [layout] * scenarios, caps, [eff] * scenarios, model, options,
-        seeds, policy_names, budgets_w, run, mix=mix.name,
-    )
-
-
-def simulate_layout_batch(
-    mixes: Sequence[WorkloadMix],
-    caps_sw: np.ndarray,
-    efficiencies_sw: np.ndarray,
-    model: Optional[ExecutionModel] = None,
-    options: Optional[SimulationOptions] = None,
-    seeds: Optional[Sequence[int]] = None,
-    policy_names: Union[str, Sequence[str]] = "unmanaged",
-    budgets_w: Union[float, Sequence[float]] = 0.0,
-) -> List[MixRunResult]:
-    """Simulate ``S`` *independent mixes* on ``S`` host rows in one pass.
-
-    Where :func:`simulate_cap_batch` sweeps cap vectors over one mix on
-    one host allocation, this entry point batches whole co-resident
-    *runs*: scenario ``s`` is mix ``mixes[s]`` on its own hosts with its
-    own efficiencies row — the shape of the site loops' batch executor,
-    where admitted batches occupy disjoint node subsets (or different
-    clusters) at once.  All mixes must share one job block structure
-    (same per-job node counts) and one iteration count, the precondition
-    of :func:`stack_layouts`; callers group heterogeneous batches by that
-    structure signature first.
-
-    Parameters
-    ----------
-    mixes:
-        One workload mix per scenario, length ``S``.
-    caps_sw / efficiencies_sw:
-        ``(S, hosts)`` matrices; row ``s`` is scenario ``s``'s per-host
-        caps and host efficiencies.
-    seeds / policy_names / budgets_w:
-        As in :func:`simulate_cap_batch`.
-
-    Returns
-    -------
-    list of MixRunResult
-        Element ``s`` is **bit-identical** to
-        ``simulate_mix(mixes[s], caps_sw[s], efficiencies_sw[s], ...)``
-        with the matching seed: the engine body is a pure elementwise
-        ufunc chain over the host axis with per-scenario contiguous
-        reductions, so stacking independent rows cannot change any
-        element.
-
-    Per-scenario cache keys are the *serial* keys, so a layout batch
-    interoperates with serial runs through any installed
-    :func:`~repro.parallel.cache.active_cache` exactly as cap batches do.
-    """
-    if not mixes:
-        raise ValueError("simulate_layout_batch needs at least one mix")
-    if options is None:
-        options = DEFAULT_OPTIONS
-    model = model if model is not None else ExecutionModel()
-    layouts = [mix.layout() for mix in mixes]
-    hosts = layouts[0].host_count
-    scenarios = len(mixes)
-    caps = np.asarray(caps_sw, dtype=float)
-    eff = np.asarray(efficiencies_sw, dtype=float)
-    if caps.shape != (scenarios, hosts):
-        raise ValueError(
-            f"caps_sw must have shape ({scenarios}, {hosts}), got {caps.shape}"
-        )
-    if eff.shape != (scenarios, hosts):
-        raise ValueError(
-            f"efficiencies_sw must have shape ({scenarios}, {hosts}), "
-            f"got {eff.shape}"
-        )
-    n_iter = mixes[0].common_iterations()
-    for mix in mixes[1:]:
-        if mix.common_iterations() != n_iter:
+    scenarios = len(caps) if caps.ndim else 1
+    seed_list = [int(options.seed)] * scenarios if seeds is None \
+        else [int(s) for s in seeds]
+    metadata = []
+    for name, value, kind in (("policy_names", policy_names, str),
+                              ("budgets_w", budgets_w, float)):
+        if isinstance(value, (str, float, int)) and not isinstance(value, bool):
+            metadata.append([kind(value)] * scenarios)
+            continue
+        values = [kind(v) for v in value]
+        if len(values) != scenarios:
             raise ValueError(
-                "all mixes in a layout batch must share one iteration count"
+                f"{name} must be a scalar or length-{scenarios} sequence, "
+                f"got length {len(values)}"
             )
+        metadata.append(values)
+    names, budgets = metadata
 
-    return _simulate_rows(
-        "layout", "layout_batch_simulated", mixes, layouts, caps, eff,
-        model, options, seeds, policy_names, budgets_w,
-        _layout_run(layouts, n_iter, caps, eff, model, options),
+    def describe(s: int) -> Tuple[WorkloadMix, str, float]:
+        return mix, names[s], budgets[s]
+
+    out = _run_rows(
+        "sim.simulate_cap_batch", [mix.layout()] * scenarios,
+        mix.common_iterations(), caps, efficiencies, model, options,
+        seed_list, describe, mix=mix.name,
     )
-
-
-def _layout_run(layouts: Sequence[HostLayout], n_iter: int, caps: np.ndarray,
-                eff: np.ndarray, model: ExecutionModel,
-                options: SimulationOptions):
-    """The engine call of a layout batch: ``run(misses, miss_seeds)``."""
-
-    def run(misses, miss_seeds):
-        if len(misses) == 1:
-            # One row needs no stacked layout: it is the serial engine
-            # call, and stacking it would only fill the stack memo.
-            layout, rows = layouts[misses[0]], eff[misses[0]]
-        else:
-            layout = _stack_layouts_cached([layouts[s] for s in misses])
-            rows = eff[misses]
-        return _execute_scenarios(
-            layout, caps[misses], rows, model, n_iter,
-            options.noise_std, options.barrier_overhead_s, miss_seeds,
-            fault_schedule=options.fault_schedule,
-        )
-
-    return run
+    return [out.result(s, *describe(s)) for s in range(scenarios)]
 
 
 def simulate_layout_rows(
@@ -590,21 +430,24 @@ def simulate_layout_rows(
     seeds: Sequence[int],
     describe: Callable[[int], Tuple[WorkloadMix, str, float]],
 ) -> _ScenarioTensors:
-    """:func:`simulate_layout_batch` for the site loops' batch executor.
+    """Simulate ``S`` independent runs on ``S`` host rows in one pass.
 
-    Rows arrive as the planner's shared layouts (one job block structure,
-    ``n_iter`` iterations) with their ``(S, hosts)`` caps and
-    efficiencies and one seed each, and the result is the engine's
-    stacked tensors rather than one :class:`MixRunResult` per row.
-    ``describe(s)`` builds row ``s``'s ``(mix, policy name, budget)``; it
-    is called only under an active cache, for the serial cache key and
-    the stored result.  Cache semantics, span and telemetry are
-    :func:`simulate_layout_batch`'s.
+    The site loops' batch executor call: row ``s`` is the run of
+    ``layouts[s]`` (the planner's shared layouts, one job block structure
+    and ``n_iter`` iterations across all rows — callers group rows by
+    that signature first) on its own hosts, with caps
+    ``caps_sw[s]``, efficiencies ``efficiencies_sw[s]`` and noise seed
+    ``seeds[s]``.  ``describe(s)`` builds row ``s``'s ``(mix, policy
+    name, budget)``; it is called only under an active cache, for the
+    serial cache key and the stored result.
+
+    Returns the engine's stacked tensors rather than one
+    :class:`MixRunResult` per row; row ``s`` is **bit-identical** to
+    ``simulate_mix(mix, caps_sw[s], efficiencies_sw[s], ...)`` with the
+    matching seed, because the engine body is a pure elementwise ufunc
+    chain over the host axis with per-scenario contiguous reductions.
     """
-    return _simulate_tensors(
-        "layout", "layout_batch_simulated", layouts, caps_sw,
+    return _run_rows(
+        "sim.simulate_layout_batch", layouts, n_iter, caps_sw,
         efficiencies_sw, model, options, seeds, describe,
-        _layout_run(layouts, n_iter, caps_sw, efficiencies_sw, model,
-                    options),
-        n_iter,
     )

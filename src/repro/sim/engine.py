@@ -28,8 +28,9 @@ caps of shape ``(S, hosts)`` (or a layout-like object whose per-host
 arrays are ``(S, hosts)``, see :mod:`repro.sim.batch`) and every map
 returns ``(S, hosts)`` — ``S`` independent scenarios evaluated in one
 pass.  Per-job reductions use ``axis=-1`` so the host axis is always the
-last one.  :func:`repro.sim.batch.simulate_cap_batch` builds on exactly
-this property.
+last one.  The row core of :mod:`repro.sim.batch` builds on exactly this
+property: rows on one shared flat layout bind it with ``(S, hosts)``
+efficiencies and caps, and each element equals its one-row call.
 """
 
 from __future__ import annotations

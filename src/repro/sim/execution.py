@@ -22,10 +22,11 @@ from libm's by one ulp.
 The engine body (:func:`_execute_scenarios`) carries a leading *scenario*
 axis: it evaluates an ``(S, hosts)`` cap matrix as ``S`` independent
 executions in one pass over one ``(S, iterations, hosts)`` time tensor.
-:func:`simulate_mix` is the single-scenario entry point (``S = 1``);
-:func:`repro.sim.batch.simulate_cap_batch` exposes the full batch.  Both
-paths share this one implementation, so batched results are bit-identical
-to serial ones by construction — the property pinned by
+Every entry point reaches it through one row core,
+:func:`repro.sim.batch._run_rows`, which owns the cache, the stacking,
+the span and the counters; :func:`simulate_mix` is its one-row call.
+Serial and batched results therefore share one implementation and are
+bit-identical by construction — the property pinned by
 ``tests/property/test_batch_properties.py``.
 """
 
@@ -47,18 +48,6 @@ if TYPE_CHECKING:  # imported lazily at runtime (repro.faults -> repro.core
     from repro.faults.schedule import FaultSchedule
 
 __all__ = ["SimulationOptions", "DEFAULT_OPTIONS", "simulate_mix"]
-
-
-def _active_cache():
-    """The process-global characterization cache, if one is installed.
-
-    Imported lazily: the parallel package is an optional consumer of
-    this module, and a hot path must not pay for it unless caching is
-    actually activated somewhere in the process.
-    """
-    from repro.parallel.cache import active_cache
-
-    return active_cache()
 
 
 @dataclass(frozen=True)
@@ -399,68 +388,17 @@ def simulate_mix(
     MixRunResult
         Per-iteration job times, per-host energy and mean power, FLOPs.
     """
+    from repro.sim.batch import _run_rows
+
     if options is None:
         options = DEFAULT_OPTIONS
-    with span("sim.simulate_mix", mix=mix.name, hosts=mix.total_nodes,
-              policy=policy_name) as trace_sp:
-        cache = _active_cache()
-        cache_key = None
-        if cache is not None:
-            cache_key = cache.key(
-                "simulate", mix, np.asarray(caps_w, dtype=float),
-                np.asarray(efficiencies, dtype=float),
-                model if model is not None else ExecutionModel(),
-                options, policy_name, float(budget_w),
-            )
-            payload = cache.get(cache_key)
-            if payload is not None:
-                from repro.io.serialize import result_from_dict
-
-                if trace_sp is not None:
-                    trace_sp.set_attribute("cache_hit", True)
-                if enabled():
-                    get_registry().counter("sim.execution.cache_hits").inc()
-                return result_from_dict(payload)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hit", False)
-        result = _simulate_mix_impl(
-            mix, caps_w, efficiencies, model, options, policy_name, budget_w
-        )
-        if cache is not None and cache_key is not None:
-            from repro.io.serialize import result_to_dict
-
-            cache.put(cache_key, result_to_dict(result))
-        if enabled():
-            get_registry().counter("sim.execution.runs").inc()
-    return result
-
-
-def _simulate_mix_impl(
-    mix: WorkloadMix,
-    caps_w: np.ndarray,
-    efficiencies: np.ndarray,
-    model: Optional[ExecutionModel],
-    options: SimulationOptions,
-    policy_name: str,
-    budget_w: float,
-) -> MixRunResult:
-    """The uninstrumented single-scenario body (see :func:`simulate_mix`)."""
     model = model if model is not None else ExecutionModel()
-    layout = mix.layout()
-    caps = np.asarray(caps_w, dtype=float)
-    eff = np.asarray(efficiencies, dtype=float)
-    if caps.shape != (layout.host_count,):
-        raise ValueError(
-            f"caps_w must have shape ({layout.host_count},), got {caps.shape}"
-        )
-    if eff.shape != (layout.host_count,):
-        raise ValueError(
-            f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
-        )
-    n_iter = mix.common_iterations()
 
-    return _execute_scenarios(
-        layout, caps[np.newaxis, :], eff, model, n_iter,
-        options.noise_std, options.barrier_overhead_s, (options.seed,),
-        fault_schedule=options.fault_schedule,
-    ).result(0, mix, policy_name, budget_w)
+    def describe(s: int) -> tuple:
+        return mix, policy_name, float(budget_w)
+
+    return _run_rows(
+        "sim.simulate_mix", [mix.layout()], mix.common_iterations(),
+        np.asarray(caps_w, dtype=float)[np.newaxis], efficiencies, model,
+        options, (options.seed,), describe, mix=mix.name, policy=policy_name,
+    ).result(0, *describe(0))

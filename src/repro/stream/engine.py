@@ -282,8 +282,15 @@ class SiteStreamEngine:
 
     # ------------------------------------------------------------------
     # event handlers
-    def _on_arrival(self, request: JobRequest, time_s: float) -> bool:
-        """Track one arrival; returns False when backpressure rejected it."""
+    def _on_arrival(self, request: JobRequest,
+                    time_s: float) -> Optional[JobRequest]:
+        """Track one arrival; returns the queued request, or None when
+        backpressure rejected it.
+
+        The queue holds a fresh copy: a request carries its lifecycle
+        state, so queueing the caller's object would mark it, and a
+        second engine fed the same arrivals would find nothing pending.
+        """
         self.stats.arrivals += 1
         pending = self.queue.pending_count()
         if self.max_pending is not None and pending >= self.max_pending:
@@ -291,14 +298,15 @@ class SiteStreamEngine:
             if enabled():
                 emit("stream.engine", "job_rejected", name=request.name,
                      pending=pending, max_pending=self.max_pending)
-            return False
+            return None
+        request = dataclasses.replace(request)
         self.queue.submit(request)
         self._arrival_time[request.name] = time_s
         if pending >= self.stats.peak_pending:
             self.stats.peak_pending = pending + 1
         if len(self.queue) > self.stats.peak_tracked_jobs:
             self.stats.peak_tracked_jobs = len(self.queue)
-        return True
+        return request
 
     def _account_batch(self, execution: BatchExecution) -> None:
         """Fold one finished batch into the engine's records and stats."""
@@ -579,11 +587,11 @@ class SiteStreamEngine:
                 kind = event.kind
                 kind_counts[kind] += 1
                 if kind is ARRIVAL:
-                    request = event.payload["request"]
-                    accepted = self._on_arrival(request, event.time_s)
+                    request = self._on_arrival(event.payload["request"],
+                                               event.time_s)
                     if self._source is not None:
                         self._pull_arrival()
-                    if not accepted:
+                    if request is None:
                         continue  # queue unchanged; nothing to admit
                     if quantised:
                         self._schedule_admission_flush()

@@ -14,9 +14,10 @@ from repro.parallel.cache import CharacterizationCache, activate_cache, deactiva
 from repro.sim.batch import (
     LayoutBatch,
     simulate_cap_batch,
-    simulate_layout_batch,
+    simulate_layout_rows,
     stack_layouts,
 )
+from repro.sim.engine import ExecutionModel
 from repro.sim.execution import DEFAULT_OPTIONS, SimulationOptions, simulate_mix
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -129,10 +130,9 @@ class TestSimulateCapBatch:
         caps, eff = rand_inputs(mix, scenarios=3)
         simulate_cap_batch(mix, caps, eff)
         registry = telemetry.get_registry()
-        assert registry.counter("sim.execution.batch_runs").value == 1
         assert registry.counter("sim.execution.runs").value == 3
-        kinds = [e.kind for e in telemetry.get_bus().events()]
-        assert "mix_batch_simulated" in kinds
+        totals = telemetry.get_tracer().totals()
+        assert totals["sim.simulate_cap_batch"]["count"] == 1
 
     def test_batch_telemetry_counts_cache_hits(self):
         mix = make_mix()
@@ -148,35 +148,52 @@ class TestSimulateCapBatch:
         assert registry.counter("sim.execution.cache_hits").value == 3
 
 
-class TestSimulateLayoutBatch:
+class TestSimulateLayoutRows:
     def test_rows_match_serial_and_one_row_passes(self):
-        # Independent mixes on independent host rows: every row of a
-        # stacked pass equals its serial simulate_mix call and its own
-        # one-row pass, with and without an engine fault schedule.
+        # Independent runs on independent host rows: every row of a pass
+        # equals its serial simulate_mix call and its own one-row pass,
+        # with and without an engine fault schedule, whether the rows
+        # share one layout object (run unstacked, with (S, hosts) caps
+        # and efficiencies) or carry mixed layouts (stacked).
         from repro.faults.scenarios import build_scenario
 
-        mixes = [make_mix(), WorkloadMix(name="other", jobs=(
+        shared = make_mix()
+        other = WorkloadMix(name="other", jobs=(
             Job(name="c", config=KernelConfig(intensity=32.0),
                 node_count=4, iterations=6),
             Job(name="d", config=KernelConfig(intensity=2.0),
                 node_count=3, iterations=6),
-        ))]
+        ))
         rng = np.random.default_rng(5)
-        caps = rng.uniform(130.0, 250.0, (2, 7))
-        eff = rng.uniform(0.9, 1.1, (2, 7))
+        caps = rng.uniform(130.0, 250.0, (3, 7))
+        eff = rng.uniform(0.9, 1.1, (3, 7))
+        seeds = [3, 4, 5]
         faults = build_scenario("stuck-caps", 2000.0, 7, 1.0).engine_slice(0.0)
-        for schedule in (None, faults):
-            options = SimulationOptions(noise_std=0.01, fault_schedule=schedule)
-            batch = simulate_layout_batch(mixes, caps, eff, options=options,
-                                          seeds=[3, 4])
-            for s in range(2):
-                row_options = dataclasses.replace(options, seed=3 + s)
-                assert batch[s] == simulate_mix(mixes[s], caps[s], eff[s],
-                                                options=row_options)
-                assert batch[s] == simulate_layout_batch(
-                    [mixes[s]], caps[s:s + 1], eff[s:s + 1],
-                    options=options, seeds=[3 + s],
-                )[0]
+        for mixes in ([shared] * 3, [shared, other, shared]):
+            layouts = [mix.layout() for mix in mixes]
+
+            def describe(s, mixes=mixes):
+                return mixes[s], "unmanaged", 0.0
+
+            for schedule in (None, faults):
+                options = SimulationOptions(noise_std=0.01,
+                                            fault_schedule=schedule)
+                out = simulate_layout_rows(
+                    layouts, 6, caps, eff, ExecutionModel(), options,
+                    seeds, describe,
+                )
+                for s in range(3):
+                    row = out.result(s, *describe(s))
+                    assert row == simulate_mix(
+                        mixes[s], caps[s], eff[s],
+                        options=dataclasses.replace(options, seed=seeds[s]),
+                    )
+                    alone = simulate_layout_rows(
+                        layouts[s:s + 1], 6, caps[s:s + 1], eff[s:s + 1],
+                        ExecutionModel(), options, seeds[s:s + 1],
+                        lambda _, s=s: describe(s),
+                    )
+                    assert row == alone.result(0, *describe(s))
 
 
 class TestSerialCacheTelemetry:

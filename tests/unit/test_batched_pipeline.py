@@ -374,30 +374,43 @@ class TestTrustedScheduledMix:
 
 
 class TestStackedLayoutCache:
-    def _mix(self, name="m", nodes=3):
-        return WorkloadMix(name=name, jobs=(
-            Job(name="j", config=KernelConfig(intensity=8.0),
-                node_count=nodes, iterations=4),
-        ))
+    """The identity memo that serves mixed-layout engine passes."""
+
+    def _layouts(self, name="m", nodes=3):
+        return [
+            WorkloadMix(name=f"{name}{i}", jobs=(
+                Job(name="j", config=KernelConfig(intensity=8.0 * (i + 1)),
+                    node_count=nodes, iterations=4),
+            )).layout()
+            for i in range(2)
+        ]
 
     def test_identity_hit_returns_same_stack(self):
-        layout = self._mix().layout()
-        first = sim_batch._stack_layouts_cached([layout, layout])
-        second = sim_batch._stack_layouts_cached([layout, layout])
+        a, b = self._layouts()
+        first = sim_batch._stack_layouts_cached([a, b, a])
+        second = sim_batch._stack_layouts_cached([a, b, a])
         assert second is first
-
-    def test_repeat_fast_path_matches_general_stack(self):
-        layout = self._mix().layout()
-        fast = sim_batch._stack_layouts_cached([layout] * 3)
-        general = sim_batch.stack_layouts([layout] * 3)
-        np.testing.assert_array_equal(fast.critical, general.critical)
         np.testing.assert_array_equal(
-            fast.job_boundaries, general.job_boundaries
+            first.kappa, sim_batch.stack_layouts([a, b, a]).kappa
         )
 
     def test_cache_bounded(self):
+        # The fused engine's churn: new layouts and group sizes every
+        # round must not grow the memo past its limit.
         sim_batch._STACK_CACHE.clear()
-        for nodes in range(1, sim_batch._STACK_CACHE_LIMIT + 3):
-            layout = self._mix(name=f"m{nodes}", nodes=nodes).layout()
-            sim_batch._stack_layouts_cached([layout, layout])
-        assert len(sim_batch._STACK_CACHE) <= sim_batch._STACK_CACHE_LIMIT
+        for nodes in range(1, sim_batch._STACK_CACHE_LIMIT + 40):
+            a, b = self._layouts(name=f"m{nodes}", nodes=1 + nodes % 7)
+            sim_batch._stack_layouts_cached([a, b] * (1 + nodes % 3))
+        info = sim_batch.stack_cache_info()
+        assert info["entries"] <= info["limit"]
+        assert info["limit"] == sim_batch._STACK_CACHE_LIMIT
+
+    def test_stack_cache_info_counts_lookups(self):
+        sim_batch._STACK_CACHE.clear()
+        a, b = self._layouts()
+        before = sim_batch.stack_cache_info()
+        sim_batch._stack_layouts_cached([a, b])
+        sim_batch._stack_layouts_cached([a, b])
+        after = sim_batch.stack_cache_info()
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1

@@ -3,9 +3,8 @@
 The property suite pins the end-to-end identity contract (every worker
 count is bit-identical); these tests pin the *mechanisms* at the
 function level — cross-cluster grouping (same-structure batches share
-one stacked engine pass, heterogeneous structures split), the bounded
-stacked-layout memo with its one-row reuse across scenario counts, and
-the span-attributed profile writer.
+one stacked engine pass, heterogeneous structures split) and the
+span-attributed profile writer.
 """
 
 import numpy as np
@@ -13,8 +12,6 @@ import pytest
 
 from repro.hierarchy import ClusterSpec, FacilityConfig, run_facility_simulation
 from repro.sim import batch as sim_batch
-from repro.workload.job import Job, WorkloadMix
-from repro.workload.kernel import KernelConfig
 
 
 def _spec(name, jobs=3, iterations=4, **kwargs):
@@ -66,49 +63,6 @@ class TestCrossClusterGrouping:
         assert max(calls) == 2
         assert 1 in calls
         assert result == run_facility_simulation(config, workers=2)
-
-
-class TestStackedLayoutCacheReuse:
-    def _layout(self, name="m", nodes=3):
-        return WorkloadMix(name=name, jobs=(
-            Job(name="j", config=KernelConfig(intensity=8.0),
-                node_count=nodes, iterations=4),
-        )).layout()
-
-    def test_one_row_stack_reused_across_scenario_counts(self):
-        # The fused engine's group sizes shrink as clusters drain; a
-        # new scenario count must reuse the memoised one-row stack
-        # (only the np.repeat fan-out differs), not re-gather physics.
-        sim_batch._STACK_CACHE.clear()
-        layout = self._layout()
-        sim_batch._stack_layouts_cached([layout] * 5)
-        single_entry = sim_batch._STACK_CACHE[(id(layout), 1)]
-        sim_batch._stack_layouts_cached([layout] * 3)
-        assert sim_batch._STACK_CACHE[(id(layout), 1)] is single_entry
-        three = sim_batch._stack_layouts_cached([layout] * 3)
-        np.testing.assert_array_equal(
-            three.critical, sim_batch.stack_layouts([layout] * 3).critical
-        )
-
-    def test_cache_stays_bounded_under_fused_churn(self):
-        sim_batch._STACK_CACHE.clear()
-        layouts = [self._layout(name=f"m{i}", nodes=1 + i % 7)
-                   for i in range(sim_batch._STACK_CACHE_LIMIT + 40)]
-        for i, layout in enumerate(layouts):
-            sim_batch._stack_layouts_cached([layout] * (1 + i % 4))
-        info = sim_batch.stack_cache_info()
-        assert info["entries"] <= info["limit"]
-        assert info["limit"] == sim_batch._STACK_CACHE_LIMIT
-
-    def test_stack_cache_info_counts_lookups(self):
-        sim_batch._STACK_CACHE.clear()
-        layout = self._layout()
-        before = sim_batch.stack_cache_info()
-        sim_batch._stack_layouts_cached([layout, layout])
-        sim_batch._stack_layouts_cached([layout, layout])
-        after = sim_batch.stack_cache_info()
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] == before["hits"] + 1
 
 
 class TestProfileWriter:

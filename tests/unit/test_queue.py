@@ -44,6 +44,17 @@ class TestJobQueue:
         with pytest.raises(ValueError, match="already queued"):
             q.submit(_request("a"))
 
+    def test_submit_rejects_a_request_that_is_not_pending(self):
+        done = JobQueue()
+        done.submit(_request("a"))
+        done.mark("a", JobState.ALLOCATED)
+        done.mark("a", JobState.RUNNING)
+        done.mark("a", JobState.COMPLETED)
+        q = JobQueue()
+        with pytest.raises(ValueError, match="not pending"):
+            q.submit(done.get("a"))
+        assert len(q) == 0 and q.pending_count() == 0
+
     def test_missing_job_raises(self):
         with pytest.raises(KeyError):
             JobQueue().get("ghost")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
-from repro.manager.queue import JobRequest
+from repro.manager.queue import JobRequest, JobState
 from repro.manager.site_simulation import Arrival, run_site_simulation
 from repro.stream.arrivals import (
     burst_stream,
@@ -221,6 +221,43 @@ class TestRollingEngine:
             assert sorted(engine.failed) == sorted(shift.never_admitted)
         else:
             assert len(engine.queue) == 0
+
+    def test_engines_sharing_arrivals_both_conserve_jobs(self, cluster):
+        # The engine queues its own copies: a second rolling engine fed
+        # the same arrival list sees every job again, and the caller's
+        # requests stay pending.
+        arrivals = [Arrival(float(i), _request(f"j{i}")) for i in range(3)]
+        for _ in range(2):
+            engine = _engine(cluster)
+            engine.attach_source(iter(arrivals))
+            stats = engine.run()
+            assert stats.arrivals == 3
+            assert stats.jobs_completed == 3
+            assert stats.jobs_failed == 0 and stats.rejected == 0
+        assert all(a.request.state is JobState.PENDING for a in arrivals)
+
+    def test_budget_below_summed_floor_admits_nothing(self, cluster):
+        # One watt under four nodes' RAPL floor: no 4-node job can ever
+        # be funded.  The shift loop reports every job never-admitted
+        # without running a batch; the rolling engine fails every job
+        # when its timeline drains.  Both conserve jobs.
+        budget_w = 4 * 136.0 - 1.0
+        arrivals = [Arrival(float(i), _request(f"j{i}")) for i in range(5)]
+        shift = run_site_simulation(
+            arrivals, cluster, create_policy("StaticCaps"), budget_w,
+        )
+        assert shift.batches == ()
+        assert sorted(shift.never_admitted) == [f"j{i}" for i in range(5)]
+        assert shift.truncated == ()
+        engine = SiteStreamEngine(
+            cluster, create_policy("StaticCaps"), budget_w, rolling=True,
+        )
+        engine.attach_source(iter(arrivals))
+        stats = engine.run()
+        assert stats.arrivals == 5
+        assert stats.jobs_failed == 5
+        assert stats.jobs_completed == 0 and stats.rejected == 0
+        assert stats.batches == 0
 
     def test_max_events_keeps_pending_jobs_queued(self, cluster):
         from repro.faults.schedule import FaultSchedule
