@@ -3,7 +3,8 @@
 The property suite pins the end-to-end identity contract (every worker
 count is bit-identical); these tests pin the *mechanisms* at the
 function level — cross-cluster grouping (same-structure batches share
-one stacked engine pass, heterogeneous structures split) and the
+one stacked engine pass, heterogeneous structures split), the bound on
+the stacked-layout memo under the fused engine's churn, and the
 span-attributed profile writer.
 """
 
@@ -12,6 +13,8 @@ import pytest
 
 from repro.hierarchy import ClusterSpec, FacilityConfig, run_facility_simulation
 from repro.sim import batch as sim_batch
+from repro.workload.job import Job, WorkloadMix
+from repro.workload.kernel import KernelConfig
 
 
 def _spec(name, jobs=3, iterations=4, **kwargs):
@@ -63,6 +66,28 @@ class TestCrossClusterGrouping:
         assert max(calls) == 2
         assert 1 in calls
         assert result == run_facility_simulation(config, workers=2)
+
+
+class TestStackedLayoutCacheReuse:
+    def _layouts(self, name="m", nodes=3):
+        return [
+            WorkloadMix(name=f"{name}{i}", jobs=(
+                Job(name="j", config=KernelConfig(intensity=8.0 * (i + 1)),
+                    node_count=nodes, iterations=4),
+            )).layout()
+            for i in range(2)
+        ]
+
+    def test_cache_stays_bounded_under_fused_churn(self):
+        # The fused engine's churn: new layouts and group sizes every
+        # round must not grow the memo past its limit.
+        sim_batch._STACK_CACHE.clear()
+        for i in range(sim_batch._STACK_CACHE_LIMIT + 40):
+            a, b = self._layouts(name=f"m{i}", nodes=1 + i % 7)
+            sim_batch._stack_layouts_cached([a, b] * (1 + i % 3))
+        info = sim_batch.stack_cache_info()
+        assert info["entries"] <= info["limit"]
+        assert info["limit"] == sim_batch._STACK_CACHE_LIMIT
 
 
 class TestProfileWriter:
