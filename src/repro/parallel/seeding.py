@@ -19,16 +19,30 @@ seeds of a whole range of trailing indices at once by running
 ``SeedSequence``'s entropy hash over uint32 arrays, and
 :class:`BlockSeeds` serves a loop's seeds from such ranges a block at a
 time.  Both are bit-identical to :func:`child_seed`.
+
+Each seed then seeds one noise stream, ``default_rng(seed)``, whose
+``PCG64`` hashes the seed through a second scalar ``SeedSequence``.  A
+:class:`BlockSeeds` block therefore also derives its seeds' ``PCG64``
+state words (:func:`pcg64_words`, the same hash over uint32 arrays) into
+a bounded memo, and :func:`noise_generator` builds a seed's generator
+from its memoised words: the same stream, about 2 µs instead of 21 µs.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
-__all__ = ["BlockSeeds", "child_seed", "child_seed_range", "child_seeds"]
+__all__ = [
+    "BlockSeeds",
+    "child_seed",
+    "child_seed_range",
+    "child_seeds",
+    "noise_generator",
+    "pcg64_words",
+]
 
 _SeedPart = Union[int, str]
 
@@ -94,24 +108,13 @@ def _words(value: int) -> List[int]:
     return words
 
 
-def child_seed_range(run_seed: int, *prefix: _SeedPart, start: int,
-                     stop: int) -> np.ndarray:
-    """``child_seed(run_seed, *prefix, i)`` for every ``i`` in
-    ``range(start, stop)``, as a uint32 array.
+def _seed_pool(entropy: List[np.ndarray], count: int) -> List[np.ndarray]:
+    """``SeedSequence``'s entropy pool, one uint32 array per pool word.
 
-    Runs ``SeedSequence``'s entropy mix and first state word over all
-    indices at once: the hash constants evolve independently of the
-    data, so every row takes the same steps, with the index word as a
-    vector.  ``stop`` must not exceed ``2**32`` (one entropy word per
-    index); :class:`BlockSeeds` sends larger indices to
-    :func:`child_seed`.
+    ``entropy`` holds one uint32 array of length ``count`` per entropy
+    word.  The hash constants evolve independently of the data, so every
+    row takes the same steps, with each word as a vector.
     """
-    if not 0 <= start <= stop <= 2**32:
-        raise ValueError("child_seed_range needs 0 <= start <= stop <= 2**32")
-    fixed = [w for part in (run_seed,) + prefix for w in _words(_fold(part))]
-    count = stop - start
-    entropy = [np.full(count, w, dtype=np.uint32) for w in fixed]
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
     const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -137,10 +140,117 @@ def child_seed_range(run_seed: int, *prefix: _SeedPart, start: int,
     for word in entropy[_POOL_SIZE:]:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    state = pool[0] ^ np.uint32(_INIT_B)
-    state *= np.uint32((_INIT_B * _MULT_B) & _MASK32)
-    state ^= state >> _XSHIFT
+    return pool
+
+
+def _pool_state(pool: List[np.ndarray], n_words: int) -> List[np.ndarray]:
+    """``SeedSequence.generate_state(n_words, np.uint32)`` of a pool, as
+    one uint32 array per state word."""
+    const = _INIT_B
+    state = []
+    for i in range(n_words):
+        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        word *= np.uint32(const)
+        word ^= word >> _XSHIFT
+        state.append(word)
     return state
+
+
+def child_seed_range(run_seed: int, *prefix: _SeedPart, start: int,
+                     stop: int) -> np.ndarray:
+    """``child_seed(run_seed, *prefix, i)`` for every ``i`` in
+    ``range(start, stop)``, as a uint32 array.
+
+    Runs ``SeedSequence``'s entropy mix and first state word over all
+    indices at once, with the index word as a vector.  ``stop`` must not
+    exceed ``2**32`` (one entropy word per index); :class:`BlockSeeds`
+    sends larger indices to :func:`child_seed`.
+    """
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError("child_seed_range needs 0 <= start <= stop <= 2**32")
+    fixed = [w for part in (run_seed,) + prefix for w in _words(_fold(part))]
+    count = stop - start
+    entropy = [np.full(count, w, dtype=np.uint32) for w in fixed]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    return _pool_state(_seed_pool(entropy, count), 1)[0]
+
+
+def pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each
+    uint32 seed, shape ``(len(seeds), 4)``.
+
+    These are the words ``PCG64(seed)`` seeds its state and increment
+    with: eight uint32 state words read pairwise as little-endian
+    uint64, as ``generate_state`` reads them.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    state = np.stack(_pool_state(_seed_pool([seeds], seeds.size), 8), axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _state_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` precomputed state words.
+
+    Made on the first memo fill, so that importing this module does not
+    import ``numpy.random`` (about 15 ms of an importer's setup).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for exactly its four uint64 words.
+            return self.words
+
+    return StateWords
+
+
+#: PCG64 state words of the seeds :class:`BlockSeeds` derived: one
+#: ``(rows, 4)`` table and each seed's row in it.  The words are a pure
+#: function of the seed, so an entry is never stale; the memo clears
+#: wholesale when a block would overfill it.  Rows keep it at about
+#: 0.5 MB full, where a view per seed would take 0.9 MB.
+_NOISE_TABLE = np.empty((0, 4), dtype=np.uint64)
+_NOISE_ROWS: Dict[int, int] = {}
+_NOISE_WORDS_LIMIT = 4 * SEED_BLOCK
+_StateWords = None  # set by the first memo fill
+
+
+def _forget_noise_words() -> None:
+    global _NOISE_TABLE
+    _NOISE_ROWS.clear()
+    _NOISE_TABLE = _NOISE_TABLE[:0]
+
+
+def _remember_noise_words(seeds: np.ndarray) -> None:
+    global _NOISE_TABLE, _StateWords
+    if _StateWords is None:
+        _StateWords = _state_words_type()
+    if len(_NOISE_TABLE) + seeds.size > _NOISE_WORDS_LIMIT:
+        _forget_noise_words()
+    start = len(_NOISE_TABLE)
+    _NOISE_TABLE = np.concatenate([_NOISE_TABLE, pcg64_words(seeds)])
+    _NOISE_ROWS.update(zip(seeds.tolist(), range(start, len(_NOISE_TABLE))))
+
+
+def noise_generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, built from memoised state words
+    when a :class:`BlockSeeds` block derived ``seed``.
+
+    Both build the same ``PCG64`` state, so their streams are
+    bit-identical; the memo only skips ``SeedSequence``'s scalar hash
+    (about 19 µs of the 21 µs a ``Generator(PCG64(seed))`` costs).
+    Other seeds take ``Generator(PCG64(seed))`` itself.
+    """
+    row = _NOISE_ROWS.get(seed)
+    if row is None:
+        return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_StateWords(_NOISE_TABLE[row])))
 
 
 class BlockSeeds:
@@ -149,7 +259,9 @@ class BlockSeeds:
     A site loop numbers its batches ``0, 1, 2, ...``; this derives the
     seeds of :data:`SEED_BLOCK` consecutive indices in one
     :func:`child_seed_range` call and serves the block's indices from
-    it.  Indices of ``2**32`` or more take :func:`child_seed` itself.
+    it, remembering the block's ``PCG64`` state words for
+    :func:`noise_generator`.  Indices of ``2**32`` or more take
+    :func:`child_seed` itself.
     """
 
     def __init__(self, run_seed: int, *prefix: _SeedPart) -> None:
@@ -168,10 +280,12 @@ class BlockSeeds:
         if index < 0:
             raise ValueError("seed indices must be non-negative")
         self._start = index - index % SEED_BLOCK
-        self._seeds = child_seed_range(
+        block = child_seed_range(
             self.run_seed, *self.prefix, start=self._start,
             stop=self._start + SEED_BLOCK,
-        ).tolist()
+        )
+        _remember_noise_words(block)
+        self._seeds = block.tolist()
         return self._seeds[index - self._start]
 
 

@@ -14,8 +14,9 @@ Noise model: compute-phase times receive i.i.d. multiplicative lognormal
 noise per host-iteration (OS jitter, DRAM refresh, cache state), which is
 what gives repeated iterations the spread behind the paper's 95 %
 confidence intervals.  Work amounts are deterministic — noise stretches
-time, not FLOPs.  The draw is ``exp(sigma * z)`` over one standard-normal
-slab per scenario, computed in place; it consumes the seed's stream exactly
+time, not FLOPs.  The draw is ``exp(sigma * z)``: each scenario fills its
+slab with standard normals from its own seed's stream, then the scale and
+``exp`` run in place over the whole tensor.  It consumes the stream exactly
 as ``Generator.lognormal`` does, and NumPy's vectorised ``exp`` may differ
 from libm's by one ulp.
 
@@ -32,6 +33,7 @@ bit-identical by construction — the property pinned by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from repro.sim.engine import BoundEpoch, ExecutionModel
 from repro.sim.results import MixRunResult
-from repro.telemetry import emit, enabled, get_registry, span
+from repro.telemetry import enabled, get_registry, span
 from repro.units import ensure_non_negative
 from repro.workload.job import WorkloadMix
 
@@ -64,7 +66,8 @@ class SimulationOptions:
         Fixed per-iteration barrier cost added to every job's iteration
         time (tree barrier latency at ~100 nodes).
     seed:
-        RNG seed; identical seeds reproduce identical runs bit-for-bit.
+        RNG seed, a non-negative integer (NumPy integer scalars too);
+        identical seeds reproduce identical runs bit-for-bit.
     fault_schedule:
         Optional :class:`~repro.faults.schedule.FaultSchedule` injected
         into the execution (run-relative clock).  The engine applies the
@@ -86,6 +89,15 @@ class SimulationOptions:
     def __post_init__(self) -> None:
         ensure_non_negative(self.noise_std, "noise_std")
         ensure_non_negative(self.barrier_overhead_s, "barrier_overhead_s")
+        # None would draw OS entropy under a deterministic cache key.
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise TypeError(
+                f"seed must be an integer, got {type(self.seed).__name__}"
+            ) from None
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 #: Shared default options.  The dataclass is frozen, so one instance can
@@ -206,6 +218,25 @@ def _engine_fault_plan(
     return out_caps, sigma_si, override_count
 
 
+def _iteration_energy(
+    host_times: np.ndarray,
+    net_compute: np.ndarray,
+    job_iter_times: np.ndarray,
+    job_poll: np.ndarray,
+) -> np.ndarray:
+    """Per-iteration energy ``(S, iterations)``: every host's compute phase
+    at ``net_compute`` (compute − poll) power plus every job's iteration
+    at its hosts' summed ``job_poll`` power.
+
+    Stacked matrix-times-vector products: matmul runs one gemv (or dot)
+    per scenario slice, on the operands and strides a one-row
+    ``host_times[s] @ net_compute[s]`` sees, so each row matches a
+    serial run bit for bit.
+    """
+    return (host_times @ net_compute[:, :, np.newaxis]
+            + job_iter_times @ job_poll[:, :, np.newaxis])[:, :, 0]
+
+
 def _execute_scenarios(
     layout,
     caps_sw: np.ndarray,
@@ -243,11 +274,14 @@ def _execute_scenarios(
 
     Determinism contract: scenario ``s`` of the returned tensors is
     bit-identical to a serial run with ``caps_sw[s]`` and ``seeds[s]`` —
-    the physics and the noise draw are elementwise per scenario slab,
-    segmented reductions use exact ``max`` (and per-row ``add`` for the
-    job poll powers), axis sums accumulate in the same order per scenario
-    slice, and the energy dot products run per-scenario on contiguous
-    slices so the same BLAS routine sees the same operands.
+    each scenario slab draws its normals from its own
+    ``default_rng(seeds[s])`` stream (:func:`~repro.parallel.seeding.noise_generator`),
+    the physics, the noise scale and ``exp`` are elementwise over the
+    whole tensor, segmented reductions use exact ``max`` (and per-row
+    ``add`` for the job poll powers), axis sums accumulate in the same
+    order per scenario slice, and the stacked energy matmuls run one
+    matrix-times-vector product per scenario slice, so the same BLAS
+    routine sees the same operands.
 
     ``fault_schedule`` (an *active* one) is the only thing allowed to
     perturb this contract: actuator overrides land before the clamp and
@@ -266,18 +300,11 @@ def _execute_scenarios(
             if sp is not None:
                 sp.set_attribute("cap_overrides", override_count)
                 sp.set_attribute("noise_burst", sigma_si is not None)
-        if enabled():
-            registry = get_registry()
-            registry.counter("faults.engine.runs").inc()
-            if override_count:
-                registry.counter("faults.engine.cap_overrides").inc(
-                    override_count
-                )
-            emit(
-                "faults.engine", "engine_faults_applied",
-                schedule=fault_schedule.name,
-                cap_overrides=override_count,
-                noise_burst=sigma_si is not None,
+        # The plan span's count is the number of faulted runs; no span
+        # total carries the override sum, so it keeps its counter.
+        if override_count and enabled():
+            get_registry().counter("faults.engine.cap_overrides").inc(
+                override_count
             )
 
     # --- deterministic per-host physics (S, hosts) --------------------
@@ -291,18 +318,19 @@ def _execute_scenarios(
             t_compute[:, np.newaxis, :], (scenarios, n_iter, hosts)
         )
     else:
-        # Generator(PCG64(seed)) is the stream default_rng(seed) builds
-        # for an int seed, minus the seed-normalisation layer.
+        # noise_generator(seed) is default_rng(seed)'s stream; a seed a
+        # BlockSeeds block derived skips SeedSequence's scalar hash.
+        from repro.parallel.seeding import noise_generator
+
         host_times = np.empty((scenarios, n_iter, hosts))
-        for s in range(scenarios):
-            slab = host_times[s]
-            np.random.Generator(np.random.PCG64(seeds[s])).standard_normal(
-                out=slab
-            )
-            slab *= noise_std if sigma_si is None else sigma_si[s][:, np.newaxis]
-            np.exp(slab, out=slab)
-        # The deterministic times scale the noise in place (multiplication
-        # commutes bitwise).
+        for slab, seed in zip(host_times, seeds, strict=True):
+            noise_generator(seed).standard_normal(out=slab)
+        # Scale, exp and the deterministic times are elementwise, so one
+        # pass over the whole tensor gives each element the bits a
+        # per-scenario pass gives it (multiplication commutes bitwise).
+        host_times *= noise_std if sigma_si is None \
+            else sigma_si[:, :, np.newaxis]
+        np.exp(host_times, out=host_times)
         host_times *= t_compute[:, np.newaxis, :]
 
     starts = layout.job_boundaries[:-1]
@@ -318,14 +346,10 @@ def _execute_scenarios(
     host_slack_s = job_iter_times.sum(axis=1)[:, layout.job_index] \
         - host_compute_s
     host_energy = p_compute * host_compute_s + p_poll * host_slack_s
-    # Per-scenario matvecs on contiguous slices: a stacked matmul may pick
-    # a different BLAS kernel than the serial path and break bit-identity.
-    net_compute = p_compute - p_poll
-    job_poll = np.add.reduceat(p_poll, starts, axis=-1)
-    iteration_energy = np.empty((scenarios, n_iter))
-    for s in range(scenarios):
-        iteration_energy[s] = (host_times[s] @ net_compute[s]
-                               + job_iter_times[s] @ job_poll[s])
+    iteration_energy = _iteration_energy(
+        host_times, p_compute - p_poll,
+        job_iter_times, np.add.reduceat(p_poll, starts, axis=-1),
+    )
     host_elapsed = host_compute_s + host_slack_s
     with np.errstate(invalid="ignore", divide="ignore"):
         host_mean_power = np.where(host_elapsed > 0, host_energy / host_elapsed, 0.0)

@@ -18,7 +18,12 @@ from repro.sim.batch import (
     stack_layouts,
 )
 from repro.sim.engine import ExecutionModel
-from repro.sim.execution import DEFAULT_OPTIONS, SimulationOptions, simulate_mix
+from repro.sim.execution import (
+    DEFAULT_OPTIONS,
+    SimulationOptions,
+    _iteration_energy,
+    simulate_mix,
+)
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
 
@@ -194,6 +199,43 @@ class TestSimulateLayoutRows:
                         lambda _, s=s: describe(s),
                     )
                     assert row == alone.result(0, *describe(s))
+
+
+def _per_row_energy(host_times, net_compute, job_iter_times, job_poll):
+    """The per-scenario gemv loop the stacked contraction replaced."""
+    out = np.empty(host_times.shape[:2])
+    for s in range(host_times.shape[0]):
+        out[s] = host_times[s] @ net_compute[s] + job_iter_times[s] @ job_poll[s]
+    return out
+
+
+class TestIterationEnergy:
+    @pytest.mark.parametrize("scenarios", [1, 2, 15, 40])
+    @pytest.mark.parametrize("hosts,starts", [
+        (1, [0]), (4, [0, 1]), (4, [0, 3]), (614, [0, 1, 7, 300, 613]),
+    ])
+    @pytest.mark.parametrize("n_iter", [1, 120])
+    def test_stacked_contraction_matches_per_row_gemvs(self, scenarios, hosts,
+                                                       starts, n_iter):
+        rng = np.random.default_rng(scenarios * 1000 + hosts + n_iter)
+        t_compute = rng.uniform(0.01, 0.2, (scenarios, hosts))
+        p_compute = rng.uniform(150.0, 250.0, (scenarios, hosts))
+        p_poll = rng.uniform(100.0, 150.0, (scenarios, hosts))
+        noisy = t_compute[:, np.newaxis, :] * np.exp(
+            0.01 * rng.standard_normal((scenarios, n_iter, hosts))
+        )
+        # The noise-free engine passes a stride-0 broadcast view.
+        quiet = np.broadcast_to(t_compute[:, np.newaxis, :],
+                                (scenarios, n_iter, hosts))
+        net_compute = p_compute - p_poll
+        job_poll = np.add.reduceat(p_poll, starts, axis=-1)
+        for host_times in (noisy, quiet):
+            job_iter_times = np.maximum.reduceat(host_times, starts, axis=2)
+            job_iter_times += 5.0e-4
+            args = (host_times, net_compute, job_iter_times, job_poll)
+            got = _iteration_energy(*args)
+            assert got.shape == (scenarios, n_iter)
+            assert got.tobytes() == _per_row_energy(*args).tobytes()
 
 
 class TestSerialCacheTelemetry:

@@ -47,6 +47,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationOptions(noise_std=-0.1)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, 2.0, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        # None would draw OS entropy: two identical runs would differ.
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            SimulationOptions(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationOptions(seed=seed)
+
+    def test_rejected_even_without_noise(self):
+        with pytest.raises(ValueError, match="seed"):
+            SimulationOptions(noise_std=0.0, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 2**70, np.int64(5), np.uint32(9)])
+    def test_integral_seeds_accepted(self, execution_model, seed):
+        mix = _mix()
+        caps, eff = np.full(6, 200.0), np.ones(6)
+        opts = SimulationOptions(seed=seed)
+        a = simulate_mix(mix, caps, eff, execution_model, opts)
+        b = simulate_mix(mix, caps, eff, execution_model,
+                         SimulationOptions(seed=int(seed)))
+        assert a == b
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self, execution_model):

@@ -1,8 +1,13 @@
-"""Unit tests for content-addressed child seeds."""
+"""Unit tests for content-addressed child seeds and the noise-word memo."""
 
 import pytest
 
-from repro.parallel.seeding import child_seed, child_seeds
+from repro.core.registry import create_policy
+from repro.hardware.cluster import Cluster
+from repro.parallel import seeding
+from repro.parallel.seeding import SEED_BLOCK, BlockSeeds, child_seed, child_seeds
+from repro.stream.arrivals import poisson_stream, synthetic_job_factory
+from repro.stream.engine import SiteStreamEngine
 
 
 class TestChildSeed:
@@ -56,3 +61,42 @@ class TestChildSeeds:
         seeds = child_seeds(0, [("a",), ("b",), ("c",)])
         assert len(seeds) == 3
         assert len(set(seeds)) == 3
+
+
+class TestNoiseWordMemo:
+    def test_memo_stays_within_its_bound(self):
+        seeding._forget_noise_words()
+        for run_seed in range(20):
+            seeds = BlockSeeds(run_seed, "site-batch")
+            seeds[0]
+            seeds[SEED_BLOCK + 1]
+            assert len(seeding._NOISE_TABLE) <= seeding._NOISE_WORDS_LIMIT
+            assert len(seeding._NOISE_ROWS) <= seeding._NOISE_WORDS_LIMIT
+        # The last block derived is always served from the memo.
+        assert seeds[SEED_BLOCK + 1] in seeding._NOISE_ROWS
+
+    def test_rolling_engines_agree_with_and_without_the_memo(self, monkeypatch):
+        cluster = Cluster(node_count=12, variation=None, seed=0)
+
+        def run():
+            engine = SiteStreamEngine(
+                cluster, create_policy("StaticCaps"), 2500.0, run_seed=5,
+                rolling=True, per_job_batches=True,
+            )
+            engine.attach_source(poisson_stream(
+                0.5, 60.0, synthetic_job_factory(), seed=2
+            ))
+            return engine.run()
+
+        first = run()
+        assert first.jobs_completed > 0
+        assert child_seed(5, "site-batch", 0) in seeding._NOISE_ROWS
+        second = run()
+        seeding._forget_noise_words()
+        third = run()
+        # With the memo never filled, every row takes Generator(PCG64(seed)).
+        seeding._forget_noise_words()
+        monkeypatch.setattr(seeding, "_remember_noise_words", lambda seeds: None)
+        unmemoised = run()
+        assert not seeding._NOISE_ROWS
+        assert first == second == third == unmemoised
