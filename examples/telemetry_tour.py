@@ -4,13 +4,16 @@
 Every layer of this stack — the GEOPM-style runtime, the resource
 manager, the simulator, the experiment grid — records what it does
 through one pipeline: structured events on a process-global
-:class:`~repro.telemetry.EventBus` plus counters/gauges/histograms in a
-:class:`~repro.telemetry.MetricsRegistry`.  This example shows the three
+:class:`~repro.telemetry.EventBus` plus exact counters in a
+:class:`~repro.telemetry.MetricsRegistry` and timed spans on the
+tracer.  Levels and durations (utilization, batch duration) ride in the
+payload of the event that reports them.  This example shows the three
 ways to consume it:
 
 1. **live subscription** — attach a callback and watch events as the
    stack runs (how a dashboard or an external RM would integrate);
-2. **metrics snapshot** — the end-of-run roll-up every report embeds;
+2. **metrics snapshot** — the end-of-run roll-up every report embeds:
+   counters, span totals and event counts, all exact;
 3. **event-log export** — JSONL for offline analysis.
 
 Run with::

@@ -564,12 +564,7 @@ def run_facility_simulation(
             rebalances=plan.rebalances,
         )
         if enabled():
-            registry = get_registry()
-            registry.gauge("hierarchy.facility.nodes").set(
-                float(facility.total_nodes))
-            registry.counter("hierarchy.facility.runs").inc()
-            registry.counter("hierarchy.broker.facility.rebalances_total") \
-                .inc(plan.rebalances or 0)
+            get_registry().counter("hierarchy.facility.runs").inc()
         if run_sp is not None:
             run_sp.set_attribute("rebalances", plan.rebalances)
             run_sp.set_attribute("jobs_completed",

@@ -249,7 +249,6 @@ class PowerAwareAdmission:
         object.__setattr__(decision, "_admitted_nodes", nodes_used)
         if enabled():
             registry = get_registry()
-            registry.gauge("manager.admission.queue_depth").set(queue_depth)
             registry.counter("manager.admission.passes").inc()
             registry.counter("manager.admission.admitted").inc(len(admitted))
             registry.counter("manager.admission.deferred").inc(len(deferred))
@@ -346,9 +345,6 @@ class PowerAwareAdmission:
         object.__setattr__(decision, "_admitted_nodes", nodes_used)
         if enabled():
             registry = get_registry()
-            registry.gauge("manager.admission.queue_depth").set(
-                len(deferred) + len(admitted)
-            )
             registry.counter("manager.admission.passes").inc()
             registry.counter("manager.admission.admitted").inc(len(admitted))
             registry.counter("manager.admission.deferred").inc(len(deferred))

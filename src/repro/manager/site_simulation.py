@@ -604,29 +604,6 @@ def plan_admitted_batch(
     return planned
 
 
-#: Memoised telemetry instrument handles for :func:`finish_planned_batch`
-#: — looked up once per registry generation instead of four name lookups
-#: per pass.
-_FINISH_INSTRUMENTS: Optional[tuple] = None
-
-
-def _finish_instruments(registry) -> tuple:
-    global _FINISH_INSTRUMENTS
-    cached = _FINISH_INSTRUMENTS
-    if cached is None or cached[0] is not registry \
-            or cached[1] != registry.generation:
-        cached = (
-            registry,
-            registry.generation,
-            registry.gauge("manager.site.utilization"),
-            registry.histogram("manager.site.batch_duration_s"),
-            registry.counter("manager.site.batches"),
-            registry.counter("manager.site.jobs_completed"),
-        )
-        _FINISH_INSTRUMENTS = cached
-    return cached
-
-
 def finish_planned_batch(planned: PlannedPass,
                          rows: Sequence[tuple]) -> List[BatchExecution]:
     """Stage 3: fold a pass's simulated rows into :class:`BatchExecution`\\ s.
@@ -641,9 +618,9 @@ def finish_planned_batch(planned: PlannedPass,
 
     Per batch, in row order: duration is the job critical path plus the
     ladder's ``backoff_s`` (zero on fault-free batches); then come the
-    record fields, the completion clocks, and the per-batch telemetry
-    (``batch_complete`` events and the duration histogram; the gauge and
-    counters once per pass).  A batch planned under an active
+    record fields, the completion clocks, and the per-batch
+    ``batch_complete`` event (duration and utilization); the batch and
+    job counters move once per pass.  A batch planned under an active
     ``fault_schedule`` also gets its compliance accounting: overshoot
     against the launch budget from the iteration power trace, plus the
     reaction window of budget drops landing mid-batch, charged at the
@@ -657,9 +634,6 @@ def finish_planned_batch(planned: PlannedPass,
         drops = fault_schedule.of_kind(FaultKind.BUDGET_CHANGE)
     telemetry = enabled()
     if telemetry:
-        _, _, gauge, histogram, batches, jobs = _finish_instruments(
-            get_registry()
-        )
         policy_name = planned.policy.name
     executions: List[BatchExecution] = []
     for launch, names, tier, backoff_s, row in zip(
@@ -698,8 +672,6 @@ def finish_planned_batch(planned: PlannedPass,
             backoff_s=backoff_s,
         )
         if telemetry:
-            utilization = mean_power_w / launch.batch_budget_w
-            histogram.observe(duration)
             emit(
                 "manager.site", "batch_complete",
                 batch=launch.batch_index, policy=policy_name,
@@ -707,7 +679,7 @@ def finish_planned_batch(planned: PlannedPass,
                 deferred=len(launch.decision.deferred),
                 duration_s=duration,
                 mean_power_w=mean_power_w,
-                utilization=utilization,
+                utilization=mean_power_w / launch.batch_budget_w,
             )
         # The ladder's decision latency delays the launch, so it is
         # charged to every job's completion: elapsed + backoff keeps the
@@ -719,9 +691,10 @@ def finish_planned_batch(planned: PlannedPass,
             completion_s=tuple(clock + (e + backoff_s) for e in elapsed),
         ))
     if telemetry and executions:
-        gauge.set(utilization)
-        batches.inc(len(executions))
-        jobs.inc(sum(len(names) for names in planned.job_names))
+        registry = get_registry()
+        registry.counter("manager.site.batches").inc(len(executions))
+        registry.counter("manager.site.jobs_completed").inc(
+            sum(len(names) for names in planned.job_names))
     return executions
 
 
@@ -1047,8 +1020,6 @@ def shift_rounds(
         truncated=truncated,
     )
     if enabled():
-        registry = get_registry()
-        registry.histogram("manager.site.makespan_s").observe(result.makespan_s)
         emit(
             "manager.site", "simulation_complete",
             policy=policy.name, batches=len(batches),

@@ -244,7 +244,6 @@ class ParallelRunner:
                 results = self._serial(fn, payloads, done=results)
         if enabled():
             get_registry().counter("parallel.runner.tasks").inc(len(payloads))
-            get_registry().gauge("parallel.runner.workers").set(self.workers)
             emit(
                 "parallel.runner", "map_complete",
                 tasks=len(payloads), workers=self.workers,

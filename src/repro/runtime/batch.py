@@ -424,10 +424,6 @@ class ControllerBatch:
                 time_cols.append(epoch_times)
                 sample_rows = active
                 epochs_run[active] += 1
-                if registry is not None:
-                    registry.gauge(
-                        "runtime.controller.batch_active_runs"
-                    ).set(float(active.size))
                 if epoch + 1 >= min_epochs:
                     conv = self._converged(gathered, active.size)
                     if np.any(conv):
@@ -478,9 +474,6 @@ class ControllerBatch:
             _last_samples=tuple(last),
         )
         if registry is not None:
-            epochs_hist = registry.histogram("runtime.controller.epochs")
-            for n in epochs_run.tolist():
-                epochs_hist.observe(n)
             n_converged = int(np.sum(converged))
             if n_converged:
                 registry.counter("runtime.controller.converged").inc(

@@ -256,7 +256,6 @@ class Controller:
         if enabled():
             registry = get_registry()
             registry.counter("runtime.controller.runs").inc()
-            registry.histogram("runtime.controller.epochs").observe(epochs)
             if converged:
                 registry.counter("runtime.controller.converged").inc()
             emit(

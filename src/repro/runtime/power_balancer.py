@@ -108,7 +108,7 @@ class _BalancerState(RowState):
     steps: np.ndarray                  # feedback steps taken
     harvested_w: np.ndarray            # power cut from donors, cumulative
     redistributed_w: np.ndarray        # power granted to receivers, cumulative
-    recorded: np.ndarray               # steps-to-converge already recorded
+    recorded: np.ndarray               # ``converged`` event already emitted
 
     @classmethod
     def fresh(cls, rows=()) -> "_BalancerState":
@@ -231,8 +231,8 @@ def _converged(state: _BalancerState, opts: BalancerOptions):
     """Limits stopped moving (relative to the settable range width).
 
     Returns the verdicts and the updated ``recorded`` flags: a row's first
-    positive verdict records its steps-to-converge and cumulative power
-    moved into the telemetry registry (once per loop).
+    positive verdict emits one ``converged`` event with its
+    steps-to-converge and cumulative power moved (once per loop).
     """
     span = opts.max_limit_w - opts.min_limit_w
     converged = state.last_step_w < opts.tolerance * span
@@ -240,10 +240,8 @@ def _converged(state: _BalancerState, opts: BalancerOptions):
         return converged, state.recorded
     fresh = converged & ~state.recorded
     if np.count_nonzero(fresh):
-        hist = get_registry().histogram("runtime.balancer.steps_to_converge")
         for row in np.ndindex(fresh.shape):
             if fresh[row]:
-                hist.observe(int(state.steps[row]))
                 emit(
                     "runtime.balancer", "converged",
                     steps=int(state.steps[row]),

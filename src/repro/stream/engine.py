@@ -60,7 +60,7 @@ from repro.manager.site_simulation import (
     run_site_simulation,
 )
 from repro.stream.events import Event, EventKind, EventLoop
-from repro.telemetry import emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, span
 from repro.units import ensure_positive
 
 __all__ = ["StreamStats", "SiteStreamEngine"]
@@ -381,12 +381,9 @@ class SiteStreamEngine:
         self._tick_scheduled = False
         self.stats.clock_s = self.clock
         if enabled():
-            registry = get_registry()
-            registry.gauge("stream.engine.pending").set(
-                self.queue.pending_count()
-            )
-            registry.gauge("stream.engine.in_flight").set(self._in_flight)
-            emit("stream.engine", "tick", **self.stats.snapshot())
+            emit("stream.engine", "tick",
+                 pending=self.queue.pending_count(),
+                 in_flight=self._in_flight, **self.stats.snapshot())
         if self.loop:
             self._schedule_tick()
 

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: Schema tag every message must carry (versioned like the provenance
-#: ledger's ``repro.provenance.v2``).
+#: ledger's ``repro.provenance.v3``).
 STREAM_SCHEMA = "repro.stream.v1"
 
 #: Upstream operation -> required operation-specific fields and types.

@@ -8,9 +8,9 @@ one pipeline:
 * :mod:`repro.telemetry.events` — a structured :class:`EventBus`
   (``Event(ts, source, kind, payload)``, subscriber API, ring buffer,
   JSONL/CSV export) in the spirit of NRM's upstream pub/sub API;
-* :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of
-  counters, gauges, and streaming histograms (reservoir quantiles, no
-  dependencies beyond the standard library);
+* :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of exact
+  counters that merge across pool workers by addition (a level or a
+  duration rides in the payload of the event that reports it);
 * :mod:`repro.telemetry.tracing` — :func:`span` scopes in a call tree,
   the only wall-time clock, with exact per-name totals (count, wall,
   self and CPU seconds) on the :class:`Tracer`.
@@ -45,9 +45,6 @@ from repro.telemetry.context import (
 from repro.telemetry.events import Event, EventBus
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
     MetricsRegistry,
     metric_key,
 )
@@ -79,9 +76,6 @@ __all__ = [
     "Event",
     "EventBus",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSnapshot",
     "MetricsRegistry",
     "metric_key",
     "TelemetrySummary",

@@ -20,7 +20,7 @@ A ledger is one JSON bundle (:data:`PROVENANCE_SCHEMA`) with:
 * the **span tree** (:meth:`~repro.telemetry.tracing.Tracer.state`),
   the exact **span totals** per name
   (:meth:`~repro.telemetry.tracing.Tracer.totals`) and the **metrics
-  snapshot** — the full observability state;
+  snapshot** (``{"counters": ...}``) — the full observability state;
 * **environment**: package / Python / NumPy versions, git commit when
   available, host identity.
 
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Schema tag; bump on breaking bundle-layout changes.
-PROVENANCE_SCHEMA = "repro.provenance.v2"
+PROVENANCE_SCHEMA = "repro.provenance.v3"
 
 #: Required top-level keys and the type each must carry.
 _REQUIRED: Dict[str, type] = {

@@ -1,11 +1,12 @@
 """Renderable roll-up of the telemetry state: the report's last section.
 
-:class:`TelemetrySummary` freezes a registry snapshot, the tracer's
+:class:`TelemetrySummary` freezes the registry's counters, the tracer's
 exact per-span-name totals, the event bus's per-source counts and the
 event and span rings' drop counts into a plain dataclass that renders
-as the fixed-width tables the rest of the reporting layer uses.  The
-grid report appends one; the ``repro telemetry`` CLI command prints one;
-``--telemetry-out`` writes one next to the JSONL event log.
+as the fixed-width tables the rest of the reporting layer uses.  Every
+figure in it is exact: nothing is sampled.  The grid report appends
+one; the ``repro telemetry`` CLI command prints one; ``--telemetry-out``
+writes one next to the JSONL event log.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ __all__ = ["TelemetrySummary"]
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Point-in-time summary of metrics, span totals and event counts.
+    """Point-in-time summary of counters, span totals and event counts.
 
-    ``span_totals`` and ``event_counts`` are exact over the whole run;
-    ``events_dropped`` / ``spans_dropped`` count what the bounded event
-    and span rings evicted: nonzero means the events and spans left (and
-    any span-tree analysis over them) cover only the recent tail.
+    ``counters``, ``span_totals`` and ``event_counts`` are exact over
+    the whole run; ``events_dropped`` / ``spans_dropped`` count what the
+    bounded event and span rings evicted: nonzero means the events and
+    spans left (and any span-tree analysis over them) cover only the
+    recent tail.
     """
 
     counters: Dict[str, float]
-    gauges: Dict[str, float]
-    histograms: Dict[str, Dict[str, float]]
     span_totals: Dict[str, Dict[str, float]] = field(default_factory=dict)
     event_counts: Dict[str, int] = field(default_factory=dict)
     events_dropped: int = 0
@@ -51,11 +51,8 @@ class TelemetrySummary:
         registry = registry if registry is not None else context.get_registry()
         bus = bus if bus is not None else context.get_bus()
         tracer = tracer if tracer is not None else get_tracer()
-        snap = registry.snapshot()
         return cls(
-            counters=snap["counters"],
-            gauges=snap["gauges"],
-            histograms=snap["histograms"],
+            counters=registry.snapshot()["counters"],
             span_totals=tracer.totals(),
             event_counts=bus.counts_by_source(),
             events_dropped=bus.dropped,
@@ -65,33 +62,19 @@ class TelemetrySummary:
     @property
     def empty(self) -> bool:
         """True when nothing was recorded (telemetry off or unused)."""
-        return not (self.counters or self.gauges or self.histograms
-                    or self.span_totals or self.event_counts
+        return not (self.counters or self.span_totals or self.event_counts
                     or self.events_dropped or self.spans_dropped)
 
     def rows(self) -> List[List[str]]:
-        """All metrics as ``[metric, kind, value, mean, p50, p95, max]``
-        table rows (counters/gauges leave the distribution columns
-        blank)."""
-        out: List[List[str]] = []
-        for name, value in self.counters.items():
-            out.append([name, "counter", f"{value:g}", "", "", "", ""])
-        for name, value in self.gauges.items():
-            out.append([name, "gauge", f"{value:g}", "", "", "", ""])
-        for name, snap in self.histograms.items():
-            out.append([
-                name, "histogram", f"{snap['count']:g}",
-                f"{snap['mean']:.6g}", f"{snap['p50']:.6g}",
-                f"{snap['p95']:.6g}", f"{snap['max']:.6g}",
-            ])
-        return out
+        """Every counter as a ``[metric, value]`` table row."""
+        return [[name, f"{value:g}"] for name, value in self.counters.items()]
 
     def render(self) -> str:
-        """The metrics, spans and events-by-source tables."""
+        """The counters, spans and events-by-source tables."""
         if self.empty:
             return "(no telemetry recorded)"
         parts = [render_table(
-            ["metric", "kind", "count/value", "mean", "p50", "p95", "max"],
+            ["metric", "value"],
             self.rows(),
             title="Metrics snapshot",
         )]

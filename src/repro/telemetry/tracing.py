@@ -1,9 +1,9 @@
 """Hierarchical tracing: where the time went, not just how much.
 
-The metrics registry answers *how much* (counts, latencies); the event
-bus answers *what happened*; neither answers *where in the call tree*.
-This module adds the third leg: :class:`Span` records one timed scope
-with a parent link, so a grid run decomposes into
+The metrics registry answers *how much* (exact counts and sums); the
+event bus answers *what happened*; neither answers *where in the call
+tree*.  This module adds the third leg: :class:`Span` records one timed
+scope with a parent link, so a grid run decomposes into
 ``experiments.grid.run_all -> manager.launch -> sim.simulate_mix`` and
 the paper's layer-attribution argument (resource manager vs runtime
 agent vs hardware) can be made about our own reproduction.
@@ -28,10 +28,8 @@ Design rules, mirroring the rest of :mod:`repro.telemetry`:
   events.
 
 Each span records wall time (``perf_counter``), CPU time
-(``process_time``), free-form attributes, and the *delta of every global
-counter* that moved while it was open (``counters``) — which is how the
-cache hit/miss split and fault-override counts show up per subtree
-without extra plumbing.
+(``process_time``) and free-form attributes.  It never reads the metrics
+registry: counters are whole-run sums, kept exactly in one place.
 
 Timing is spans' alone: besides the finished-span ring, the tracer
 keeps one exact aggregate per span name (count, wall, self and CPU
@@ -64,11 +62,11 @@ __all__ = [
 ]
 
 #: Schema tag written into exported span dicts / trace files.
-TRACE_SCHEMA = "repro.trace.v1"
+TRACE_SCHEMA = "repro.trace.v2"
 
 _SPAN_FIELDS = (
     "name", "span_id", "trace_id", "parent_id", "start_unix", "end_unix",
-    "wall_s", "cpu_s", "attributes", "counters", "status",
+    "wall_s", "cpu_s", "attributes", "status",
 )
 
 
@@ -94,9 +92,6 @@ class Span:
     attributes:
         Flat JSON-serialisable details set at entry or via
         :meth:`set_attribute`.
-    counters:
-        Global-counter deltas observed while the span was open — only
-        counters that moved appear.
     status:
         ``"ok"``, or ``"error"`` when the scope raised.
     child_wall_s:
@@ -113,7 +108,6 @@ class Span:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     attributes: Dict[str, object] = field(default_factory=dict)
-    counters: Dict[str, float] = field(default_factory=dict)
     status: str = "ok"
     child_wall_s: float = field(default=0.0, repr=False, compare=False)
 
@@ -385,17 +379,13 @@ def span(name: str, **attributes: object) -> Iterator[Optional[Span]]:
     or use the walrus-free pattern ``sp and sp.set_attribute(...)``.
 
     Wall time comes from ``perf_counter``, CPU time from
-    ``process_time``, and every global counter that moves inside the
-    block lands in :attr:`Span.counters` as a delta.
+    ``process_time``.
     """
     if not tracing_enabled():
         yield None
         return
-    from repro.telemetry import context
-
     tracer = _tracer
     record = tracer.start(name, **attributes)
-    counters_before = context.get_registry().counter_values()
     start_wall = time.perf_counter()
     start_cpu = time.process_time()
     status = "ok"
@@ -407,10 +397,6 @@ def span(name: str, **attributes: object) -> Iterator[Optional[Span]]:
     finally:
         record.wall_s = time.perf_counter() - start_wall
         record.cpu_s = time.process_time() - start_cpu
-        for key, value in context.get_registry().counter_values().items():
-            delta = value - counters_before.get(key, 0.0)
-            if delta:
-                record.counters[key] = delta
         tracer.finish(record, status=status)
 
 

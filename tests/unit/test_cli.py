@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import PROVENANCE_SCHEMA, Span, load_ledger
 
 
 class TestParser:
@@ -105,6 +106,18 @@ class TestCommands:
         layers = {row["source"].split(".")[0] for row in rows}
         # The probe + grid cell + site pass cover all three stack layers.
         assert {"runtime", "manager", "experiments"} <= layers
+        # The ledger validates on the way back in, and its metrics block
+        # holds exact counters only.
+        ledger = load_ledger(out_dir / "provenance.json")
+        assert ledger["schema"] == PROVENANCE_SCHEMA
+        assert set(ledger["metrics"]) == {"counters"}
+        assert ledger["metrics"]["counters"]
+        trace = json.loads((out_dir / "trace.json").read_text())
+        assert trace["schema"] == "repro.trace.v2"
+        assert trace["spans"]
+        for span_dict in trace["spans"]:
+            assert "counters" not in span_dict
+            assert Span.from_dict(span_dict).to_dict() == span_dict
 
     def test_grid_telemetry_out(self, capsys, tmp_path):
         out_dir = tmp_path / "t"

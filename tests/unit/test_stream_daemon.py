@@ -199,7 +199,7 @@ class TestObservability:
                 sub.offer("src", "kind", {"i": i})
             assert sub.dropped == 3
             assert len(sub.buffer) == 2
-            counters = get_registry().counter_values()
+            counters = get_registry().snapshot()["counters"]
             assert counters["stream.daemon.frames_dropped"] == 3.0
         finally:
             reset()
@@ -220,7 +220,7 @@ class TestObservability:
             assert sub.dropped == 5
             kept = [frame["payload"]["i"] for frame in sub.buffer]
             assert kept == [5, 6, 7]
-            counters = get_registry().counter_values()
+            counters = get_registry().snapshot()["counters"]
             assert counters["stream.daemon.frames_dropped"] == 5.0
             # Filtered-out kinds are never buffered, so they neither
             # evict nor count as drops.

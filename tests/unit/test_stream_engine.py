@@ -299,6 +299,13 @@ class TestRollingEngine:
             telemetry.get_bus().unsubscribe(token)
         assert ticks, "no telemetry ticks observed"
         assert not engine.loop, "ticks must not keep the timeline alive"
+        # Each tick carries the queue levels; StreamStats (which the
+        # stream digest hashes) does not.
+        for tick in ticks:
+            assert 0 <= tick.payload["pending"] <= tick.payload["peak_pending"]
+            assert 0 <= tick.payload["in_flight"] \
+                <= tick.payload["peak_in_flight"]
+        assert not {"pending", "in_flight"} & set(engine.stats.snapshot())
 
     def test_run_requires_rolling_and_replay_requires_drain(self, cluster):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from repro import telemetry
 from repro.telemetry import (
     Event,
     EventBus,
-    Histogram,
     MetricsRegistry,
     TelemetrySummary,
     metric_key,
@@ -60,74 +59,20 @@ class TestCounter:
         assert registry.counter("x", a="1") is not registry.counter("x")
 
 
-class TestGauge:
-    def test_set_and_inc(self, registry):
-        g = registry.gauge("depth")
-        g.set(4.0)
-        g.inc(-1.0)
-        assert g.value == 3.0
-
-
-class TestHistogram:
-    def test_exact_stats_small_stream(self):
-        h = Histogram()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap.count == 4
-        assert snap.mean == 2.5
-        assert snap.min == 1.0
-        assert snap.max == 4.0
-        assert snap.p50 == 2.5
-
-    def test_quantile_bounds_checked(self):
-        h = Histogram()
-        h.observe(1.0)
-        with pytest.raises(ValueError, match="q must be"):
-            h.quantile(1.5)
-
-    def test_empty_quantile_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            Histogram().quantile(0.5)
-
-    def test_empty_snapshot_is_zero(self):
-        snap = Histogram().snapshot()
-        assert snap.count == 0 and snap.mean == 0.0 and snap.max == 0.0
-
-    def test_quantiles_within_range_beyond_reservoir(self):
-        """Once the reservoir is full, estimates stay inside [min, max]."""
-        h = Histogram(reservoir_size=32)
-        for i in range(1000):
-            h.observe(float(i % 97))
-        assert h.count == 1000
-        for q in (0.0, 0.5, 0.95, 1.0):
-            assert 0.0 <= h.quantile(q) <= 96.0
-
-    def test_deterministic_for_same_stream(self):
-        a, b = Histogram(reservoir_size=8), Histogram(reservoir_size=8)
-        for i in range(500):
-            a.observe(float(i))
-            b.observe(float(i))
-        assert a.snapshot() == b.snapshot()
-
-
 class TestRegistry:
     def test_len_and_reset(self, registry):
         registry.counter("a")
-        registry.gauge("b")
-        registry.histogram("c")
-        assert len(registry) == 3
+        registry.counter("b", mix="LowPower")
+        assert len(registry) == 2
         registry.reset()
         assert len(registry) == 0
 
     def test_snapshot_shape(self, registry):
         registry.counter("runs").inc()
-        registry.gauge("depth").set(2.0)
-        registry.histogram("lat_s").observe(0.5)
+        registry.counter("a.first").inc(0.5)
         snap = registry.snapshot()
-        assert snap["counters"] == {"runs": 1.0}
-        assert snap["gauges"] == {"depth": 2.0}
-        assert snap["histograms"]["lat_s"]["count"] == 1.0
+        assert snap == {"counters": {"a.first": 0.5, "runs": 1.0}}
+        assert list(snap["counters"]) == ["a.first", "runs"]
 
 
 class TestEventBus:
@@ -241,13 +186,15 @@ class TestSummary:
 
     def test_capture_rolls_up_registry_and_bus(self):
         telemetry.get_registry().counter("runtime.x.runs").inc(2)
-        telemetry.get_registry().histogram("runtime.x.run_s").observe(0.25)
+        telemetry.get_registry().counter("runtime.x.epochs").inc(7)
         telemetry.emit("runtime.x", "run_complete")
         summary = TelemetrySummary.capture()
         assert not summary.empty
+        assert summary.rows() == [["runtime.x.epochs", "7"],
+                                  ["runtime.x.runs", "2"]]
         text = summary.render()
+        assert "Metrics snapshot" in text
         assert "runtime.x.runs" in text
-        assert "runtime.x.run_s" in text
         assert "Events by source" in text
         assert summary.event_counts == {"runtime.x": 1}
         assert "Evicted" not in text

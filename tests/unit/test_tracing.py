@@ -1,9 +1,9 @@
 """Unit tests for the hierarchical tracing layer.
 
-Span identity and nesting, the on/off switches, counter-delta
-attribution, the exact per-name totals, the cross-process merge, and
-the well-formedness validator
-that the property suite and the provenance ledger both lean on.
+Span identity and nesting, the on/off switches, the span's independence
+from the metrics registry, the exact per-name totals, the cross-process
+merge, and the well-formedness validator that the property suite and
+the provenance ledger both lean on.
 """
 
 import json
@@ -74,13 +74,21 @@ class TestSpanBasics:
         assert record.status == "error"
         assert current_span() is None
 
-    def test_counter_deltas_attributed_to_span(self):
-        telemetry.get_registry().counter("sim.runs").inc(2)
-        with span("work"):
-            telemetry.get_registry().counter("sim.runs").inc(3)
-            telemetry.get_registry().counter("sim.cache_hits").inc()
+    def test_span_never_touches_the_registry(self, monkeypatch):
+        from repro.telemetry import context
+
+        registry = telemetry.get_registry()
+
+        def forbidden():
+            raise AssertionError("span() read the metrics registry")
+
+        monkeypatch.setattr(context, "get_registry", forbidden)
+        with span("work") as sp:
+            registry.counter("sim.runs").inc(3)
         record, = get_tracer().finished("work")
-        assert record.counters == {"sim.runs": 3.0, "sim.cache_hits": 1.0}
+        assert record is sp and record.status == "ok"
+        assert "counters" not in record.to_dict()
+        assert registry.snapshot() == {"counters": {"sim.runs": 3.0}}
 
     def test_to_dict_from_dict_roundtrip(self):
         with span("work", k=1):
@@ -166,7 +174,7 @@ class TestTracer:
             pass
         path = get_tracer().to_json(tmp_path / "trace.json")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro.trace.v1"
+        assert payload["schema"] == "repro.trace.v2"
         assert [s["name"] for s in payload["spans"]] == ["outer"]
 
 
