@@ -53,7 +53,7 @@ def _build_engine(duration_s):
     cluster = Cluster(node_count=NODE_COUNT, variation=None, seed=0)
     engine = SiteStreamEngine(
         cluster, create_policy("StaticCaps"), BUDGET_W,
-        rolling=True, max_pending=MAX_PENDING,
+        max_pending=MAX_PENDING,
         record_jobs=False, record_batches=False,
         run_seed=None,
         admission_interval_s=ADMISSION_INTERVAL_S,

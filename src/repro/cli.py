@@ -664,7 +664,7 @@ def _build_stream_engine(grid: ExperimentGrid, policy: str,
     budget_w = 4 * nodes * 0.85 * grid.model.power_model.tdp_w
     engine = SiteStreamEngine(
         cluster, create_policy(policy), budget_w,
-        rolling=True, max_pending=max_pending,
+        max_pending=max_pending,
         record_jobs=False, record_batches=False,
         run_seed=seed,
         admission_interval_s=admission_interval_s,

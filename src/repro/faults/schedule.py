@@ -352,8 +352,7 @@ class FaultSchedule:
 
         Every event start and (finite) window end, deduplicated — the
         points where a consumer that came up empty should re-check the
-        world.  Both the batch shift loop and the streaming site engine
-        schedule their retry-admission waits on these.
+        world.  The site engine re-runs admission at each of them.
         """
         return tuple(sorted({
             t for e in self.events for t in (e.time_s, e.end_s)
@@ -381,11 +380,11 @@ class FaultSchedule:
         """The engine-applicable faults, re-clocked to a run starting at
         ``start_s`` on this schedule's clock.  ``None`` when no cap or
         noise fault could touch the run."""
-        shifted = self.shifted(-start_s)
-        events = tuple(e for e in shifted.events if e.kind in ENGINE_KINDS)
+        events = tuple(e for e in self.events if e.kind in ENGINE_KINDS)
         if not events:
             return None
-        return FaultSchedule(events=events, name=self.name)
+        shifted = FaultSchedule(events=events, name=self.name).shifted(-start_s)
+        return shifted if shifted.events else None
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,8 @@ class FacilityConfig:
     budget_w: Optional[float] = None
     trace: Optional[FacilityTraceConfig] = None
     noise_std: float = 0.004
+    #: Batches each cluster may launch; jobs still pending or unarrived
+    #: at the limit end in the cluster result's ``truncated``.
     max_batches: int = 100
     seed: int = 0
 

@@ -12,19 +12,20 @@ This engine advances **a group of clusters in lockstep inside one
 process** and routes each round's co-resident batches — across
 clusters — through shared stacked passes:
 
-* Each cluster's shift loop runs as a
-  :func:`~repro.manager.site_simulation.shift_rounds` generator: the
-  loop *yields* each round's planned one-row pass and receives the
-  executed result back via ``send()``.  Control flow, RNG draws, seeds, and per-cluster
-  accumulation order are the shift loop's own statements — the same
-  generator :func:`~repro.manager.site_simulation.run_site_simulation`
-  drives one batch at a time.
+* Each cluster runs a
+  :class:`~repro.stream.engine.SerialSiteEngine`, the event engine's
+  serial mode, through its :meth:`~repro.stream.engine.SiteStreamEngine.passes`
+  generator: the engine *yields* each planned one-row pass and receives
+  the executed rows back via ``send()``.  Control flow, RNG draws,
+  seeds, and per-cluster accumulation order are the engine's own — the
+  same loop :func:`~repro.manager.site_simulation.run_site_simulation`
+  runs one batch at a time.
 * One shared :class:`~repro.manager.site_simulation.BatchPlanner`
   serves every cluster of the group, so each job class is
   characterized once per group, and all same-shape batches share one
   primed layout object, which keeps the stacked-layout cache hitting by
   identity across clusters.
-* Each lockstep round collects the pending batches (in cluster order)
+* Each lockstep round collects the pending passes (in cluster order)
   and hands them to
   :func:`~repro.manager.site_simulation.execute_planned_batches`,
   which groups by ``(job boundaries, iterations)`` and runs one
@@ -42,8 +43,8 @@ Determinism contract
 --------------------
 Every worker count gives a bit-identical result (pinned by the
 worker-count property suite).  Per-cluster RNG streams are untouched —
-seeds are derived and consumed inside each cluster's own generator —
-and grouped-pass rows are element-identical to one-row passes, so which
+seeds are derived and consumed inside each cluster's own engine — and
+grouped-pass rows are element-identical to one-row passes, so which
 clusters share a group changes only the characterization-memo
 statistics.  Every fault schedule takes the same path: host failures
 narrow the cluster's schedulable hosts, sensor dropouts and budget
@@ -55,7 +56,7 @@ own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.registry import create_policy
 from repro.manager.admission import PowerAwareAdmission
@@ -64,16 +65,11 @@ from repro.manager.site_simulation import (
     BatchPlanner,
     SiteSimulationResult,
     execute_planned_batches,
-    shift_rounds,
 )
+from repro.stream import SerialSiteEngine, replay_stream
 from repro.telemetry import enabled, get_registry, span
-from repro.units import ensure_positive
 
 __all__ = ["run_fused_facility_leaves"]
-
-#: Distinct sentinel for "prime the generator" (``None`` is a valid
-#: ``send`` value only after the first yield, so priming uses ``next``).
-_PRIME = object()
 
 
 def run_fused_facility_leaves(
@@ -100,55 +96,55 @@ def run_fused_facility_leaves(
     policy = create_policy(config.policy)
     planner = BatchPlanner(manager, policy)
 
-    results: List[Optional[SiteSimulationResult]] = [None] * n
     stats = [[0, 0] for _ in range(n)]
+    engines = []
     generators = []
 
-    def advance(i: int, value):
+    def advance(i: int, executions=None):
         """One generator step with char-stat attribution to cluster i."""
         hits0, misses0 = planner.char_hits, planner.char_misses
         try:
-            if value is _PRIME:
-                batch = next(generators[i])
+            if executions is None:
+                planned = next(generators[i])
             else:
-                batch = generators[i].send(value)
-        except StopIteration as stop:
-            results[i] = stop.value
-            batch = None
+                planned = generators[i].send(executions)
+        except StopIteration:
+            planned = None
         stats[i][0] += planner.char_hits - hits0
         stats[i][1] += planner.char_misses - misses0
-        return batch
+        return planned
 
     rounds = 0
     passes = 0
     with span("hierarchy.facility.fused", clusters=n) as fused_sp:
         for i, spec in enumerate(specs):
-            # run_site_simulation validates its budget; the fused engine
-            # must reject the same degenerate budgets.
-            ensure_positive(budgets_w[i], "budget_w")
-            generators.append(shift_rounds(
-                cluster_arrivals(spec),
+            engine = SerialSiteEngine(
                 build_cluster(spec, config.seed),
                 policy,
                 float(budgets_w[i]),
                 admission=PowerAwareAdmission(model=manager.model),
                 manager=manager,
-                max_batches=config.max_batches,
+                noise_std=config.noise_std,
                 run_seed=seeds[i],
                 fault_schedule=schedules[i],
+                max_batches=config.max_batches,
                 planner=planner,
-            ))
+            )
+            engine.attach_source(replay_stream(cluster_arrivals(spec)))
+            engines.append(engine)
+            generators.append(engine.passes())
 
-        # Prime: run every cluster to its first batch (or, for trivially
+        # Prime: run every cluster to its first pass (or, for trivially
         # short streams, to completion).
         pending: Dict[int, object] = {}
         for i in range(n):
-            batch = advance(i, _PRIME)
-            if batch is not None:
-                pending[i] = batch
+            planned = advance(i)
+            if planned is not None:
+                pending[i] = planned
 
-        # Lockstep rounds: fuse all co-resident batches into grouped
-        # stacked passes, feed each row back, collect the next round.
+        # Lockstep rounds: fuse all co-resident passes into grouped
+        # stacked engine passes, send each cluster its rows, collect the
+        # next round.
         while pending:
             rounds += 1
             indices = sorted(pending)
@@ -158,10 +154,13 @@ def run_fused_facility_leaves(
             )
             passes += executions.passes
             pending = {}
-            for i, execution in zip(indices, executions):
-                batch = advance(i, execution)
-                if batch is not None:
-                    pending[i] = batch
+            cursor = 0
+            for i, planned in zip(indices, batches):
+                rows = executions[cursor:cursor + len(planned)]
+                cursor += len(planned)
+                following = advance(i, rows)
+                if following is not None:
+                    pending[i] = following
 
         if fused_sp is not None:
             fused_sp.set_attribute("rounds", rounds)
@@ -177,4 +176,4 @@ def run_fused_facility_leaves(
             registry.counter("hierarchy.fused.char_misses").inc(
                 planner.char_misses)
 
-    return results, [tuple(s) for s in stats]
+    return [engine.result for engine in engines], [tuple(s) for s in stats]

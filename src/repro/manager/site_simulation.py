@@ -27,12 +27,13 @@ seeds from a :class:`~repro.parallel.seeding.BlockSeeds`);
 :func:`execute_planned_batches` runs the rows of any number of passes
 through grouped stacked engine passes and reads each row's scalars from
 the engine tensors; and :func:`finish_planned_batch` folds each row into
-its batch record and execution, in row order.  :func:`shift_rounds` is
-the shift loop itself, a generator that yields one-row passes to its
-caller: :func:`run_site_simulation` executes them one at a time, and the
-fused facility engine (:mod:`repro.hierarchy.fused`) fuses the passes of
-many clusters.  The rolling streaming engine (:mod:`repro.stream`) plans
-all launch groups of an admission pass as one pass.
+its batch record and execution, in row order.  The loop that admits
+and launches them is written once, as the event engine of
+:mod:`repro.stream.engine`: :func:`run_site_simulation` runs its serial
+mode (one batch at a time, one-row passes), the fused facility engine
+(:mod:`repro.hierarchy.fused`) drives one serial engine per cluster in
+lockstep and fuses their passes, and the rolling mode plans all launch
+groups of an admission pass as one pass.
 
 Fault replay
 ------------
@@ -54,7 +55,6 @@ bit-identical results.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -73,12 +73,11 @@ from repro.characterization.mix_characterization import characterize_mix
 from repro.core.policy import Policy
 from repro.manager.admission import AdmissionDecision, PowerAwareAdmission
 from repro.manager.power_manager import PowerManager, apply_job_runtime
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
 from repro.sim.execution import SimulationOptions
 from repro.telemetry import emit, enabled, get_registry, span
-from repro.units import ensure_positive
 from repro.workload.job import WorkloadMix, validate_job_names
 
 if TYPE_CHECKING:  # imported lazily: the repro.parallel package pulls in
@@ -99,7 +98,6 @@ __all__ = [
     "finish_planned_batch",
     "plan_admitted_batch",
     "run_site_simulation",
-    "shift_rounds",
 ]
 
 
@@ -154,7 +152,7 @@ class BatchRecord:
 
 @dataclass(frozen=True)
 class BatchExecution:
-    """One admitted batch, executed — the unit both site loops share.
+    """One admitted batch, executed — the unit every site loop consumes.
 
     ``completion_s[i]`` is job ``i``'s completion clock **including** the
     degradation ladder's decision latency (``backoff_s``): retries delay
@@ -180,9 +178,9 @@ class SiteSimulationResult:
     job_turnaround_s: Dict[str, float]
     #: Name of the replayed fault schedule ("" on fault-free shifts).
     fault_schedule_name: str = ""
-    #: Jobs still pending (or not yet arrived) when the shift hit its
-    #: ``max_batches`` round limit — unfinished work, *not* jobs the
-    #: admission controller rejected as unschedulable.
+    #: Jobs still pending (or not yet arrived) when the shift had
+    #: launched its ``max_batches`` batches — unfinished work, *not* jobs
+    #: the admission controller rejected as unschedulable.
     truncated: Tuple[str, ...] = ()
 
     @property
@@ -808,11 +806,11 @@ def run_site_simulation(
 
     Jobs are admitted in batches whenever the cluster is free; a job that
     can never fit (its own estimate exceeds the budget or the cluster) is
-    reported in ``never_admitted`` rather than looping forever.  Jobs
-    still pending (or unarrived) when the ``max_batches`` round limit
-    cuts the shift short are reported separately in ``truncated`` — they
-    are unfinished work, not admission rejections.  An empty arrival
-    stream is an empty shift: no batches, and nothing completed,
+    reported in ``never_admitted`` rather than looping forever.  At most
+    ``max_batches`` batches launch; jobs still pending (or unarrived)
+    when that limit is reached are reported separately in ``truncated``
+    — they are unfinished work, not admission rejections.  An empty
+    arrival stream is an empty shift: no batches, and nothing completed,
     never-admitted or truncated (a rolling engine with no arrivals
     likewise returns empty stats).
 
@@ -831,200 +829,27 @@ def run_site_simulation(
     (overshoot during that window is recorded in
     ``BatchRecord.overshoot_ws``).
 
-    Each round's one-row pass is executed by
-    :func:`execute_planned_batches` and sent back into
-    :func:`shift_rounds`.
+    The shift is the event engine's serial mode
+    (:class:`~repro.stream.engine.SerialSiteEngine`) run over the
+    arrivals in time order.
     """
-    ensure_positive(budget_w, "budget_w")
-    manager = manager if manager is not None else PowerManager()
-    injecting = fault_schedule is not None and fault_schedule.active
+    # Imported here: the stream engine is built on this module.
+    from repro.stream import SerialSiteEngine, replay_stream
+
+    engine = SerialSiteEngine(
+        cluster, policy, budget_w, admission=admission, manager=manager,
+        noise_std=noise_std, run_seed=run_seed,
+        fault_schedule=fault_schedule, degradation=degradation,
+        reaction_s=reaction_s, max_batches=max_batches,
+    )
     with span("manager.site.run", policy=policy.name,
               budget_w=float(budget_w), arrivals=len(arrivals),
-              hosts=len(cluster), injecting=injecting) as trace_sp:
-        rounds = shift_rounds(
-            arrivals, cluster, policy, budget_w,
-            admission=admission, manager=manager, max_batches=max_batches,
-            run_seed=run_seed, fault_schedule=fault_schedule,
-            degradation=degradation, reaction_s=reaction_s,
-        )
-        try:
-            planned = next(rounds)
-            while True:
-                planned = rounds.send(execute_planned_batches(
-                    [planned], manager, noise_std
-                )[0])
-        except StopIteration as stop:
-            result = stop.value
+              hosts=len(cluster), injecting=engine.injecting) as trace_sp:
+        engine.attach_source(replay_stream(arrivals))
+        engine.run()
+        result = engine.result
         if trace_sp is not None:
             trace_sp.set_attribute("batches", len(result.batches))
             trace_sp.set_attribute("completed", len(result.completed))
             trace_sp.set_attribute("makespan_s", result.makespan_s)
-    return result
-
-
-def shift_rounds(
-    arrivals: Sequence[Arrival],
-    cluster: Cluster,
-    policy: Policy,
-    budget_w: float,
-    *,
-    admission: Optional[PowerAwareAdmission] = None,
-    manager: Optional[PowerManager] = None,
-    max_batches: int = 100,
-    run_seed: Optional[int] = None,
-    fault_schedule=None,
-    degradation=None,
-    reaction_s: float = 1.0,
-    planner: Optional[BatchPlanner] = None,
-):
-    """The shift loop as a resumable round generator.
-
-    Every executable admission round plans its batch as a one-row pass
-    of :func:`plan_admitted_batch` over the schedulable hosts (the whole
-    cluster, or its healthy rows while hosts are failed), **yields** the
-    :class:`PlannedPass` to its caller, and receives the
-    :class:`BatchExecution` back through ``send()``.
-    :func:`run_site_simulation` sends back a one-pass
-    :func:`execute_planned_batches` call; the fused facility engine
-    drives one generator per cluster in lockstep and fuses the yielded
-    passes of all clusters into shared stacked engine passes.  Control
-    flow, RNG draws, seeds, and accumulation order live here alone, so
-    every caller gets the same results.
-
-    ``planner`` (default: a fresh one) is the memo the batches are
-    planned through; the fused engine shares one across clusters.  The
-    generator's return value (via ``StopIteration.value``) is the
-    :class:`SiteSimulationResult`.
-    """
-    injecting = fault_schedule is not None and fault_schedule.active
-    if injecting:
-        # Clock points at which fault state can change: re-check the
-        # world there when an admission round comes up empty.
-        fault_boundaries = fault_schedule.boundaries()
-    else:
-        fault_schedule = None
-    # JobRequest carries its lifecycle state, so submitting the caller's
-    # objects would leave them COMPLETED afterwards and a replay of the
-    # same arrival stream would see nothing pending.  Submit fresh copies.
-    arrivals = [
-        dataclasses.replace(a, request=dataclasses.replace(a.request))
-        for a in sorted(arrivals, key=lambda a: a.time_s)
-    ]
-    manager = manager if manager is not None else PowerManager()
-    admission = admission if admission is not None else PowerAwareAdmission(
-        model=manager.model
-    )
-    if planner is None:
-        planner = BatchPlanner(manager, policy)
-    seeds = batch_seeds(run_seed)
-    efficiencies = cluster.efficiencies
-    uniform_hosts = bool((efficiencies == efficiencies[0]).all())
-
-    queue = JobQueue()
-    arrival_time: Dict[str, float] = {}
-    # Cursor into the sorted stream — O(1) per arrival, where the
-    # historical list.pop(0) walked the whole tail every admission.
-    stream_pos = 0
-    clock = 0.0
-    batches: List[BatchRecord] = []
-    completed: List[str] = []
-    failed: List[str] = []
-    turnaround: Dict[str, float] = {}
-
-    for _ in range(max_batches):
-        # Admit everything that has arrived by the current clock; if the
-        # queue is empty, jump to the next arrival.
-        while stream_pos < len(arrivals) \
-                and arrivals[stream_pos].time_s <= clock:
-            arrival = arrivals[stream_pos]
-            stream_pos += 1
-            queue.submit(arrival.request)
-            arrival_time[arrival.request.name] = arrival.time_s
-        if not queue.pending():
-            if stream_pos >= len(arrivals):
-                break
-            clock = arrivals[stream_pos].time_s
-            continue
-
-        # Query the fault timeline at the site clock.  Fault-free these
-        # stay the caller's budget and the full cluster.
-        batch_budget_w = budget_w
-        schedulable = efficiencies
-        quarantined: Tuple[int, ...] = ()
-        if injecting:
-            batch_budget_w = fault_schedule.budget_at(clock, budget_w)
-            failed_hosts = fault_schedule.failed_hosts_at(clock)
-            if failed_hosts:
-                quarantined = tuple(sorted(failed_hosts))
-                schedulable = efficiencies[[
-                    i for i in range(len(efficiencies))
-                    if i not in failed_hosts
-                ]]
-
-        can_admit = len(schedulable) > 0 and batch_budget_w > 0
-        decision = admission.decide(
-            queue, batch_budget_w, nodes_available=len(schedulable),
-            mark=True,
-        ) if can_admit else None
-        if decision is None or not decision.admitted:
-            if injecting:
-                # The dip may pass: advance to the next fault boundary
-                # and retry admission there instead of failing the job.
-                upcoming = [t for t in fault_boundaries if t > clock]
-                if upcoming:
-                    clock = upcoming[0]
-                    continue
-            # Nothing fits: drop the head-of-queue job as unschedulable
-            # (its estimate alone exceeds capacity) and try again.
-            stuck = queue.pending()[0]
-            queue.mark(stuck.name, JobState.FAILED)
-            failed.append(stuck.name)
-            continue
-
-        execution = yield plan_admitted_batch(
-            clock=clock,
-            launches=[Launch(
-                len(batches), decision,
-                [queue.get(name) for name in decision.admitted],
-                schedulable, budget_w, batch_budget_w, quarantined,
-            )],
-            policy=policy,
-            manager=manager,
-            planner=planner,
-            seeds=seeds,
-            uniform_hosts=uniform_hosts,
-            fault_schedule=fault_schedule,
-            degradation=degradation,
-            reaction_s=reaction_s,
-        )
-        batches.append(execution.record)
-        for name, completion in zip(execution.job_names,
-                                    execution.completion_s):
-            queue.mark(name, JobState.RUNNING)
-            queue.mark(name, JobState.COMPLETED)
-            completed.append(name)
-            turnaround[name] = completion - arrival_time[name]
-        clock = execution.record.end_s
-
-    truncated = tuple(r.name for r in queue.pending()) + tuple(
-        a.request.name for a in arrivals[stream_pos:]
-    )
-    result = SiteSimulationResult(
-        policy_name=policy.name,
-        budget_w=float(budget_w),
-        batches=tuple(batches),
-        completed=tuple(completed),
-        never_admitted=tuple(failed),
-        job_turnaround_s=turnaround,
-        fault_schedule_name=fault_schedule.name if injecting else "",
-        truncated=truncated,
-    )
-    if enabled():
-        emit(
-            "manager.site", "simulation_complete",
-            policy=policy.name, batches=len(batches),
-            completed=len(completed), never_admitted=len(result.never_admitted),
-            makespan_s=result.makespan_s,
-            mean_turnaround_s=result.mean_turnaround_s(),
-        )
     return result

@@ -65,7 +65,7 @@ class StreamDaemon:
     Parameters
     ----------
     engine:
-        A ``rolling=True`` engine; the daemon owns its timeline.
+        A rolling engine; the daemon owns its timeline.
     host / port:
         Bind address; port 0 (default) lets the OS choose — read the
         bound address from :attr:`address` after :meth:`start`.
@@ -75,8 +75,6 @@ class StreamDaemon:
 
     def __init__(self, engine: SiteStreamEngine, host: str = "127.0.0.1",
                  port: int = 0, max_backlog: int = 256) -> None:
-        if not engine.rolling:
-            raise ValueError("the daemon requires a rolling-mode engine")
         self.engine = engine
         self.host = host
         self.port = port

@@ -1,15 +1,10 @@
 """The streaming site engine: sustained load through the admission stack.
 
-Two operating modes over one :class:`~repro.stream.events.EventLoop`:
+One event loop (:class:`~repro.stream.events.EventLoop`) runs the site
+in one of two admission modes, sharing arrival intake, fault-state
+queries, the fail-head rule and completion accounting:
 
-**Replay (drain) mode** — :meth:`SiteStreamEngine.replay` drains the
-arrivals into a list and runs them through
-:func:`~repro.manager.site_simulation.run_site_simulation` with the
-engine's settings: one batch in flight at a time on the whole
-cluster, admission whenever the cluster drains.  The shift loop exists
-once; replay is a way to reach it from an engine.
-
-**Rolling mode** — the long-lived service shape of ROADMAP item 1:
+**Rolling** (:class:`SiteStreamEngine`) — the long-lived service shape:
 multiple batches in flight, `PowerAwareAdmission` re-run on every
 capacity-freed event (a batch completing, the budget moving, a fault
 boundary passing) against whatever has genuinely arrived, arrivals pulled
@@ -17,27 +12,29 @@ lazily from a generator (one lookahead event in the heap), queue
 backpressure via ``max_pending``, and aggregate :class:`StreamStats`
 instead of per-job records when ``record_jobs=False`` — the configuration
 that holds memory flat through millions of arrivals per simulated day.
-
-In rolling mode each in-flight batch reserves its admitted-set estimate
+Each in-flight batch reserves its admitted-set estimate
 (`decision.admitted_power_w`) out of the facility budget and is launched
 with that reservation as its budget, so the sum of concurrent batch
 budgets never exceeds the facility budget in force at their launches.
-Every admission pass collects its launch groups as
-:class:`~repro.manager.site_simulation.Launch` rows and plans them in
-one :func:`~repro.manager.site_simulation.plan_admitted_batch` call (one
-memoised :class:`~repro.manager.site_simulation.BatchPlanner` and one
-block seed cache per engine), then executes and finishes the pass in one
-:func:`~repro.manager.site_simulation.execute_planned_batches` call: one
-stacked ``(S, hosts)`` engine pass per job-structure group, with a batch
-that carries engine-applicable faults in a pass of its own.  Each batch
-still gets its own record, completion event and ``batch_complete``
-telemetry, in launch order.  When the timeline drains with jobs still
-pending (nothing is left that could free capacity), they fail as
-unschedulable.
+
+**Serial** (:class:`SerialSiteEngine`) — the batch shift loop that
+:func:`~repro.manager.site_simulation.run_site_simulation` and the fused
+facility engine (:mod:`repro.hierarchy.fused`) run: one batch at a time
+on the whole cluster, admitted whenever the cluster drains.
+
+Admission only *collects* :class:`~repro.manager.site_simulation.Launch`
+rows.  :meth:`SiteStreamEngine.passes` plans each event's rows as one
+:class:`~repro.manager.site_simulation.PlannedPass` (one memoised
+:class:`~repro.manager.site_simulation.BatchPlanner` and one block seed
+cache per engine) and yields it for execution:
+:meth:`SiteStreamEngine.run` runs each pass through
+:func:`~repro.manager.site_simulation.execute_planned_batches`, and the
+fused facility engine fuses the passes of many engines.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -53,17 +50,17 @@ from repro.manager.site_simulation import (
     BatchPlanner,
     BatchRecord,
     Launch,
+    PlannedPass,
     SiteSimulationResult,
     batch_seeds,
     execute_planned_batches,
     plan_admitted_batch,
-    run_site_simulation,
 )
 from repro.stream.events import Event, EventKind, EventLoop
 from repro.telemetry import emit, enabled, span
 from repro.units import ensure_positive
 
-__all__ = ["StreamStats", "SiteStreamEngine"]
+__all__ = ["SerialSiteEngine", "SiteStreamEngine", "StreamStats"]
 
 
 @dataclass
@@ -109,9 +106,7 @@ class SiteStreamEngine:
     the streaming knobs:
 
     rolling:
-        False = replay semantics (:meth:`replay` runs the batch shift
-        loop); True = sustained-load semantics (concurrent batches over
-        free hosts, admission on capacity-freed events).
+        Only ``True`` is accepted.
     max_pending:
         Queue backpressure: an arrival landing while this many jobs are
         pending is rejected (counted in ``stats.rejected``; the daemon
@@ -125,18 +120,20 @@ class SiteStreamEngine:
         simulated time, emitting a ``stream.engine``/``tick`` event with
         the stats snapshot (the daemon's pub/sub feed).
     admission_interval_s:
-        Rolling-mode only.  When set, admission is *quantised*: arrivals
-        and capacity events schedule one deferred ADMISSION flush this
-        far ahead instead of re-running admission inline, so a burst of
-        events pays for one pass and co-arriving batches launch together
-        (the high-rate configuration that feeds the stacked engine pass
-        wide groups).  ``None`` keeps the classic admit-on-every-event
-        semantics.
+        When set, admission is *quantised*: arrivals and capacity events
+        schedule one deferred ADMISSION flush this far ahead instead of
+        re-running admission inline, so a burst of events pays for one
+        pass and co-arriving batches launch together (the high-rate
+        configuration that feeds the stacked engine pass wide groups).
+        ``None`` keeps the classic admit-on-every-event semantics.
     per_job_batches:
-        Rolling-mode only.  When True, each admitted job launches as its
-        own single-job batch instead of co-scheduling one batch per
-        admission pass — uniform job structure (wide vectorised groups)
-        and per-job completion granularity.
+        When True, each admitted job launches as its own single-job
+        batch instead of co-scheduling one batch per admission pass —
+        uniform job structure (wide vectorised groups) and per-job
+        completion granularity.
+    planner:
+        The :class:`BatchPlanner` memo batches are planned through
+        (default: a fresh one); engines run in lockstep can share one.
     """
 
     def __init__(
@@ -151,28 +148,27 @@ class SiteStreamEngine:
         fault_schedule=None,
         degradation=None,
         reaction_s: float = 1.0,
-        rolling: bool = False,
+        rolling: bool = True,
         max_pending: Optional[int] = None,
         record_jobs: bool = True,
         record_batches: bool = True,
         tick_interval_s: Optional[float] = None,
         admission_interval_s: Optional[float] = None,
         per_job_batches: bool = False,
+        planner: Optional[BatchPlanner] = None,
     ) -> None:
         ensure_positive(budget_w, "budget_w")
+        if not rolling:
+            raise ValueError(
+                "SiteStreamEngine admits rolling only; run a closed arrival "
+                "list through run_site_simulation (serial admission)"
+            )
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be positive or None")
         if tick_interval_s is not None:
             ensure_positive(tick_interval_s, "tick_interval_s")
         if admission_interval_s is not None:
             ensure_positive(admission_interval_s, "admission_interval_s")
-        if not rolling and (per_job_batches
-                            or admission_interval_s is not None):
-            raise ValueError(
-                "admission_interval_s and per_job_batches are rolling-mode "
-                "knobs; replay mode is pinned to the batch shift loop's "
-                "semantics"
-            )
         self.cluster = cluster
         self.policy = policy
         self.base_budget_w = float(budget_w)
@@ -181,18 +177,17 @@ class SiteStreamEngine:
         self.admission = admission if admission is not None else \
             PowerAwareAdmission(model=self.manager.model)
         self.noise_std = noise_std
-        self.run_seed = run_seed
         self.fault_schedule = fault_schedule
         self.degradation = degradation
         self.reaction_s = reaction_s
         self.injecting = fault_schedule is not None and fault_schedule.active
-        self.rolling = rolling
         self.max_pending = max_pending
         self.record_jobs = record_jobs
         self.record_batches = record_batches
         self.tick_interval_s = tick_interval_s
-        self.admission_interval_s = admission_interval_s
         self.per_job_batches = per_job_batches
+        # Delay of a deferred ADMISSION flush; None admits inline.
+        self._flush_delay_s = admission_interval_s
 
         self.loop = EventLoop()
         self.queue = JobQueue()
@@ -205,17 +200,21 @@ class SiteStreamEngine:
         self._arrival_time: Dict[str, float] = {}
         self._source: Optional[Iterator[Arrival]] = None
         self._batch_counter = 0
-        # Rolling-mode occupancy: host ids currently free, and the watt
-        # reservations of in-flight batches.
+        # Occupancy: host ids currently free, and the watt reservations
+        # of in-flight batches.
         self._free_ids: Set[int] = set(range(len(cluster)))
         self._reserved_w = 0.0
         self._in_flight = 0
+        # The launch rows (with their reserved host ids) the current
+        # event's admission collected, planned as one pass after it.
+        self._collected: List[Tuple[Launch, Tuple[int, ...]]] = []
         self._tick_scheduled = False
         # Slot-reused periodic events (allocation-free re-arming).
         self._tick_event: Optional[Event] = None
         self._admission_event: Optional[Event] = None
         self._admission_scheduled = False
-        self._planner = BatchPlanner(self.manager, policy)
+        self._planner = planner if planner is not None else \
+            BatchPlanner(self.manager, policy)
         self._seeds = batch_seeds(run_seed)
         self._host_eff = cluster.efficiencies
         # Homogeneous-cluster fast path: when every host efficiency is
@@ -232,10 +231,9 @@ class SiteStreamEngine:
         # pass would re-defer the prefix identically).  Any capacity or
         # fault-state change invalidates it.
         self._blocked_key: Optional[Tuple[float, int]] = None
-        # Rolling mode re-runs admission at fault boundaries as timeline
-        # events; replay mode hands the schedule to the shift loop, so
-        # its heap carries only arrivals.
-        if self.injecting and rolling:
+        # Fault state can change only at the schedule's boundaries:
+        # admission re-runs there as timeline events.
+        if self.injecting:
             for t in fault_schedule.boundaries():
                 self.loop.push(t, EventKind.FAULT_BOUNDARY)
 
@@ -344,6 +342,12 @@ class SiteStreamEngine:
         if enabled():
             emit("stream.engine", "job_failed", name=stuck.name)
 
+    def _drain(self) -> None:
+        """The timeline drained: nothing is left that could free
+        capacity, so every job still pending fails as unschedulable."""
+        while self.queue.pending_count():
+            self._fail_head()
+
     def _fault_state(self) -> Tuple[float, Tuple[int, ...], Set[int]]:
         """(budget in force, quarantined host ids, failed host-id set)."""
         if not self.injecting:
@@ -353,7 +357,7 @@ class SiteStreamEngine:
         return budget, tuple(sorted(failed_hosts)), failed_hosts
 
     # ------------------------------------------------------------------
-    # rolling mode
+    # admission
     def _schedule_tick(self) -> None:
         if self.tick_interval_s is None or self._tick_scheduled:
             return
@@ -367,10 +371,10 @@ class SiteStreamEngine:
         self._tick_scheduled = True
 
     def _schedule_admission_flush(self) -> None:
-        """Arm the deferred ADMISSION event (quantised-admission mode)."""
+        """Arm the deferred ADMISSION event (quantised admission)."""
         if self._admission_scheduled:
             return
-        t = self.clock + self.admission_interval_s
+        t = self.clock + self._flush_delay_s
         if self._admission_event is None:
             self._admission_event = self.loop.push(t, EventKind.ADMISSION)
         else:
@@ -410,23 +414,18 @@ class SiteStreamEngine:
             )
             yield sub, (name,)
 
-    def _try_admit_rolling(self) -> None:
-        """Admit against free hosts and unreserved budget; launch batches.
+    def _admit(self) -> None:
+        """Admit against free hosts and unreserved budget.
 
         Runs until nothing more fits — each launch frees nothing, so one
         pass per triggering event suffices; the next BATCH_COMPLETE or
-        BUDGET_CHANGE re-triggers it.
-
-        Structured as collect-then-execute: admission decisions and
-        occupancy updates happen first (each launch group reserves its
+        BUDGET_CHANGE re-triggers it.  Each launch group reserves its
         hosts and watts immediately, so successive ``decide`` calls see
-        the shrunken capacity), then all collected batches execute in one
-        grouped call.  Execution has no feedback into admission
-        (completions only land via future BATCH_COMPLETE events), so the
-        split cannot change any decision.
+        the shrunken capacity; the collected rows are planned and
+        executed after the triggering event's handler returns, and their
+        completions only land via future BATCH_COMPLETE events, so no
+        decision depends on that split.
         """
-        launches: List[Launch] = []
-        hosts: List[List[int]] = []
         while self.queue.pending_count():
             budget_now, quarantined, failed_hosts = self._fault_state()
             free_healthy = sorted(self._free_ids - failed_hosts)
@@ -455,24 +454,15 @@ class SiteStreamEngine:
                 nodes = sub_decision.admitted_nodes
                 host_ids = free_healthy[cursor:cursor + nodes]
                 cursor += nodes
-                launches.append(self._launch(sub_decision, names, host_ids,
-                                             quarantined))
-                hosts.append(host_ids)
-        if launches:
-            self._execute_collected(launches, hosts)
+                self._launch(sub_decision, names, host_ids, quarantined)
 
     def _launch(self, decision: AdmissionDecision, names: Tuple[str, ...],
                 host_ids: List[int], quarantined: Tuple[int, ...]) -> Launch:
-        """Reserve ``host_ids`` and the decision's watts; the launch row.
+        """Collect the launch row of ``host_ids`` at the decision's watts.
 
         The batch's budget is its reservation (``admitted_power_w``).
         """
         share_w = decision.admitted_power_w
-        self._free_ids.difference_update(host_ids)
-        self._reserved_w += share_w
-        self._in_flight += 1
-        if self._in_flight > self.stats.peak_in_flight:
-            self.stats.peak_in_flight = self._in_flight
         launch = Launch(
             self._batch_counter, decision,
             [self.queue.get(n) for n in names],
@@ -480,12 +470,23 @@ class SiteStreamEngine:
             else self._host_eff[host_ids],
             share_w, share_w, quarantined,
         )
-        self._batch_counter += 1
+        self._reserve(launch, host_ids)
         return launch
 
-    def _execute_collected(self, launches: List[Launch],
-                           hosts: List[List[int]]) -> None:
-        """Plan, execute and finish one admission pass; push completions."""
+    def _reserve(self, launch: Launch, host_ids) -> None:
+        """Hold ``host_ids`` and ``launch.budget_w`` until the batch
+        completes, and collect the row for this event's pass."""
+        self._free_ids.difference_update(host_ids)
+        self._reserved_w += launch.budget_w
+        self._in_flight += 1
+        if self._in_flight > self.stats.peak_in_flight:
+            self.stats.peak_in_flight = self._in_flight
+        self._batch_counter += 1
+        self._collected.append((launch, tuple(host_ids)))
+
+    def _plan_collected(self) -> PlannedPass:
+        """Plan the collected launch rows as one admission pass."""
+        launches = [launch for launch, _ in self._collected]
         with span("stream.engine.admit", batches=len(launches)) as sp:
             planned = plan_admitted_batch(
                 clock=self.clock,
@@ -500,20 +501,19 @@ class SiteStreamEngine:
                 degradation=self.degradation,
                 reaction_s=self.reaction_s,
             )
-            executions = execute_planned_batches(
-                [planned], self.manager, self.noise_std
-            )
             if sp is not None:
                 sp.set_attribute(
                     "jobs", sum(len(names) for names in planned.job_names)
                 )
-        push = self.loop.push
-        for launch, host_ids, execution in zip(launches, hosts, executions):
-            push(
-                execution.record.end_s, EventKind.BATCH_COMPLETE,
-                execution=execution, hosts=tuple(host_ids),
-                share_w=launch.budget_w,
-            )
+        return planned
+
+    def _capacity_changed(self) -> None:
+        """Re-run admission (or arm its flush) after capacity moved."""
+        self._blocked_key = None
+        if self._flush_delay_s is None:
+            self._admit()
+        elif self.queue.pending_count():
+            self._schedule_admission_flush()
 
     def _admit_after_arrival(self, request: JobRequest) -> None:
         """Admission following one accepted arrival (non-quantised mode).
@@ -541,24 +541,30 @@ class SiteStreamEngine:
                                       ())
                 # The prefix stays blocked at the shrunken capacity.
                 self._blocked_key = (avail_w - launch.budget_w, free - nodes)
-                self._execute_collected([launch], [host_ids])
                 return
-        self._try_admit_rolling()
+        self._admit()
 
-    def run(self, max_events: Optional[int] = None) -> StreamStats:
-        """Pump the rolling-mode event loop until the timeline drains.
+    # ------------------------------------------------------------------
+    # the event loop
+    def passes(self, max_events: Optional[int] = None):
+        """The event loop as a generator of admission passes.
+
+        Pumps the timeline until it drains.  After each event whose
+        handler collected launch rows, the rows are planned as one
+        :class:`PlannedPass`, which is yielded; the caller sends back its
+        executions (one :class:`BatchExecution` per row, in row order —
+        an :func:`execute_planned_batches` result or a slice of one), and
+        their BATCH_COMPLETE events go onto the timeline.  The
+        generator's return value is the per-:class:`EventKind` count of
+        events processed.
 
         Telemetry ticks alone do not keep the engine alive: a tick
-        re-arms only while other events remain on the timeline.  Jobs
-        still pending when the timeline drains can never be admitted (no
-        completion, budget change or fault boundary is left to free
-        capacity, as under a whole-horizon outage), so they fail as
-        unschedulable, as the batch shift loop reports them in
-        ``never_admitted``.  A loop stopped by ``max_events`` leaves its
-        pending jobs queued.
+        re-arms only while other events remain on the timeline.  When
+        the timeline drains, :meth:`_drain` settles the jobs still
+        pending.  A loop stopped by ``max_events`` leaves its pending
+        jobs queued.  No span is open across a ``yield``: generators
+        driven in lockstep would interleave the tracer's span stack.
         """
-        if not self.rolling:
-            raise ValueError("run() is rolling mode; use replay() instead")
         processed = 0
         self._schedule_tick()
         # Hoist hot-loop lookups: the dispatch below runs once per event
@@ -570,104 +576,171 @@ class SiteStreamEngine:
         FAULT_BOUNDARY = EventKind.FAULT_BOUNDARY
         ADMISSION = EventKind.ADMISSION
         TELEMETRY_TICK = EventKind.TELEMETRY_TICK
-        pop = self.loop.pop
-        quantised = self.admission_interval_s is not None
+        loop = self.loop
+        pop = loop.pop
+        quantised = self._flush_delay_s is not None
         kind_counts = [0] * len(EventKind)
-        with span("stream.engine.run", rolling=True) as sp:
-            while self.loop:
-                if max_events is not None and processed >= max_events:
-                    break
-                event = pop()
-                if event.time_s > self.clock:
-                    self.clock = event.time_s
-                processed += 1
-                kind = event.kind
-                kind_counts[kind] += 1
-                if kind is ARRIVAL:
-                    request = self._on_arrival(event.payload["request"],
-                                               event.time_s)
-                    if self._source is not None:
-                        self._pull_arrival()
-                    if request is None:
-                        continue  # queue unchanged; nothing to admit
-                    if quantised:
-                        self._schedule_admission_flush()
-                    else:
-                        self._admit_after_arrival(request)
-                elif kind is BATCH_COMPLETE:
-                    payload = event.payload
-                    self._free_ids.update(payload["hosts"])
-                    self._reserved_w -= payload["share_w"]
-                    self._in_flight -= 1
-                    self._blocked_key = None
-                    self._account_batch(payload["execution"])
-                    if quantised:
-                        if self.queue.pending_count():
-                            self._schedule_admission_flush()
-                    else:
-                        self._try_admit_rolling()
-                elif kind is BUDGET_CHANGE:
-                    self.budget_w = event.payload["budget_w"]
-                    self._blocked_key = None
-                    if enabled():
-                        emit("stream.engine", "budget_change",
-                             budget_w=self.budget_w, time_s=self.clock)
-                    if quantised:
-                        if self.queue.pending_count():
-                            self._schedule_admission_flush()
-                    else:
-                        self._try_admit_rolling()
-                elif kind is FAULT_BOUNDARY:
-                    self._blocked_key = None
-                    if quantised:
-                        if self.queue.pending_count():
-                            self._schedule_admission_flush()
-                    else:
-                        self._try_admit_rolling()
-                elif kind is ADMISSION:
-                    self._admission_scheduled = False
-                    self._try_admit_rolling()
-                elif kind is TELEMETRY_TICK:
-                    self._on_tick()
-            if not self.loop:
-                while self.queue.pending_count():
-                    self._fail_head()
+        while loop:
+            if max_events is not None and processed >= max_events:
+                break
+            event = pop()
+            if event.time_s > self.clock:
+                self.clock = event.time_s
+            processed += 1
+            kind = event.kind
+            kind_counts[kind] += 1
+            if kind is ARRIVAL:
+                request = self._on_arrival(event.payload["request"],
+                                           event.time_s)
+                if self._source is not None:
+                    self._pull_arrival()
+                if request is None:
+                    continue  # queue unchanged; nothing to admit
+                if quantised:
+                    self._schedule_admission_flush()
+                else:
+                    self._admit_after_arrival(request)
+            elif kind is BATCH_COMPLETE:
+                payload = event.payload
+                self._free_ids.update(payload["hosts"])
+                self._reserved_w -= payload["share_w"]
+                self._in_flight -= 1
+                self._account_batch(payload["execution"])
+                self._capacity_changed()
+            elif kind is BUDGET_CHANGE:
+                self.budget_w = event.payload["budget_w"]
+                if enabled():
+                    emit("stream.engine", "budget_change",
+                         budget_w=self.budget_w, time_s=self.clock)
+                self._capacity_changed()
+            elif kind is FAULT_BOUNDARY:
+                self._capacity_changed()
+            elif kind is ADMISSION:
+                self._admission_scheduled = False
+                self._admit()
+            elif kind is TELEMETRY_TICK:
+                self._on_tick()
+            if self._collected:
+                executions = yield self._plan_collected()
+                for (launch, hosts), execution in zip(self._collected,
+                                                      executions):
+                    loop.push(
+                        execution.record.end_s, BATCH_COMPLETE,
+                        execution=execution, hosts=hosts,
+                        share_w=launch.budget_w,
+                    )
+                self._collected = []
+        if not loop:
+            self._drain()
+        self.stats.clock_s = self.clock
+        return kind_counts
+
+    def run(self, max_events: Optional[int] = None) -> StreamStats:
+        """Pump the event loop until the timeline drains (see
+        :meth:`passes`), executing each admission pass on its own."""
+        with span("stream.engine.run") as sp:
+            passes = self.passes(max_events)
+            try:
+                planned = next(passes)
+                while True:
+                    planned = passes.send(execute_planned_batches(
+                        [planned], self.manager, self.noise_std
+                    ))
+            except StopIteration as stop:
+                kind_counts = stop.value
             if sp is not None:
-                sp.set_attribute("events", processed)
+                sp.set_attribute("events", sum(kind_counts))
                 sp.set_attribute("batches", self.stats.batches)
                 for k in EventKind:
                     if kind_counts[k]:
                         sp.set_attribute(
                             f"events_{k.name.lower()}", kind_counts[k]
                         )
-        self.stats.clock_s = self.clock
         return self.stats
 
-    # ------------------------------------------------------------------
-    # replay (drain) mode
-    def replay(self, max_rounds: int = 100) -> SiteSimulationResult:
-        """Drain the arrivals and run them through the batch shift loop.
 
-        Every arrival still on the timeline or in the attached source is
-        handed to :func:`run_site_simulation` with the engine's settings;
-        ``max_rounds`` is its ``max_batches``.
-        """
-        if self.rolling:
-            raise ValueError("replay() is drain mode; rolling engines run()")
-        arrivals: List[Arrival] = []
-        while self.loop:
-            event = self.loop.pop()
-            if event.kind is EventKind.ARRIVAL:
-                arrivals.append(Arrival(event.time_s,
-                                        event.payload["request"]))
-        if self._source is not None:
-            arrivals.extend(self._source)
-            self._source = None
-        return run_site_simulation(
-            arrivals, self.cluster, self.policy, self.base_budget_w,
-            admission=self.admission, manager=self.manager,
-            noise_std=self.noise_std, max_batches=max_rounds,
-            run_seed=self.run_seed, fault_schedule=self.fault_schedule,
-            degradation=self.degradation, reaction_s=self.reaction_s,
+class SerialSiteEngine(SiteStreamEngine):
+    """The batch shift loop: the engine with serial admission.
+
+    Admission runs only when nothing is in flight, over every healthy
+    host at the fault-adjusted budget, and launches the admitted set as
+    one batch quoted at the base budget (``Launch.budget_w``).  It is a
+    same-instant flush, so every arrival and completion of its instant
+    lands first.  A round that admits nothing waits for the next fault
+    boundary, ignoring arrivals until then; with no boundary left it
+    fails the head of the queue and tries again.
+
+    At most ``max_batches`` batches launch; jobs still pending or
+    unarrived at the limit end ``truncated``, not failed.  Once the
+    timeline drains, :attr:`result` holds the
+    :class:`SiteSimulationResult`.
+    """
+
+    def __init__(self, cluster: Cluster, policy: Policy, budget_w: float,
+                 *, max_batches: int = 100, **kwargs) -> None:
+        if kwargs.get("admission_interval_s") is not None \
+                or kwargs.get("per_job_batches"):
+            raise ValueError("serial admission takes no rolling knobs")
+        super().__init__(cluster, policy, budget_w, **kwargs)
+        self.max_batches = max_batches
+        self._flush_delay_s = 0.0
+        self._boundaries = self.fault_schedule.boundaries() \
+            if self.injecting else ()
+        self.result: Optional[SiteSimulationResult] = None
+
+    def _schedule_admission_flush(self) -> None:
+        # Idle and not waiting on a fault boundary; otherwise the next
+        # completion or boundary arms the flush.
+        if not self._in_flight and self._blocked_key is None:
+            super()._schedule_admission_flush()
+
+    def _admit(self) -> None:
+        while self.queue.pending_count() \
+                and self._batch_counter < self.max_batches:
+            budget_now, quarantined, failed_hosts = self._fault_state()
+            hosts = self._host_eff
+            if failed_hosts:
+                hosts = hosts[[i for i in range(len(hosts))
+                               if i not in failed_hosts]]
+            decision = self.admission.decide(
+                self.queue, budget_now, nodes_available=len(hosts),
+                mark=True,
+            ) if len(hosts) and budget_now > 0 else None
+            if decision is not None and decision.admitted:
+                # The batch holds the whole cluster through _in_flight,
+                # so it reserves no host ids.
+                self._reserve(Launch(
+                    self._batch_counter, decision,
+                    [self.queue.get(n) for n in decision.admitted],
+                    hosts, self.budget_w, budget_now, quarantined,
+                ), ())
+                return
+            if bisect.bisect_right(self._boundaries, self.clock) \
+                    < len(self._boundaries):
+                self._blocked_key = (budget_now, len(hosts))
+                return
+            self._fail_head()
+
+    def _drain(self) -> None:
+        # Admission leaves jobs pending at a drained timeline only once
+        # max_batches stopped it: unfinished work, not rejections.
+        self.result = SiteSimulationResult(
+            policy_name=self.policy.name,
+            budget_w=self.base_budget_w,
+            batches=tuple(self.batches),
+            completed=tuple(self.completed),
+            never_admitted=tuple(self.failed),
+            job_turnaround_s=self.turnaround_s,
+            fault_schedule_name=self.fault_schedule.name
+            if self.injecting else "",
+            truncated=tuple(r.name for r in self.queue.pending()),
         )
-
+        if enabled():
+            emit(
+                "manager.site", "simulation_complete",
+                policy=self.policy.name, batches=len(self.batches),
+                completed=len(self.completed),
+                never_admitted=len(self.failed),
+                makespan_s=self.result.makespan_s,
+                mean_turnaround_s=self.result.mean_turnaround_s(),
+            )

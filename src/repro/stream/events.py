@@ -52,9 +52,10 @@ class EventKind(enum.IntEnum):
     BATCH_COMPLETE = 2
     #: A job submission enters the admission queue.
     ARRIVAL = 3
-    #: A deferred admission flush (the quantised-admission rolling mode):
-    #: runs after every capacity change of its instant has applied, so
-    #: one flush sees the settled state.
+    #: A deferred admission flush, armed ahead by quantised rolling
+    #: admission and at the same instant by serial admission: it runs
+    #: after every arrival and capacity change of its instant has
+    #: applied, so one flush sees the settled state.
     ADMISSION = 4
     #: Periodic telemetry snapshot (observes the settled instant).
     TELEMETRY_TICK = 5

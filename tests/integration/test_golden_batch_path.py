@@ -127,7 +127,7 @@ def rolling_run(scenario: str, policy: str, per_job: bool,
     cluster = _cluster(None) if uniform else _cluster()
     engine = SiteStreamEngine(
         cluster, create_policy(policy), _budget_w(), run_seed=run_seed,
-        fault_schedule=_schedule(scenario), rolling=True,
+        fault_schedule=_schedule(scenario),
         admission_interval_s=1.0, per_job_batches=per_job,
     )
     engine.attach_source(iter(_arrivals()))

@@ -210,8 +210,15 @@ class TestScheduleQueryProperties:
         from repro.faults.schedule import ENGINE_KINDS
 
         sliced = schedule.engine_slice(start)
-        if sliced is None:
+        # The filter-first slice equals shifting the whole schedule and
+        # then keeping the engine kinds: same events, same order.
+        shifted = schedule.shifted(-start)
+        kept = tuple(e for e in shifted.events if e.kind in ENGINE_KINDS)
+        if not kept:
+            assert sliced is None
             return
+        assert sliced == FaultSchedule(events=kept, name=schedule.name)
+        assert sliced.events == kept
         assert sliced.active
         assert all(e.kind in ENGINE_KINDS for e in sliced.events)
 

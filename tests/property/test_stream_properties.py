@@ -1,7 +1,7 @@
 """Property-based tests: replaying a pre-built arrival list.
 
 :func:`run_site_simulation` runs a closed arrival list through the
-batch shift loop (the stream engine's replay mode calls it).
+batch shift loop (the stream engine's serial mode).
 Hypothesis drives random arrival lists, budgets, policies, and round
 limits through it and checks the replay contract:
 the truncation split partitions every arrival exactly once, and the
@@ -61,7 +61,7 @@ class TestStreamReplayIdentity:
     @settings(max_examples=25, deadline=None)
     def test_truncation_matches_batch_loop(self, arrivals, policy, budget,
                                            max_batches):
-        """Round-limit truncation partitions every arrival exactly once."""
+        """Batch-limit truncation partitions every arrival exactly once."""
         result = run_site_simulation(
             arrivals, CLUSTER, create_policy(policy), budget,
             max_batches=max_batches,

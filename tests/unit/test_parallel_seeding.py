@@ -81,7 +81,7 @@ class TestNoiseWordMemo:
         def run():
             engine = SiteStreamEngine(
                 cluster, create_policy("StaticCaps"), 2500.0, run_seed=5,
-                rolling=True, per_job_batches=True,
+                per_job_batches=True,
             )
             engine.attach_source(poisson_stream(
                 0.5, 60.0, synthetic_job_factory(), seed=2

@@ -208,6 +208,18 @@ class TestTruncationStatus:
         assert result.never_admitted == ()
         assert set(result.truncated) == {"j1", "j2", "j3", "j4"}
 
+    def test_max_batches_counts_batches_not_loop_rounds(self, site_cluster):
+        """The limit bounds batches launched: waiting idle for a late
+        arrival does not use one up."""
+        arrivals = [_arrival("a", 0.0), _arrival("b", 1000.0)]
+        result = run_site_simulation(
+            arrivals, site_cluster, create_policy("StaticCaps"),
+            budget_w=12 * 235.0, max_batches=2,
+        )
+        assert result.completed == ("a", "b")
+        assert len(result.batches) == 2
+        assert result.truncated == ()
+
     def test_rejected_job_still_never_admitted(self, site_cluster):
         arrivals = [
             _arrival("ok", 0.0, nodes=4),

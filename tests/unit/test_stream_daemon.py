@@ -4,16 +4,14 @@ pytest-asyncio dependency)."""
 import asyncio
 import json
 
-import pytest
-
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
-from repro.stream import SiteStreamEngine, StreamDaemon, synthetic_job_factory
+from repro.stream import SiteStreamEngine, synthetic_job_factory
 from repro.stream import messages as msg
+from repro.stream.daemon import StreamDaemon
 
 
 def _engine(**kwargs):
-    kwargs.setdefault("rolling", True)
     return SiteStreamEngine(
         Cluster(node_count=12, variation=None, seed=0),
         create_policy("StaticCaps"), 2500.0, **kwargs
@@ -59,10 +57,6 @@ async def _with_daemon(engine, body):
 
 
 class TestDaemon:
-    def test_requires_rolling_engine(self):
-        with pytest.raises(ValueError, match="rolling"):
-            StreamDaemon(_engine(rolling=False))
-
     def test_submit_runs_jobs_and_acks(self):
         async def body(daemon, client):
             factory = synthetic_job_factory(prefix="d")

@@ -1,4 +1,8 @@
-"""Unit tests: the discrete-event core and the rolling stream engine."""
+"""Unit tests: the discrete-event core and the stream engine."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +16,7 @@ from repro.stream.arrivals import (
     replay_stream,
     synthetic_job_factory,
 )
-from repro.stream.engine import SiteStreamEngine, StreamStats
+from repro.stream.engine import SerialSiteEngine, SiteStreamEngine, StreamStats
 from repro.stream.events import EventKind, EventLoop
 from repro.workload.kernel import KernelConfig
 
@@ -23,7 +27,6 @@ def cluster():
 
 
 def _engine(cluster, **kwargs):
-    kwargs.setdefault("rolling", True)
     return SiteStreamEngine(
         cluster, create_policy("StaticCaps"), 2500.0, **kwargs
     )
@@ -250,7 +253,7 @@ class TestRollingEngine:
         assert sorted(shift.never_admitted) == [f"j{i}" for i in range(5)]
         assert shift.truncated == ()
         engine = SiteStreamEngine(
-            cluster, create_policy("StaticCaps"), budget_w, rolling=True,
+            cluster, create_policy("StaticCaps"), budget_w,
         )
         engine.attach_source(iter(arrivals))
         stats = engine.run()
@@ -307,11 +310,10 @@ class TestRollingEngine:
                 <= tick.payload["peak_in_flight"]
         assert not {"pending", "in_flight"} & set(engine.stats.snapshot())
 
-    def test_run_requires_rolling_and_replay_requires_drain(self, cluster):
-        with pytest.raises(ValueError):
-            _engine(cluster, rolling=False).run()
-        with pytest.raises(ValueError):
-            _engine(cluster, rolling=True).replay()
+    def test_rolling_false_is_rejected(self, cluster):
+        with pytest.raises(ValueError, match="rolling only"):
+            _engine(cluster, rolling=False)
+        assert _engine(cluster, rolling=True).run() == StreamStats()
 
     def test_reservations_respect_budget(self, cluster):
         """Sum of concurrent batch budgets never exceeds the facility
@@ -339,26 +341,6 @@ class TestReplayEdgeCases:
         assert result.makespan_s == 0.0
         assert result.peak_power_w() == 0.0
         assert _engine(cluster).run() == StreamStats()
-
-    def test_replay_with_nothing_submitted(self, cluster):
-        result = _engine(cluster, rolling=False).replay()
-        assert result.batches == ()
-        assert result.completed == ()
-
-    def test_replay_hands_every_arrival_to_the_shift_loop(self, cluster):
-        # Submitted and sourced arrivals alike reach run_site_simulation,
-        # run with the engine's settings.
-        engine = _engine(cluster, rolling=False, run_seed=5)
-        engine.submit(_request("early"), time_s=0.0)
-        engine.attach_source(iter([Arrival(1.0, _request("late"))]))
-        result = engine.replay(max_rounds=10)
-        expected = run_site_simulation(
-            [Arrival(0.0, _request("early")), Arrival(1.0, _request("late"))],
-            cluster, create_policy("StaticCaps"), 2500.0, max_batches=10,
-            run_seed=5,
-        )
-        assert result == expected
-        assert set(result.completed) == {"early", "late"}
 
     def test_attach_source_twice_rejected(self, cluster):
         engine = _engine(cluster)
@@ -394,14 +376,6 @@ class TestEventRepush:
 
 
 class TestBatchedPhysicsKnobs:
-    def test_knobs_require_rolling(self, cluster):
-        for kwargs in (
-            {"per_job_batches": True},
-            {"admission_interval_s": 2.0},
-        ):
-            with pytest.raises(ValueError, match="rolling"):
-                _engine(cluster, rolling=False, **kwargs)
-
     def test_admission_interval_must_be_positive(self, cluster):
         with pytest.raises(ValueError):
             _engine(cluster, admission_interval_s=0.0)
@@ -418,3 +392,40 @@ class TestBatchedPhysicsKnobs:
         stats = engine.run()
         assert stats.jobs_completed == 10
         assert stats.peak_in_flight >= 2
+
+
+class TestSerialEngine:
+    def test_rolling_knobs_rejected(self, cluster):
+        for kwargs in (
+            {"per_job_batches": True},
+            {"admission_interval_s": 2.0},
+        ):
+            with pytest.raises(ValueError, match="serial"):
+                SerialSiteEngine(cluster, create_policy("StaticCaps"),
+                                 2500.0, **kwargs)
+
+    def test_result_matches_run_site_simulation(self, cluster):
+        arrivals = [Arrival(float(i), _request(f"j{i}")) for i in range(4)]
+        engine = SerialSiteEngine(cluster, create_policy("StaticCaps"),
+                                  2500.0, run_seed=3)
+        engine.attach_source(iter(arrivals))
+        stats = engine.run()
+        assert stats.jobs_completed == 4
+        assert engine.result == run_site_simulation(
+            arrivals, cluster, create_policy("StaticCaps"), 2500.0,
+            run_seed=3,
+        )
+
+
+def test_engine_import_leaves_asyncio_unloaded():
+    """The daemon (and asyncio) load only when the daemon is imported."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, repro.stream.engine; "
+            "print('asyncio' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
