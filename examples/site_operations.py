@@ -24,7 +24,7 @@ from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 from repro.hardware.cluster import Cluster
 from repro.manager.admission import PowerAwareAdmission
 from repro.manager.power_manager import PowerManager
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobQueue, JobRequest
 from repro.manager.scheduler import Scheduler
 from repro.workload.job import WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -100,8 +100,7 @@ def dispatch_demo() -> None:
     manager = PowerManager()
     run = manager.launch(scheduled, create_policy("MixedAdaptive"), budget_w)
     for name in decision.admitted:
-        queue.mark(name, JobState.RUNNING)
-        queue.mark(name, JobState.COMPLETED)
+        queue.complete(name)
 
     rows = [
         [job, f"{elapsed:.2f} s", f"{energy / 1e3:.0f} kJ"]

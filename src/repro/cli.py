@@ -761,12 +761,12 @@ def _cmd_stream(grid: ExperimentGrid, args: argparse.Namespace) -> int:
                                 "budget_w": float(budget_w)},
                         seed=args.seed)
         _maybe_write_profile(args.telemetry_out, profiler)
-    ended = stats.jobs_completed + stats.jobs_failed + stats.rejected
-    pending = engine.queue.pending_count()
-    if stats.arrivals != ended or pending:
+    queue = engine.queue
+    ended = queue.completed + queue.failed + stats.rejected
+    if stats.arrivals != ended or len(queue):
         print(f"error: jobs not conserved: {stats.arrivals} arrivals, "
-              f"{ended} completed/failed/rejected, {pending} still pending",
-              file=sys.stderr)
+              f"{ended} completed/failed/rejected, {len(queue)} still "
+              f"pending or admitted", file=sys.stderr)
         return 1
     return 0
 

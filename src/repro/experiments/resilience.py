@@ -30,7 +30,6 @@ it.)
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -190,14 +189,6 @@ def standard_arrivals(jobs: int, nodes_per_job: int,
     ]
 
 
-def _fresh_arrivals(arrivals: Sequence[Arrival]) -> List[Arrival]:
-    """Copies with pristine lifecycle state (requests are stateful)."""
-    return [
-        dataclasses.replace(a, request=dataclasses.replace(a.request))
-        for a in arrivals
-    ]
-
-
 def run_resilience_suite(
     scenarios: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
@@ -250,7 +241,7 @@ def run_resilience_suite(
     for policy_name in policy_names:
         policy = create_policy(policy_name)
         baseline = run_site_simulation(
-            _fresh_arrivals(arrivals), cluster, policy, budget_w,
+            arrivals, cluster, policy, budget_w,
             noise_std=noise_std, run_seed=run_seed,
         )
         base_turnaround = baseline.mean_turnaround_s()
@@ -266,7 +257,7 @@ def run_resilience_suite(
                 for e in schedule.events
             )
             result = run_site_simulation(
-                _fresh_arrivals(arrivals), cluster, policy, budget_w,
+                arrivals, cluster, policy, budget_w,
                 noise_std=noise_std, run_seed=run_seed,
                 fault_schedule=schedule,
             )

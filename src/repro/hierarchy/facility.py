@@ -282,9 +282,9 @@ def build_cluster(spec: ClusterSpec, facility_seed: int) -> Cluster:
 def cluster_arrivals(spec: ClusterSpec) -> List[Arrival]:
     """The deterministic arrival stream one cluster replays.
 
-    Staggered submissions of the streaming job shapes; every call
-    builds fresh :class:`JobRequest` objects (requests are stateful), so
-    a spec can be simulated any number of times.
+    Staggered submissions of the streaming job shapes.  Requests are
+    immutable (each engine's queue owns the lifecycle), so one stream can
+    be simulated any number of times.
     """
     factory = synthetic_job_factory(
         node_count=spec.nodes_per_job,

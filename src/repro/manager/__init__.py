@@ -13,7 +13,7 @@ for per-host caps, programs them, and launches the mix.
   managers and job runtimes must share.
 """
 
-from repro.manager.queue import JobRequest, JobQueue, JobState
+from repro.manager.queue import JobRequest, JobQueue
 from repro.manager.scheduler import Scheduler, ScheduledMix
 from repro.manager.power_manager import PowerManager, ManagedRun, apply_job_runtime
 from repro.manager.online import OnlinePowerManager, OnlineRun, OnlineEpoch
@@ -36,7 +36,6 @@ from repro.manager.site_simulation import (
 __all__ = [
     "JobRequest",
     "JobQueue",
-    "JobState",
     "Scheduler",
     "ScheduledMix",
     "PowerManager",

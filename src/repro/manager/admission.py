@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.characterization.mix_characterization import characterize_mix
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobQueue, JobRequest
 from repro.sim.engine import ExecutionModel
 from repro.telemetry import emit, enabled, get_registry
 from repro.units import ensure_positive
@@ -46,6 +46,8 @@ class AdmissionDecision:
     estimates_w: Dict[str, float]
     budget_w: float
     nodes_available: int
+    #: Total nodes the admitted set occupies.
+    admitted_nodes: int
     #: Fractional head-room the admitter held back; the effective limit
     #: the admitted set was judged against is :attr:`usable_budget_w`.
     safety_margin: float = 0.0
@@ -62,15 +64,6 @@ class AdmissionDecision:
     def usable_budget_w(self) -> float:
         """The budget the admitter actually admitted against."""
         return (1.0 - self.safety_margin) * self.budget_w
-
-    @property
-    def admitted_nodes(self) -> int:
-        """Total nodes the admitted set occupies (via the estimates map
-        keys' requests is not stored; computed by the admitter)."""
-        return self._admitted_nodes
-
-    # populated by the admitter post-init via object.__setattr__
-    _admitted_nodes: int = 0
 
     def feasible(self) -> bool:
         """Whether the admitted set respects the admission limit.
@@ -170,8 +163,8 @@ class PowerAwareAdmission:
     ) -> AdmissionDecision:
         """Admit pending jobs against the budget and node pool.
 
-        With ``mark`` (default) admitted jobs transition to ALLOCATED in
-        the queue; pass False for a dry run.
+        With ``mark`` (default) admitted jobs are admitted in the queue
+        (PENDING -> ADMITTED); pass False for a dry run.
         """
         ensure_positive(budget_w, "budget_w")
         if nodes_available < 0:
@@ -227,10 +220,10 @@ class PowerAwareAdmission:
 
         if mark:
             for name in admitted:
-                queue.mark(name, JobState.ALLOCATED)
+                queue.admit(name)
             # Age the starvation bound only on marked passes (dry runs
             # must not consume the head's bypass allowance).
-            if head_name is None or head_name in set(admitted):
+            if head_name is None or head_name in admitted:
                 self._blocked_head, self._blocked_rounds = None, 0
             elif admitted:
                 if head_name != self._blocked_head:
@@ -243,10 +236,10 @@ class PowerAwareAdmission:
             estimates_w=estimates,
             budget_w=budget_w,
             nodes_available=nodes_available,
+            admitted_nodes=nodes_used,
             safety_margin=self.safety_margin,
             reserved_head=reserve_head,
         )
-        object.__setattr__(decision, "_admitted_nodes", nodes_used)
         if enabled():
             registry = get_registry()
             registry.counter("manager.admission.passes").inc()
@@ -326,7 +319,7 @@ class PowerAwareAdmission:
         )
 
         if mark and admitted:
-            queue.mark(request.name, JobState.ALLOCATED)
+            queue.admit(request.name)
             # The head stayed deferred while the tail was admitted past
             # it — exactly the full pass's aging bump.
             if head_name != self._blocked_head:
@@ -339,10 +332,10 @@ class PowerAwareAdmission:
             estimates_w=estimates,
             budget_w=budget_w,
             nodes_available=nodes_available,
+            admitted_nodes=nodes_used,
             safety_margin=self.safety_margin,
             reserved_head=reserve_head,
         )
-        object.__setattr__(decision, "_admitted_nodes", nodes_used)
         if enabled():
             registry = get_registry()
             registry.counter("manager.admission.passes").inc()

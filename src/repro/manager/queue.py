@@ -4,39 +4,29 @@ A thin but faithful model of resource-manager admission: users submit
 :class:`JobRequest` objects (a kernel configuration, a node count, and an
 optional user-supplied power hint — how the ``Precharacterized`` policy's
 "user submits the job with a cap" workflow enters the system), and the
-queue tracks their lifecycle.
+queue owns their lifecycle.  Requests are immutable, so one request can
+be submitted to any number of queues.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.workload.job import Job
 from repro.workload.kernel import KernelConfig
 
-__all__ = ["JobState", "JobRequest", "JobQueue"]
+__all__ = ["JobRequest", "JobQueue"]
 
 
-class JobState(enum.Enum):
-    """Lifecycle of a submitted job."""
-
-    PENDING = "pending"
-    ALLOCATED = "allocated"
-    RUNNING = "running"
-    COMPLETED = "completed"
-    FAILED = "failed"
-
-
-@dataclass
+@dataclass(frozen=True, init=False)
 class JobRequest:
-    """One user submission.
+    """One user submission (immutable).
 
     Attributes
     ----------
     name:
-        User-visible job name (unique within a queue).
+        User-visible job name (unique among a queue's live jobs).
     config:
         Kernel configuration to run.
     node_count:
@@ -53,15 +43,25 @@ class JobRequest:
     node_count: int
     iterations: int = 100
     power_hint_w: Optional[float] = None
-    state: JobState = field(default=JobState.PENDING, init=False)
 
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
+    def __init__(self, name: str, config: KernelConfig, node_count: int,
+                 iterations: int = 100,
+                 power_hint_w: Optional[float] = None) -> None:
+        if node_count < 1:
             raise ValueError("node_count must be positive")
-        if self.iterations < 1:
+        if iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.power_hint_w is not None and self.power_hint_w <= 0:
+        if power_hint_w is not None and power_hint_w <= 0:
             raise ValueError("power_hint_w must be positive when given")
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__, about 1.5x the cost of these direct writes
+        # on a stream of tens of thousands of requests.
+        fields = self.__dict__
+        fields["name"] = name
+        fields["config"] = config
+        fields["node_count"] = node_count
+        fields["iterations"] = iterations
+        fields["power_hint_w"] = power_hint_w
 
     def to_job(self) -> Job:
         """Materialise the workload-layer job."""
@@ -73,46 +73,55 @@ class JobRequest:
         )
 
 
-#: Legal lifecycle transitions, hoisted out of :meth:`JobQueue.mark` —
-#: the streaming engine marks every job three times (allocated, running,
-#: completed), so rebuilding this table per call showed up in profiles.
-_VALID_TRANSITIONS: Dict[JobState, frozenset] = {
-    JobState.PENDING: frozenset({JobState.ALLOCATED, JobState.FAILED}),
-    JobState.ALLOCATED: frozenset({JobState.RUNNING, JobState.FAILED}),
-    JobState.RUNNING: frozenset({JobState.COMPLETED, JobState.FAILED}),
-    JobState.COMPLETED: frozenset(),
-    JobState.FAILED: frozenset(),
-}
-
-
 class JobQueue:
-    """FIFO admission queue with state tracking.
+    """FIFO admission queue that owns each job's lifecycle.
 
-    Pending membership is tracked incrementally (an insertion-ordered
-    dict maintained by :meth:`submit` / :meth:`mark`), so :meth:`pending`
-    costs O(pending jobs) rather than O(every job ever submitted) — the
-    property the streaming site engine relies on to sustain heavy
-    arrival traffic.  Terminal records can be released with
-    :meth:`forget` to keep long-lived queues memory-bounded.
+    A job is PENDING from :meth:`submit`, ADMITTED from :meth:`admit`,
+    and ends COMPLETED (:meth:`complete`, from ADMITTED) or FAILED
+    (:meth:`fail`, from either live state).  A transition from any other
+    state raises ``ValueError`` and changes nothing.
+
+    Only live jobs are held, in two insertion-ordered dicts (pending in
+    submission order, then admitted), so memory is bounded by the active
+    population and :meth:`pending` costs O(pending jobs).  An ended job
+    leaves only its count: ``submitted == pending_count() +
+    admitted_count() + completed + failed`` after every call.
     """
 
     def __init__(self) -> None:
-        self._requests: Dict[str, JobRequest] = {}
-        # Insertion-ordered view of the PENDING subset; submission order
-        # equals insertion order because names are submitted exactly once
-        # and no lifecycle transition re-enters PENDING.
         self._pending: Dict[str, JobRequest] = {}
+        self._admitted: Dict[str, JobRequest] = {}
+        self.submitted = 0
+        self.completed = 0
+        self.failed = 0
 
     def submit(self, request: JobRequest) -> None:
-        """Admit a pending request; names must be unique."""
-        if request.name in self._requests:
-            raise ValueError(f"job {request.name!r} already queued")
-        if request.state is not JobState.PENDING:
-            raise ValueError(
-                f"job {request.name!r} is {request.state.value}, not pending"
-            )
-        self._requests[request.name] = request
-        self._pending[request.name] = request
+        """Queue a request as pending; live names must be unique."""
+        name = request.name
+        if name in self._pending or name in self._admitted:
+            raise ValueError(f"job {name!r} already queued")
+        self._pending[name] = request
+        self.submitted += 1
+
+    def admit(self, name: str) -> None:
+        """PENDING -> ADMITTED."""
+        request = self._pending.pop(name, None)
+        if request is None:
+            raise ValueError(f"cannot admit job {name!r}: not pending")
+        self._admitted[name] = request
+
+    def complete(self, name: str) -> None:
+        """ADMITTED -> COMPLETED; the job's record is dropped."""
+        if self._admitted.pop(name, None) is None:
+            raise ValueError(f"cannot complete job {name!r}: not admitted")
+        self.completed += 1
+
+    def fail(self, name: str) -> None:
+        """PENDING or ADMITTED -> FAILED; the job's record is dropped."""
+        if self._pending.pop(name, None) is None \
+                and self._admitted.pop(name, None) is None:
+            raise ValueError(f"cannot fail job {name!r}: not live")
+        self.failed += 1
 
     def pending(self) -> List[JobRequest]:
         """Pending requests in submission order."""
@@ -122,6 +131,10 @@ class JobQueue:
         """Number of pending requests, O(1)."""
         return len(self._pending)
 
+    def admitted_count(self) -> int:
+        """Number of admitted (not yet ended) requests, O(1)."""
+        return len(self._admitted)
+
     def peek_pending(self) -> Optional[JobRequest]:
         """The head-of-queue pending request, O(1) (None when empty)."""
         if not self._pending:
@@ -129,38 +142,12 @@ class JobQueue:
         return next(iter(self._pending.values()))
 
     def get(self, name: str) -> JobRequest:
-        """Look up a request by name."""
-        try:
-            return self._requests[name]
-        except KeyError:
-            raise KeyError(f"no job named {name!r}") from None
-
-    def mark(self, name: str, state: JobState) -> None:
-        """Transition a job's state (validated against the lifecycle)."""
-        request = self.get(name)
-        if state not in _VALID_TRANSITIONS[request.state]:
-            raise ValueError(
-                f"illegal transition {request.state.value} -> {state.value} "
-                f"for job {name!r}"
-            )
-        if request.state is JobState.PENDING:
-            self._pending.pop(name, None)
-        request.state = state
-
-    def forget(self, name: str) -> None:
-        """Release a terminal (completed/failed) request's record.
-
-        Long-lived streaming queues call this after accounting for a
-        job so memory stays bounded by the *active* population rather
-        than the total ever submitted.  Forgetting a live job would
-        corrupt admission; that is rejected.
-        """
-        request = self.get(name)
-        if request.state not in (JobState.COMPLETED, JobState.FAILED):
-            raise ValueError(
-                f"cannot forget job {name!r} in state {request.state.value}"
-            )
-        del self._requests[name]
+        """Look up a live (pending or admitted) request by name."""
+        request = self._admitted.get(name) or self._pending.get(name)
+        if request is None:
+            raise KeyError(f"no live job named {name!r}")
+        return request
 
     def __len__(self) -> int:
-        return len(self._requests)
+        """Number of live (pending or admitted) jobs."""
+        return len(self._pending) + len(self._admitted)

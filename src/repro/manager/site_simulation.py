@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.characterization.mix_characterization import characterize_mix
 from repro.core.policy import Policy
-from repro.manager.admission import AdmissionDecision, PowerAwareAdmission
+from repro.manager.admission import PowerAwareAdmission
 from repro.manager.power_manager import PowerManager, apply_job_runtime
 from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix
@@ -226,16 +226,17 @@ class SiteSimulationResult:
 class Launch(NamedTuple):
     """One launch row of an admission pass: an admitted batch to plan.
 
-    ``requests`` are the batch's jobs in admission order and
-    ``host_efficiencies`` the efficiencies of the schedulable hosts —
-    the whole partition, its healthy rows, or a free subset — in
-    ascending host-id order.  ``budget_w`` is the budget quoted on
-    fault-free launches and the base of the fault timeline;
-    ``batch_budget_w`` the fault-adjusted budget in force at launch.
+    ``requests`` are the batch's jobs in admission order, ``deferred``
+    the names the admitting pass left pending, and ``host_efficiencies``
+    the efficiencies of the schedulable hosts — the whole partition, its
+    healthy rows, or a free subset — in ascending host-id order.
+    ``budget_w`` is the budget quoted on fault-free launches and the
+    base of the fault timeline; ``batch_budget_w`` the fault-adjusted
+    budget in force at launch.
     """
 
     batch_index: int
-    decision: AdmissionDecision
+    deferred: Tuple[str, ...]
     requests: Sequence[JobRequest]
     host_efficiencies: np.ndarray
     budget_w: float
@@ -658,8 +659,8 @@ def finish_planned_batch(planned: PlannedPass,
         record = BatchRecord(
             start_s=clock,
             end_s=clock + duration,
-            admitted=launch.decision.admitted,
-            deferred=launch.decision.deferred,
+            admitted=names,
+            deferred=launch.deferred,
             mean_power_w=mean_power_w,
             energy_j=energy_j,
             budget_w=float(launch.batch_budget_w),
@@ -673,8 +674,8 @@ def finish_planned_batch(planned: PlannedPass,
             emit(
                 "manager.site", "batch_complete",
                 batch=launch.batch_index, policy=policy_name,
-                admitted=len(launch.decision.admitted),
-                deferred=len(launch.decision.deferred),
+                admitted=len(names),
+                deferred=len(launch.deferred),
                 duration_s=duration,
                 mean_power_w=mean_power_w,
                 utilization=mean_power_w / launch.batch_budget_w,

@@ -22,14 +22,17 @@ time.  Both are bit-identical to :func:`child_seed`.
 
 Each seed then seeds one noise stream, ``default_rng(seed)``, whose
 ``PCG64`` hashes the seed through a second scalar ``SeedSequence``.  A
-:class:`BlockSeeds` block therefore also derives its seeds' ``PCG64``
-state words (:func:`pcg64_words`, the same hash over uint32 arrays) into
-a bounded memo, and :func:`noise_generator` builds a seed's generator
-from its memoised words: the same stream, about 2 µs instead of 21 µs.
+:class:`BlockSeeds` therefore also derives each block's ``PCG64`` state
+words (:func:`pcg64_words`, the same hash over uint32 arrays) into a
+memo of at most two blocks per live BlockSeeds, and
+:func:`noise_generator` builds a seed's generator from its memoised
+words: the same stream, about 2 µs instead of 21 µs.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 import zlib
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -210,47 +213,55 @@ def _state_words_type() -> type:
     return StateWords
 
 
-#: PCG64 state words of the seeds :class:`BlockSeeds` derived: one
-#: ``(rows, 4)`` table and each seed's row in it.  The words are a pure
-#: function of the seed, so an entry is never stale; the memo clears
-#: wholesale when a block would overfill it.  Rows keep it at about
-#: 0.5 MB full, where a view per seed would take 0.9 MB.
-_NOISE_TABLE = np.empty((0, 4), dtype=np.uint64)
+#: PCG64 state words of the latest two blocks of every live
+#: :class:`BlockSeeds`.  Each block gets a fresh slot:
+#: ``_NOISE_BLOCKS[slot]`` holds its ``(SEED_BLOCK, 4)`` word table and
+#: its seeds, and ``_NOISE_ROWS`` maps each seed to ``slot * SEED_BLOCK +
+#: row`` (one int per seed keeps the index small).  BlockSeeds run in
+#: lockstep therefore never evict each other.
 _NOISE_ROWS: Dict[int, int] = {}
-_NOISE_WORDS_LIMIT = 4 * SEED_BLOCK
+_NOISE_BLOCKS: Dict[int, Tuple[np.ndarray, List[int]]] = {}
+_NOISE_SLOTS = itertools.count()
 _StateWords = None  # set by the first memo fill
 
 
-def _forget_noise_words() -> None:
-    global _NOISE_TABLE
-    _NOISE_ROWS.clear()
-    _NOISE_TABLE = _NOISE_TABLE[:0]
-
-
-def _remember_noise_words(seeds: np.ndarray) -> None:
-    global _NOISE_TABLE, _StateWords
+def _remember_noise_words(block: np.ndarray, seeds: List[int]) -> int:
+    """Memoise ``block``'s state words (``seeds`` is ``block.tolist()``)
+    under a fresh slot, which it returns."""
+    global _StateWords
     if _StateWords is None:
         _StateWords = _state_words_type()
-    if len(_NOISE_TABLE) + seeds.size > _NOISE_WORDS_LIMIT:
-        _forget_noise_words()
-    start = len(_NOISE_TABLE)
-    _NOISE_TABLE = np.concatenate([_NOISE_TABLE, pcg64_words(seeds)])
-    _NOISE_ROWS.update(zip(seeds.tolist(), range(start, len(_NOISE_TABLE))))
+    slot = next(_NOISE_SLOTS)
+    _NOISE_BLOCKS[slot] = (pcg64_words(block), seeds)
+    base = slot * SEED_BLOCK
+    _NOISE_ROWS.update(zip(seeds, range(base, base + len(seeds))))
+    return slot
+
+
+def _withdraw_noise_words(slots: List[int], keep: int = 0) -> None:
+    """Withdraw all but the last ``keep`` of ``slots``' blocks (a seed
+    another block has since claimed stays)."""
+    while len(slots) > keep:
+        slot = slots.pop(0)
+        for seed in _NOISE_BLOCKS.pop(slot)[1]:
+            if _NOISE_ROWS.get(seed, -1) // SEED_BLOCK == slot:
+                del _NOISE_ROWS[seed]
 
 
 def noise_generator(seed: int) -> np.random.Generator:
     """``np.random.default_rng(seed)``, built from memoised state words
-    when a :class:`BlockSeeds` block derived ``seed``.
+    when the memoised block of a live :class:`BlockSeeds` holds ``seed``.
 
     Both build the same ``PCG64`` state, so their streams are
     bit-identical; the memo only skips ``SeedSequence``'s scalar hash
     (about 19 µs of the 21 µs a ``Generator(PCG64(seed))`` costs).
     Other seeds take ``Generator(PCG64(seed))`` itself.
     """
-    row = _NOISE_ROWS.get(seed)
-    if row is None:
+    code = _NOISE_ROWS.get(seed)
+    if code is None:
         return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(_StateWords(_NOISE_TABLE[row])))
+    words = _NOISE_BLOCKS[code // SEED_BLOCK][0][code % SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 class BlockSeeds:
@@ -259,9 +270,10 @@ class BlockSeeds:
     A site loop numbers its batches ``0, 1, 2, ...``; this derives the
     seeds of :data:`SEED_BLOCK` consecutive indices in one
     :func:`child_seed_range` call and serves the block's indices from
-    it, remembering the block's ``PCG64`` state words for
-    :func:`noise_generator`.  Indices of ``2**32`` or more take
-    :func:`child_seed` itself.
+    it.  It memoises the ``PCG64`` state words of its current block and
+    the one before for :func:`noise_generator` (a pass planned across a
+    block boundary executes seeds of both).  Indices of ``2**32`` or more
+    take :func:`child_seed` itself.
     """
 
     def __init__(self, run_seed: int, *prefix: _SeedPart) -> None:
@@ -270,6 +282,11 @@ class BlockSeeds:
         self.prefix = prefix
         self._start = -1
         self._seeds: List[int] = []
+        # Memo slots of the previous and the current block, withdrawn
+        # with this object.
+        self._slots: List[int] = []
+        weakref.finalize(self, _withdraw_noise_words, self._slots) \
+            .atexit = False
 
     def __getitem__(self, index: int) -> int:
         offset = index - self._start
@@ -284,8 +301,9 @@ class BlockSeeds:
             self.run_seed, *self.prefix, start=self._start,
             stop=self._start + SEED_BLOCK,
         )
-        _remember_noise_words(block)
         self._seeds = block.tolist()
+        self._slots.append(_remember_noise_words(block, self._seeds))
+        _withdraw_noise_words(self._slots, keep=2)
         return self._seeds[index - self._start]
 
 

@@ -227,7 +227,7 @@ class StreamDaemon:
             try:
                 request = msg.job_request_from_payload(job)
                 if engine.max_pending is not None and \
-                        len(engine.queue.pending()) >= engine.max_pending:
+                        engine.queue.pending_count() >= engine.max_pending:
                     # Surface backpressure as a reply, not a silent
                     # drop: the engine would reject it anyway.
                     return msg.error_message(

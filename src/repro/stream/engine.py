@@ -22,6 +22,11 @@ budgets never exceeds the facility budget in force at their launches.
 facility engine (:mod:`repro.hierarchy.fused`) run: one batch at a time
 on the whole cluster, admitted whenever the cluster drains.
 
+Each job's lifecycle lives in the engine's
+:class:`~repro.manager.queue.JobQueue`, not on its immutable request:
+arrival submits it, admission admits it, and its batch completes it (or
+the fail-head rule fails it), leaving only the queue's counters.
+
 Admission only *collects* :class:`~repro.manager.site_simulation.Launch`
 rows.  :meth:`SiteStreamEngine.passes` plans each event's rows as one
 :class:`~repro.manager.site_simulation.PlannedPass` (one memoised
@@ -37,13 +42,13 @@ from __future__ import annotations
 import bisect
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.policy import Policy
 from repro.hardware.cluster import Cluster
-from repro.manager.admission import AdmissionDecision, PowerAwareAdmission
+from repro.manager.admission import PowerAwareAdmission
 from repro.manager.power_manager import PowerManager
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobQueue, JobRequest
 from repro.manager.site_simulation import (
     Arrival,
     BatchExecution,
@@ -280,31 +285,36 @@ class SiteStreamEngine:
 
     # ------------------------------------------------------------------
     # event handlers
-    def _on_arrival(self, request: JobRequest,
-                    time_s: float) -> Optional[JobRequest]:
-        """Track one arrival; returns the queued request, or None when
-        backpressure rejected it.
+    def _on_arrival(self, request: JobRequest, time_s: float) -> bool:
+        """Queue one arrival; False when backpressure rejected it.
 
-        The queue holds a fresh copy: a request carries its lifecycle
-        state, so queueing the caller's object would mark it, and a
-        second engine fed the same arrivals would find nothing pending.
+        The queue keeps the caller's (immutable) request and owns its
+        lifecycle, so any number of engines can share one arrival list.
+        With ``record_jobs`` the engine keeps every ended job's record,
+        so a name is never reused, and those records count as tracked.
         """
         self.stats.arrivals += 1
-        pending = self.queue.pending_count()
+        queue = self.queue
+        pending = queue.pending_count()
         if self.max_pending is not None and pending >= self.max_pending:
             self.stats.rejected += 1
             if enabled():
                 emit("stream.engine", "job_rejected", name=request.name,
                      pending=pending, max_pending=self.max_pending)
-            return None
-        request = dataclasses.replace(request)
-        self.queue.submit(request)
+            return False
+        tracked = len(queue) + 1
+        if self.record_jobs:
+            if request.name in self.turnaround_s \
+                    or request.name in self.failed:
+                raise ValueError(f"job {request.name!r} already ended")
+            tracked += len(self.completed) + len(self.failed)
+        queue.submit(request)
         self._arrival_time[request.name] = time_s
         if pending >= self.stats.peak_pending:
             self.stats.peak_pending = pending + 1
-        if len(self.queue) > self.stats.peak_tracked_jobs:
-            self.stats.peak_tracked_jobs = len(self.queue)
-        return request
+        if tracked > self.stats.peak_tracked_jobs:
+            self.stats.peak_tracked_jobs = tracked
+        return True
 
     def _account_batch(self, execution: BatchExecution) -> None:
         """Fold one finished batch into the engine's records and stats."""
@@ -314,10 +324,10 @@ class SiteStreamEngine:
         self.stats.overshoot_ws += record.overshoot_ws
         if self.record_batches:
             self.batches.append(record)
+        complete = self.queue.complete
         for name, completion in zip(execution.job_names,
                                     execution.completion_s):
-            self.queue.mark(name, JobState.RUNNING)
-            self.queue.mark(name, JobState.COMPLETED)
+            complete(name)
             turnaround = completion - self._arrival_time.pop(name)
             self.stats.jobs_completed += 1
             self.stats.turnaround_sum_s += turnaround
@@ -327,18 +337,14 @@ class SiteStreamEngine:
             if self.record_jobs:
                 self.completed.append(name)
                 self.turnaround_s[name] = turnaround
-            else:
-                self.queue.forget(name)
 
     def _fail_head(self) -> None:
-        stuck = self.queue.pending()[0]
-        self.queue.mark(stuck.name, JobState.FAILED)
+        stuck = self.queue.peek_pending()
+        self.queue.fail(stuck.name)
         self._arrival_time.pop(stuck.name, None)
         self.stats.jobs_failed += 1
         if self.record_jobs:
             self.failed.append(stuck.name)
-        else:
-            self.queue.forget(stuck.name)
         if enabled():
             emit("stream.engine", "job_failed", name=stuck.name)
 
@@ -391,37 +397,17 @@ class SiteStreamEngine:
         if self.loop:
             self._schedule_tick()
 
-    def _split_decision(self, decision):
-        """Yield ``(sub_decision, names)`` launch groups for one pass.
-
-        Default: the whole admitted set as one co-scheduled batch (the
-        classic semantics).  With ``per_job_batches`` every admitted job
-        becomes its own single-job batch — uniform job structure, so the
-        batched step groups wide.
-        """
-        if not self.per_job_batches or len(decision.admitted) <= 1:
-            yield decision, decision.admitted
-            return
-        for name in decision.admitted:
-            # Field-for-field what dataclasses.replace(decision,
-            # admitted=(name,)) builds, without the per-call field
-            # introspection — this runs once per admitted job.
-            sub = AdmissionDecision(
-                (name,), decision.deferred, decision.estimates_w,
-                decision.budget_w, decision.nodes_available,
-                decision.safety_margin, decision.reserved_head,
-                self.queue.get(name).node_count,
-            )
-            yield sub, (name,)
-
     def _admit(self) -> None:
         """Admit against free hosts and unreserved budget.
 
         Runs until nothing more fits — each launch frees nothing, so one
         pass per triggering event suffices; the next BATCH_COMPLETE or
-        BUDGET_CHANGE re-triggers it.  Each launch group reserves its
-        hosts and watts immediately, so successive ``decide`` calls see
-        the shrunken capacity; the collected rows are planned and
+        BUDGET_CHANGE re-triggers it.  The admitted set launches as one
+        co-scheduled batch, or with ``per_job_batches`` as one batch per
+        job (uniform job structure, so the batched step groups wide),
+        each reserving its estimate and its slice of the free hosts.
+        Each launch reserves immediately, so successive ``decide`` calls
+        see the shrunken capacity; the collected rows are planned and
         executed after the triggering event's handler returns, and their
         completions only land via future BATCH_COMPLETE events, so no
         decision depends on that split.
@@ -449,23 +435,35 @@ class SiteStreamEngine:
                 self._blocked_key = (avail_w, len(free_healthy))
                 break
             self._blocked_key = None
+            get = self.queue.get
+            if not self.per_job_batches:
+                self._launch(
+                    [get(name) for name in decision.admitted],
+                    decision.deferred, decision.admitted_power_w,
+                    free_healthy[:decision.admitted_nodes], quarantined,
+                )
+                continue
             cursor = 0
-            for sub_decision, names in self._split_decision(decision):
-                nodes = sub_decision.admitted_nodes
-                host_ids = free_healthy[cursor:cursor + nodes]
+            for name in decision.admitted:
+                # A one-job batch's share is its estimate: exactly the
+                # one-term admitted_power_w sum.
+                request = get(name)
+                nodes = request.node_count
+                self._launch((request,), decision.deferred,
+                             decision.estimates_w[name],
+                             free_healthy[cursor:cursor + nodes], quarantined)
                 cursor += nodes
-                self._launch(sub_decision, names, host_ids, quarantined)
 
-    def _launch(self, decision: AdmissionDecision, names: Tuple[str, ...],
+    def _launch(self, requests: Sequence[JobRequest],
+                deferred: Tuple[str, ...], share_w: float,
                 host_ids: List[int], quarantined: Tuple[int, ...]) -> Launch:
-        """Collect the launch row of ``host_ids`` at the decision's watts.
+        """Collect the launch row of ``requests`` on ``host_ids``.
 
-        The batch's budget is its reservation (``admitted_power_w``).
+        The batch's budget is its reservation ``share_w``, the admitted
+        jobs' estimate.
         """
-        share_w = decision.admitted_power_w
         launch = Launch(
-            self._batch_counter, decision,
-            [self.queue.get(n) for n in names],
+            self._batch_counter, deferred, requests,
             self._host_eff if self._uniform_hosts
             else self._host_eff[host_ids],
             share_w, share_w, quarantined,
@@ -536,9 +534,11 @@ class SiteStreamEngine:
                 if not decision.admitted:
                     return  # still blocked at unchanged capacity
                 nodes = decision.admitted_nodes
-                host_ids = sorted(self._free_ids)[:nodes]
-                launch = self._launch(decision, decision.admitted, host_ids,
-                                      ())
+                launch = self._launch(
+                    [self.queue.get(name) for name in decision.admitted],
+                    decision.deferred, decision.admitted_power_w,
+                    sorted(self._free_ids)[:nodes], (),
+                )
                 # The prefix stays blocked at the shrunken capacity.
                 self._blocked_key = (avail_w - launch.budget_w, free - nodes)
                 return
@@ -590,11 +590,11 @@ class SiteStreamEngine:
             kind = event.kind
             kind_counts[kind] += 1
             if kind is ARRIVAL:
-                request = self._on_arrival(event.payload["request"],
-                                           event.time_s)
+                request = event.payload["request"]
+                queued = self._on_arrival(request, event.time_s)
                 if self._source is not None:
                     self._pull_arrival()
-                if request is None:
+                if not queued:
                     continue  # queue unchanged; nothing to admit
                 if quantised:
                     self._schedule_admission_flush()
@@ -689,9 +689,11 @@ class SerialSiteEngine(SiteStreamEngine):
         self.result: Optional[SiteSimulationResult] = None
 
     def _schedule_admission_flush(self) -> None:
-        # Idle and not waiting on a fault boundary; otherwise the next
-        # completion or boundary arms the flush.
-        if not self._in_flight and self._blocked_key is None:
+        # Idle, not waiting on a fault boundary and below max_batches;
+        # otherwise the next completion or boundary arms the flush, or
+        # (at the limit) nothing launches again.
+        if not self._in_flight and self._blocked_key is None \
+                and self._batch_counter < self.max_batches:
             super()._schedule_admission_flush()
 
     def _admit(self) -> None:
@@ -710,7 +712,7 @@ class SerialSiteEngine(SiteStreamEngine):
                 # The batch holds the whole cluster through _in_flight,
                 # so it reserves no host ids.
                 self._reserve(Launch(
-                    self._batch_counter, decision,
+                    self._batch_counter, decision.deferred,
                     [self.queue.get(n) for n in decision.admitted],
                     hosts, self.budget_w, budget_now, quarantined,
                 ), ())

@@ -126,7 +126,9 @@ class EventLoop:
         """
         seq = next(self._seq)
         event = Event(float(time_s), kind, payload, seq)
-        heapq.heappush(self._heap, (event.time_s, kind.value, seq, event))
+        # An IntEnum member orders as its value: the member itself is the
+        # tie-break key, without the per-push ``.value`` property call.
+        heapq.heappush(self._heap, (event.time_s, kind, seq, event))
         return event
 
     def repush(self, event: Event, time_s: float) -> Event:
@@ -144,7 +146,7 @@ class EventLoop:
         seq = next(self._seq)
         event.time_s = t
         event.seq = seq
-        heapq.heappush(self._heap, (t, event.kind.value, seq, event))
+        heapq.heappush(self._heap, (t, event.kind, seq, event))
         return event
 
     def pop(self) -> Event:

@@ -121,9 +121,9 @@ class TestSiteReplayDeterminism:
         """Regression: run_site_simulation used to mutate the caller's
         JobRequest lifecycle states, so a second run of the same arrival
         stream saw every job already COMPLETED and produced zero
-        batches."""
+        batches.  Requests are immutable now; the queue owns the
+        lifecycle."""
         from repro.core.registry import create_policy
-        from repro.manager.queue import JobState
 
         nodes = 4
         cluster = small_grid.partition.subset(np.arange(3 * nodes))
@@ -135,7 +135,7 @@ class TestSiteReplayDeterminism:
         assert first.batches  # the stream actually ran
         assert second.batches == first.batches
         assert second.completed == first.completed
-        assert all(a.request.state is JobState.PENDING for a in arrivals)
+        assert arrivals == _arrival_stream(nodes)
 
     def test_rejects_nonpositive_replays(self, small_grid):
         cluster = small_grid.partition.subset(np.arange(12))

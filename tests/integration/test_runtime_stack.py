@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobQueue, JobRequest
 from repro.manager.scheduler import Scheduler
 from repro.runtime.controller import Controller
 from repro.runtime.power_balancer import PowerBalancerAgent
@@ -31,7 +31,7 @@ class TestRaplActuationPath:
 
 class TestQueueToExecution:
     def test_submission_lifecycle(self, small_cluster, execution_model):
-        """Submit -> allocate -> run -> complete through the real layers."""
+        """Submit -> admit -> run -> complete through the real layers."""
         queue = JobQueue()
         queue.submit(
             JobRequest(
@@ -44,17 +44,17 @@ class TestQueueToExecution:
         request = queue.pending()[0]
         mix = WorkloadMix(name="session", jobs=(request.to_job(),))
         scheduled = Scheduler(small_cluster).allocate(mix)
-        queue.mark("user-job", JobState.ALLOCATED)
+        queue.admit("user-job")
 
         from repro.core.registry import create_policy
         from repro.manager.power_manager import PowerManager
 
-        queue.mark("user-job", JobState.RUNNING)
         run = PowerManager(execution_model).launch(
             scheduled, create_policy("StaticCaps"), 8 * 200.0
         )
-        queue.mark("user-job", JobState.COMPLETED)
-        assert queue.get("user-job").state is JobState.COMPLETED
+        queue.complete("user-job")
+        assert queue.completed == queue.submitted == 1
+        assert len(queue) == 0
         assert run.result.mean_elapsed_s > 0
 
 

@@ -141,10 +141,7 @@ class TestSiteSimulationBitIdentity:
     @settings(max_examples=8, deadline=None)
     def test_empty_schedule_equals_none(self, run_seed, noise_std, jobs):
         from repro.core.registry import create_policy
-        from repro.experiments.resilience import (
-            _fresh_arrivals,
-            standard_arrivals,
-        )
+        from repro.experiments.resilience import standard_arrivals
         from repro.hardware.cluster import Cluster
         from repro.manager.site_simulation import run_site_simulation
 
@@ -153,11 +150,11 @@ class TestSiteSimulationBitIdentity:
         policy = create_policy("MixedAdaptive")
         budget_w = 0.9 * len(cluster) * 240.0
         plain = run_site_simulation(
-            _fresh_arrivals(arrivals), cluster, policy, budget_w,
+            arrivals, cluster, policy, budget_w,
             noise_std=noise_std, run_seed=run_seed,
         )
         attached = run_site_simulation(
-            _fresh_arrivals(arrivals), cluster, policy, budget_w,
+            arrivals, cluster, policy, budget_w,
             noise_std=noise_std, run_seed=run_seed,
             fault_schedule=FaultSchedule(),
         )

@@ -8,7 +8,8 @@ same entropy — for zero, one-word and multi-word run seeds, across block
 boundaries, and for indices of ``2**32`` or more (which take the scalar
 path).
 
-Each block also memoises its seeds' ``PCG64`` state words; those must
+Each BlockSeeds also memoises its current block's ``PCG64`` state
+words; those must
 equal ``SeedSequence(seed).generate_state(4, np.uint64)``, and
 :func:`noise_generator` must draw ``default_rng(seed)``'s stream whether
 the seed is memoised or not.
@@ -122,7 +123,8 @@ def _first_draws(generator):
 @settings(max_examples=100, deadline=None)
 @given(run_seed=run_seeds, index=st.integers(0, 2**32 - 1))
 def test_noise_generator_matches_default_rng_for_block_seeds(run_seed, index):
-    seed = BlockSeeds(run_seed, LABEL)[index]
+    seeds = BlockSeeds(run_seed, LABEL)
+    seed = seeds[index]
     assert seed in seeding._NOISE_ROWS
     generator = noise_generator(seed)
     # A memoised seed never reaches SeedSequence.
@@ -130,7 +132,7 @@ def test_noise_generator_matches_default_rng_for_block_seeds(run_seed, index):
                           np.random.SeedSequence)
     expected = _first_draws(np.random.default_rng(seed))
     assert _first_draws(generator) == expected
-    seeding._forget_noise_words()
+    seeding._NOISE_ROWS.clear()
     assert _first_draws(noise_generator(seed)) == expected
 
 
@@ -148,5 +150,5 @@ fallback_seeds = st.one_of(
 def test_noise_generator_matches_default_rng_for_other_seeds(seed):
     expected = _first_draws(np.random.default_rng(seed))
     assert _first_draws(noise_generator(seed)) == expected
-    seeding._forget_noise_words()
+    seeding._NOISE_ROWS.clear()
     assert _first_draws(noise_generator(seed)) == expected

@@ -9,6 +9,8 @@ caller's arrival list is not consumed, so replaying it twice gives the
 same answer.
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +80,7 @@ class TestStreamReplayIdentity:
     @settings(max_examples=15, deadline=None)
     def test_replay_does_not_consume_inputs(self, arrivals, budget):
         """Replaying twice from one arrival list gives the same answer."""
+        before = copy.deepcopy(arrivals)
         first = run_site_simulation(
             arrivals, CLUSTER, create_policy("StaticCaps"), budget
         )
@@ -85,4 +88,4 @@ class TestStreamReplayIdentity:
             arrivals, CLUSTER, create_policy("StaticCaps"), budget
         )
         assert first == second
-        assert all(a.request.state.value == "pending" for a in arrivals)
+        assert arrivals == before

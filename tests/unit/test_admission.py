@@ -3,7 +3,7 @@
 import pytest
 
 from repro.manager.admission import PowerAwareAdmission
-from repro.manager.queue import JobQueue, JobRequest, JobState
+from repro.manager.queue import JobQueue, JobRequest
 from repro.workload.kernel import KernelConfig
 
 
@@ -107,8 +107,10 @@ class TestDecide:
         PowerAwareAdmission(execution_model).decide(
             queue, budget_w=500.0, nodes_available=10
         )
-        assert queue.get("a").state is JobState.ALLOCATED
-        assert queue.get("b").state is JobState.PENDING
+        assert queue.admitted_count() == 1
+        assert [r.name for r in queue.pending()] == ["b"]
+        with pytest.raises(ValueError, match="not pending"):
+            queue.admit("a")
 
     def test_dry_run_leaves_queue_untouched(self, execution_model):
         queue = JobQueue()
@@ -116,7 +118,25 @@ class TestDecide:
         PowerAwareAdmission(execution_model).decide(
             queue, budget_w=500.0, nodes_available=10, mark=False
         )
-        assert queue.get("a").state is JobState.PENDING
+        assert [r.name for r in queue.pending()] == ["a"]
+        assert queue.admitted_count() == 0
+
+    def test_arrival_admitted_past_a_blocked_head(self, execution_model):
+        # decide_arrival judges only the new tail at the capacity a full
+        # pass was blocked at, and admits it in the queue.
+        queue = JobQueue()
+        queue.submit(_request("head", nodes=8, hint=100.0))
+        admission = PowerAwareAdmission(execution_model)
+        assert admission.decide(queue, 1000.0, nodes_available=4).admitted == ()
+        queue.submit(_request("tail", nodes=2, hint=100.0))
+        decision = admission.decide_arrival(
+            queue, queue.get("tail"), 1000.0, nodes_available=4
+        )
+        assert decision.admitted == ("tail",)
+        assert decision.deferred == ("head",)
+        assert decision.admitted_nodes == 2
+        assert [r.name for r in queue.pending()] == ["head"]
+        assert queue.admitted_count() == 1
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
@@ -151,7 +171,8 @@ class TestFeasibleJudgesUsableBudget:
 
         decision = AdmissionDecision(
             admitted=("a",), deferred=(), estimates_w={"a": 950.0},
-            budget_w=1000.0, nodes_available=10, safety_margin=0.1,
+            budget_w=1000.0, nodes_available=10, admitted_nodes=1,
+            safety_margin=0.1,
         )
         assert decision.admitted_power_w <= decision.budget_w
         assert not decision.feasible()

@@ -16,7 +16,6 @@ import pytest
 from repro.core.registry import create_policy
 from repro.faults.scenarios import build_scenario
 from repro.hardware.cluster import Cluster
-from repro.manager.admission import AdmissionDecision
 from repro.manager.power_manager import PowerManager
 from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix, Scheduler
@@ -41,25 +40,17 @@ def _request(name, nodes=3, intensity=8.0, iterations=5, hint=180.0):
     )
 
 
-def _decision(admitted, budget_w=2500.0, nodes=12):
-    return AdmissionDecision(
-        tuple(r.name for r in admitted), (),
-        {r.name: float(r.power_hint_w) for r in admitted},
-        budget_w, nodes,
-    )
-
-
-def _launch(index, admitted, decision, cluster, budget_w):
-    return Launch(index, decision, admitted, cluster.efficiencies,
+def _launch(index, admitted, cluster, budget_w):
+    return Launch(index, (), admitted, cluster.efficiencies,
                   budget_w, budget_w)
 
 
-def _staged(clock, index, admitted, decision, cluster, policy,
+def _staged(clock, index, admitted, cluster, policy,
             budget_w, manager, planner=None, uniform=False, **faults):
     """A one-row pass."""
     return plan_admitted_batch(
         clock=clock,
-        launches=[_launch(index, admitted, decision, cluster, budget_w)],
+        launches=[_launch(index, admitted, cluster, budget_w)],
         policy=policy, manager=manager, planner=planner,
         uniform_hosts=uniform, **faults,
     )
@@ -72,7 +63,7 @@ class TestStagedPipelineIdentity:
         # partition under the batch index, take the first n hosts.
         cluster = Cluster(node_count=12, seed=5)
         admitted = [_request("a0", nodes=3), _request("a1", nodes=2)]
-        planned = _staged(0.0, index, admitted, _decision(admitted),
+        planned = _staged(0.0, index, admitted,
                           cluster, create_policy("StaticCaps"), 2500.0,
                           PowerManager())
         expected = Scheduler(cluster, shuffle_seed=index).allocate(
@@ -87,7 +78,7 @@ class TestStagedPipelineIdentity:
         cluster = Cluster(node_count=4, variation=None, seed=0)
         admitted = [_request("big", nodes=5)]
         with pytest.raises(ValueError, match="needs 5 nodes"):
-            _staged(0.0, 0, admitted, _decision(admitted), cluster,
+            _staged(0.0, 0, admitted, cluster,
                     create_policy("StaticCaps"), 2500.0, PowerManager())
 
     @pytest.mark.parametrize("uniform", [False, True])
@@ -99,14 +90,14 @@ class TestStagedPipelineIdentity:
         manager = PowerManager()
         planner = BatchPlanner(manager, policy)
         good = [_request("a", nodes=2)]
-        _staged(0.0, 0, good, _decision(good), cluster, policy, 2500.0,
+        _staged(0.0, 0, good, cluster, policy, 2500.0,
                 manager, planner=planner, uniform=uniform)
         with pytest.raises(ValueError, match="at least one job"):
-            _staged(0.0, 1, [], _decision([]), cluster, policy, 2500.0,
+            _staged(0.0, 1, [], cluster, policy, 2500.0,
                     manager, planner=planner, uniform=uniform)
         twice = [_request("a", nodes=2), _request("a", nodes=2)]
         with pytest.raises(ValueError, match="duplicate job names"):
-            _staged(0.0, 2, twice, _decision(twice), cluster, policy,
+            _staged(0.0, 2, twice, cluster, policy,
                     2500.0, manager, planner=planner, uniform=uniform)
 
     @pytest.mark.parametrize("variation", [None, "quartz"])
@@ -125,7 +116,7 @@ class TestStagedPipelineIdentity:
         for index, (nodes, intensity, budget) in enumerate(specs):
             admitted = [_request(f"j{index}", nodes=nodes,
                                  intensity=intensity)]
-            launches.append(_launch(index, admitted, _decision(admitted),
+            launches.append(_launch(index, admitted,
                                     cluster, budget))
 
         def plan(rows):
@@ -159,7 +150,7 @@ class TestStagedPipelineIdentity:
         launches = []
         for index, budget in enumerate([900.0] * 5 + [700.0] * 3):
             admitted = [_request(f"j{index}", nodes=3)]
-            launches.append(_launch(index, admitted, _decision(admitted),
+            launches.append(_launch(index, admitted,
                                     cluster, budget))
         planned = plan_admitted_batch(
             clock=0.0, launches=launches, policy=policy, manager=manager,
@@ -181,7 +172,7 @@ class TestStagedPipelineIdentity:
         for index, nodes in enumerate(shapes):
             admitted = [_request(f"j{index}", nodes=nodes)]
             planned.append(_staged(
-                float(index), index, admitted, _decision(admitted),
+                float(index), index, admitted,
                 cluster, policy, 2500.0, manager, planner=planner,
                 uniform=True,
             ))
@@ -212,7 +203,6 @@ class TestStagedPipelineIdentity:
         def batches(**faults):
             return [
                 _staged(5.0, index, [_request(f"j{index}", nodes=4)],
-                        _decision([_request(f"j{index}", nodes=4)]),
                         cluster, policy, 2500.0, manager, uniform=True,
                         **faults)
                 for index in range(2)
@@ -248,7 +238,7 @@ class TestExecutorCache:
         launches = []
         for index in range(3):
             admitted = [_request(f"j{index}", nodes=4)]
-            launches.append(_launch(index, admitted, _decision(admitted),
+            launches.append(_launch(index, admitted,
                                     cluster, 900.0))
 
         def run(rows):
@@ -287,11 +277,11 @@ class TestBatchPlannerMemo:
         manager = PowerManager()
         planner = BatchPlanner(manager, policy)
         admitted = [_request("x", nodes=4)]
-        first = _staged(0.0, 0, admitted, _decision(admitted), cluster,
+        first = _staged(0.0, 0, admitted, cluster,
                         policy, 2500.0, manager, planner=planner,
                         uniform=True)
         again = [_request("y", nodes=4)]  # same shape, different name
-        second = _staged(5.0, 1, again, _decision(again), cluster,
+        second = _staged(5.0, 1, again, cluster,
                          policy, 2500.0, manager, planner=planner,
                          uniform=True)
         assert second.caps[0] is first.caps[0]
@@ -303,10 +293,10 @@ class TestBatchPlannerMemo:
         manager = PowerManager()
         planner = BatchPlanner(manager, policy)
         admitted = [_request("x", nodes=4)]
-        low = _staged(0.0, 0, admitted, _decision(admitted), cluster,
+        low = _staged(0.0, 0, admitted, cluster,
                       policy, 1200.0, manager, planner=planner,
                       uniform=True)
-        high = _staged(0.0, 1, admitted, _decision(admitted), cluster,
+        high = _staged(0.0, 1, admitted, cluster,
                        policy, 2500.0, manager, planner=planner,
                        uniform=True)
         assert low.caps[0] is not high.caps[0]
@@ -321,7 +311,7 @@ class TestBatchPlannerMemo:
         admitted = [_request("x", nodes=4)]
         for index in range(PLANNER_MEMO_LIMIT + 20):
             cluster = Cluster(node_count=8, seed=index)
-            _staged(0.0, index, admitted, _decision(admitted), cluster,
+            _staged(0.0, index, admitted, cluster,
                     policy, 1000.0 + index, manager, planner=planner)
             _, chars, caps = planner.memo_sizes()
             assert chars <= PLANNER_MEMO_LIMIT
@@ -329,18 +319,18 @@ class TestBatchPlannerMemo:
         assert planner.char_misses == PLANNER_MEMO_LIMIT + 20
         uniform = Cluster(node_count=8, variation=None, seed=0)
         for index in range(PLANNER_MEMO_LIMIT + 20):
-            _staged(0.0, 0, admitted, _decision(admitted), uniform,
+            _staged(0.0, 0, admitted, uniform,
                     policy, 1000.0 + index, manager, planner=planner,
                     uniform=True)
             assert planner.memo_sizes()[2] <= PLANNER_MEMO_LIMIT
         for iterations in range(1, PLANNER_MEMO_LIMIT + 6):
             shaped = [_request("x", nodes=2, iterations=iterations)]
-            _staged(0.0, 0, shaped, _decision(shaped), uniform, policy,
+            _staged(0.0, 0, shaped, uniform, policy,
                     1000.0, manager, planner=planner, uniform=True)
             assert planner.memo_sizes()[0] <= PLANNER_MEMO_LIMIT
-        fresh =_staged(0.0, 0, admitted, _decision(admitted), uniform,
+        fresh =_staged(0.0, 0, admitted, uniform,
                         policy, 1000.0, manager, uniform=True)
-        again = _staged(0.0, 0, admitted, _decision(admitted), uniform,
+        again = _staged(0.0, 0, admitted, uniform,
                         policy, 1000.0, manager, planner=planner,
                         uniform=True)
         np.testing.assert_array_equal(again.caps[0], fresh.caps[0])

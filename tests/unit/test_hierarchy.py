@@ -151,8 +151,8 @@ class TestClusterSpec:
         b = cluster_arrivals(spec)
         assert [x.time_s for x in a] == [x.time_s for x in b]
         assert [x.request.name for x in a] == [x.request.name for x in b]
-        # Fresh JobRequest objects every call (requests are stateful).
-        assert all(x.request is not y.request for x, y in zip(a, b))
+        # Equal (immutable) requests on every call.
+        assert [x.request for x in a] == [y.request for y in b]
 
 
 class TestFacilityConfig:

@@ -8,8 +8,13 @@ import pytest
 
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
-from repro.manager.queue import JobRequest, JobState
-from repro.manager.site_simulation import Arrival, run_site_simulation
+from repro.manager.admission import PowerAwareAdmission
+from repro.manager.queue import JobRequest
+from repro.manager.site_simulation import (
+    Arrival,
+    execute_planned_batches,
+    run_site_simulation,
+)
 from repro.stream.arrivals import (
     burst_stream,
     poisson_stream,
@@ -226,9 +231,9 @@ class TestRollingEngine:
             assert len(engine.queue) == 0
 
     def test_engines_sharing_arrivals_both_conserve_jobs(self, cluster):
-        # The engine queues its own copies: a second rolling engine fed
-        # the same arrival list sees every job again, and the caller's
-        # requests stay pending.
+        # Each engine's queue owns the lifecycle of the caller's
+        # immutable requests: a second rolling engine fed the same
+        # arrival list sees every job again.
         arrivals = [Arrival(float(i), _request(f"j{i}")) for i in range(3)]
         for _ in range(2):
             engine = _engine(cluster)
@@ -237,7 +242,63 @@ class TestRollingEngine:
             assert stats.arrivals == 3
             assert stats.jobs_completed == 3
             assert stats.jobs_failed == 0 and stats.rejected == 0
-        assert all(a.request.state is JobState.PENDING for a in arrivals)
+            assert engine.queue.submitted == engine.queue.completed == 3
+        assert [a.request for a in arrivals] == \
+            [_request(f"j{i}") for i in range(3)]
+
+    def test_incremental_arrival_admission_matches_full_passes(
+            self, cluster, monkeypatch):
+        # A long 8-node job runs and an 8-node head waits behind it, so
+        # small arrivals take decide_arrival's path at unchanged capacity
+        # and backfill past the head: exactly what full passes admit.
+        arrivals = [Arrival(0.0, _request("a", nodes=8, iterations=200)),
+                    Arrival(0.1, _request("b", nodes=8))]
+        arrivals += [Arrival(0.2 + 0.1 * i, _request(f"s{i}", nodes=2))
+                     for i in range(4)]
+
+        def run():
+            engine = _engine(cluster)
+            engine.attach_source(iter(arrivals))
+            engine.run()
+            return engine
+
+        incremental_admits = []
+        decide_arrival = PowerAwareAdmission.decide_arrival
+
+        def counted(self, *args, **kwargs):
+            decision = decide_arrival(self, *args, **kwargs)
+            incremental_admits.extend(decision.admitted)
+            return decision
+
+        monkeypatch.setattr(PowerAwareAdmission, "decide_arrival", counted)
+        incremental = run()
+        assert incremental_admits
+        monkeypatch.setattr(
+            PowerAwareAdmission, "decide_arrival",
+            lambda self, queue, request, budget_w, nodes, mark=True:
+            self.decide(queue, budget_w, nodes, mark=mark),
+        )
+        full = run()
+        assert incremental.batches == full.batches
+        assert incremental.stats == full.stats
+        assert incremental.queue.completed == 6
+
+    @pytest.mark.parametrize("record_jobs", [True, False])
+    def test_queue_counters_match_stats(self, cluster, record_jobs):
+        # Completions, an unschedulable job and backpressure rejections:
+        # the queue's counters agree with the stats, and nothing is left
+        # pending or admitted once the timeline drains.
+        arrivals = [Arrival(0.01 * i, _request(f"j{i}")) for i in range(12)]
+        arrivals.insert(3, Arrival(0.025, _request("huge", nodes=20)))
+        engine = _engine(cluster, max_pending=4, record_jobs=record_jobs)
+        engine.attach_source(iter(arrivals))
+        stats = engine.run()
+        queue = engine.queue
+        assert stats.jobs_completed > 0 and stats.rejected > 0
+        assert queue.failed == stats.jobs_failed >= 1
+        assert queue.completed == stats.jobs_completed
+        assert queue.submitted == stats.arrivals - stats.rejected
+        assert queue.pending_count() == queue.admitted_count() == 0
 
     def test_budget_below_summed_floor_admits_nothing(self, cluster):
         # One watt under four nodes' RAPL floor: no 4-node job can ever
@@ -415,6 +476,28 @@ class TestSerialEngine:
             arrivals, cluster, create_policy("StaticCaps"), 2500.0,
             run_seed=3,
         )
+
+    def test_no_admission_flush_after_max_batches(self, cluster):
+        # Spaced arrivals each land on an idle cluster.  Once max_batches
+        # batches have launched, arrivals arm no more ADMISSION flushes,
+        # and every job not launched ends truncated.
+        arrivals = [Arrival(100.0 * i, _request(f"j{i}")) for i in range(60)]
+        engine = SerialSiteEngine(cluster, create_policy("StaticCaps"),
+                                  2500.0, max_batches=2)
+        engine.attach_source(iter(arrivals))
+        passes = engine.passes()
+        try:
+            planned = next(passes)
+            while True:
+                planned = passes.send(execute_planned_batches(
+                    [planned], engine.manager, engine.noise_std))
+        except StopIteration as stop:
+            kind_counts = stop.value
+        assert kind_counts[EventKind.ARRIVAL] == 60
+        assert kind_counts[EventKind.ADMISSION] == 2
+        assert engine.stats.batches == 2
+        assert engine.result.completed == ("j0", "j1")
+        assert engine.result.truncated == tuple(f"j{i}" for i in range(2, 60))
 
 
 def test_engine_import_leaves_asyncio_unloaded():
