@@ -35,46 +35,16 @@ Layers (bottom-up):
 * :mod:`repro.analysis` — statistics, ASCII rendering, CSV export.
 """
 
-from repro.core import (
-    JobAdaptivePolicy,
-    MinimizeWastePolicy,
-    MixedAdaptivePolicy,
-    POLICY_NAMES,
-    Policy,
-    PrecharacterizedPolicy,
-    StaticCapsPolicy,
-    create_policy,
-    default_policies,
-)
-from repro.experiments import (
-    ExperimentConfig,
-    ExperimentGrid,
-    GridResults,
-    check_takeaways,
-    savings_vs_baseline,
-)
-from repro.workload import KernelConfig, MixBuilder, VectorWidth, MIX_NAMES
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Policy",
-    "PrecharacterizedPolicy",
-    "StaticCapsPolicy",
-    "MinimizeWastePolicy",
-    "JobAdaptivePolicy",
-    "MixedAdaptivePolicy",
-    "POLICY_NAMES",
-    "create_policy",
-    "default_policies",
-    "ExperimentConfig",
-    "ExperimentGrid",
-    "GridResults",
-    "check_takeaways",
-    "savings_vs_baseline",
-    "KernelConfig",
-    "VectorWidth",
-    "MixBuilder",
-    "MIX_NAMES",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core": ("JobAdaptivePolicy", "MinimizeWastePolicy", "MixedAdaptivePolicy",
+             "POLICY_NAMES", "Policy", "PrecharacterizedPolicy",
+             "StaticCapsPolicy", "create_policy", "default_policies"),
+    "experiments": ("ExperimentConfig", "ExperimentGrid", "GridResults",
+                    "check_takeaways", "savings_vs_baseline"),
+    "workload": ("KernelConfig", "MixBuilder", "VectorWidth", "MIX_NAMES"),
+})
+__all__.append("__version__")

@@ -7,23 +7,11 @@ maps / bar grids / tables (:mod:`.render`), and CSV export for downstream
 plotting (:mod:`.export`).
 """
 
-from repro.analysis.stats import mean_ci95, bootstrap_ci, summarize
-from repro.analysis.render import (
-    render_heatmap,
-    render_bar_grid,
-    render_table,
-    render_series,
-)
-from repro.analysis.export import rows_to_csv, write_csv
+from repro._exports import lazy_exports
 
-__all__ = [
-    "mean_ci95",
-    "bootstrap_ci",
-    "summarize",
-    "render_heatmap",
-    "render_bar_grid",
-    "render_table",
-    "render_series",
-    "rows_to_csv",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "stats": ("mean_ci95", "bootstrap_ci", "summarize"),
+    "render": ("render_heatmap", "render_bar_grid", "render_table",
+               "render_series"),
+    "export": ("rows_to_csv", "write_csv"),
+})

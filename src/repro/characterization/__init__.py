@@ -20,43 +20,14 @@ ahead of time").  This subpackage performs that pipeline:
   (observed power, needed power/cap) every policy consumes.
 """
 
-from repro.characterization.mix_characterization import (
-    MixCharacterization,
-    characterize_mix,
-)
-from repro.characterization.monitor_runs import (
-    monitor_heatmap,
-    monitor_heatmap_runtime,
-    monitor_power_for_config,
-    HeatmapGrid,
-)
-from repro.characterization.balancer_runs import (
-    balancer_heatmap,
-    balancer_heatmap_runtime,
-    balancer_power_for_config,
-    needed_caps_for_job,
-)
-from repro.characterization.clustering import (
-    kmeans_1d,
-    survey_and_cluster,
-    FrequencySurvey,
-)
-from repro.characterization.budgets import PowerBudgets, derive_budgets
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MixCharacterization",
-    "characterize_mix",
-    "monitor_heatmap",
-    "monitor_heatmap_runtime",
-    "monitor_power_for_config",
-    "HeatmapGrid",
-    "balancer_heatmap",
-    "balancer_heatmap_runtime",
-    "balancer_power_for_config",
-    "needed_caps_for_job",
-    "kmeans_1d",
-    "survey_and_cluster",
-    "FrequencySurvey",
-    "PowerBudgets",
-    "derive_budgets",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "mix_characterization": ("MixCharacterization", "characterize_mix"),
+    "monitor_runs": ("monitor_heatmap", "monitor_heatmap_runtime",
+                     "monitor_power_for_config", "HeatmapGrid"),
+    "balancer_runs": ("balancer_heatmap", "balancer_heatmap_runtime",
+                      "balancer_power_for_config", "needed_caps_for_job"),
+    "clustering": ("kmeans_1d", "survey_and_cluster", "FrequencySurvey"),
+    "budgets": ("PowerBudgets", "derive_budgets"),
+})

@@ -54,18 +54,18 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro import __version__
 from repro.analysis.render import render_table
 from repro.core.registry import POLICY_NAMES
-from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 from repro.faults.scenarios import SCENARIO_NAMES
-from repro.experiments.metrics import savings_grid
-from repro.experiments.takeaways import check_takeaways
 from repro.workload.mixes import MIX_NAMES
+
+if TYPE_CHECKING:
+    from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 
 __all__ = ["main", "build_parser"]
 
@@ -148,6 +148,8 @@ def _writable_dir(text: str) -> str:
 
 
 def _make_config(args: argparse.Namespace) -> ExperimentConfig:
+    from repro.experiments.grid import ExperimentConfig
+
     if args.scale >= 100:
         return ExperimentConfig(nodes_per_job=args.scale,
                                 survey_nodes=max(2000, 25 * args.scale))
@@ -555,6 +557,9 @@ def _cmd_grid(grid: ExperimentGrid, mixes: Optional[List[str]],
               csv: Optional[str], check: bool,
               telemetry_out: Optional[str] = None,
               workers: Optional[int] = None) -> int:
+    from repro.experiments.metrics import savings_grid
+    from repro.experiments.takeaways import check_takeaways
+
     if telemetry_out:
         # Cover the runtime layer too: the grid itself characterizes
         # analytically and never runs the per-job controller.
@@ -970,6 +975,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_faults(args.scenarios, args.policies, args.check,
                            args.list_only, args.controller_study,
                            args.telemetry_out)
+    from repro.experiments.grid import ExperimentGrid
+
     grid = ExperimentGrid(_make_config(args))
     if args.command == "survey":
         return _cmd_survey(grid)

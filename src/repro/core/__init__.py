@@ -18,34 +18,17 @@ they are deterministic, unit-testable, and directly comparable.  Shared
 water-filling/redistribution arithmetic lives in :mod:`repro.core.allocation`.
 """
 
-from repro.core.allocation import (
-    PowerAllocation,
-    distribute_uniform,
-    distribute_weighted,
-    fit_to_budget,
-)
-from repro.core.policy import Policy
-from repro.core.static_caps import StaticCapsPolicy
-from repro.core.precharacterized import PrecharacterizedPolicy
-from repro.core.minimize_waste import MinimizeWastePolicy
-from repro.core.job_adaptive import JobAdaptivePolicy
-from repro.core.mixed_adaptive import MixedAdaptivePolicy
-from repro.core.frequency_capped import FrequencyCappedPolicy
-from repro.core.registry import POLICY_NAMES, create_policy, default_policies
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PowerAllocation",
-    "distribute_uniform",
-    "distribute_weighted",
-    "fit_to_budget",
-    "Policy",
-    "StaticCapsPolicy",
-    "PrecharacterizedPolicy",
-    "MinimizeWastePolicy",
-    "JobAdaptivePolicy",
-    "MixedAdaptivePolicy",
-    "FrequencyCappedPolicy",
-    "POLICY_NAMES",
-    "create_policy",
-    "default_policies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "allocation": ("PowerAllocation", "distribute_uniform",
+                   "distribute_weighted", "fit_to_budget"),
+    "policy": ("Policy",),
+    "static_caps": ("StaticCapsPolicy",),
+    "precharacterized": ("PrecharacterizedPolicy",),
+    "minimize_waste": ("MinimizeWastePolicy",),
+    "job_adaptive": ("JobAdaptivePolicy",),
+    "mixed_adaptive": ("MixedAdaptivePolicy",),
+    "frequency_capped": ("FrequencyCappedPolicy",),
+    "registry": ("POLICY_NAMES", "create_policy", "default_policies"),
+})

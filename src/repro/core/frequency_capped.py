@@ -23,12 +23,16 @@ the five evaluated policies); construct it directly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation
 from repro.core.policy import Policy
 from repro.hardware.node import NodePowerModel
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["FrequencyCappedPolicy"]
 

@@ -19,11 +19,15 @@ job, which is exactly the limitation marker-(b) of Fig. 7 exposes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation, distribute_weighted, fit_to_budget
 from repro.core.policy import Policy
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["JobAdaptivePolicy"]
 

@@ -27,11 +27,15 @@ unallocated: the policy minimises *waste*, it does not invent demand.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation, distribute_weighted
 from repro.core.policy import Policy
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["MinimizeWastePolicy"]
 

@@ -25,15 +25,19 @@ The policy inherits the balancer's application awareness (step 2 uses
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import (
     PowerAllocation,
     distribute_uniform,
     distribute_weighted,
 )
 from repro.core.policy import Policy
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["MixedAdaptivePolicy"]
 

@@ -11,13 +11,15 @@ policy gets exactly the same information its real counterpart would have.
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation
 from repro.units import ensure_positive
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["Policy"]
 

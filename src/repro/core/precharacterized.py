@@ -13,11 +13,15 @@ overshoot in its notes so the Fig. 7 bars can show bars above 100 %.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation
 from repro.core.policy import Policy
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["PrecharacterizedPolicy"]
 

@@ -17,11 +17,15 @@ Every Fig. 8 metric is reported relative to this policy.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.characterization.mix_characterization import MixCharacterization
 from repro.core.allocation import PowerAllocation
 from repro.core.policy import Policy
+
+if TYPE_CHECKING:
+    from repro.characterization.mix_characterization import MixCharacterization
 
 __all__ = ["StaticCapsPolicy"]
 

@@ -14,84 +14,25 @@
   paper (harvest fraction, step-4 weighting, characterization noise).
 """
 
-from repro.experiments.grid import (
-    ExperimentConfig,
-    ExperimentGrid,
-    GridResults,
-    PreparedMix,
-    CellResult,
-)
-from repro.experiments.metrics import PolicySavings, savings_vs_baseline, BUDGET_LEVELS
-from repro.experiments.figures import (
-    fig1_facility_data,
-    fig2_phase_timeline,
-    fig3_roofline_data,
-    fig4_monitor_heatmap,
-    fig5_balancer_heatmap,
-    fig6_survey_data,
-    fig7_power_utilization,
-    fig8_savings_grid,
-)
-from repro.experiments.tables import table1_system_properties, table2_mixes, table3_budgets
-from repro.experiments.takeaways import check_takeaways, TakeawayReport
-from repro.experiments.sensitivity import (
-    BudgetSweepPoint,
-    budget_sweep,
-    variation_sensitivity,
-)
-from repro.experiments.facility_integration import (
-    SessionSegment,
-    SessionTrace,
-    simulate_session,
-)
-from repro.experiments.report import build_report, write_report
-from repro.experiments.robustness import (
-    TournamentResult,
-    TournamentRound,
-    policy_tournament,
-)
-from repro.experiments.provisioning import (
-    ProvisioningCurve,
-    ProvisioningPoint,
-    overprovisioning_curve,
-)
-from repro.experiments.svg_figures import render_all_figures
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentGrid",
-    "GridResults",
-    "PreparedMix",
-    "CellResult",
-    "PolicySavings",
-    "savings_vs_baseline",
-    "BUDGET_LEVELS",
-    "fig1_facility_data",
-    "fig2_phase_timeline",
-    "fig3_roofline_data",
-    "fig4_monitor_heatmap",
-    "fig5_balancer_heatmap",
-    "fig6_survey_data",
-    "fig7_power_utilization",
-    "fig8_savings_grid",
-    "table1_system_properties",
-    "table2_mixes",
-    "table3_budgets",
-    "check_takeaways",
-    "TakeawayReport",
-    "BudgetSweepPoint",
-    "budget_sweep",
-    "variation_sensitivity",
-    "SessionSegment",
-    "SessionTrace",
-    "simulate_session",
-    "build_report",
-    "write_report",
-    "TournamentResult",
-    "TournamentRound",
-    "policy_tournament",
-    "ProvisioningCurve",
-    "ProvisioningPoint",
-    "overprovisioning_curve",
-    "render_all_figures",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "grid": ("ExperimentConfig", "ExperimentGrid", "GridResults",
+             "PreparedMix", "CellResult"),
+    "metrics": ("PolicySavings", "savings_vs_baseline", "BUDGET_LEVELS"),
+    "figures": ("fig1_facility_data", "fig2_phase_timeline",
+                "fig3_roofline_data", "fig4_monitor_heatmap",
+                "fig5_balancer_heatmap", "fig6_survey_data",
+                "fig7_power_utilization", "fig8_savings_grid"),
+    "tables": ("table1_system_properties", "table2_mixes", "table3_budgets"),
+    "takeaways": ("check_takeaways", "TakeawayReport"),
+    "sensitivity": ("BudgetSweepPoint", "budget_sweep",
+                    "variation_sensitivity"),
+    "facility_integration": ("SessionSegment", "SessionTrace",
+                             "simulate_session"),
+    "report": ("build_report", "write_report"),
+    "robustness": ("TournamentResult", "TournamentRound", "policy_tournament"),
+    "provisioning": ("ProvisioningCurve", "ProvisioningPoint",
+                     "overprovisioning_curve"),
+    "svg_figures": ("render_all_figures",),
+})

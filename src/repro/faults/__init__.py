@@ -15,40 +15,15 @@ emits ``faults.*`` telemetry, so a run's exceptional-case record is as
 observable as its steady state.
 """
 
-from repro.faults.schedule import (
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    random_schedule,
-)
-from repro.faults.injection import RuntimeFaultInjector
-from repro.faults.scenarios import (
-    SCENARIO_NAMES,
-    STANDARD_SCENARIOS,
-    FaultScenario,
-    build_scenario,
-)
-from repro.faults.degradation import (
-    DegradationConfig,
-    DegradationDecision,
-    plan_with_degradation,
-    proportional_clamp_caps,
-    quarantine_caps,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultKind",
-    "FaultSchedule",
-    "random_schedule",
-    "RuntimeFaultInjector",
-    "FaultScenario",
-    "STANDARD_SCENARIOS",
-    "SCENARIO_NAMES",
-    "build_scenario",
-    "DegradationConfig",
-    "DegradationDecision",
-    "plan_with_degradation",
-    "proportional_clamp_caps",
-    "quarantine_caps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "schedule": ("FaultEvent", "FaultKind", "FaultSchedule",
+                 "random_schedule"),
+    "injection": ("RuntimeFaultInjector",),
+    "scenarios": ("SCENARIO_NAMES", "STANDARD_SCENARIOS", "FaultScenario",
+                  "build_scenario"),
+    "degradation": ("DegradationConfig", "DegradationDecision",
+                    "plan_with_degradation", "proportional_clamp_caps",
+                    "quarantine_caps"),
+})

@@ -23,25 +23,13 @@ simulator models RAPL as its settable range: caps are clamped into
 (1/8 W per socket) and energy-counter wraparound are not modelled.
 """
 
-from repro.hardware.cpu import CpuSpec, SocketPowerModel, QUARTZ_CPU
-from repro.hardware.roofline import (
-    RooflineModel,
-    ADVISOR_SINGLE_CORE_ROOFLINE,
-    NODE_LEVEL_ROOFLINE,
-)
-from repro.hardware.variation import VariationModel, QUARTZ_VARIATION
-from repro.hardware.node import NodePowerModel
-from repro.hardware.cluster import Cluster
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CpuSpec",
-    "SocketPowerModel",
-    "QUARTZ_CPU",
-    "RooflineModel",
-    "ADVISOR_SINGLE_CORE_ROOFLINE",
-    "NODE_LEVEL_ROOFLINE",
-    "VariationModel",
-    "QUARTZ_VARIATION",
-    "NodePowerModel",
-    "Cluster",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cpu": ("CpuSpec", "SocketPowerModel", "QUARTZ_CPU"),
+    "roofline": ("RooflineModel", "ADVISOR_SINGLE_CORE_ROOFLINE",
+                 "NODE_LEVEL_ROOFLINE"),
+    "variation": ("VariationModel", "QUARTZ_VARIATION"),
+    "node": ("NodePowerModel",),
+    "cluster": ("Cluster",),
+})

@@ -11,36 +11,13 @@ under a strict determinism contract: every worker count is
 bit-identical.
 """
 
-from repro.hierarchy.broker import (
-    BROKER_POLICIES,
-    BudgetBroker,
-    ChildSignal,
-    apportion,
-)
-from repro.hierarchy.facility import (
-    ClusterOutcome,
-    ClusterSpec,
-    FacilityConfig,
-    FacilitySimulationResult,
-    build_cluster,
-    cluster_arrivals,
-    facility_budget_series,
-    run_facility_simulation,
-)
-from repro.hierarchy.fused import run_fused_facility_leaves
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BROKER_POLICIES",
-    "BudgetBroker",
-    "ChildSignal",
-    "apportion",
-    "ClusterOutcome",
-    "ClusterSpec",
-    "FacilityConfig",
-    "FacilitySimulationResult",
-    "build_cluster",
-    "cluster_arrivals",
-    "facility_budget_series",
-    "run_facility_simulation",
-    "run_fused_facility_leaves",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "broker": ("BROKER_POLICIES", "BudgetBroker", "ChildSignal", "apportion"),
+    "facility": ("ClusterOutcome", "ClusterSpec", "FacilityConfig",
+                 "FacilitySimulationResult", "build_cluster",
+                 "cluster_arrivals", "facility_budget_series",
+                 "run_facility_simulation"),
+    "fused": ("run_fused_facility_leaves",),
+})

@@ -8,22 +8,10 @@ manager sides — the "protocol" data the paper's future-work coordination
 would exchange.
 """
 
-from repro.io.serialize import (
-    characterization_to_dict,
-    characterization_from_dict,
-    save_characterization,
-    load_characterization,
-    budgets_to_dict,
-    budgets_from_dict,
-    save_grid_results,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "characterization_to_dict",
-    "characterization_from_dict",
-    "save_characterization",
-    "load_characterization",
-    "budgets_to_dict",
-    "budgets_from_dict",
-    "save_grid_results",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "serialize": ("characterization_to_dict", "characterization_from_dict",
+                  "save_characterization", "load_characterization",
+                  "budgets_to_dict", "budgets_from_dict", "save_grid_results"),
+})

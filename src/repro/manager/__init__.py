@@ -13,47 +13,17 @@ for per-host caps, programs them, and launches the mix.
   managers and job runtimes must share.
 """
 
-from repro.manager.queue import JobRequest, JobQueue
-from repro.manager.scheduler import Scheduler, ScheduledMix
-from repro.manager.power_manager import PowerManager, ManagedRun, apply_job_runtime
-from repro.manager.online import OnlinePowerManager, OnlineRun, OnlineEpoch
-from repro.manager.admission import PowerAwareAdmission, AdmissionDecision
-from repro.manager.emergency import (
-    EmergencyResponse,
-    InfeasibleBudgetError,
-    emergency_clamp,
-    respond_to_budget_change,
-    respond_to_budget_drop,
-)
-from repro.manager.site_simulation import (
-    Arrival,
-    BatchExecution,
-    BatchRecord,
-    SiteSimulationResult,
-    run_site_simulation,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "JobRequest",
-    "JobQueue",
-    "Scheduler",
-    "ScheduledMix",
-    "PowerManager",
-    "ManagedRun",
-    "apply_job_runtime",
-    "OnlinePowerManager",
-    "OnlineRun",
-    "OnlineEpoch",
-    "PowerAwareAdmission",
-    "AdmissionDecision",
-    "EmergencyResponse",
-    "InfeasibleBudgetError",
-    "emergency_clamp",
-    "respond_to_budget_change",
-    "respond_to_budget_drop",
-    "Arrival",
-    "BatchExecution",
-    "BatchRecord",
-    "SiteSimulationResult",
-    "run_site_simulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "queue": ("JobRequest", "JobQueue"),
+    "scheduler": ("Scheduler", "ScheduledMix"),
+    "power_manager": ("PowerManager", "ManagedRun", "apply_job_runtime"),
+    "online": ("OnlinePowerManager", "OnlineRun", "OnlineEpoch"),
+    "admission": ("PowerAwareAdmission", "AdmissionDecision"),
+    "emergency": ("EmergencyResponse", "InfeasibleBudgetError",
+                  "emergency_clamp", "respond_to_budget_change",
+                  "respond_to_budget_drop"),
+    "site_simulation": ("Arrival", "BatchExecution", "BatchRecord",
+                        "SiteSimulationResult", "run_site_simulation"),
+})

@@ -21,24 +21,11 @@ This package provides:
     on-disk JSON store.
 """
 
-from repro.parallel.cache import (
-    CharacterizationCache,
-    activate_cache,
-    active_cache,
-    deactivate_cache,
-    stable_digest,
-)
-from repro.parallel.runner import ParallelRunner, resolve_workers
-from repro.parallel.seeding import child_seed, child_seeds
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CharacterizationCache",
-    "ParallelRunner",
-    "activate_cache",
-    "active_cache",
-    "deactivate_cache",
-    "stable_digest",
-    "resolve_workers",
-    "child_seed",
-    "child_seeds",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": ("CharacterizationCache", "activate_cache", "active_cache",
+              "deactivate_cache", "stable_digest"),
+    "runner": ("ParallelRunner", "resolve_workers"),
+    "seeding": ("child_seed", "child_seeds"),
+})

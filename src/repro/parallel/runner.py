@@ -30,9 +30,6 @@ variable (used by CI to exercise the pool path), falling back to 1.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import active_cache, activate_cache
@@ -187,6 +184,10 @@ class ParallelRunner:
             return []
         if not self.parallel or len(payloads) == 1:
             return self._serial(fn, payloads)
+        # Only a pooled map pays for multiprocessing's import.
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         cache = active_cache()
         cache_settings = None

@@ -24,52 +24,19 @@ lockstep as ``(runs, hosts)`` tensors, bit-identical per run to the serial
 controller — the fast path for characterization grids and scenario sweeps.
 """
 
-from repro.runtime.reports import HostReport, JobReport, report_from_sums
-from repro.runtime.agent import (
-    Agent,
-    AgentBatch,
-    AgentRegistry,
-    PlatformSample,
-    SampleBatch,
-)
-from repro.runtime.monitor import MonitorAgent
-from repro.runtime.power_governor import PowerGovernorAgent
-from repro.runtime.power_balancer import PowerBalancerAgent, BalancerOptions
-from repro.runtime.frequency_governor import (
-    FrequencyGovernorAgent,
-    FrequencyGovernorOptions,
-)
-from repro.runtime.controller import Controller
-from repro.runtime.batch import (
-    ControllerBatch,
-    ControllerBatchResult,
-    ControllerRunSpec,
-    run_controller_batch,
-)
-from repro.runtime.trace import JobTrace, TraceRecord, TraceWriter, attach_tracer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HostReport",
-    "JobReport",
-    "report_from_sums",
-    "Agent",
-    "AgentBatch",
-    "AgentRegistry",
-    "PlatformSample",
-    "SampleBatch",
-    "MonitorAgent",
-    "PowerGovernorAgent",
-    "PowerBalancerAgent",
-    "BalancerOptions",
-    "FrequencyGovernorAgent",
-    "FrequencyGovernorOptions",
-    "Controller",
-    "ControllerBatch",
-    "ControllerBatchResult",
-    "ControllerRunSpec",
-    "run_controller_batch",
-    "JobTrace",
-    "TraceRecord",
-    "TraceWriter",
-    "attach_tracer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "reports": ("HostReport", "JobReport", "report_from_sums"),
+    "agent": ("Agent", "AgentBatch", "AgentRegistry", "PlatformSample",
+              "SampleBatch"),
+    "monitor": ("MonitorAgent",),
+    "power_governor": ("PowerGovernorAgent",),
+    "power_balancer": ("PowerBalancerAgent", "BalancerOptions"),
+    "frequency_governor": ("FrequencyGovernorAgent",
+                           "FrequencyGovernorOptions"),
+    "controller": ("Controller",),
+    "batch": ("ControllerBatch", "ControllerBatchResult", "ControllerRunSpec",
+              "run_controller_batch"),
+    "trace": ("JobTrace", "TraceRecord", "TraceWriter", "attach_tracer"),
+})

@@ -3,10 +3,12 @@
 GEOPM agents observe platform signals each control epoch and decide new
 control values (RAPL limits here).  The simulator presents an epoch's
 telemetry as a :class:`PlatformSample`; an :class:`Agent` returns the node
-power limits to apply for the next epoch.  Agents are registered by name in
-:class:`AgentRegistry`, mirroring GEOPM's plugin-loading behaviour the
+power limits to apply for the next epoch.  An :class:`AgentRegistry` maps
+names to agent classes, mirroring GEOPM's plugin-loading behaviour the
 paper leans on for portability ("they can be ported to other architectures
-... by leveraging GEOPM's portable plugin infrastructure").
+... by leveraging GEOPM's portable plugin infrastructure").  There is no
+process-wide instance: a caller registers the agents it loads, so what a
+registry holds never depends on which modules happen to be imported.
 
 Each shipped agent writes its algorithm once, as module-level kernels that
 its :class:`Agent` and its :class:`AgentBatch` both call (see
@@ -259,7 +261,3 @@ class AgentRegistry:
     def names(self):
         """Registered agent names, sorted."""
         return sorted(self._agents)
-
-
-#: Process-wide default registry, analogous to GEOPM's plugin path.
-DEFAULT_REGISTRY = AgentRegistry()

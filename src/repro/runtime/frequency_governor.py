@@ -22,7 +22,6 @@ import numpy as np
 from repro.runtime.agent import (
     Agent,
     AgentBatch,
-    DEFAULT_REGISTRY,
     PlatformSample,
     RowState,
     SampleBatch,
@@ -132,7 +131,6 @@ def _describe(target_ghz, state: _GovernorState):
     }
 
 
-@DEFAULT_REGISTRY.register
 class FrequencyGovernorAgent(Agent):
     """Hold every host at ``target_freq_ghz`` via RAPL feedback.
 

@@ -14,7 +14,6 @@ import numpy as np
 from repro.runtime.agent import (
     Agent,
     AgentBatch,
-    DEFAULT_REGISTRY,
     PlatformSample,
     SampleBatch,
 )
@@ -27,7 +26,6 @@ def _hold(power_limit_w) -> np.ndarray:
     return np.array(power_limit_w, dtype=float, copy=True)
 
 
-@DEFAULT_REGISTRY.register
 class MonitorAgent(Agent):
     """Leave limits untouched; exist only so reports get generated."""
 

@@ -37,7 +37,6 @@ import numpy as np
 from repro.runtime.agent import (
     Agent,
     AgentBatch,
-    DEFAULT_REGISTRY,
     PlatformSample,
     RowState,
     SampleBatch,
@@ -264,7 +263,6 @@ def _describe(budget_w, state: _BalancerState):
     }
 
 
-@DEFAULT_REGISTRY.register
 class PowerBalancerAgent(Agent):
     """Shift power from slack hosts to critical-path hosts within a job.
 

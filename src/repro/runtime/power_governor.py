@@ -13,7 +13,6 @@ import numpy as np
 from repro.runtime.agent import (
     Agent,
     AgentBatch,
-    DEFAULT_REGISTRY,
     PlatformSample,
     SampleBatch,
 )
@@ -33,7 +32,6 @@ def _describe(budget_w):
     return {"job_budget_w": float(budget_w)}
 
 
-@DEFAULT_REGISTRY.register
 class PowerGovernorAgent(Agent):
     """Hold every host at ``job_budget_w / host_count``.
 

@@ -17,17 +17,11 @@ keeps the full policy x mix x budget evaluation grid of the paper's Figs.
   (elapsed time, energy, EDP, FLOPS/W, per-host mean power).
 """
 
-from repro.sim.batch import LayoutBatch, simulate_cap_batch, stack_layouts
-from repro.sim.engine import ExecutionModel
-from repro.sim.execution import simulate_mix, SimulationOptions
-from repro.sim.results import MixRunResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExecutionModel",
-    "simulate_mix",
-    "simulate_cap_batch",
-    "stack_layouts",
-    "LayoutBatch",
-    "SimulationOptions",
-    "MixRunResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "batch": ("LayoutBatch", "simulate_cap_batch", "stack_layouts"),
+    "engine": ("ExecutionModel",),
+    "execution": ("simulate_mix", "SimulationOptions"),
+    "results": ("MixRunResult",),
+})

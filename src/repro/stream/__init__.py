@@ -12,30 +12,20 @@ with bounded memory (rolling admission), and :class:`SerialSiteEngine`
 is its serial mode, the batch shift loop that
 :func:`~repro.manager.site_simulation.run_site_simulation` runs.
 :class:`~repro.stream.daemon.StreamDaemon` serves a rolling engine to
-clients; it is imported from :mod:`repro.stream.daemon` so that the
-engine's importers do not pay for asyncio.
+clients.
+
+Like every package ``__init__``, this one imports nothing: each name
+below resolves on first access (:mod:`repro._exports`), so importing
+the engine loads neither the daemon nor asyncio.  The daemon is not
+exported here; import it from :mod:`repro.stream.daemon`.
 """
 
-from repro.stream.arrivals import (
-    burst_stream,
-    poisson_stream,
-    replay_stream,
-    synthetic_job_factory,
-)
-from repro.stream.engine import SerialSiteEngine, SiteStreamEngine, StreamStats
-from repro.stream.events import Event, EventKind, EventLoop
-from repro.stream.messages import STREAM_SCHEMA
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventKind",
-    "EventLoop",
-    "SerialSiteEngine",
-    "SiteStreamEngine",
-    "StreamStats",
-    "STREAM_SCHEMA",
-    "burst_stream",
-    "poisson_stream",
-    "replay_stream",
-    "synthetic_job_factory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "arrivals": ("burst_stream", "poisson_stream", "replay_stream",
+                 "synthetic_job_factory"),
+    "engine": ("SerialSiteEngine", "SiteStreamEngine", "StreamStats"),
+    "events": ("Event", "EventKind", "EventLoop"),
+    "messages": ("STREAM_SCHEMA",),
+})

@@ -32,75 +32,18 @@ Quick tour::
     telemetry.get_bus().unsubscribe(token)
 """
 
-from repro.telemetry.context import (
-    disabled,
-    emit,
-    enabled,
-    get_bus,
-    get_registry,
-    isolate,
-    reset,
-    set_enabled,
-)
-from repro.telemetry.events import Event, EventBus
-from repro.telemetry.metrics import (
-    Counter,
-    MetricsRegistry,
-    metric_key,
-)
-from repro.telemetry.provenance import (
-    PROVENANCE_SCHEMA,
-    capture_ledger,
-    load_ledger,
-    validate_ledger,
-    write_ledger,
-)
-from repro.telemetry.profiling import (
-    profile_command,
-    write_profile,
-)
-from repro.telemetry.summary import TelemetrySummary
-from repro.telemetry.tracing import (
-    Span,
-    Tracer,
-    current_span,
-    get_tracer,
-    set_tracing,
-    span,
-    span_forest,
-    tracing_enabled,
-    validate_span_tree,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventBus",
-    "Counter",
-    "MetricsRegistry",
-    "metric_key",
-    "TelemetrySummary",
-    "enabled",
-    "set_enabled",
-    "disabled",
-    "get_registry",
-    "get_bus",
-    "emit",
-    "reset",
-    "isolate",
-    "profile_command",
-    "write_profile",
-    "Span",
-    "Tracer",
-    "span",
-    "current_span",
-    "get_tracer",
-    "set_tracing",
-    "tracing_enabled",
-    "span_forest",
-    "validate_span_tree",
-    "PROVENANCE_SCHEMA",
-    "capture_ledger",
-    "validate_ledger",
-    "write_ledger",
-    "load_ledger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "context": ("disabled", "emit", "enabled", "get_bus", "get_registry",
+                "isolate", "reset", "set_enabled"),
+    "events": ("Event", "EventBus"),
+    "metrics": ("Counter", "MetricsRegistry", "metric_key"),
+    "provenance": ("PROVENANCE_SCHEMA", "capture_ledger", "load_ledger",
+                   "validate_ledger", "write_ledger"),
+    "profiling": ("profile_command", "write_profile"),
+    "summary": ("TelemetrySummary",),
+    "tracing": ("Span", "Tracer", "current_span", "get_tracer", "set_tracing",
+                "span", "span_forest", "tracing_enabled",
+                "validate_span_tree"),
+})

@@ -17,42 +17,15 @@ workload mixes of Table II (:mod:`.mixes`), and generates the Fig. 1
 facility power trace (:mod:`.facility`).
 """
 
-from repro.workload.kernel import (
-    KernelConfig,
-    VectorWidth,
-    Precision,
-    activity_factor,
-    WAITING_IMBALANCE_GRID,
-    INTENSITY_GRID,
-)
-from repro.workload.job import Job, WorkloadMix
-from repro.workload.catalog import ConfigCatalog, build_catalog
-from repro.workload.mixes import MixBuilder, MIX_NAMES
-from repro.workload.facility import FacilityTraceConfig, generate_facility_trace
-from repro.workload.phases import (
-    WorkloadPhase,
-    PhasedWorkload,
-    PhasedRunResult,
-    simulate_phased_job,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "KernelConfig",
-    "VectorWidth",
-    "Precision",
-    "activity_factor",
-    "WAITING_IMBALANCE_GRID",
-    "INTENSITY_GRID",
-    "Job",
-    "WorkloadMix",
-    "ConfigCatalog",
-    "build_catalog",
-    "MixBuilder",
-    "MIX_NAMES",
-    "FacilityTraceConfig",
-    "generate_facility_trace",
-    "WorkloadPhase",
-    "PhasedWorkload",
-    "PhasedRunResult",
-    "simulate_phased_job",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "kernel": ("KernelConfig", "VectorWidth", "Precision", "activity_factor",
+               "WAITING_IMBALANCE_GRID", "INTENSITY_GRID"),
+    "job": ("Job", "WorkloadMix"),
+    "catalog": ("ConfigCatalog", "build_catalog"),
+    "mixes": ("MixBuilder", "MIX_NAMES"),
+    "facility": ("FacilityTraceConfig", "generate_facility_trace"),
+    "phases": ("WorkloadPhase", "PhasedWorkload", "PhasedRunResult",
+               "simulate_phased_job"),
+})

@@ -181,6 +181,18 @@ class KernelConfig:
             "_kappa",
             float(activity_factor(self.intensity, self.vector, self.precision)),
         )
+        # Planning hashes a config per launch row.  The hash is cached,
+        # and built from numbers and bools only: an enum member hashes
+        # its string value, which PYTHONHASHSEED randomises, and a cached
+        # value crosses process pools inside the pickled config.
+        object.__setattr__(self, "_hash", hash((
+            self.intensity, self.vector is VectorWidth.XMM,
+            self.precision is Precision.SINGLE, self.waiting_fraction,
+            self.imbalance, self.common_traffic_gb,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     @property

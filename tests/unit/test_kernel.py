@@ -1,8 +1,14 @@
 """Unit tests for the synthetic kernel model (paper §IV, Fig. 2)."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.workload.kernel import (
     INTENSITY_GRID,
     POLL_ACTIVITY_FACTOR,
@@ -131,6 +137,25 @@ class TestKernelConfig:
         cfg = KernelConfig(intensity=1.0)
         with pytest.raises(AttributeError):
             cfg.intensity = 2.0  # type: ignore[misc]
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_config_pickled_under_another_hash_seed_finds_its_equal(self, seed):
+        """The cached hash holds across processes: a config pickled where
+        PYTHONHASHSEED differs (it randomises enum members' hashes) still
+        finds its equal in a dict, as configs crossing a pool must."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import pickle, sys\n"
+                "from repro.workload.kernel import (KernelConfig, "
+                "Precision, VectorWidth)\n"
+                "sys.stdout.buffer.write(pickle.dumps(KernelConfig("
+                "8.0, VectorWidth.XMM, Precision.SINGLE, 0.5, 2)))")
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             check=True, env=env).stdout
+        here = KernelConfig(8.0, VectorWidth.XMM, Precision.SINGLE, 0.5, 2)
+        table = {here: "found", KernelConfig(8.0): "other"}
+        assert table[pickle.loads(out)] == "found"
 
 
 class TestVectorWidth:

@@ -1,9 +1,5 @@
 """Unit tests: the discrete-event core and the stream engine."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.core.registry import create_policy
@@ -499,16 +495,3 @@ class TestSerialEngine:
         assert engine.result.completed == ("j0", "j1")
         assert engine.result.truncated == tuple(f"j{i}" for i in range(2, 60))
 
-
-def test_engine_import_leaves_asyncio_unloaded():
-    """The daemon (and asyncio) load only when the daemon is imported."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, repro.stream.engine; "
-            "print('asyncio' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
