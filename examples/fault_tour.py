@@ -96,9 +96,11 @@ def ladder_demo() -> None:
         title=f"plan_with_degradation on {char.host_count} hosts "
               f"(floor {floor_w / 1e3:.2f} kW)",
     ))
-    print("\nTier 'replan' re-runs the policy; 'clamp' scales above-floor "
-          "caps without job\nknowledge; 'floor' refuses to pretend — the "
-          "budget is infeasible and says so.\n")
+    print("\nTier 'replan' re-runs the policy and returns the caps to "
+          "program (shaped per job\nby the in-job balancer for "
+          "MixedAdaptive); 'clamp' scales above-floor caps without\njob "
+          "knowledge; 'floor' refuses to pretend — the budget is infeasible "
+          "and says so.\n")
 
 
 def resilience_demo() -> None:

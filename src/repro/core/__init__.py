@@ -23,7 +23,7 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "allocation": ("PowerAllocation", "distribute_uniform",
                    "distribute_weighted", "fit_to_budget"),
-    "policy": ("Policy",),
+    "policy": ("Policy", "apply_job_runtime"),
     "static_caps": ("StaticCapsPolicy",),
     "precharacterized": ("PrecharacterizedPolicy",),
     "minimize_waste": ("MinimizeWastePolicy",),

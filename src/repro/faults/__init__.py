@@ -24,6 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "scenarios": ("SCENARIO_NAMES", "STANDARD_SCENARIOS", "FaultScenario",
                   "build_scenario"),
     "degradation": ("DegradationConfig", "DegradationDecision",
-                    "plan_with_degradation", "proportional_clamp_caps",
-                    "quarantine_caps"),
+                    "InfeasibleBudgetError", "plan_with_degradation",
+                    "proportional_clamp_caps", "quarantine_caps"),
 })

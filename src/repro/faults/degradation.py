@@ -3,20 +3,24 @@
 The manager's fault-time decision ladder, from best to worst information:
 
 1. **Re-plan** — characterization is available, so run the site policy
-   against the new conditions, with *bounded retry*: a policy whose
-   allocation comes back over budget (stale characterization, float drift
-   on a ramping budget) is retried against a slightly shaved budget
-   (``retry_margin`` per attempt, ``max_retries`` times), each retry
-   charging simulated ``backoff_s`` of decision latency.
+   against the new conditions through
+   :meth:`~repro.core.policy.Policy.program`, with *bounded retry*: a
+   policy whose allocation comes back over budget (stale
+   characterization, float drift on a ramping budget) is retried against
+   a slightly shaved budget (``retry_margin`` per attempt,
+   ``max_retries`` times), each retry charging simulated ``backoff_s`` of
+   decision latency.  The tier returns the caps to program: for an
+   application-aware policy, the allocation reshaped per job by the
+   in-job balancer.
 2. **Proportional clamp** — characterization is unavailable (sensor
-   dropout, first batch after a cold start): fall back to the stage-1
-   emergency clamp, which needs no job knowledge at all — scale every
-   running cap's above-floor share onto the budget.
+   dropout, first batch after a cold start): fall back to
+   :func:`proportional_clamp_caps`, which needs no job knowledge at all —
+   scale every running cap's above-floor share onto the budget.  The
+   emergency response's stage 1 is the same clamp.
 3. **All-floor** — the budget cannot cover even ``hosts x floor``: pin
    every host at the RAPL floor and *say so* (``feasible=False``); the
-   operator must shed load.  This is the case the old emergency path
-   silently mis-reported (see :class:`~repro.manager.emergency.
-   InfeasibleBudgetError`).
+   operator must shed load.  The strict clamp reports the same case as
+   :class:`InfeasibleBudgetError`.
 
 Every decision is recorded as a :class:`DegradationDecision` and emitted
 through the telemetry bus (``faults.degradation.*``), so a resilience run
@@ -33,14 +37,35 @@ import numpy as np
 from repro.core.allocation import fit_to_budget
 from repro.core.policy import Policy
 from repro.telemetry import emit, enabled, get_registry, span
+from repro.units import ensure_positive
 
 __all__ = [
     "DegradationConfig",
     "DegradationDecision",
+    "InfeasibleBudgetError",
     "proportional_clamp_caps",
     "quarantine_caps",
     "plan_with_degradation",
 ]
+
+
+class InfeasibleBudgetError(ValueError):
+    """A budget below the cluster's RAPL floor: no cap vector can meet it.
+
+    Carries the numbers the operator needs to decide what to kill:
+    ``budget_w`` (what was asked) and ``floor_power_w`` (the best RAPL
+    can do — every host pinned at the floor).
+    """
+
+    def __init__(self, budget_w: float, floor_power_w: float,
+                 host_count: int) -> None:
+        self.budget_w = float(budget_w)
+        self.floor_power_w = float(floor_power_w)
+        self.host_count = int(host_count)
+        super().__init__(
+            f"budget {self.budget_w:.1f} W is infeasible: {host_count} "
+            f"hosts at the RAPL floor still draw {self.floor_power_w:.1f} W"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,7 +104,8 @@ class DegradationDecision:
     backoff_s:
         Simulated decision latency accumulated by retries.
     caps_w:
-        The per-host caps to program.
+        The per-host caps to program (balancer-shaped on the
+        ``"replan"`` tier of an application-aware policy).
     planned_budget_w:
         The budget the successful attempt actually planned against
         (shaved below the request by retries).
@@ -103,15 +129,29 @@ def proportional_clamp_caps(
     current_caps_w: np.ndarray,
     budget_w: float,
     min_cap_w: float,
+    strict: bool = False,
 ) -> np.ndarray:
-    """The characterization-free fallback: stage-1 clamp arithmetic.
+    """The characterization-free clamp of running caps onto a budget.
 
-    Identical maths to :func:`repro.manager.emergency.emergency_clamp`
-    (proportional above the floor), kept here so the faults layer depends
-    only on :mod:`repro.core`.
+    Scales the above-floor portion of every cap by a common factor so the
+    sum meets ``budget_w`` — no characterization, no job knowledge, safe
+    to fire from an interrupt handler.  It is the ladder's clamp tier and
+    stage 1 of :func:`~repro.manager.emergency.respond_to_budget_change`.
+
+    If even the all-floor state exceeds the budget the clamp *cannot*
+    succeed: with ``strict=True`` it raises :class:`InfeasibleBudgetError`
+    (carrying the floor power); with the default ``strict=False`` it
+    returns the all-floor state — RAPL can do no more, the operator must
+    kill jobs — and callers are expected to check feasibility rather than
+    trust the sum.
     """
-    caps = np.maximum(np.asarray(current_caps_w, dtype=float), min_cap_w)
-    return fit_to_budget(caps, float(budget_w), float(min_cap_w))
+    ensure_positive(budget_w, "budget_w")
+    caps = np.asarray(current_caps_w, dtype=float)
+    floor_power = caps.size * float(min_cap_w)
+    if strict and floor_power > float(budget_w):
+        raise InfeasibleBudgetError(budget_w, floor_power, caps.size)
+    return fit_to_budget(np.maximum(caps, min_cap_w), float(budget_w),
+                         float(min_cap_w))
 
 
 def quarantine_caps(
@@ -216,18 +256,16 @@ def plan_with_degradation(
                 if planned < floor_power:
                     break
                 try:
-                    allocation = policy.allocate(characterization, planned)
+                    allocation, caps = policy.program(characterization,
+                                                      planned)
                 except (ValueError, ArithmeticError):
                     continue
                 if policy.system_power_aware and not allocation.within_budget():
                     continue
-                if float(np.sum(allocation.caps_w)) > budget + 1e-6 \
-                        and policy.system_power_aware:
-                    continue
                 return _emit(DegradationDecision(
                     tier="replan", attempts=attempt + 1,
                     backoff_s=attempt * config.backoff_s,
-                    caps_w=allocation.caps_w, planned_budget_w=planned,
+                    caps_w=caps, planned_budget_w=planned,
                     feasible=True,
                     notes={"requested_budget_w": budget},
                 ))

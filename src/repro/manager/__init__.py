@@ -18,11 +18,10 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "queue": ("JobRequest", "JobQueue"),
     "scheduler": ("Scheduler", "ScheduledMix"),
-    "power_manager": ("PowerManager", "ManagedRun", "apply_job_runtime"),
+    "power_manager": ("PowerManager", "ManagedRun"),
     "online": ("OnlinePowerManager", "OnlineRun", "OnlineEpoch"),
     "admission": ("PowerAwareAdmission", "AdmissionDecision"),
-    "emergency": ("EmergencyResponse", "InfeasibleBudgetError",
-                  "emergency_clamp", "respond_to_budget_change",
+    "emergency": ("EmergencyResponse", "respond_to_budget_change",
                   "respond_to_budget_drop"),
     "site_simulation": ("Arrival", "BatchExecution", "BatchRecord",
                         "SiteSimulationResult", "run_site_simulation"),

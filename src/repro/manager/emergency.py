@@ -10,24 +10,28 @@ load (a feeder trips, a cooling unit fails, a demand-response event):
 1. **Clamp** — immediately scale every running host's cap so the cluster
    is guaranteed under the new budget within one RAPL window.  The clamp
    is proportional above the floor (every job hurts, none dies) — the
-   fastest safe actuation, needing no characterization at all.
+   fastest safe actuation, needing no characterization at all.  It is
+   the degradation ladder's clamp,
+   :func:`~repro.faults.degradation.proportional_clamp_caps`.
 2. **Re-plan** — re-run the site's allocation policy against the new
    budget using the existing characterization, recovering whatever
    performance the clamp left on the table.
 
-:func:`respond_to_budget_change` executes both stages against the
-simulator for *any* budget change — drops clamp-then-re-plan; restores
-and ramp-ups (the fault schedule's recovery events) skip the clamp and
-re-plan straight at the new budget.  :func:`respond_to_budget_drop`
-keeps the historical drop-only entry point.
+:func:`respond_to_budget_change` programs the pre-change and re-planned
+caps through :meth:`~repro.core.policy.Policy.program` and simulates the
+baseline, clamp and re-plan as one three-row engine pass, for *any*
+budget change — drops clamp-then-re-plan; restores and ramp-ups (the
+fault schedule's recovery events) skip the clamp and re-plan straight at
+the new budget.  :func:`respond_to_budget_drop` keeps the historical
+drop-only entry point.
 
 Honesty contracts (each was a real bug):
 
 * an infeasible budget (below ``hosts x floor``) is *reported* —
-  :func:`emergency_clamp` can raise :class:`InfeasibleBudgetError` and
   :class:`EmergencyResponse` carries ``clamp_feasible`` /
-  ``floor_power_w`` — instead of silently returning an all-floor state
-  that still exceeds the budget;
+  ``floor_power_w``, and the strict clamp raises
+  :class:`~repro.faults.degradation.InfeasibleBudgetError` — instead of
+  silently returning an all-floor state that still exceeds the budget;
 * budget compliance is judged on the *power trace peak* (plus recorded
   overshoot watt-seconds), not the run mean, so transient overshoot
   within a run can no longer pass silently.
@@ -41,69 +45,21 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.characterization.mix_characterization import MixCharacterization
-from repro.core.allocation import fit_to_budget
 from repro.core.policy import Policy
-from repro.manager.power_manager import apply_job_runtime
+from repro.faults.degradation import proportional_clamp_caps
 from repro.manager.scheduler import ScheduledMix
+from repro.sim.batch import simulate_cap_batch
 from repro.sim.engine import ExecutionModel
-from repro.sim.execution import SimulationOptions, simulate_mix
+from repro.sim.execution import SimulationOptions
 from repro.sim.results import MixRunResult
 from repro.telemetry import emit, enabled, get_registry
 from repro.units import ensure_positive
 
 __all__ = [
-    "InfeasibleBudgetError",
     "EmergencyResponse",
-    "emergency_clamp",
     "respond_to_budget_change",
     "respond_to_budget_drop",
 ]
-
-
-class InfeasibleBudgetError(ValueError):
-    """A budget below the cluster's RAPL floor: no cap vector can meet it.
-
-    Carries the numbers the operator needs to decide what to kill:
-    ``budget_w`` (what was asked) and ``floor_power_w`` (the best RAPL
-    can do — every host pinned at the floor).
-    """
-
-    def __init__(self, budget_w: float, floor_power_w: float,
-                 host_count: int) -> None:
-        self.budget_w = float(budget_w)
-        self.floor_power_w = float(floor_power_w)
-        self.host_count = int(host_count)
-        super().__init__(
-            f"budget {self.budget_w:.1f} W is infeasible: {host_count} "
-            f"hosts at the RAPL floor still draw {self.floor_power_w:.1f} W"
-        )
-
-
-def emergency_clamp(
-    current_caps_w: np.ndarray,
-    new_budget_w: float,
-    min_cap_w: float = 136.0,
-    strict: bool = False,
-) -> np.ndarray:
-    """Stage 1: proportional clamp of running caps onto a reduced budget.
-
-    Scales the above-floor portion of every cap by a common factor so the
-    sum meets ``new_budget_w`` — no characterization, no job knowledge,
-    safe to fire from an interrupt handler.
-
-    If even the all-floor state exceeds the budget the clamp *cannot*
-    succeed: with ``strict=True`` it raises :class:`InfeasibleBudgetError`
-    (carrying the floor power); with the default ``strict=False`` it
-    returns the all-floor state — RAPL can do no more, the operator must
-    kill jobs — and callers are expected to check feasibility (see
-    :meth:`EmergencyResponse.clamp_feasible`) rather than trust the sum.
-    """
-    ensure_positive(new_budget_w, "new_budget_w")
-    caps = np.asarray(current_caps_w, dtype=float)
-    floor_power = caps.size * float(min_cap_w)
-    if strict and floor_power > float(new_budget_w):
-        raise InfeasibleBudgetError(new_budget_w, floor_power, caps.size)
-    return fit_to_budget(np.maximum(caps, min_cap_w), new_budget_w, min_cap_w)
 
 
 @dataclass(frozen=True)
@@ -195,35 +151,24 @@ def respond_to_budget_change(
     """
     ensure_positive(old_budget_w, "old_budget_w")
     ensure_positive(new_budget_w, "new_budget_w")
-    model = model if model is not None else ExecutionModel()
-    options = options if options is not None else SimulationOptions()
     is_drop = new_budget_w < old_budget_w
     floor_power_w = char.host_count * char.min_cap_w
     clamp_feasible = float(new_budget_w) >= floor_power_w
 
-    def run(caps: np.ndarray, budget: float) -> MixRunResult:
-        return simulate_mix(
-            scheduled.mix, caps, scheduled.efficiencies, model, options,
-            policy_name=policy.name, budget_w=budget,
-        )
-
-    before = policy.allocate(char, old_budget_w).caps_w
-    if policy.application_aware:
-        before = apply_job_runtime(char, before)
-    baseline = run(before, old_budget_w)
-
+    _, before = policy.program(char, old_budget_w)
     if is_drop:
-        clamped_caps = emergency_clamp(before, new_budget_w, char.min_cap_w)
+        clamped_caps = proportional_clamp_caps(before, new_budget_w,
+                                               char.min_cap_w)
     else:
         # Rising (or flat) budget: the old caps already comply; the only
         # "immediate" action is to keep them while stage 2 re-plans.
         clamped_caps = before
-    clamped = run(clamped_caps, new_budget_w)
-
-    replan_caps = policy.allocate(char, new_budget_w).caps_w
-    if policy.application_aware:
-        replan_caps = apply_job_runtime(char, replan_caps)
-    replanned = run(replan_caps, new_budget_w)
+    _, replan_caps = policy.program(char, new_budget_w)
+    baseline, clamped, replanned = simulate_cap_batch(
+        scheduled.mix, np.stack([before, clamped_caps, replan_caps]),
+        scheduled.efficiencies, model, options, policy_names=policy.name,
+        budgets_w=[old_budget_w, new_budget_w, new_budget_w],
+    )
 
     response = EmergencyResponse(
         old_budget_w=float(old_budget_w),

@@ -29,7 +29,6 @@ from repro.characterization.mix_characterization import (
     MixCharacterization,
 )
 from repro.core.policy import Policy
-from repro.manager.power_manager import apply_job_runtime
 from repro.manager.scheduler import ScheduledMix
 from repro.sim.engine import ExecutionModel
 from repro.sim.execution import SimulationOptions, simulate_mix
@@ -182,11 +181,8 @@ class OnlinePowerManager:
                 )
                 with span("manager.online.characterize", epoch=epoch):
                     char = self._characterize_from_telemetry(scheduled, observed)
-                allocation = policy.allocate(char, budget_w)
                 previous_caps = caps
-                caps = allocation.caps_w
-                if policy.application_aware:
-                    caps = apply_job_runtime(char, caps)
+                _, caps = policy.program(char, budget_w)
                 caps = self.model.power_model.clamp_cap(caps)
                 if enabled():
                     get_registry().counter("manager.online.replan_rounds").inc()

@@ -72,7 +72,7 @@ import numpy as np
 from repro.characterization.mix_characterization import characterize_mix
 from repro.core.policy import Policy
 from repro.manager.admission import PowerAwareAdmission
-from repro.manager.power_manager import PowerManager, apply_job_runtime
+from repro.manager.power_manager import PowerManager
 from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
@@ -344,10 +344,10 @@ class BatchPlanner:
 
     Memo hits return the *identical* caps array (read-only) and
     characterization a fresh :func:`characterize_mix` +
-    :meth:`PowerManager.plan` + :func:`apply_job_runtime` chain would
-    produce, because that is exactly what populated the memo.  A miss
-    builds the batch's :class:`ScheduledMix` through ``scheduled()``; a
-    hit builds nothing.  Each memo level holds at most
+    :meth:`PowerManager.plan` chain would produce (the caps to program,
+    balancer-shaped for an application-aware policy), because that is
+    exactly what populated the memo.  A miss builds the batch's
+    :class:`ScheduledMix` through ``scheduled()``; a hit builds nothing.  Each memo level holds at most
     :data:`PLANNER_MEMO_LIMIT` entries, so a long-lived engine on
     heterogeneous hosts (where nearly every efficiency vector is new)
     stays bounded.
@@ -432,13 +432,9 @@ class BatchPlanner:
         budget_key = float(budget_w)
         caps = sub["caps"].get(budget_key)
         if caps is None:
-            char = sub["char"]
-            allocation = self.manager.plan(
-                scheduled(), self.policy, budget_w, char
+            _, caps = self.manager.plan(
+                scheduled(), self.policy, budget_w, sub["char"]
             )
-            caps = allocation.caps_w
-            if self.policy.application_aware:
-                caps = apply_job_runtime(char, caps)
             caps = np.asarray(caps, dtype=float)
             caps.setflags(write=False)
             if self._caps_entries >= PLANNER_MEMO_LIMIT:
@@ -588,11 +584,7 @@ def plan_admitted_batch(
                 )
                 planned.tiers[row] = plan.tier
                 planned.backoffs[row] = plan.backoff_s
-                caps = plan.caps_w
-                if char is not None and plan.tier == "replan" \
-                        and policy.application_aware:
-                    caps = apply_job_runtime(char, caps)
-                caps = np.asarray(caps, dtype=float)
+                caps = np.asarray(plan.caps_w, dtype=float)
         planned.job_names.append(names)
         planned.caps.append(caps)
         planned.efficiencies.append(eff)

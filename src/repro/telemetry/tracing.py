@@ -4,7 +4,8 @@ The metrics registry answers *how much* (exact counts and sums); the
 event bus answers *what happened*; neither answers *where in the call
 tree*.  This module adds the third leg: :class:`Span` records one timed
 scope with a parent link, so a grid run decomposes into
-``experiments.grid.run_all -> manager.launch -> sim.simulate_mix`` and
+``experiments.grid.run_all -> experiments.grid.cell ->
+manager.launch_batch -> sim.simulate_cap_batch`` and
 the paper's layer-attribution argument (resource manager vs runtime
 agent vs hardware) can be made about our own reproduction.
 

@@ -146,16 +146,7 @@ def simulate_phased_job(
         mix = WorkloadMix(name=job.name, jobs=(job,))
         if replan_each_phase or frozen_caps is None:
             char = characterize_mix(mix, eff, model)
-            allocation = policy.allocate(char, budget_w)
-            caps = allocation.caps_w
-            if policy.application_aware:
-                # Application-aware policies launch under the in-job
-                # balancer, which redistributes the job's allocation
-                # toward each host's needed power (same execution-time
-                # behaviour the resource manager applies).
-                from repro.manager.power_manager import apply_job_runtime
-
-                caps = apply_job_runtime(char, caps)
+            _, caps = policy.program(char, budget_w)
             if frozen_caps is None:
                 frozen_caps = caps
         else:

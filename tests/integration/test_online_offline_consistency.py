@@ -13,7 +13,7 @@ import pytest
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
 from repro.manager.online import OnlinePowerManager
-from repro.manager.power_manager import PowerManager, apply_job_runtime
+from repro.manager.power_manager import PowerManager
 from repro.manager.scheduler import Scheduler
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -49,9 +49,7 @@ def test_online_matches_offline_plan(environment, policy_name):
     char = manager.characterize(scheduled)
     policy = create_policy(policy_name)
 
-    offline_caps = policy.allocate(char, budget).caps_w
-    if policy.application_aware:
-        offline_caps = apply_job_runtime(char, offline_caps)
+    _, offline_caps = policy.program(char, budget)
     offline_caps = manager.model.power_model.clamp_cap(offline_caps)
 
     online = OnlinePowerManager(iterations_per_epoch=5)

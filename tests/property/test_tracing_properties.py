@@ -196,7 +196,7 @@ class TestWellFormedness:
         spans = get_tracer().finished()
         names = {s.name for s in spans}
         assert "experiments.grid.cell" in names
-        assert "sim.simulate_mix" in names
+        assert "sim.simulate_cap_batch" in names
         assert validate_span_tree(spans) == []
 
     def test_cross_process_merge_validates(self):

@@ -127,7 +127,7 @@ class TestCommands:
         ) == 0
         metrics = (out_dir / "metrics.txt").read_text()
         assert "runtime.controller.run |" in metrics
-        assert "sim.simulate_mix |" in metrics
+        assert "sim.simulate_cap_batch |" in metrics
         assert (out_dir / "events.csv").exists()
 
     def test_figures_command(self, capsys, tmp_path):

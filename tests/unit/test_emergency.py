@@ -4,44 +4,47 @@ import numpy as np
 import pytest
 
 from repro.core.registry import create_policy
+from repro.faults.degradation import (
+    InfeasibleBudgetError,
+    proportional_clamp_caps,
+)
 from repro.manager.emergency import (
     EmergencyResponse,
-    InfeasibleBudgetError,
-    emergency_clamp,
     respond_to_budget_change,
     respond_to_budget_drop,
 )
+from repro.telemetry import get_tracer
 
 
 class TestEmergencyClamp:
     def test_meets_new_budget(self):
         caps = np.array([240.0, 200.0, 180.0])
-        out = emergency_clamp(caps, 500.0)
+        out = proportional_clamp_caps(caps, 500.0, 136.0)
         assert float(np.sum(out)) <= 500.0 + 1e-6
 
     def test_proportional_above_floor(self):
         caps = np.array([236.0, 186.0])  # above-floor 100, 50
-        out = emergency_clamp(caps, 372.0)
+        out = proportional_clamp_caps(caps, 372.0, 136.0)
         np.testing.assert_allclose(out, [136 + 100 * 2 / 3, 136 + 50 * 2 / 3])
 
     def test_noop_when_budget_suffices(self):
         caps = np.array([200.0, 200.0])
-        out = emergency_clamp(caps, 500.0)
+        out = proportional_clamp_caps(caps, 500.0, 136.0)
         np.testing.assert_array_equal(out, caps)
 
     def test_infeasible_budget_returns_floor(self):
         caps = np.array([240.0, 240.0])
-        out = emergency_clamp(caps, 100.0)
+        out = proportional_clamp_caps(caps, 100.0, 136.0)
         np.testing.assert_allclose(out, 136.0)
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
-            emergency_clamp(np.array([200.0]), 0.0)
+            proportional_clamp_caps(np.array([200.0]), 0.0, 136.0)
 
     def test_strict_raises_on_infeasible_budget(self):
         caps = np.array([240.0, 240.0])
         with pytest.raises(InfeasibleBudgetError) as info:
-            emergency_clamp(caps, 100.0, strict=True)
+            proportional_clamp_caps(caps, 100.0, 136.0, strict=True)
         assert info.value.budget_w == 100.0
         assert info.value.floor_power_w == pytest.approx(272.0)
         assert info.value.host_count == 2
@@ -49,7 +52,7 @@ class TestEmergencyClamp:
 
     def test_strict_passes_on_feasible_budget(self):
         caps = np.array([240.0, 240.0])
-        out = emergency_clamp(caps, 300.0, strict=True)
+        out = proportional_clamp_caps(caps, 300.0, 136.0, strict=True)
         assert float(np.sum(out)) <= 300.0 + 1e-6
 
 
@@ -203,3 +206,23 @@ class TestRespondToBudgetChange:
             ).qos_impact()["recovered"]
 
         assert recovered("MixedAdaptive") > recovered("StaticCaps") + 0.05
+
+    def test_one_engine_pass_per_response(
+        self, scheduled_wasteful, execution_model
+    ):
+        """Baseline, clamp and re-plan run as one three-row engine call."""
+        prepared = scheduled_wasteful
+        get_tracer().clear()
+        respond_to_budget_change(
+            prepared.scheduled,
+            prepared.characterization,
+            create_policy("MixedAdaptive"),
+            old_budget_w=prepared.budgets.max_w,
+            new_budget_w=prepared.budgets.min_w,
+            model=execution_model,
+        )
+        engine = [s for s in get_tracer().finished()
+                  if s.name.startswith("sim.simulate_")]
+        get_tracer().clear()
+        assert [s.name for s in engine] == ["sim.simulate_cap_batch"]
+        assert engine[0].attributes["scenarios"] == 3

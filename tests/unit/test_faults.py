@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.policy import apply_job_runtime
 from repro.core.registry import create_policy
 from repro.faults import (
     DegradationConfig,
@@ -14,7 +15,6 @@ from repro.faults import (
     STANDARD_SCENARIOS,
     build_scenario,
     plan_with_degradation,
-    proportional_clamp_caps,
     quarantine_caps,
     random_schedule,
 )
@@ -290,14 +290,20 @@ class TestDegradationLadder:
         assert float(np.sum(decision.caps_w)) <= \
             scheduled_wasteful.budgets.ideal_w + 1e-6
 
-    def test_proportional_clamp_matches_emergency_clamp(self):
-        from repro.manager.emergency import emergency_clamp
-
-        caps = np.array([240.0, 210.0, 170.0])
+    def test_replan_tier_programs_balancer_caps(self, scheduled_wasteful):
+        """An application-aware policy's replan tier returns the caps to
+        program: its allocation reshaped per job by the in-job balancer."""
+        char = scheduled_wasteful.characterization
+        policy = create_policy("MixedAdaptive")
+        budget = scheduled_wasteful.budgets.min_w
+        decision = plan_with_degradation(policy, budget,
+                                         characterization=char)
+        allocation, caps = policy.program(char, budget)
+        assert decision.tier == "replan"
+        np.testing.assert_array_equal(decision.caps_w, caps)
         np.testing.assert_array_equal(
-            proportional_clamp_caps(caps, 520.0, 136.0),
-            emergency_clamp(caps, 520.0, 136.0),
-        )
+            caps, apply_job_runtime(char, allocation.caps_w))
+        assert not np.array_equal(caps, allocation.caps_w)
 
     def test_quarantine_parks_failed_and_conserves_power(self):
         caps = np.array([200.0, 200.0, 200.0, 200.0])

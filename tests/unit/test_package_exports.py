@@ -8,9 +8,9 @@ unloaded.  The first four are the entry modules of the repository
 benchmark's workloads (``bench/workloads.py``); the last is the CLI,
 whose subcommands import what they run inside their handlers.
 
-``package_exports.json`` records every name each package exported when
-its ``__init__`` still imported eagerly; star imports must keep
-resolving all of them.
+``package_exports.json`` records every public name of each package
+(the eager-import era's list, kept current as names move); star imports
+must keep resolving all of them.
 """
 
 import json

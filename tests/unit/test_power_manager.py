@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.policy import apply_job_runtime
 from repro.core.registry import create_policy
-from repro.manager.power_manager import PowerManager, apply_job_runtime
+from repro.manager.power_manager import PowerManager
 from repro.manager.scheduler import Scheduler
 from repro.workload.job import Job, WorkloadMix
 from repro.workload.kernel import KernelConfig
@@ -41,7 +42,7 @@ class TestPlan:
         manager = PowerManager()
         char = manager.characterize(scheduled)
         for name in ("StaticCaps", "MinimizeWaste", "JobAdaptive", "MixedAdaptive"):
-            allocation = manager.plan(
+            allocation, _ = manager.plan(
                 scheduled, create_policy(name), 12 * 200.0, characterization=char
             )
             assert allocation.within_budget(), name
@@ -50,7 +51,7 @@ class TestPlan:
         """Non-system-aware policies are allowed to exceed the budget —
         that failure mode is the phenomenon under study."""
         manager = PowerManager()
-        allocation = manager.plan(scheduled, create_policy("Precharacterized"), 12 * 150.0)
+        allocation, _ = manager.plan(scheduled, create_policy("Precharacterized"), 12 * 150.0)
         assert not allocation.within_budget()
 
     def test_bad_budget_rejected(self, scheduled):
