@@ -13,7 +13,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["render_heatmap", "render_bar_grid", "render_table", "render_series"]
+__all__ = ["render_heatmap", "render_table", "render_series"]
 
 
 def render_table(
@@ -54,37 +54,6 @@ def render_heatmap(
         for i, label in enumerate(row_labels)
     ]
     return render_table([""] + list(col_labels), rows, title=title)
-
-
-def render_bar_grid(
-    data: Mapping[str, Mapping[str, float]],
-    title: Optional[str] = None,
-    width: int = 40,
-    fmt: str = "{:+.1f}%",
-) -> str:
-    """Horizontal bars grouped by outer key (Fig. 7/8-style panels).
-
-    ``data`` maps group -> series -> value.  Bars scale to the largest
-    absolute value in the whole grid; negative values extend left of the
-    axis mark.
-    """
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    all_values = [v for group in data.values() for v in group.values()]
-    peak = max((abs(v) for v in all_values), default=1.0) or 1.0
-    name_width = max(
-        (len(name) for group in data.values() for name in group), default=4
-    )
-    for group_name, series in data.items():
-        lines.append(f"[{group_name}]")
-        for name, value in series.items():
-            chars = int(round(abs(value) / peak * width))
-            bar = ("#" * chars) if value >= 0 else ("-" * chars)
-            lines.append(
-                f"  {name.ljust(name_width)} {fmt.format(value).rjust(8)} |{bar}"
-            )
-    return "\n".join(lines)
 
 
 def render_series(

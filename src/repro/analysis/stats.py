@@ -3,19 +3,16 @@
 The paper reports each Fig. 8 bar with a 95 % confidence interval
 "calculated over measurements from 100 iterations per benchmark
 configuration".  :func:`mean_ci95` reproduces that (normal-approximation
-interval over per-iteration samples); :func:`bootstrap_ci` provides a
-distribution-free alternative used by the test suite to validate the
-normal approximation on the actual noise model.
+interval over per-iteration samples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["ConfidenceInterval", "mean_ci95", "bootstrap_ci", "summarize"]
+__all__ = ["ConfidenceInterval", "mean_ci95"]
 
 #: Two-sided 97.5 % normal quantile.
 _Z_95 = 1.959963984540054
@@ -62,37 +59,3 @@ def mean_ci95(samples: np.ndarray) -> ConfidenceInterval:
     sem = float(np.std(x, ddof=1)) / np.sqrt(x.size)
     return ConfidenceInterval(mean=mean, half_width=_Z_95 * sem)
 
-
-def bootstrap_ci(
-    samples: np.ndarray,
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap 95 % CI for an arbitrary statistic."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(resamples, x.size))
-    stats = np.apply_along_axis(statistic, 1, x[idx])
-    low, high = np.percentile(stats, [2.5, 97.5])
-    mid = float(statistic(x))
-    return ConfidenceInterval(mean=mid, half_width=float(max(mid - low, high - mid)))
-
-
-def summarize(samples: np.ndarray) -> Dict[str, float]:
-    """Compact descriptive summary (used in reports and examples)."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("need at least one sample")
-    ci = mean_ci95(x)
-    return {
-        "count": float(x.size),
-        "mean": ci.mean,
-        "ci95": ci.half_width,
-        "std": float(np.std(x, ddof=1)) if x.size > 1 else 0.0,
-        "min": float(np.min(x)),
-        "median": float(np.median(x)),
-        "max": float(np.max(x)),
-    }

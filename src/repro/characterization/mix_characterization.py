@@ -11,7 +11,7 @@ policy layer depends on nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.workload.job import HostLayout, WorkloadMix
 __all__ = [
     "MixCharacterization",
     "characterize_mix",
-    "characterize_mix_batch",
     "DEFAULT_HARVEST_FRACTION",
 ]
 
@@ -160,78 +159,6 @@ def _apply_harvest(
     return needed_power, pm.clamp_cap(needed_power)
 
 
-def _characterize(
-    mix: WorkloadMix,
-    efficiencies: np.ndarray,
-    harvest_fractions: Sequence[float],
-    model: Optional[ExecutionModel],
-) -> List[MixCharacterization]:
-    """The one characterization path: one rung per harvest fraction.
-
-    Rungs are looked up under their content-hash ``"char"`` cache keys
-    when a :func:`~repro.parallel.cache.active_cache` is installed; the
-    missing rungs share one pass of both physics arrays and are stored.
-    Emits one ``mix_characterized`` event per call.
-    """
-    fractions = [float(f) for f in harvest_fractions]
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("harvest_fraction must be in (0, 1]")
-    model = model if model is not None else ExecutionModel()
-    layout: HostLayout = mix.layout()
-    eff = np.asarray(efficiencies, dtype=float)
-    if eff.shape != (layout.host_count,):
-        raise ValueError(
-            f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
-        )
-    from repro.parallel.cache import active_cache
-
-    cache = active_cache()
-    results: List[Optional[MixCharacterization]] = [None] * len(fractions)
-    keys: List[Optional[str]] = [None] * len(fractions)
-    misses = list(range(len(fractions)))
-    if cache is not None:
-        from repro.io.serialize import characterization_from_dict
-
-        misses = []
-        for i, fraction in enumerate(fractions):
-            keys[i] = cache.key("char", mix, eff, model, fraction)
-            payload = cache.get(keys[i])
-            if payload is not None:
-                results[i] = characterization_from_dict(payload)
-            else:
-                misses.append(i)
-
-    if misses:
-        pm = model.power_model
-        monitor_power, theoretical = _characterization_arrays(model, layout, eff)
-        for i in misses:
-            needed_power, needed_cap = _apply_harvest(
-                monitor_power, theoretical, fractions[i], pm
-            )
-            results[i] = MixCharacterization(
-                mix_name=mix.name,
-                job_boundaries=layout.job_boundaries.copy(),
-                monitor_power_w=monitor_power.copy(),
-                needed_power_w=needed_power,
-                needed_cap_w=needed_cap,
-                min_cap_w=pm.min_cap_w,
-                tdp_w=pm.tdp_w,
-            )
-        if cache is not None:
-            from repro.io.serialize import characterization_to_dict
-
-            for i in misses:
-                cache.put(keys[i], characterization_to_dict(results[i]))
-    emit(
-        "characterization.mix", "mix_characterized",
-        mix=mix.name, hosts=layout.host_count,
-        jobs=int(layout.job_boundaries.size - 1),
-        rungs=len(fractions), cache_hits=len(fractions) - len(misses),
-    )
-    return results  # type: ignore[return-value]
-
-
 @span("characterization.characterize_mix")
 def characterize_mix(
     mix: WorkloadMix,
@@ -261,28 +188,52 @@ def characterize_mix(
     characterization is memoized under a content hash of (mix spec,
     efficiencies, model parameters, harvest fraction); repeated grid
     cells and online re-planning rounds then skip the physics entirely.
-    This is the one-rung :func:`characterize_mix_batch`.
+    Emits one ``mix_characterized`` event per call.
     """
-    return _characterize(mix, efficiencies, (harvest_fraction,), model)[0]
+    fraction = float(harvest_fraction)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("harvest_fraction must be in (0, 1]")
+    model = model if model is not None else ExecutionModel()
+    layout: HostLayout = mix.layout()
+    eff = np.asarray(efficiencies, dtype=float)
+    if eff.shape != (layout.host_count,):
+        raise ValueError(
+            f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
+        )
+    from repro.parallel.cache import active_cache
 
+    cache = active_cache()
+    result: Optional[MixCharacterization] = None
+    if cache is not None:
+        from repro.io.serialize import characterization_from_dict
 
-@span("characterization.characterize_mix_batch")
-def characterize_mix_batch(
-    mix: WorkloadMix,
-    efficiencies: np.ndarray,
-    harvest_fractions: Sequence[float],
-    model: Optional[ExecutionModel] = None,
-) -> List[MixCharacterization]:
-    """Characterize one mix at a ladder of harvest fractions in one pass.
+        key = cache.key("char", mix, eff, model, fraction)
+        payload = cache.get(key)
+        if payload is not None:
+            result = characterization_from_dict(payload)
+    hit = result is not None
+    if not hit:
+        pm = model.power_model
+        monitor_power, theoretical = _characterization_arrays(model, layout, eff)
+        needed_power, needed_cap = _apply_harvest(
+            monitor_power, theoretical, fraction, pm
+        )
+        result = MixCharacterization(
+            mix_name=mix.name,
+            job_boundaries=layout.job_boundaries.copy(),
+            monitor_power_w=monitor_power,
+            needed_power_w=needed_power,
+            needed_cap_w=needed_cap,
+            min_cap_w=pm.min_cap_w,
+            tdp_w=pm.tdp_w,
+        )
+        if cache is not None:
+            from repro.io.serialize import characterization_to_dict
 
-    The two physics passes (monitor observation and the critical-path
-    minimum) do not depend on the harvest fraction, so a fraction ladder
-    needs them exactly once; each rung then applies its conservatism
-    factor to the shared arrays.  Rung ``i`` is bit-identical to
-    ``characterize_mix(mix, efficiencies, model, harvest_fractions[i])``.
-
-    Per-rung cache entries are looked up and stored under the same keys
-    the serial path uses, so batched and serial characterizations share
-    the content-addressed cache.
-    """
-    return _characterize(mix, efficiencies, harvest_fractions, model)
+            cache.put(key, characterization_to_dict(result))
+    emit(
+        "characterization.mix", "mix_characterized",
+        mix=mix.name, hosts=layout.host_count,
+        jobs=int(layout.job_boundaries.size - 1), cache_hits=int(hit),
+    )
+    return result

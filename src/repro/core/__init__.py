@@ -29,6 +29,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "minimize_waste": ("MinimizeWastePolicy",),
     "job_adaptive": ("JobAdaptivePolicy",),
     "mixed_adaptive": ("MixedAdaptivePolicy",),
-    "frequency_capped": ("FrequencyCappedPolicy",),
     "registry": ("POLICY_NAMES", "create_policy", "default_policies"),
 })

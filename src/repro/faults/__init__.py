@@ -25,5 +25,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
                   "build_scenario"),
     "degradation": ("DegradationConfig", "DegradationDecision",
                     "InfeasibleBudgetError", "plan_with_degradation",
-                    "proportional_clamp_caps", "quarantine_caps"),
+                    "proportional_clamp_caps"),
 })

@@ -44,7 +44,6 @@ __all__ = [
     "DegradationDecision",
     "InfeasibleBudgetError",
     "proportional_clamp_caps",
-    "quarantine_caps",
     "plan_with_degradation",
 ]
 
@@ -152,41 +151,6 @@ def proportional_clamp_caps(
         raise InfeasibleBudgetError(budget_w, floor_power, caps.size)
     return fit_to_budget(np.maximum(caps, min_cap_w), float(budget_w),
                          float(min_cap_w))
-
-
-def quarantine_caps(
-    caps_w: np.ndarray,
-    failed_hosts,
-    min_cap_w: float,
-    tdp_w: float,
-) -> np.ndarray:
-    """Quarantine failed hosts and redistribute their budget share.
-
-    Failed hosts are parked at the RAPL floor (a quarantined node idles
-    at its minimum domain power until it is drained); their above-floor
-    share water-fills uniformly over the survivors up to TDP.  Power is
-    conserved up to survivor saturation, so the cluster never exceeds the
-    budget the original caps met.
-    """
-    caps = np.asarray(caps_w, dtype=float).copy()
-    failed = sorted({int(h) for h in failed_hosts if 0 <= int(h) < caps.size})
-    if not failed:
-        return caps
-    from repro.core.allocation import distribute_uniform
-
-    idx = np.array(failed, dtype=int)
-    freed = float(np.sum(np.maximum(caps[idx] - min_cap_w, 0.0)))
-    caps[idx] = min_cap_w
-    survivors = np.ones(caps.size, dtype=bool)
-    survivors[idx] = False
-    if freed > 0 and survivors.any():
-        bounds = np.where(survivors, tdp_w, caps)
-        caps, _ = distribute_uniform(freed, caps, bounds)
-    if enabled():
-        get_registry().counter("faults.quarantined_hosts").inc(len(failed))
-        emit("faults.degradation", "hosts_quarantined",
-             hosts=failed, freed_w=freed)
-    return caps
 
 
 def plan_with_degradation(

@@ -132,29 +132,13 @@ class RooflineModel:
         ``min(intensity * BW, compute_peak)`` with both ceilings evaluated
         at the relative frequency ``freq_ghz / base_freq_ghz`` (defaults to
         base frequency).  Intensity 0 (pure memory traffic) attains 0
-        GFLOPS by definition; time for such kernels comes from
-        :meth:`time_for_work`.
+        GFLOPS by definition.
         """
         intensity = np.asarray(intensity, dtype=float)
         ratio = 1.0 if freq_ghz is None else np.asarray(freq_ghz, dtype=float) / self.base_freq_ghz
         bw = self.bandwidth(self.working_set_level).effective(ratio)
         peak = self.compute(compute_ceiling).effective(ratio)
         return np.minimum(intensity * bw, peak)
-
-    def time_for_work(self, gbytes, gflop, compute_ceiling: str, freq_ghz=None):
-        """Execution time (s) for a work quantum under the roofline.
-
-        The kernel must both stream ``gbytes`` of memory traffic and retire
-        ``gflop`` of arithmetic; the phase time is the larger of the two
-        requirements (they overlap on real hardware).  Handles intensity 0
-        (``gflop == 0``) without special cases.
-        """
-        gbytes = np.asarray(gbytes, dtype=float)
-        gflop = np.asarray(gflop, dtype=float)
-        ratio = 1.0 if freq_ghz is None else np.asarray(freq_ghz, dtype=float) / self.base_freq_ghz
-        bw = self.bandwidth(self.working_set_level).effective(ratio)
-        peak = self.compute(compute_ceiling).effective(ratio)
-        return np.maximum(gbytes / bw, gflop / peak)
 
     def as_plot_series(self, compute_ceiling: str, intensities) -> Dict[str, np.ndarray]:
         """Data series for regenerating the paper's Fig. 3.

@@ -254,100 +254,3 @@ class PowerAwareAdmission:
                 reserved_head=reserve_head,
             )
         return decision
-
-    def decide_arrival(
-        self,
-        queue: JobQueue,
-        request: JobRequest,
-        budget_w: float,
-        nodes_available: int,
-        mark: bool = True,
-    ) -> AdmissionDecision:
-        """Incrementally judge one *new tail arrival* at unchanged capacity.
-
-        The streaming engine's hot path: when a full :meth:`decide` pass
-        at the same ``(usable budget, free nodes)`` already deferred
-        **every** pending job and nothing has been admitted or completed
-        since, re-running the full pass on a new arrival re-derives the
-        identical all-deferred prefix — estimates are deterministic and
-        ``fits`` is monotone in remaining capacity — so only the new tail
-        needs judging.  This method is that single judgment: the request
-        is admitted iff its own estimate fits the whole free capacity and
-        backfill past the (still blocked) head is allowed.
-
-        Caller contract: ``request`` is the most recent tail of
-        ``queue``'s pending set, the premise above holds, and the fault
-        state is unchanged since the blocking pass.  When the request
-        *is* the head (nothing else pending), the premise is vacuous and
-        this falls back to a full :meth:`decide` pass.
-
-        The returned decision is abbreviated — ``estimates_w`` covers
-        only the judged request and ``deferred`` lists the other pending
-        names without re-judging them.  Starvation aging matches the full
-        pass: a marked call that admits past the blocked head consumes
-        one bypass round.
-        """
-        ensure_positive(budget_w, "budget_w")
-        if nodes_available < 0:
-            raise ValueError("nodes_available must be non-negative")
-        head = queue.peek_pending()
-        if head is None or head.name == request.name:
-            return self.decide(queue, budget_w, nodes_available, mark=mark)
-        head_name = head.name
-        reserve_head = (
-            self.backfill
-            and self.max_bypass_rounds is not None
-            and head_name == self._blocked_head
-            and self._blocked_rounds >= self.max_bypass_rounds
-        )
-        allow_backfill = self.backfill and not reserve_head
-
-        usable_w = (1.0 - self.safety_margin) * budget_w
-        admitted: Tuple[str, ...] = ()
-        estimates: Dict[str, float] = {}
-        power_used = 0.0
-        nodes_used = 0
-        if allow_backfill:
-            estimate = self.estimate_job_power_w(request)
-            estimates[request.name] = estimate
-            if estimate <= usable_w and request.node_count <= nodes_available:
-                admitted = (request.name,)
-                power_used = estimate
-                nodes_used = request.node_count
-        deferred = tuple(
-            r.name for r in queue.pending() if r.name not in admitted
-        )
-
-        if mark and admitted:
-            queue.admit(request.name)
-            # The head stayed deferred while the tail was admitted past
-            # it — exactly the full pass's aging bump.
-            if head_name != self._blocked_head:
-                self._blocked_head, self._blocked_rounds = head_name, 0
-            self._blocked_rounds += 1
-
-        decision = AdmissionDecision(
-            admitted=admitted,
-            deferred=deferred,
-            estimates_w=estimates,
-            budget_w=budget_w,
-            nodes_available=nodes_available,
-            admitted_nodes=nodes_used,
-            safety_margin=self.safety_margin,
-            reserved_head=reserve_head,
-        )
-        if enabled():
-            registry = get_registry()
-            registry.counter("manager.admission.passes").inc()
-            registry.counter("manager.admission.admitted").inc(len(admitted))
-            registry.counter("manager.admission.deferred").inc(len(deferred))
-            emit(
-                "manager.admission", "admission_decision",
-                admitted=len(admitted), deferred=len(deferred),
-                queue_depth=len(deferred) + len(admitted),
-                budget_w=float(budget_w),
-                admitted_power_w=power_used, nodes_used=nodes_used,
-                nodes_available=nodes_available, dry_run=not mark,
-                reserved_head=reserve_head, incremental=True,
-            )
-        return decision

@@ -14,6 +14,8 @@ This package provides:
     is a pure function of ``run_seed`` and the item's identity — never a
     draw from a parent RNG — so serial and parallel runs are
     bit-identical.
+:mod:`~repro.parallel.tasks`
+    The fan-out tasks: grid cells and site replays.
 :class:`~repro.parallel.cache.CharacterizationCache`
     Content-addressed memoization of ``characterize_mix`` /
     ``simulate_mix`` keyed by a stable hash of (mix spec, model
@@ -27,5 +29,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "cache": ("CharacterizationCache", "activate_cache", "active_cache",
               "deactivate_cache", "stable_digest"),
     "runner": ("ParallelRunner", "resolve_workers"),
-    "seeding": ("child_seed", "child_seeds"),
+    "seeding": ("child_seed",),
 })

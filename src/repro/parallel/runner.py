@@ -1,8 +1,8 @@
 """The process-pool fan-out engine with a graceful serial fallback.
 
 :class:`ParallelRunner` maps a pure task function over independent
-payloads — grid cells, characterization ladder rungs, site-simulation
-replays — across a ``concurrent.futures.ProcessPoolExecutor``.  Design
+payloads — grid cells, site-simulation replays, facility clusters —
+across a ``concurrent.futures.ProcessPoolExecutor``.  Design
 rules that keep parallel runs trustworthy:
 
 * **Determinism.**  Tasks must be pure functions of their payload; any

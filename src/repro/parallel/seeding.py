@@ -1,6 +1,6 @@
 """Deterministic child-seed derivation for fanned-out work items.
 
-Every parallel work item (a grid cell, a ladder rung, a site replay)
+Every parallel work item (a grid cell, a site replay, a shift batch)
 needs its own noise seed.  Drawing those seeds from a parent RNG would
 make them depend on *submission order* — which worker counts and
 chunking change — so instead each child seed is derived from
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import weakref
 import zlib
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "BlockSeeds",
     "child_seed",
     "child_seed_range",
-    "child_seeds",
     "noise_generator",
     "pcg64_words",
 ]
@@ -306,19 +305,3 @@ class BlockSeeds:
         _withdraw_noise_words(self._slots, keep=2)
         return self._seeds[index - self._start]
 
-
-def child_seeds(
-    run_seed: int,
-    identities: Iterable[Union[_SeedPart, Tuple[_SeedPart, ...]]],
-) -> List[int]:
-    """Seeds for a batch of items, one per identity.
-
-    Each identity may be a single part or a tuple of parts (e.g. a grid
-    cell's ``(mix, level, policy)`` key).
-    """
-    return [
-        child_seed(run_seed, *identity)
-        if isinstance(identity, (tuple, list))
-        else child_seed(run_seed, identity)
-        for identity in identities
-    ]

@@ -1,8 +1,8 @@
-"""Concrete fan-out tasks: grid cells, ladders, site replays.
+"""Concrete fan-out tasks: grid cells and site replays.
 
 Module-level task functions (they must pickle by reference) plus thin
 orchestration helpers that pair them with a
-:class:`~repro.parallel.runner.ParallelRunner`.  Three fan-out shapes
+:class:`~repro.parallel.runner.ParallelRunner`.  Two fan-out shapes
 from the paper's evaluation:
 
 grid cells
@@ -10,11 +10,6 @@ grid cells
     :meth:`repro.experiments.grid.ExperimentGrid.run_all`; the prepared
     environment ships once per worker through the pool initializer, and
     each task is just a ``(mix, level, policy)`` key.
-characterization ladders
-    :func:`characterize_ladder` (harvest-fraction rungs) and
-    :func:`simulate_cap_ladder` (uniform-cap rungs) — the sweeps behind
-    the sensitivity/ablation analyses, one independent physics run per
-    rung.
 site replays
     :func:`site_replays` — replay one arrival stream under many noise
     seeds (confidence intervals over whole simulated shifts), seeds
@@ -27,9 +22,7 @@ imports would create cycles with ``repro.experiments.grid``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.parallel.runner import ParallelRunner
 from repro.parallel.seeding import child_seed
@@ -37,8 +30,6 @@ from repro.parallel.seeding import child_seed
 __all__ = [
     "init_grid_worker",
     "grid_cell_task",
-    "characterize_ladder",
-    "simulate_cap_ladder",
     "site_replays",
 ]
 
@@ -67,101 +58,6 @@ def grid_cell_task(key: Tuple[str, str, str]):
     return run_grid_cell(
         config, model, prepared[mix_name], mix_name, budget_level, policy_name
     )
-
-
-# ----------------------------------------------------------------------
-# characterization ladders
-# ----------------------------------------------------------------------
-def _chunk_indices(count: int, chunks: int) -> List[range]:
-    """Split ``range(count)`` into at most ``chunks`` contiguous ranges."""
-    chunks = max(1, min(chunks, count))
-    bounds = np.linspace(0, count, chunks + 1).astype(int)
-    return [range(int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _characterize_chunk(payload):
-    from repro.characterization.mix_characterization import characterize_mix_batch
-
-    mix, efficiencies, model, fractions = payload
-    return characterize_mix_batch(mix, efficiencies, fractions, model)
-
-
-def characterize_ladder(
-    mix,
-    efficiencies: np.ndarray,
-    harvest_fractions: Sequence[float],
-    model=None,
-    workers: Optional[int] = None,
-) -> List:
-    """Characterize one mix at a ladder of harvest fractions.
-
-    Returns one :class:`MixCharacterization` per rung, in rung order.
-    Rungs are split into one contiguous chunk per pool worker and each
-    worker evaluates its chunk through
-    :func:`~repro.characterization.mix_characterization.characterize_mix_batch`
-    — the physics passes run once per *chunk*, not once per rung, and the
-    batched results are bit-identical to per-rung serial runs at any
-    worker count.
-    """
-    runner = ParallelRunner(workers)
-    fractions = [float(fraction) for fraction in harvest_fractions]
-    ranges = _chunk_indices(len(fractions), runner.workers)
-    payloads = [
-        (mix, efficiencies, model, [fractions[i] for i in chunk])
-        for chunk in ranges
-    ]
-    chunked = runner.map(_characterize_chunk, payloads)
-    return [result for chunk in chunked for result in chunk]
-
-
-def _simulate_chunk(payload):
-    from repro.sim.batch import simulate_cap_batch
-    from repro.sim.execution import SimulationOptions
-
-    mix, efficiencies, model, rungs, noise_std = payload
-    caps_col = np.array([cap for cap, _ in rungs], dtype=float)[:, np.newaxis]
-    caps_sw = np.broadcast_to(caps_col, (len(rungs), mix.total_nodes))
-    options = SimulationOptions(noise_std=noise_std)
-    return simulate_cap_batch(
-        mix, caps_sw, efficiencies, model, options,
-        seeds=[seed for _, seed in rungs],
-        policy_names="cap_ladder",
-        budgets_w=[cap * mix.total_nodes for cap, _ in rungs],
-    )
-
-
-def simulate_cap_ladder(
-    mix,
-    efficiencies: np.ndarray,
-    caps_w: Sequence[float],
-    model=None,
-    noise_std: float = 0.008,
-    run_seed: int = 0,
-    workers: Optional[int] = None,
-) -> List:
-    """Simulate one mix under a ladder of uniform per-host caps.
-
-    One :class:`MixRunResult` per rung, in rung order.  Each rung's
-    noise seed is content-addressed from ``(run_seed, rung index)`` via
-    ``SeedSequence``, so the ladder is bit-identical at any worker
-    count.  Rungs are split into one contiguous chunk per pool worker
-    and each worker runs its chunk as one
-    :func:`~repro.sim.batch.simulate_cap_batch` engine pass — batching
-    inside the process, parallelism across processes.
-    """
-    runner = ParallelRunner(workers)
-    rungs = [
-        (float(cap), child_seed(run_seed, index, f"{float(cap)!r}"))
-        for index, cap in enumerate(caps_w)
-    ]
-    ranges = _chunk_indices(len(rungs), runner.workers)
-    payloads = [
-        (mix, efficiencies, model, [rungs[i] for i in chunk], noise_std)
-        for chunk in ranges
-    ]
-    chunked = runner.map(_simulate_chunk, payloads)
-    return [result for chunk in chunked for result in chunk]
 
 
 # ----------------------------------------------------------------------

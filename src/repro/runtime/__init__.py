@@ -28,8 +28,7 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "reports": ("HostReport", "JobReport", "report_from_sums"),
-    "agent": ("Agent", "AgentBatch", "AgentRegistry", "PlatformSample",
-              "SampleBatch"),
+    "agent": ("Agent", "AgentBatch", "PlatformSample", "SampleBatch"),
     "monitor": ("MonitorAgent",),
     "power_governor": ("PowerGovernorAgent",),
     "power_balancer": ("PowerBalancerAgent", "BalancerOptions"),

@@ -3,12 +3,7 @@
 GEOPM agents observe platform signals each control epoch and decide new
 control values (RAPL limits here).  The simulator presents an epoch's
 telemetry as a :class:`PlatformSample`; an :class:`Agent` returns the node
-power limits to apply for the next epoch.  An :class:`AgentRegistry` maps
-names to agent classes, mirroring GEOPM's plugin-loading behaviour the
-paper leans on for portability ("they can be ported to other architectures
-... by leveraging GEOPM's portable plugin infrastructure").  There is no
-process-wide instance: a caller registers the agents it loads, so what a
-registry holds never depends on which modules happen to be imported.
+power limits to apply for the next epoch.
 
 Each shipped agent writes its algorithm once, as module-level kernels that
 its :class:`Agent` and its :class:`AgentBatch` both call (see
@@ -19,11 +14,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Sequence, Type
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["PlatformSample", "SampleBatch", "Agent", "AgentBatch", "AgentRegistry"]
+__all__ = ["PlatformSample", "SampleBatch", "Agent", "AgentBatch"]
 
 
 @dataclass(frozen=True)
@@ -231,33 +226,3 @@ class AgentBatch(abc.ABC):
         """Member ``row``'s :meth:`Agent.describe` scalars."""
         return {}
 
-
-class AgentRegistry:
-    """Name -> agent-class registry (GEOPM plugin emulation)."""
-
-    def __init__(self) -> None:
-        self._agents: Dict[str, Type[Agent]] = {}
-
-    def register(self, agent_cls: Type[Agent]) -> Type[Agent]:
-        """Register an agent class under its ``name`` (decorator-friendly)."""
-        name = agent_cls.name
-        if not name or name == "abstract":
-            raise ValueError(f"{agent_cls.__name__} must define a concrete name")
-        if name in self._agents:
-            raise ValueError(f"agent {name!r} already registered")
-        self._agents[name] = agent_cls
-        return agent_cls
-
-    def create(self, name: str, /, **kwargs) -> Agent:
-        """Instantiate a registered agent by name."""
-        try:
-            agent_cls = self._agents[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown agent {name!r}; registered: {sorted(self._agents)}"
-            ) from None
-        return agent_cls(**kwargs)
-
-    def names(self):
-        """Registered agent names, sorted."""
-        return sorted(self._agents)

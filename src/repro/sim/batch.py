@@ -36,11 +36,12 @@ Batch vs pool
 -------------
 Batching removes *per-call* overhead inside one process; the
 :mod:`repro.parallel` pool removes *wall-clock* by using more processes.
-They compose: ladder helpers chunk their rungs across pool workers and
-each worker evaluates its chunk as one batch.  Batched runs also share
-the content-addressed result cache with serial runs — per-scenario cache
-keys are identical, so a batch can be partially served from cache and a
-later serial call hits entries a batch stored.
+They compose: the pool fans out independent grid cells and site
+replays, and batching happens within each process (a ``launch_batch``
+call, an emergency response or a site pass is one engine pass).  Batched
+runs also share the content-addressed result cache with serial runs —
+per-scenario cache keys are identical, so a batch can be partially
+served from cache and a later serial call hits entries a batch stored.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.stream import messages as msg
 from repro.stream.engine import SiteStreamEngine
 from repro.telemetry import enabled, get_bus, get_registry, span
 
-__all__ = ["StreamDaemon", "run_daemon_once"]
+__all__ = ["StreamDaemon"]
 
 
 class _Subscriber:
@@ -259,15 +259,3 @@ class StreamDaemon:
             return msg.stats_reply(engine.stats.snapshot())
         return msg.error_message(f"unhandled op {op!r}")
 
-
-async def run_daemon_once(engine: SiteStreamEngine, host: str = "127.0.0.1",
-                          port: int = 0) -> Tuple[str, int]:
-    """Start a daemon and serve until a client asks it to shut down.
-
-    Returns the address it served on (useful mostly for logging; the CLI
-    prints it before blocking).
-    """
-    daemon = StreamDaemon(engine, host=host, port=port)
-    address = await daemon.start()
-    await daemon.serve_until_shutdown()
-    return address

@@ -228,14 +228,6 @@ class SiteStreamEngine:
         # scheduler shuffle) can be skipped.
         eff = cluster.efficiencies
         self._uniform_hosts = bool((eff == eff[0]).all()) if len(eff) else True
-        # Incremental-admission gate: set to the (unreserved watts, free
-        # hosts) snapshot whenever a full admission pass deferred every
-        # pending job; while capacity stays at that snapshot, a new
-        # arrival only needs its own tail judged (estimates are
-        # deterministic and `fits` is monotone in capacity, so the full
-        # pass would re-defer the prefix identically).  Any capacity or
-        # fault-state change invalidates it.
-        self._blocked_key: Optional[Tuple[float, int]] = None
         # Fault state can change only at the schedule's boundaries:
         # admission re-runs there as timeline events.
         if self.injecting:
@@ -429,12 +421,7 @@ class SiteStreamEngine:
                     # head can never run anywhere — unschedulable.
                     self._fail_head()
                     continue
-                # Wait for a capacity-freed event; remember the capacity
-                # snapshot so arrivals until then take the incremental
-                # single-job admission path.
-                self._blocked_key = (avail_w, len(free_healthy))
-                break
-            self._blocked_key = None
+                break  # wait for a capacity-freed event
             get = self.queue.get
             if not self.per_job_batches:
                 self._launch(
@@ -456,20 +443,18 @@ class SiteStreamEngine:
 
     def _launch(self, requests: Sequence[JobRequest],
                 deferred: Tuple[str, ...], share_w: float,
-                host_ids: List[int], quarantined: Tuple[int, ...]) -> Launch:
+                host_ids: List[int], quarantined: Tuple[int, ...]) -> None:
         """Collect the launch row of ``requests`` on ``host_ids``.
 
         The batch's budget is its reservation ``share_w``, the admitted
         jobs' estimate.
         """
-        launch = Launch(
+        self._reserve(Launch(
             self._batch_counter, deferred, requests,
             self._host_eff if self._uniform_hosts
             else self._host_eff[host_ids],
             share_w, share_w, quarantined,
-        )
-        self._reserve(launch, host_ids)
-        return launch
+        ), host_ids)
 
     def _reserve(self, launch: Launch, host_ids) -> None:
         """Hold ``host_ids`` and ``launch.budget_w`` until the batch
@@ -507,42 +492,10 @@ class SiteStreamEngine:
 
     def _capacity_changed(self) -> None:
         """Re-run admission (or arm its flush) after capacity moved."""
-        self._blocked_key = None
         if self._flush_delay_s is None:
             self._admit()
         elif self.queue.pending_count():
             self._schedule_admission_flush()
-
-    def _admit_after_arrival(self, request: JobRequest) -> None:
-        """Admission following one accepted arrival (non-quantised mode).
-
-        The hot path under backlog: when the last full pass deferred
-        everything and capacity has not moved since, only the new tail
-        needs judging — ``decide_arrival`` is O(1) in queue depth.  Any
-        mismatch with the remembered capacity snapshot (or an active
-        fault schedule, whose budget/host state varies with the clock)
-        falls back to the full pass.
-        """
-        key = self._blocked_key
-        if key is not None and not self.injecting:
-            avail_w = self.budget_w - self._reserved_w
-            free = len(self._free_ids)
-            if (avail_w, free) == key:
-                decision = self.admission.decide_arrival(
-                    self.queue, request, avail_w, free, mark=True,
-                )
-                if not decision.admitted:
-                    return  # still blocked at unchanged capacity
-                nodes = decision.admitted_nodes
-                launch = self._launch(
-                    [self.queue.get(name) for name in decision.admitted],
-                    decision.deferred, decision.admitted_power_w,
-                    sorted(self._free_ids)[:nodes], (),
-                )
-                # The prefix stays blocked at the shrunken capacity.
-                self._blocked_key = (avail_w - launch.budget_w, free - nodes)
-                return
-        self._admit()
 
     # ------------------------------------------------------------------
     # the event loop
@@ -599,7 +552,7 @@ class SiteStreamEngine:
                 if quantised:
                     self._schedule_admission_flush()
                 else:
-                    self._admit_after_arrival(request)
+                    self._admit()
             elif kind is BATCH_COMPLETE:
                 payload = event.payload
                 self._free_ids.update(payload["hosts"])
@@ -686,15 +639,22 @@ class SerialSiteEngine(SiteStreamEngine):
         self._flush_delay_s = 0.0
         self._boundaries = self.fault_schedule.boundaries() \
             if self.injecting else ()
+        # Set when a round admitted nothing: no admission until the next
+        # fault boundary (or other capacity event) clears it.
+        self._awaiting_boundary = False
         self.result: Optional[SiteSimulationResult] = None
 
     def _schedule_admission_flush(self) -> None:
         # Idle, not waiting on a fault boundary and below max_batches;
         # otherwise the next completion or boundary arms the flush, or
         # (at the limit) nothing launches again.
-        if not self._in_flight and self._blocked_key is None \
+        if not self._in_flight and not self._awaiting_boundary \
                 and self._batch_counter < self.max_batches:
             super()._schedule_admission_flush()
+
+    def _capacity_changed(self) -> None:
+        self._awaiting_boundary = False
+        super()._capacity_changed()
 
     def _admit(self) -> None:
         while self.queue.pending_count() \
@@ -719,7 +679,7 @@ class SerialSiteEngine(SiteStreamEngine):
                 return
             if bisect.bisect_right(self._boundaries, self.clock) \
                     < len(self._boundaries):
-                self._blocked_key = (budget_now, len(hosts))
+                self._awaiting_boundary = True
                 return
             self._fail_head()
 

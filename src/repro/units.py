@@ -28,50 +28,23 @@ it would surface as a cryptic broadcast error.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 import numpy as np
 
 __all__ = [
-    "KILO",
     "MEGA",
     "GIGA",
-    "JOULES_PER_KWH",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_DAY",
-    "watts_to_kilowatts",
-    "kilowatts_to_watts",
-    "joules_to_kwh",
     "ensure_positive",
     "ensure_non_negative",
     "ensure_fraction",
-    "ensure_in_range",
-    "ensure_monotonic_increasing",
 ]
 
-KILO = 1.0e3
 MEGA = 1.0e6
 GIGA = 1.0e9
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
-JOULES_PER_KWH = 3.6e6
-
-
-def watts_to_kilowatts(power_w: float) -> float:
-    """Convert watts to kilowatts."""
-    return power_w / KILO
-
-
-def kilowatts_to_watts(power_kw: float) -> float:
-    """Convert kilowatts to watts."""
-    return power_kw * KILO
-
-
-def joules_to_kwh(energy_j: float) -> float:
-    """Convert joules to kilowatt-hours."""
-    return energy_j / JOULES_PER_KWH
 
 
 def ensure_positive(value, name: str):
@@ -108,23 +81,3 @@ def ensure_fraction(value, name: str):
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
     return value
 
-
-def ensure_in_range(value, low: float, high: float, name: str):
-    """Validate ``low <= value <= high`` element-wise; return ``value``."""
-    if math.isnan(low) or math.isnan(high) or low > high:
-        raise ValueError(f"invalid range [{low}, {high}] for {name}")
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (np.all(arr >= low) and np.all(arr <= high)):
-        raise ValueError(f"{name} must be within [{low}, {high}], got {value!r}")
-    return value
-
-
-def ensure_monotonic_increasing(values: Iterable[float], name: str):
-    """Validate that a sequence is strictly increasing; return it as a list."""
-    seq = list(values)
-    for a, b in zip(seq, seq[1:]):
-        if not b > a:
-            raise ValueError(f"{name} must be strictly increasing, got {seq!r}")
-    return seq

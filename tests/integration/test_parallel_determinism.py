@@ -12,7 +12,7 @@ from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 from repro.manager.queue import JobRequest
 from repro.manager.site_simulation import Arrival, run_site_simulation
 from repro.parallel import activate_cache, deactivate_cache
-from repro.parallel.tasks import simulate_cap_ladder, site_replays
+from repro.parallel.tasks import site_replays
 from repro.workload.kernel import KernelConfig
 
 
@@ -63,19 +63,6 @@ class TestGridDeterminism:
             assert cache.stats()["hits"] > 0
         finally:
             deactivate_cache()
-
-
-class TestLadderDeterminism:
-    def test_cap_ladder_worker_count_invariant(self, small_grid):
-        prepared = small_grid.prepare_mix("LowPower")
-        mix = prepared.scheduled.mix
-        caps = [180.0, 210.0, 240.0]
-        serial = simulate_cap_ladder(mix, prepared.scheduled.efficiencies,
-                                     caps, workers=1)
-        pooled = simulate_cap_ladder(mix, prepared.scheduled.efficiencies,
-                                     caps, workers=3)
-        for a, b in zip(serial, pooled):
-            assert a == b
 
 
 def _arrival_stream(nodes, count=4):

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.registry import create_policy
+from repro.hardware.cluster import Cluster
 from repro.manager.admission import PowerAwareAdmission
 from repro.manager.queue import JobQueue, JobRequest
+from repro.manager.site_simulation import Arrival
+from repro.stream.engine import SiteStreamEngine
 from repro.workload.kernel import KernelConfig
 
 
@@ -121,22 +125,31 @@ class TestDecide:
         assert [r.name for r in queue.pending()] == ["a"]
         assert queue.admitted_count() == 0
 
-    def test_arrival_admitted_past_a_blocked_head(self, execution_model):
-        # decide_arrival judges only the new tail at the capacity a full
-        # pass was blocked at, and admits it in the queue.
-        queue = JobQueue()
-        queue.submit(_request("head", nodes=8, hint=100.0))
-        admission = PowerAwareAdmission(execution_model)
-        assert admission.decide(queue, 1000.0, nodes_available=4).admitted == ()
-        queue.submit(_request("tail", nodes=2, hint=100.0))
-        decision = admission.decide_arrival(
-            queue, queue.get("tail"), 1000.0, nodes_available=4
+    def test_arrival_admitted_past_a_blocked_head(self):
+        # A running job holds 8 of 12 hosts, so an 8-host head waits; a
+        # 2-host tail arriving at that unchanged capacity backfills past
+        # it through the rolling engine's full admission pass.
+        def request(name, nodes, iterations):
+            return JobRequest(name=name, config=KernelConfig(intensity=8.0),
+                              node_count=nodes, iterations=iterations,
+                              power_hint_w=100.0)
+
+        engine = SiteStreamEngine(
+            Cluster(node_count=12, variation=None, seed=0),
+            create_policy("StaticCaps"), 2500.0,
         )
-        assert decision.admitted == ("tail",)
-        assert decision.deferred == ("head",)
-        assert decision.admitted_nodes == 2
-        assert [r.name for r in queue.pending()] == ["head"]
-        assert queue.admitted_count() == 1
+        engine.attach_source(iter([
+            Arrival(0.0, request("running", 8, 200)),
+            Arrival(0.1, request("head", 8, 10)),
+            Arrival(0.2, request("tail", 2, 10)),
+        ]))
+        engine.run()
+        batches = {b.admitted: b for b in engine.batches}
+        tail = batches[("tail",)]
+        assert tail.start_s == 0.2
+        assert tail.deferred == ("head",)
+        assert batches[("head",)].start_s >= batches[("running",)].end_s
+        assert engine.queue.completed == 3
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.agent import Agent, AgentRegistry, PlatformSample
+from repro.runtime.agent import PlatformSample
 from repro.runtime.monitor import MonitorAgent
 from repro.runtime.power_governor import PowerGovernorAgent
 
@@ -21,44 +21,6 @@ def _sample(limits, times=None, epoch=0):
         host_energy_j=limits * times,
         mean_freq_ghz=np.full(n, 2.0),
     )
-
-
-class TestRegistry:
-    def test_create_by_name(self):
-        registry = AgentRegistry()
-        registry.register(MonitorAgent)
-        agent = registry.create("monitor")
-        assert isinstance(agent, MonitorAgent)
-
-    def test_duplicate_name_rejected(self):
-        registry = AgentRegistry()
-        registry.register(MonitorAgent)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(MonitorAgent)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown agent"):
-            AgentRegistry().create("nope")
-
-    def test_abstract_name_rejected(self):
-        class Nameless(Agent):
-            def adjust(self, sample):
-                return sample.power_limit_w
-
-        with pytest.raises(ValueError, match="concrete name"):
-            AgentRegistry().register(Nameless)
-
-    def test_kwargs_forwarded(self):
-        registry = AgentRegistry()
-        registry.register(PowerGovernorAgent)
-        agent = registry.create("power_governor", job_budget_w=1000.0)
-        assert agent.job_budget_w == 1000.0
-
-    def test_names_sorted(self):
-        registry = AgentRegistry()
-        registry.register(PowerGovernorAgent)
-        registry.register(MonitorAgent)
-        assert registry.names() == ["monitor", "power_governor"]
 
 
 class TestMonitorAgent:

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.characterization.mix_characterization import (
-    characterize_mix,
-    characterize_mix_batch,
-)
+from repro.characterization.mix_characterization import characterize_mix
 from repro.parallel.cache import CharacterizationCache, activate_cache, deactivate_cache
 from repro.sim.batch import (
     LayoutBatch,
@@ -299,37 +296,22 @@ class TestStackLayouts:
             assert np.array_equal(batch.kappa[s], layout.kappa)
 
 
-class TestCharacterizeMixBatch:
-    def test_matches_serial_per_fraction(self):
-        mix = make_mix()
-        _, eff = rand_inputs(mix)
-        fractions = [0.25, 0.5, 1.0]
-        batch = characterize_mix_batch(mix, eff, fractions)
-        for fraction, char in zip(fractions, batch):
-            serial = characterize_mix(mix, eff, harvest_fraction=fraction)
-            assert np.array_equal(char.monitor_power_w, serial.monitor_power_w)
-            assert np.array_equal(char.needed_power_w, serial.needed_power_w)
-            assert np.array_equal(char.needed_cap_w, serial.needed_cap_w)
-            assert char.min_cap_w == serial.min_cap_w
-
-    def test_rejects_bad_fraction(self):
-        mix = make_mix()
-        _, eff = rand_inputs(mix)
-        with pytest.raises(ValueError, match="harvest_fraction"):
-            characterize_mix_batch(mix, eff, [0.5, 0.0])
-
-    def test_shares_cache_with_serial(self):
+class TestCharacterizeMixCache:
+    def test_repeat_call_hits_cache(self):
+        # Each harvest fraction is its own entry; a repeat call is served
+        # from the cache, bit-identical to the computed result.
         mix = make_mix()
         _, eff = rand_inputs(mix)
         cache = activate_cache(CharacterizationCache())
         try:
-            characterize_mix_batch(mix, eff, [0.3, 0.9])
+            fresh = characterize_mix(mix, eff, harvest_fraction=0.9)
+            characterize_mix(mix, eff, harvest_fraction=0.3)
             assert cache.stats()["misses"] == 2
-            serial = characterize_mix(mix, eff, harvest_fraction=0.9)
+            hit = characterize_mix(mix, eff, harvest_fraction=0.9)
             assert cache.stats()["hits"] == 1
-            batch = characterize_mix_batch(mix, eff, [0.3, 0.9])
-            assert cache.stats()["hits"] == 3
-            assert np.array_equal(batch[1].needed_cap_w, serial.needed_cap_w)
+            assert cache.stats()["misses"] == 2
+            assert np.array_equal(hit.monitor_power_w, fresh.monitor_power_w)
+            assert np.array_equal(hit.needed_cap_w, fresh.needed_cap_w)
         finally:
             deactivate_cache()
 

@@ -4,8 +4,18 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.cli import build_parser, main
 from repro.telemetry import PROVENANCE_SCHEMA, Span, load_ledger
+
+
+@pytest.fixture(autouse=True)
+def _fresh_telemetry():
+    """In-process ``main()`` keeps the global tracer: each test reads
+    spans it alone recorded, not ones an earlier command left behind."""
+    telemetry.reset()
+    yield
+    telemetry.reset()
 
 
 class TestParser:

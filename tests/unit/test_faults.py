@@ -15,7 +15,6 @@ from repro.faults import (
     STANDARD_SCENARIOS,
     build_scenario,
     plan_with_degradation,
-    quarantine_caps,
     random_schedule,
 )
 from repro.runtime.controller import Controller
@@ -304,17 +303,3 @@ class TestDegradationLadder:
         np.testing.assert_array_equal(
             caps, apply_job_runtime(char, allocation.caps_w))
         assert not np.array_equal(caps, allocation.caps_w)
-
-    def test_quarantine_parks_failed_and_conserves_power(self):
-        caps = np.array([200.0, 200.0, 200.0, 200.0])
-        out = quarantine_caps(caps, failed_hosts=(1,), min_cap_w=136.0,
-                              tdp_w=240.0)
-        assert out[1] == 136.0
-        assert float(np.sum(out)) == pytest.approx(float(np.sum(caps)))
-        assert np.all(out <= 240.0 + 1e-9)
-
-    def test_quarantine_noop_without_failures(self):
-        caps = np.array([200.0, 180.0])
-        np.testing.assert_array_equal(
-            quarantine_caps(caps, (), 136.0, 240.0), caps
-        )

@@ -12,7 +12,6 @@ from repro.parallel.seeding import (
     SEED_BLOCK,
     BlockSeeds,
     child_seed,
-    child_seeds,
     noise_generator,
 )
 from repro.stream.arrivals import poisson_stream, synthetic_job_factory
@@ -53,23 +52,10 @@ class TestChildSeed:
             child_seed(0, 1.5)
 
     def test_independent_of_sibling_count(self):
-        """A cell's seed never depends on which other cells run."""
-        alone = child_seeds(3, [("OnlyMix", "ideal", "StaticCaps")])
-        among = child_seeds(
-            3,
-            [
-                ("OtherMix", "max", "StaticCaps"),
-                ("OnlyMix", "ideal", "StaticCaps"),
-            ],
-        )
-        assert alone[0] == among[1]
-
-
-class TestChildSeeds:
-    def test_one_per_identity(self):
-        seeds = child_seeds(0, [("a",), ("b",), ("c",)])
-        assert len(seeds) == 3
-        assert len(set(seeds)) == 3
+        """An item's seed never depends on which other items run."""
+        alone = seeding.child_seed_range(3, "cell", start=5, stop=6)
+        among = seeding.child_seed_range(3, "cell", start=0, stop=8)
+        assert alone[0] == among[5] == child_seed(3, "cell", 5)
 
 
 def _memoised(seed):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.render import (
-    render_bar_grid,
     render_heatmap,
     render_series,
     render_table,
@@ -42,29 +41,6 @@ class TestRenderHeatmap:
     def test_custom_format(self):
         out = render_heatmap(["r"], ["c"], np.array([[1.234]]), fmt="{:.2f}")
         assert "1.23" in out
-
-
-class TestRenderBarGrid:
-    def test_positive_and_negative_bars(self):
-        out = render_bar_grid({"g": {"up": 5.0, "down": -5.0}})
-        assert "#" in out
-        assert "-" in out
-
-    def test_group_headers(self):
-        out = render_bar_grid({"min": {"a": 1.0}, "max": {"a": 2.0}})
-        assert "[min]" in out and "[max]" in out
-
-    def test_scales_to_peak(self):
-        out = render_bar_grid({"g": {"big": 10.0, "small": 1.0}}, width=10)
-        lines = [l for l in out.splitlines() if "|" in l]
-        big_bar = lines[0].split("|")[1]
-        small_bar = lines[1].split("|")[1]
-        assert len(big_bar) == 10
-        assert len(small_bar) == 1
-
-    def test_all_zero_safe(self):
-        out = render_bar_grid({"g": {"a": 0.0}})
-        assert "+0.0%" in out
 
 
 class TestRenderSeries:

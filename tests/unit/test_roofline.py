@@ -110,38 +110,6 @@ class TestAttainable:
         )
 
 
-class TestTimeForWork:
-    def test_zero_flops_is_memory_time(self):
-        """Intensity 0 work takes pure streaming time, no special case."""
-        r = NODE_LEVEL_ROOFLINE
-        t = r.time_for_work(gbytes=2.0, gflop=0.0, compute_ceiling="dp_fma_ymm")
-        assert t == pytest.approx(2.0 / 110.0)
-
-    def test_compute_heavy_work(self):
-        r = NODE_LEVEL_ROOFLINE
-        peak = r.compute("dp_fma_ymm").gflops
-        t = r.time_for_work(gbytes=0.001, gflop=peak, compute_ceiling="dp_fma_ymm")
-        assert t == pytest.approx(1.0, rel=1e-3)
-
-    def test_time_decreases_with_frequency(self):
-        r = NODE_LEVEL_ROOFLINE
-        t_slow = r.time_for_work(2.0, 32.0, "dp_fma_ymm", freq_ghz=1.2)
-        t_fast = r.time_for_work(2.0, 32.0, "dp_fma_ymm", freq_ghz=2.2)
-        assert t_fast < t_slow
-
-    def test_memory_bound_weakly_freq_sensitive(self):
-        """DRAM-bound time changes much less than compute-bound time for
-        the same frequency change."""
-        r = NODE_LEVEL_ROOFLINE
-        mem_ratio = r.time_for_work(2.0, 0.0, "dp_fma_ymm", 1.1) / r.time_for_work(
-            2.0, 0.0, "dp_fma_ymm", 2.2
-        )
-        cpu_ratio = r.time_for_work(0.0001, 32.0, "dp_fma_ymm", 1.1) / r.time_for_work(
-            0.0001, 32.0, "dp_fma_ymm", 2.2
-        )
-        assert mem_ratio < cpu_ratio
-
-
 class TestPlotSeries:
     def test_series_keys(self):
         r = ADVISOR_SINGLE_CORE_ROOFLINE

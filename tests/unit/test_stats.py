@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import ConfidenceInterval, bootstrap_ci, mean_ci95, summarize
+from repro.analysis.stats import ConfidenceInterval, mean_ci95
 
 
 class TestConfidenceInterval:
@@ -57,46 +57,3 @@ class TestMeanCi95:
         ci = mean_ci95(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert ci.mean == pytest.approx(2.5)
 
-
-class TestBootstrap:
-    def test_agrees_with_normal_ci(self):
-        rng = np.random.default_rng(2)
-        sample = rng.normal(5.0, 1.0, size=200)
-        normal = mean_ci95(sample)
-        boot = bootstrap_ci(sample, resamples=1500, seed=3)
-        assert boot.mean == pytest.approx(normal.mean)
-        assert boot.half_width == pytest.approx(normal.half_width, rel=0.3)
-
-    def test_custom_statistic(self):
-        sample = np.arange(100, dtype=float)
-        ci = bootstrap_ci(sample, statistic=np.median, resamples=500)
-        assert ci.mean == pytest.approx(49.5)
-
-    def test_deterministic_per_seed(self):
-        x = np.arange(50, dtype=float)
-        a = bootstrap_ci(x, seed=7)
-        b = bootstrap_ci(x, seed=7)
-        assert a.half_width == b.half_width
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci(np.array([]))
-
-
-class TestSummarize:
-    def test_keys(self):
-        s = summarize(np.arange(10, dtype=float))
-        for key in ("count", "mean", "ci95", "std", "min", "median", "max"):
-            assert key in s
-
-    def test_values(self):
-        s = summarize(np.array([1.0, 2.0, 3.0]))
-        assert s["count"] == 3.0
-        assert s["mean"] == 2.0
-        assert s["median"] == 2.0
-        assert s["min"] == 1.0
-        assert s["max"] == 3.0
-
-    def test_single_sample(self):
-        s = summarize(np.array([4.0]))
-        assert s["std"] == 0.0

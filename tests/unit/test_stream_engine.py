@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.registry import create_policy
 from repro.hardware.cluster import Cluster
-from repro.manager.admission import PowerAwareAdmission
 from repro.manager.queue import JobRequest
 from repro.manager.site_simulation import (
     Arrival,
@@ -241,43 +240,6 @@ class TestRollingEngine:
             assert engine.queue.submitted == engine.queue.completed == 3
         assert [a.request for a in arrivals] == \
             [_request(f"j{i}") for i in range(3)]
-
-    def test_incremental_arrival_admission_matches_full_passes(
-            self, cluster, monkeypatch):
-        # A long 8-node job runs and an 8-node head waits behind it, so
-        # small arrivals take decide_arrival's path at unchanged capacity
-        # and backfill past the head: exactly what full passes admit.
-        arrivals = [Arrival(0.0, _request("a", nodes=8, iterations=200)),
-                    Arrival(0.1, _request("b", nodes=8))]
-        arrivals += [Arrival(0.2 + 0.1 * i, _request(f"s{i}", nodes=2))
-                     for i in range(4)]
-
-        def run():
-            engine = _engine(cluster)
-            engine.attach_source(iter(arrivals))
-            engine.run()
-            return engine
-
-        incremental_admits = []
-        decide_arrival = PowerAwareAdmission.decide_arrival
-
-        def counted(self, *args, **kwargs):
-            decision = decide_arrival(self, *args, **kwargs)
-            incremental_admits.extend(decision.admitted)
-            return decision
-
-        monkeypatch.setattr(PowerAwareAdmission, "decide_arrival", counted)
-        incremental = run()
-        assert incremental_admits
-        monkeypatch.setattr(
-            PowerAwareAdmission, "decide_arrival",
-            lambda self, queue, request, budget_w, nodes, mark=True:
-            self.decide(queue, budget_w, nodes, mark=mark),
-        )
-        full = run()
-        assert incremental.batches == full.batches
-        assert incremental.stats == full.stats
-        assert incremental.queue.completed == 6
 
     @pytest.mark.parametrize("record_jobs", [True, False])
     def test_queue_counters_match_stats(self, cluster, record_jobs):

@@ -7,18 +7,6 @@ from repro import units
 
 
 class TestConversions:
-    def test_watts_to_kilowatts(self):
-        assert units.watts_to_kilowatts(1500.0) == pytest.approx(1.5)
-
-    def test_kilowatts_to_watts(self):
-        assert units.kilowatts_to_watts(1.35) == pytest.approx(1350.0)
-
-    def test_watt_roundtrip(self):
-        assert units.kilowatts_to_watts(units.watts_to_kilowatts(777.0)) == pytest.approx(777.0)
-
-    def test_joules_to_kwh(self):
-        assert units.joules_to_kwh(3.6e6) == pytest.approx(1.0)
-
     def test_seconds_per_day(self):
         assert units.SECONDS_PER_DAY == 24 * units.SECONDS_PER_HOUR
 
@@ -89,32 +77,3 @@ class TestEnsureFraction:
         arr = np.array([0.0, 0.5, 1.0])
         assert units.ensure_fraction(arr, "x") is arr
 
-
-class TestEnsureInRange:
-    def test_accepts_in_range(self):
-        assert units.ensure_in_range(5.0, 0.0, 10.0, "x") == 5.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            units.ensure_in_range(11.0, 0.0, 10.0, "x")
-
-    def test_rejects_invalid_range(self):
-        with pytest.raises(ValueError, match="invalid range"):
-            units.ensure_in_range(5.0, 10.0, 0.0, "x")
-
-
-class TestEnsureMonotonic:
-    def test_accepts_increasing(self):
-        assert units.ensure_monotonic_increasing([1, 2, 3], "x") == [1, 2, 3]
-
-    def test_rejects_equal_neighbours(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            units.ensure_monotonic_increasing([1, 1, 2], "x")
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            units.ensure_monotonic_increasing([3, 2], "x")
-
-    def test_empty_and_singleton_ok(self):
-        assert units.ensure_monotonic_increasing([], "x") == []
-        assert units.ensure_monotonic_increasing([7], "x") == [7]
