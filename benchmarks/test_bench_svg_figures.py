@@ -20,7 +20,10 @@ def test_svg_figures(benchmark, paper_grid, paper_results, emit):
         rounds=1, iterations=1,
     )
 
-    lines = [f"{name}: {path}" for name, path in sorted(written.items())]
+    # Repo-relative paths, so the artefact is the same in every checkout.
+    root = Path(__file__).resolve().parent.parent
+    lines = [f"{name}: {path.resolve().relative_to(root).as_posix()}"
+             for name, path in sorted(written.items())]
     emit("svg_figures", "\n".join(lines))
 
     assert len(written) == 8

@@ -14,7 +14,9 @@ ways to consume it:
    stack runs (how a dashboard or an external RM would integrate);
 2. **metrics snapshot** — the end-of-run roll-up every report embeds:
    counters, span totals and event counts, all exact;
-3. **event-log export** — JSONL for offline analysis.
+3. **event-log export** — JSONL for offline analysis.  The bus keeps
+   history only inside ``telemetry.recording()`` (as ``--telemetry-out``
+   runs do), so the launches run inside one.
 
 Run with::
 
@@ -59,18 +61,19 @@ def main() -> None:
     char = manager.characterize(scheduled)
     budgets = derive_budgets(char)
     print("Launching WastefulPower under two policies:")
-    for policy_name in ("StaticCaps", "MixedAdaptive"):
-        manager.launch(
-            scheduled, create_policy(policy_name), budgets.ideal_w,
-            characterization=char,
-        )
+    with telemetry.recording():
+        for policy_name in ("StaticCaps", "MixedAdaptive"):
+            manager.launch(
+                scheduled, create_policy(policy_name), budgets.ideal_w,
+                characterization=char,
+            )
     telemetry.get_bus().unsubscribe(token)
 
     # 2. The metrics snapshot: what `python -m repro telemetry` and the
     #    report's Telemetry section print.
     print("\n" + telemetry.TelemetrySummary.capture().render())
 
-    # 3. Export the event log for offline analysis.
+    # 3. Export the event log recorded during the launches.
     out = Path(tempfile.mkdtemp()) / "events.jsonl"
     telemetry.get_bus().to_jsonl(out)
     print(f"\nEvent log written to {out}")

@@ -961,12 +961,29 @@ def _cmd_facility_sim(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A command that writes a telemetry bundle (``--telemetry-out``, or
+    ``telemetry -o``) runs inside :func:`repro.telemetry.recording`, so
+    its event log and span tree hold the run's history; any other
+    command keeps only the exact counts and totals.
+    """
     args = build_parser().parse_args(argv)
     if args.cache_dir:
         from repro.parallel import activate_cache
 
         activate_cache(cache_dir=args.cache_dir)
+    out = getattr(args, "telemetry_out", None) or getattr(args, "out", None)
+    if not out:
+        return _dispatch(args)
+    from repro.telemetry import recording
+
+    with recording():
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command."""
     if args.command == "facility":
         return _cmd_facility()
     if args.command == "facility-sim":

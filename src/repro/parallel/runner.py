@@ -17,9 +17,11 @@ rules that keep parallel runs trustworthy:
   in-process and the incident is recorded as a telemetry event — the
   answer is always produced.
 * **Telemetry.**  Each worker isolates its telemetry context, records
-  normally, and ships per-task metric state, events, spans, their exact
-  per-source and per-name totals and both rings' drop counts back with
-  the result; the parent merges them into the global
+  normally, and ships per-task metric state and its exact per-source
+  event counts and per-name span totals back with the result.  While
+  the parent is recording (:func:`repro.telemetry.recording`) the
+  worker records too and also ships its events, spans and both rings'
+  drop counts.  The parent merges everything into the global
   :class:`~repro.telemetry.MetricsRegistry`, bus and tracer, so a
   parallel run is as observable as a serial one.
 
@@ -39,7 +41,9 @@ from repro.telemetry import (
     get_bus,
     get_registry,
     get_tracer,
+    is_recording,
     span,
+    tracing_enabled,
 )
 
 __all__ = ["ParallelRunner", "resolve_workers", "WORKERS_ENV"]
@@ -95,26 +99,33 @@ def _init_worker(cache_settings: Optional[Tuple[int, Optional[str]]],
         user_initializer(*user_initargs)
 
 
-def _run_task(fn: Callable, payload: object) -> Tuple[object, Optional[dict]]:
+def _run_task(fn: Callable, payload: object,
+              record: bool) -> Tuple[object, Optional[dict]]:
     """Execute one task in a worker and capture its telemetry delta.
 
     Returns ``(result, telemetry)``; ``telemetry`` is ``None`` when
-    telemetry is disabled.  The task runs under a ``parallel.task`` span
-    so the worker's span tree has a single root the parent can adopt
-    under its ``parallel.map`` span.
+    telemetry is disabled.  With ``record`` (the parent is recording)
+    the task runs inside :func:`~repro.telemetry.recording` and its
+    events and spans ship too; the task's ``parallel.task`` span is then
+    the worker tree's single root, which the parent adopts under its
+    ``parallel.map`` span.
     """
+    from contextlib import nullcontext
+
     from repro.telemetry import (
         enabled as _enabled,
         get_bus as _get_bus,
         get_registry as _get_registry,
         get_tracer as _get_tracer,
+        recording as _recording,
         reset as _reset,
         span as _span,
     )
 
     _reset()  # each task ships a clean delta
-    with _span("parallel.task", pid=os.getpid()):
-        result = fn(payload)
+    with _recording() if record else nullcontext():
+        with _span("parallel.task", pid=os.getpid()):
+            result = fn(payload)
     if not _enabled():
         return result, None
     bus, tracer = _get_bus(), _get_tracer()
@@ -207,7 +218,9 @@ class ParallelRunner:
                     initargs=(cache_settings, self._initializer,
                               self._initargs),
                 ) as pool:
-                    futures = [pool.submit(_run_task, fn, p) for p in payloads]
+                    record = is_recording()
+                    futures = [pool.submit(_run_task, fn, p, record)
+                               for p in payloads]
                     for future in futures:
                         result, shipped = future.result()
                         if shipped is not None and enabled():
@@ -215,16 +228,24 @@ class ParallelRunner:
                             bus.replay(shipped["events"],
                                        counts=shipped["event_counts"],
                                        dropped=shipped["events_dropped"])
-                        if shipped is not None and map_sp is not None:
-                            # Adopt the worker's span tree under this
-                            # map span; when tracing is off in the
-                            # parent the shipped spans are dropped,
-                            # matching the parent's own recording.
-                            get_tracer().merge_state(
+                        if shipped is not None and tracing_enabled():
+                            # Adopt the worker's span tree (shipped only
+                            # while recording) under this map span and
+                            # add its totals; when tracing is off in the
+                            # parent both are dropped, matching the
+                            # parent's own spans.
+                            tracer = get_tracer()
+                            tracer.merge_state(
                                 shipped["spans"], parent=map_sp,
                                 totals=shipped["span_totals"],
                                 dropped=shipped["spans_dropped"],
                             )
+                            if map_sp is None:
+                                # Totals-only: the task's wall is still
+                                # the map span's child time.
+                                tracer.adopt_child_wall(
+                                    shipped["span_totals"]["parallel.task"]
+                                    ["wall_s"])
                         results.append(result)
             except (BrokenProcessPool, pickle.PicklingError, AttributeError,
                     OSError, ImportError) as exc:

@@ -6,8 +6,9 @@ reproduction itself observable with the same discipline.  Three pieces,
 one pipeline:
 
 * :mod:`repro.telemetry.events` — a structured :class:`EventBus`
-  (``Event(ts, source, kind, payload)``, subscriber API, ring buffer,
-  JSONL/CSV export) in the spirit of NRM's upstream pub/sub API;
+  (``Event(ts, source, kind, payload)``, subscriber API, exact
+  per-source counts; a ring buffer with JSONL/CSV export while
+  recording) in the spirit of NRM's upstream pub/sub API;
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of exact
   counters that merge across pool workers by addition (a level or a
   duration rides in the payload of the event that reports it);
@@ -18,8 +19,9 @@ one pipeline:
 Every layer records through the process-global context
 (:func:`get_registry` / :func:`get_bus` / :func:`emit`), switchable with
 :func:`set_enabled`; :class:`TelemetrySummary` rolls the state up for
-reports and the CLI.  Metric names follow ``layer.component.metric``;
-event sources follow ``layer.component``.
+reports and the CLI.  History — the event ring and the span tree — is
+kept only inside a :func:`recording` block.  Metric names follow
+``layer.component.metric``; event sources follow ``layer.component``.
 
 Quick tour::
 
@@ -37,7 +39,7 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "context": ("disabled", "emit", "enabled", "get_bus", "get_registry",
                 "isolate", "reset", "set_enabled"),
-    "events": ("Event", "EventBus"),
+    "events": ("Event", "EventBus", "is_recording", "recording"),
     "metrics": ("Counter", "MetricsRegistry", "metric_key"),
     "provenance": ("PROVENANCE_SCHEMA", "capture_ledger", "load_ledger",
                    "validate_ledger", "write_ledger"),

@@ -8,6 +8,13 @@ flips the whole subsystem off (instrumented code keeps running, records
 nothing — the overhead benchmark's baseline); :func:`emit` is the
 publish helper every layer uses, which honours the switch.
 
+By default the pipeline keeps exact aggregates only: counters, the
+bus's per-source event counts and the tracer's per-name span totals,
+and events reach live subscribers.  History (the event ring and the
+span tree) is kept only while recording, inside
+:func:`~repro.telemetry.events.recording`; ``--telemetry-out`` runs its
+command that way.
+
 The context is deliberately process-global, like logging's root logger:
 the stack's layers must share one pipeline for the grid report to see
 runtime, manager, and experiments telemetry together.  Tests that need
@@ -74,18 +81,22 @@ def get_bus() -> EventBus:
 def emit(source: str, kind: str, **payload: object) -> Optional[Event]:
     """Publish one event to the global bus — or nothing when disabled.
 
+    Returns the event, or ``None`` when disabled or when nothing reads
+    it (no subscriber and no :func:`~repro.telemetry.events.recording`
+    block; the bus then only counts it).
+
     This is the helper instrumented layers call; components that must
     always record (e.g. an explicitly attached trace writer) publish to
     a bus directly instead.
     """
     if not _enabled:
         return None
-    return _bus.publish(source, kind, **payload)
+    return _bus._publish(source, kind, payload)
 
 
 def reset() -> None:
-    """Clear the global registry, event buffer, and finished spans
-    (switches unchanged)."""
+    """Clear the global registry, the bus's events and counts, and the
+    tracer's spans and totals (switches unchanged)."""
     from repro.telemetry import tracing
 
     _registry.reset()

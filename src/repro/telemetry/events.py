@@ -3,12 +3,15 @@
 Every layer of the stack publishes :class:`Event` records — admission
 decisions, balancer convergence, grid cells completing — to an
 :class:`EventBus` instead of printing or keeping private logs.  The bus
-keeps a bounded ring buffer (recent history survives without unbounded
-memory), fans events out to subscribers in subscription order, and can
-export the buffer as JSONL or CSV for offline analysis.  The design
-follows NRM's upstream pub/sub API: producers never know who is
-listening, and a subscriber (a trace writer, a dashboard, a test
-assertion) attaches without touching the producer.
+counts every event per source, exactly, and fans events out to
+subscribers in subscription order.  While recording (inside
+:func:`recording`) it also keeps a bounded ring buffer of the events,
+which it can export as JSONL or CSV for offline analysis.  Outside
+:func:`recording` a bus with no subscribers builds no :class:`Event` at
+all: a publish is one counter increment.  The design follows NRM's
+upstream pub/sub API: producers never know who is listening, and a
+subscriber (a trace writer, a dashboard, a test assertion) attaches
+without touching the producer.
 
 Event taxonomy: ``source`` is the emitting component in dotted
 ``layer.component`` form (``runtime.controller``, ``manager.admission``,
@@ -25,11 +28,44 @@ import json
 import threading
 import time
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Union)
 
-__all__ = ["Event", "EventBus"]
+__all__ = ["Event", "EventBus", "recording", "is_recording"]
+
+#: Open :func:`recording` blocks in this process.  While positive, every
+#: bus keeps its event ring and :func:`repro.telemetry.tracing.span`
+#: records :class:`~repro.telemetry.tracing.Span` objects in the tracer's
+#: ring; otherwise both keep only their exact counts and totals.
+_recording = 0
+_recording_lock = threading.Lock()
+
+
+@contextmanager
+def recording() -> Iterator[None]:
+    """Keep telemetry history inside the block: the event ring and the
+    finished-span ring (and the span tree it exports).
+
+    Outside it the pipeline keeps only exact aggregates (counters,
+    per-source event counts, per-name span totals) and fans events out
+    to live subscribers.  Blocks nest; the switch is process-wide.
+    """
+    global _recording
+    with _recording_lock:
+        _recording += 1
+    try:
+        yield
+    finally:
+        with _recording_lock:
+            _recording -= 1
+
+
+def is_recording() -> bool:
+    """Whether a :func:`recording` block is open in this process."""
+    return _recording > 0
 
 
 @dataclass(frozen=True)
@@ -65,13 +101,14 @@ class Event:
 
 
 class EventBus:
-    """Bounded pub/sub event pipeline.
+    """Pub/sub event pipeline with exact per-source counts and, while
+    recording, a bounded history.
 
     Parameters
     ----------
     capacity:
-        Ring-buffer size; the oldest events are dropped once exceeded,
-        and counted in :attr:`dropped`.
+        Ring-buffer size; once exceeded while recording, the oldest
+        events are dropped and counted in :attr:`dropped`.
     clock:
         Timestamp source (injectable for deterministic tests).
     """
@@ -92,21 +129,43 @@ class EventBus:
         self._lock = threading.Lock()
 
     # -- publishing ----------------------------------------------------
-    def publish(self, source: str, kind: str, **payload: object) -> Event:
-        """Create, buffer, and fan out one event; returns it."""
-        event = Event(ts=float(self._clock()), source=source, kind=kind,
-                      payload=payload)
+    def publish(self, source: str, kind: str,
+                **payload: object) -> Optional[Event]:
+        """Count one event and, when anything reads it, create it,
+        buffer it (while recording) and fan it out.
+
+        Returns the event, or ``None`` when nothing reads it: outside
+        :func:`recording`, with no subscribers.
+        """
+        return self._publish(source, kind, payload)
+
+    def _publish(self, source: str, kind: str,
+                 payload: Dict[str, object]) -> Optional[Event]:
+        """:meth:`publish` with the payload already packed (``emit``
+        calls this, so a publish packs its keywords once)."""
         with self._lock:
-            self._append(event)
             self._counts[source] += 1
+            if not (self._subscribers or _recording):
+                return None
+            event = Event(ts=float(self._clock()), source=source, kind=kind,
+                          payload=payload)
+            if _recording:
+                self._append(event)
             subscribers = list(self._subscribers.values())
-        for callback, kinds, sources in subscribers:
-            if kinds is not None and event.kind not in kinds:
-                continue
-            if sources is not None and event.source not in sources:
-                continue
-            callback(event)
+        self._fan_out(subscribers, (event,))
         return event
+
+    @staticmethod
+    def _fan_out(subscribers: Sequence[tuple],
+                 events: Sequence[Event]) -> None:
+        """Deliver ``events`` to each matching subscriber, in order."""
+        for event in events:
+            for callback, kinds, sources in subscribers:
+                if kinds is not None and event.kind not in kinds:
+                    continue
+                if sources is not None and event.source not in sources:
+                    continue
+                callback(event)
 
     def _append(self, event: Event) -> None:
         """Buffer one event, counting the one it evicts (lock held)."""
@@ -149,12 +208,13 @@ class EventBus:
 
     # -- reading back --------------------------------------------------
     def __len__(self) -> int:
-        """Events currently held in the ring buffer."""
+        """Events currently held in the ring buffer (recorded ones)."""
         return len(self._buffer)
 
     def events(self, kind: Optional[str] = None,
                source: Optional[str] = None) -> List[Event]:
-        """Buffered events, oldest first, optionally filtered."""
+        """Buffered events, oldest first, optionally filtered (empty
+        unless they were published inside :func:`recording`)."""
         with self._lock:
             out = list(self._buffer)
         if kind is not None:
@@ -177,9 +237,9 @@ class EventBus:
     def replay(self, events: Sequence[Event],
                counts: Optional[Mapping[str, int]] = None,
                dropped: int = 0) -> None:
-        """Append already-stamped events (e.g. shipped from a worker
-        process) preserving their original timestamps, and fan them out
-        to subscribers like a live publish.
+        """Buffer already-stamped events (e.g. shipped from a worker
+        process) preserving their original timestamps while recording,
+        and fan them out to subscribers like a live publish.
 
         ``counts`` (the shipping bus's :meth:`counts_by_source`) replaces
         the per-source count of ``events`` when given, so events the
@@ -189,18 +249,13 @@ class EventBus:
         if counts is None:
             counts = Counter(event.source for event in events)
         with self._lock:
-            for event in events:
-                self._append(event)
+            if _recording:
+                for event in events:
+                    self._append(event)
             self._counts.update(counts)
             self.dropped += dropped
             subscribers = list(self._subscribers.values())
-        for event in events:
-            for callback, kinds, sources in subscribers:
-                if kinds is not None and event.kind not in kinds:
-                    continue
-                if sources is not None and event.source not in sources:
-                    continue
-                callback(event)
+        self._fan_out(subscribers, events)
 
     def clear(self) -> None:
         """Drop all buffered events, the per-source counts and the drop

@@ -4,7 +4,9 @@
 exact per-span-name totals, the event bus's per-source counts and the
 event and span rings' drop counts into a plain dataclass that renders
 as the fixed-width tables the rest of the reporting layer uses.  Every
-figure in it is exact: nothing is sampled.  The grid report appends
+figure in it is exact: nothing is sampled.  The counts and totals are
+kept on every run; the rings, and so their drop counts, only while
+recording (:func:`repro.telemetry.recording`).  The grid report appends
 one; the ``repro telemetry`` CLI command prints one; ``--telemetry-out``
 writes one next to the JSONL event log.
 """
@@ -29,9 +31,9 @@ class TelemetrySummary:
 
     ``counters``, ``span_totals`` and ``event_counts`` are exact over
     the whole run; ``events_dropped`` / ``spans_dropped`` count what the
-    bounded event and span rings evicted: nonzero means the events and
-    spans left (and any span-tree analysis over them) cover only the
-    recent tail.
+    bounded event and span rings evicted while recording: nonzero means
+    the events and spans left (and any span-tree analysis over them)
+    cover only the recent tail.
     """
 
     counters: Dict[str, float]

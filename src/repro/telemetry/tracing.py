@@ -14,6 +14,12 @@ Design rules, mirroring the rest of :mod:`repro.telemetry`:
 * **Zero configuration.**  Instrumented code calls the module-level
   :func:`span` context manager; spans nest through a per-thread stack on
   the process-global :class:`Tracer` (:func:`get_tracer`).
+* **Totals by default, trees while recording.**  Outside
+  :func:`~repro.telemetry.events.recording` a span is totals-only: it
+  folds its count, wall, self and CPU seconds into its name's
+  aggregate, builds no :class:`Span` and yields ``None``.  Inside it
+  the span is recorded too, so the tracer's ring holds the call tree
+  that ``trace.json`` exports.
 * **Cheap when off.**  :func:`set_tracing` (and the global telemetry
   switch) turn the whole thing into a ``yield None``; the overhead gate
   (< 2 % on ``simulate_mix``, ``benchmarks/test_bench_trace_overhead.py``)
@@ -32,11 +38,11 @@ Each span records wall time (``perf_counter``), CPU time
 (``process_time``) and free-form attributes.  It never reads the metrics
 registry: counters are whole-run sums, kept exactly in one place.
 
-Timing is spans' alone: besides the finished-span ring, the tracer
-keeps one exact aggregate per span name (count, wall, self and CPU
-seconds; :meth:`Tracer.totals`), updated as each span finishes, so the
-summary, the profile and the provenance ledger read whole-run figures
-however many spans the ring has evicted.
+Timing is spans' alone: the tracer keeps one exact aggregate per span
+name (count, wall, self and CPU seconds; :meth:`Tracer.totals`),
+updated as each span finishes, recorded or not, so the summary, the
+profile and the provenance ledger read whole-run figures however many
+spans the ring has evicted or never held.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+
+from repro.telemetry import context as _context
+from repro.telemetry import events as _events
 
 __all__ = [
     "Span",
@@ -126,11 +135,24 @@ class Span:
         return cls(**{f: data[f] for f in _SPAN_FIELDS})  # type: ignore[arg-type]
 
 
+class _Frame:
+    """An open totals-only span on a thread's stack: it only collects
+    its finished children's wall seconds, as :attr:`Span.child_wall_s`
+    does for a recorded one."""
+
+    __slots__ = ("child_wall_s",)
+
+    def __init__(self) -> None:
+        self.child_wall_s = 0.0
+
+
 class Tracer:
     """Collects finished spans and tracks the per-thread open stack.
 
-    Every finished span also lands in an exact per-name aggregate
-    (:meth:`totals`) that the ring's evictions never touch.
+    Every finished span, recorded or totals-only, lands in an exact
+    per-name aggregate (:meth:`totals`) that the ring's evictions never
+    touch; recorded spans (:meth:`start` / :meth:`finish`) also land in
+    the ring.
 
     Parameters
     ----------
@@ -159,7 +181,9 @@ class Tracer:
             seq = self._next_id
         return f"{os.getpid():x}-{seq:x}"
 
-    def _stack(self) -> List[Span]:
+    def _stack(self) -> list:
+        """The thread's open spans, innermost last: recorded
+        :class:`Span` objects and totals-only frames."""
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = []
@@ -168,11 +192,12 @@ class Tracer:
 
     # -- recording -----------------------------------------------------
     def start(self, name: str, **attributes: object) -> Span:
-        """Open a span under the thread's current span (or as a root)."""
+        """Open a recorded span under the thread's current span (or as a
+        root)."""
         stack = self._stack()
         span_id = self._new_id()
-        if stack:
-            parent = stack[-1]
+        parent = self.current()
+        if parent is not None:
             parent_id, trace_id = parent.span_id, parent.trace_id
         else:
             parent_id, trace_id = None, span_id
@@ -185,27 +210,40 @@ class Tracer:
         return record
 
     def finish(self, record: Span, status: str = "ok") -> None:
-        """Close the span, add it to its name's totals and move it to the
-        finished ring.
-
-        Self time is the span's wall minus its finished direct
-        children's, clamped at 0; the span's own wall accrues on its
-        open parent for the same subtraction.
-        """
-        stack = self._stack()
-        if record in stack:
-            # Close any abandoned children first (exception unwinding).
-            while stack and stack[-1] is not record:
-                stack.pop()
-            stack.pop()
-        if stack and stack[-1].span_id == record.parent_id:
-            stack[-1].child_wall_s += record.wall_s
+        """Close a recorded span, add it to its name's totals and move it
+        to the finished ring."""
         record.end_unix = time.time()
         record.status = status
-        self_s = max(0.0, record.wall_s - record.child_wall_s)
+        self_s = self._close(record, record.wall_s)
         with self._lock:
             self._add(record.name, 1, record.wall_s, self_s, record.cpu_s)
             self._keep(record)
+
+    def _close(self, entry, wall_s: float) -> float:
+        """Pop ``entry`` off the thread's stack and return its self time.
+
+        Self time is the span's wall minus its finished direct
+        children's, clamped at 0; the span's own wall accrues on the
+        enclosing open span for the same subtraction.
+        """
+        stack = self._stack()
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth] is entry:
+                # Close any abandoned children too (exception unwinding).
+                del stack[depth:]
+                if stack:
+                    stack[-1].child_wall_s += wall_s
+                break
+        return max(0.0, wall_s - entry.child_wall_s)
+
+    def adopt_child_wall(self, wall_s: float) -> None:
+        """Count ``wall_s`` seconds spent elsewhere (a pool worker's
+        task, shipped without its span tree) as a finished child of the
+        thread's innermost open span, as :meth:`merge_state` does for
+        shipped roots."""
+        stack = self._stack()
+        if stack:
+            stack[-1].child_wall_s += wall_s
 
     def _add(self, name: str, count: int, wall_s: float, self_s: float,
              cpu_s: float) -> None:
@@ -224,9 +262,11 @@ class Tracer:
         self._finished.append(record)
 
     def current(self) -> Optional[Span]:
-        """The thread's innermost open span, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The thread's innermost open recorded span, if any."""
+        for entry in reversed(self._stack()):
+            if isinstance(entry, Span):
+                return entry
+        return None
 
     # -- reading back --------------------------------------------------
     def finished(self, name: Optional[str] = None) -> List[Span]:
@@ -352,10 +392,8 @@ def set_tracing(flag: bool) -> bool:
 
 
 def tracing_enabled() -> bool:
-    """Whether spans are currently being recorded (both switches on)."""
-    from repro.telemetry import context
-
-    return _tracing and context.enabled()
+    """Whether spans are currently being timed (both switches on)."""
+    return _tracing and _context._enabled
 
 
 def _reset_tracer() -> None:
@@ -372,12 +410,16 @@ def current_span() -> Optional[Span]:
 
 @contextmanager
 def span(name: str, **attributes: object) -> Iterator[Optional[Span]]:
-    """Record one hierarchical span around the ``with`` block.
+    """Time one hierarchical span around the ``with`` block.
 
-    Yields the open :class:`Span` (so the block can
-    :meth:`~Span.set_attribute` results) or ``None`` when tracing is
-    off — callers must guard attribute writes with ``if sp is not None``
-    or use the walrus-free pattern ``sp and sp.set_attribute(...)``.
+    Inside :func:`~repro.telemetry.events.recording` it yields the open
+    :class:`Span` (so the block can :meth:`~Span.set_attribute`
+    results), which then joins the tracer's ring.  Otherwise the span
+    is totals-only: it yields ``None`` and only adds to
+    :meth:`Tracer.totals`.  With tracing off it yields ``None`` and
+    records nothing.  Callers must guard attribute writes with
+    ``if sp is not None`` or use the walrus-free pattern
+    ``sp and sp.set_attribute(...)``.
 
     Wall time comes from ``perf_counter``, CPU time from
     ``process_time``.
@@ -386,6 +428,20 @@ def span(name: str, **attributes: object) -> Iterator[Optional[Span]]:
         yield None
         return
     tracer = _tracer
+    if not _events._recording:
+        frame = _Frame()
+        tracer._stack().append(frame)
+        start_wall = time.perf_counter()
+        start_cpu = time.process_time()
+        try:
+            yield None
+        finally:
+            wall_s = time.perf_counter() - start_wall
+            cpu_s = time.process_time() - start_cpu
+            self_s = tracer._close(frame, wall_s)
+            with tracer._lock:
+                tracer._add(name, 1, wall_s, self_s, cpu_s)
+        return
     record = tracer.start(name, **attributes)
     start_wall = time.perf_counter()
     start_cpu = time.process_time()

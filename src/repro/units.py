@@ -31,21 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "MEGA",
-    "GIGA",
-    "SECONDS_PER_HOUR",
-    "SECONDS_PER_DAY",
     "ensure_positive",
     "ensure_non_negative",
     "ensure_fraction",
 ]
-
-MEGA = 1.0e6
-GIGA = 1.0e9
-
-SECONDS_PER_HOUR = 3600.0
-SECONDS_PER_DAY = 86400.0
-
 
 def ensure_positive(value, name: str):
     """Validate that ``value`` (scalar or array) is strictly positive.

@@ -3,7 +3,8 @@
 These tests exercise whole subsystems — the site simulation, the runtime
 controller — and assert on what shows up in the global telemetry
 pipeline, i.e. exactly what an operator tailing the event log or reading
-the metrics snapshot would see.
+the metrics snapshot would see.  Runs whose events the tests read back
+run inside ``telemetry.recording()``, as ``--telemetry-out`` runs do.
 """
 
 import numpy as np
@@ -44,12 +45,13 @@ class TestSiteSimulationTelemetry:
     @pytest.fixture()
     def result(self):
         cluster = Cluster(node_count=12, variation=None, seed=0)
-        return run_site_simulation(
-            [_arrival(f"j{i}", 0.0) for i in range(3)],
-            cluster,
-            create_policy("MixedAdaptive"),
-            budget_w=8 * 220.0,
-        )
+        with telemetry.recording():
+            return run_site_simulation(
+                [_arrival(f"j{i}", 0.0) for i in range(3)],
+                cluster,
+                create_policy("MixedAdaptive"),
+                budget_w=8 * 220.0,
+            )
 
     def test_emits_admission_and_batch_events(self, result):
         bus = telemetry.get_bus()
@@ -89,7 +91,8 @@ class TestControllerTelemetry:
         )
         agent = PowerBalancerAgent(job_budget_w=4 * 240.0)
         controller = Controller(job, np.ones(4), agent, model=execution_model)
-        report = controller.run(max_epochs=80)
+        with telemetry.recording():
+            report = controller.run(max_epochs=80)
 
         run = telemetry.get_tracer().totals()["runtime.controller.run"]
         assert run["count"] == 1
@@ -109,8 +112,9 @@ class TestControllerTelemetry:
                   node_count=4)
         agent = PowerBalancerAgent(job_budget_w=4 * 240.0)
         controller = Controller(job, np.ones(4), agent, model=execution_model)
-        with telemetry.disabled():
+        with telemetry.disabled(), telemetry.recording():
             report = controller.run(max_epochs=40)
         assert len(telemetry.get_registry()) == 0
         assert len(telemetry.get_bus().events()) == 0
+        assert telemetry.get_bus().counts_by_source() == {}
         assert report.telemetry == {}

@@ -7,10 +7,13 @@ Two contracts pin the tracing layer:
   ``simulate_cap_batch``, ``run_controller_batch``,
   ``run_site_simulation`` — produces *exactly* the same result with
   tracing on and off, for any workload Hypothesis draws.
-* **Well-formedness.**  Whatever the instrumented stack records, the
-  finished span set validates: one root per trace, no orphans, no
-  cross-trace parents, child intervals nested in their parents — and the
-  same holds after a cross-process merge through the parallel runner.
+* **Well-formedness.**  Whatever the instrumented stack records (inside
+  ``telemetry.recording()``, where spans keep their tree), the finished
+  span set validates: one root per trace, no orphans, no cross-trace
+  parents, child intervals nested in their parents — and the same holds
+  after a cross-process merge through the parallel runner.
+
+The bit-identity runs use the default, totals-only spans.
 """
 
 import dataclasses
@@ -183,16 +186,18 @@ class TestWellFormedness:
         hosts, intensity, waiting, imbalance, iterations, noise, seed = case
         mix = _mix(hosts, intensity, waiting, imbalance, iterations)
         get_tracer().clear()
-        simulate_mix(mix, np.full(hosts, 200.0), np.ones(hosts), None,
-                     SimulationOptions(noise_std=noise, seed=seed))
+        with telemetry.recording():
+            simulate_mix(mix, np.full(hosts, 200.0), np.ones(hosts), None,
+                         SimulationOptions(noise_std=noise, seed=seed))
         spans = get_tracer().finished()
         assert spans
         assert validate_span_tree(spans) == []
 
     def test_grid_cell_spans_validate(self, small_grid):
         get_tracer().clear()
-        small_grid.run_cell(small_grid.config.mixes[0], "ideal",
-                            "MixedAdaptive")
+        with telemetry.recording():
+            small_grid.run_cell(small_grid.config.mixes[0], "ideal",
+                                "MixedAdaptive")
         spans = get_tracer().finished()
         names = {s.name for s in spans}
         assert "experiments.grid.cell" in names
@@ -202,7 +207,7 @@ class TestWellFormedness:
     def test_cross_process_merge_validates(self):
         get_tracer().clear()
         runner = ParallelRunner(workers=2)
-        with telemetry.span("prop.fanout"):
+        with telemetry.recording(), telemetry.span("prop.fanout"):
             results = runner.map(_traced_square, list(range(6)))
         assert results == [x * x for x in range(6)]
         spans = get_tracer().finished()

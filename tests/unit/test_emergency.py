@@ -13,7 +13,7 @@ from repro.manager.emergency import (
     respond_to_budget_change,
     respond_to_budget_drop,
 )
-from repro.telemetry import get_tracer
+from repro.telemetry import get_tracer, recording
 
 
 class TestEmergencyClamp:
@@ -213,14 +213,15 @@ class TestRespondToBudgetChange:
         """Baseline, clamp and re-plan run as one three-row engine call."""
         prepared = scheduled_wasteful
         get_tracer().clear()
-        respond_to_budget_change(
-            prepared.scheduled,
-            prepared.characterization,
-            create_policy("MixedAdaptive"),
-            old_budget_w=prepared.budgets.max_w,
-            new_budget_w=prepared.budgets.min_w,
-            model=execution_model,
-        )
+        with recording():  # the span's attributes are read back
+            respond_to_budget_change(
+                prepared.scheduled,
+                prepared.characterization,
+                create_policy("MixedAdaptive"),
+                old_budget_w=prepared.budgets.max_w,
+                new_budget_w=prepared.budgets.min_w,
+                model=execution_model,
+            )
         engine = [s for s in get_tracer().finished()
                   if s.name.startswith("sim.simulate_")]
         get_tracer().clear()

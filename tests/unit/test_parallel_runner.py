@@ -8,6 +8,7 @@ from repro.telemetry import (
     get_bus,
     get_registry,
     get_tracer,
+    recording,
     reset,
     set_enabled,
 )
@@ -112,17 +113,23 @@ class TestPoolPath:
         try:
             ParallelRunner(workers=2).map(_square, list(range(5)))
             totals = get_tracer().totals()
-            assert totals["parallel.task"]["count"] == 5
-            assert totals["parallel.map"]["count"] == 1
+            task, fan_out = totals["parallel.task"], totals["parallel.map"]
+            assert task["count"] == 5
+            assert fan_out["count"] == 1
+            # Unrecorded, no worker tree ships, but the tasks' wall is
+            # still the map span's child time, as when it is recorded.
+            assert fan_out["self_s"] == pytest.approx(
+                max(0.0, fan_out["wall_s"] - task["wall_s"]))
         finally:
             reset()
 
     def test_worker_ring_drops_and_event_counts_merge(self):
-        # One worker overflows its 8,192-event ring by 8; the other
-        # ships nothing, so the parent's own ring never overflows.
+        # Recording, one worker overflows its 8,192-event ring by 8; the
+        # other ships nothing, so the parent's own ring never overflows.
         reset()
         try:
-            ParallelRunner(workers=2).map(_flood, [8200, 0])
+            with recording():
+                ParallelRunner(workers=2).map(_flood, [8200, 0])
             assert get_bus().dropped >= 8
             assert get_bus().counts_by_source()["test.flood"] == 8200
         finally:

@@ -46,7 +46,7 @@ class TestCapture:
 
     def test_spans_and_metrics_snapshot_included(self):
         telemetry.get_registry().counter("unit.runs").inc(3)
-        with telemetry.span("unit.work"):
+        with telemetry.recording(), telemetry.span("unit.work"):
             pass
         bundle = capture_ledger("unit-test")
         assert [s["name"] for s in bundle["spans"]] == ["unit.work"]

@@ -227,7 +227,7 @@ class TestObservability:
             reset()
 
     def test_dispatch_emits_tracing_spans(self):
-        from repro.telemetry import get_tracer, set_tracing
+        from repro.telemetry import get_tracer, recording, set_tracing
 
         async def body():
             async def inner(daemon, client):
@@ -244,7 +244,8 @@ class TestObservability:
         previous = set_tracing(True)
         get_tracer().clear()
         try:
-            asyncio.run(body())
+            with recording():  # the spans' attributes are read back
+                asyncio.run(body())
             dispatches = get_tracer().finished("stream.daemon.dispatch")
             ops = [s.attributes["op"] for s in dispatches]
             assert "submit" in ops and "stats" in ops

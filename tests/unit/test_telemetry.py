@@ -1,4 +1,8 @@
-"""Unit tests for the telemetry subsystem (events, metrics, summary)."""
+"""Unit tests for the telemetry subsystem (events, metrics, summary).
+
+A bus keeps its event ring only inside ``recording()``; tests that read
+the ring back publish inside one.
+"""
 
 import json
 
@@ -11,6 +15,7 @@ from repro.telemetry import (
     MetricsRegistry,
     TelemetrySummary,
     metric_key,
+    recording,
 )
 
 
@@ -77,25 +82,28 @@ class TestRegistry:
 
 class TestEventBus:
     def test_publish_and_read_back(self, bus):
-        bus.publish("layer.comp", "thing_happened", n=3)
+        with recording():
+            bus.publish("layer.comp", "thing_happened", n=3)
         events = bus.events()
         assert len(events) == 1
         assert events[0].source == "layer.comp"
         assert events[0].payload == {"n": 3}
 
     def test_ring_buffer_drops_oldest(self, bus):
-        for i in range(20):
-            bus.publish("s", "k", i=i)
+        with recording():
+            for i in range(20):
+                bus.publish("s", "k", i=i)
         assert len(bus) == 16
         assert bus.events()[0].payload == {"i": 4}
 
     def test_evictions_counted(self):
         small = EventBus(capacity=2)
-        for i in range(5):
-            small.publish("s", "k", i=i)
-        # Per-source counts cover evicted events too.
-        assert small.counts_by_source() == {"s": 5}
-        small.replay(small.events())
+        with recording():
+            for i in range(5):
+                small.publish("s", "k", i=i)
+            # Per-source counts cover evicted events too.
+            assert small.counts_by_source() == {"s": 5}
+            small.replay(small.events())
         assert [e.payload["i"] for e in small.events()] == [3, 4]
         assert small.dropped == 5
         assert small.counts_by_source() == {"s": 7}
@@ -132,21 +140,26 @@ class TestEventBus:
         assert len(seen) == 1
 
     def test_counts_by_source(self, bus):
+        # Counts cover every publish; the ring only the recorded ones.
         bus.publish("a.b", "k")
-        bus.publish("a.b", "k")
-        bus.publish("c.d", "k")
-        assert bus.counts_by_source() == {"a.b": 2, "c.d": 1}
+        bus.publish("e.f", "k")
+        with recording():
+            bus.publish("a.b", "k")
+            bus.publish("c.d", "k")
+        assert bus.counts_by_source() == {"a.b": 2, "c.d": 1, "e.f": 1}
         assert bus.sources() == ["a.b", "c.d"]
 
     def test_jsonl_export(self, bus, tmp_path):
-        bus.publish("a.b", "k", x=1.5)
+        with recording():
+            bus.publish("a.b", "k", x=1.5)
         path = bus.to_jsonl(tmp_path / "events.jsonl")
         row = json.loads(path.read_text().strip())
         assert row == {"ts": 0.0, "source": "a.b", "kind": "k", "x": 1.5}
 
     def test_csv_export_unions_payload_keys(self, bus, tmp_path):
-        bus.publish("a", "k", x=1)
-        bus.publish("a", "k", y=2)
+        with recording():
+            bus.publish("a", "k", x=1)
+            bus.publish("a", "k", y=2)
         path = bus.to_csv(tmp_path / "events.csv")
         header, first, second = path.read_text().strip().splitlines()
         assert header == "ts,source,kind,x,y"
@@ -161,10 +174,12 @@ class TestEventBus:
 
 class TestContext:
     def test_emit_respects_disable(self):
-        telemetry.emit("a.b", "k")
-        with telemetry.disabled():
-            assert telemetry.emit("a.b", "k") is None
+        with recording():
+            telemetry.emit("a.b", "k")
+            with telemetry.disabled():
+                assert telemetry.emit("a.b", "k") is None
         assert len(telemetry.get_bus().events()) == 1
+        assert telemetry.get_bus().counts_by_source() == {"a.b": 1}
 
     def test_set_enabled_returns_previous(self):
         assert telemetry.set_enabled(False) is True
@@ -172,10 +187,12 @@ class TestContext:
 
     def test_reset_clears_registry_and_bus(self):
         telemetry.get_registry().counter("x").inc()
-        telemetry.emit("a.b", "k")
+        with recording():
+            telemetry.emit("a.b", "k")
         telemetry.reset()
         assert len(telemetry.get_registry()) == 0
         assert len(telemetry.get_bus().events()) == 0
+        assert telemetry.get_bus().counts_by_source() == {}
 
 
 class TestSummary:
@@ -202,9 +219,10 @@ class TestSummary:
     def test_render_reports_ring_drops(self):
         bus = EventBus(capacity=2)
         tracer = telemetry.Tracer(capacity=2)
-        for i in range(5):
-            bus.publish("s", "k")
-            tracer.finish(tracer.start(f"s{i}"))
+        with recording():
+            for i in range(5):
+                bus.publish("s", "k")
+                tracer.finish(tracer.start(f"s{i}"))
         summary = TelemetrySummary.capture(bus=bus, tracer=tracer)
         assert (summary.events_dropped, summary.spans_dropped) == (3, 3)
         text = summary.render()

@@ -3,11 +3,12 @@
 Workers capture their registry/bus deltas with ``state()`` /
 ``events()``; the parent folds them back with ``merge_state()`` /
 ``replay()``.  These tests pin the exactness guarantees that makes a
-pooled run as observable as a serial one.
+pooled run as observable as a serial one.  Events ship only from a
+recording worker, so the event tests publish inside ``recording()``.
 """
 
 from repro.telemetry.context import isolate
-from repro.telemetry.events import Event, EventBus
+from repro.telemetry.events import Event, EventBus, recording
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -40,10 +41,11 @@ class TestRegistryMerge:
 class TestEventReplay:
     def test_replay_preserves_order_and_timestamps(self):
         worker = EventBus()
-        worker.publish("sim", "start", cell=1)
-        worker.publish("sim", "done", cell=1)
         parent = EventBus()
-        parent.replay(worker.events())
+        with recording():
+            worker.publish("sim", "start", cell=1)
+            worker.publish("sim", "done", cell=1)
+            parent.replay(worker.events())
         replayed = parent.events()
         assert [e.kind for e in replayed] == ["start", "done"]
         assert [e.ts for e in replayed] == [
@@ -55,15 +57,20 @@ class TestEventReplay:
         seen = []
         parent.subscribe(lambda e: seen.append(e.kind), kinds=["done"])
         worker = EventBus()
-        worker.publish("sim", "start")
-        worker.publish("sim", "done")
+        with recording():
+            worker.publish("sim", "start")
+            worker.publish("sim", "done")
+        # The parent is not recording: subscribers fire, the ring stays
+        # empty.
         parent.replay(worker.events())
         assert seen == ["done"]
+        assert parent.events() == []
 
     def test_replay_accepts_reconstructed_events(self):
         parent = EventBus()
-        parent.replay([Event(ts=12.5, source="w", kind="k",
-                             payload={"a": 1})])
+        with recording():
+            parent.replay([Event(ts=12.5, source="w", kind="k",
+                                 payload={"a": 1})])
         assert parent.events()[0].ts == 12.5
 
 

@@ -3,7 +3,9 @@
 Span identity and nesting, the on/off switches, the span's independence
 from the metrics registry, the exact per-name totals, the cross-process
 merge, and the well-formedness validator that the property suite and
-the provenance ledger both lean on.
+the provenance ledger both lean on.  Tests that read span records take
+the ``recorded`` fixture, which runs them inside
+``telemetry.recording()``; by default spans keep only their totals.
 """
 
 import json
@@ -33,8 +35,15 @@ def _fresh_tracer():
     telemetry.reset()
 
 
+@pytest.fixture()
+def recorded():
+    """Keep span records (the tree, not only the totals) for one test."""
+    with telemetry.recording():
+        yield
+
+
 class TestSpanBasics:
-    def test_nested_spans_link_parent_and_trace(self):
+    def test_nested_spans_link_parent_and_trace(self, recorded):
         with span("outer") as outer:
             with span("inner") as inner:
                 assert inner.parent_id == outer.span_id
@@ -43,7 +52,7 @@ class TestSpanBasics:
         assert [s.name for s in finished] == ["inner", "outer"]
         assert validate_span_tree(finished) == []
 
-    def test_current_span_tracks_the_stack(self):
+    def test_current_span_tracks_the_stack(self, recorded):
         assert current_span() is None
         with span("outer") as outer:
             assert current_span() is outer
@@ -52,13 +61,13 @@ class TestSpanBasics:
             assert current_span() is outer
         assert current_span() is None
 
-    def test_attributes_at_entry_and_exit(self):
+    def test_attributes_at_entry_and_exit(self, recorded):
         with span("work", mix="LowPower") as sp:
             sp.set_attribute("cells", 3)
         record, = get_tracer().finished("work")
         assert record.attributes == {"mix": "LowPower", "cells": 3}
 
-    def test_timing_fields_populated(self):
+    def test_timing_fields_populated(self, recorded):
         with span("work"):
             pass
         record, = get_tracer().finished()
@@ -66,7 +75,7 @@ class TestSpanBasics:
         assert record.wall_s >= 0.0
         assert record.cpu_s >= 0.0
 
-    def test_error_status_on_raise(self):
+    def test_error_status_on_raise(self, recorded):
         with pytest.raises(RuntimeError):
             with span("doomed"):
                 raise RuntimeError("boom")
@@ -74,7 +83,7 @@ class TestSpanBasics:
         assert record.status == "error"
         assert current_span() is None
 
-    def test_span_never_touches_the_registry(self, monkeypatch):
+    def test_span_never_touches_the_registry(self, monkeypatch, recorded):
         from repro.telemetry import context
 
         registry = telemetry.get_registry()
@@ -90,7 +99,7 @@ class TestSpanBasics:
         assert "counters" not in record.to_dict()
         assert registry.snapshot() == {"counters": {"sim.runs": 3.0}}
 
-    def test_to_dict_from_dict_roundtrip(self):
+    def test_to_dict_from_dict_roundtrip(self, recorded):
         with span("work", k=1):
             pass
         record, = get_tracer().finished()
@@ -99,7 +108,7 @@ class TestSpanBasics:
 
 
 class TestSwitches:
-    def test_set_tracing_off_yields_none_and_records_nothing(self):
+    def test_set_tracing_off_yields_none_and_records_nothing(self, recorded):
         previous = set_tracing(False)
         try:
             assert not tracing_enabled()
@@ -109,14 +118,14 @@ class TestSwitches:
         finally:
             set_tracing(previous)
 
-    def test_global_telemetry_switch_also_gates(self):
+    def test_global_telemetry_switch_also_gates(self, recorded):
         with telemetry.disabled():
             assert not tracing_enabled()
             with span("invisible") as sp:
                 assert sp is None
         assert get_tracer().finished() == []
 
-    def test_isolate_installs_fresh_tracer(self):
+    def test_isolate_installs_fresh_tracer(self, recorded):
         with span("before"):
             pass
         tracer = get_tracer()
@@ -169,7 +178,7 @@ class TestTracer:
         assert len(ids) == 50
         assert all(i.startswith(f"{os.getpid():x}-") for i in ids)
 
-    def test_to_json_writes_schema_and_spans(self, tmp_path):
+    def test_to_json_writes_schema_and_spans(self, tmp_path, recorded):
         with span("outer"):
             pass
         path = get_tracer().to_json(tmp_path / "trace.json")
@@ -179,7 +188,7 @@ class TestTracer:
 
 
 class TestSpanTotals:
-    def test_nesting_records_both_levels(self, monkeypatch):
+    def test_nesting_records_both_levels(self, monkeypatch, recorded):
         from repro.telemetry import tracing
 
         tracer = Tracer(capacity=4)
@@ -242,7 +251,7 @@ class TestMergeState:
                     record[key] = record[key].replace(real, fake)
         return state
 
-    def test_merge_reparents_roots_under_current_span(self):
+    def test_merge_reparents_roots_under_current_span(self, recorded):
         state = self._worker_state()
         with span("parallel.map") as map_sp:
             merged = get_tracer().merge_state(state, parent=map_sp)
@@ -261,7 +270,7 @@ class TestMergeState:
         root, = [s for s in merged if s.parent_id is None]
         assert root.name == "parallel.task"
 
-    def test_merge_two_workers_stays_well_formed(self):
+    def test_merge_two_workers_stays_well_formed(self, recorded):
         state_a, state_b = self._worker_state(), self._worker_state()
         with span("parallel.map") as map_sp:
             get_tracer().merge_state(state_a, parent=map_sp)

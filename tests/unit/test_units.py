@@ -6,11 +6,6 @@ import pytest
 from repro import units
 
 
-class TestConversions:
-    def test_seconds_per_day(self):
-        assert units.SECONDS_PER_DAY == 24 * units.SECONDS_PER_HOUR
-
-
 class TestEnsurePositive:
     def test_accepts_positive_scalar(self):
         assert units.ensure_positive(3.0, "x") == 3.0
