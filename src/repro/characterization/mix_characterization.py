@@ -184,10 +184,6 @@ def characterize_mix(
     *needs* more than it draws unconstrained) and below by what the node
     consumes at the RAPL floor.
 
-    When a :func:`~repro.parallel.cache.active_cache` is installed, the
-    characterization is memoized under a content hash of (mix spec,
-    efficiencies, model parameters, harvest fraction); repeated grid
-    cells and online re-planning rounds then skip the physics entirely.
     Emits one ``mix_characterized`` event per call.
     """
     fraction = float(harvest_fraction)
@@ -200,40 +196,23 @@ def characterize_mix(
         raise ValueError(
             f"efficiencies must have shape ({layout.host_count},), got {eff.shape}"
         )
-    from repro.parallel.cache import active_cache
-
-    cache = active_cache()
-    result: Optional[MixCharacterization] = None
-    if cache is not None:
-        from repro.io.serialize import characterization_from_dict
-
-        key = cache.key("char", mix, eff, model, fraction)
-        payload = cache.get(key)
-        if payload is not None:
-            result = characterization_from_dict(payload)
-    hit = result is not None
-    if not hit:
-        pm = model.power_model
-        monitor_power, theoretical = _characterization_arrays(model, layout, eff)
-        needed_power, needed_cap = _apply_harvest(
-            monitor_power, theoretical, fraction, pm
-        )
-        result = MixCharacterization(
-            mix_name=mix.name,
-            job_boundaries=layout.job_boundaries.copy(),
-            monitor_power_w=monitor_power,
-            needed_power_w=needed_power,
-            needed_cap_w=needed_cap,
-            min_cap_w=pm.min_cap_w,
-            tdp_w=pm.tdp_w,
-        )
-        if cache is not None:
-            from repro.io.serialize import characterization_to_dict
-
-            cache.put(key, characterization_to_dict(result))
+    pm = model.power_model
+    monitor_power, theoretical = _characterization_arrays(model, layout, eff)
+    needed_power, needed_cap = _apply_harvest(
+        monitor_power, theoretical, fraction, pm
+    )
+    result = MixCharacterization(
+        mix_name=mix.name,
+        job_boundaries=layout.job_boundaries.copy(),
+        monitor_power_w=monitor_power,
+        needed_power_w=needed_power,
+        needed_cap_w=needed_cap,
+        min_cap_w=pm.min_cap_w,
+        tdp_w=pm.tdp_w,
+    )
     emit(
         "characterization.mix", "mix_characterized",
         mix=mix.name, hosts=layout.host_count,
-        jobs=int(layout.job_boundaries.size - 1), cache_hits=int(hit),
+        jobs=int(layout.job_boundaries.size - 1),
     )
     return result

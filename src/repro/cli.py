@@ -43,8 +43,7 @@ the same invocations work on a laptop and at full size.  ``grid``,
 DIR`` to save the run's metrics snapshot, JSONL/CSV event logs, span
 tree (``trace.json``), and provenance ledger (``provenance.json``).
 ``--workers N`` fans the grid cells, site replays and facility cluster
-groups over a process pool, and ``--cache-dir DIR`` persists the characterization cache
-between invocations.
+groups over a process pool.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ examples:
   repro characterize HighPower --save c.json
   repro --scale 10 grid --csv cells.csv --check
   repro --scale 10 --workers 4 grid         fan cells over 4 processes
-  repro --cache-dir ~/.cache/repro grid     reuse physics between runs
   repro --scale 4 grid --telemetry-out /tmp/telemetry
   repro --workers 4 site --replays 8        replayed site simulation
   repro telemetry                           observability smoke test
@@ -131,22 +129,6 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _writable_dir(text: str) -> str:
-    """argparse type: a directory we can create files in."""
-    path = Path(text).expanduser()
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".repro-write-probe"
-        probe.touch()
-        probe.unlink()
-    except OSError as exc:
-        detail = exc.strerror or str(exc)
-        raise argparse.ArgumentTypeError(
-            f"directory {text!r} is not writable: {detail}"
-        ) from None
-    return str(path)
-
-
 def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     from repro.experiments.grid import ExperimentConfig
 
@@ -175,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for grid cells / site "
                              "replays / facility cluster groups "
                              "(default: $REPRO_WORKERS or 1)")
-    parser.add_argument("--cache-dir", type=_writable_dir, default=None,
-                        metavar="DIR",
-                        help="persist the characterization cache here "
-                             "(memoizes characterize/simulate physics)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("survey", help="Fig. 6 hardware-variation survey")
@@ -969,10 +947,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     command keeps only the exact counts and totals.
     """
     args = build_parser().parse_args(argv)
-    if args.cache_dir:
-        from repro.parallel import activate_cache
-
-        activate_cache(cache_dir=args.cache_dir)
     out = getattr(args, "telemetry_out", None) or getattr(args, "out", None)
     if not out:
         return _dispatch(args)

@@ -1,10 +1,11 @@
-"""JSON (de)serialization for characterizations, budgets, and results.
+"""JSON export of characterizations and CSV export of grid results.
 
-Formats are versioned (``"format"`` key) so cached artefacts from older
-library versions fail loudly instead of silently misparsing.  Arrays are
-stored as plain lists — characterizations are hundreds of floats, far
-below any size where a binary format would matter, and JSON keeps the
-artefacts human-diffable.
+``characterize --save`` writes a mix characterization as JSON, tagged
+with a versioned ``"format"`` key so a reader can tell the layout apart
+from any later one.  Arrays are stored as plain lists —
+characterizations are hundreds of floats, far below any size where a
+binary format would matter, and JSON keeps the artefacts human-diffable.
+``grid --csv`` writes the grid's summary rows.
 """
 
 from __future__ import annotations
@@ -13,29 +14,15 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-import numpy as np
-
-from repro.characterization.budgets import PowerBudgets
 from repro.characterization.mix_characterization import MixCharacterization
-from repro.sim.results import MixRunResult
 
 __all__ = [
     "characterization_to_dict",
-    "characterization_from_dict",
     "save_characterization",
-    "load_characterization",
-    "budgets_to_dict",
-    "budgets_from_dict",
-    "result_to_dict",
-    "result_from_dict",
-    "save_result",
-    "load_result",
     "save_grid_results",
 ]
 
 _CHAR_FORMAT = "repro.mix-characterization.v1"
-_BUDGET_FORMAT = "repro.power-budgets.v1"
-_RESULT_FORMAT = "repro.mix-run-result.v1"
 
 
 def characterization_to_dict(char: MixCharacterization) -> Dict:
@@ -52,24 +39,6 @@ def characterization_to_dict(char: MixCharacterization) -> Dict:
     }
 
 
-def characterization_from_dict(data: Dict) -> MixCharacterization:
-    """Rebuild a characterization; validates the format tag."""
-    if data.get("format") != _CHAR_FORMAT:
-        raise ValueError(
-            f"unsupported characterization format {data.get('format')!r}; "
-            f"expected {_CHAR_FORMAT!r}"
-        )
-    return MixCharacterization(
-        mix_name=data["mix_name"],
-        job_boundaries=np.asarray(data["job_boundaries"], dtype=int),
-        monitor_power_w=np.asarray(data["monitor_power_w"], dtype=float),
-        needed_power_w=np.asarray(data["needed_power_w"], dtype=float),
-        needed_cap_w=np.asarray(data["needed_cap_w"], dtype=float),
-        min_cap_w=float(data["min_cap_w"]),
-        tdp_w=float(data["tdp_w"]),
-    )
-
-
 def save_characterization(char: MixCharacterization,
                           path: Union[str, Path]) -> Path:
     """Write a characterization to a JSON file; returns the path."""
@@ -79,102 +48,6 @@ def save_characterization(char: MixCharacterization,
         json.dumps(characterization_to_dict(char), indent=2), encoding="utf-8"
     )
     return path
-
-
-def load_characterization(path: Union[str, Path]) -> MixCharacterization:
-    """Read a characterization from a JSON file."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return characterization_from_dict(data)
-
-
-def budgets_to_dict(budgets: PowerBudgets) -> Dict:
-    """A JSON-ready dict of one mix's Table III budgets."""
-    return {
-        "format": _BUDGET_FORMAT,
-        "mix_name": budgets.mix_name,
-        "min_w": budgets.min_w,
-        "ideal_w": budgets.ideal_w,
-        "max_w": budgets.max_w,
-        "total_tdp_w": budgets.total_tdp_w,
-    }
-
-
-def budgets_from_dict(data: Dict) -> PowerBudgets:
-    """Rebuild budgets; validates the format tag."""
-    if data.get("format") != _BUDGET_FORMAT:
-        raise ValueError(
-            f"unsupported budgets format {data.get('format')!r}; "
-            f"expected {_BUDGET_FORMAT!r}"
-        )
-    return PowerBudgets(
-        mix_name=data["mix_name"],
-        min_w=float(data["min_w"]),
-        ideal_w=float(data["ideal_w"]),
-        max_w=float(data["max_w"]),
-        total_tdp_w=float(data["total_tdp_w"]),
-    )
-
-
-def result_to_dict(result: MixRunResult) -> Dict:
-    """A JSON-ready dict of one simulated execution result.
-
-    The encoding is bit-exact: float arrays are stored as plain lists
-    whose elements serialise via ``repr`` (IEEE-754 doubles round-trip
-    exactly through that path), and field order never matters because
-    :func:`result_from_dict` reads by key.  ``result_from_dict(
-    result_to_dict(r)) == r`` holds bit-for-bit — the property the
-    characterization cache and the parallel runner rely on, pinned by
-    the round-trip tests.
-    """
-    return {
-        "format": _RESULT_FORMAT,
-        "mix_name": result.mix_name,
-        "policy_name": result.policy_name,
-        "budget_w": result.budget_w,
-        "job_names": list(result.job_names),
-        "iteration_times_s": result.iteration_times_s.tolist(),
-        "iteration_energy_j": result.iteration_energy_j.tolist(),
-        "host_energy_j": result.host_energy_j.tolist(),
-        "host_mean_power_w": result.host_mean_power_w.tolist(),
-        "host_job_index": result.host_job_index.tolist(),
-        "total_gflop": result.total_gflop,
-    }
-
-
-def result_from_dict(data: Dict) -> MixRunResult:
-    """Rebuild a run result; validates the format tag."""
-    if data.get("format") != _RESULT_FORMAT:
-        raise ValueError(
-            f"unsupported result format {data.get('format')!r}; "
-            f"expected {_RESULT_FORMAT!r}"
-        )
-    return MixRunResult(
-        mix_name=data["mix_name"],
-        policy_name=data["policy_name"],
-        budget_w=float(data["budget_w"]),
-        job_names=tuple(data["job_names"]),
-        iteration_times_s=np.asarray(data["iteration_times_s"], dtype=float),
-        iteration_energy_j=np.asarray(data["iteration_energy_j"], dtype=float),
-        host_energy_j=np.asarray(data["host_energy_j"], dtype=float),
-        host_mean_power_w=np.asarray(data["host_mean_power_w"], dtype=float),
-        host_job_index=np.asarray(data["host_job_index"], dtype=int),
-        total_gflop=float(data["total_gflop"]),
-    )
-
-
-def save_result(result: MixRunResult, path: Union[str, Path]) -> Path:
-    """Write a run result to a JSON file; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result_to_dict(result), indent=2),
-                    encoding="utf-8")
-    return path
-
-
-def load_result(path: Union[str, Path]) -> MixRunResult:
-    """Read a run result from a JSON file."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return result_from_dict(data)
 
 
 def save_grid_results(results, path: Union[str, Path]) -> Path:

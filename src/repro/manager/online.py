@@ -137,11 +137,7 @@ class OnlinePowerManager:
         """
         # The analytic characterization from the layout is the projection
         # a GEOPM report would provide; telemetry feeds the noise the
-        # policies must tolerate (tested in the ablation module).  With a
-        # characterization cache activated (repro.parallel.cache), the
-        # re-planning rounds after the first hit the memoized entry —
-        # the characterization inputs are epoch-invariant — so online
-        # runs pay the physics once per mix instead of once per epoch.
+        # policies must tolerate (tested in the ablation module).
         from repro.characterization.mix_characterization import characterize_mix
 
         return characterize_mix(

@@ -742,13 +742,6 @@ def execute_planned_batches(
         for members in groups.values():
             p0, r0 = members[0]
             faults = passes[p0].engine_faults[r0]
-
-            def describe(s: int, members=members) -> tuple:
-                p, r = members[s]
-                planned = passes[p]
-                return (planned.mix(r), planned.policy.name,
-                        float(planned.launches[r].batch_budget_w))
-
             out = simulate_layout_rows(
                 [passes[p].shapes[r].layout for p, r in members],
                 passes[p0].shapes[r0].iterations,
@@ -758,7 +751,6 @@ def execute_planned_batches(
                 options if faults is None else SimulationOptions(
                     noise_std=noise_std, fault_schedule=faults),
                 [passes[p].seeds[r] for p, r in members],
-                describe,
             )
             # Each row of these reductions sums/maxes exactly the
             # elements a MixRunResult's job_elapsed_s /
@@ -770,8 +762,10 @@ def execute_planned_batches(
             energy = out.host_energy.sum(axis=1).tolist()
             elapsed = elapsed.tolist()
             for s, (p, r) in enumerate(members):
-                result = None if passes[p].fault_schedule is None \
-                    else out.result(s, *describe(s))
+                planned = passes[p]
+                result = None if planned.fault_schedule is None \
+                    else out.result(s, planned.mix(r), planned.policy.name,
+                                    float(planned.launches[r].batch_budget_w))
                 rows[p][r] = (elapsed[s], duration[s], mean_power[s],
                               energy[s], result)
     executions = ExecutedBatches()

@@ -1,4 +1,4 @@
-"""Parallel execution & characterization caching.
+"""Parallel execution of independent work items.
 
 The paper's evaluation sweeps policies x mixes x budgets; every cell is
 independent, which is the exact fan-out shape process pools exploit.
@@ -16,18 +16,11 @@ This package provides:
     bit-identical.
 :mod:`~repro.parallel.tasks`
     The fan-out tasks: grid cells and site replays.
-:class:`~repro.parallel.cache.CharacterizationCache`
-    Content-addressed memoization of ``characterize_mix`` /
-    ``simulate_mix`` keyed by a stable hash of (mix spec, model
-    parameters, caps, options), with an in-memory LRU plus an optional
-    on-disk JSON store.
 """
 
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "cache": ("CharacterizationCache", "activate_cache", "active_cache",
-              "deactivate_cache", "stable_digest"),
     "runner": ("ParallelRunner", "resolve_workers"),
     "seeding": ("child_seed",),
 })

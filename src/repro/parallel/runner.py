@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel.cache import active_cache, activate_cache
 from repro.telemetry import (
     emit,
     enabled,
@@ -78,23 +77,17 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # ----------------------------------------------------------------------
 # worker-side plumbing (module-level so it pickles by reference)
 # ----------------------------------------------------------------------
-def _init_worker(cache_settings: Optional[Tuple[int, Optional[str]]],
-                 user_initializer: Optional[Callable],
+def _init_worker(user_initializer: Optional[Callable],
                  user_initargs: Tuple) -> None:
-    """Per-worker setup: isolate telemetry, mirror the parent's caches.
+    """Per-worker setup: isolate telemetry, then the user initializer.
 
     The telemetry context is replaced (not just cleared) so parent-side
     subscribers — which may hold open file handles — never fire in the
-    child.  If the parent had an active characterization cache, the
-    worker activates its own with the same settings; a shared ``cache_dir`` lets workers
-    reuse each other's entries through the filesystem.
+    child.
     """
     from repro.telemetry import isolate
 
     isolate()
-    if cache_settings is not None:
-        max_entries, cache_dir = cache_settings
-        activate_cache(max_entries=max_entries, cache_dir=cache_dir)
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
@@ -152,7 +145,7 @@ class ParallelRunner:
     initializer / initargs:
         Optional per-worker setup (e.g. building a shared environment
         once per process instead of once per task).  Runs after the
-        built-in telemetry/cache setup.
+        built-in telemetry setup.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -200,12 +193,6 @@ class ParallelRunner:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        cache = active_cache()
-        cache_settings = None
-        if cache is not None:
-            cache_dir = str(cache.cache_dir) if cache.cache_dir else None
-            cache_settings = (cache.max_entries, cache_dir)
-
         registry = get_registry()
         bus = get_bus()
         results: List[object] = []
@@ -215,8 +202,7 @@ class ParallelRunner:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(payloads)),
                     initializer=_init_worker,
-                    initargs=(cache_settings, self._initializer,
-                              self._initargs),
+                    initargs=(self._initializer, self._initargs),
                 ) as pool:
                     record = is_recording()
                     futures = [pool.submit(_run_task, fn, p, record)

@@ -12,12 +12,12 @@ shared engine body (:func:`repro.sim.execution._execute_scenarios`) as
 One row core
 ------------
 :func:`_run_rows` is the only way rows reach the engine.  A row is
-``(layout, caps, efficiencies, seed)``; the core checks shapes, serves
-rows from the cache, runs the rest in one engine call, stores them, and
-records the span and the counters.  Rows that all share one layout
-object run on that :class:`~repro.workload.job.HostLayout` with
-``(S, hosts)`` caps and efficiencies; only mixed layouts are stacked
-(:func:`stack_layouts`, memoised on layout identity).  The public entry
+``(layout, caps, efficiencies, seed)``; the core checks shapes, runs all
+rows in one engine call, and records the span and the run counter.
+Rows that all share one layout object run on that
+:class:`~repro.workload.job.HostLayout` with ``(S, hosts)`` caps and
+efficiencies; only mixed layouts are stacked (:func:`stack_layouts`,
+memoised on layout identity).  The public entry
 points are adapters over it: :func:`~repro.sim.execution.simulate_mix`
 (one row), :func:`simulate_cap_batch` (``S`` rows on one layout) and
 :func:`simulate_layout_rows` (the site loops' grouped passes).
@@ -38,17 +38,13 @@ Batching removes *per-call* overhead inside one process; the
 :mod:`repro.parallel` pool removes *wall-clock* by using more processes.
 They compose: the pool fans out independent grid cells and site
 replays, and batching happens within each process (a ``launch_batch``
-call, an emergency response or a site pass is one engine pass).  Batched
-runs also share the content-addressed result cache with serial runs —
-per-scenario cache keys are identical, so a batch can be partially
-served from cache and a later serial call hits entries a batch stored.
+call, an emergency response or a site pass is one engine pass).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -241,7 +237,6 @@ def _run_rows(
     model: ExecutionModel,
     options: SimulationOptions,
     seeds: Sequence[int],
-    describe: Callable[[int], Tuple[WorkloadMix, str, float]],
     **labels,
 ) -> _ScenarioTensors:
     """The one row path behind every engine entry point.
@@ -249,15 +244,12 @@ def _run_rows(
     Row ``s`` runs layout ``layouts[s]`` for ``n_iter`` iterations under
     caps ``caps_sw[s]`` on hosts with efficiencies ``efficiencies[s]``
     (or one ``(hosts,)`` row shared by all) and noise seed ``seeds[s]``;
-    ``describe(s)`` is its ``(mix, policy name, budget)``, asked for only
-    when a :func:`~repro.parallel.cache.active_cache` is installed.  Rows
-    are served from that cache under the *serial* cache key, the
-    remaining rows run in one engine call and are stored.  Rows that all
-    share one layout object run on that layout with ``(S, hosts)`` caps
-    and efficiencies, which the bound kernel broadcasts element for
-    element; mixed layouts are stacked through the identity memo.
-    Returns the engine tensors of all rows in row order, and records the
-    ``span_name`` span and the ``sim.execution`` counters.
+    all rows run in one engine call.  Rows that all share one layout
+    object run on that layout with ``(S, hosts)`` caps and efficiencies,
+    which the bound kernel broadcasts element for element; mixed layouts
+    are stacked through the identity memo.  Returns the engine tensors of
+    all rows in row order, and records the ``span_name`` span and the
+    ``sim.execution.runs`` counter.
     """
     hosts = layouts[0].host_count
     caps = np.asarray(caps_sw, dtype=float)
@@ -279,71 +271,19 @@ def _run_rows(
         )
     eff = np.broadcast_to(eff, caps.shape)
 
-    from repro.parallel.cache import active_cache
-
-    with span(span_name, **labels, hosts=hosts,
-              scenarios=scenarios) as trace_sp:
-        cache = active_cache()
-        hits: Dict[int, MixRunResult] = {}
-        keys: List[Optional[str]] = [None] * scenarios
-        misses = list(range(scenarios))
-        if cache is not None:
-            from repro.io.serialize import result_from_dict
-
-            misses = []
-            for s in range(scenarios):
-                mix, policy_name, budget_w = describe(s)
-                keys[s] = cache.key(
-                    "simulate", mix, caps[s], eff[s], model,
-                    dataclasses.replace(options, seed=seeds[s]),
-                    policy_name, budget_w,
-                )
-                payload = cache.get(keys[s])
-                if payload is not None:
-                    hits[s] = result_from_dict(payload)
-                else:
-                    misses.append(s)
-        if trace_sp is not None:
-            trace_sp.set_attribute("cache_hits", len(hits))
-
-        out = None
-        if misses:
-            first = layouts[misses[0]]
-            if all(layouts[s] is first for s in misses):
-                layout = first
-            else:
-                layout = _stack_layouts_cached([layouts[s] for s in misses])
-            out = _execute_scenarios(
-                layout, caps[misses], eff[misses], model, n_iter,
-                options.noise_std, options.barrier_overhead_s,
-                [seeds[s] for s in misses],
-                fault_schedule=options.fault_schedule,
-            )
-        if cache is not None:
-            from repro.io.serialize import result_to_dict
-
-            results = [hits.get(s) for s in range(scenarios)]
-            for row, s in enumerate(misses):
-                results[s] = out.result(row, *describe(s))
-                cache.put(keys[s], result_to_dict(results[s]))
-            if hits:
-                out = _ScenarioTensors(
-                    job_iter_times=np.stack(
-                        [r.iteration_times_s for r in results]),
-                    iteration_energy=np.stack(
-                        [r.iteration_energy_j for r in results]),
-                    host_energy=np.stack([r.host_energy_j for r in results]),
-                    host_mean_power=np.stack(
-                        [r.host_mean_power_w for r in results]),
-                    total_gflop=np.array([r.total_gflop for r in results]),
-                )
-
+    with span(span_name, **labels, hosts=hosts, scenarios=scenarios):
+        first = layouts[0]
+        if all(layout is first for layout in layouts):
+            layout = first
+        else:
+            layout = _stack_layouts_cached(layouts)
+        out = _execute_scenarios(
+            layout, caps, eff, model, n_iter, options.noise_std,
+            options.barrier_overhead_s, seeds,
+            fault_schedule=options.fault_schedule,
+        )
         if enabled():
-            registry = get_registry()
-            if misses:
-                registry.counter("sim.execution.runs").inc(len(misses))
-            if hits:
-                registry.counter("sim.execution.cache_hits").inc(len(hits))
+            get_registry().counter("sim.execution.runs").inc(scenarios)
     return out
 
 
@@ -382,11 +322,6 @@ def simulate_cap_batch(
     list of MixRunResult
         One result per scenario, in row order; element ``s`` is
         bit-identical to the corresponding serial ``simulate_mix`` call.
-
-    When a :func:`~repro.parallel.cache.active_cache` is installed, each
-    scenario is looked up under the *serial* cache key; only the missing
-    rows go through the engine, and their results are stored for later
-    serial or batched runs to hit.
     """
     if options is None:
         options = DEFAULT_OPTIONS
@@ -409,16 +344,13 @@ def simulate_cap_batch(
             )
         metadata.append(values)
     names, budgets = metadata
-
-    def describe(s: int) -> Tuple[WorkloadMix, str, float]:
-        return mix, names[s], budgets[s]
-
     out = _run_rows(
         "sim.simulate_cap_batch", [mix.layout()] * scenarios,
         mix.common_iterations(), caps, efficiencies, model, options,
-        seed_list, describe, mix=mix.name,
+        seed_list, mix=mix.name,
     )
-    return [out.result(s, *describe(s)) for s in range(scenarios)]
+    return [out.result(s, mix, names[s], budgets[s])
+            for s in range(scenarios)]
 
 
 def simulate_layout_rows(
@@ -429,7 +361,6 @@ def simulate_layout_rows(
     model: ExecutionModel,
     options: SimulationOptions,
     seeds: Sequence[int],
-    describe: Callable[[int], Tuple[WorkloadMix, str, float]],
 ) -> _ScenarioTensors:
     """Simulate ``S`` independent runs on ``S`` host rows in one pass.
 
@@ -438,9 +369,7 @@ def simulate_layout_rows(
     and ``n_iter`` iterations across all rows — callers group rows by
     that signature first) on its own hosts, with caps
     ``caps_sw[s]``, efficiencies ``efficiencies_sw[s]`` and noise seed
-    ``seeds[s]``.  ``describe(s)`` builds row ``s``'s ``(mix, policy
-    name, budget)``; it is called only under an active cache, for the
-    serial cache key and the stored result.
+    ``seeds[s]``.
 
     Returns the engine's stacked tensors rather than one
     :class:`MixRunResult` per row; row ``s`` is **bit-identical** to
@@ -450,5 +379,5 @@ def simulate_layout_rows(
     """
     return _run_rows(
         "sim.simulate_layout_batch", layouts, n_iter, caps_sw,
-        efficiencies_sw, model, options, seeds, describe,
+        efficiencies_sw, model, options, seeds,
     )

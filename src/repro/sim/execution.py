@@ -24,8 +24,8 @@ The engine body (:func:`_execute_scenarios`) carries a leading *scenario*
 axis: it evaluates an ``(S, hosts)`` cap matrix as ``S`` independent
 executions in one pass over one ``(S, iterations, hosts)`` time tensor.
 Every entry point reaches it through one row core,
-:func:`repro.sim.batch._run_rows`, which owns the cache, the stacking,
-the span and the counters; :func:`simulate_mix` is its one-row call.
+:func:`repro.sim.batch._run_rows`, which owns the stacking, the span
+and the run counter; :func:`simulate_mix` is its one-row call.
 Serial and batched results therefore share one implementation and are
 bit-identical by construction — the property pinned by
 ``tests/property/test_batch_properties.py``.
@@ -77,8 +77,6 @@ class SimulationOptions:
         scenario's nominal iteration length).  ``None`` or an *empty*
         schedule leaves the execution path untouched — fault-free runs
         are bit-identical to pre-fault-subsystem runs by construction.
-        The schedule participates in characterization-cache keys, so
-        faulted and fault-free results never collide.
     """
 
     noise_std: float = 0.008
@@ -89,7 +87,7 @@ class SimulationOptions:
     def __post_init__(self) -> None:
         ensure_non_negative(self.noise_std, "noise_std")
         ensure_non_negative(self.barrier_overhead_s, "barrier_overhead_s")
-        # None would draw OS entropy under a deterministic cache key.
+        # None would draw OS entropy: identical options must reproduce.
         try:
             seed = operator.index(self.seed)
         except TypeError:
@@ -398,11 +396,6 @@ def simulate_mix(
     policy_name / budget_w:
         Metadata recorded on the result.
 
-    When a :func:`~repro.parallel.cache.active_cache` is installed, the
-    result is memoized under a content hash of every physics input; a
-    hit skips the execution loop entirely and decodes the stored result
-    (bit-identical to a fresh computation).
-
     To evaluate many cap vectors against one mix, prefer
     :func:`repro.sim.batch.simulate_cap_batch`, which runs the whole
     scenario set through one pass of the same engine body.
@@ -417,12 +410,8 @@ def simulate_mix(
     if options is None:
         options = DEFAULT_OPTIONS
     model = model if model is not None else ExecutionModel()
-
-    def describe(s: int) -> tuple:
-        return mix, policy_name, float(budget_w)
-
     return _run_rows(
         "sim.simulate_mix", [mix.layout()], mix.common_iterations(),
         np.asarray(caps_w, dtype=float)[np.newaxis], efficiencies, model,
-        options, (options.seed,), describe, mix=mix.name, policy=policy_name,
-    ).result(0, *describe(0))
+        options, (options.seed,), mix=mix.name, policy=policy_name,
+    ).result(0, mix, policy_name, float(budget_w))

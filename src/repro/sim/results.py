@@ -72,7 +72,7 @@ class MixRunResult:
         value), and it would tie equality to field *identity* rather
         than content.  This comparison is exact — every scalar and every
         array element must match bit-for-bit — which is what the
-        cached-vs-computed and parallel-vs-serial guarantees are pinned
+        batched-vs-serial and parallel-vs-serial guarantees are pinned
         against.  Shapes and dtypes are compared through
         ``np.array_equal``; no tolerance is applied on purpose.
         """

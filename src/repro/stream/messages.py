@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: Schema tag every message must carry (versioned like the provenance
-#: ledger's ``repro.provenance.v3``).
+#: ledger's ``PROVENANCE_SCHEMA``).
 STREAM_SCHEMA = "repro.stream.v1"
 
 #: Upstream operation -> required operation-specific fields and types.

@@ -1,22 +1,19 @@
 """Run-provenance ledger: every run stamped with *exactly what ran*.
 
-PRs 2-5 established hard determinism contracts (content-addressed cache
-keys, SeedSequence-derived child seeds, bit-identical batch engines) but
-none of that is *recorded*: a saved report cannot say which config hash,
-seed lineage, fault schedule, or cache state produced it.  This module
-writes that down, in the spirit of NRM's daemon where every run emits
-schema'd, replayable telemetry artifacts.
+The stack keeps hard determinism contracts (SeedSequence-derived child
+seeds, bit-identical batch engines), but a saved report cannot by itself
+say which config, seed lineage or fault schedule produced it.  This
+module writes that down, in the spirit of NRM's daemon where every run
+emits schema'd, replayable telemetry artifacts.
 
 A ledger is one JSON bundle (:data:`PROVENANCE_SCHEMA`) with:
 
 * the run ``kind`` and free-form ``inputs`` summary;
-* a **config content-hash** (the same
-  :func:`~repro.parallel.cache.stable_digest` the characterization cache
-  keys on, so "identical hash" literally means "identical physics
-  inputs");
+* a **config content-hash** (:func:`stable_digest` of the canonical
+  form of the config, so "identical hash" literally means "identical
+  physics inputs");
 * the **seed lineage** (root seed plus any derivation notes);
 * the **fault-schedule digest** (name + content hash + event count);
-* **cache effectiveness** (hits / misses / hit ratio at capture time);
 * the **span tree** (:meth:`~repro.telemetry.tracing.Tracer.state`),
   the exact **span totals** per name
   (:meth:`~repro.telemetry.tracing.Tracer.totals`) and the **metrics
@@ -33,6 +30,9 @@ downstream comparator needs.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
 import json
 import platform
 import socket
@@ -42,8 +42,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
+import numpy as np
+
 __all__ = [
     "PROVENANCE_SCHEMA",
+    "canonical",
+    "stable_digest",
     "capture_ledger",
     "validate_ledger",
     "write_ledger",
@@ -51,7 +55,7 @@ __all__ = [
 ]
 
 #: Schema tag; bump on breaking bundle-layout changes.
-PROVENANCE_SCHEMA = "repro.provenance.v3"
+PROVENANCE_SCHEMA = "repro.provenance.v4"
 
 #: Required top-level keys and the type each must carry.
 _REQUIRED: Dict[str, type] = {
@@ -62,7 +66,6 @@ _REQUIRED: Dict[str, type] = {
     "inputs": dict,
     "seed": dict,
     "fault_schedule": dict,
-    "cache": dict,
     "spans": list,
     "span_totals": dict,
     "metrics": dict,
@@ -71,6 +74,52 @@ _REQUIRED: Dict[str, type] = {
     "git": dict,
     "host": dict,
 }
+
+
+def canonical(obj: object) -> object:
+    """A JSON-serialisable canonical form of ``obj`` for hashing.
+
+    Handles the types run configs are built from: dataclasses (tagged
+    with their class name so two option types with equal fields do not
+    collide), numpy arrays (dtype + shape + SHA-256 of the C-order bytes)
+    and scalars, enums, containers, and JSON primitives.  Floats rely on
+    ``repr`` round-tripping (exact for IEEE-754 doubles) and arrays on
+    their bytes, so bit-different inputs always produce different hashes.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return float(obj)
+    if isinstance(obj, enum.Enum):
+        return {"__enum__": type(obj).__name__, "value": canonical(obj.value)}
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:  # its bytes are pointers, not values
+            raise TypeError("cannot canonicalise object arrays for hashing")
+        return {
+            "__ndarray__": obj.dtype.str,
+            "shape": list(obj.shape),
+            "sha256": hashlib.sha256(np.ascontiguousarray(obj)).hexdigest(),
+        }
+    if isinstance(obj, np.generic):
+        return canonical(obj.item())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {
+            f.name: canonical(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+        return {"__dataclass__": type(obj).__name__, "fields": fields}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(item) for item in obj]
+    if isinstance(obj, dict):
+        return {str(k): canonical(v) for k, v in sorted(obj.items())}
+    raise TypeError(f"cannot canonicalise {type(obj).__name__} for hashing")
+
+
+def stable_digest(*parts: object) -> str:
+    """SHA-256 hex digest of the canonical JSON form of ``parts``."""
+    text = json.dumps([canonical(p) for p in parts], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _git_info(repo_dir: Optional[Union[str, Path]] = None) -> Dict[str, object]:
@@ -94,32 +143,10 @@ def _git_info(repo_dir: Optional[Union[str, Path]] = None) -> Dict[str, object]:
         return {"commit": None, "dirty": None}
 
 
-def _cache_stats() -> Dict[str, float]:
-    """Hit/miss counts from the active cache (or the registry counters)."""
-    from repro.parallel.cache import active_cache
-    from repro.telemetry import context
-
-    cache = active_cache()
-    if cache is not None:
-        hits, misses = float(cache.hits), float(cache.misses)
-    else:
-        counters = context.get_registry().snapshot()["counters"]
-        hits = float(counters.get("sim.execution.cache_hits", 0.0))
-        misses = float(counters.get("sim.execution.runs", 0.0))
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_ratio": hits / total if total else 0.0,
-    }
-
-
 def _fault_digest(fault_schedule) -> Dict[str, object]:
     """Name + content hash + event count of a schedule (or an empty stub)."""
     if fault_schedule is None:
         return {"name": None, "digest": None, "events": 0}
-    from repro.parallel.cache import stable_digest
-
     return {
         "name": fault_schedule.name,
         "digest": stable_digest(fault_schedule),
@@ -145,7 +172,7 @@ def capture_ledger(
         or any caller-chosen tag).
     config:
         The run's configuration object (dataclass, dict, array, ...);
-        hashed with :func:`~repro.parallel.cache.stable_digest` into
+        hashed with :func:`stable_digest` into
         ``config_hash``.  ``None`` hashes to the digest of ``None``.
     inputs:
         Free-form JSON-serialisable summary of the run inputs (mix
@@ -158,11 +185,8 @@ def capture_ledger(
         as a name + content digest + event count.
     """
     from repro import __version__
-    from repro.parallel.cache import stable_digest
     from repro.telemetry import context
     from repro.telemetry.tracing import get_tracer
-
-    import numpy as np
 
     registry = context.get_registry()
     tracer = get_tracer()
@@ -177,7 +201,6 @@ def capture_ledger(
             "lineage": dict(seed_lineage or {}),
         },
         "fault_schedule": _fault_digest(fault_schedule),
-        "cache": _cache_stats(),
         "spans": tracer.state(),
         "span_totals": tracer.totals(),
         "metrics": registry.snapshot(),

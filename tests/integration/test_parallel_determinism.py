@@ -1,8 +1,8 @@
-"""Parallel and cached runs must be bit-identical to serial runs.
+"""Parallel runs must be bit-identical to serial runs.
 
-The contract the whole parallel layer is built on: worker count, cache
-hits, and replay order may change *wall-clock time* but never a single
-bit of any result.
+The contract the whole parallel layer is built on: worker count and
+replay order may change *wall-clock time* but never a single bit of any
+result.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from repro.experiments.grid import ExperimentConfig, ExperimentGrid
 from repro.manager.queue import JobRequest
 from repro.manager.site_simulation import Arrival, run_site_simulation
-from repro.parallel import activate_cache, deactivate_cache
 from repro.parallel.tasks import site_replays
 from repro.workload.kernel import KernelConfig
 
@@ -36,33 +35,6 @@ class TestGridDeterminism:
             assert a.result == b.result, key  # exact MixRunResult equality
             np.testing.assert_array_equal(a.allocation.caps_w,
                                           b.allocation.caps_w)
-
-    def test_cached_rerun_matches_fresh_bit_for_bit(self, tiny_grid_config,
-                                                    tmp_path):
-        fresh = _grid_results(tiny_grid_config, workers=1)
-        try:
-            cache = activate_cache(cache_dir=tmp_path)
-            warm_miss = _grid_results(tiny_grid_config, workers=1)
-            warm_hit = _grid_results(tiny_grid_config, workers=1)
-            assert cache.stats()["hits"] > 0
-        finally:
-            deactivate_cache()
-        for key in fresh.cells:
-            assert warm_miss.cells[key].run.result == fresh.cells[key].run.result
-            assert warm_hit.cells[key].run.result == fresh.cells[key].run.result
-
-    def test_disk_cache_hits_across_instances(self, tiny_grid_config, tmp_path):
-        try:
-            activate_cache(cache_dir=tmp_path)
-            _grid_results(tiny_grid_config, workers=1)
-        finally:
-            deactivate_cache()
-        try:
-            cache = activate_cache(cache_dir=tmp_path)  # fresh memory tier
-            _grid_results(tiny_grid_config, workers=1)
-            assert cache.stats()["hits"] > 0
-        finally:
-            deactivate_cache()
 
 
 def _arrival_stream(nodes, count=4):

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.characterization.mix_characterization import characterize_mix
-from repro.parallel.cache import CharacterizationCache, activate_cache, deactivate_cache
 from repro.sim.batch import (
     LayoutBatch,
     simulate_cap_batch,
@@ -30,7 +28,6 @@ def _fresh_global_state():
     telemetry.reset()
     yield
     telemetry.reset()
-    deactivate_cache()
 
 
 def make_mix(iterations: int = 6) -> WorkloadMix:
@@ -104,29 +101,6 @@ class TestSimulateCapBatch:
         assert len(batch) == 1
         assert batch[0] == simulate_mix(mix, caps[0], eff, options=DEFAULT_OPTIONS)
 
-    def test_shares_cache_entries_with_serial(self):
-        mix = make_mix()
-        caps, eff = rand_inputs(mix, scenarios=3)
-        seeds = [7, 8, 9]
-        options = SimulationOptions(noise_std=0.01, seed=0)
-        cache = activate_cache(CharacterizationCache())
-        try:
-            first = simulate_cap_batch(mix, caps, eff, options=options, seeds=seeds)
-            assert cache.stats()["misses"] == 3
-            again = simulate_cap_batch(mix, caps, eff, options=options, seeds=seeds)
-            assert cache.stats()["hits"] == 3
-            assert all(a == b for a, b in zip(first, again))
-            # A serial call with the matching per-scenario options hits the
-            # entry the batch stored.
-            serial = simulate_mix(
-                mix, caps[1], eff,
-                options=dataclasses.replace(options, seed=seeds[1]),
-            )
-            assert cache.stats()["hits"] == 4
-            assert serial == first[1]
-        finally:
-            deactivate_cache()
-
     def test_batch_telemetry(self):
         mix = make_mix()
         caps, eff = rand_inputs(mix, scenarios=3)
@@ -135,19 +109,6 @@ class TestSimulateCapBatch:
         assert registry.counter("sim.execution.runs").value == 3
         totals = telemetry.get_tracer().totals()
         assert totals["sim.simulate_cap_batch"]["count"] == 1
-
-    def test_batch_telemetry_counts_cache_hits(self):
-        mix = make_mix()
-        caps, eff = rand_inputs(mix, scenarios=3)
-        activate_cache(CharacterizationCache())
-        try:
-            simulate_cap_batch(mix, caps, eff)
-            simulate_cap_batch(mix, caps, eff)
-        finally:
-            deactivate_cache()
-        registry = telemetry.get_registry()
-        assert registry.counter("sim.execution.runs").value == 3
-        assert registry.counter("sim.execution.cache_hits").value == 3
 
 
 class TestSimulateLayoutRows:
@@ -173,19 +134,14 @@ class TestSimulateLayoutRows:
         faults = build_scenario("stuck-caps", 2000.0, 7, 1.0).engine_slice(0.0)
         for mixes in ([shared] * 3, [shared, other, shared]):
             layouts = [mix.layout() for mix in mixes]
-
-            def describe(s, mixes=mixes):
-                return mixes[s], "unmanaged", 0.0
-
             for schedule in (None, faults):
                 options = SimulationOptions(noise_std=0.01,
                                             fault_schedule=schedule)
                 out = simulate_layout_rows(
-                    layouts, 6, caps, eff, ExecutionModel(), options,
-                    seeds, describe,
+                    layouts, 6, caps, eff, ExecutionModel(), options, seeds,
                 )
                 for s in range(3):
-                    row = out.result(s, *describe(s))
+                    row = out.result(s, mixes[s], "unmanaged", 0.0)
                     assert row == simulate_mix(
                         mixes[s], caps[s], eff[s],
                         options=dataclasses.replace(options, seed=seeds[s]),
@@ -193,9 +149,8 @@ class TestSimulateLayoutRows:
                     alone = simulate_layout_rows(
                         layouts[s:s + 1], 6, caps[s:s + 1], eff[s:s + 1],
                         ExecutionModel(), options, seeds[s:s + 1],
-                        lambda _, s=s: describe(s),
                     )
-                    assert row == alone.result(0, *describe(s))
+                    assert row == alone.result(0, mixes[s], "unmanaged", 0.0)
 
 
 def _per_row_energy(host_times, net_compute, job_iter_times, job_poll):
@@ -233,21 +188,6 @@ class TestIterationEnergy:
             got = _iteration_energy(*args)
             assert got.shape == (scenarios, n_iter)
             assert got.tobytes() == _per_row_energy(*args).tobytes()
-
-
-class TestSerialCacheTelemetry:
-    def test_cache_hit_counted_and_event_emitted(self):
-        mix = make_mix()
-        caps, eff = rand_inputs(mix, scenarios=1)
-        activate_cache(CharacterizationCache())
-        try:
-            simulate_mix(mix, caps[0], eff)
-            simulate_mix(mix, caps[0], eff)
-        finally:
-            deactivate_cache()
-        registry = telemetry.get_registry()
-        assert registry.counter("sim.execution.runs").value == 1
-        assert registry.counter("sim.execution.cache_hits").value == 1
 
 
 class TestStackLayouts:
@@ -294,26 +234,6 @@ class TestStackLayouts:
                         for i in layout.compute_ceiling_index]
             assert resolved == expected
             assert np.array_equal(batch.kappa[s], layout.kappa)
-
-
-class TestCharacterizeMixCache:
-    def test_repeat_call_hits_cache(self):
-        # Each harvest fraction is its own entry; a repeat call is served
-        # from the cache, bit-identical to the computed result.
-        mix = make_mix()
-        _, eff = rand_inputs(mix)
-        cache = activate_cache(CharacterizationCache())
-        try:
-            fresh = characterize_mix(mix, eff, harvest_fraction=0.9)
-            characterize_mix(mix, eff, harvest_fraction=0.3)
-            assert cache.stats()["misses"] == 2
-            hit = characterize_mix(mix, eff, harvest_fraction=0.9)
-            assert cache.stats()["hits"] == 1
-            assert cache.stats()["misses"] == 2
-            assert np.array_equal(hit.monitor_power_w, fresh.monitor_power_w)
-            assert np.array_equal(hit.needed_cap_w, fresh.needed_cap_w)
-        finally:
-            deactivate_cache()
 
 
 class TestHotPathMemoization:

@@ -183,6 +183,32 @@ class TestStagedPipelineIdentity:
             [(f"j{i}",) for i in range(len(shapes))]
         assert executed.passes == 2
 
+    def test_row_energy_matches_serial_simulate_mix(self):
+        # The executor reads each row's energy straight from the engine
+        # tensors; it equals the serial simulate_mix run of that row.
+        from repro.sim.execution import SimulationOptions, simulate_mix
+
+        cluster = Cluster(node_count=16, variation=None, seed=0)
+        policy = create_policy("StaticCaps")
+        manager = PowerManager()
+        launches = [_launch(index, [_request(f"j{index}", nodes=4)],
+                            cluster, 900.0)
+                    for index in range(3)]
+        planned = plan_admitted_batch(
+            clock=1.0, launches=launches, policy=policy, manager=manager,
+            planner=BatchPlanner(manager, policy), seeds=batch_seeds(5),
+            uniform_hosts=True,
+        )
+        executed = execute_planned_batches([planned], manager, 0.01)
+        for row, execution in enumerate(executed):
+            serial = simulate_mix(
+                planned.mix(row), planned.caps[row],
+                planned.efficiencies[row], manager.model,
+                SimulationOptions(noise_std=0.01, seed=planned.seeds[row]),
+                policy.name, 900.0,
+            )
+            assert serial.total_energy_j == execution.record.energy_j
+
     def test_engine_fault_rows_run_alone(self, monkeypatch):
         # Two same-structure batches share one pass fault-free; with an
         # engine-applicable fault slice each runs its own pass carrying
@@ -217,57 +243,6 @@ class TestStagedPipelineIdentity:
         assert executed.passes == 2
         assert [rows for rows, _ in options] == [1, 1]
         assert all(opts is not None and opts.active for _, opts in options)
-
-
-class TestExecutorCache:
-    def test_serial_keys_hits_served_misses_stored(self):
-        # Under an active cache the executor looks rows up under the
-        # serial simulate_mix key, serves hits (here two of three rows)
-        # and stores misses, without changing any result.
-        from repro.parallel.cache import (
-            CharacterizationCache,
-            activate_cache,
-            deactivate_cache,
-        )
-        from repro.sim.execution import SimulationOptions, simulate_mix
-
-        cluster = Cluster(node_count=16, variation=None, seed=0)
-        policy = create_policy("StaticCaps")
-        manager = PowerManager()
-        planner = BatchPlanner(manager, policy)
-        launches = []
-        for index in range(3):
-            admitted = [_request(f"j{index}", nodes=4)]
-            launches.append(_launch(index, admitted,
-                                    cluster, 900.0))
-
-        def run(rows):
-            planned = plan_admitted_batch(
-                clock=1.0, launches=rows, policy=policy, manager=manager,
-                planner=planner, seeds=batch_seeds(5), uniform_hosts=True,
-            )
-            return planned, execute_planned_batches([planned], manager, 0.01)
-
-        _, plain = run(launches)
-        cache = CharacterizationCache()
-        activate_cache(cache)
-        try:
-            run(launches[:2])
-            assert cache.stats()["misses"] == 2
-            planned, served = run(launches)
-            assert cache.stats()["hits"] == 2
-            assert cache.stats()["misses"] == 3
-            serial = simulate_mix(
-                planned.mix(2), planned.caps[2], planned.efficiencies[2],
-                manager.model,
-                SimulationOptions(noise_std=0.01, seed=planned.seeds[2]),
-                policy.name, 900.0,
-            )
-            assert cache.stats()["hits"] == 3
-        finally:
-            deactivate_cache()
-        assert served == plain
-        assert serial.total_energy_j == plain[2].record.energy_j
 
 
 class TestBatchPlannerMemo:

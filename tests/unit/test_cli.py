@@ -154,7 +154,6 @@ class TestWorkersAndCacheFlags:
     def test_workers_default_is_none(self):
         args = build_parser().parse_args(["survey"])
         assert args.workers is None
-        assert args.cache_dir is None
 
     def test_workers_parses_positive(self):
         args = build_parser().parse_args(["--workers", "4", "survey"])
@@ -174,40 +173,11 @@ class TestWorkersAndCacheFlags:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
-    def test_cache_dir_accepts_and_creates_directory(self, tmp_path):
-        target = tmp_path / "made" / "by" / "argparse"
-        args = build_parser().parse_args(
-            ["--cache-dir", str(target), "survey"]
-        )
-        assert args.cache_dir == str(target)
-        assert target.is_dir()
-
-    def test_cache_dir_rejects_unwritable_with_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["--cache-dir", "/proc/definitely/not/writable", "survey"]
-            )
-        assert exc.value.code == 2
-        assert "not writable" in capsys.readouterr().err
-
     def test_grid_with_workers_runs(self, capsys):
         assert main(
             ["--scale", "4", "--workers", "2", "grid", "--mix", "LowPower"]
         ) == 0
         assert "Savings vs StaticCaps" in capsys.readouterr().out
-
-    def test_grid_with_cache_dir_populates_store(self, capsys, tmp_path):
-        from repro.parallel import deactivate_cache
-
-        try:
-            assert main(
-                ["--scale", "4", "--cache-dir", str(tmp_path),
-                 "grid", "--mix", "LowPower"]
-            ) == 0
-        finally:
-            deactivate_cache()
-        assert list(tmp_path.glob("char-*.json"))
-        assert list(tmp_path.glob("simulate-*.json"))
 
 
 class TestSiteCommand:

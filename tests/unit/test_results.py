@@ -109,3 +109,40 @@ class TestBudgetOvershoot:
         res = self._at_caps([110.3, 120.7, 150.9], 1.3)
         overshoot = res.budget_overshoot_watt_seconds(res.budget_w - 1.0)
         assert overshoot == pytest.approx(2 * 1.3 * 1.0)
+
+
+def _run_result():
+    """A small MixRunResult with awkward float values (simulated noise)."""
+    rng = np.random.default_rng(11)
+    iteration_times = rng.uniform(0.01, 0.2, size=(5, 4))
+    host_energy = rng.uniform(50.0, 900.0, size=4)
+    return MixRunResult(
+        mix_name="RoundTrip",
+        policy_name="MixedAdaptive",
+        budget_w=0.1 + 0.2,  # deliberately not representable as 0.3
+        job_names=("j0", "j1"),
+        iteration_times_s=iteration_times,
+        iteration_energy_j=rng.uniform(10.0, 40.0, size=5),
+        host_energy_j=host_energy,
+        host_mean_power_w=host_energy / iteration_times.sum(axis=0),
+        host_job_index=np.array([0, 0, 1, 1]),
+        total_gflop=1234.5678,
+    )
+
+
+class TestEquality:
+    """``MixRunResult.__eq__`` compares exact bits."""
+
+    def test_equality_is_sensitive_to_a_single_bit(self):
+        import dataclasses as _dc
+
+        original = _run_result()
+        nudged = _dc.replace(
+            original,
+            budget_w=np.nextafter(original.budget_w, np.inf),
+        )
+        assert original == original
+        assert original != nudged
+
+    def test_equality_ignores_other_types(self):
+        assert _run_result() != "not a result"

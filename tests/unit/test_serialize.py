@@ -1,20 +1,11 @@
-"""Unit tests for JSON serialization of stack artefacts."""
+"""Unit tests for the JSON and CSV export of stack artefacts."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.characterization.budgets import PowerBudgets, derive_budgets
-from repro.io.serialize import (
-    budgets_from_dict,
-    budgets_to_dict,
-    characterization_from_dict,
-    characterization_to_dict,
-    load_characterization,
-    save_characterization,
-    save_grid_results,
-)
+from repro.io.serialize import save_characterization, save_grid_results
 from tests.unit.test_policies_basic import make_char
 
 
@@ -27,57 +18,18 @@ def char():
     )
 
 
-class TestCharacterizationRoundtrip:
-    def test_dict_roundtrip(self, char):
-        rebuilt = characterization_from_dict(characterization_to_dict(char))
-        np.testing.assert_array_equal(rebuilt.monitor_power_w, char.monitor_power_w)
-        np.testing.assert_array_equal(rebuilt.needed_power_w, char.needed_power_w)
-        np.testing.assert_array_equal(rebuilt.job_boundaries, char.job_boundaries)
-        assert rebuilt.mix_name == char.mix_name
-
-    def test_file_roundtrip(self, char, tmp_path):
+class TestCharacterizationExport:
+    def test_save_writes_format_tag_and_arrays(self, char, tmp_path):
         path = save_characterization(char, tmp_path / "char.json")
-        rebuilt = load_characterization(path)
-        np.testing.assert_array_equal(rebuilt.needed_cap_w, char.needed_cap_w)
-
-    def test_json_is_valid(self, char, tmp_path):
-        path = save_characterization(char, tmp_path / "char.json")
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_bytes())
         assert data["format"] == "repro.mix-characterization.v1"
-
-    def test_wrong_format_rejected(self, char):
-        data = characterization_to_dict(char)
-        data["format"] = "something.else.v9"
-        with pytest.raises(ValueError, match="unsupported characterization"):
-            characterization_from_dict(data)
-
-    def test_roundtrip_feeds_policies(self, char):
-        """A deserialized characterization produces bit-identical policy
-        allocations — the cacheability guarantee."""
-        from repro.core.registry import create_policy
-
-        rebuilt = characterization_from_dict(characterization_to_dict(char))
-        policy = create_policy("MixedAdaptive")
-        a = policy.allocate(char, 760.0)
-        b = policy.allocate(rebuilt, 760.0)
-        np.testing.assert_array_equal(a.caps_w, b.caps_w)
-
-    def test_derived_budgets_survive_roundtrip(self, char):
-        rebuilt = characterization_from_dict(characterization_to_dict(char))
-        assert derive_budgets(rebuilt).by_level() == derive_budgets(char).by_level()
-
-
-class TestBudgetsRoundtrip:
-    def test_roundtrip(self):
-        budgets = PowerBudgets("m", 100.0, 150.0, 200.0, 240.0)
-        rebuilt = budgets_from_dict(budgets_to_dict(budgets))
-        assert rebuilt == budgets
-
-    def test_wrong_format_rejected(self):
-        data = budgets_to_dict(PowerBudgets("m", 1.0, 2.0, 3.0, 4.0))
-        data["format"] = "nope"
-        with pytest.raises(ValueError, match="unsupported budgets"):
-            budgets_from_dict(data)
+        assert data["mix_name"] == char.mix_name
+        for name in ("job_boundaries", "monitor_power_w", "needed_power_w",
+                     "needed_cap_w"):
+            np.testing.assert_array_equal(np.asarray(data[name]),
+                                          getattr(char, name), err_msg=name)
+        assert data["min_cap_w"] == char.min_cap_w
+        assert data["tdp_w"] == char.tdp_w
 
 
 class TestGridExport:
@@ -87,79 +39,3 @@ class TestGridExport:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 5  # header + five policies
         assert "LowPower" in lines[1]
-
-
-def _run_result():
-    """A small MixRunResult with awkward float values (simulated noise)."""
-    from repro.sim.results import MixRunResult
-
-    rng = np.random.default_rng(11)
-    iteration_times = rng.uniform(0.01, 0.2, size=(5, 4))
-    host_energy = rng.uniform(50.0, 900.0, size=4)
-    return MixRunResult(
-        mix_name="RoundTrip",
-        policy_name="MixedAdaptive",
-        budget_w=0.1 + 0.2,  # deliberately not representable as 0.3
-        job_names=("j0", "j1"),
-        iteration_times_s=iteration_times,
-        iteration_energy_j=rng.uniform(10.0, 40.0, size=5),
-        host_energy_j=host_energy,
-        host_mean_power_w=host_energy / iteration_times.sum(axis=0),
-        host_job_index=np.array([0, 0, 1, 1]),
-        total_gflop=1234.5678,
-    )
-
-
-class TestResultRoundtrip:
-    """Bit-exactness through dict and JSON-file forms.
-
-    This is the guarantee the characterization cache rests on: a result
-    decoded from the disk store must compare equal — exact float bits,
-    exact array contents — to the freshly computed one.
-    """
-
-    def test_dict_roundtrip_is_equal(self):
-        from repro.io.serialize import result_from_dict, result_to_dict
-
-        original = _run_result()
-        rebuilt = result_from_dict(result_to_dict(original))
-        assert rebuilt == original  # MixRunResult.__eq__ is bit-exact
-
-    def test_json_file_roundtrip_is_equal(self, tmp_path):
-        from repro.io.serialize import load_result, save_result
-
-        original = _run_result()
-        path = save_result(original, tmp_path / "result.json")
-        rebuilt = load_result(path)
-        assert rebuilt == original
-        assert rebuilt.budget_w == 0.1 + 0.2  # float bits survived repr
-
-    def test_dtypes_restored(self):
-        from repro.io.serialize import result_from_dict, result_to_dict
-
-        rebuilt = result_from_dict(result_to_dict(_run_result()))
-        assert rebuilt.host_job_index.dtype.kind == "i"
-        assert rebuilt.iteration_times_s.dtype == np.float64
-        assert isinstance(rebuilt.job_names, tuple)
-
-    def test_wrong_format_rejected(self):
-        from repro.io.serialize import result_from_dict, result_to_dict
-
-        data = result_to_dict(_run_result())
-        data["format"] = "nope.v0"
-        with pytest.raises(ValueError, match="unsupported"):
-            result_from_dict(data)
-
-    def test_equality_is_sensitive_to_a_single_bit(self):
-        import dataclasses as _dc
-
-        original = _run_result()
-        nudged = _dc.replace(
-            original,
-            budget_w=np.nextafter(original.budget_w, np.inf),
-        )
-        assert original == original
-        assert original != nudged
-
-    def test_equality_ignores_other_types(self):
-        assert _run_result() != "not a result"
