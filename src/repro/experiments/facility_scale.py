@@ -168,7 +168,7 @@ def campaign_rows(result: FacilitySimulationResult) -> List[Dict[str, object]]:
             "mean_allocation_w": float(sum(allocations) / len(allocations)),
             "min_allocation_w": float(min(allocations)),
             "max_allocation_w": float(max(allocations)),
-            "jobs_completed": float(len(site.completed)),
+            "jobs_completed": float(site.stats.jobs_completed),
             "never_admitted": float(len(site.never_admitted)),
             "truncated": float(len(site.truncated)),
             "energy_j": site.total_energy_j,

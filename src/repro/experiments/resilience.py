@@ -264,16 +264,20 @@ def run_resilience_suite(
             turnaround = result.mean_turnaround_s()
             qos_loss = 0.0 if base_turnaround <= 0 else \
                 100.0 * (turnaround / base_turnaround - 1.0)
+            planned_ws = float(sum(b.planned_overshoot_ws
+                                   for b in result.batches))
             outcomes.append(ScenarioOutcome(
                 policy=policy_name,
                 scenario=scenario_name,
                 feasible=feasible,
                 actuator_faults=actuator,
                 qos_loss_pct=float(qos_loss),
-                planned_overshoot_ws=result.planned_overshoot_ws(),
+                planned_overshoot_ws=planned_ws,
                 total_overshoot_ws=result.total_overshoot_ws(),
-                degraded_batches=len(result.degraded_batches()),
-                completed_jobs=len(result.completed),
+                degraded_batches=sum(
+                    b.degradation_tier not in ("none", "replan")
+                    for b in result.batches),
+                completed_jobs=result.stats.jobs_completed,
                 makespan_s=result.makespan_s,
             ))
             if enabled():
@@ -281,7 +285,7 @@ def run_resilience_suite(
                     "experiments.resilience", "scenario_scored",
                     policy=policy_name, scenario=scenario_name,
                     feasible=feasible, qos_loss_pct=float(qos_loss),
-                    planned_overshoot_ws=result.planned_overshoot_ws(),
+                    planned_overshoot_ws=planned_ws,
                     total_overshoot_ws=result.total_overshoot_ws(),
                 )
     return ResilienceReport(

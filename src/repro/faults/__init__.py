@@ -18,8 +18,7 @@ observable as its steady state.
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "schedule": ("FaultEvent", "FaultKind", "FaultSchedule",
-                 "random_schedule"),
+    "schedule": ("FaultEvent", "FaultKind", "FaultSchedule"),
     "injection": ("RuntimeFaultInjector",),
     "scenarios": ("SCENARIO_NAMES", "STANDARD_SCENARIOS", "FaultScenario",
                   "build_scenario"),

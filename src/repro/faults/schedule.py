@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FaultKind", "FaultEvent", "FaultSchedule", "random_schedule"]
+__all__ = ["FaultKind", "FaultEvent", "FaultSchedule"]
 
 
 class FaultKind(enum.Enum):
@@ -385,87 +385,3 @@ class FaultSchedule:
             return None
         shifted = FaultSchedule(events=events, name=self.name).shifted(-start_s)
         return shifted if shifted.events else None
-
-
-@dataclass(frozen=True)
-class _RandomScheduleSpec:
-    """Internal: parameters of :func:`random_schedule` (documented there)."""
-
-    duration_s: float
-    host_count: int
-    base_budget_w: float
-    events: int = 4
-    min_budget_fraction: float = 0.6
-    seed: int = 0
-    kinds: Tuple[FaultKind, ...] = field(default=(
-        FaultKind.BUDGET_CHANGE, FaultKind.NODE_FAILURE,
-        FaultKind.SENSOR_DROPOUT, FaultKind.NOISE_BURST,
-        FaultKind.CAP_STUCK,
-    ))
-
-
-def random_schedule(
-    duration_s: float,
-    host_count: int,
-    base_budget_w: float,
-    events: int = 4,
-    min_budget_fraction: float = 0.6,
-    seed: int = 0,
-    kinds: Optional[Sequence[FaultKind]] = None,
-) -> FaultSchedule:
-    """A seeded random schedule for fuzz-style resilience runs.
-
-    Draws ``events`` faults uniformly over ``[0, duration_s)`` from the
-    given kinds; budget drops stay above ``min_budget_fraction`` of the
-    base budget (always floor-feasible scenarios by construction when the
-    caller picks the fraction accordingly), node failures take at most a
-    quarter of the hosts and are paired with recoveries.  Identical
-    arguments produce identical schedules.
-    """
-    spec = _RandomScheduleSpec(
-        duration_s=float(duration_s), host_count=int(host_count),
-        base_budget_w=float(base_budget_w), events=int(events),
-        min_budget_fraction=float(min_budget_fraction), seed=int(seed),
-        kinds=tuple(kinds) if kinds is not None else
-        _RandomScheduleSpec.__dataclass_fields__["kinds"].default,
-    )
-    if spec.events < 1:
-        raise ValueError("need at least one event")
-    rng = np.random.default_rng(spec.seed)
-    schedule = FaultSchedule(name=f"random-{spec.seed}")
-    max_failed = max(1, spec.host_count // 4)
-    for _ in range(spec.events):
-        kind = spec.kinds[int(rng.integers(len(spec.kinds)))]
-        t = float(rng.uniform(0.0, spec.duration_s))
-        window = float(rng.uniform(0.05, 0.25) * spec.duration_s)
-        if kind is FaultKind.BUDGET_CHANGE:
-            fraction = float(rng.uniform(spec.min_budget_fraction, 1.0))
-            schedule = schedule.budget_drop(
-                t, fraction * spec.base_budget_w,
-                ramp_s=float(rng.uniform(0.0, 0.1 * spec.duration_s)),
-            )
-        elif kind is FaultKind.NODE_FAILURE:
-            count = int(rng.integers(1, max_failed + 1))
-            hosts = tuple(
-                int(h) for h in
-                rng.choice(spec.host_count, size=count, replace=False)
-            )
-            schedule = schedule.node_failure(t, hosts)
-            schedule = schedule.node_recovery(
-                min(t + window, spec.duration_s), hosts
-            )
-        elif kind is FaultKind.SENSOR_DROPOUT:
-            schedule = schedule.sensor_dropout(t, window)
-        elif kind is FaultKind.NOISE_BURST:
-            schedule = schedule.noise_burst(
-                t, window, sigma=float(rng.uniform(0.01, 0.05))
-            )
-        elif kind is FaultKind.CAP_STUCK:
-            host = int(rng.integers(spec.host_count))
-            schedule = schedule.cap_stuck(
-                t, (host,), stuck_at_w=float(rng.uniform(136.0, 240.0)),
-                duration_s=window,
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"random_schedule cannot draw {kind}")
-    return schedule

@@ -219,17 +219,15 @@ class FacilitySimulationResult:
 
     def completed_jobs(self) -> int:
         """Jobs completed facility-wide."""
-        return sum(len(c.result.completed) for c in self.clusters)
+        return sum(c.result.stats.jobs_completed for c in self.clusters)
 
     def mean_turnaround_s(self) -> float:
         """Mean turnaround over every completed job in the facility."""
-        turnarounds = [
-            t for c in self.clusters
-            for t in c.result.job_turnaround_s.values()
-        ]
-        if not turnarounds:
+        completed = self.completed_jobs()
+        if not completed:
             return 0.0
-        return float(sum(turnarounds) / len(turnarounds))
+        return sum(c.result.stats.turnaround_sum_s
+                   for c in self.clusters) / completed
 
     def allocated_w(self, epoch: int) -> float:
         """Watts the facility broker handed out at ``epoch``."""

@@ -83,6 +83,7 @@ from repro.workload.job import WorkloadMix, validate_job_names
 if TYPE_CHECKING:  # imported lazily: the repro.parallel package pulls in
     # multiprocessing, which a site loop's importers should not pay for
     from repro.parallel.seeding import BlockSeeds
+    from repro.stream.engine import StreamStats
 
 __all__ = [
     "Arrival",
@@ -117,9 +118,9 @@ class Arrival:
 class BatchRecord:
     """One admission round and its execution.
 
-    The trailing defaulted fields are only populated on fault-replay
-    runs; a fault-free shift records the historical six fields exactly as
-    before.
+    ``budget_w`` and ``degradation_tier`` are recorded on every batch;
+    the quarantine, overshoot and backoff fields leave their zero
+    defaults only on fault-replay runs.
     """
 
     start_s: float
@@ -154,26 +155,27 @@ class BatchRecord:
 class BatchExecution:
     """One admitted batch, executed — the unit every site loop consumes.
 
-    ``completion_s[i]`` is job ``i``'s completion clock **including** the
-    degradation ladder's decision latency (``backoff_s``): retries delay
-    the launch, so every job finishes no later than the batch's
-    ``record.end_s`` (the job on the critical path finishes exactly
-    then).
+    ``completion_s[i]`` is job ``record.admitted[i]``'s completion clock
+    **including** the degradation ladder's decision latency
+    (``backoff_s``): retries delay the launch, so every job finishes no
+    later than the batch's ``record.end_s`` (the job on the critical
+    path finishes exactly then).
     """
 
     record: BatchRecord
-    job_names: Tuple[str, ...]
     completion_s: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SiteSimulationResult:
-    """Everything the simulated shift produced."""
+    """Everything the simulated shift produced: the serial engine's
+    final counters (``stats``, the one source of the shift's totals)
+    plus the records it keeps."""
 
     policy_name: str
     budget_w: float
+    stats: "StreamStats"
     batches: Tuple[BatchRecord, ...]
-    completed: Tuple[str, ...]
     never_admitted: Tuple[str, ...]
     job_turnaround_s: Dict[str, float]
     #: Name of the replayed fault schedule ("" on fault-free shifts).
@@ -184,39 +186,27 @@ class SiteSimulationResult:
     truncated: Tuple[str, ...] = ()
 
     @property
+    def completed(self) -> Tuple[str, ...]:
+        """Completed job names, in completion order."""
+        return tuple(self.job_turnaround_s)
+
+    @property
     def makespan_s(self) -> float:
         """Clock time from first arrival to last completion."""
         return float(self.batches[-1].end_s) if self.batches else 0.0
 
     def total_overshoot_ws(self) -> float:
         """Watt-seconds over budget across the shift (reaction included)."""
-        return float(sum(b.overshoot_ws for b in self.batches))
-
-    def planned_overshoot_ws(self) -> float:
-        """Watt-seconds over the launch budget after re-planning.
-
-        The post-stage-2 compliance quantity: zero on feasible scenarios
-        whenever the policy is system-power-aware.
-        """
-        return float(sum(b.planned_overshoot_ws for b in self.batches))
-
-    def degraded_batches(self) -> Tuple[int, ...]:
-        """Indices of batches planned below the re-plan tier."""
-        return tuple(
-            i for i, b in enumerate(self.batches)
-            if b.degradation_tier not in ("none", "replan")
-        )
+        return self.stats.overshoot_ws
 
     @property
     def total_energy_j(self) -> float:
         """Energy across all batches."""
-        return float(sum(b.energy_j for b in self.batches))
+        return self.stats.energy_j
 
     def mean_turnaround_s(self) -> float:
         """Mean submission-to-completion time over completed jobs."""
-        if not self.job_turnaround_s:
-            return 0.0
-        return float(np.mean(list(self.job_turnaround_s.values())))
+        return self.stats.mean_turnaround_s()
 
     def peak_power_w(self) -> float:
         """Highest batch mean power (the budget-compliance check)."""
@@ -678,7 +668,6 @@ def finish_planned_batch(planned: PlannedPass,
         # critical-path job exactly on ``record.end_s``.
         executions.append(BatchExecution(
             record=record,
-            job_names=names,
             completion_s=tuple(clock + (e + backoff_s) for e in elapsed),
         ))
     if telemetry and executions:
@@ -836,7 +825,7 @@ def run_site_simulation(
         engine.run()
         result = engine.result
         if trace_sp is not None:
-            trace_sp.set_attribute("batches", len(result.batches))
-            trace_sp.set_attribute("completed", len(result.completed))
+            trace_sp.set_attribute("batches", result.stats.batches)
+            trace_sp.set_attribute("completed", result.stats.jobs_completed)
             trace_sp.set_attribute("makespan_s", result.makespan_s)
     return result

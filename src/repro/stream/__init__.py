@@ -23,8 +23,7 @@ exported here; import it from :mod:`repro.stream.daemon`.
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "arrivals": ("burst_stream", "poisson_stream", "replay_stream",
-                 "synthetic_job_factory"),
+    "arrivals": ("poisson_stream", "replay_stream", "synthetic_job_factory"),
     "engine": ("SerialSiteEngine", "SiteStreamEngine", "StreamStats"),
     "events": ("Event", "EventKind", "EventLoop"),
     "messages": ("STREAM_SCHEMA",),

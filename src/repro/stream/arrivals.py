@@ -7,13 +7,11 @@ from any *iterator* of time-ordered :class:`~repro.manager.site_simulation.Arriv
 objects, holding exactly one lookahead arrival at a time, so arrival
 streams cost O(1) memory regardless of length.
 
-Sources here cover the bench and test workloads:
+The sources:
 
 * :func:`replay_stream` — adapt a pre-built list (the bit-identity path);
 * :func:`poisson_stream` — memoryless arrivals at a sustained rate, the
   ">= 100k jobs per simulated day" load shape;
-* :func:`burst_stream` — periodic bursts of simultaneous submissions,
-  the backpressure stressor;
 * :func:`synthetic_job_factory` — cycling job shapes with power hints,
   so admission estimates stay O(1) per job under load.
 """
@@ -32,7 +30,6 @@ from repro.workload.kernel import KernelConfig
 __all__ = [
     "replay_stream",
     "poisson_stream",
-    "burst_stream",
     "synthetic_job_factory",
 ]
 
@@ -69,32 +66,6 @@ def poisson_stream(
             return
         yield Arrival(time_s=clock, request=job_factory(index))
         index += 1
-
-
-def burst_stream(
-    burst_size: int,
-    period_s: float,
-    bursts: int,
-    job_factory: JobFactory,
-    start_s: float = 0.0,
-) -> Iterator[Arrival]:
-    """``bursts`` bursts of ``burst_size`` simultaneous submissions.
-
-    All jobs of a burst share one arrival instant; event sequence numbers
-    keep their admission order deterministic.  This is the load shape that
-    exercises queue backpressure.
-    """
-    if burst_size < 1:
-        raise ValueError("burst_size must be positive")
-    if bursts < 1:
-        raise ValueError("bursts must be positive")
-    ensure_positive(period_s, "period_s")
-    index = 0
-    for b in range(bursts):
-        t = start_s + b * period_s
-        for _ in range(burst_size):
-            yield Arrival(time_s=t, request=job_factory(index))
-            index += 1
 
 
 def synthetic_job_factory(

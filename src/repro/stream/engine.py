@@ -72,9 +72,9 @@ __all__ = ["SerialSiteEngine", "SiteStreamEngine", "StreamStats"]
 class StreamStats:
     """Aggregate counters the engine maintains in O(1) memory.
 
-    The memory-bounded substitute for the batch call's per-job dicts:
-    everything the bench and the daemon's ``stats`` op report comes from
-    here, regardless of how many jobs have flowed through.
+    The one source of a run's totals, however many jobs flow through:
+    the daemon's ``stats`` op, the bench and a serial run's result read
+    them here; the per-job and per-batch records are never re-summed.
     """
 
     arrivals: int = 0
@@ -199,9 +199,9 @@ class SiteStreamEngine:
         self.clock = 0.0
         self.stats = StreamStats()
         self.batches: List[BatchRecord] = []
-        self.completed: List[str] = []
-        self.failed: List[str] = []
+        # Ended jobs in end order; failed names as a dict for O(1) lookup.
         self.turnaround_s: Dict[str, float] = {}
+        self.failed: Dict[str, None] = {}
         self._arrival_time: Dict[str, float] = {}
         self._source: Optional[Iterator[Arrival]] = None
         self._batch_counter = 0
@@ -299,7 +299,7 @@ class SiteStreamEngine:
             if request.name in self.turnaround_s \
                     or request.name in self.failed:
                 raise ValueError(f"job {request.name!r} already ended")
-            tracked += len(self.completed) + len(self.failed)
+            tracked += len(self.turnaround_s) + len(self.failed)
         queue.submit(request)
         self._arrival_time[request.name] = time_s
         if pending >= self.stats.peak_pending:
@@ -317,7 +317,7 @@ class SiteStreamEngine:
         if self.record_batches:
             self.batches.append(record)
         complete = self.queue.complete
-        for name, completion in zip(execution.job_names,
+        for name, completion in zip(execution.record.admitted,
                                     execution.completion_s):
             complete(name)
             turnaround = completion - self._arrival_time.pop(name)
@@ -327,7 +327,6 @@ class SiteStreamEngine:
                 self.stats.turnaround_max_s, turnaround
             )
             if self.record_jobs:
-                self.completed.append(name)
                 self.turnaround_s[name] = turnaround
 
     def _fail_head(self) -> None:
@@ -336,7 +335,7 @@ class SiteStreamEngine:
         self._arrival_time.pop(stuck.name, None)
         self.stats.jobs_failed += 1
         if self.record_jobs:
-            self.failed.append(stuck.name)
+            self.failed[stuck.name] = None
         if enabled():
             emit("stream.engine", "job_failed", name=stuck.name)
 
@@ -583,9 +582,9 @@ class SiteStreamEngine:
                         share_w=launch.budget_w,
                     )
                 self._collected = []
+        self.stats.clock_s = self.clock
         if not loop:
             self._drain()
-        self.stats.clock_s = self.clock
         return kind_counts
 
     def run(self, max_events: Optional[int] = None) -> StreamStats:
@@ -689,8 +688,8 @@ class SerialSiteEngine(SiteStreamEngine):
         self.result = SiteSimulationResult(
             policy_name=self.policy.name,
             budget_w=self.base_budget_w,
+            stats=self.stats,
             batches=tuple(self.batches),
-            completed=tuple(self.completed),
             never_admitted=tuple(self.failed),
             job_turnaround_s=self.turnaround_s,
             fault_schedule_name=self.fault_schedule.name
@@ -700,9 +699,9 @@ class SerialSiteEngine(SiteStreamEngine):
         if enabled():
             emit(
                 "manager.site", "simulation_complete",
-                policy=self.policy.name, batches=len(self.batches),
-                completed=len(self.completed),
-                never_admitted=len(self.failed),
+                policy=self.policy.name, batches=self.stats.batches,
+                completed=self.stats.jobs_completed,
+                never_admitted=self.stats.jobs_failed,
                 makespan_s=self.result.makespan_s,
-                mean_turnaround_s=self.result.mean_turnaround_s(),
+                mean_turnaround_s=self.stats.mean_turnaround_s(),
             )

@@ -136,7 +136,7 @@ def rolling_run(scenario: str, policy: str, per_job: bool,
         "batches": stats.batches,
         "energy_j": _canon(stats.energy_j),
         "digest": _digest([
-            _records(engine.batches), list(engine.completed),
+            _records(engine.batches), list(engine.turnaround_s),
             list(engine.failed), engine.turnaround_s, stats.snapshot(),
         ]),
     }

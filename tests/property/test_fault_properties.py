@@ -14,10 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.schedule import FaultKind, FaultSchedule, random_schedule
+from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.sim.batch import simulate_cap_batch
 from repro.sim.execution import SimulationOptions, simulate_mix
 from repro.workload.job import Job, WorkloadMix
+from tests.property.generators import random_schedule
 from repro.workload.kernel import INTENSITY_GRID, KernelConfig
 
 

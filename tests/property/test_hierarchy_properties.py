@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.registry import create_policy
-from repro.faults.schedule import FaultSchedule, random_schedule
+from repro.faults.schedule import FaultSchedule
 from repro.hierarchy import (
     ClusterSpec,
     FacilityConfig,
@@ -30,6 +30,7 @@ from repro.hierarchy import (
 )
 from repro.manager.site_simulation import run_site_simulation
 from repro.parallel.seeding import child_seed
+from tests.property.generators import random_schedule
 
 
 @st.composite

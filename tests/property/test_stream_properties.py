@@ -75,6 +75,9 @@ class TestStreamReplayIdentity:
         assert reported == names
         assert (len(result.completed) + len(result.never_admitted)
                 + len(result.truncated)) == len(names)
+        # The engine's counters agree with the records it kept.
+        assert result.stats.jobs_completed == len(result.completed)
+        assert result.stats.jobs_failed == len(result.never_admitted)
 
     @given(arrivals=arrival_lists(), budget=budgets)
     @settings(max_examples=15, deadline=None)

@@ -179,7 +179,7 @@ class TestStagedPipelineIdentity:
         executed = execute_planned_batches(planned, manager, 0.0)
         assert [e.record.start_s for e in executed] == \
             [float(i) for i in range(len(shapes))]
-        assert [e.job_names for e in executed] == \
+        assert [e.record.admitted for e in executed] == \
             [(f"j{i}",) for i in range(len(shapes))]
         assert executed.passes == 2
 

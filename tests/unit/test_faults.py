@@ -15,13 +15,13 @@ from repro.faults import (
     STANDARD_SCENARIOS,
     build_scenario,
     plan_with_degradation,
-    random_schedule,
 )
 from repro.runtime.controller import Controller
 from repro.runtime.power_governor import PowerGovernorAgent
 from repro.runtime.trace import attach_tracer
 from repro.workload.job import Job
 from repro.workload.kernel import KernelConfig
+from tests.property.generators import random_schedule
 
 
 class TestFaultEvent:

@@ -117,15 +117,31 @@ class TestScheduling:
         assert all(t > 0 for t in result.job_turnaround_s.values())
         assert result.mean_turnaround_s() > 0
 
-    def test_energy_accumulates(self, site_cluster):
-        arrivals = [_arrival(f"j{i}", 0.0) for i in range(2)]
-        result = run_site_simulation(
-            arrivals, site_cluster, create_policy("StaticCaps"),
-            budget_w=12 * 235.0,
+    def test_totals_are_engine_counters(self, site_cluster):
+        # A serial run's totals are the engine's final counters, not a
+        # second sum over the kept records.
+        from repro.faults.schedule import FaultSchedule
+        from repro.stream import SerialSiteEngine, replay_stream
+
+        budget_w = 12 * 235.0
+        # A deep dip lands mid-batch and lifts before the next launch.
+        drop = FaultSchedule(name="dip").budget_drop(
+            0.1, 0.1 * budget_w).budget_restore(0.5, budget_w)
+        engine = SerialSiteEngine(
+            site_cluster, create_policy("StaticCaps"), budget_w,
+            fault_schedule=drop,
         )
-        assert result.total_energy_j == pytest.approx(
-            sum(b.energy_j for b in result.batches)
-        )
+        engine.attach_source(replay_stream(
+            [_arrival(f"j{i}", float(i)) for i in range(3)]))
+        stats = engine.run()
+        result = engine.result
+        assert result.stats is stats
+        assert stats.clock_s == engine.clock
+        assert result.total_energy_j == stats.energy_j > 0.0
+        assert result.total_overshoot_ws() == stats.overshoot_ws > 0.0
+        assert result.mean_turnaround_s() == stats.mean_turnaround_s() > 0.0
+        assert result.completed == tuple(engine.turnaround_s)
+        assert len(result.completed) == stats.jobs_completed == 3
 
     def test_policy_improves_makespan_under_tight_budget(self, site_cluster):
         """MixedAdaptive completes the same arrival stream no slower than

@@ -11,7 +11,6 @@ from repro.manager.site_simulation import (
     run_site_simulation,
 )
 from repro.stream.arrivals import (
-    burst_stream,
     poisson_stream,
     replay_stream,
     synthetic_job_factory,
@@ -19,6 +18,7 @@ from repro.stream.arrivals import (
 from repro.stream.engine import SerialSiteEngine, SiteStreamEngine, StreamStats
 from repro.stream.events import EventKind, EventLoop
 from repro.workload.kernel import KernelConfig
+from tests.property.generators import burst_stream
 
 
 @pytest.fixture()
@@ -185,6 +185,21 @@ class TestRollingEngine:
         assert stats.jobs_failed == 1
         assert "whale" in engine.failed
         assert stats.jobs_completed == 1
+
+    @pytest.mark.parametrize("name", ["ok", "whale"])
+    def test_ended_name_cannot_be_resubmitted(self, cluster, name):
+        # With record_jobs on, the engine keeps the record of every
+        # completed ("ok") and failed ("whale") job, so neither name can
+        # arrive again.
+        engine = _engine(cluster)
+        engine.submit(_request("whale", nodes=24))
+        engine.submit(_request("ok", nodes=4))
+        engine.run()
+        assert list(engine.turnaround_s) == ["ok"]
+        assert list(engine.failed) == ["whale"]
+        engine.submit(_request(name))
+        with pytest.raises(ValueError, match=f"job '{name}' already ended"):
+            engine.run()
 
     @pytest.mark.parametrize("interval", [None, 1.0])
     @pytest.mark.parametrize("record_jobs", [True, False])
