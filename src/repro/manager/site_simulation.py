@@ -77,7 +77,7 @@ from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
 from repro.sim.execution import SimulationOptions
-from repro.telemetry import emit, enabled, get_registry, span
+from repro.telemetry import emit, enabled, span
 from repro.workload.job import WorkloadMix, validate_job_names
 
 if TYPE_CHECKING:  # imported lazily: the repro.parallel package pulls in
@@ -600,8 +600,9 @@ def finish_planned_batch(planned: PlannedPass,
     Per batch, in row order: duration is the job critical path plus the
     ladder's ``backoff_s`` (zero on fault-free batches); then come the
     record fields, the completion clocks, and the per-batch
-    ``batch_complete`` event (duration and utilization); the batch and
-    job counters move once per pass.  A batch planned under an active
+    ``batch_complete`` event (duration and utilization).  Batch and job
+    counts are the engine's (:class:`~repro.stream.engine.StreamStats`).
+    A batch planned under an active
     ``fault_schedule`` also gets its compliance accounting: overshoot
     against the launch budget from the iteration power trace, plus the
     reaction window of budget drops landing mid-batch, charged at the
@@ -670,11 +671,6 @@ def finish_planned_batch(planned: PlannedPass,
             record=record,
             completion_s=tuple(clock + (e + backoff_s) for e in elapsed),
         ))
-    if telemetry and executions:
-        registry = get_registry()
-        registry.counter("manager.site.batches").inc(len(executions))
-        registry.counter("manager.site.jobs_completed").inc(
-            sum(len(names) for names in planned.job_names))
     return executions
 
 

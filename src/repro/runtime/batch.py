@@ -392,11 +392,12 @@ class ControllerBatch:
 
         # Per-run report state, folded in as each epoch completes (see
         # ``Controller.run`` for why these sums keep the serial bits):
-        # ``limits`` ends as every run's final limits, and ``time_cols``
-        # holds one ``(runs,)`` column of epoch times per epoch.
+        # ``limits`` ends as every run's final limits, and column ``e`` of
+        # ``times`` holds epoch ``e``'s times (a run's row is contiguous,
+        # as ``np.sum`` needs).
         energy_j = np.zeros((runs, hosts))
         freq_sum_ghz = np.zeros((runs, hosts))
-        time_cols: List[np.ndarray] = []
+        times = np.zeros((runs, max_epochs))
         last: List[Optional[PlatformSample]] = [None] * runs
         clock = np.zeros(runs)
         epochs_run = np.zeros(runs, dtype=int)
@@ -419,9 +420,7 @@ class ControllerBatch:
                 limits[active] = self._adjust(sample, gathered, clock_start)
                 energy_j[active] += sample.host_energy_j
                 freq_sum_ghz[active] += sample.mean_freq_ghz
-                epoch_times = np.zeros(runs)
-                epoch_times[active] = sample.epoch_time_s
-                time_cols.append(epoch_times)
+                times[active, epoch] = sample.epoch_time_s
                 sample_rows = active
                 epochs_run[active] += 1
                 if epoch + 1 >= min_epochs:
@@ -449,7 +448,6 @@ class ControllerBatch:
                 )
                 trace_sp.set_attribute("converged", int(np.sum(converged)))
 
-        times = np.stack(time_cols, axis=1)
         metadata = {
             c: dict(group.batch.describe_run(row))
             for group in self._groups

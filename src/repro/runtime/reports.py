@@ -7,6 +7,13 @@ added to jobs based on the observed ... power usage (obtained from GEOPM
 reports)").  This module defines the same artefact, so the policy layer
 never reaches into the simulator directly — it sees exactly what a
 production resource manager would see.
+
+A :class:`JobReport` is stored by column: one read-only ``(hosts,)``
+array per quantity (energy, mean power, mean frequency, final limits)
+plus the job's scalar wall time and epoch count.  Both runtimes build
+one per run through :func:`report_from_sums`, and the policies read the
+arrays as they are; :class:`HostReport` is the per-host view of one row,
+built only when something asks for :attr:`JobReport.hosts`.
 """
 
 from __future__ import annotations
@@ -55,17 +62,30 @@ class HostReport:
             raise ValueError("runtime and energy must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JobReport:
-    """A complete GEOPM report for one job execution.
+    """A complete GEOPM report for one job execution, stored by column.
 
-    The array accessors return host-ordered NumPy views so policy code can
-    stay vectorised.
+    Built by :func:`report_from_sums` only.  The per-host quantities are
+    read-only ``(hosts,)`` arrays in host order (host ``i`` is row ``i``),
+    so the policies' array accessors hand them out without a copy and the
+    report holds no per-host objects; :attr:`hosts` builds the
+    :class:`HostReport` view on demand.  Every host of a job shares the
+    job's wall time and epoch count, so those are scalars.  Equality is
+    exact: every column must match bit for bit.
     """
 
     job_name: str
     agent: str
-    hosts: Tuple[HostReport, ...]
+    #: Wall time of the job (every host's runtime), seconds.
+    elapsed_s: float
+    #: Control epochs run.
+    epochs: int
+    host_energy_j: np.ndarray
+    host_power_w: np.ndarray
+    host_freq_ghz: np.ndarray
+    #: RAPL limits in force after the final epoch.
+    host_limit_w: np.ndarray
     figure_of_merit: float = 0.0
     metadata: Dict[str, float] = field(default_factory=dict)
     #: Telemetry summary of the run that produced the report (epochs,
@@ -73,54 +93,90 @@ class JobReport:
     #: none.
     telemetry: Dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.hosts:
-            raise ValueError("a job report needs at least one host")
-        ids = [h.host_id for h in self.hosts]
-        if ids != sorted(set(ids)):
-            raise ValueError("host reports must be unique and host-id ordered")
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JobReport):
+            return NotImplemented
+        return (
+            self.job_name == other.job_name
+            and self.agent == other.agent
+            and self.elapsed_s == other.elapsed_s
+            and self.epochs == other.epochs
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _COLUMNS)
+            and self.figure_of_merit == other.figure_of_merit
+            and self.metadata == other.metadata
+            and self.telemetry == other.telemetry
+        )
 
     # ------------------------------------------------------------------
     @property
     def host_count(self) -> int:
         """Hosts covered by the report."""
-        return len(self.hosts)
+        return self.host_energy_j.size
+
+    @property
+    def hosts(self) -> Tuple[HostReport, ...]:
+        """Per-host sections, built from the columns on each access."""
+        return tuple(
+            HostReport(
+                host_id=i,
+                runtime_s=self.elapsed_s,
+                energy_j=e,
+                mean_power_w=p,
+                mean_freq_ghz=f,
+                power_limit_w=limit,
+                epochs=self.epochs,
+            )
+            for i, (e, p, f, limit) in enumerate(
+                zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+            )
+        )
 
     def mean_power_w(self) -> np.ndarray:
         """Per-host mean power (the policies' primary input)."""
-        return np.array([h.mean_power_w for h in self.hosts])
+        return self.host_power_w
 
     def power_limits_w(self) -> np.ndarray:
         """Per-host RAPL limits in force."""
-        return np.array([h.power_limit_w for h in self.hosts])
+        return self.host_limit_w
 
     def energy_j(self) -> np.ndarray:
         """Per-host energy."""
-        return np.array([h.energy_j for h in self.hosts])
+        return self.host_energy_j
 
     def runtime_s(self) -> np.ndarray:
         """Per-host runtime."""
-        return np.array([h.runtime_s for h in self.hosts])
+        return np.full(self.host_count, self.elapsed_s)
 
     def mean_freq_ghz(self) -> np.ndarray:
         """Per-host mean achieved frequency."""
-        return np.array([h.mean_freq_ghz for h in self.hosts])
+        return self.host_freq_ghz
 
     def total_energy_j(self) -> float:
         """Job energy."""
-        return float(np.sum(self.energy_j()))
+        return float(np.sum(self.host_energy_j))
 
     def summary(self) -> Dict[str, float]:
         """Scalar roll-up for logs and tables."""
-        power = self.mean_power_w()
+        power = self.host_power_w
         return {
             "hosts": float(self.host_count),
             "total_energy_j": self.total_energy_j(),
-            "max_runtime_s": float(np.max(self.runtime_s())),
+            "max_runtime_s": self.elapsed_s,
             "mean_power_w": float(np.mean(power)),
             "max_power_w": float(np.max(power)),
             "min_power_w": float(np.min(power)),
         }
+
+
+#: The per-host columns, in :class:`HostReport` field order.
+_COLUMNS = ("host_energy_j", "host_power_w", "host_freq_ghz", "host_limit_w")
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """``column``, made read-only (the caller passes a fresh array)."""
+    column.flags.writeable = False
+    return column
 
 
 def report_from_sums(
@@ -139,7 +195,8 @@ def report_from_sums(
     :class:`~repro.runtime.batch.ControllerBatch` go through, so a batched
     run's report is bit-identical to its serial twin by construction: both
     runtimes fold each epoch into the same sums as it completes, and the
-    remaining reductions below happen in one fixed order.
+    remaining reductions below happen in one fixed order.  The report's
+    columns are copies, so later changes to the inputs do not reach it.
 
     Parameters
     ----------
@@ -153,34 +210,36 @@ def report_from_sums(
         Limits in force after the final epoch, shape ``(hosts,)``.
     metadata:
         The agent's :meth:`~repro.runtime.agent.Agent.describe` scalars.
+
+    Raises ``ValueError`` for a run with no epochs or no hosts, columns
+    of different shapes, and a negative or NaN energy or runtime.
     """
     epoch_times = np.asarray(epoch_times_s, dtype=float)
-    energy = np.asarray(energy_j, dtype=float)
     epochs = int(epoch_times.size)
     if epochs == 0:
         raise ValueError("a report needs at least one epoch")
     total_time = float(np.sum(epoch_times))
-    mean_power = energy / total_time if total_time else np.zeros_like(energy)
-    mean_freq = np.asarray(freq_sum_ghz, dtype=float) / epochs
-    hosts = tuple(
-        HostReport(
-            host_id=i,
-            runtime_s=total_time,
-            energy_j=e,
-            mean_power_w=p,
-            mean_freq_ghz=f,
-            power_limit_w=limit,
-            epochs=epochs,
-        )
-        for i, (e, p, f, limit) in enumerate(
-            zip(energy.tolist(), mean_power.tolist(), mean_freq.tolist(),
-                np.asarray(final_limits_w, dtype=float).tolist())
-        )
-    )
+    energy = _frozen(np.array(energy_j, dtype=float))
+    freq = _frozen(np.asarray(freq_sum_ghz, dtype=float) / epochs)
+    limits = _frozen(np.array(final_limits_w, dtype=float))
+    if energy.ndim != 1 or energy.size == 0:
+        raise ValueError("a job report needs at least one host")
+    if freq.shape != energy.shape or limits.shape != energy.shape:
+        raise ValueError("per-host columns must share one (hosts,) shape")
+    # Written so that NaN fails too.
+    if not (total_time >= 0 and (energy >= 0).all()):
+        raise ValueError("runtime and energy must be non-negative")
+    power = _frozen(energy / total_time if total_time
+                    else np.zeros_like(energy))
     return JobReport(
         job_name=job_name,
         agent=agent,
-        hosts=hosts,
+        elapsed_s=total_time,
+        epochs=epochs,
+        host_energy_j=energy,
+        host_power_w=power,
+        host_freq_ghz=freq,
+        host_limit_w=limits,
         figure_of_merit=total_time / epochs,
         metadata=metadata,
     )

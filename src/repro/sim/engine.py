@@ -9,9 +9,11 @@ forward
     ``bind(layout, efficiencies)(limits)`` — a :class:`BoundEpoch` kernel
     for one host set; each call clamps per-host limits into the RAPL
     range and returns the achieved frequency, the compute-phase time, and
-    the power drawn while computing / polling.  Every layer (runtime
-    epochs, the stacked executor and its fault plan, characterization,
-    the experiments) evaluates caps through it.
+    the power drawn while computing / polling.  The compute and poll
+    operating points come from one pass of the power model over both
+    loads, stacked at bind time.  Every layer (runtime epochs, the
+    stacked executor and its fault plan, characterization, the
+    experiments) evaluates caps through it.
 
 inverse
     ``required_frequency(layout, target_time)`` — the lowest frequency at
@@ -144,16 +146,21 @@ def _phase_time(ratio, bw0, sens, ceiling_gflops, traffic_gb, gflop, has_flops):
 class BoundEpoch:
     """One host set's epoch physics, built by :meth:`ExecutionModel.bind`.
 
-    Binding computes the per-host-set constants once: the loads
-    ``kappa * eff`` and ``poll_kappa * eff``, the per-host compute
-    ceiling, the bandwidth parameters and the ``gflop > 0`` mask.  A call
-    then runs plain elementwise ufuncs only (the power model's ``*_load``
-    forms), so each element depends on its own host's cap alone.
-    Broadcasts over leading axes like the rest of the engine: a stacked
-    ``(S, hosts)`` layout and efficiencies take ``(S, hosts)`` limits, and
-    a flat ``(hosts,)`` one takes ``(S, hosts)`` limits with row ``s``
-    equal to a ``(hosts,)`` call on ``limits[s]``.  ``tdp_w`` is the
-    node TDP the limits clamp to from above.
+    Binding computes the per-host-set constants once: the compute and
+    poll loads ``kappa * eff`` and ``poll_kappa * eff``, stacked as one
+    ``(2, ...)`` array, the per-host compute ceiling, the bandwidth
+    parameters and the ``gflop > 0`` mask.  A call then runs plain
+    elementwise ufuncs only (the power model's ``*_load`` forms) in one
+    pass over both loads: row 0 of the result is the compute operating
+    point, which feeds the phase time, and row 1 the poll point.  Each
+    element depends on its own host's cap and load alone, so it equals
+    a call on that load by itself.  Broadcasts over leading axes like the
+    rest of the engine: a stacked ``(S, hosts)`` layout and efficiencies
+    take ``(S, hosts)`` limits, and a flat ``(hosts,)`` one takes
+    ``(S, hosts)`` limits with row ``s`` equal to a ``(hosts,)`` call on
+    ``limits[s]`` (the loads gain axes after their row axis to reach the
+    caps' rank).  ``tdp_w`` is the node TDP the limits clamp to from
+    above.
 
     The outputs are a pure function of the clamped caps, so the kernel
     keeps the last call's results: when the caps repeat (a monitor, a
@@ -161,8 +168,8 @@ class BoundEpoch:
     of recomputing.  Every call hands out fresh arrays either way.
     """
 
-    __slots__ = ("_power", "_min_cap_w", "tdp_w", "_base_ghz", "_load",
-                 "_poll_load", "_roofline", "_last")
+    __slots__ = ("_power", "_min_cap_w", "tdp_w", "_base_ghz", "_loads",
+                 "_roofline", "_last")
 
     def __init__(self, model: ExecutionModel, layout: HostLayout,
                  efficiencies: np.ndarray) -> None:
@@ -172,8 +179,7 @@ class BoundEpoch:
         self._min_cap_w = power.min_cap_w
         self.tdp_w = power.tdp_w
         self._base_ghz = model.roofline.base_freq_ghz
-        self._load = layout.kappa * eff
-        self._poll_load = layout.poll_kappa * eff
+        self._loads = np.stack([layout.kappa * eff, layout.poll_kappa * eff])
         bw0, sens = model._bandwidth_params()
         self._roofline = (bw0, sens, model._ceiling_gflops(layout),
                           layout.traffic_gb, layout.gflop, layout.gflop > 0)
@@ -195,12 +201,18 @@ class BoundEpoch:
             # The physics is a pure function of the caps: an agent holding
             # its limits gets the previous epoch's values, as fresh arrays.
             return (caps, *[a.copy() for a in last[1:]])
-        freq = power.freq_at_cap_load(caps, self._load)
-        t = _phase_time(freq / self._base_ghz, *self._roofline)
-        p_compute = power.power_at_freq_load(freq, self._load)
-        poll_freq = power.freq_at_cap_load(caps, self._poll_load)
-        p_poll = power.power_at_freq_load(poll_freq, self._poll_load)
-        out = (caps, freq, t, p_compute, p_poll)
+        loads = self._loads
+        if caps.ndim >= loads.ndim:
+            # (S, hosts) caps on a flat layout: both loads broadcast over
+            # the caps' rows.
+            loads = loads.reshape(
+                loads.shape[:1] + (1,) * (caps.ndim - loads.ndim + 1)
+                + loads.shape[1:]
+            )
+        freq = power.freq_at_cap_load(caps, loads)
+        p = power.power_at_freq_load(freq, loads)
+        t = _phase_time(freq[0] / self._base_ghz, *self._roofline)
+        out = (caps, freq[0], t, p[0], p[1])
         # Lists, not ``tuple(<generator>)``: that form strands one tuple
         # per call on CPython's free list, so a run's memory would grow
         # with its epoch count.

@@ -75,10 +75,7 @@ class TestSiteSimulationTelemetry:
         assert [e.payload["duration_s"] for e in events] == pytest.approx(
             [b.duration_s for b in result.batches]
         )
-        snap = telemetry.get_registry().snapshot()
-        assert snap["counters"]["manager.site.jobs_completed"] == len(
-            result.completed
-        )
+        assert result.stats.jobs_completed == len(result.completed)
 
 
 class TestControllerTelemetry:

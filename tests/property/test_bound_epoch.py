@@ -15,7 +15,9 @@ every cap (inside, below and above the settable range), every host kind
   activity is no higher;
 * evaluate each scenario row of an ``(S, hosts)`` call on a flat layout
   exactly as a ``(hosts,)`` call on that row (the stacked executor's
-  determinism contract).
+  determinism contract);
+* give, in its one pass over the stacked compute and poll loads, each
+  element exactly the power model's value on that element's load alone.
 
 Repeated caps are served from the kernel's previous results, which must
 come out as fresh arrays equal to a fresh evaluation.  The tracer that
@@ -155,6 +157,38 @@ class TestBoundEpochPhysics:
         for s, row in enumerate(rows):
             single = MODEL.bind(layout, eff)(row)
             _assert_equal([out[s] for out in stacked], single)
+
+    @given(case=kernel_cases(), per_row=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_matches_each_load_alone(self, case, per_row):
+        """The kernel evaluates the compute and poll loads in one stacked
+        pass; each element of its compute frequency, compute power and
+        poll power equals the power model evaluated on that element's
+        cap and load alone, bit for bit.  ``per_row`` picks ``(S, hosts)``
+        caps (the scenario rows of a flat layout, or a stacked layout's
+        own rows), otherwise ``(hosts,)`` caps, which a stacked layout
+        broadcasts over its rows."""
+        layout, eff, (first, second) = case
+        if not per_row:
+            limits = first.reshape(-1, first.shape[-1])[0]
+        elif first.ndim == 1:
+            limits = np.stack([first, second, first])
+        else:
+            limits = first
+        caps, freq, _, p_compute, p_poll = MODEL.bind(layout, eff)(limits)
+        caps = np.broadcast_to(caps, freq.shape)
+        power = MODEL.power_model
+        loads = [np.broadcast_to(kappa * eff, freq.shape)
+                 for kappa in (layout.kappa, layout.poll_kappa)]
+        for at in np.ndindex(freq.shape):
+            cap, compute, poll = (np.array([a[at]]) for a in (caps, *loads))
+            f_compute = power.freq_at_cap_load(cap, compute)
+            f_poll = power.freq_at_cap_load(cap, poll)
+            assert np.array_equal(f_compute, [freq[at]])
+            assert np.array_equal(power.power_at_freq_load(f_compute, compute),
+                                  [p_compute[at]])
+            assert np.array_equal(power.power_at_freq_load(f_poll, poll),
+                                  [p_poll[at]])
 
     @given(case=kernel_cases())
     @settings(max_examples=30, deadline=None)

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.runtime.reports import HostReport, JobReport
+from repro.runtime.reports import report_from_sums
 from repro.workload.catalog import build_catalog
 
 
 class TestReportPowerLimits:
     def test_limits_in_host_order(self):
-        hosts = tuple(
-            HostReport(i, 1.0, 100.0, 100.0, 2.0, 200.0 + i, 1)
-            for i in range(3)
+        report = report_from_sums(
+            "j", "monitor", np.ones(1), np.full(3, 100.0), np.full(3, 2.0),
+            np.array([200.0, 201.0, 202.0]), {},
         )
-        report = JobReport(job_name="j", agent="monitor", hosts=hosts)
         np.testing.assert_allclose(report.power_limits_w(), [200.0, 201.0, 202.0])
 
 
