@@ -11,7 +11,8 @@ policy layer depends on nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +99,42 @@ class MixCharacterization:
             raise IndexError(f"job {job} out of range")
         return slice(int(self.job_boundaries[job]), int(self.job_boundaries[job + 1]))
 
+    @cached_property
+    def _blocks_by_length(self) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
+        """``(k, job ids, block starts)`` per distinct block length ``k``,
+        in order of first appearance, the ids in job order."""
+        bounds = self.job_boundaries
+        by_length = {}
+        for job, length in enumerate(np.diff(bounds).tolist()):
+            by_length.setdefault(length, []).append(job)
+        groups = []
+        for length, jobs in by_length.items():
+            ids = np.array(jobs)
+            starts = bounds[ids]
+            ids.setflags(write=False)
+            starts.setflags(write=False)
+            groups.append((length, ids, starts))
+        return tuple(groups)
+
+    def job_groups(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The job blocks grouped by length, for row-wise per-job rules.
+
+        Yields one ``(job ids, host index)`` pair per distinct block
+        length ``k``, in order of first appearance: the ``R`` jobs of that
+        length in job order, and the ``(R, k)`` matrix whose row ``r``
+        lists the hosts of job ``job ids[r]``.  ``values[index]`` gathers
+        the group's blocks as the rows of a C-contiguous ``(R, k)`` array,
+        so a row sum equals ``np.sum`` of that job's block bit for bit.
+
+        The grouping is computed once per characterization (the planner
+        memo reuses one across budgets and ladder retries); the index
+        matrices are built per call, because a memo holding them would
+        keep a host-sized integer array alive per memoised
+        characterization.
+        """
+        for length, ids, starts in self._blocks_by_length:
+            yield ids, starts[:, None] + np.arange(length)
+
     # --- per-job aggregates the policies use ---------------------------
     def job_max_monitor_power_w(self) -> np.ndarray:
         """Per job: the most power-hungry host's observed power.
@@ -115,7 +152,7 @@ class MixCharacterization:
 def _characterization_arrays(
     model: ExecutionModel, layout, eff: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Both characterization physics passes for one layout.
+    """Both characterization physics evaluations for one layout.
 
     Returns ``(monitor_power, theoretical)``: the unconstrained observed
     power per host (metric (a)) and the minimum power that preserves each
@@ -128,21 +165,24 @@ def _characterization_arrays(
     arrays bit-identical per scenario slice to the serial computation.
     """
     pm = model.power_model
-    physics = model.bind(layout, eff)
+    # One pass of the bound kernel over the stacked (2, ...) caps: row 0
+    # at TDP (the unconstrained monitor run), row 1 at the RAPL floor.
+    # Each element equals its one-row call (see :class:`BoundEpoch`).
+    caps = np.empty((2,) + layout.kappa.shape)
+    caps[0] = pm.tdp_w
+    caps[1] = pm.min_cap_w
+    _, _, t, p_compute, p_poll = model.bind(layout, eff)(caps)
 
     # --- metric (a): unconstrained observed power ----------------------
-    _, _, t_unc, p_compute_unc, p_poll_unc = physics(
-        np.full(layout.kappa.shape, pm.tdp_w)
-    )
+    t_unc = t[0]
     t_crit = np.maximum.reduceat(t_unc, layout.job_boundaries[:-1], axis=-1)
     t_crit_per_host = t_crit[..., layout.job_index]
     slack = np.maximum(t_crit_per_host - t_unc, 0.0)
-    monitor_power = (p_compute_unc * t_unc + p_poll_unc * slack) / t_crit_per_host
+    monitor_power = (p_compute[0] * t_unc + p_poll[0] * slack) / t_crit_per_host
 
     # --- metric (b): minimum power preserving the critical path --------
     needed_compute_power = model.required_power(layout, t_crit_per_host, eff)
-    floor_power = physics(np.full(layout.kappa.shape, pm.min_cap_w))[3]
-    theoretical = np.clip(needed_compute_power, floor_power, monitor_power)
+    theoretical = np.clip(needed_compute_power, p_compute[1], monitor_power)
     return monitor_power, theoretical
 
 

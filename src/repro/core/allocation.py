@@ -10,7 +10,10 @@ The paper's policies are compositions of three redistribution moves:
   a pool proportionally to per-host weights, respecting per-host upper
   bounds, iterating as hosts saturate;
 * *proportional fitting* (JobAdaptive overflow): scale a set of targets
-  down onto a budget, never below the floor.
+  down onto a budget, never below the floor.  :func:`fit_to_budget` takes
+  rows — one ``(k,)`` target vector and one budget per job, for a group
+  of equal-length job blocks — so the per-job rules plan a batch in one
+  call per block length; each row equals its own 1-D call bit for bit.
 
 All three are exact water-filling procedures: they terminate in at most
 ``hosts`` rounds because every round either exhausts the pool or saturates
@@ -21,6 +24,7 @@ with hypothesis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -154,7 +158,7 @@ def distribute_weighted(
 
 def fit_to_budget(
     targets_w: np.ndarray,
-    budget_w: float,
+    budget_w: float | np.ndarray,
     floor_w: float,
 ) -> np.ndarray:
     """Scale targets down onto a budget without going below the floor.
@@ -167,25 +171,59 @@ def fit_to_budget(
 
     If even all-floor allocation exceeds the budget, the all-floor vector
     is returned (RAPL cannot go lower; the budget is infeasible).
+
+    Rows: ``targets_w`` of shape ``(..., k)`` holds one target vector per
+    row and ``budget_w`` one budget per row (shape ``(...)``, or a scalar
+    for all).  Every row follows the rule above on its own — it already
+    fits, goes all-floor, or scales for at most ``k + 1`` rounds and is
+    frozen once it stops — and each row of the result equals the call on
+    that row alone bit for bit: a row sum of a C-contiguous ``(R, k)``
+    array adds the same ``k`` elements in the same pairwise order as
+    ``np.sum`` of the row, and every other step is elementwise.  A 1-D
+    call is the one-row case.
     """
-    targets = np.asarray(targets_w, dtype=float).copy()
-    budget = float(budget_w)
+    targets = np.array(targets_w, dtype=float)
     floor = float(floor_w)
     if np.any(targets + 1e-12 < floor):
         raise ValueError("targets must be at or above the floor")
-    if float(np.sum(targets)) <= budget:
+    k = targets.shape[-1]
+    rows = targets.reshape(math.prod(targets.shape[:-1]), k)
+    budgets = np.empty(targets.shape[:-1])
+    budgets[...] = budget_w
+    budgets = budgets.reshape(-1)
+    sums = rows.sum(axis=-1)
+    # Rows that already fit keep their targets; of the rest, those whose
+    # all-floor state exceeds the budget go all-floor and the others scale.
+    live = (~(sums <= budgets)).nonzero()[0]
+    if not live.size:
         return targets
-    if targets.size * floor >= budget:
-        return np.full_like(targets, floor)
-    scaled = targets.copy()
-    for _ in range(targets.size + 1):
-        excess = float(np.sum(scaled)) - budget
-        if excess <= _POOL_EPSILON_W:
+    budgets = budgets[live]
+    infeasible = k * floor >= budgets
+    if infeasible.any():
+        rows[live[infeasible]] = floor
+        feasible = ~infeasible
+        live, budgets = live[feasible], budgets[feasible]
+    scaled, sums = rows[live], sums[live]
+    for _ in range(k + 1):
+        excess = sums - budgets
+        spent = excess <= _POOL_EPSILON_W
+        if spent.all():
             break
         above = scaled - floor
-        movable = float(np.sum(above))
-        if movable <= _POOL_EPSILON_W:
-            break
-        factor = max(0.0, 1.0 - excess / movable)
-        scaled = floor + above * factor
-    return scaled
+        movable = above.sum(axis=-1)
+        # A row whose excess or movable power is spent stops, frozen.
+        going = ~(spent | (movable <= _POOL_EPSILON_W))
+        if not going.all():
+            live, budgets, excess, above, movable = (
+                live[going], budgets[going], excess[going], above[going],
+                movable[going],
+            )
+            if not live.size:
+                break
+        factor = 1.0 - excess / movable
+        # ``max(0.0, factor)``, NaN included.
+        factor = np.where(factor > 0.0, factor, 0.0)
+        scaled = floor + above * factor[:, None]
+        rows[live] = scaled
+        sums = scaled.sum(axis=-1)
+    return targets

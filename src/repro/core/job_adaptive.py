@@ -43,31 +43,38 @@ class JobAdaptivePolicy(Policy):
         uniform = self.uniform_share(char, budget_w)
         floor = char.min_cap_w
         tdp = char.tdp_w
-        caps = np.empty(char.host_count)
-        leftover_total = 0.0
+        caps = np.maximum(char.needed_cap_w, floor)
+        surplus_jobs = []
 
-        for j in range(char.job_count):
-            block = char.job_slice(j)
-            hosts = block.stop - block.start
+        for jobs, index in char.job_groups():
+            hosts = index.shape[1]
             job_budget = uniform * hosts
-            targets = np.maximum(char.needed_cap_w[block], floor)
-
-            if float(np.sum(targets)) > job_budget:
+            targets = caps[index]
+            sums = targets.sum(axis=-1)
+            over = sums > job_budget
+            if over.any():
                 # Overflow: proportional reduction onto the job budget.
-                job_caps = fit_to_budget(targets, job_budget, floor)
-                leftover = 0.0
-            else:
-                # Surplus: push the remainder to the hosts that need the
-                # most power, bounded by TDP; the job cannot export it.
-                surplus = job_budget - float(np.sum(targets))
-                weights = np.maximum(targets - floor, 0.0)
-                if not np.any(weights > 0):
-                    weights = np.ones_like(targets)
-                bounds = np.full(hosts, tdp)
-                job_caps, leftover = distribute_weighted(
-                    surplus, targets, weights, bounds
+                caps[index[over]] = fit_to_budget(
+                    targets[over], job_budget, floor
                 )
-            caps[block] = job_caps
+            surplus_jobs += zip(jobs[~over].tolist(), sums[~over].tolist())
+
+        # Surplus: push the remainder to the hosts that need the most
+        # power, bounded by TDP; the job cannot export it.  Job order
+        # keeps the sum of the leftovers in one fixed order.
+        leftover_total = 0.0
+        for job, total in sorted(surplus_jobs):
+            block = char.job_slice(job)
+            targets = caps[block]
+            hosts = targets.size
+            surplus = uniform * hosts - total
+            weights = np.maximum(targets - floor, 0.0)
+            if not np.any(weights > 0):
+                weights = np.ones_like(targets)
+            bounds = np.full(hosts, tdp)
+            caps[block], leftover = distribute_weighted(
+                surplus, targets, weights, bounds
+            )
             leftover_total += leftover
 
         return PowerAllocation(

@@ -6,6 +6,16 @@ only GEOPM-report-derived characterization arrays — which mirrors where
 they would run in production (inside the resource manager, consuming job
 runtime reports) and is what makes the paper's comparison fair: every
 policy gets exactly the same information its real counterpart would have.
+
+:meth:`Policy.program` is the one rule that turns a policy into the caps
+its jobs run under; for application-aware policies it reshapes each
+job's allocation the way the in-job balancer does
+(:func:`apply_job_runtime`).  That reshaping, like JobAdaptive's
+allocation, runs per group of equal-length job blocks
+(``MixCharacterization.job_groups()``): the group's blocks are gathered as
+``(R, k)`` rows, and their row sums and one row-wise
+:func:`~repro.core.allocation.fit_to_budget` call replace a Python
+iteration per job, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,18 +48,24 @@ def apply_job_runtime(
     This execution-time behaviour is why the paper's JobAdaptive and
     MixedAdaptive "tend to perform similarly in the min ... power levels":
     whatever the cross-job split, each job's interior is balancer-shaped.
+
+    Jobs are handled a block length at a time (see the module docstring);
+    the result equals the one-job-at-a-time rule bit for bit.
     """
     caps = np.asarray(caps_w, dtype=float)
-    effective = np.empty_like(caps)
     floor = char.min_cap_w
-    for j in range(char.job_count):
-        block = char.job_slice(j)
-        job_budget = float(np.sum(caps[block]))
-        targets = np.maximum(char.needed_cap_w[block], floor)
-        if float(np.sum(targets)) > job_budget:
-            effective[block] = fit_to_budget(targets, job_budget, floor)
-        else:
-            effective[block] = targets
+    effective = np.maximum(char.needed_cap_w, floor)
+    for _, index in char.job_groups():
+        # One row per job of this block length: the job budgets are the
+        # row sums of the programmed caps, and only the jobs whose needs
+        # overflow their budget are scaled.
+        budgets = caps[index].sum(axis=-1)
+        targets = effective[index]
+        over = (targets.sum(axis=-1) > budgets).nonzero()[0]
+        if over.size:
+            effective[index[over]] = fit_to_budget(
+                targets[over], budgets[over], floor
+            )
     return effective
 
 

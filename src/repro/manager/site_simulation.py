@@ -77,7 +77,7 @@ from repro.manager.queue import JobRequest
 from repro.manager.scheduler import ScheduledMix
 from repro.hardware.cluster import Cluster
 from repro.sim.execution import SimulationOptions
-from repro.telemetry import emit, enabled, span
+from repro.telemetry import emit, enabled, get_bus, span
 from repro.workload.job import WorkloadMix, validate_job_names
 
 if TYPE_CHECKING:  # imported lazily: the repro.parallel package pulls in
@@ -600,7 +600,9 @@ def finish_planned_batch(planned: PlannedPass,
     Per batch, in row order: duration is the job critical path plus the
     ladder's ``backoff_s`` (zero on fault-free batches); then come the
     record fields, the completion clocks, and the per-batch
-    ``batch_complete`` event (duration and utilization).  Batch and job
+    ``batch_complete`` event (duration and utilization; built only when a
+    subscriber or a ``recording()`` block reads the bus, otherwise the
+    pass's events are only counted, in one step).  Batch and job
     counts are the engine's (:class:`~repro.stream.engine.StreamStats`).
     A batch planned under an active
     ``fault_schedule`` also gets its compliance accounting: overshoot
@@ -615,7 +617,8 @@ def finish_planned_batch(planned: PlannedPass,
 
         drops = fault_schedule.of_kind(FaultKind.BUDGET_CHANGE)
     telemetry = enabled()
-    if telemetry:
+    reading = telemetry and get_bus().reading
+    if reading:
         policy_name = planned.policy.name
     executions: List[BatchExecution] = []
     for launch, names, tier, backoff_s, row in zip(
@@ -653,7 +656,7 @@ def finish_planned_batch(planned: PlannedPass,
             overshoot_ws=overshoot_ws,
             backoff_s=backoff_s,
         )
-        if telemetry:
+        if reading:
             emit(
                 "manager.site", "batch_complete",
                 batch=launch.batch_index, policy=policy_name,
@@ -671,6 +674,8 @@ def finish_planned_batch(planned: PlannedPass,
             record=record,
             completion_s=tuple(clock + (e + backoff_s) for e in elapsed),
         ))
+    if telemetry and not reading:
+        get_bus().count("manager.site", len(executions))
     return executions
 
 

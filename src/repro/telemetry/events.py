@@ -155,6 +155,19 @@ class EventBus:
         self._fan_out(subscribers, (event,))
         return event
 
+    @property
+    def reading(self) -> bool:
+        """Whether a publish now builds an event: a subscriber is
+        attached or a :func:`recording` block is open."""
+        return bool(self._subscribers or _recording)
+
+    def count(self, source: str, n: int) -> None:
+        """Count ``n`` events of ``source`` in one step, exactly as ``n``
+        publishes that nothing reads would (see :attr:`reading`)."""
+        if n:
+            with self._lock:
+                self._counts[source] += n
+
     @staticmethod
     def _fan_out(subscribers: Sequence[tuple],
                  events: Sequence[Event]) -> None:

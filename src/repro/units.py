@@ -28,6 +28,8 @@ it would surface as a cryptic broadcast error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -36,6 +38,30 @@ __all__ = [
     "ensure_fraction",
 ]
 
+
+def _validate(value, name: str, within, requirement: str):
+    """Raise :class:`ValueError` unless ``value`` is finite and
+    ``within`` holds for it everywhere; return ``value`` unchanged.
+
+    A Python ``int`` or ``float`` (``bool`` and ``np.float64`` included)
+    is checked without building an array, with the array path's verdict,
+    messages and exception types (an ``int`` too large for a float raises
+    :class:`OverflowError` on both paths).
+    """
+    if isinstance(value, (int, float)):
+        finite = math.isfinite(value)
+        inside = finite and within(value)
+    else:
+        arr = np.asarray(value, dtype=float)
+        finite = np.all(np.isfinite(arr))
+        inside = finite and np.all(within(arr))
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not inside:
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    return value
+
+
 def ensure_positive(value, name: str):
     """Validate that ``value`` (scalar or array) is strictly positive.
 
@@ -43,30 +69,15 @@ def ensure_positive(value, name: str):
 
         self.tdp_w = ensure_positive(tdp_w, "tdp_w")
     """
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not np.all(arr > 0):
-        raise ValueError(f"{name} must be strictly positive, got {value!r}")
-    return value
+    return _validate(value, name, lambda v: v > 0, "strictly positive")
 
 
 def ensure_non_negative(value, name: str):
     """Validate that ``value`` (scalar or array) is >= 0; return it."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not np.all(arr >= 0):
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
+    return _validate(value, name, lambda v: v >= 0, "non-negative")
 
 
 def ensure_fraction(value, name: str):
     """Validate that ``value`` lies in the closed interval [0, 1]; return it."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
-    return value
-
+    return _validate(value, name, lambda v: (v >= 0.0) & (v <= 1.0),
+                     "within [0, 1]")

@@ -96,6 +96,36 @@ class TestUnrecordedRun:
         assert len(bus) == 0 and bus.events() == []
 
 
+class TestUnreadBatchEvents:
+    """``finish_planned_batch`` counts a pass's unread ``batch_complete``
+    events in one step; a reader still gets each one, whole."""
+
+    PAYLOAD = {"batch", "policy", "admitted", "deferred", "duration_s",
+               "mean_power_w", "utilization"}
+
+    def test_counts_match_a_subscribed_run(self):
+        _stream_stats()
+        unread = telemetry.get_bus().counts_by_source()
+        telemetry.reset()
+        seen = []
+        bus = telemetry.get_bus()
+        token = bus.subscribe(seen.append, kinds=["batch_complete"])
+        try:
+            _stream_stats()
+        finally:
+            bus.unsubscribe(token)
+        assert bus.counts_by_source() == unread
+        assert len(seen) == unread["manager.site"] > 0
+        assert all(set(e.payload) == self.PAYLOAD for e in seen)
+        assert [e.payload["batch"] for e in seen] == sorted(
+            e.payload["batch"] for e in seen)
+
+    def test_disabled_counts_nothing(self):
+        with telemetry.disabled():
+            _stream_stats()
+        assert "manager.site" not in telemetry.get_bus().counts_by_source()
+
+
 class TestTotalsOnlySpans:
     #: perf_counter readings in call order: outer enters at 0, inner
     #: spans run [1, 3] and [4, 8], outer exits at 10.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.characterization.mix_characterization import (
     MixCharacterization,
+    _characterization_arrays,
     characterize_mix,
 )
 from repro.workload.job import Job, WorkloadMix
@@ -144,8 +145,53 @@ class TestAggregates:
         with pytest.raises(IndexError):
             char.job_slice(2)
 
+    def test_job_groups(self, execution_model):
+        mix = _mix([{"nodes": 2}, {"nodes": 3}, {"nodes": 2}, {"nodes": 1}])
+        char = characterize_mix(mix, np.ones(8), execution_model)
+        groups = [(ids.tolist(), index.tolist())
+                  for ids, index in char.job_groups()]
+        assert groups == [
+            ([0, 2], [[0, 1], [5, 6]]),
+            ([1], [[2, 3, 4]]),
+            ([3], [[7]]),
+        ]
+        # The grouping is computed once per characterization.
+        assert char._blocks_by_length is char._blocks_by_length
+
     def test_variation_raises_inefficient_node_power(self, execution_model):
         mix = _mix([{"intensity": 8.0, "nodes": 2}])
         eff = np.array([0.9, 1.1])
         char = characterize_mix(mix, eff, execution_model)
         assert char.monitor_power_w[1] > char.monitor_power_w[0]
+
+
+class TestStackedPhysicsPass:
+    def test_equals_one_call_per_cap_level(self, execution_model):
+        """The TDP and RAPL-floor caps share one stacked kernel call; each
+        array equals the one-row call at that cap level bit for bit."""
+        mix = _mix([
+            {"intensity": 0.25, "nodes": 9},
+            {"intensity": 2.0, "waiting": 0.5, "imbalance": 2, "nodes": 17},
+            {"intensity": 32.0, "nodes": 8},
+            {"intensity": 8.0, "waiting": 0.75, "imbalance": 3, "nodes": 33},
+        ])
+        layout = mix.layout()
+        eff = np.random.default_rng(4).uniform(0.85, 1.15, layout.host_count)
+        model = execution_model
+        pm = model.power_model
+        physics = model.bind(layout, eff)
+        _, _, t_unc, p_compute, p_poll = physics(
+            np.full(layout.host_count, pm.tdp_w))
+        t_crit = np.maximum.reduceat(t_unc, layout.job_boundaries[:-1])
+        t_crit_per_host = t_crit[layout.job_index]
+        slack = np.maximum(t_crit_per_host - t_unc, 0.0)
+        monitor = (p_compute * t_unc + p_poll * slack) / t_crit_per_host
+        floor_power = model.bind(layout, eff)(
+            np.full(layout.host_count, pm.min_cap_w))[3]
+        theoretical = np.clip(
+            model.required_power(layout, t_crit_per_host, eff),
+            floor_power, monitor)
+        got_monitor, got_theoretical = _characterization_arrays(
+            model, layout, eff)
+        assert np.array_equal(got_monitor, monitor)
+        assert np.array_equal(got_theoretical, theoretical)
