@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures at the
-**paper's full scale** (2 000-node survey, 900-node mixes, 100 iterations)
-and both prints the reproduced rows (visible with ``-s``) and writes them
-to ``benchmarks/output/<name>.txt`` so the artefacts survive the run.
-The engine cells here assert their own speedups and bit-identities;
+``test_bench_paper.py`` regenerates every tracked paper artifact at the
+**paper's full scale** (2 000-node survey, 900-node mixes, 100
+iterations) from the registry in ``repro.experiments.artifacts``.  The
+engine cells here print their timings (visible with ``-s``), write them
+to ``benchmarks/output/<name>.txt`` (ignored by git), and assert their
+own speedups and bit-identities;
 the repository's performance contract is ``bench/run.py`` with the
 bounds in ``BENCHMARK.json``, which CI's ``bench-gate`` job checks
 against the parent commit.

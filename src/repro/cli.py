@@ -129,6 +129,36 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """argparse helper: parse an int, with argparse's error style."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer seed."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer (got {value})"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0 (OS-assigned) to 65535."""
+    value = _int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in [0, 65535] (got {value})"
+        )
+    return value
+
+
 def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     from repro.experiments.grid import ExperimentConfig
 
@@ -221,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsim.add_argument("--no-feeder-dips", action="store_true",
                         dest="no_feeder_dips",
                         help="disable the local feeder-limit fault dips")
-    p_fsim.add_argument("--seed", type=int, default=23,
+    p_fsim.add_argument("--seed", type=_seed, default=23,
                         help="facility seed (deterministic campaigns)")
     p_fsim.add_argument("--rows", type=_positive_int, default=8,
                         metavar="N",
@@ -254,16 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stream.add_argument("--policy", default="MixedAdaptive",
                           choices=POLICY_NAMES, help="allocation policy")
-    p_stream.add_argument("--rate", type=float, default=1.5, metavar="PER_S",
+    p_stream.add_argument("--rate", type=_positive_float, default=1.5,
+                          metavar="PER_S",
                           help="Poisson arrival rate in jobs per simulated "
                                "second (default 1.5 ≈ 130k jobs/day)")
-    p_stream.add_argument("--duration", type=float, default=600.0,
+    p_stream.add_argument("--duration", type=_positive_float, default=600.0,
                           metavar="S",
                           help="simulated stream length (default 600 s)")
-    p_stream.add_argument("--seed", type=int, default=0,
+    p_stream.add_argument("--seed", type=_seed, default=0,
                           help="arrival-stream and noise seed")
-    p_stream.add_argument("--admission-interval", type=float, default=None,
-                          metavar="S",
+    p_stream.add_argument("--admission-interval", type=_positive_float,
+                          default=None, metavar="S",
                           help="quantise admission to one flush per S "
                                "simulated seconds so concurrent batches "
                                "pile up for the stacked engine pass")
@@ -273,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--max-pending", type=_positive_int, default=64,
                           metavar="N",
                           help="queue backpressure bound (default 64)")
-    p_stream.add_argument("--budget-drop", type=float, default=None,
+    p_stream.add_argument("--budget-drop", type=_fraction, default=None,
                           metavar="FRACTION",
                           help="drop the facility budget to this fraction "
                                "halfway through the stream")
@@ -281,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run the asyncio daemon instead: prints "
                                "host:port, serves repro.stream.v1 clients "
                                "until one sends shutdown")
-    p_stream.add_argument("--port", type=int, default=0,
+    p_stream.add_argument("--port", type=_port, default=0,
                           help="daemon port (default 0 = OS-assigned)")
     p_stream.add_argument("--daemon-smoke", action="store_true",
                           dest="daemon_smoke",
@@ -658,10 +689,6 @@ def _build_stream_engine(grid: ExperimentGrid, policy: str,
 
 def _cmd_stream(grid: ExperimentGrid, args: argparse.Namespace) -> int:
     """Sustained-load run, daemon service, or daemon smoke test."""
-    if args.admission_interval is not None and args.admission_interval <= 0:
-        print("error: --admission-interval must be positive",
-              file=sys.stderr)
-        return 2
     if args.profile:
         if not args.telemetry_out:
             print("error: --profile requires --telemetry-out",
@@ -716,9 +743,6 @@ def _cmd_stream(grid: ExperimentGrid, args: argparse.Namespace) -> int:
         poisson_stream(args.rate, args.duration, factory, seed=args.seed)
     )
     if args.budget_drop is not None:
-        if not 0.0 < args.budget_drop <= 1.0:
-            print("error: --budget-drop must be in (0, 1]", file=sys.stderr)
-            return 2
         engine.set_budget(args.budget_drop * budget_w,
                           time_s=args.duration / 2.0)
     with _maybe_profile(args.profile) as profiler:
@@ -946,7 +970,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     its event log and span tree hold the run's history; any other
     command keeps only the exact counts and totals.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "faults" and args.controller_study and (
+            args.check or args.policies):
+        parser.error("faults --controller-study takes neither --check nor "
+                     "--policy")
     out = getattr(args, "telemetry_out", None) or getattr(args, "out", None)
     if not out:
         return _dispatch(args)

@@ -1,9 +1,10 @@
 """One-call reproduction report: every artefact in a single document.
 
 :func:`build_report` runs the whole pipeline — survey, characterizations,
-budgets, the full policy grid, savings, takeaway checks — and renders a
-self-contained Markdown report.  It is what ``python -m repro report``
-emits and what a reviewer reads to audit the reproduction without running
+budgets, the full policy grid — and embeds every text artifact of
+:mod:`repro.experiments.artifacts` verbatim, then the headline savings
+and the run's telemetry.  It is what ``python -m repro report`` emits
+and what a reviewer reads to audit the reproduction without running
 anything else.
 """
 
@@ -12,18 +13,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Union
 
-
-from repro.analysis.render import render_table
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.grid import ExperimentGrid, GridResults
-from repro.experiments.metrics import savings_grid
-from repro.experiments.tables import (
-    table1_system_properties,
-    table2_mixes,
-    table3_budgets,
-)
-from repro.experiments.takeaways import check_takeaways
 from repro.telemetry import TelemetrySummary
-from repro.workload.mixes import MIX_NAMES
 
 __all__ = ["build_report", "write_report"]
 
@@ -41,112 +33,32 @@ def build_report(grid: ExperimentGrid,
     """
     if results is None:
         results = grid.run_all()
-    parts: List[str] = []
     config = grid.config
-    parts.append(
+    parts: List[str] = [
         "# Reproduction report — Wilson et al., IPDPS-W 2021\n\n"
         f"Scale: {config.survey_nodes}-node survey, "
         f"{config.nodes_per_job * config.jobs_per_mix}-node mixes "
         f"({config.jobs_per_mix} jobs x {config.nodes_per_job} nodes), "
         f"{config.iterations} iterations per job.\n"
-    )
-
-    # Table I.
-    t1 = table1_system_properties()
-    parts.append(_section(
-        "Table I — system properties",
-        render_table(["property", "value"], [[k, v] for k, v in t1.items()]),
-    ))
-
-    # Fig. 6 survey.
-    survey = results.survey
-    rows = []
-    for name in ("low", "medium", "high"):
-        freqs = survey.frequencies_ghz[survey.cluster_node_ids(name)]
-        rows.append([name, freqs.size, f"{freqs.mean():.2f}",
-                     f"{freqs.min():.2f}-{freqs.max():.2f}"])
-    parts.append(_section(
-        "Fig. 6 — variation survey",
-        render_table(["cluster", "nodes", "mean GHz", "range GHz"], rows),
-    ))
-
-    # Table II.
-    mix_rows = [
-        [r["mix"], f"{r['intensity_flop_per_byte']:g}", r["vector"],
-         f"{r['waiting_pct']}%", f"{r['imbalance']}x", r["nodes"]]
-        for r in table2_mixes(grid)
     ]
-    parts.append(_section(
-        "Table II — workload mixes",
-        render_table(["mix", "FLOPs/byte", "vector", "waiting", "imbalance",
-                      "nodes"], mix_rows),
-    ))
+    data = {}
+    for artifact in ARTIFACTS:
+        if artifact.svgs:
+            continue
+        data[artifact.name] = artifact.produce(grid, results)
+        parts.append(_section(artifact.title,
+                              artifact.render(data[artifact.name])))
 
-    # Table III.
-    budget_rows = [
-        [r["mix"], r["min_kw"], r["ideal_kw"], r["max_kw"], r["total_tdp_kw"]]
-        for r in table3_budgets(grid)
-    ]
-    parts.append(_section(
-        "Table III — power budgets (kW)",
-        render_table(["mix", "min", "ideal", "max", "TDP"], budget_rows),
-    ))
-
-    # Fig. 7.
-    util_rows = []
-    for (mix, level, policy) in sorted(results.cells):
-        cell = results.cells[(mix, level, policy)]
-        util_rows.append([
-            mix, level, policy,
-            f"{cell.run.result.budget_utilization():.0%}",
-        ])
-    parts.append(_section(
-        "Fig. 7 — budget utilisation",
-        render_table(["mix", "budget", "policy", "used"], util_rows),
-    ))
-
-    # Fig. 8.
-    savings = savings_grid(results)
-    fig8_rows = []
-    for mix in MIX_NAMES:
-        for level in ("min", "ideal", "max"):
-            for policy in ("MinimizeWaste", "JobAdaptive", "MixedAdaptive"):
-                key = (mix, level, policy)
-                if key not in savings:
-                    continue
-                s = savings[key]
-                fig8_rows.append([
-                    mix, level, policy,
-                    f"{100 * s.time_savings.mean:+.1f}%",
-                    f"{100 * s.energy_savings.mean:+.1f}%",
-                    f"{100 * s.edp_savings.mean:+.1f}%",
-                ])
-    parts.append(_section(
-        "Fig. 8 — savings vs StaticCaps",
-        render_table(["mix", "budget", "policy", "time", "energy", "EDP"],
-                     fig8_rows),
-    ))
-
-    # Takeaways.
-    report = check_takeaways(results)
-    takeaway_rows = [
-        ["PASS" if ok else "FAIL", name, report.evidence[name]]
-        for name, ok in report.checks.items()
-    ]
-    parts.append(_section(
-        "Takeaways and markers",
-        render_table(["status", "check", "evidence"], takeaway_rows),
-    ))
-
-    best_time = max(s.time_savings.mean for s in savings.values())
-    best_energy = max(s.energy_savings.mean for s in savings.values())
+    savings = data["fig8_savings_grid"].values()
+    best_time = max(s.time_savings.mean for s in savings)
+    best_energy = max(s.energy_savings.mean for s in savings)
     parts.append(
         "## Headlines\n\n"
         f"* Best time savings vs StaticCaps: **{100 * best_time:.1f} %** "
         "(paper: up to 7 %)\n"
         f"* Best energy savings vs StaticCaps: **{100 * best_energy:.1f} %** "
         "(paper: up to 11 %)\n"
-        f"* All takeaway checks hold: **{report.all_hold()}**\n"
+        f"* All takeaway checks hold: **{data['takeaways'].all_hold()}**\n"
     )
 
     # Telemetry of the run that produced this report.

@@ -29,7 +29,7 @@ from repro.experiments.metrics import savings_grid
 from repro.workload.facility import generate_facility_trace
 from repro.workload.mixes import MIX_NAMES
 
-__all__ = ["render_all_figures"]
+__all__ = ["SVG_FILES", "figure_documents", "render_all_figures"]
 
 
 def _fig1_svg() -> str:
@@ -96,6 +96,41 @@ def _fig8_svg(results: GridResults, metric: str, label: str) -> str:
     )
 
 
+#: Figure name -> the SVG file it is written to.
+SVG_FILES = {
+    "fig1": "fig1_facility.svg",
+    "fig4": "fig4_monitor_power.svg",
+    "fig5": "fig5_balancer_power.svg",
+    **{f"fig7_{level}": f"fig7_utilization_{level}.svg"
+       for level in ("min", "ideal", "max")},
+    "fig8_time": "fig8_time_savings.svg",
+    "fig8_energy": "fig8_energy_savings.svg",
+}
+
+
+def figure_documents(
+    grid: ExperimentGrid,
+    results: Optional[GridResults] = None,
+    heatmap_nodes: int = 50,
+) -> Dict[str, str]:
+    """Every SVG figure as a document; returns name -> SVG text."""
+    if results is None:
+        results = grid.run_all()
+    docs = {
+        "fig1": _fig1_svg(),
+        "fig4": _heatmap_svg(fig4_monitor_heatmap(grid, heatmap_nodes),
+                             "Fig. 4"),
+        "fig5": _heatmap_svg(fig5_balancer_heatmap(grid, heatmap_nodes),
+                             "Fig. 5"),
+    }
+    for level in ("min", "ideal", "max"):
+        docs[f"fig7_{level}"] = _fig7_svg(results, level)
+    docs["fig8_time"] = _fig8_svg(results, "time_savings", "time savings")
+    docs["fig8_energy"] = _fig8_svg(results, "energy_savings",
+                                    "energy savings")
+    return docs
+
+
 def render_all_figures(
     grid: ExperimentGrid,
     output_dir: Union[str, Path],
@@ -104,30 +139,6 @@ def render_all_figures(
 ) -> Dict[str, Path]:
     """Write every SVG figure into ``output_dir``; returns name -> path."""
     output_dir = Path(output_dir)
-    if results is None:
-        results = grid.run_all()
-    written: Dict[str, Path] = {}
-
-    written["fig1"] = write_svg(_fig1_svg(), output_dir / "fig1_facility.svg")
-    written["fig4"] = write_svg(
-        _heatmap_svg(fig4_monitor_heatmap(grid, heatmap_nodes), "Fig. 4"),
-        output_dir / "fig4_monitor_power.svg",
-    )
-    written["fig5"] = write_svg(
-        _heatmap_svg(fig5_balancer_heatmap(grid, heatmap_nodes), "Fig. 5"),
-        output_dir / "fig5_balancer_power.svg",
-    )
-    for level in ("min", "ideal", "max"):
-        written[f"fig7_{level}"] = write_svg(
-            _fig7_svg(results, level),
-            output_dir / f"fig7_utilization_{level}.svg",
-        )
-    written["fig8_time"] = write_svg(
-        _fig8_svg(results, "time_savings", "time savings"),
-        output_dir / "fig8_time_savings.svg",
-    )
-    written["fig8_energy"] = write_svg(
-        _fig8_svg(results, "energy_savings", "energy savings"),
-        output_dir / "fig8_energy_savings.svg",
-    )
-    return written
+    docs = figure_documents(grid, results, heatmap_nodes)
+    return {name: write_svg(svg, output_dir / SVG_FILES[name])
+            for name, svg in docs.items()}

@@ -212,6 +212,7 @@ class TestFacilitySimCommand:
         ("--horizon", "0", "positive number"),
         ("--budget-fraction", "1.5", "fraction in (0, 1]"),
         ("--budget-fraction", "0", "fraction in (0, 1]"),
+        ("--seed", "-1", "non-negative integer"),
     ])
     def test_bad_values_exit_2_without_traceback(self, flag, value,
                                                  message, capsys):
@@ -272,6 +273,17 @@ class TestFaultsCommand:
         assert "budget-step" in out
         assert "QoS loss" in out
 
+    @pytest.mark.parametrize("extra", [
+        ["--check"], ["--policy", "StaticCaps"],
+    ])
+    def test_controller_study_rejects_check_and_policy(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--controller-study"] + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--controller-study takes neither --check nor --policy" in err
+        assert "Traceback" not in err
+
     def test_faults_check_passes_on_feasible_scenario(self, capsys,
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_SMOKE", "1")
@@ -288,6 +300,28 @@ class TestStreamCommand:
     ARGS = ["--scale", "3", "stream", "--per-job-batches",
             "--admission-interval", "4", "--budget-drop", "0.6",
             "--duration", "60"]
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rate", "-1", "positive number"),
+        ("--rate", "0", "positive number"),
+        ("--duration", "0", "positive number"),
+        ("--duration", "-5", "positive number"),
+        ("--duration", "inf", "positive number"),
+        ("--admission-interval", "0", "positive number"),
+        ("--budget-drop", "1.5", "fraction in (0, 1]"),
+        ("--budget-drop", "0", "fraction in (0, 1]"),
+        ("--seed", "-1", "non-negative integer"),
+        ("--port", "70000", "port in [0, 65535]"),
+        ("--port", "-1", "port in [0, 65535]"),
+    ])
+    def test_bad_values_exit_2_without_traceback(self, flag, value,
+                                                 message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scale", "3", "stream", "--daemon-smoke", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a {message}" in err
+        assert "Traceback" not in err
 
     def test_batch_run_conserves_jobs(self, capsys):
         assert main(self.ARGS) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.report import build_report, write_report
 
 
@@ -16,6 +17,15 @@ class TestBuildReport:
             "Fig. 7", "Fig. 8", "Takeaways", "Headlines",
         ):
             assert heading in report, heading
+
+    def test_embeds_every_text_artifact_verbatim(self, report, small_grid,
+                                                 small_grid_results):
+        for artifact in ARTIFACTS:
+            if artifact.svgs:
+                continue
+            data = artifact.produce(small_grid, small_grid_results)
+            assert f"```\n{artifact.render(data)}\n```" in report, \
+                artifact.name
 
     def test_all_mixes_listed(self, report):
         for mix in ("NeedUsedPower", "HighImbalance", "WastefulPower",
